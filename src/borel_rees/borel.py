@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .monomial import (
@@ -36,7 +37,11 @@ class StronglyStableIdeal:
         return len(self.borel_generators)
 
     def __contains__(self, m: Monomial) -> bool:
-        return m in set(self.minimal_generators)
+        return m in self._generator_set
+
+    @cached_property
+    def _generator_set(self) -> frozenset:
+        return frozenset(self.minimal_generators)
 
     def describe(self) -> str:
         gens = ",".join(str(g) for g in self.borel_generators)
@@ -54,6 +59,8 @@ def borel_closure(gens: Sequence[Monomial], n: int) -> StronglyStableIdeal:
     if any(g.n != n for g in gens):
         raise InvalidIdeal(f"generator ambient dimension differs from n={n}")
     degree = gens[0].degree
+    if degree == 0:
+        raise InvalidIdeal("Borel generators must have positive degree")
     if any(g.degree != degree for g in gens):
         raise InvalidIdeal(
             f"mixed generator degrees {sorted({g.degree for g in gens})}"
@@ -94,7 +101,7 @@ class TwoQuadricView:
     def in_B_N(self, m: Monomial) -> bool:
         return m in self._bn_set
 
-    @property
+    @cached_property
     def _bn_set(self) -> frozenset:
         return frozenset(self.B_N)
 
@@ -192,17 +199,44 @@ def load_collection(spec: dict) -> tuple[StronglyStableIdeal, ...]:
 
     Expected shape:
         {"n": 6, "ideals": [{"borel_generators": ["x4*x5", "x2*x6"]}, ...]}
+
+    Any other shape raises InvalidIdeal naming the offending field.
     """
-    try:
-        n = int(spec["n"])
-        raw_ideals = spec["ideals"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidIdeal(f"ideal spec missing field: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise InvalidIdeal("ideal spec must be a JSON object")
+    for key in ("n", "ideals"):
+        if key not in spec:
+            raise InvalidIdeal(f"ideal spec missing field {key!r}")
+    n = spec["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InvalidIdeal(f"field 'n' must be a positive integer, got {n!r}")
+    raw_ideals = spec["ideals"]
+    if not isinstance(raw_ideals, list):
+        raise InvalidIdeal("field 'ideals' must be a list")
     ideals = []
-    for entry in raw_ideals:
-        gens = [monomial_from_any(g, n) for g in entry["borel_generators"]]
+    for k, entry in enumerate(raw_ideals):
+        field = f"ideals[{k}].borel_generators"
+        if not isinstance(entry, dict) or "borel_generators" not in entry:
+            raise InvalidIdeal(f"ideal spec missing field {field!r}")
+        raw_gens = entry["borel_generators"]
+        if not isinstance(raw_gens, list):
+            raise InvalidIdeal(f"field {field!r} must be a list")
+        gens = []
+        for g in raw_gens:
+            if not (isinstance(g, str) or _is_exponent_list(g)):
+                raise InvalidIdeal(
+                    f"field {field!r}: {g!r} is neither monomial text nor "
+                    "an exponent list"
+                )
+            gens.append(monomial_from_any(g, n))
         ideals.append(borel_closure(gens, n))
     return validate_collection(ideals)
+
+
+def _is_exponent_list(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(e, int) and not isinstance(e, bool) for e in value
+    )
 
 
 def collection_spec(ideals: Sequence[StronglyStableIdeal]) -> dict:

@@ -44,6 +44,12 @@ EXIT_REFUTED = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 4
 
+_VERDICT_EXIT = {
+    "certified-up-to-bound": EXIT_OK,
+    "refuted": EXIT_REFUTED,
+    "inconclusive": EXIT_INCONCLUSIVE,
+}
+
 
 @dataclass
 class RunConfig:
@@ -204,7 +210,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     _emit(payload, cfg.out, "verify.json")
     if cfg.out:
         Path(cfg.out, "basis.jsonl").write_text(dump_basis(rules, len(ideals)))
-    return EXIT_OK if report.verdict == "certified-up-to-bound" else EXIT_REFUTED
+    return _VERDICT_EXIT[report.verdict]
 
 
 def cmd_kernel_oracle(cfg: RunConfig) -> int:
@@ -227,7 +233,7 @@ def cmd_kernel_oracle(cfg: RunConfig) -> int:
     report.oracle_binomials_checked = checked
     report.oracle_failures = failures
     _emit(report.to_json_dict(), cfg.out, "oracle.json")
-    return EXIT_OK if not failures else EXIT_REFUTED
+    return _VERDICT_EXIT[report.verdict]
 
 
 def cmd_detect_cubics(cfg: RunConfig) -> int:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .borel import InvalidIdeal, StronglyStableIdeal, TwoQuadricView, order_view
 from .monomial import Monomial, rlex_sort_key
-from .presentation import MixedMonomial, PresMonomial, PresVar
+from .presentation import MixedMonomial, PresMonomial, PresVar, phi
 from .reduction import MarkedBinomial, lift_to_mixed
 
 
@@ -52,21 +52,9 @@ class PresOrder:
         return cls("rlex", ranked, views)
 
     @classmethod
-    def mrlex(
-        cls,
-        view: TwoQuadricView,
-        ideal_index: int = 1,
-        literal_clause: bool = False,
-    ) -> "PresOrder":
-        """Mixed order: B_N block above B_M block, rlex inside each block.
-
-        literal_clause=True applies the cross-region comparison by plain rlex
-        instead of the block rule; that reading degenerates to rlex and is
-        kept only for experimentation.
-        """
-        ranked = tuple(
-            PresVar(ideal_index, g) for g in _mrlex_chain(view, literal_clause)
-        )
+    def mrlex(cls, view: TwoQuadricView, ideal_index: int = 1) -> "PresOrder":
+        """Mixed order: B_N block above B_M block, rlex inside each block."""
+        ranked = tuple(PresVar(ideal_index, g) for g in _mrlex_chain(view))
         return cls("mrlex", ranked, (view,))
 
     @classmethod
@@ -77,7 +65,7 @@ class PresOrder:
             PresVar(1, g)
             for g in sorted(view1.ideal.minimal_generators, key=rlex_sort_key)
         )
-        second = tuple(PresVar(2, g) for g in _mrlex_chain(view2, False))
+        second = tuple(PresVar(2, g) for g in _mrlex_chain(view2))
         return cls("ht", first + second, (view1, view2))
 
     @cached_property
@@ -118,13 +106,51 @@ class PresOrder:
         return tuple(sorted(T.factors, key=self.var_rank))
 
 
-def _mrlex_chain(view: TwoQuadricView, literal_clause: bool) -> list[Monomial]:
+def _mrlex_chain(view: TwoQuadricView) -> list[Monomial]:
     gens = sorted(view.ideal.minimal_generators, key=rlex_sort_key)
-    if literal_clause:
-        return gens
     top = [g for g in gens if view.in_B_N(g)]
     bottom = [g for g in gens if not view.in_B_N(g)]
     return top + bottom
+
+
+def marking_order(
+    rules: Sequence[MarkedBinomial], ideals: Sequence[StronglyStableIdeal]
+) -> PresOrder | None:
+    """A library term order under which the marking rewrites like a GB, or None.
+
+    The candidates are the orders the constructions above mark by: rlex and
+    (when the region split exists) mrlex for one ideal, head-and-tail for a
+    pair. The first candidate is returned under which every rule has a
+    quadratic presentation lead, lead > trail, and phi(lead) = phi(trail).
+    Rewriting then strictly descends a term order inside each fiber, so every
+    fiber graph is acyclic and its sinks are the fiber's standard monomials.
+    """
+    candidates = []
+    try:
+        if len(ideals) == 1:
+            candidates.append(PresOrder.rlex(ideals[0]))
+            candidates.append(PresOrder.mrlex(order_view(ideals[0])))
+        elif len(ideals) == 2:
+            candidates.append(
+                PresOrder.head_and_tail(order_view(ideals[0]), order_view(ideals[1]))
+            )
+    except InvalidIdeal:
+        pass  # no region split: keep the candidates built so far
+
+    def orients(order: PresOrder, g: MarkedBinomial) -> bool:
+        if not (isinstance(g.lead, PresMonomial) and g.lead.degree == 2):
+            return False
+        try:
+            if order.compare_presmonomials(g.lead, g.trail) <= 0:
+                return False
+        except OrderDomainError:
+            return False
+        return phi(g.lead, ideals) == phi(g.trail, ideals)
+
+    for order in candidates:
+        if all(orients(order, g) for g in rules):
+            return order
+    return None
 
 
 @dataclass(frozen=True)
@@ -229,11 +255,9 @@ def build_G1(
     return _coincident_product_binomials(vars_, vars_, order, "G1", False)
 
 
-def build_G2(
-    view: TwoQuadricView, ideal_index: int = 1, literal_clause: bool = False
-) -> list[MarkedBinomial]:
+def build_G2(view: TwoQuadricView, ideal_index: int = 1) -> list[MarkedBinomial]:
     """As build_G1 but marked by the mixed order of the given region split."""
-    order = PresOrder.mrlex(view, ideal_index, literal_clause)
+    order = PresOrder.mrlex(view, ideal_index)
     vars_ = [PresVar(ideal_index, g) for g in view.ideal.minimal_generators]
     return _coincident_product_binomials(vars_, vars_, order, "G2", False)
 

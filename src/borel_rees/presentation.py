@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .borel import StronglyStableIdeal
@@ -86,6 +87,13 @@ class PresMonomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("PresMonomial is immutable")
+
+    @classmethod
+    def from_sorted(cls, factors: tuple[PresVar, ...]) -> "PresMonomial":
+        """Wrap factors already in canonical (PresVar.sort_key) order."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "factors", factors)
+        return v
 
     @classmethod
     def one(cls) -> "PresMonomial":
@@ -311,30 +319,87 @@ def t_vectors(t_budget: Sequence[int]) -> Iterator[tuple[int, ...]]:
     yield from itertools.product(*(range(b + 1) for b in t_budget))
 
 
+def presentation_variables(
+    ideals: Sequence[StronglyStableIdeal],
+) -> tuple[PresVar, ...]:
+    """Every presentation variable ranked by PresVar.sort_key; a variable's
+    position is its index in fibers_by_multidegree's forbidden pairs."""
+    return tuple(
+        sorted(
+            (
+                PresVar(i, g)
+                for i, ideal in enumerate(ideals, start=1)
+                for g in ideal.minimal_generators
+            ),
+            key=PresVar.sort_key,
+        )
+    )
+
+
 def fibers_by_multidegree(
-    ideals: Sequence[StronglyStableIdeal], t_budget: Sequence[int]
+    ideals: Sequence[StronglyStableIdeal],
+    t_budget: Sequence[int],
+    forbidden_pairs: Iterable[tuple[int, int]] = (),
 ) -> Iterator[tuple[MultiDegree, list[PresMonomial]]]:
     """Group every presentation monomial with t <= budget by its multidegree.
 
     Yields (multidegree, fiber) pairs in a deterministic order: t-vectors
-    lexicographically, x-exponents ascending within each t-slice. Building the
-    fibers by grouping is equivalent to calling enumerate_fiber per multidegree
-    and is what the exhaustive verifier iterates.
+    lexicographically, x-exponents ascending within each t-slice, each fiber
+    canonically sorted. Building the fibers by grouping is equivalent to
+    calling enumerate_fiber per multidegree and is what the exhaustive
+    verifier iterates.
+
+    Monomials are built by backtracking over non-decreasing tuples of
+    variable indexes (positions in presentation_variables), accumulating the
+    content exponents on the way; lexicographic tuple order is the canonical
+    fiber order, so no fiber needs sorting. forbidden_pairs lists index pairs
+    (i, j) no yielded monomial may contain both factors of (twice the factor
+    when i == j). With the lead pairs of a quadratic marking this lists
+    exactly the standard monomials, and multidegrees without one are skipped.
     """
     if len(t_budget) != len(ideals):
         raise ValueError(
             f"t budget needs {len(ideals)} entries, got {len(t_budget)}"
         )
-    n = ideals[0].n
+    variables = presentation_variables(ideals)
+    exps = [v.generator.exps for v in variables]
+    block: list[tuple[int, int]] = []  # index range of each ideal's variables
+    offset = 0
+    for ideal in ideals:
+        block.append((offset, offset + len(ideal.minimal_generators)))
+        offset += len(ideal.minimal_generators)
+    bans: list[list[int]] = [[] for _ in variables]
+    for i, j in forbidden_pairs:
+        bans[min(i, j)].append(max(i, j))
+    banned = [0] * len(variables)
+    chosen: list[int] = []
+
+    def extend(slots, pos, lo, x, groups):
+        if pos == len(slots):
+            groups.setdefault(x, []).append(tuple(chosen))
+            return
+        start, stop = block[slots[pos]]
+        for k in range(max(lo, start), stop):
+            if banned[k]:
+                continue
+            chosen.append(k)
+            for j in bans[k]:
+                banned[j] += 1
+            extend(slots, pos + 1, k, tuple(map(add, x, exps[k])), groups)
+            for j in bans[k]:
+                banned[j] -= 1
+            chosen.pop()
+
+    zero = (0,) * ideals[0].n
     for tv in t_vectors(t_budget):
-        groups: dict[tuple[int, ...], list[PresMonomial]] = {}
-        for u in pres_monomials_with_t(ideals, tv):
-            x = content(u, n).exps
-            groups.setdefault(x, []).append(u)
+        slots = [i for i, count in enumerate(tv) for _ in range(count)]
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        extend(slots, 0, 0, zero, groups)
         for x in sorted(groups):
-            fiber = sorted(
-                groups[x], key=lambda v: tuple(f.sort_key() for f in v.factors)
-            )
+            fiber = [
+                PresMonomial.from_sorted(tuple(variables[k] for k in ranks))
+                for ranks in groups[x]
+            ]
             yield MultiDegree(x, tv), fiber
 
 

@@ -268,10 +268,6 @@ def normal_form(v, rules: Sequence[MarkedBinomial], step_limit: int | None = Non
     )
 
 
-def default_step_limit_for(fiber_size: int) -> int:
-    return fiber_size * fiber_size + 16
-
-
 def to_dot(
     graph: ReductionGraph,
     name: str = "fiber",

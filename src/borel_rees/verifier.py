@@ -5,6 +5,17 @@ multidegrees within an explicit t-budget (every nonempty fiber graph acyclic
 with a unique sink), kernel membership is checked by brute-force fiber pairs,
 and cubic obstructions are found as fibers disconnected under the full set of
 degree-2 coincident-product moves.
+
+verify_gb picks its method from the marking alone. When a library term order
+orients every rule (orders.marking_order), rewriting strictly descends that
+order, so each fiber graph is acyclic and its sinks are the fiber's standard
+monomials: the certificate is one standard monomial per multidegree, listed
+directly by fibers_by_multidegree with the lead pairs forbidden and no graph
+built. Any other marking gets the fiber graphs themselves, which also serve
+as the differential oracle. The report's notes name the method.
+
+A run whose evidence is empty (no checked fiber had two monomials and no
+oracle pair was checked) is "inconclusive", never "certified".
 """
 
 from __future__ import annotations
@@ -17,13 +28,14 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .borel import StronglyStableIdeal, collection_spec, order_view
 from .monomial import Monomial
-from .orders import build_G1, build_head_and_tail_basis
+from .orders import build_G1, build_head_and_tail_basis, marking_order
 from .presentation import (
     MixedMonomial,
     MultiDegree,
     PresMonomial,
     PresVar,
     pres_monomials_with_t,
+    presentation_variables,
     t_vectors,
     content,
     fibers_by_multidegree,
@@ -63,11 +75,15 @@ class VerificationReport:
     oracle_failures: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     sink_log: list = field(default_factory=list, repr=False)
+    # some checked fiber had two or more monomials (not serialized)
+    nontrivial_fiber: bool = field(default=False, repr=False)
 
     @property
     def verdict(self) -> str:
         if self.failures or self.oracle_failures:
             return "refuted"
+        if not (self.nontrivial_fiber or self.oracle_binomials_checked):
+            return "inconclusive"
         return "certified-up-to-bound"
 
     def to_json_dict(self) -> dict:
@@ -200,11 +216,14 @@ def _pool_init(rules):
 
 def _pool_work(chunk):
     pair_index, generic = _POOL_RULES
-    out = []
-    for mu, fiber in chunk:
-        sinks, cyc = analyze_fiber(fiber, pair_index, generic)
-        out.append((mu, [fiber[i] for i in sinks], cyc))
-    return out
+    return [_fiber_graph_result(mu, fiber, pair_index, generic)
+            for mu, fiber in chunk]
+
+
+def _fiber_graph_result(mu, fiber, pair_index, generic):
+    """(multidegree, sink monomials, cycle flag, fiber size) of one fiber."""
+    sinks, cyc = analyze_fiber(fiber, pair_index, generic)
+    return mu, [fiber[i] for i in sinks], cyc, len(fiber)
 
 
 def _chunks(it: Iterable, size: int) -> Iterator[list]:
@@ -228,21 +247,27 @@ def verify_gb(
 ) -> VerificationReport:
     """Certify or refute a marked collection over all budgeted multidegrees.
 
-    Every nonempty fiber graph must be acyclic with exactly one sink. Work is
-    chunked over a process pool when jobs > 1; chunks are merged in submission
-    order, so reports are byte-identical for any worker count.
+    Every nonempty fiber graph must be acyclic with exactly one sink. When a
+    library term order orients every rule, that is checked by listing the
+    standard monomials (serially, whatever jobs says); otherwise the fiber
+    graphs are built, chunked over a process pool when jobs > 1. Chunks are
+    merged in submission order, so reports are byte-identical for any worker
+    count.
     """
     report = VerificationReport(
         ideals=collection_spec(ideals), t_budget=tuple(t_budget)
     )
     sink_log: list[tuple[MultiDegree, PresMonomial]] = []
-    fibers = fibers_by_multidegree(ideals, t_budget)
+    pair_index, generic = rule_indices(rules)
+    order = marking_order(rules, ideals)
 
     def consume(results):
-        for mu, sink_vertices, cyc in results:
+        for mu, sink_vertices, cyc, size in results:
             report.multidegrees_checked += 1
             if progress and report.multidegrees_checked % 2000 == 0:
                 progress(report.multidegrees_checked)
+            if size >= 2:
+                report.nontrivial_fiber = True
             ok = not cyc and len(sink_vertices) == 1
             if not ok:
                 report.failures.append(
@@ -251,20 +276,47 @@ def verify_gb(
             elif collect_sinks:
                 sink_log.append((mu, sink_vertices[0]))
 
-    if jobs <= 1:
-        pair_index, generic = rule_indices(rules)
-        for mu, fiber in fibers:
-            sinks, cyc = analyze_fiber(fiber, pair_index, generic)
-            consume([(mu, [fiber[i] for i in sinks], cyc)])
+    if order is not None:
+        report.notes.append(
+            f"standard monomials under the {order.kind} order; "
+            f"{len(rules)} rules oriented, images equal"
+        )
+        consume(_standard_monomial_results(pair_index, ideals, t_budget))
+        # the other nontrivial fibers are those holding a lead within budget,
+        # which shares its fiber with its trail
+        report.nontrivial_fiber |= any(
+            all(a <= b for a, b in zip(g.lead.t_vector(len(ideals)), t_budget))
+            for g in rules
+        )
     else:
-        with multiprocessing.Pool(
-            processes=jobs, initializer=_pool_init, initargs=(list(rules),)
-        ) as pool:
-            for results in pool.imap(_pool_work, _chunks(fibers, 256)):
-                consume(results)
+        report.notes.append(
+            f"fiber graphs; no library term order orients all {len(rules)} rules"
+        )
+        fibers = fibers_by_multidegree(ideals, t_budget)
+        if jobs <= 1:
+            consume(
+                _fiber_graph_result(mu, fiber, pair_index, generic)
+                for mu, fiber in fibers
+            )
+        else:
+            with multiprocessing.Pool(
+                processes=jobs, initializer=_pool_init, initargs=(list(rules),)
+            ) as pool:
+                for results in pool.imap(_pool_work, _chunks(fibers, 256)):
+                    consume(results)
     if collect_sinks:
         report.sink_log = sink_log
     return report
+
+
+def _standard_monomial_results(pair_index, ideals, t_budget):
+    """Per multidegree: its standard monomials, which are the fiber graph's
+    sinks under a term-order marking, with no cycle; their count stands in
+    for the fiber size as a lower bound. pair_index is keyed by the leads."""
+    rank = {v: k for k, v in enumerate(presentation_variables(ideals))}
+    lead_pairs = [(rank[p], rank[q]) for p, q in pair_index]
+    for mu, standard in fibers_by_multidegree(ideals, t_budget, lead_pairs):
+        yield mu, standard, False, len(standard)
 
 
 def verify_gb_mixed(
@@ -291,6 +343,8 @@ def verify_gb_mixed(
         report.multidegrees_checked += 1
         if progress and report.multidegrees_checked % 2000 == 0:
             progress(report.multidegrees_checked)
+        if len(fiber) >= 2:
+            report.nontrivial_fiber = True
         if cyc or len(sinks) != 1:
             report.failures.append(
                 FiberFailure(mu, [_vlabel(fiber[i], mu) for i in sinks], cyc)
@@ -626,7 +680,7 @@ def koszul_report(
                                   progress=progress)
             if gb_report.verdict == "certified-up-to-bound":
                 verdict = "g-quadratic-certified"
-            else:
+            elif gb_report.verdict == "refuted":
                 notes.append("constructed basis failed certification")
         else:
             notes.append("no constructive quadratic basis for this collection")

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from borel_rees.cli import main
 from borel_rees.paper_cases import CASES, load_expectation, run_case
@@ -158,6 +163,76 @@ class TestVerify:
         assert all(json.loads(line)["source"] == "G1" for line in lines)
 
 
+class TestEvidence:
+    """A run that checked no fiber with two monomials and no oracle pair is
+    inconclusive (exit 3), never certified."""
+
+    def test_fiber_type_with_negative_xdeg_is_inconclusive(
+        self, capsys, spec_file
+    ):
+        code, payload = run_cli(
+            capsys,
+            "verify",
+            "--spec", spec_file(SINGLE_SPEC),
+            "--budget", "2",
+            "--basis", "fiber-type",
+            "--xdeg", "-1",
+        )
+        assert code == 3
+        assert payload["verdict"] == "inconclusive"
+        assert payload["multidegrees_checked"] == 0
+
+    @pytest.mark.parametrize("budget", ["0,0", "1,0", "0,1"])
+    def test_budget_below_every_lead_is_inconclusive(
+        self, capsys, spec_file, budget
+    ):
+        code, payload = run_cli(
+            capsys,
+            "verify",
+            "--spec", spec_file(PAIR_SPEC),
+            "--budget", budget,
+            "--basis", "ht",
+        )
+        assert code == 3
+        assert payload["verdict"] == "inconclusive"
+        assert payload["failures"] == []
+
+    def test_smallest_budget_reaching_a_lead_certifies(self, capsys, spec_file):
+        code, payload = run_cli(
+            capsys,
+            "verify",
+            "--spec", spec_file(PAIR_SPEC),
+            "--budget", "1,1",
+            "--basis", "ht",
+        )
+        assert code == 0 and payload["verdict"] == "certified-up-to-bound"
+
+    def test_kernel_oracle_without_pairs_is_inconclusive(
+        self, capsys, spec_file
+    ):
+        code, payload = run_cli(
+            capsys,
+            "kernel-oracle",
+            "--spec", spec_file(PAIR_SPEC),
+            "--budget", "1,0",
+            "--basis", "ht",
+        )
+        assert code == 3
+        assert payload["oracle_binomials_checked"] == 0
+        assert payload["verdict"] == "inconclusive"
+
+    def test_koszul_report_passes_inconclusive_through(self, capsys, spec_file):
+        code, payload = run_cli(
+            capsys,
+            "koszul-report",
+            "--spec", spec_file(PAIR_SPEC),
+            "--budget", "1,0",
+        )
+        assert code == 3 and payload["verdict"] == "inconclusive"
+        assert payload["gb_verification"]["verdict"] == "inconclusive"
+        assert "constructed basis failed certification" not in payload["notes"]
+
+
 class TestKernelOracle:
     def test_pure_oracle(self, capsys, spec_file):
         code, payload = run_cli(
@@ -181,6 +256,81 @@ class TestKernelOracle:
             "--xdeg", "5",
         )
         assert code == 0 and not payload["oracle_failures"]
+
+
+class TestSpecSchema:
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"n": 6, "ideals": [{}]}, "ideals[0].borel_generators"),
+            ({"n": 6, "ideals": [{"borel_generators": [5]}]},
+             "ideals[0].borel_generators"),
+            ({"ideals": []}, "'n'"),
+            ({"n": "six", "ideals": []}, "'n'"),
+            ({"n": 6, "ideals": {"borel_generators": []}}, "'ideals'"),
+            ({"n": 6, "ideals": [{"borel_generators": ["1"]}]}, "degree"),
+        ],
+    )
+    def test_malformed_spec_exits_four_naming_the_field(
+        self, capsys, spec_file, spec, field
+    ):
+        code = main(["verify", "--spec", spec_file(spec), "--budget", "2"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error:") and field in err
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3)
+)
+_GENERATOR = st.one_of(
+    st.sampled_from(["x1", "x2", "x1^2", "x2*x3", "x3^2", "x1*x4", "x2*x4",
+                     "1", "", "x9", "y1", "x1*", "x2^0"]),
+    st.lists(st.integers(-1, 1), max_size=5),
+    _JUNK,
+)
+_IDEAL = st.one_of(
+    st.fixed_dictionaries(
+        {"borel_generators": st.lists(_GENERATOR, max_size=3)}
+    ),
+    st.dictionaries(st.sampled_from(["borel_generators", "gens"]), _JUNK,
+                    max_size=2),
+    _JUNK,
+)
+_SPEC = st.one_of(
+    st.fixed_dictionaries({
+        "n": st.one_of(st.integers(-1, 4), _JUNK),
+        "ideals": st.one_of(st.lists(_IDEAL, max_size=3), _JUNK),
+    }),
+    st.dictionaries(st.sampled_from(["n", "ideals"]), _JUNK, max_size=2),
+    st.lists(_JUNK, max_size=2),
+    _JUNK,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=_SPEC,
+    basis=st.sampled_from([None, "g1", "g2", "g3", "ht", "fiber-type"]),
+    budget=st.integers(0, 2),
+)
+def test_fuzzed_specs_get_a_documented_exit_code(spec, basis, budget):
+    # one t bound per ideal (1 for pairs, so a valid pair stays small)
+    r = len(spec["ideals"]) if isinstance(spec, dict) and isinstance(
+        spec.get("ideals"), list) else 1
+    bound = budget if r == 1 else min(budget, 1)
+    argv = ["--budget", ",".join([str(bound)] * max(r, 1))]
+    if basis:
+        argv += ["--basis", basis]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "spec.json")
+        path.write_text(json.dumps(spec))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["verify", "--spec", str(path)] + argv)
+    assert code in {0, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
 
 
 class TestDetectCubics:

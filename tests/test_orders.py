@@ -13,6 +13,7 @@ from borel_rees.orders import (
     build_fiber_type_basis,
     build_syzygy_set,
     dump_basis,
+    marking_order,
     region_minima,
     sink_violations_ht,
     sink_violations_mrlex,
@@ -20,6 +21,7 @@ from borel_rees.orders import (
     standard_factorization,
 )
 from borel_rees.presentation import PresMonomial, PresVar, content, phi
+from borel_rees.reduction import MarkedBinomial
 
 
 def m(text, n):
@@ -44,12 +46,6 @@ class TestVariableOrders:
     def test_mrlex_chain(self, quadric_pair_ideal):
         order = PresOrder.mrlex(order_view(quadric_pair_ideal))
         assert [str(p.generator) for p in order.ranked] == MRLEX_CHAIN
-
-    def test_mrlex_literal_clause_degenerates_to_rlex(self, quadric_pair_ideal):
-        order = PresOrder.mrlex(
-            order_view(quadric_pair_ideal), literal_clause=True
-        )
-        assert [str(p.generator) for p in order.ranked] == RLEX_CHAIN
 
     def test_head_and_tail_blocks(self, running_pair):
         i1, i2 = running_pair
@@ -276,6 +272,45 @@ class TestFiberTypeBasis:
         )
         sources = {r.source for r in combined}
         assert sources == {"SYZ", "G1", "G2", "G3"}
+
+
+class TestMarkingOrder:
+    def test_library_bases_find_their_order(
+        self, quadric_pair_ideal, running_pair, running_pair_basis
+    ):
+        view = order_view(quadric_pair_ideal)
+        ideals = [quadric_pair_ideal]
+        assert marking_order(build_G1(quadric_pair_ideal), ideals).kind == "rlex"
+        assert marking_order(build_G2(view), ideals).kind == "mrlex"
+        assert marking_order(running_pair_basis, running_pair).kind == "ht"
+
+    def test_reversed_rule_has_no_order(self, quadric_pair_ideal):
+        rules = build_G1(quadric_pair_ideal)
+        g = rules[0]
+        rules[0] = MarkedBinomial(g.trail, g.lead, g.source)
+        assert marking_order(rules, [quadric_pair_ideal]) is None
+
+    def test_unequal_images_have_no_order(self, quadric_pair_ideal):
+        rules = build_G1(quadric_pair_ideal)
+        g = rules[0]
+        lower = next(h.trail for h in rules
+                     if phi(h.trail, [quadric_pair_ideal])
+                     != phi(g.lead, [quadric_pair_ideal])
+                     and PresOrder.rlex(quadric_pair_ideal)
+                     .compare_presmonomials(g.lead, h.trail) > 0)
+        rules[0] = MarkedBinomial(g.lead, lower, g.source)
+        assert marking_order(rules, [quadric_pair_ideal]) is None
+
+    def test_mixed_leads_have_no_order(self, quadric_pair_ideal):
+        rules = build_fiber_type_basis(
+            [quadric_pair_ideal], build_G1(quadric_pair_ideal)
+        )
+        assert marking_order(rules, [quadric_pair_ideal]) is None
+
+    def test_variables_outside_the_collection_have_no_order(
+        self, quadric_pair_ideal, running_pair_basis
+    ):
+        assert marking_order(running_pair_basis, [quadric_pair_ideal]) is None
 
 
 class TestStandardFactorization:

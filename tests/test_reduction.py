@@ -132,14 +132,6 @@ class TestBuildGraphSmallExamples:
         assert graph.num_edges() == 1
 
 
-class TestStepLimitSizing:
-    def test_documented_formula(self):
-        from borel_rees.reduction import default_step_limit_for
-
-        assert default_step_limit_for(0) == 16
-        assert default_step_limit_for(8) == 80
-
-
 class TestFiberGraph:
     def test_eight_vertex_graph(self, quadric_pair_ideal, quadric_pair_G1):
         mu = MultiDegree(m("x1^2*x2^2*x3^2*x4*x5", 5).exps, (4,))

@@ -6,14 +6,27 @@ import pytest
 
 from borel_rees.borel import borel_closure
 from borel_rees.monomial import Monomial, parse_monomial
-from borel_rees.orders import build_G1, build_fiber_type_basis
+from borel_rees.borel import order_view
+from borel_rees.orders import (
+    build_G1,
+    build_G2,
+    build_fiber_type_basis,
+    build_head_and_tail_basis,
+)
 from borel_rees.presentation import (
+    MultiDegree,
     PresMonomial,
     PresVar,
+    content,
+    enumerate_fiber,
     fibers_by_multidegree,
     phi,
+    pres_monomials_with_t,
+    t_vectors,
 )
+from borel_rees.reduction import MarkedBinomial
 from borel_rees.verifier import (
+    analyze_fiber,
     check_membership,
     detect_obstructions,
     koszul_report,
@@ -21,6 +34,7 @@ from borel_rees.verifier import (
     mixed_kernel_span,
     parameter_gate,
     quadratic_basis_for,
+    rule_indices,
     toric_kernel_span,
     verify_gb,
 )
@@ -81,31 +95,133 @@ ALL_SHAPES = [
 ]
 
 
-class TestCertificationSweeps:
-    def test_both_orders_certify_every_two_quadric_shape(self):
-        from borel_rees.borel import order_view
-        from borel_rees.orders import build_G2
+def reference_run(rules, ideals, budget):
+    """verify_gb's findings rebuilt from per-multidegree fiber graphs:
+    (multidegrees, failures as (mu, sink labels, cycle), sink log, verdict)."""
+    n, r = ideals[0].n, len(ideals)
+    mus = sorted(
+        {
+            MultiDegree(content(u, n).exps, tv)
+            for tv in t_vectors(budget)
+            for u in pres_monomials_with_t(ideals, tv)
+        },
+        key=lambda mu: (mu.t_exps, mu.x_exps),
+    )
+    pair_index, generic = rule_indices(rules)
+    failures, sink_log, nontrivial = [], [], False
+    for mu in mus:
+        fiber = enumerate_fiber(mu, ideals)
+        sinks, cyc = analyze_fiber(fiber, pair_index, generic)
+        nontrivial |= len(fiber) >= 2
+        if cyc or len(sinks) != 1:
+            failures.append((mu, [fiber[i].label("auto", r) for i in sinks], cyc))
+        else:
+            sink_log.append((mu, fiber[sinks[0]]))
+    verdict = ("refuted" if failures else
+               "certified-up-to-bound" if nontrivial else "inconclusive")
+    return len(mus), failures, sink_log, verdict
 
+
+def assert_matches_reference(rules, ideals, budget, method):
+    report = verify_gb(rules, ideals, budget, collect_sinks=True)
+    assert len(report.notes) == 1 and report.notes[0].startswith(method)
+    checked, failures, sink_log, verdict = reference_run(rules, ideals, budget)
+    assert report.multidegrees_checked == checked
+    assert [
+        (f.multidegree, f.sinks, f.has_cycle) for f in report.failures
+    ] == failures
+    assert report.sink_log == sink_log
+    assert report.verdict == verdict
+    return report
+
+
+def _drop_rules(rules, rng, k):
+    dropped = set(rng.sample(range(len(rules)), k))
+    return [g for i, g in enumerate(rules) if i not in dropped]
+
+
+class TestCertificationSweeps:
+    """Library bases certify, and the standard-monomial path agrees with
+    per-multidegree fiber graphs on every fiber."""
+
+    def test_both_orders_certify_every_two_quadric_shape(self):
         for shape in ALL_SHAPES:
             ideal = _two_quadric(*shape, shape[3])
             for rules in (build_G1(ideal), build_G2(order_view(ideal))):
-                rep = verify_gb(rules, [ideal], (3,))
+                rep = assert_matches_reference(rules, [ideal], (3,), "standard")
                 assert rep.verdict == "certified-up-to-bound", (
                     shape, rules[0].source, rep.failures[:1],
                 )
 
     def test_head_and_tail_certifies_sampled_pairs(self):
-        from borel_rees.borel import order_view
-        from borel_rees.orders import build_head_and_tail_basis
-
         rng = random.Random(99)
         for _ in range(8):
             s1, s2 = rng.choice(ALL_SHAPES), rng.choice(ALL_SHAPES)
             n = max(s1[3], s2[3])
             i1, i2 = _two_quadric(*s1, n), _two_quadric(*s2, n)
             basis = build_head_and_tail_basis(order_view(i1), order_view(i2))
-            rep = verify_gb(basis, [i1, i2], (2, 1))
+            rep = assert_matches_reference(basis, [i1, i2], (2, 1), "standard")
             assert rep.verdict == "certified-up-to-bound", (s1, s2)
+
+
+class TestStandardMonomialDifferential:
+    """Refutations and fallbacks against fiber graphs built per multidegree."""
+
+    def test_refutations_with_rules_dropped(
+        self, running_pair, running_pair_basis, quadric_pair_ideal,
+        quadric_pair_G1,
+    ):
+        rng = random.Random(7)
+        refuted = 0
+        for k in (1, 2, 4, 6):
+            rules = _drop_rules(running_pair_basis, rng, k)
+            report = assert_matches_reference(
+                rules, list(running_pair), (2, 1), "standard"
+            )
+            refuted += report.verdict == "refuted"
+        for k in (1, 3):
+            rules = _drop_rules(quadric_pair_G1, rng, k)
+            report = assert_matches_reference(
+                rules, [quadric_pair_ideal], (4,), "standard"
+            )
+            refuted += report.verdict == "refuted"
+        assert refuted >= 4
+
+    def test_dropping_every_rule_leaves_every_monomial_standard(
+        self, quadric_pair_ideal
+    ):
+        report = assert_matches_reference([], [quadric_pair_ideal], (2,),
+                                          "standard")
+        assert report.verdict == "refuted"
+
+    def test_reversed_rule_falls_back_to_fiber_graphs(
+        self, running_pair, running_pair_basis
+    ):
+        rules = list(running_pair_basis)
+        g = rules[len(rules) // 2]
+        rules[len(rules) // 2] = MarkedBinomial(g.trail, g.lead, g.source)
+        report = assert_matches_reference(
+            rules, list(running_pair), (2, 1), "fiber graphs"
+        )
+        assert report.verdict == "refuted"
+        pooled = verify_gb(rules, list(running_pair), (2, 1), jobs=2)
+        assert pooled.to_json_dict() == report.to_json_dict()
+
+    def test_unequal_images_fall_back_to_fiber_graphs(
+        self, running_pair, running_pair_basis
+    ):
+        # a cross rule whose trail maps elsewhere; at t <= (2,0) it never
+        # applies, so the fiber graphs still certify
+        rules = list(running_pair_basis)
+        k = next(i for i, g in enumerate(rules) if g.source == "G3")
+        other = next(g.lead for g in rules[k + 1:]
+                     if g.source == "G3" and phi(g.lead, running_pair)
+                     != phi(rules[k].lead, running_pair))
+        rules[k] = MarkedBinomial(rules[k].lead, other, "G3")
+        report = assert_matches_reference(
+            rules, list(running_pair), (2, 0), "fiber graphs"
+        )
+        assert report.verdict == "certified-up-to-bound"
 
 
 class TestKernelSpan:
