@@ -43,10 +43,6 @@ class StronglyStableIdeal:
     def _generator_set(self) -> frozenset:
         return frozenset(self.minimal_generators)
 
-    def describe(self) -> str:
-        gens = ",".join(str(g) for g in self.borel_generators)
-        return f"B({gens})@n={self.n}"
-
 
 def borel_closure(gens: Sequence[Monomial], n: int) -> StronglyStableIdeal:
     """Smallest strongly stable ideal containing gens (all of one degree).
@@ -176,17 +172,13 @@ def order_view(ideal: StronglyStableIdeal) -> TwoQuadricView:
 def validate_collection(
     ideals: Iterable[StronglyStableIdeal],
 ) -> tuple[StronglyStableIdeal, ...]:
-    """Check single-degree generation and order the ideals by degree.
+    """Check the ideals share one ambient ring and order them by degree.
 
-    The reorder is a stable sort, so equal-degree collections keep their
-    given order.
+    Each ideal is generated in a single degree already: borel_closure, the
+    only constructor, rejects mixed generator degrees. The reorder is a
+    stable sort, so equal-degree collections keep their given order.
     """
-    out = []
-    for ideal in ideals:
-        degs = {g.degree for g in ideal.borel_generators}
-        if len(degs) != 1:
-            raise InvalidIdeal(f"ideal {ideal.describe()} has mixed degrees {degs}")
-        out.append(ideal)
+    out = list(ideals)
     if not out:
         raise InvalidIdeal("empty ideal collection")
     if len({i.n for i in out}) != 1:

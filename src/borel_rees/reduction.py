@@ -9,12 +9,13 @@ that a marked collection rewrites Noetherianly.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .monomial import Monomial
-from .presentation import MixedMonomial, PresMonomial
+from .presentation import MixedMonomial, PresMonomial, PresVar
 
 DEFAULT_STEP_LIMIT = 10_000
 STEP_LIMIT_ENV = "BOREL_REES_STEP_LIMIT"
@@ -71,6 +72,32 @@ def lift_to_mixed(rules: Sequence[MarkedBinomial], n: int) -> list[MarkedBinomia
         else:
             out.append(g)
     return out
+
+
+class RuleIndex(NamedTuple):
+    """The leads of a rule list, indexed for finding applicable rules.
+
+    Entries are (position in the list, rule), in list order. pair_index maps
+    the canonical factor pair of each quadratic presentation lead to its
+    rules, so the first entry is the earliest-listed rule with that lead;
+    generic holds every other rule, found by a divisibility scan.
+    """
+
+    pair_index: dict[tuple[PresVar, PresVar], list[tuple[int, MarkedBinomial]]]
+    generic: list[tuple[int, MarkedBinomial]]
+
+
+def rule_indices(rules: Sequence[MarkedBinomial]) -> RuleIndex:
+    """Split rules into a pair index over quadratic presentation leads and a
+    generic remainder scanned by divisibility."""
+    pair_index: dict = {}
+    generic = []
+    for pos, g in enumerate(rules):
+        if isinstance(g.lead, PresMonomial) and g.lead.degree == 2:
+            pair_index.setdefault(g.lead.factors, []).append((pos, g))
+        else:
+            generic.append((pos, g))
+    return RuleIndex(pair_index, generic)
 
 
 def applicable_reductions(v, rules: Sequence[MarkedBinomial]):
@@ -239,33 +266,66 @@ def o_invariant(v: MixedMonomial) -> int:
 
 
 def resolve_step_limit(step_limit: int | None = None) -> int:
-    if step_limit is not None:
-        return step_limit
-    env = os.environ.get(STEP_LIMIT_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_STEP_LIMIT
+    """The rewrite step budget: step_limit, else the BOREL_REES_STEP_LIMIT
+    environment variable, else DEFAULT_STEP_LIMIT. Anything but a positive
+    integer raises ValueError."""
+    name, value = "step limit", step_limit
+    if value is None:
+        name, value = STEP_LIMIT_ENV, os.environ.get(STEP_LIMIT_ENV)
+        if not value:
+            return DEFAULT_STEP_LIMIT
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
 
 
-def normal_form(v, rules: Sequence[MarkedBinomial], step_limit: int | None = None):
-    """Rewrite v by the first applicable rule until none applies.
+def normal_form(v, rules: Sequence[MarkedBinomial] | RuleIndex,
+                step_limit: int | None = None):
+    """Rewrite v by the earliest-listed applicable rule until none applies.
 
-    Rules are scanned in their given (fixed) order, so the path is
-    deterministic; when the collection is a verified Groebner basis the result
-    is the unique sink regardless of scan order.
+    rules is a rule list or its rule_indices(); callers reducing many
+    monomials build the index once. Each step probes the index with the
+    factor pairs of the current monomial and scans only the generic rules
+    listed before the best hit, so the rule applied, and the whole rewrite
+    path, is the one a scan of the list in order would pick. When the
+    collection is a verified Groebner basis the result is the unique sink
+    regardless of rule order.
     """
+    pair_index, generic = (
+        rules if isinstance(rules, RuleIndex) else rule_indices(rules)
+    )
     limit = resolve_step_limit(step_limit)
     current = v
     for _ in range(limit):
-        for g in rules:
-            if g.lead.divides(current):
-                current = current.quotient(g.lead) * g.trail
-                break
-        else:
+        g = _earliest_applicable(current, pair_index, generic)
+        if g is None:
             return current
+        current = current.quotient(g.lead) * g.trail
     raise ReductionLimitExceeded(
         f"no normal form within {limit} steps; collection may not terminate"
     )
+
+
+def _earliest_applicable(v, pair_index, generic):
+    """The earliest-listed rule whose lead divides v, or None."""
+    best, rule = math.inf, None
+    if pair_index:
+        fcs = v.factors
+        for a in range(len(fcs) - 1):
+            for b in range(a + 1, len(fcs)):
+                hits = pair_index.get((fcs[a], fcs[b]))
+                if hits and hits[0][0] < best:
+                    best, rule = hits[0]
+    for pos, g in generic:
+        if pos > best:
+            break
+        if g.lead.divides(v):
+            return g
+    return rule
 
 
 def to_dot(

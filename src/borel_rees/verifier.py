@@ -40,7 +40,12 @@ from .presentation import (
     content,
     fibers_by_multidegree,
 )
-from .reduction import MarkedBinomial, normal_form
+from .reduction import (
+    MarkedBinomial,
+    normal_form,
+    resolve_step_limit,
+    rule_indices,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -138,19 +143,6 @@ class ObstructionWitness:
 # fiber graph analysis
 
 
-def rule_indices(rules: Sequence[MarkedBinomial]):
-    """Split rules into a pair-index over quadratic presentation leads and a
-    generic remainder scanned by divisibility."""
-    pair_index: dict[tuple, list[MarkedBinomial]] = {}
-    generic: list[MarkedBinomial] = []
-    for g in rules:
-        if isinstance(g.lead, PresMonomial) and g.lead.degree == 2:
-            pair_index.setdefault(g.lead.factors, []).append(g)
-        else:
-            generic.append(g)
-    return pair_index, generic
-
-
 def _fiber_adjacency(fiber: Sequence, pair_index, generic) -> list[set[int]]:
     index = {v: i for i, v in enumerate(fiber)}
     adj: list[set[int]] = [set() for _ in fiber]
@@ -164,10 +156,10 @@ def _fiber_adjacency(fiber: Sequence, pair_index, generic) -> list[set[int]]:
                     if pk in seen:
                         continue
                     seen.add(pk)
-                    for g in pair_index.get(pk, ()):
+                    for _, g in pair_index.get(pk, ()):
                         succ = v.quotient(g.lead) * g.trail
                         adj[i].add(index[succ])
-        for g in generic:
+        for _, g in generic:
             if g.lead.divides(v):
                 succ = v.quotient(g.lead) * g.trail
                 adj[i].add(index[succ])
@@ -432,14 +424,18 @@ def check_membership(
     step_limit: int | None = None,
 ) -> tuple[int, list[dict]]:
     """Reduce both sides of every pair; a pair passes when the normal forms
-    coincide. Normal forms are memoized across pairs."""
+    coincide. The rules are indexed and the step limit resolved once (a bad
+    limit raises ValueError); normal forms are memoized across pairs."""
+    limit = resolve_step_limit(step_limit)
+    index = rule_indices(rules)
     cache: dict = {}
     failures = []
 
     def nf(v):
-        if v not in cache:
-            cache[v] = normal_form(v, rules, step_limit)
-        return cache[v]
+        w = cache.get(v)
+        if w is None:
+            w = cache[v] = normal_form(v, index, limit)
+        return w
 
     for a, b in span_pairs:
         try:

@@ -212,7 +212,7 @@ class TestCollections:
         assert ideals[0].borel_generators == (m("x2*x3", 3),)
 
     def test_mixed_degree_ideal_rejected(self):
-        with pytest.raises(InvalidIdeal):
+        with pytest.raises(InvalidIdeal, match="mixed generator degrees"):
             load_collection(
                 {"n": 3, "ideals": [{"borel_generators": ["x1*x2", "x1*x2*x3"]}]}
             )

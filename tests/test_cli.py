@@ -257,6 +257,35 @@ class TestKernelOracle:
         )
         assert code == 0 and not payload["oracle_failures"]
 
+    @pytest.mark.parametrize("limit", ["abc", "0", "-5", "2.5"])
+    def test_bad_step_limit_is_a_usage_error(
+        self, capsys, spec_file, monkeypatch, limit
+    ):
+        # used to fail every pair and report a false "refuted" with exit 2
+        monkeypatch.setenv("BOREL_REES_STEP_LIMIT", limit)
+        code = main(["kernel-oracle", "--spec", spec_file(PAIR_SPEC),
+                     "--budget", "1,1", "--basis", "ht"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert "BOREL_REES_STEP_LIMIT must be a positive integer" in captured.err
+
+    def test_valid_step_limit_is_used(self, capsys, spec_file, monkeypatch):
+        monkeypatch.setenv("BOREL_REES_STEP_LIMIT", "1")
+        code, payload = run_cli(
+            capsys, "kernel-oracle", "--spec", spec_file(PAIR_SPEC),
+            "--budget", "1,1", "--basis", "ht",
+        )
+        # one rewrite step is too few for some pairs, and those are reported
+        failures = payload["oracle_failures"]
+        assert code == 2 and failures
+        assert all("within 1 steps" in f["error"] for f in failures)
+        monkeypatch.setenv("BOREL_REES_STEP_LIMIT", "50")
+        code, payload = run_cli(
+            capsys, "kernel-oracle", "--spec", spec_file(PAIR_SPEC),
+            "--budget", "1,1", "--basis", "ht",
+        )
+        assert code == 0 and payload["oracle_failures"] == []
+
 
 class TestSpecSchema:
     @pytest.mark.parametrize(

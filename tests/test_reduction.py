@@ -1,12 +1,19 @@
+import random
+from unittest import mock
+
 import pytest
 
+from borel_rees import verifier
+from borel_rees.borel import order_view
 from borel_rees.monomial import Monomial, parse_monomial
+from borel_rees.orders import build_fiber_type_basis, build_G2
 from borel_rees.presentation import (
     MixedMonomial,
     MultiDegree,
     PresMonomial,
     PresVar,
     enumerate_fiber,
+    fibers_by_multidegree,
     phi,
 )
 from borel_rees.reduction import (
@@ -21,7 +28,13 @@ from borel_rees.reduction import (
     normal_form,
     o_invariant,
     resolve_step_limit,
+    rule_indices,
     to_dot,
+)
+from borel_rees.verifier import (
+    check_membership,
+    mixed_kernel_span,
+    toric_kernel_span,
 )
 
 
@@ -314,6 +327,141 @@ class TestNormalForm:
         monkeypatch.delenv("BOREL_REES_STEP_LIMIT")
         assert resolve_step_limit() == 10_000
         assert resolve_step_limit(7) == 7
+        with pytest.raises(ValueError):
+            resolve_step_limit(0)
+
+
+def scan_normal_form(v, rules, step_limit=10_000):
+    """Reference rewriting: always take the first of applicable_reductions,
+    which scans the rule list in order."""
+    for _ in range(step_limit):
+        steps = applicable_reductions(v, rules)
+        if not steps:
+            return v
+        v = steps[0][0]
+    raise ReductionLimitExceeded(
+        f"no normal form within {step_limit} steps; collection may not terminate"
+    )
+
+
+def assert_scan_equivalent(pairs, rules, step_limit=10_000):
+    """Indexed normal forms and check_membership equal the in-order scan's."""
+    index = rule_indices(rules)
+    reference = {}
+    for v in dict.fromkeys(w for pair in pairs for w in pair):
+        try:
+            reference[v] = scan_normal_form(v, rules, step_limit)
+            assert normal_form(v, index, step_limit) == reference[v], v
+        except ReductionLimitExceeded as exc:
+            reference[v] = exc
+            with pytest.raises(ReductionLimitExceeded):
+                normal_form(v, index, step_limit)
+
+    def scan(v, _index, _limit):
+        if isinstance(reference[v], ReductionLimitExceeded):
+            raise reference[v]
+        return reference[v]
+
+    result = check_membership(pairs, rules, step_limit)
+    with mock.patch.object(verifier, "normal_form", scan):
+        assert result == check_membership(pairs, rules, step_limit)
+    return result
+
+
+def _pairs_sample(pairs, rng, k=300):
+    return pairs if len(pairs) <= k else rng.sample(pairs, k)
+
+
+class TestIndexedRewritingMatchesScan:
+    """normal_form applies the earliest-listed applicable rule, found through
+    the lead index; the rewrite path equals the linear scan's for any rule
+    order, Groebner or not."""
+
+    def test_shuffled_head_and_tail_basis(self, running_pair, running_pair_basis):
+        rng = random.Random(11)
+        pairs = _pairs_sample(toric_kernel_span(running_pair, (2, 1)), rng)
+        for _ in range(2):
+            rules = list(running_pair_basis)
+            rng.shuffle(rules)
+            _, failures = assert_scan_equivalent(pairs, rules)
+            assert not failures
+
+    def test_rules_dropped_refute_identically(
+        self, running_pair, running_pair_basis
+    ):
+        rng = random.Random(12)
+        pairs = _pairs_sample(toric_kernel_span(running_pair, (2, 1)), rng)
+        for k in (5, 40):
+            rules = list(running_pair_basis)
+            rng.shuffle(rules)
+            del rules[:k]
+            _, failures = assert_scan_equivalent(pairs, rules)
+            assert failures
+
+    def test_single_ideal_g1_and_g2(self, quadric_pair_ideal, quadric_pair_G1):
+        rng = random.Random(13)
+        pairs = toric_kernel_span([quadric_pair_ideal], (3,))
+        g2 = build_G2(order_view(quadric_pair_ideal))
+        for rules in (quadric_pair_G1, g2, rng.sample(g2, len(g2) - 3)):
+            assert_scan_equivalent(pairs, rules)
+
+    def test_fiber_type_basis_takes_the_generic_path(
+        self, quadric_pair_ideal, quadric_pair_G1
+    ):
+        rules = build_fiber_type_basis([quadric_pair_ideal], quadric_pair_G1)
+        assert not rule_indices(rules).pair_index
+        rng = random.Random(14)
+        pairs = _pairs_sample(mixed_kernel_span([quadric_pair_ideal], (2,), 4), rng)
+        _, failures = assert_scan_equivalent(pairs, rules)
+        assert not failures
+        rng.shuffle(rules)
+        assert_scan_equivalent(pairs, rules[:-10])
+
+    def test_interleaved_pair_and_generic_leads(self, quadric_pair_ideal):
+        # random orientations inside fibers: quadratic leads are indexed,
+        # cubic ones are generic, and the list interleaves them, so which
+        # generic rules precede the best pair hit decides the path; some
+        # markings cycle and hit the step limit
+        rng = random.Random(15)
+        fibers = [f for _, f in fibers_by_multidegree([quadric_pair_ideal], (3,))
+                  if len(f) >= 2]
+        pairs = [(a, b) for f in fibers for a, b in zip(f, f[1:])]
+        for _ in range(4):
+            rules = [
+                MarkedBinomial(*rng.sample(f, 2))
+                for f in rng.sample(fibers, 60)
+            ]
+            kinds = {len(g.lead.factors) for g in rules}
+            assert kinds == {2, 3}
+            assert_scan_equivalent(pairs, rules, step_limit=30)
+
+    def test_list_position_decides_between_pair_and_generic_rules(
+        self, quadric_pair_ideal, quadric_pair_G1
+    ):
+        pair_rule = quadric_pair_G1[0]
+        x = next(
+            PresMonomial([f])
+            for f in (PresVar(1, u) for u in quadric_pair_ideal.minimal_generators)
+            if f not in pair_rule.lead.factors + pair_rule.trail.factors
+        )
+        v = pair_rule.lead * x
+        after_pair = pair_rule.trail * x
+        w = next(
+            u for u in enumerate_fiber(phi(v, [quadric_pair_ideal]),
+                                       [quadric_pair_ideal])
+            if u not in (v, after_pair) and not pair_rule.lead.divides(u)
+        )
+        generic_rule = MarkedBinomial(v, w)
+        assert normal_form(v, [generic_rule, pair_rule]) == w
+        assert normal_form(v, [pair_rule, generic_rule]) == after_pair
+
+    def test_two_rule_loop_hits_step_limit(self, quadric_pair_G1):
+        g = quadric_pair_G1[0]
+        loop = [g, MarkedBinomial(g.trail, g.lead)]
+        with pytest.raises(ReductionLimitExceeded):
+            normal_form(g.lead, loop, step_limit=25)
+        _, failures = assert_scan_equivalent([(g.lead, g.trail)], loop, 25)
+        assert "within 25 steps" in failures[0]["error"]
 
 
 class TestMixedReduction:

@@ -26,6 +26,7 @@ from borel_rees.presentation import (
 )
 from borel_rees.reduction import MarkedBinomial
 from borel_rees.verifier import (
+    VerificationReport,
     analyze_fiber,
     check_membership,
     detect_obstructions,
@@ -135,6 +136,18 @@ def assert_matches_reference(rules, ideals, budget, method):
     return report
 
 
+def assert_oracle_agrees(rules, ideals, budget):
+    """verify_gb's verdict equals the kernel oracle's on the same budget."""
+    report = verify_gb(rules, ideals, budget)
+    oracle = VerificationReport(ideals={}, t_budget=tuple(budget))
+    oracle.oracle_binomials_checked, oracle.oracle_failures = check_membership(
+        toric_kernel_span(ideals, budget), rules
+    )
+    assert report.verdict == oracle.verdict, (budget, report.failures[:1],
+                                              oracle.oracle_failures[:1])
+    return report.verdict
+
+
 def _drop_rules(rules, rng, k):
     dropped = set(rng.sample(range(len(rules)), k))
     return [g for i, g in enumerate(rules) if i not in dropped]
@@ -186,6 +199,23 @@ class TestStandardMonomialDifferential:
             )
             refuted += report.verdict == "refuted"
         assert refuted >= 4
+
+    def test_kernel_oracle_agrees_with_verify_gb(self):
+        rng = random.Random(21)
+        verdicts = []
+        for shape in ALL_SHAPES:
+            ideal = _two_quadric(*shape, shape[3])
+            for rules in (build_G1(ideal), build_G2(order_view(ideal))):
+                for marking in (rules, _drop_rules(rules, rng, 1)):
+                    verdicts.append(assert_oracle_agrees(marking, [ideal], (2,)))
+        for _ in range(8):
+            s1, s2 = rng.choice(ALL_SHAPES), rng.choice(ALL_SHAPES)
+            n = max(s1[3], s2[3])
+            i1, i2 = _two_quadric(*s1, n), _two_quadric(*s2, n)
+            basis = build_head_and_tail_basis(order_view(i1), order_view(i2))
+            for marking in (basis, _drop_rules(basis, rng, 2)):
+                verdicts.append(assert_oracle_agrees(marking, [i1, i2], (2, 1)))
+        assert {"certified-up-to-bound", "refuted"} <= set(verdicts)
 
     def test_dropping_every_rule_leaves_every_monomial_standard(
         self, quadric_pair_ideal
