@@ -13,7 +13,6 @@ from borel_rees import (
     build_head_and_tail_basis,
     build_syzygy_set,
     check_membership,
-    mixed_kernel_span,
     order_view,
     parse_monomial,
     toric_kernel_span,
@@ -48,10 +47,15 @@ print("pair:", report.verdict, f"({report.multidegrees_checked} multidegrees)")
 
 # --- the full presentation ring -------------------------------------------
 # Adding the linear syzygies x_i T - x_j T' lifts the fiber basis to the
-# whole multigraded presentation; the mixed kernel oracle checks it.
+# whole multigraded presentation. Its leads are mixed, so verify_gb checks
+# the mixed fibers up to the x-degree bound; the kernel oracle pairs up the
+# members of the same fibers.
 full = build_fiber_type_basis([ideal], rules)
 print("\nlinear syzygies:", len(build_syzygy_set([ideal])),
       "| lifted basis:", len(full))
-pairs = mixed_kernel_span([ideal], (2,), x_degree=6)
+report = verify_gb(full, [ideal], t_budget=(2,), x_degree=6)
+print("fiber type:", report.verdict,
+      f"({report.multidegrees_checked} multidegrees)")
+pairs = toric_kernel_span([ideal], (2,), x_degree=6)
 checked, failures = check_membership(pairs, full)
 print(f"mixed kernel oracle: {checked} pairs, {len(failures)} failures")

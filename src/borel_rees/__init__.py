@@ -38,19 +38,23 @@ from .presentation import (
     content,
     enumerate_fiber,
     enumerate_mixed_fiber,
-    enumerate_multidegrees,
     fibers_by_multidegree,
     phi,
 )
 from .reduction import (
     MarkedBinomial,
     ReductionGraph,
+    RuleIndex,
     analyze,
     applicable_reductions,
     build_graph,
     ell_max,
+    fiber_edges,
+    has_cycle,
     normal_form,
     o_invariant,
+    rewrites,
+    rule_indices,
     to_dot,
 )
 from .verifier import (
@@ -61,11 +65,10 @@ from .verifier import (
     detect_obstructions,
     koszul_report,
     mixed_fibers,
-    mixed_kernel_span,
+    mixed_x_degree,
     parameter_gate,
     toric_kernel_span,
     verify_gb,
-    verify_gb_mixed,
 )
 
 __version__ = "0.1.0"

@@ -24,19 +24,18 @@ from .orders import (
     build_head_and_tail_basis,
     dump_basis,
 )
-from .presentation import MultiDegree, enumerate_fiber
+from .presentation import MultiDegree, enumerate_fiber, enumerate_mixed_fiber
 from .reduction import build_graph, to_dot
 from .verifier import (
     VerificationReport,
     check_membership,
     detect_obstructions,
     koszul_report,
-    mixed_kernel_span,
+    mixed_x_degree,
     progress_to_stderr,
     quadratic_basis_for,
     toric_kernel_span,
     verify_gb,
-    verify_gb_mixed,
 )
 
 EXIT_OK = 0
@@ -91,6 +90,12 @@ def _parse_budget(text: str) -> tuple[int, ...]:
     if any(b < 0 for b in budget):
         raise argparse.ArgumentTypeError("budgets must be >= 0")
     return budget
+
+
+def _parse_x_degree(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"x-degree must be >= 0, got {text!r}")
+    return int(text)
 
 
 def _basis_for(ideals, name: str | None, order: str | None):
@@ -163,7 +168,10 @@ def cmd_fiber_graph(cfg: RunConfig) -> int:
         return EXIT_USAGE
     mu = MultiDegree(x_part.exps, tuple(t))
     rules = _basis_for(ideals, cfg.basis, cfg.order)
-    fiber = enumerate_fiber(mu, ideals)
+    if mixed_x_degree(rules, ideals) is None:
+        fiber = enumerate_fiber(mu, ideals)
+    else:
+        fiber = enumerate_mixed_fiber(mu, ideals)
     if not fiber:
         _emit({"multidegree": mu.display(), "summary": "empty"}, cfg.out,
               "fiber.json")
@@ -193,18 +201,14 @@ def cmd_verify(cfg: RunConfig) -> int:
         )
         return EXIT_USAGE
     rules = _basis_for(ideals, cfg.basis, cfg.order)
-    if cfg.basis == "fiber-type":
-        report = verify_gb_mixed(
-            rules, ideals, cfg.budget, cfg.x_degree, progress_to_stderr
-        )
-    else:
-        report = verify_gb(
-            rules,
-            ideals,
-            cfg.budget,
-            jobs=cfg.jobs,
-            progress=progress_to_stderr,
-        )
+    report = verify_gb(
+        rules,
+        ideals,
+        cfg.budget,
+        jobs=cfg.jobs,
+        progress=progress_to_stderr,
+        x_degree=cfg.x_degree,
+    )
     payload = report.to_json_dict()
     payload["basis"] = cfg.basis or ("g1" if len(ideals) == 1 else "ht")
     _emit(payload, cfg.out, "verify.json")
@@ -221,14 +225,10 @@ def cmd_kernel_oracle(cfg: RunConfig) -> int:
     report = VerificationReport(
         ideals=collection_spec(ideals), t_budget=tuple(cfg.budget)
     )
-    if cfg.basis == "fiber-type":
-        x_degree = cfg.x_degree if cfg.x_degree is not None else 2 * max(
-            i.degree for i in ideals
-        )
-        pairs = mixed_kernel_span(ideals, cfg.budget, x_degree)
+    x_degree = mixed_x_degree(rules, ideals, cfg.x_degree)
+    if x_degree is not None:
         report.notes.append(f"mixed kernel pairs up to x-degree {x_degree}")
-    else:
-        pairs = toric_kernel_span(ideals, cfg.budget)
+    pairs = toric_kernel_span(ideals, cfg.budget, x_degree)
     checked, failures = check_membership(pairs, rules)
     report.oracle_binomials_checked = checked
     report.oracle_failures = failures
@@ -278,8 +278,17 @@ def cmd_paper_examples(cfg: RunConfig) -> int:
     return status
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit with the usage code, not argparse's 2 (which
+    would read as "refuted")."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="borel-rees",
         description="Strongly stable ideals, toric presentations, and "
         "fiber-graph certification of explicit Groebner bases.",
@@ -312,14 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, budget=True)
     p.add_argument("--order", choices=["rlex", "mrlex", "ht"])
     p.add_argument("--basis", choices=["g1", "g2", "g3", "ht", "fiber-type"])
-    p.add_argument("--xdeg", dest="x_degree", type=int,
+    p.add_argument("--xdeg", dest="x_degree", type=_parse_x_degree,
                    help="x-degree bound for fiber-type verification")
 
     p = sub.add_parser("kernel-oracle", help="brute-force kernel membership")
     common(p, budget=True)
     p.add_argument("--order", choices=["rlex", "mrlex", "ht"])
     p.add_argument("--basis", choices=["g1", "g2", "g3", "ht", "fiber-type"])
-    p.add_argument("--xdeg", dest="x_degree", type=int)
+    p.add_argument("--xdeg", dest="x_degree", type=_parse_x_degree)
 
     p = sub.add_parser("detect-cubics", help="disconnected-fiber obstructions")
     common(p, budget=True)
@@ -349,7 +358,10 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    try:
+        ns = parser.parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error
+        return exc.code
     cfg = RunConfig(
         command=ns.command,
         spec_path=getattr(ns, "spec_path", None),

@@ -402,10 +402,3 @@ def fibers_by_multidegree(
             ]
             yield MultiDegree(x, tv), fiber
 
-
-def enumerate_multidegrees(
-    ideals: Sequence[StronglyStableIdeal], t_budget: Sequence[int]
-) -> Iterator[MultiDegree]:
-    """Every multidegree hit by some presentation monomial with t <= budget."""
-    for mu, _ in fibers_by_multidegree(ideals, t_budget):
-        yield mu

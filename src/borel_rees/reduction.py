@@ -2,9 +2,17 @@
 
 The engine is generic over the three monomial kinds (ambient Monomial,
 PresMonomial, MixedMonomial): a rule applies to a vertex when its lead
-divides the vertex, and the successor swaps the lead for the trail. Graphs
-carry sink/cycle analysis and the longest-path invariant used to certify
-that a marked collection rewrites Noetherianly.
+divides the vertex, and the successor swaps the lead for the trail.
+
+One core finds the rules that apply: rule_indices keys the quadratic
+presentation leads by their factor pair and leaves every other rule to a
+divisibility scan, and rewrites() lists a monomial's one-step reductions in
+rule-list order from that index. fiber_edges builds every fiber graph from
+it (reduction graphs here, the verifier's fiber analysis and obstruction
+scan), and has_cycle is the one cycle detector. normal_form probes the same
+index for the earliest applicable rule only. Graphs also carry the
+longest-path invariant used to certify that a marked collection rewrites
+Noetherianly.
 """
 
 from __future__ import annotations
@@ -12,7 +20,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .monomial import Monomial
 from .presentation import MixedMonomial, PresMonomial, PresVar
@@ -101,12 +110,93 @@ def rule_indices(rules: Sequence[MarkedBinomial]) -> RuleIndex:
 
 
 def applicable_reductions(v, rules: Sequence[MarkedBinomial]):
-    """All one-step reductions of v: (successor, rule) per applicable rule."""
+    """All one-step reductions of v: (successor, rule) per applicable rule,
+    found by scanning the list in order; the reference for rewrites()."""
     out = []
     for g in rules:
         if g.lead.divides(v):
             out.append((v.quotient(g.lead) * g.trail, g))
     return out
+
+
+def rewrites(v, index: RuleIndex, ordered: bool = True):
+    """Every one-step reduction of v as (successor, rule), in list order.
+
+    Probes the pair index with each distinct factor pair of v (equal factors
+    sit next to each other in the canonical order) and scans the generic
+    rules by divisibility; without ordered the hits come in probe order.
+    """
+    pair_index, generic = index
+    hits = []
+    if pair_index:
+        fcs = v.factors
+        for a in range(len(fcs) - 1):
+            if a and fcs[a] == fcs[a - 1]:
+                continue
+            for b in range(a + 1, len(fcs)):
+                if b > a + 1 and fcs[b] == fcs[b - 1]:
+                    continue
+                found = pair_index.get((fcs[a], fcs[b]))
+                if found:
+                    hits += found
+    for pos, g in generic:
+        if g.lead.divides(v):
+            hits.append((pos, g))
+    if ordered and len(hits) > 1:
+        hits.sort(key=itemgetter(0))
+    return [(v.quotient(g.lead) * g.trail, g) for _, g in hits]
+
+
+def fiber_edges(fiber: Sequence, index: RuleIndex, collapse: bool = True):
+    """The out-edges of every fiber member under the indexed rules.
+
+    With collapse, each vertex gets its (target, rules) edges, one per target
+    in ascending order with the rules in list order; without, just the set
+    of targets. A successor outside the fiber raises ValueError.
+    """
+    position = {v: i for i, v in enumerate(fiber)}
+    if len(position) != len(fiber):
+        raise ValueError("duplicate vertices in fiber")
+    edges = []
+    for v in fiber:
+        steps = []
+        for succ, g in rewrites(v, index, ordered=collapse):
+            j = position.get(succ)
+            if j is None:
+                raise ValueError(f"reduction left the fiber: {v} -> {succ}")
+            steps.append((j, g))
+        if not collapse:
+            edges.append({j for j, _ in steps})
+            continue
+        rules: dict[int, list[MarkedBinomial]] = {}
+        for j, g in steps:
+            rules.setdefault(j, []).append(g)
+        edges.append([(j, tuple(rules[j])) for j in sorted(rules)])
+    return edges
+
+
+def has_cycle(successors: Sequence[Iterable[int]]) -> bool:
+    """Whether the directed graph given by successor indexes has a cycle
+    (iterative depth-first search)."""
+    color = [0] * len(successors)  # 0 white, 1 on stack, 2 done
+    for root in range(len(successors)):
+        if color[root]:
+            continue
+        stack = [(root, iter(successors[root]))]
+        color[root] = 1
+        while stack:
+            node, children = stack[-1]
+            for child in children:
+                if color[child] == 1:
+                    return True
+                if color[child] == 0:
+                    color[child] = 1
+                    stack.append((child, iter(successors[child])))
+                    break
+            else:
+                color[node] = 2
+                stack.pop()
+    return False
 
 
 @dataclass
@@ -127,14 +217,8 @@ class ReductionGraph:
     def successors(self, i: int) -> list[int]:
         return [j for j, _ in self.edges[i]]
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(i, j) for i, outs in enumerate(self.edges) for j, _ in outs}
-
     def num_edges(self) -> int:
         return sum(len(outs) for outs in self.edges)
-
-    def vertex_index(self, v) -> int:
-        return self.index[v]
 
 
 def build_graph(
@@ -144,80 +228,41 @@ def build_graph(
 ) -> ReductionGraph:
     """Reduction graph from a start vertex (closure) or a whole fiber.
 
-    With `start`, vertices are everything reachable by one-step reductions.
-    With `fiber`, the vertex set is fixed and all reduction edges are added;
-    when the rules preserve the toric image the two constructions agree on
-    fibers, since reductions cannot leave the fiber.
+    With `start`, vertices are everything reachable by one-step reductions,
+    numbered in discovery order. With `fiber`, the vertex set is fixed. Both
+    get every reduction edge from fiber_edges; when the rules preserve the
+    toric image the two constructions agree on fibers, since reductions
+    cannot leave the fiber.
     """
     if (start is None) == (fiber is None):
         raise ValueError("give exactly one of start or fiber")
+    index = rule_indices(rules)
     if start is not None:
-        vertices = [start]
-        index = {start: 0}
-        edges: list[list[tuple[int, tuple[MarkedBinomial, ...]]]] = [[]]
-        todo = [0]
+        fiber, todo = [start], [start]
+        seen = {start}
         while todo:
-            i = todo.pop()
-            collapsed: dict[int, list[MarkedBinomial]] = {}
-            for succ, rule in applicable_reductions(vertices[i], rules):
-                j = index.get(succ)
-                if j is None:
-                    j = len(vertices)
-                    vertices.append(succ)
-                    index[succ] = j
-                    edges.append([])
-                    todo.append(j)
-                collapsed.setdefault(j, []).append(rule)
-            edges[i] = [(j, tuple(collapsed[j])) for j in sorted(collapsed)]
-    else:
-        vertices = list(fiber)
-        index = {v: i for i, v in enumerate(vertices)}
-        if len(index) != len(vertices):
-            raise ValueError("duplicate vertices in fiber")
-        edges = []
-        for v in vertices:
-            collapsed = {}
-            for succ, rule in applicable_reductions(v, rules):
-                j = index.get(succ)
-                if j is None:
-                    raise ValueError(
-                        f"reduction left the fiber: {v} -> {succ}"
-                    )
-                collapsed.setdefault(j, []).append(rule)
-            edges.append([(j, tuple(collapsed[j])) for j in sorted(collapsed)])
-    graph = ReductionGraph(vertices=vertices, index=index, edges=edges)
+            for succ, _ in rewrites(todo.pop(), index):
+                if succ not in seen:
+                    seen.add(succ)
+                    fiber.append(succ)
+                    todo.append(succ)
+    vertices = list(fiber)
+    graph = ReductionGraph(
+        vertices=vertices,
+        index={v: i for i, v in enumerate(vertices)},
+        edges=fiber_edges(vertices, index),
+    )
     analyze(graph)
     return graph
 
 
 def analyze(graph: ReductionGraph) -> dict:
-    """Recompute sinks (out-degree zero) and cycle existence (iterative DFS)."""
+    """Recompute sinks (out-degree zero) and cycle existence."""
     graph.sinks = [v for v, outs in zip(graph.vertices, graph.edges) if not outs]
-    color = [0] * len(graph.vertices)  # 0 white, 1 on stack, 2 done
-    has_cycle = False
-    for root in range(len(graph.vertices)):
-        if color[root] or has_cycle:
-            continue
-        stack = [(root, 0)]
-        color[root] = 1
-        while stack:
-            node, ptr = stack[-1]
-            if ptr < len(graph.edges[node]):
-                stack[-1] = (node, ptr + 1)
-                child = graph.edges[node][ptr][0]
-                if color[child] == 1:
-                    has_cycle = True
-                    break
-                if color[child] == 0:
-                    color[child] = 1
-                    stack.append((child, 0))
-            else:
-                color[node] = 2
-                stack.pop()
-        if has_cycle:
-            break
-    graph.has_cycle = has_cycle
-    return {"sinks": graph.sinks, "has_cycle": has_cycle}
+    graph.has_cycle = has_cycle(
+        [graph.successors(i) for i in range(len(graph.vertices))]
+    )
+    return {"sinks": graph.sinks, "has_cycle": graph.has_cycle}
 
 
 def ell_max(graph: ReductionGraph, v) -> int:
@@ -231,7 +276,7 @@ def ell_max(graph: ReductionGraph, v) -> int:
     if len(graph.sinks) != 1:
         raise GraphShapeError(f"need a unique sink, found {len(graph.sinks)}")
     memo: dict[int, int] = {}
-    root = graph.vertex_index(v)
+    root = graph.index[v]
     stack = [(root, False)]
     while stack:
         i, expanded = stack.pop()
@@ -285,7 +330,8 @@ def resolve_step_limit(step_limit: int | None = None) -> int:
 
 def normal_form(v, rules: Sequence[MarkedBinomial] | RuleIndex,
                 step_limit: int | None = None):
-    """Rewrite v by the earliest-listed applicable rule until none applies.
+    """Rewrite v by the earliest-listed applicable rule until none applies,
+    taking at most step_limit rewrites.
 
     rules is a rule list or its rule_indices(); callers reducing many
     monomials build the index once. Each step probes the index with the
@@ -305,6 +351,8 @@ def normal_form(v, rules: Sequence[MarkedBinomial] | RuleIndex,
         if g is None:
             return current
         current = current.quotient(g.lead) * g.trail
+    if _earliest_applicable(current, pair_index, generic) is None:
+        return current
     raise ReductionLimitExceeded(
         f"no normal form within {limit} steps; collection may not terminate"
     )

@@ -6,13 +6,21 @@ with a unique sink), kernel membership is checked by brute-force fiber pairs,
 and cubic obstructions are found as fibers disconnected under the full set of
 degree-2 coincident-product moves.
 
+One verifier serves the pure and the mixed presentation, and the rules pick
+the fibers: when some lead is a MixedMonomial (the fiber-type basis of
+syzygies plus the lifted fiber basis) they are the full presentation's
+fibers up to an x-degree bound (mixed_fibers, regrouped from the pure
+ones), otherwise the pure fibers of fibers_by_multidegree. The kernel oracle
+(toric_kernel_span) pairs up the members of the same fibers.
+
 verify_gb picks its method from the marking alone. When a library term order
 orients every rule (orders.marking_order), rewriting strictly descends that
 order, so each fiber graph is acyclic and its sinks are the fiber's standard
 monomials: the certificate is one standard monomial per multidegree, listed
 directly by fibers_by_multidegree with the lead pairs forbidden and no graph
-built. Any other marking gets the fiber graphs themselves, which also serve
-as the differential oracle. The report's notes name the method.
+built. Any other marking, mixed ones included, gets the fiber graphs
+themselves (analyze_fiber, on the rewriting core of reduction), which also
+serve as the differential oracle. The report's notes name the method.
 
 A run whose evidence is empty (no checked fiber had two monomials and no
 oracle pair was checked) is "inconclusive", never "certified".
@@ -33,15 +41,14 @@ from .presentation import (
     MixedMonomial,
     MultiDegree,
     PresMonomial,
-    PresVar,
-    pres_monomials_with_t,
-    presentation_variables,
-    t_vectors,
-    content,
     fibers_by_multidegree,
+    presentation_variables,
 )
 from .reduction import (
     MarkedBinomial,
+    RuleIndex,
+    fiber_edges,
+    has_cycle,
     normal_form,
     resolve_step_limit,
     rule_indices,
@@ -143,58 +150,10 @@ class ObstructionWitness:
 # fiber graph analysis
 
 
-def _fiber_adjacency(fiber: Sequence, pair_index, generic) -> list[set[int]]:
-    index = {v: i for i, v in enumerate(fiber)}
-    adj: list[set[int]] = [set() for _ in fiber]
-    for i, v in enumerate(fiber):
-        if pair_index and isinstance(v, PresMonomial):
-            fcs = v.factors
-            seen = set()
-            for a in range(len(fcs)):
-                for b in range(a + 1, len(fcs)):
-                    pk = (fcs[a], fcs[b])
-                    if pk in seen:
-                        continue
-                    seen.add(pk)
-                    for _, g in pair_index.get(pk, ()):
-                        succ = v.quotient(g.lead) * g.trail
-                        adj[i].add(index[succ])
-        for _, g in generic:
-            if g.lead.divides(v):
-                succ = v.quotient(g.lead) * g.trail
-                adj[i].add(index[succ])
-    return adj
-
-
-def _has_cycle(adj: list[set[int]]) -> bool:
-    color = [0] * len(adj)
-    for root in range(len(adj)):
-        if color[root]:
-            continue
-        stack = [(root, iter(adj[root]))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for child in it:
-                if color[child] == 1:
-                    return True
-                if color[child] == 0:
-                    color[child] = 1
-                    stack.append((child, iter(adj[child])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return False
-
-
 def analyze_fiber(fiber: Sequence, pair_index, generic):
     """(sink vertex indexes, cycle flag) for one fiber under the rule set."""
-    adj = _fiber_adjacency(fiber, pair_index, generic)
-    sinks = [i for i, outs in enumerate(adj) if not outs]
-    return sinks, _has_cycle(adj)
+    edges = fiber_edges(fiber, RuleIndex(pair_index, generic), collapse=False)
+    return [i for i, outs in enumerate(edges) if not outs], has_cycle(edges)
 
 
 # worker state for the process pool
@@ -236,11 +195,14 @@ def verify_gb(
     jobs: int = 1,
     progress: Callable[[int], None] | None = None,
     collect_sinks: bool = False,
+    x_degree: int | None = None,
 ) -> VerificationReport:
     """Certify or refute a marked collection over all budgeted multidegrees.
 
-    Every nonempty fiber graph must be acyclic with exactly one sink. When a
-    library term order orients every rule, that is checked by listing the
+    Every nonempty fiber graph must be acyclic with exactly one sink. The
+    rules pick the fibers: mixed ones up to x_degree when a lead is a
+    MixedMonomial (mixed_x_degree), the pure presentation's otherwise. When
+    a library term order orients every rule, that is checked by listing the
     standard monomials (serially, whatever jobs says); otherwise the fiber
     graphs are built, chunked over a process pool when jobs > 1. Chunks are
     merged in submission order, so reports are byte-identical for any worker
@@ -249,9 +211,10 @@ def verify_gb(
     report = VerificationReport(
         ideals=collection_spec(ideals), t_budget=tuple(t_budget)
     )
-    sink_log: list[tuple[MultiDegree, PresMonomial]] = []
+    sink_log: list[tuple[MultiDegree, PresMonomial | MixedMonomial]] = []
     pair_index, generic = rule_indices(rules)
-    order = marking_order(rules, ideals)
+    x_degree = mixed_x_degree(rules, ideals, x_degree)
+    order = marking_order(rules, ideals) if x_degree is None else None
 
     def consume(results):
         for mu, sink_vertices, cyc, size in results:
@@ -281,10 +244,14 @@ def verify_gb(
             for g in rules
         )
     else:
-        report.notes.append(
-            f"fiber graphs; no library term order orients all {len(rules)} rules"
-        )
-        fibers = fibers_by_multidegree(ideals, t_budget)
+        if x_degree is None:
+            report.notes.append(
+                f"fiber graphs; no library term order orients all "
+                f"{len(rules)} rules"
+            )
+        else:
+            report.notes.append(f"mixed fibers up to x-degree {x_degree}")
+        fibers = _fibers(ideals, t_budget, x_degree)
         if jobs <= 1:
             consume(
                 _fiber_graph_result(mu, fiber, pair_index, generic)
@@ -311,37 +278,27 @@ def _standard_monomial_results(pair_index, ideals, t_budget):
         yield mu, standard, False, len(standard)
 
 
-def verify_gb_mixed(
+def mixed_x_degree(
     rules: Sequence[MarkedBinomial],
     ideals: Sequence[StronglyStableIdeal],
-    t_budget: Sequence[int],
     x_degree: int | None = None,
-    progress: Callable[[int], None] | None = None,
-) -> VerificationReport:
-    """Certify a mixed-kind collection over fibers of the full presentation.
+) -> int | None:
+    """The x-degree bound of the mixed fibers a rule list is checked on.
 
-    Every fiber of the multigraded map (x-part bounded by x_degree, default
-    twice the largest generator degree) must be acyclic with a unique sink.
+    None when no lead is a MixedMonomial: such rules live on the pure
+    presentation. Otherwise x_degree, by default twice the largest
+    generator degree.
     """
+    if not any(isinstance(g.lead, MixedMonomial) for g in rules):
+        return None
+    return 2 * max(i.degree for i in ideals) if x_degree is None else x_degree
+
+
+def _fibers(ideals, t_budget, x_degree):
+    """The pure fibers, or the mixed ones up to x_degree when it is given."""
     if x_degree is None:
-        x_degree = 2 * max(i.degree for i in ideals)
-    report = VerificationReport(
-        ideals=collection_spec(ideals), t_budget=tuple(t_budget)
-    )
-    report.notes.append(f"mixed fibers up to x-degree {x_degree}")
-    pair_index, generic = rule_indices(rules)
-    for mu, fiber in mixed_fibers(ideals, t_budget, x_degree):
-        sinks, cyc = analyze_fiber(fiber, pair_index, generic)
-        report.multidegrees_checked += 1
-        if progress and report.multidegrees_checked % 2000 == 0:
-            progress(report.multidegrees_checked)
-        if len(fiber) >= 2:
-            report.nontrivial_fiber = True
-        if cyc or len(sinks) != 1:
-            report.failures.append(
-                FiberFailure(mu, [_vlabel(fiber[i], mu) for i in sinks], cyc)
-            )
-    return report
+        return fibers_by_multidegree(ideals, t_budget)
+    return mixed_fibers(ideals, t_budget, x_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +306,19 @@ def verify_gb_mixed(
 
 
 def toric_kernel_span(
-    ideals: Sequence[StronglyStableIdeal], t_budget: Sequence[int]
-) -> list[tuple[PresMonomial, PresMonomial]]:
-    """All same-multidegree pairs of presentation monomials within budget.
+    ideals: Sequence[StronglyStableIdeal],
+    t_budget: Sequence[int],
+    x_degree: int | None = None,
+) -> list[tuple]:
+    """All same-multidegree pairs of monomials within budget.
 
     Their differences span the toric kernel in the budgeted degrees; this is
-    the oracle side of every certification.
+    the oracle side of every certification. With x_degree the pairs are
+    those of the full presentation's fibers up to that x-degree.
     """
     pairs = []
-    for _, fiber in fibers_by_multidegree(ideals, t_budget):
-        for a in range(len(fiber)):
-            for b in range(a + 1, len(fiber)):
-                pairs.append((fiber[a], fiber[b]))
+    for _, fiber in _fibers(ideals, t_budget, x_degree):
+        pairs += itertools.combinations(fiber, 2)
     return pairs
 
 
@@ -379,43 +337,30 @@ def mixed_fibers(
 ) -> Iterator[tuple[MultiDegree, list[MixedMonomial]]]:
     """Fibers of the full presentation map, x-degree bounded.
 
-    For each t-vector within budget and each ambient monomial of degree up to
-    x_degree, the fiber collects every m*u with m * content(u) equal to it.
+    Each t-slice of fibers_by_multidegree groups the presentation monomials
+    u by their content. For each ambient monomial m of degree up to
+    x_degree, the fiber collects every (m / content(u)) * u with content(u)
+    dividing m: contents in the order of their first monomial, which is
+    their canonical order, and each content's monomials in fiber order.
     """
     n = ideals[0].n
-    for tv in t_vectors(t_budget):
-        by_content: dict[tuple[int, ...], list[PresMonomial]] = {}
-        min_deg = None
-        for u in pres_monomials_with_t(ideals, tv):
-            c = content(u, n)
-            by_content.setdefault(c.exps, []).append(u)
-            min_deg = c.degree if min_deg is None else min(min_deg, c.degree)
-        if min_deg is None or min_deg > x_degree:
-            continue
+    slices = itertools.groupby(fibers_by_multidegree(ideals, t_budget),
+                               key=lambda item: item[0].t_exps)
+    for tv, groups in slices:
+        by_content = sorted(
+            ((Monomial(mu.x_exps), us) for mu, us in groups),
+            key=lambda cu: [f.sort_key() for f in cu[1][0].factors],
+        )
+        min_deg = min(c.degree for c, _ in by_content)
         for d in range(min_deg, x_degree + 1):
             for mu_x in _monomials_of_degree(n, d):
-                fiber = []
-                for c_exps, us in by_content.items():
-                    c = Monomial(c_exps)
-                    if c.divides(mu_x):
-                        m = mu_x.quotient(c)
-                        fiber.extend(MixedMonomial(m, u) for u in us)
+                fiber = [
+                    MixedMonomial(mu_x.quotient(c), u)
+                    for c, us in by_content if c.divides(mu_x)
+                    for u in us
+                ]
                 if fiber:
                     yield MultiDegree(mu_x.exps, tv), fiber
-
-
-def mixed_kernel_span(
-    ideals: Sequence[StronglyStableIdeal],
-    t_budget: Sequence[int],
-    x_degree: int,
-) -> list[tuple[MixedMonomial, MixedMonomial]]:
-    """Brute-force kernel pairs of the multi-graded presentation map."""
-    pairs = []
-    for _, fiber in mixed_fibers(ideals, t_budget, x_degree):
-        for a in range(len(fiber)):
-            for b in range(a + 1, len(fiber)):
-                pairs.append((fiber[a], fiber[b]))
-    return pairs
 
 
 def check_membership(
@@ -454,28 +399,30 @@ def check_membership(
 # obstruction detection
 
 
-def _move_catalog(ideals: Sequence[StronglyStableIdeal]):
-    """product exponents -> factor pairs, per unordered ideal index pair."""
-    catalog: dict[tuple[int, int], dict[tuple, list[tuple[PresVar, PresVar]]]] = {}
-    r = len(ideals)
-    for i in range(1, r + 1):
-        gi = ideals[i - 1].minimal_generators
-        for j in range(i, r + 1):
-            gj = ideals[j - 1].minimal_generators
-            table: dict[tuple, list[tuple[PresVar, PresVar]]] = {}
-            seen = set()
-            for g in gi:
-                for h in gj:
-                    pair = tuple(
-                        sorted((PresVar(i, g), PresVar(j, h)),
-                               key=PresVar.sort_key)
-                    )
-                    if pair in seen:
-                        continue
-                    seen.add(pair)
-                    table.setdefault((g * h).exps, []).append(pair)
-            catalog[(i, j)] = table
-    return catalog
+def _quadric_moves(ideals: Sequence[StronglyStableIdeal]) -> RuleIndex:
+    """Every coincident-product swap of two factors, as rules both ways.
+
+    Factor pairs from the same ideals with the same generator product are
+    interchangeable; each ordered pair of distinct such quadrics is a rule,
+    indexed under its lead's factor pair. The moves are not a marking, so
+    they are indexed here rather than listed for rule_indices.
+    """
+    variables = presentation_variables(ideals)
+    classes: dict[tuple, list[PresMonomial]] = {}
+    for a, p in enumerate(variables):
+        for q in variables[a:]:
+            key = (p.ideal_index, q.ideal_index, (p.generator * q.generator).exps)
+            classes.setdefault(key, []).append(PresMonomial.from_sorted((p, q)))
+    position = itertools.count()
+    pair_index = {
+        lead.factors: [
+            (next(position), MarkedBinomial(lead, trail, "move"))
+            for trail in quadrics if trail != lead
+        ]
+        for quadrics in classes.values()
+        for lead in quadrics
+    }
+    return RuleIndex(pair_index, [])
 
 
 def detect_obstructions(
@@ -488,63 +435,36 @@ def detect_obstructions(
     The move set is every coincident-product swap of two factors (within one
     ideal or across two), not only marked basis elements: connectivity under
     the full quadric move set is the right criterion for degree-2 generation.
+    Moves go both ways, so the components of a fiber's move graph are its
+    connected components.
     """
     if move_degree != 2:
         raise ValueError("only degree-2 moves are implemented")
     if sum(t_budget) < 3:
         raise ValueError("t budget must allow total t-degree >= 3")
-    catalog = _move_catalog(ideals)
+    moves = _quadric_moves(ideals)
     witnesses = []
     for mu, fiber in fibers_by_multidegree(ideals, t_budget):
         if mu.total_t < 3 or len(fiber) < 2:
             continue
-        index = {v: i for i, v in enumerate(fiber)}
-        adj: list[set[int]] = [set() for _ in fiber]
-        for vi, v in enumerate(fiber):
-            fcs = v.factors
-            seen_pairs = set()
-            for a in range(len(fcs)):
-                for b in range(a + 1, len(fcs)):
-                    pair = (fcs[a], fcs[b])
-                    if pair in seen_pairs:
-                        continue
-                    seen_pairs.add(pair)
-                    key = (fcs[a].ideal_index, fcs[b].ideal_index)
-                    prod = (fcs[a].generator * fcs[b].generator).exps
-                    for alt in catalog[key].get(prod, ()):
-                        if alt == pair:
-                            continue
-                        rest = list(fcs)
-                        rest.remove(pair[0])
-                        rest.remove(pair[1])
-                        w = PresMonomial(rest + list(alt))
-                        adj[vi].add(index[w])
+        adj = fiber_edges(fiber, moves, collapse=False)
         comp = [-1] * len(fiber)
-        comps: list[list[int]] = []
+        comps = []
         for start in range(len(fiber)):
             if comp[start] >= 0:
                 continue
-            cid = len(comps)
-            todo = [start]
-            comp[start] = cid
-            members = [start]
+            comp[start] = len(comps)
+            members, todo = [], [start]
             while todo:
                 x = todo.pop()
+                members.append(x)
                 for y in adj[x]:
                     if comp[y] < 0:
-                        comp[y] = cid
+                        comp[y] = comp[start]
                         todo.append(y)
-                        members.append(y)
-            comps.append(sorted(members))
+            comps.append(tuple(fiber[i] for i in sorted(members)))
         if len(comps) > 1:
-            witnesses.append(
-                ObstructionWitness(
-                    mu,
-                    tuple(
-                        tuple(fiber[i] for i in members) for members in comps
-                    ),
-                )
-            )
+            witnesses.append(ObstructionWitness(mu, tuple(comps)))
     return witnesses
 
 

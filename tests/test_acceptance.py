@@ -47,7 +47,7 @@ from borel_rees.verifier import (
     rule_indices,
     analyze_fiber,
     check_membership,
-    mixed_kernel_span,
+    toric_kernel_span,
     parameter_gate,
     verify_gb,
 )
@@ -289,7 +289,7 @@ def test_07_head_and_tail_certification(c7_run):
 def test_08_multi_rees_kernel_oracle(quadric_pair_ideal, quadric_pair_G1):
     def run():
         rules = build_fiber_type_basis([quadric_pair_ideal], quadric_pair_G1)
-        pairs = mixed_kernel_span([quadric_pair_ideal], (2,), 6)
+        pairs = toric_kernel_span([quadric_pair_ideal], (2,), x_degree=6)
         return pairs, check_membership(pairs, rules)
 
     (pairs, (checked, failures)), elapsed = timed(run)

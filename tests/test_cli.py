@@ -110,6 +110,22 @@ class TestFiberGraph:
         )
         assert code == 4
 
+    def test_fiber_type_builds_the_mixed_fiber(self, capsys, spec_file):
+        # used to end in an AttributeError: syzygies applied to pure monomials
+        code, payload = run_cli(
+            capsys,
+            "fiber-graph",
+            "--spec", spec_file(SINGLE_SPEC),
+            "--mu", "x1*x2*x3",
+            "--t", "1",
+            "--basis", "fiber-type",
+        )
+        assert code == 0
+        assert payload["vertices"] == ["x1*T23", "x2*T13", "x3*T12"]
+        assert payload["sinks"] == ["x3*T12"] and not payload["has_cycle"]
+        assert payload["dot"].startswith('digraph "x1*x2*x3;t1"')
+        assert "x1*T23 -> x2*T13" in payload["dot"]
+
 
 class TestVerify:
     def test_certified_exit_zero(self, capsys, spec_file):
@@ -167,20 +183,22 @@ class TestEvidence:
     """A run that checked no fiber with two monomials and no oracle pair is
     inconclusive (exit 3), never certified."""
 
-    def test_fiber_type_with_negative_xdeg_is_inconclusive(
+    def test_fiber_type_with_xdeg_below_generator_degree_is_inconclusive(
         self, capsys, spec_file
     ):
+        # only t = 0 fibers, each the single x-monomial, are reachable
         code, payload = run_cli(
             capsys,
             "verify",
             "--spec", spec_file(SINGLE_SPEC),
             "--budget", "2",
             "--basis", "fiber-type",
-            "--xdeg", "-1",
+            "--xdeg", "1",
         )
         assert code == 3
         assert payload["verdict"] == "inconclusive"
-        assert payload["multidegrees_checked"] == 0
+        assert payload["multidegrees_checked"] == 6
+        assert payload["failures"] == []
 
     @pytest.mark.parametrize("budget", ["0,0", "1,0", "0,1"])
     def test_budget_below_every_lead_is_inconclusive(
@@ -285,6 +303,27 @@ class TestKernelOracle:
             "--budget", "1,1", "--basis", "ht",
         )
         assert code == 0 and payload["oracle_failures"] == []
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--budget", "2", "--basis", "fiber-type", "--xdeg", "-1"],
+            ["kernel-oracle", "--budget", "2", "--basis", "fiber-type",
+             "--xdeg", "-1"],
+            ["verify", "--budget", "2", "--basis", "fiber-type", "--xdeg", "x"],
+            ["verify", "--budget", "-1"],
+            ["verify", "--budget", "2,x"],
+        ],
+    )
+    def test_bad_argument_exits_four(self, capsys, spec_file, argv):
+        # a negative --xdeg used to report "inconclusive" (exit 3), and
+        # argparse's own exit code 2 read as "refuted"
+        code = main(argv[:1] + ["--spec", spec_file(SINGLE_SPEC)] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert "error: argument" in captured.err
 
 
 class TestSpecSchema:

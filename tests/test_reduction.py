@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -28,14 +29,11 @@ from borel_rees.reduction import (
     normal_form,
     o_invariant,
     resolve_step_limit,
+    rewrites,
     rule_indices,
     to_dot,
 )
-from borel_rees.verifier import (
-    check_membership,
-    mixed_kernel_span,
-    toric_kernel_span,
-)
+from borel_rees.verifier import check_membership, toric_kernel_span
 
 
 def m(text, n):
@@ -298,6 +296,15 @@ class TestNormalForm:
         u = m("x2*x4^2*x5", 5)
         assert normal_form(u, rules_of(5, *UNIQUE_SINK_RULES)) is u
 
+    def test_step_limit_counts_rewrites_not_the_final_probe(self):
+        # x1*x2*x3*x4 -> x2^2*x3*x5 -> x2*x4^2*x5: two rewrites
+        rules = rules_of(5, *UNIQUE_SINK_RULES)
+        nf = m("x2*x4^2*x5", 5)
+        assert normal_form(m("x2^2*x3*x5", 5), rules, step_limit=1) == nf
+        assert normal_form(m("x1*x2*x3*x4", 5), rules, step_limit=2) == nf
+        with pytest.raises(ReductionLimitExceeded):
+            normal_form(m("x1*x2*x3*x4", 5), rules, step_limit=1)
+
     def test_cycle_hits_step_limit(self):
         with pytest.raises(ReductionLimitExceeded):
             normal_form(
@@ -333,12 +340,14 @@ class TestNormalForm:
 
 def scan_normal_form(v, rules, step_limit=10_000):
     """Reference rewriting: always take the first of applicable_reductions,
-    which scans the rule list in order."""
+    which scans the rule list in order; at most step_limit rewrites."""
     for _ in range(step_limit):
         steps = applicable_reductions(v, rules)
         if not steps:
             return v
         v = steps[0][0]
+    if not applicable_reductions(v, rules):
+        return v
     raise ReductionLimitExceeded(
         f"no normal form within {step_limit} steps; collection may not terminate"
     )
@@ -411,7 +420,9 @@ class TestIndexedRewritingMatchesScan:
         rules = build_fiber_type_basis([quadric_pair_ideal], quadric_pair_G1)
         assert not rule_indices(rules).pair_index
         rng = random.Random(14)
-        pairs = _pairs_sample(mixed_kernel_span([quadric_pair_ideal], (2,), 4), rng)
+        pairs = _pairs_sample(
+            toric_kernel_span([quadric_pair_ideal], (2,), x_degree=4), rng
+        )
         _, failures = assert_scan_equivalent(pairs, rules)
         assert not failures
         rng.shuffle(rules)
@@ -434,6 +445,31 @@ class TestIndexedRewritingMatchesScan:
             kinds = {len(g.lead.factors) for g in rules}
             assert kinds == {2, 3}
             assert_scan_equivalent(pairs, rules, step_limit=30)
+
+    def test_rewrites_equal_the_scan(
+        self, running_pair, running_pair_basis, quadric_pair_ideal
+    ):
+        # every applicable rule, in list order (unordered: the same multiset),
+        # on monomials with repeated factors and interleaved lead kinds
+        rng = random.Random(16)
+        ht = list(running_pair_basis)
+        rng.shuffle(ht)
+        fibers = [f for _, f in fibers_by_multidegree([quadric_pair_ideal], (3,))
+                  if len(f) >= 2]
+        mixed_kinds = [MarkedBinomial(*rng.sample(f, 2))
+                       for f in rng.sample(fibers, 60)]
+        for ideals, budget, rules in (
+            (list(running_pair), (2, 1), ht),
+            ([quadric_pair_ideal], (3,), mixed_kinds),
+        ):
+            index = rule_indices(rules)
+            monomials = [v for _, f in fibers_by_multidegree(ideals, budget)
+                         for v in f]
+            for v in rng.sample(monomials, min(300, len(monomials))):
+                expected = applicable_reductions(v, rules)
+                assert rewrites(v, index) == expected
+                assert Counter(rewrites(v, index, ordered=False)) == Counter(
+                    expected)
 
     def test_list_position_decides_between_pair_and_generic_rules(
         self, quadric_pair_ideal, quadric_pair_G1

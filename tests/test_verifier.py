@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,8 +13,10 @@ from borel_rees.orders import (
     build_G2,
     build_fiber_type_basis,
     build_head_and_tail_basis,
+    build_syzygy_set,
 )
 from borel_rees.presentation import (
+    MixedMonomial,
     MultiDegree,
     PresMonomial,
     PresVar,
@@ -32,7 +35,6 @@ from borel_rees.verifier import (
     detect_obstructions,
     koszul_report,
     mixed_fibers,
-    mixed_kernel_span,
     parameter_gate,
     quadratic_basis_for,
     rule_indices,
@@ -318,7 +320,7 @@ class TestMixedOracle:
         self, quadric_pair_ideal, quadric_pair_G1
     ):
         rules = build_fiber_type_basis([quadric_pair_ideal], quadric_pair_G1)
-        pairs = mixed_kernel_span([quadric_pair_ideal], (2,), 5)
+        pairs = toric_kernel_span([quadric_pair_ideal], (2,), x_degree=5)
         checked, failures = check_membership(pairs, rules)
         assert checked == len(pairs) > 0 and not failures
 
@@ -326,29 +328,141 @@ class TestMixedOracle:
         from borel_rees.orders import build_syzygy_set
 
         rules = build_syzygy_set([quadric_pair_ideal])
-        pairs = mixed_kernel_span([quadric_pair_ideal], (2,), 4)
+        pairs = toric_kernel_span([quadric_pair_ideal], (2,), x_degree=4)
         _, failures = check_membership(pairs, rules)
         assert failures
 
 
+def reference_mixed_fibers(ideals, t_budget, x_degree):
+    """Mixed fibers rebuilt by grouping pres_monomials_with_t by content:
+    contents in first-appearance order, x-monomials by degree, then in
+    combinations_with_replacement order."""
+    n = ideals[0].n
+    for tv in t_vectors(t_budget):
+        by_content = {}
+        for u in pres_monomials_with_t(ideals, tv):
+            by_content.setdefault(content(u, n), []).append(u)
+        for d in range(x_degree + 1):
+            for combo in itertools.combinations_with_replacement(range(n), d):
+                mu_x = Monomial([combo.count(k) for k in range(n)])
+                fiber = [
+                    MixedMonomial(mu_x.quotient(c), u)
+                    for c, us in by_content.items() if c.divides(mu_x)
+                    for u in us
+                ]
+                if fiber:
+                    yield MultiDegree(mu_x.exps, tv), fiber
+
+
+OBSTRUCTED_TRIPLE = [
+    borel_closure([m("x3^2", 5), m("x1*x5", 5)], 5),
+    borel_closure([m("x3^2", 5), m("x2*x4", 5)], 5),
+    borel_closure([m("x2*x4", 5), m("x1*x5", 5)], 5),
+]
+
+
+class TestMixedFibersDifferential:
+    @pytest.mark.parametrize(
+        "ideals, budget, x_degree",
+        [
+            ([borel_closure([m("x3^2", 5), m("x2*x5", 5)], 5)], (2,), 5),
+            ([borel_closure([m("x4*x5", 6), m("x2*x6", 6)], 6),
+              borel_closure([m("x4^2", 6), m("x3*x6", 6)], 6)], (1, 1), 4),
+            (OBSTRUCTED_TRIPLE, (1, 1, 1), 6),
+            ([borel_closure([m("x2*x3^2", 4), m("x1*x4^2", 4)], 4)], (2,), 6),
+        ],
+        ids=["r1", "r2", "r3", "cubic"],
+    )
+    def test_regrouping_equals_reference_in_order(
+        self, ideals, budget, x_degree
+    ):
+        got = list(mixed_fibers(ideals, budget, x_degree))
+        assert got == list(reference_mixed_fibers(ideals, budget, x_degree))
+        assert any(len(fiber) >= 2 for _, fiber in got)
+
+
 class TestVerifyGBMixed:
+    def test_jobs_do_not_change_reports(self, quadric_pair_ideal,
+                                        quadric_pair_G1):
+        ideals = [quadric_pair_ideal]
+        verdicts = []
+        for rules, x_degree in (
+            (build_fiber_type_basis(ideals, quadric_pair_G1), 5),
+            (build_syzygy_set(ideals), 4),
+        ):
+            serial, pooled = (
+                verify_gb(rules, ideals, (2,), jobs=jobs, x_degree=x_degree)
+                for jobs in (1, 2)
+            )
+            assert json.dumps(serial.to_json_dict(), sort_keys=True) == (
+                json.dumps(pooled.to_json_dict(), sort_keys=True)
+            )
+            verdicts.append(serial.verdict)
+        assert verdicts == ["certified-up-to-bound", "refuted"]
+
     def test_lifted_basis_certifies_mixed_fibers(
         self, quadric_pair_ideal, quadric_pair_G1
     ):
-        from borel_rees.verifier import verify_gb_mixed
-
         rules = build_fiber_type_basis([quadric_pair_ideal], quadric_pair_G1)
-        report = verify_gb_mixed(rules, [quadric_pair_ideal], (2,), x_degree=5)
+        report = verify_gb(rules, [quadric_pair_ideal], (2,), x_degree=5)
+        assert report.notes == ["mixed fibers up to x-degree 5"]
         assert report.verdict == "certified-up-to-bound"
         assert report.multidegrees_checked > 100
 
     def test_syzygies_alone_refuted(self, quadric_pair_ideal):
         from borel_rees.orders import build_syzygy_set
-        from borel_rees.verifier import verify_gb_mixed
 
         rules = build_syzygy_set([quadric_pair_ideal])
-        report = verify_gb_mixed(rules, [quadric_pair_ideal], (2,), x_degree=4)
+        report = verify_gb(rules, [quadric_pair_ideal], (2,), x_degree=4)
         assert report.verdict == "refuted"
+
+
+def _one_quadric_swap(u, v):
+    """Whether v is u with two factors swapped for two others of the same
+    ideals and the same generator product."""
+    cu, cv = Counter(u.factors), Counter(v.factors)
+    out, into = list((cu - cv).elements()), list((cv - cu).elements())
+    if len(out) != 2 or len(into) != 2:
+        return False
+    return (
+        sorted(f.ideal_index for f in out) == sorted(f.ideal_index for f in into)
+        and out[0].generator * out[1].generator
+        == into[0].generator * into[1].generator
+    )
+
+
+def reference_obstructions(ideals, budget):
+    """(multidegree, components) of every fiber of total t-degree >= 3 that
+    pairwise quadric swaps leave disconnected, from fibers grouped by phi."""
+    by_mu = {}
+    for tv in t_vectors(budget):
+        for u in pres_monomials_with_t(ideals, tv):
+            by_mu.setdefault(phi(u, ideals), []).append(u)
+    out = []
+    for mu in sorted(by_mu, key=lambda mu: (mu.t_exps, mu.x_exps)):
+        fiber = sorted(by_mu[mu],
+                       key=lambda v: [f.sort_key() for f in v.factors])
+        if mu.total_t < 3 or len(fiber) < 2:
+            continue
+        comp = list(range(len(fiber)))
+
+        def root(i):
+            while comp[i] != i:
+                i = comp[i]
+            return i
+
+        for a, b in itertools.combinations(range(len(fiber)), 2):
+            if _one_quadric_swap(fiber[a], fiber[b]):
+                comp[root(b)] = root(a)
+        groups = {}
+        for i in range(len(fiber)):
+            groups.setdefault(root(i), []).append(fiber[i])
+        if len(groups) > 1:
+            out.append((mu, tuple(sorted(
+                (tuple(g) for g in groups.values()),
+                key=lambda g: fiber.index(g[0]),
+            ))))
+    return out
 
 
 class TestDetectObstructions:
@@ -377,6 +491,14 @@ class TestDetectObstructions:
         i1 = borel_closure([m("x2*x3", 4)], 4)
         i2 = borel_closure([m("x3*x4", 4)], 4)
         assert detect_obstructions([i1, i2], (2, 1)) == []
+
+    @pytest.mark.parametrize("budget", [(1, 1, 1), (2, 1, 1)])
+    def test_witnesses_equal_brute_force_swaps(self, budget):
+        ideals = OBSTRUCTED_TRIPLE
+        got = [(w.multidegree, w.components)
+               for w in detect_obstructions(ideals, budget)]
+        assert got == reference_obstructions(ideals, budget)
+        assert got
 
     def test_witness_component_partition(self):
         i1 = borel_closure([m("x3^2", 5), m("x1*x5", 5)], 5)
