@@ -98,6 +98,12 @@ def _parse_x_degree(text: str) -> int:
     return int(text)
 
 
+def _parse_jobs(text: str) -> int:
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"jobs must be >= 1, got {text!r}")
+    return int(text)
+
+
 def _basis_for(ideals, name: str | None, order: str | None):
     """Resolve --basis / --order into a marked collection."""
     choice = name or {"rlex": "g1", "mrlex": "g2", "ht": "ht", None: None}[order]
@@ -298,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, budget=False):
         p.add_argument("--spec", dest="spec_path", help="ideal spec JSON file")
         p.add_argument("--out", help="directory for reports and DOT files")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+        p.add_argument("--jobs", type=_parse_jobs, default=1,
+                       help="parallel workers, at most one per CPU")
         if budget:
             p.add_argument(
                 "--budget", type=_parse_budget, default=(2,),

@@ -11,22 +11,57 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .borel import StronglyStableIdeal
 from .monomial import Monomial, format_monomial, product, rlex_sort_key
 
 
-@dataclass(frozen=True)
 class PresVar:
-    """Presentation variable for one minimal generator of one ideal (1-based)."""
+    """Presentation variable for one minimal generator of one ideal (1-based).
 
-    ideal_index: int
-    generator: Monomial
+    Immutable. The sort key (ideal index, then the generator rlex-descending)
+    and the hash are computed once, at construction: variables are dict keys
+    and sort keys on every rewrite step. Equality compares the keys.
+    """
+
+    __slots__ = ("ideal_index", "generator", "key", "_hash")
+
+    def __init__(self, ideal_index: int, generator: Monomial):
+        object.__setattr__(self, "ideal_index", ideal_index)
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "key", (ideal_index, rlex_sort_key(generator)))
+        object.__setattr__(self, "_hash", hash((ideal_index, generator)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PresVar is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("PresVar is immutable")
+
+    def __reduce__(self):
+        # worker pools pickle rules; rebuilding recomputes the key and hash
+        return PresVar, (self.ideal_index, self.generator)
 
     def sort_key(self):
-        return (self.ideal_index, rlex_sort_key(self.generator))
+        return self.key
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, PresVar):
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return (
+            f"PresVar(ideal_index={self.ideal_index!r}, "
+            f"generator={self.generator!r})"
+        )
 
     def label(self, style: str = "auto", r: int | None = None) -> str:
         """Display label; two-ideal quadric runs get the compact T../Z.. aliases."""
@@ -44,6 +79,9 @@ class PresVar:
 
     def __str__(self) -> str:
         return self.label()
+
+
+_BY_KEY = attrgetter("key")
 
 
 class MultiDegree(NamedTuple):
@@ -75,15 +113,15 @@ class PresMonomial:
 
     The storage order (ideal index ascending, generator rlex-descending) is
     only a canonical form for hashing and deduplication; the term orders in
-    `orders` impose their own comparisons.
+    `orders` impose their own comparisons. The hash is computed on first use
+    and kept, since normal-form memos look monomials up repeatedly.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "_hash")
 
     def __init__(self, factors: Iterable[PresVar]):
-        object.__setattr__(
-            self, "factors", tuple(sorted(factors, key=PresVar.sort_key))
-        )
+        object.__setattr__(self, "factors", tuple(sorted(factors, key=_BY_KEY)))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PresMonomial is immutable")
@@ -93,6 +131,7 @@ class PresMonomial:
         """Wrap factors already in canonical (PresVar.sort_key) order."""
         v = object.__new__(cls)
         object.__setattr__(v, "factors", factors)
+        object.__setattr__(v, "_hash", None)
         return v
 
     @classmethod
@@ -130,10 +169,16 @@ class PresMonomial:
         return PresMonomial(remaining)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PresMonomial) and self.factors == other.factors
+        return self is other or (
+            isinstance(other, PresMonomial) and self.factors == other.factors
+        )
 
     def __hash__(self) -> int:
-        return hash(self.factors)
+        h = self._hash
+        if h is None:
+            h = hash(self.factors)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         return f"PresMonomial({self.factors!r})"
@@ -156,6 +201,7 @@ class PresMonomial:
 
     def __setstate__(self, state):
         object.__setattr__(self, "factors", tuple(state))
+        object.__setattr__(self, "_hash", None)
 
 
 @dataclass(frozen=True)
@@ -331,7 +377,7 @@ def presentation_variables(
                 for i, ideal in enumerate(ideals, start=1)
                 for g in ideal.minimal_generators
             ),
-            key=PresVar.sort_key,
+            key=_BY_KEY,
         )
     )
 

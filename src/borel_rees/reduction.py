@@ -10,7 +10,10 @@ divisibility scan, and rewrites() lists a monomial's one-step reductions in
 rule-list order from that index. fiber_edges builds every fiber graph from
 it (reduction graphs here, the verifier's fiber analysis and obstruction
 scan), and has_cycle is the one cycle detector. normal_form probes the same
-index for the earliest applicable rule only. Graphs also carry the
+index for the earliest applicable rule only; it is the one rewriting loop,
+and with a memo it records every monomial on its path with the normal form
+and the rewrites left, so callers reducing many monomials under one rule
+list (the kernel oracle) walk each path once. Graphs also carry the
 longest-path invariant used to certify that a marked collection rewrites
 Noetherianly.
 """
@@ -329,7 +332,7 @@ def resolve_step_limit(step_limit: int | None = None) -> int:
 
 
 def normal_form(v, rules: Sequence[MarkedBinomial] | RuleIndex,
-                step_limit: int | None = None):
+                step_limit: int | None = None, memo: dict | None = None):
     """Rewrite v by the earliest-listed applicable rule until none applies,
     taking at most step_limit rewrites.
 
@@ -340,20 +343,48 @@ def normal_form(v, rules: Sequence[MarkedBinomial] | RuleIndex,
     path, is the one a scan of the list in order would pick. When the
     collection is a verified Groebner basis the result is the unique sink
     regardless of rule order.
+
+    memo, when given, maps monomials to (normal form, rewrites left): the
+    form the path from that monomial ends in and the number of rewrites it
+    takes to get there. It is valid for one rule list only. The path stops
+    at the first monomial that is irreducible or already in memo, and every
+    monomial on it is then recorded. A path of more than step_limit
+    rewrites in all raises ReductionLimitExceeded, with or without a memo,
+    and records nothing, so a memo filled under one limit holds only
+    entries within it.
     """
     pair_index, generic = (
         rules if isinstance(rules, RuleIndex) else rule_indices(rules)
     )
     limit = resolve_step_limit(step_limit)
+    path = []
     current = v
-    for _ in range(limit):
+    while True:
+        if memo is not None:
+            hit = memo.get(current)
+            if hit is not None:
+                break
         g = _earliest_applicable(current, pair_index, generic)
         if g is None:
-            return current
+            hit = (current, 0)
+            break
+        if len(path) == limit:
+            raise _limit_exceeded(limit)
+        path.append(current)
         current = current.quotient(g.lead) * g.trail
-    if _earliest_applicable(current, pair_index, generic) is None:
-        return current
-    raise ReductionLimitExceeded(
+    nf, left = hit
+    if len(path) + left > limit:
+        raise _limit_exceeded(limit)
+    if memo is not None:
+        memo[current] = hit
+        for u in reversed(path):
+            left += 1
+            memo[u] = (nf, left)
+    return nf
+
+
+def _limit_exceeded(limit: int) -> ReductionLimitExceeded:
+    return ReductionLimitExceeded(
         f"no normal form within {limit} steps; collection may not terminate"
     )
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -46,6 +47,7 @@ from .presentation import (
 )
 from .reduction import (
     MarkedBinomial,
+    ReductionLimitExceeded,
     RuleIndex,
     fiber_edges,
     has_cycle,
@@ -204,10 +206,13 @@ def verify_gb(
     MixedMonomial (mixed_x_degree), the pure presentation's otherwise. When
     a library term order orients every rule, that is checked by listing the
     standard monomials (serially, whatever jobs says); otherwise the fiber
-    graphs are built, chunked over a process pool when jobs > 1. Chunks are
-    merged in submission order, so reports are byte-identical for any worker
-    count.
+    graphs are built, chunked over a process pool when jobs > 1, with one
+    worker per CPU at most. Chunks are merged in submission order, so
+    reports are byte-identical for any worker count. jobs below 1 raises
+    ValueError.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     report = VerificationReport(
         ideals=collection_spec(ideals), t_budget=tuple(t_budget)
     )
@@ -259,7 +264,9 @@ def verify_gb(
             )
         else:
             with multiprocessing.Pool(
-                processes=jobs, initializer=_pool_init, initargs=(list(rules),)
+                processes=min(jobs, os.cpu_count() or 1),
+                initializer=_pool_init,
+                initargs=(list(rules),),
             ) as pool:
                 for results in pool.imap(_pool_work, _chunks(fibers, 256)):
                     consume(results)
@@ -369,26 +376,29 @@ def check_membership(
     step_limit: int | None = None,
 ) -> tuple[int, list[dict]]:
     """Reduce both sides of every pair; a pair passes when the normal forms
-    coincide. The rules are indexed and the step limit resolved once (a bad
-    limit raises ValueError); normal forms are memoized across pairs."""
+    coincide.
+
+    The rules are indexed and the step limit resolved once (a bad limit
+    raises ValueError). One memo serves every normal_form call, so each
+    monomial on a rewrite path is reduced once across all pairs; a side
+    already in it is looked up here without a call. A side with no normal
+    form within the step limit makes its pair an "error" failure; any other
+    exception propagates.
+    """
     limit = resolve_step_limit(step_limit)
     index = rule_indices(rules)
-    cache: dict = {}
+    memo: dict = {}
     failures = []
-
-    def nf(v):
-        w = cache.get(v)
-        if w is None:
-            w = cache[v] = normal_form(v, index, limit)
-        return w
-
     for a, b in span_pairs:
         try:
-            na, nb = nf(a), nf(b)
-        except Exception as exc:  # step limit counts as failure, not a crash
+            hit = memo.get(a)
+            na = hit[0] if hit else normal_form(a, index, limit, memo)
+            hit = memo.get(b)
+            nb = hit[0] if hit else normal_form(b, index, limit, memo)
+        except ReductionLimitExceeded as exc:
             failures.append({"pair": [str(a), str(b)], "error": str(exc)})
             continue
-        if na != nb:
+        if na is not nb and na != nb:
             failures.append(
                 {"pair": [str(a), str(b)], "normal_forms": [str(na), str(nb)]}
             )

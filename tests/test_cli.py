@@ -304,6 +304,21 @@ class TestKernelOracle:
         )
         assert code == 0 and payload["oracle_failures"] == []
 
+    @pytest.mark.parametrize("limit, failing", [("1", 67), ("2", 0), ("3", 0)])
+    def test_step_limit_failure_counts(
+        self, capsys, spec_file, monkeypatch, limit, failing
+    ):
+        # 289 pairs at (1,1); 67 of them have a side two rewrites from its
+        # normal form, which the memo must not let through under limit 1
+        monkeypatch.setenv("BOREL_REES_STEP_LIMIT", limit)
+        code, payload = run_cli(
+            capsys, "kernel-oracle", "--spec", spec_file(PAIR_SPEC),
+            "--budget", "1,1", "--basis", "ht",
+        )
+        assert payload["oracle_binomials_checked"] == 289
+        assert len(payload["oracle_failures"]) == failing
+        assert code == (2 if failing else 0)
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -315,11 +330,17 @@ class TestUsageErrors:
             ["verify", "--budget", "2", "--basis", "fiber-type", "--xdeg", "x"],
             ["verify", "--budget", "-1"],
             ["verify", "--budget", "2,x"],
+            ["verify", "--budget", "2", "--jobs", "0"],
+            ["verify", "--budget", "2", "--jobs", "-3"],
+            ["verify", "--budget", "2", "--jobs", "x"],
+            ["kernel-oracle", "--budget", "2", "--jobs", "0"],
+            ["koszul-report", "--budget", "2", "--jobs", "-1"],
         ],
     )
     def test_bad_argument_exits_four(self, capsys, spec_file, argv):
-        # a negative --xdeg used to report "inconclusive" (exit 3), and
-        # argparse's own exit code 2 read as "refuted"
+        # a negative --xdeg used to report "inconclusive" (exit 3), a --jobs
+        # below 1 ran serially without a word, and argparse's own exit
+        # code 2 read as "refuted"
         code = main(argv[:1] + ["--spec", spec_file(SINGLE_SPEC)] + argv[1:])
         captured = capsys.readouterr()
         assert code == 4 and captured.out == ""

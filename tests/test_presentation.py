@@ -1,10 +1,13 @@
 import itertools
+import pickle
 import random
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
 from borel_rees.borel import borel_closure
-from borel_rees.monomial import Monomial, parse_monomial
+from borel_rees.monomial import Monomial, parse_monomial, rlex_sort_key
 from borel_rees.presentation import (
     MixedMonomial,
     MultiDegree,
@@ -196,3 +199,77 @@ class TestEnumerateMultidegrees:
     def test_grouping_agrees_with_point_queries(self, quadric_pair_ideal):
         for mu, fiber in fibers_by_multidegree([quadric_pair_ideal], (2,)):
             assert enumerate_fiber(mu, [quadric_pair_ideal]) == fiber
+
+
+class TestValueSemantics:
+    """PresVar and PresMonomial store their sort key and hash; they must
+    behave as the plain values they were (a frozen dataclass and a tuple of
+    factors): equal when their data is, hashed the same, ordered the same."""
+
+    def variables(self, running_pair):
+        return [PresVar(i, g) for i, ideal in enumerate(running_pair, 1)
+                for g in ideal.minimal_generators]
+
+    def test_separately_built_variables_are_equal(self, running_pair):
+        for p in self.variables(running_pair):
+            q = PresVar(p.ideal_index, Monomial(p.generator.exps))
+            assert p is not q and p == q and hash(p) == hash(q)
+            # the frozen dataclass's hash, so set and dict layouts stay put
+            assert hash(p) == hash((p.ideal_index, p.generator))
+            other = PresVar(p.ideal_index + 1, p.generator)
+            assert p != other and other != p
+        assert PresVar(1, m("x4*x5", 6)) != (1, m("x4*x5", 6))
+
+    def test_separately_built_monomials_are_equal(self, running_pair):
+        rng = random.Random(5)
+        variables = self.variables(running_pair)
+        for _ in range(50):
+            factors = rng.choices(variables, k=rng.randint(0, 4))
+            u = PresMonomial(factors)
+            w = PresMonomial(
+                [PresVar(f.ideal_index, Monomial(f.generator.exps))
+                 for f in reversed(factors)]
+            )
+            assert u == w and hash(u) == hash(w) and hash(u) == hash(u.factors)
+
+    def test_sort_order_unchanged(self, running_pair):
+        def old_key(p):
+            return (p.ideal_index, rlex_sort_key(p.generator))
+
+        rng = random.Random(6)
+        variables = self.variables(running_pair)
+        for _ in range(20):
+            rng.shuffle(variables)
+            assert sorted(variables, key=PresVar.sort_key) == sorted(
+                variables, key=old_key)
+            factors = rng.choices(variables, k=4)
+            assert PresMonomial(factors).factors == tuple(
+                sorted(factors, key=old_key))
+
+    def test_pickle_round_trips(self, running_pair):
+        i1, i2 = running_pair
+        p = PresVar(2, i2.minimal_generators[3])
+        u = PresMonomial([PresVar(1, i1.minimal_generators[0]), p, p])
+        hash(u)  # the cached hash is not part of the pickled state
+        w = MixedMonomial(m("x1*x6", 6), u)
+        for value in (p, u, w):
+            back = pickle.loads(pickle.dumps(value))
+            assert back == value and hash(back) == hash(value)
+            assert repr(back) == repr(value)
+
+    def test_immutable(self):
+        p = PresVar(1, m("x4*x5", 6))
+        u = PresMonomial([p])
+        for value, attr in ((p, "ideal_index"), (p, "generator"), (p, "key"),
+                            (u, "factors")):
+            with pytest.raises(AttributeError):
+                setattr(value, attr, None)
+        with pytest.raises(AttributeError):
+            del p.generator
+        assert p.ideal_index == 1 and u.factors == (p,)
+
+    def test_repr_unchanged(self):
+        p = PresVar(2, m("x3*x6", 6))
+        assert repr(p) == (
+            "PresVar(ideal_index=2, generator=Monomial((0, 0, 1, 0, 0, 1)))")
+        assert repr(PresMonomial([p])) == f"PresMonomial(({p!r},))"

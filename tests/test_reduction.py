@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from unittest import mock
@@ -366,7 +367,8 @@ def assert_scan_equivalent(pairs, rules, step_limit=10_000):
             with pytest.raises(ReductionLimitExceeded):
                 normal_form(v, index, step_limit)
 
-    def scan(v, _index, _limit):
+    def scan(v, _index, _limit, _memo):
+        # the memo stays empty, so every pair side comes here
         if isinstance(reference[v], ReductionLimitExceeded):
             raise reference[v]
         return reference[v]
@@ -498,6 +500,101 @@ class TestIndexedRewritingMatchesScan:
             normal_form(g.lead, loop, step_limit=25)
         _, failures = assert_scan_equivalent([(g.lead, g.trail)], loop, 25)
         assert "within 25 steps" in failures[0]["error"]
+
+
+def memo_free_membership(pairs, rules, step_limit=10_000):
+    """check_membership without the memo: normal_form once per pair side."""
+    index = rule_indices(rules)
+    failures = []
+    for a, b in pairs:
+        try:
+            na = normal_form(a, index, step_limit)
+            nb = normal_form(b, index, step_limit)
+        except ReductionLimitExceeded as exc:
+            failures.append({"pair": [str(a), str(b)], "error": str(exc)})
+            continue
+        if na != nb:
+            failures.append(
+                {"pair": [str(a), str(b)], "normal_forms": [str(na), str(nb)]}
+            )
+    return len(pairs), failures
+
+
+def assert_memo_equivalent(pairs, rules, limits=(1, 2, 3, 10_000)):
+    """check_membership equals the memo-free reference under each limit, and
+    every memo entry holds the monomial's normal form and its distance."""
+    for limit in limits:
+        result = check_membership(pairs, rules, limit)
+        assert result == memo_free_membership(pairs, rules, limit), limit
+    index = rule_indices(rules)
+    memo = {}
+    for v in dict.fromkeys(w for pair in pairs for w in pair):
+        try:
+            normal_form(v, index, max(limits), memo)
+        except ReductionLimitExceeded:
+            assert v not in memo
+    for u, (nf, left) in memo.items():
+        assert normal_form(u, index, max(left, 1)) == nf
+        assert (left == 0) == (u == nf)
+        if left > 1:
+            with pytest.raises(ReductionLimitExceeded):
+                normal_form(u, index, left - 1)
+    return result
+
+
+class TestMemoizedNormalForms:
+    """check_membership shares one memo across its normal_form calls; the
+    results equal reducing every pair side afresh, under every step limit,
+    including paths that end in a memo entry but exceed the limit in all."""
+
+    def test_shuffled_head_and_tail_basis(self, running_pair, running_pair_basis):
+        rng = random.Random(21)
+        pairs = _pairs_sample(toric_kernel_span(running_pair, (2, 1)), rng, 2000)
+        rules = list(running_pair_basis)
+        rng.shuffle(rules)
+        _, failures = assert_memo_equivalent(pairs, rules)
+        assert not failures
+
+    def test_rules_dropped(self, running_pair, running_pair_basis):
+        rng = random.Random(22)
+        pairs = _pairs_sample(toric_kernel_span(running_pair, (2, 1)), rng, 2000)
+        rules = list(running_pair_basis)
+        rng.shuffle(rules)
+        _, failures = assert_memo_equivalent(pairs, rules[20:])
+        assert any("normal_forms" in f for f in failures)
+
+    def test_two_rule_loop(self, quadric_pair_ideal, quadric_pair_G1):
+        g = quadric_pair_G1[0]
+        loop = [g, MarkedBinomial(g.trail, g.lead)] + quadric_pair_G1[1:]
+        pairs = toric_kernel_span([quadric_pair_ideal], (3,))
+        _, failures = assert_memo_equivalent(pairs, loop, (1, 2, 25))
+        assert any("error" in f for f in failures)
+
+    def test_three_rule_cycle(self):
+        # degree-4 monomials in six variables, each paired with its one-step
+        # successors; some paths enter the three-rule cycle, some end
+        rules = rules_of(6, *CYCLING_RULES, *UNIQUE_SINK_RULES)
+        monomials = [
+            Monomial([combo.count(k) for k in range(6)])
+            for combo in itertools.combinations_with_replacement(range(6), 4)
+        ]
+        pairs = [(v, succ) for v in monomials
+                 for succ, _ in applicable_reductions(v, rules)]
+        _, failures = assert_memo_equivalent(pairs, rules, (1, 2, 3, 50))
+        assert any("error" in f for f in failures)
+        assert len(failures) < len(pairs)
+
+    def test_other_errors_propagate(self, running_pair, running_pair_basis):
+        # only a step-limit overrun is a pair failure; a fault in the
+        # rewriting is not turned into a "refuted" verdict
+        pairs = toric_kernel_span(running_pair, (1, 1))
+
+        def broken(*_args):
+            raise TypeError("broken rewriting")
+
+        with mock.patch.object(verifier, "normal_form", broken):
+            with pytest.raises(TypeError):
+                check_membership(pairs, running_pair_basis)
 
 
 class TestMixedReduction:

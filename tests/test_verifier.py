@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from borel_rees import verifier
 from borel_rees.borel import borel_closure
 from borel_rees.monomial import Monomial, parse_monomial
 from borel_rees.borel import order_view
@@ -415,6 +416,49 @@ class TestVerifyGBMixed:
         rules = build_syzygy_set([quadric_pair_ideal])
         report = verify_gb(rules, [quadric_pair_ideal], (2,), x_degree=4)
         assert report.verdict == "refuted"
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs, cpus, processes", [
+        (64, 2, 2), (2, 8, 2), (3, None, 1), (1, 8, None),
+    ])
+    def test_pool_size_is_capped_by_the_cpu_count(
+        self, monkeypatch, quadric_pair_ideal, quadric_pair_G1,
+        jobs, cpus, processes,
+    ):
+        # the pool is replaced by an in-process stand-in that records its
+        # size, so no worker process is started
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, processes, initializer, initargs):
+                sizes.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(verifier, "_POOL_RULES", None)
+        monkeypatch.setattr(verifier.multiprocessing, "Pool", InlinePool)
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
+        ideals = [quadric_pair_ideal]
+        rules = build_fiber_type_basis(ideals, quadric_pair_G1)
+        report = verify_gb(rules, ideals, (2,), jobs=jobs, x_degree=4)
+        assert sizes == ([] if processes is None else [processes])
+        serial = verify_gb(rules, ideals, (2,), jobs=1, x_degree=4)
+        assert report.to_json_dict() == serial.to_json_dict()
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, quadric_pair_ideal, quadric_pair_G1,
+                                     jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            verify_gb(quadric_pair_G1, [quadric_pair_ideal], (2,), jobs=jobs)
 
 
 def _one_quadric_swap(u, v):
