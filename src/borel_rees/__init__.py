@@ -27,8 +27,6 @@ from .orders import (
     build_fiber_type_basis,
     build_head_and_tail_basis,
     build_syzygy_set,
-    region_minima,
-    standard_factorization,
 )
 from .presentation import (
     MixedMonomial,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .borel import InvalidIdeal, load_collection, order_view, region_partition
@@ -35,6 +34,7 @@ from .verifier import (
     progress_to_stderr,
     quadratic_basis_for,
     toric_kernel_span,
+    unreached_slice_notes,
     verify_gb,
 )
 
@@ -50,22 +50,6 @@ _VERDICT_EXIT = {
 }
 
 
-@dataclass
-class RunConfig:
-    command: str
-    spec_path: str | None = None
-    budget: tuple[int, ...] = ()
-    order: str | None = None
-    basis: str | None = None
-    out: str | None = None
-    jobs: int = 1
-    x_degree: int | None = None
-    mu: str | None = None
-    t: tuple[int, ...] = ()
-    example: str | None = None
-    params: dict = field(default_factory=dict)
-
-
 def _emit(payload: dict, out_dir: str | None, filename: str = "report.json") -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
@@ -75,10 +59,10 @@ def _emit(payload: dict, out_dir: str | None, filename: str = "report.json") -> 
         (path / filename).write_text(text)
 
 
-def _load_ideals(cfg: RunConfig):
-    if not cfg.spec_path:
+def _load_ideals(args: argparse.Namespace):
+    if not args.spec_path:
         raise InvalidIdeal("--spec FILE is required for this command")
-    with open(cfg.spec_path) as fh:
+    with open(args.spec_path) as fh:
         return load_collection(json.load(fh))
 
 
@@ -137,8 +121,8 @@ def _basis_for(ideals, name: str | None, order: str | None):
     raise InvalidIdeal(f"unknown basis {choice!r}")
 
 
-def cmd_closure(cfg: RunConfig) -> int:
-    ideals = _load_ideals(cfg)
+def cmd_closure(args: argparse.Namespace) -> int:
+    ideals = _load_ideals(args)
     payload = {"n": ideals[0].n, "ideals": []}
     for ideal in ideals:
         entry = {
@@ -155,31 +139,28 @@ def cmd_closure(cfg: RunConfig) -> int:
                 "indices": {"a": view.a, "b": view.b, "c": view.c, "d": view.d},
             }
         payload["ideals"].append(entry)
-    _emit(payload, cfg.out, "closure.json")
+    _emit(payload, args.out, "closure.json")
     return EXIT_OK
 
 
-def cmd_fiber_graph(cfg: RunConfig) -> int:
-    ideals = _load_ideals(cfg)
+def cmd_fiber_graph(args: argparse.Namespace) -> int:
+    ideals = _load_ideals(args)
     n = ideals[0].n
     r = len(ideals)
     try:
-        x_part = parse_monomial(cfg.mu or "", n)
+        x_part = parse_monomial(args.mu, n)
     except MonomialParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    t = cfg.t or (0,) * r
-    if len(t) != r:
-        print(f"error: t-vector needs {r} entries", file=sys.stderr)
-        return EXIT_USAGE
-    mu = MultiDegree(x_part.exps, tuple(t))
-    rules = _basis_for(ideals, cfg.basis, cfg.order)
-    if mixed_x_degree(rules, ideals) is None:
+    t = args.t or (0,) * r
+    mu = MultiDegree(x_part.exps, t)
+    rules = _basis_for(ideals, args.basis, args.order)
+    if mixed_x_degree(rules, ideals, t) is None:
         fiber = enumerate_fiber(mu, ideals)
     else:
         fiber = enumerate_mixed_fiber(mu, ideals)
     if not fiber:
-        _emit({"multidegree": mu.display(), "summary": "empty"}, cfg.out,
+        _emit({"multidegree": mu.display(), "summary": "empty"}, args.out,
               "fiber.json")
         return EXIT_OK
     graph = build_graph(rules, fiber=fiber)
@@ -193,94 +174,96 @@ def cmd_fiber_graph(cfg: RunConfig) -> int:
         "edge_count": graph.num_edges(),
         "dot": dot,
     }
-    _emit(payload, cfg.out, "fiber.json")
-    if cfg.out:
-        Path(cfg.out, "fiber.dot").write_text(dot)
+    _emit(payload, args.out, "fiber.json")
+    if args.out:
+        Path(args.out, "fiber.dot").write_text(dot)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    ideals = _load_ideals(cfg)
-    if len(cfg.budget) != len(ideals):
+def cmd_verify(args: argparse.Namespace) -> int:
+    ideals = _load_ideals(args)
+    if len(args.budget) != len(ideals):
         print(
             f"error: budget needs {len(ideals)} entries", file=sys.stderr
         )
         return EXIT_USAGE
-    rules = _basis_for(ideals, cfg.basis, cfg.order)
+    rules = _basis_for(ideals, args.basis, args.order)
     report = verify_gb(
         rules,
         ideals,
-        cfg.budget,
-        jobs=cfg.jobs,
+        args.budget,
+        jobs=args.jobs,
         progress=progress_to_stderr,
-        x_degree=cfg.x_degree,
+        x_degree=args.x_degree,
     )
     payload = report.to_json_dict()
-    payload["basis"] = cfg.basis or ("g1" if len(ideals) == 1 else "ht")
-    _emit(payload, cfg.out, "verify.json")
-    if cfg.out:
-        Path(cfg.out, "basis.jsonl").write_text(dump_basis(rules, len(ideals)))
+    payload["basis"] = args.basis or ("g1" if len(ideals) == 1 else "ht")
+    _emit(payload, args.out, "verify.json")
+    if args.out:
+        Path(args.out, "basis.jsonl").write_text(dump_basis(rules, len(ideals)))
     return _VERDICT_EXIT[report.verdict]
 
 
-def cmd_kernel_oracle(cfg: RunConfig) -> int:
+def cmd_kernel_oracle(args: argparse.Namespace) -> int:
     from .borel import collection_spec
 
-    ideals = _load_ideals(cfg)
-    rules = _basis_for(ideals, cfg.basis, cfg.order)
+    ideals = _load_ideals(args)
+    rules = _basis_for(ideals, args.basis, args.order)
     report = VerificationReport(
-        ideals=collection_spec(ideals), t_budget=tuple(cfg.budget)
+        ideals=collection_spec(ideals), t_budget=tuple(args.budget)
     )
-    x_degree = mixed_x_degree(rules, ideals, cfg.x_degree)
+    x_degree = mixed_x_degree(rules, ideals, args.budget, args.x_degree)
     if x_degree is not None:
         report.notes.append(f"mixed kernel pairs up to x-degree {x_degree}")
-    pairs = toric_kernel_span(ideals, cfg.budget, x_degree)
+        report.notes += unreached_slice_notes(ideals, args.budget, x_degree)
+    pairs = toric_kernel_span(ideals, args.budget, x_degree)
     checked, failures = check_membership(pairs, rules)
     report.oracle_binomials_checked = checked
     report.oracle_failures = failures
-    _emit(report.to_json_dict(), cfg.out, "oracle.json")
+    _emit(report.to_json_dict(), args.out, "oracle.json")
     return _VERDICT_EXIT[report.verdict]
 
 
-def cmd_detect_cubics(cfg: RunConfig) -> int:
-    ideals = _load_ideals(cfg)
-    witnesses = detect_obstructions(ideals, cfg.budget)
+def cmd_detect_cubics(args: argparse.Namespace) -> int:
+    ideals = _load_ideals(args)
+    witnesses = detect_obstructions(ideals, args.budget)
     payload = {
-        "t_budget": list(cfg.budget),
+        "t_budget": list(args.budget),
         "witnesses": [w.to_json_dict() for w in witnesses],
     }
-    _emit(payload, cfg.out, "cubics.json")
+    _emit(payload, args.out, "cubics.json")
     return EXIT_REFUTED if witnesses else EXIT_OK
 
 
-def cmd_koszul_report(cfg: RunConfig) -> int:
-    ideals = _load_ideals(cfg)
+def cmd_koszul_report(args: argparse.Namespace) -> int:
+    ideals = _load_ideals(args)
     report = koszul_report(
-        ideals, cfg.budget, jobs=cfg.jobs, progress=progress_to_stderr
+        ideals, args.budget, jobs=args.jobs, progress=progress_to_stderr
     )
-    _emit(report.to_json_dict(), cfg.out, "koszul.json")
+    _emit(report.to_json_dict(), args.out, "koszul.json")
     return report.exit_code
 
 
-def cmd_paper_examples(cfg: RunConfig) -> int:
+def cmd_paper_examples(args: argparse.Namespace) -> int:
     from .paper_cases import is_default_run, load_expectation, run_case
 
+    params = {"a": args.a, "b": args.b, "c": args.c}
     try:
-        result = run_case(cfg.example, cfg.params)
+        result = run_case(args.example, params)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     status = EXIT_OK
     if not all(result.get("checks", {}).values()):
         status = EXIT_REFUTED
-    if is_default_run(cfg.example, cfg.params):
-        expected = load_expectation(cfg.example)
+    if is_default_run(args.example, params):
+        expected = load_expectation(args.example)
         if expected is not None:
             match = expected == result
             result["matches_expectation"] = match
             if not match:
                 status = EXIT_REFUTED
-    _emit(result, cfg.out, f"{cfg.example.replace('.', '_')}.json")
+    _emit(result, args.out, f"{args.example.replace('.', '_')}.json")
     return status
 
 
@@ -366,25 +349,11 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:  # --help, or a usage error
         return exc.code
-    cfg = RunConfig(
-        command=ns.command,
-        spec_path=getattr(ns, "spec_path", None),
-        budget=tuple(getattr(ns, "budget", ()) or ()),
-        order=getattr(ns, "order", None),
-        basis=getattr(ns, "basis", None),
-        out=getattr(ns, "out", None),
-        jobs=getattr(ns, "jobs", 1),
-        x_degree=getattr(ns, "x_degree", None),
-        mu=getattr(ns, "mu", None),
-        t=tuple(getattr(ns, "t", ()) or ()),
-        example=getattr(ns, "example", None),
-        params={k: getattr(ns, k) for k in ("a", "b", "c") if hasattr(ns, k)},
-    )
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[args.command](args)
     except (InvalidIdeal, MonomialParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

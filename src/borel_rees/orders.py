@@ -37,7 +37,6 @@ class PresOrder:
 
     kind: str
     ranked: tuple[PresVar, ...]
-    views: tuple[TwoQuadricView, ...]
 
     @classmethod
     def rlex(cls, ideal: StronglyStableIdeal, ideal_index: int = 1) -> "PresOrder":
@@ -45,17 +44,13 @@ class PresOrder:
             PresVar(ideal_index, g)
             for g in sorted(ideal.minimal_generators, key=rlex_sort_key)
         )
-        try:
-            views = (order_view(ideal),)
-        except InvalidIdeal:
-            views = ()  # rlex itself never needs the region split
-        return cls("rlex", ranked, views)
+        return cls("rlex", ranked)
 
     @classmethod
     def mrlex(cls, view: TwoQuadricView, ideal_index: int = 1) -> "PresOrder":
         """Mixed order: B_N block above B_M block, rlex inside each block."""
         ranked = tuple(PresVar(ideal_index, g) for g in _mrlex_chain(view))
-        return cls("mrlex", ranked, (view,))
+        return cls("mrlex", ranked)
 
     @classmethod
     def head_and_tail(
@@ -66,7 +61,7 @@ class PresOrder:
             for g in sorted(view1.ideal.minimal_generators, key=rlex_sort_key)
         )
         second = tuple(PresVar(2, g) for g in _mrlex_chain(view2))
-        return cls("ht", first + second, (view1, view2))
+        return cls("ht", first + second)
 
     @cached_property
     def rank(self) -> dict[PresVar, int]:
@@ -101,9 +96,6 @@ class PresOrder:
         for f in A.factors:
             exps[self.var_rank(f)] += 1
         return exps
-
-    def sort_factors_descending(self, T: PresMonomial) -> tuple[PresVar, ...]:
-        return tuple(sorted(T.factors, key=self.var_rank))
 
 
 def _mrlex_chain(view: TwoQuadricView) -> list[Monomial]:
@@ -151,53 +143,6 @@ def marking_order(
         if all(orients(order, g) for g in rules):
             return order
     return None
-
-
-@dataclass(frozen=True)
-class StandardFactorization:
-    """Factors of a presentation monomial sorted descending by an order.
-
-    L_M / L_N are the order-latest factors lying in the B_M / B_N regions
-    (None when a region contributes no factor).
-    """
-
-    factors: tuple[PresVar, ...]
-    L_M: PresVar | None
-    L_N: PresVar | None
-
-
-def standard_factorization(
-    T: PresMonomial, order: PresOrder, view: TwoQuadricView | None = None
-) -> StandardFactorization:
-    if view is None:
-        if not order.views:
-            raise InvalidIdeal(
-                "standard factorization needs a region split; pass view="
-            )
-        view = order.views[-1]
-    factors = order.sort_factors_descending(T)
-    L_M = L_N = None
-    for f in factors:
-        if view.in_B_N(f.generator):
-            L_N = f
-        else:
-            L_M = f
-    return StandardFactorization(factors, L_M, L_N)
-
-
-def region_minima(
-    mu_x: Monomial, view: TwoQuadricView
-) -> tuple[Monomial | None, Monomial | None]:
-    """Order-smallest B_M / B_N generator dividing the multidegree.
-
-    Inside a single region the rlex and mixed orders agree, so the minima are
-    order-independent.
-    """
-    m_div = [g for g in view.B_M if g.divides(mu_x)]
-    n_div = [g for g in view.B_N if g.divides(mu_x)]
-    M_prime = max(m_div, key=rlex_sort_key, default=None)
-    N_prime = max(n_div, key=rlex_sort_key, default=None)
-    return M_prime, N_prime
 
 
 def _pair_key(p: tuple[PresVar, PresVar]):

@@ -5,13 +5,18 @@ pair. A PresMonomial is a multiset of those variables; the toric map phi sends
 it to its multidegree: the product of the underlying generators together with
 the vector counting factors per ideal. MixedMonomial adds an ambient x-part
 and models monomials of the full multi-graded presentation ring.
+
+One backtracking enumerator lists the fibers of phi, a t-slice at a time.
+enumerate_fiber (one fiber), enumerate_mixed_fiber (one fiber of the full
+presentation map) and fibers_by_multidegree (every fiber within a t-budget)
+are thin wrappers around it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add, attrgetter
+from operator import add, attrgetter, gt, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .borel import StronglyStableIdeal
@@ -89,10 +94,6 @@ class MultiDegree(NamedTuple):
 
     x_exps: tuple[int, ...]
     t_exps: tuple[int, ...]
-
-    @property
-    def x_monomial(self) -> Monomial:
-        return Monomial(self.x_exps)
 
     @property
     def total_t(self) -> int:
@@ -244,6 +245,12 @@ def content(u: PresMonomial, n: int) -> Monomial:
     return product([f.generator for f in u.factors], n)
 
 
+def content_degree(ideals: Sequence[StronglyStableIdeal], tv) -> int:
+    """The degree of content(u) for every u with t-vector tv: each ideal's
+    generators share one degree."""
+    return sum(a * ideal.degree for a, ideal in zip(tv, ideals))
+
+
 def phi(
     v: PresMonomial | MixedMonomial,
     ideals: Sequence[StronglyStableIdeal],
@@ -255,110 +262,6 @@ def phi(
         x = v.x_part * content(v.t_part, n)
         return MultiDegree(x.exps, v.t_part.t_vector(r))
     return MultiDegree(content(v, n).exps, v.t_vector(r))
-
-
-def _generator_multisets(
-    gens: Sequence[Monomial], count: int, budget: Monomial | None
-) -> Iterator[tuple[Monomial, ...]]:
-    """All non-increasing choices of `count` generators, optionally pruned so
-    the running product divides `budget`. Non-increasing index choice kills
-    permutation duplicates."""
-    n = gens[0].n if gens else 0
-
-    def rec(start: int, left: int, remaining: Monomial):
-        if left == 0:
-            yield ()
-            return
-        for k in range(start, len(gens)):
-            g = gens[k]
-            if budget is not None and not g.divides(remaining):
-                continue
-            rest = remaining.quotient(g) if budget is not None else remaining
-            for tail in rec(k, left - 1, rest):
-                yield (g,) + tail
-
-    if count == 0:
-        yield ()
-        return
-    if not gens:
-        return
-    start_budget = budget if budget is not None else Monomial.one(n)
-    yield from rec(0, count, start_budget)
-
-
-def enumerate_fiber(
-    mu: MultiDegree, ideals: Sequence[StronglyStableIdeal]
-) -> list[PresMonomial]:
-    """All presentation monomials mapping onto mu under phi, canonically sorted.
-
-    Exact backtracking: per ideal, place t_exps[i] generators in non-increasing
-    order with divisibility pruning against the remaining x-budget; at the end
-    the budget must be used up exactly.
-    """
-    n = ideals[0].n
-    r = len(ideals)
-    if len(mu.t_exps) != r:
-        raise ValueError(f"t-vector length {len(mu.t_exps)} != r={r}")
-    target = Monomial(mu.x_exps)
-    if target.degree != sum(
-        a * ideal.degree for a, ideal in zip(mu.t_exps, ideals)
-    ):
-        return []
-
-    results: list[PresMonomial] = []
-
-    def per_ideal(i: int, remaining: Monomial, chosen: list[PresVar]):
-        if i == r:
-            if remaining.degree == 0:
-                results.append(PresMonomial(chosen))
-            return
-        ideal = ideals[i]
-        count = mu.t_exps[i]
-        for ms in _generator_multisets(ideal.minimal_generators, count, remaining):
-            used = product(ms, n)
-            per_ideal(
-                i + 1,
-                remaining.quotient(used),
-                chosen + [PresVar(i + 1, g) for g in ms],
-            )
-
-    per_ideal(0, target, [])
-    return sorted(results, key=lambda v: tuple(f.sort_key() for f in v.factors))
-
-
-def enumerate_mixed_fiber(
-    mu: MultiDegree, ideals: Sequence[StronglyStableIdeal]
-) -> list[MixedMonomial]:
-    """All monomials m*u of the full presentation ring with phi(m*u) = mu."""
-    n = ideals[0].n
-    target = Monomial(mu.x_exps)
-    out: list[MixedMonomial] = []
-    for t_part in pres_monomials_with_t(ideals, mu.t_exps, budget=target):
-        c = content(t_part, n)
-        out.append(MixedMonomial(target.quotient(c), t_part))
-    return out
-
-
-def pres_monomials_with_t(
-    ideals: Sequence[StronglyStableIdeal],
-    t_exps: Sequence[int],
-    budget: Monomial | None = None,
-) -> Iterator[PresMonomial]:
-    """All presentation monomials with the exact t-vector, content | budget."""
-    per_ideal_choices = []
-    for i, ideal in enumerate(ideals):
-        choices = list(
-            _generator_multisets(ideal.minimal_generators, t_exps[i], budget)
-        )
-        per_ideal_choices.append(choices)
-    for combo in itertools.product(*per_ideal_choices):
-        factors = [
-            PresVar(i + 1, g) for i, ms in enumerate(combo) for g in ms
-        ]
-        u = PresMonomial(factors)
-        if budget is not None and not content(u, ideals[0].n).divides(budget):
-            continue
-        yield u
 
 
 def t_vectors(t_budget: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -382,6 +285,98 @@ def presentation_variables(
     )
 
 
+def _slice_ranks(
+    variables: Sequence[PresVar],
+    ideals: Sequence[StronglyStableIdeal],
+    tv: Sequence[int],
+    target: Sequence[int] | None = None,
+    forbidden_pairs: Sequence[tuple[int, int]] = (),
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(content exponents, rank tuple) of each presentation monomial with
+    t-vector tv, in canonical order: the one enumerator of this module.
+
+    Backtracks over non-decreasing tuples of ranks (positions in variables,
+    which is presentation_variables(ideals)), accumulating the content; rank
+    order is the canonical order. Given a target x-vector, only variables
+    whose generator divides what is left of it are tried. No monomial holds
+    both factors of a forbidden rank pair (i, j) (twice it when i == j).
+    Callers build a monomial from its ranks when they hand it out, so the
+    objects of a large slice are never all alive at once.
+    """
+    if len(tv) != len(ideals):
+        raise ValueError(f"t-vector length {len(tv)} != r={len(ideals)}")
+    exps = [v.generator.exps for v in variables]
+    slots: list[tuple[int, int]] = []  # rank range of each factor position
+    offset = 0
+    for ideal, count in zip(ideals, tv):
+        stop = offset + len(ideal.minimal_generators)
+        slots += [(offset, stop)] * count
+        offset = stop
+    bans: list[list[int]] = [[] for _ in variables]
+    for i, j in forbidden_pairs:
+        bans[min(i, j)].append(max(i, j))
+    banned = [0] * len(variables)
+    chosen: list[int] = []
+    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+
+    def extend(pos, lo, x):
+        if pos == len(slots):
+            out.append((x, tuple(chosen)))
+            return
+        start, stop = slots[pos]
+        for k in range(max(lo, start), stop):
+            if banned[k]:
+                continue
+            nx = tuple(map(add, x, exps[k]))
+            if target is not None and any(map(gt, nx, target)):
+                continue
+            chosen.append(k)
+            for j in bans[k]:
+                banned[j] += 1
+            extend(pos + 1, k, nx)
+            for j in bans[k]:
+                banned[j] -= 1
+            chosen.pop()
+
+    extend(0, 0, (0,) * ideals[0].n)
+    return out
+
+
+def enumerate_fiber(
+    mu: MultiDegree, ideals: Sequence[StronglyStableIdeal]
+) -> list[PresMonomial]:
+    """All presentation monomials mapping onto mu under phi, canonically
+    sorted. A wrong-length t-vector raises ValueError; an x-part of another
+    degree than the t-vector's content degree has an empty fiber."""
+    if len(mu.t_exps) != len(ideals):
+        raise ValueError(f"t-vector length {len(mu.t_exps)} != r={len(ideals)}")
+    target = tuple(mu.x_exps)
+    if sum(target) != content_degree(ideals, mu.t_exps):
+        return []
+    variables = presentation_variables(ideals)
+    return [
+        PresMonomial.from_sorted(tuple(variables[k] for k in ranks))
+        for x, ranks in _slice_ranks(variables, ideals, mu.t_exps, target)
+        if x == target
+    ]
+
+
+def enumerate_mixed_fiber(
+    mu: MultiDegree, ideals: Sequence[StronglyStableIdeal]
+) -> list[MixedMonomial]:
+    """All monomials m*u of the full presentation ring with phi(m*u) = mu:
+    each slice monomial u whose content divides the x-part, with m the rest."""
+    target = tuple(mu.x_exps)
+    variables = presentation_variables(ideals)
+    return [
+        MixedMonomial(
+            Monomial(map(sub, target, x)),
+            PresMonomial.from_sorted(tuple(variables[k] for k in ranks)),
+        )
+        for x, ranks in _slice_ranks(variables, ideals, mu.t_exps, target)
+    ]
+
+
 def fibers_by_multidegree(
     ideals: Sequence[StronglyStableIdeal],
     t_budget: Sequence[int],
@@ -391,60 +386,27 @@ def fibers_by_multidegree(
 
     Yields (multidegree, fiber) pairs in a deterministic order: t-vectors
     lexicographically, x-exponents ascending within each t-slice, each fiber
-    canonically sorted. Building the fibers by grouping is equivalent to
-    calling enumerate_fiber per multidegree and is what the exhaustive
-    verifier iterates.
+    canonically sorted. This is what the exhaustive verifier iterates; each
+    fiber is the one enumerate_fiber lists for its multidegree.
 
-    Monomials are built by backtracking over non-decreasing tuples of
-    variable indexes (positions in presentation_variables), accumulating the
-    content exponents on the way; lexicographic tuple order is the canonical
-    fiber order, so no fiber needs sorting. forbidden_pairs lists index pairs
-    (i, j) no yielded monomial may contain both factors of (twice the factor
-    when i == j). With the lead pairs of a quadratic marking this lists
-    exactly the standard monomials, and multidegrees without one are skipped.
+    forbidden_pairs lists index pairs (i, j) of presentation_variables no
+    yielded monomial may contain both factors of (twice the factor when
+    i == j). With the lead pairs of a quadratic marking this lists exactly
+    the standard monomials, and multidegrees without one are skipped.
     """
     if len(t_budget) != len(ideals):
         raise ValueError(
             f"t budget needs {len(ideals)} entries, got {len(t_budget)}"
         )
     variables = presentation_variables(ideals)
-    exps = [v.generator.exps for v in variables]
-    block: list[tuple[int, int]] = []  # index range of each ideal's variables
-    offset = 0
-    for ideal in ideals:
-        block.append((offset, offset + len(ideal.minimal_generators)))
-        offset += len(ideal.minimal_generators)
-    bans: list[list[int]] = [[] for _ in variables]
-    for i, j in forbidden_pairs:
-        bans[min(i, j)].append(max(i, j))
-    banned = [0] * len(variables)
-    chosen: list[int] = []
-
-    def extend(slots, pos, lo, x, groups):
-        if pos == len(slots):
-            groups.setdefault(x, []).append(tuple(chosen))
-            return
-        start, stop = block[slots[pos]]
-        for k in range(max(lo, start), stop):
-            if banned[k]:
-                continue
-            chosen.append(k)
-            for j in bans[k]:
-                banned[j] += 1
-            extend(slots, pos + 1, k, tuple(map(add, x, exps[k])), groups)
-            for j in bans[k]:
-                banned[j] -= 1
-            chosen.pop()
-
-    zero = (0,) * ideals[0].n
+    forbidden_pairs = list(forbidden_pairs)
     for tv in t_vectors(t_budget):
-        slots = [i for i, count in enumerate(tv) for _ in range(count)]
         groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        extend(slots, 0, 0, zero, groups)
+        for x, ranks in _slice_ranks(variables, ideals, tv,
+                                     forbidden_pairs=forbidden_pairs):
+            groups.setdefault(x, []).append(ranks)
         for x in sorted(groups):
-            fiber = [
+            yield MultiDegree(x, tv), [
                 PresMonomial.from_sorted(tuple(variables[k] for k in ranks))
                 for ranks in groups[x]
             ]
-            yield MultiDegree(x, tv), fiber
-

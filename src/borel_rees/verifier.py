@@ -10,7 +10,9 @@ One verifier serves the pure and the mixed presentation, and the rules pick
 the fibers: when some lead is a MixedMonomial (the fiber-type basis of
 syzygies plus the lifted fiber basis) they are the full presentation's
 fibers up to an x-degree bound (mixed_fibers, regrouped from the pure
-ones), otherwise the pure fibers of fibers_by_multidegree. The kernel oracle
+ones), otherwise the pure fibers of fibers_by_multidegree. The default
+x-degree bound reaches every budgeted t-slice (mixed_x_degree); a note
+names each slice an explicit bound leaves unreached. The kernel oracle
 (toric_kernel_span) pairs up the members of the same fibers.
 
 verify_gb picks its method from the marking alone. When a library term order
@@ -42,8 +44,10 @@ from .presentation import (
     MixedMonomial,
     MultiDegree,
     PresMonomial,
+    content_degree,
     fibers_by_multidegree,
     presentation_variables,
+    t_vectors,
 )
 from .reduction import (
     MarkedBinomial,
@@ -218,7 +222,7 @@ def verify_gb(
     )
     sink_log: list[tuple[MultiDegree, PresMonomial | MixedMonomial]] = []
     pair_index, generic = rule_indices(rules)
-    x_degree = mixed_x_degree(rules, ideals, x_degree)
+    x_degree = mixed_x_degree(rules, ideals, t_budget, x_degree)
     order = marking_order(rules, ideals) if x_degree is None else None
 
     def consume(results):
@@ -256,6 +260,7 @@ def verify_gb(
             )
         else:
             report.notes.append(f"mixed fibers up to x-degree {x_degree}")
+            report.notes += unreached_slice_notes(ideals, t_budget, x_degree)
         fibers = _fibers(ideals, t_budget, x_degree)
         if jobs <= 1:
             consume(
@@ -288,17 +293,44 @@ def _standard_monomial_results(pair_index, ideals, t_budget):
 def mixed_x_degree(
     rules: Sequence[MarkedBinomial],
     ideals: Sequence[StronglyStableIdeal],
+    t_budget: Sequence[int],
     x_degree: int | None = None,
 ) -> int | None:
     """The x-degree bound of the mixed fibers a rule list is checked on.
 
     None when no lead is a MixedMonomial: such rules live on the pure
-    presentation. Otherwise x_degree, by default twice the largest
-    generator degree.
+    presentation. Otherwise x_degree when given, else the budget's content
+    degree sum(b_i * d_i), the least bound that reaches every budgeted
+    t-slice. Each lower slice keeps min(d_i) x-degrees of room or more, for
+    the overlaps x_i*T_u*T_v of a syzygy with a fiber rule. The one margin
+    is a floor of 2 * max(d_i), the bound used before: at a one-factor
+    budget the least bound leaves only singleton fibers, where no syzygy
+    applies, and 2*d reaches the overlaps x_i*x_j*T_u (x-degree d + 2).
     """
     if not any(isinstance(g.lead, MixedMonomial) for g in rules):
         return None
-    return 2 * max(i.degree for i in ideals) if x_degree is None else x_degree
+    if x_degree is not None:
+        return x_degree
+    floor = 2 * max(i.degree for i in ideals)
+    return max(content_degree(ideals, t_budget), floor)
+
+
+def unreached_slice_notes(
+    ideals: Sequence[StronglyStableIdeal],
+    t_budget: Sequence[int],
+    x_degree: int,
+) -> list[str]:
+    """A report note naming the budgeted t-vectors whose content degree
+    exceeds x_degree, so that no fiber of theirs is checked; none when every
+    slice is reached."""
+    unreached = " ".join(
+        ",".join(map(str, tv)) for tv in t_vectors(t_budget)
+        if content_degree(ideals, tv) > x_degree
+    )
+    if not unreached:
+        return []
+    return [f"unchecked t-vectors, content degree above x-degree {x_degree}: "
+            f"{unreached}"]
 
 
 def _fibers(ideals, t_budget, x_degree):
@@ -450,6 +482,10 @@ def detect_obstructions(
     """
     if move_degree != 2:
         raise ValueError("only degree-2 moves are implemented")
+    if len(t_budget) != len(ideals):
+        raise ValueError(
+            f"t budget needs {len(ideals)} entries, got {len(t_budget)}"
+        )
     if sum(t_budget) < 3:
         raise ValueError("t budget must allow total t-degree >= 3")
     moves = _quadric_moves(ideals)

@@ -110,6 +110,13 @@ class TestFiberGraph:
         )
         assert code == 4
 
+    def test_wrong_length_t_vector_exits_four(self, capsys, spec_file):
+        code = main(["fiber-graph", "--spec", spec_file(PAIR_SPEC),
+                     "--mu", "x1", "--t", "2"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == "error: t-vector length 1 != r=2\n"
+
     def test_fiber_type_builds_the_mixed_fiber(self, capsys, spec_file):
         # used to end in an AttributeError: syzygies applied to pure monomials
         code, payload = run_cli(
@@ -199,6 +206,39 @@ class TestEvidence:
         assert payload["verdict"] == "inconclusive"
         assert payload["multidegrees_checked"] == 6
         assert payload["failures"] == []
+
+    def test_fiber_type_default_reaches_every_budgeted_slice(
+        self, capsys, spec_file
+    ):
+        # t = 3 has content degree 6; the default used to be 4 whatever the
+        # budget, which checked 267 multidegrees, the same as --budget 2
+        code, payload = run_cli(
+            capsys,
+            "verify",
+            "--spec", spec_file(SINGLE_SPEC),
+            "--budget", "3",
+            "--basis", "fiber-type",
+        )
+        assert code == 0 and payload["verdict"] == "certified-up-to-bound"
+        assert payload["notes"] == ["mixed fibers up to x-degree 6"]
+        assert payload["multidegrees_checked"] == 1291
+
+    @pytest.mark.parametrize("command", ["verify", "kernel-oracle"])
+    def test_explicit_xdeg_below_a_slice_names_it(
+        self, capsys, spec_file, command
+    ):
+        code, payload = run_cli(
+            capsys,
+            command,
+            "--spec", spec_file(SINGLE_SPEC),
+            "--budget", "3",
+            "--basis", "fiber-type",
+            "--xdeg", "4",
+        )
+        assert code == 0
+        assert payload["notes"][1:] == [
+            "unchecked t-vectors, content degree above x-degree 4: 3"
+        ]
 
     @pytest.mark.parametrize("budget", ["0,0", "1,0", "0,1"])
     def test_budget_below_every_lead_is_inconclusive(
@@ -440,6 +480,15 @@ class TestDetectCubics:
             "--budget", "3",
         )
         assert code == 0 and payload["witnesses"] == []
+
+    def test_budget_length_is_checked_first(self, capsys, spec_file):
+        # one entry for two ideals used to be reported as "t budget must
+        # allow total t-degree >= 3"
+        code = main(["detect-cubics", "--spec", spec_file(PAIR_SPEC),
+                     "--budget", "1"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == "error: t budget needs 2 entries, got 1\n"
 
 
 class TestKoszulReportCommand:

@@ -14,11 +14,9 @@ from borel_rees.orders import (
     build_syzygy_set,
     dump_basis,
     marking_order,
-    region_minima,
     sink_violations_ht,
     sink_violations_mrlex,
     sink_violations_rlex,
-    standard_factorization,
 )
 from borel_rees.presentation import PresMonomial, PresVar, content, phi
 from borel_rees.reduction import MarkedBinomial
@@ -311,42 +309,6 @@ class TestMarkingOrder:
         self, quadric_pair_ideal, running_pair_basis
     ):
         assert marking_order(running_pair_basis, [quadric_pair_ideal]) is None
-
-
-class TestStandardFactorization:
-    def test_sink_factorization(self, quadric_pair_ideal):
-        order = PresOrder.rlex(quadric_pair_ideal)
-        T = pres(5, (1, "x1^2"), (1, "x3^2"), (1, "x2*x4"), (1, "x2*x5"))
-        sf = standard_factorization(T, order)
-        assert str(sf.L_M.generator) == "x3^2"
-        assert str(sf.L_N.generator) == "x2*x5"
-
-    def test_region_minima(self, quadric_pair_ideal):
-        view = order_view(quadric_pair_ideal)
-        M_prime, N_prime = region_minima(
-            m("x1^2*x2^2*x3^2*x4*x5", 5), view
-        )
-        assert str(M_prime) == "x3^2" and str(N_prime) == "x2*x5"
-
-    def test_mixed_order_blocks_tail_first(self, quadric_pair_ideal):
-        view = order_view(quadric_pair_ideal)
-        order = PresOrder.mrlex(view)
-        T = pres(5, (1, "x3^2"), (1, "x1*x4"), (1, "x2*x5"))
-        sf = standard_factorization(T, order)
-        assert [str(f.generator) for f in sf.factors] == [
-            "x1*x4", "x2*x5", "x3^2"
-        ]
-        assert str(sf.L_N.generator) == "x2*x5"
-        assert str(sf.L_M.generator) == "x3^2"
-
-    def test_absent_regions(self, quadric_pair_ideal):
-        order = PresOrder.rlex(quadric_pair_ideal)
-        T = pres(5, (1, "x1*x4"), (1, "x2*x5"))
-        sf = standard_factorization(T, order)
-        assert sf.L_M is None
-        assert str(sf.L_N.generator) == "x2*x5"
-        _, N_prime = region_minima(m("x4*x5", 5), order.views[-1])
-        assert N_prime is None  # no single B_N generator divides x4*x5
 
 
 class TestSinkViolationCheckers:

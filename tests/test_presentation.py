@@ -197,8 +197,19 @@ class TestEnumerateMultidegrees:
         assert len(mus) == len(set(mus))
 
     def test_grouping_agrees_with_point_queries(self, quadric_pair_ideal):
-        for mu, fiber in fibers_by_multidegree([quadric_pair_ideal], (2,)):
-            assert enumerate_fiber(mu, [quadric_pair_ideal]) == fiber
+        # each fiber against a brute-force point query: every product of
+        # t generators, kept when phi maps it onto the multidegree
+        ideals = [quadric_pair_ideal]
+        gens = quadric_pair_ideal.minimal_generators
+        for mu, fiber in fibers_by_multidegree(ideals, (2,)):
+            products = (
+                PresMonomial([PresVar(1, g) for g in combo])
+                for combo in itertools.combinations_with_replacement(
+                    gens, mu.t_exps[0])
+            )
+            query = [u for u in products if phi(u, ideals) == mu]
+            assert fiber == sorted(
+                query, key=lambda u: [f.sort_key() for f in u.factors])
 
 
 class TestValueSemantics:

@@ -23,9 +23,10 @@ from borel_rees.presentation import (
     PresVar,
     content,
     enumerate_fiber,
+    enumerate_mixed_fiber,
     fibers_by_multidegree,
     phi,
-    pres_monomials_with_t,
+    presentation_variables,
     t_vectors,
 )
 from borel_rees.reduction import MarkedBinomial
@@ -36,10 +37,12 @@ from borel_rees.verifier import (
     detect_obstructions,
     koszul_report,
     mixed_fibers,
+    mixed_x_degree,
     parameter_gate,
     quadratic_basis_for,
     rule_indices,
     toric_kernel_span,
+    unreached_slice_notes,
     verify_gb,
 )
 
@@ -99,22 +102,45 @@ ALL_SHAPES = [
 ]
 
 
+def _canonical(u):
+    return [f.sort_key() for f in u.factors]
+
+
+def brute_force_monomials(ideals, tv):
+    """Every presentation monomial with t-vector tv, canonically sorted: the
+    products of one itertools.combinations_with_replacement choice of
+    generators per ideal."""
+    choices = (
+        itertools.combinations_with_replacement(ideal.minimal_generators, k)
+        for ideal, k in zip(ideals, tv)
+    )
+    return sorted(
+        (PresMonomial([PresVar(i, g) for i, gens in enumerate(combo, 1)
+                       for g in gens])
+         for combo in itertools.product(*choices)),
+        key=_canonical,
+    )
+
+
+def brute_force_fibers(ideals, budget):
+    """{multidegree: fiber} for every monomial with t <= budget, grouped by
+    phi, multidegrees ordered by t-vector and then x-exponents."""
+    by_mu = {}
+    for tv in itertools.product(*(range(b + 1) for b in budget)):
+        for u in brute_force_monomials(ideals, tv):
+            by_mu.setdefault(phi(u, ideals), []).append(u)
+    return {mu: by_mu[mu]
+            for mu in sorted(by_mu, key=lambda mu: (mu.t_exps, mu.x_exps))}
+
+
 def reference_run(rules, ideals, budget):
     """verify_gb's findings rebuilt from per-multidegree fiber graphs:
     (multidegrees, failures as (mu, sink labels, cycle), sink log, verdict)."""
-    n, r = ideals[0].n, len(ideals)
-    mus = sorted(
-        {
-            MultiDegree(content(u, n).exps, tv)
-            for tv in t_vectors(budget)
-            for u in pres_monomials_with_t(ideals, tv)
-        },
-        key=lambda mu: (mu.t_exps, mu.x_exps),
-    )
+    r = len(ideals)
+    fibers = brute_force_fibers(ideals, budget)
     pair_index, generic = rule_indices(rules)
     failures, sink_log, nontrivial = [], [], False
-    for mu in mus:
-        fiber = enumerate_fiber(mu, ideals)
+    for mu, fiber in fibers.items():
         sinks, cyc = analyze_fiber(fiber, pair_index, generic)
         nontrivial |= len(fiber) >= 2
         if cyc or len(sinks) != 1:
@@ -123,7 +149,7 @@ def reference_run(rules, ideals, budget):
             sink_log.append((mu, fiber[sinks[0]]))
     verdict = ("refuted" if failures else
                "certified-up-to-bound" if nontrivial else "inconclusive")
-    return len(mus), failures, sink_log, verdict
+    return len(fibers), failures, sink_log, verdict
 
 
 def assert_matches_reference(rules, ideals, budget, method):
@@ -335,13 +361,13 @@ class TestMixedOracle:
 
 
 def reference_mixed_fibers(ideals, t_budget, x_degree):
-    """Mixed fibers rebuilt by grouping pres_monomials_with_t by content:
+    """Mixed fibers rebuilt by grouping brute_force_monomials by content:
     contents in first-appearance order, x-monomials by degree, then in
     combinations_with_replacement order."""
     n = ideals[0].n
     for tv in t_vectors(t_budget):
         by_content = {}
-        for u in pres_monomials_with_t(ideals, tv):
+        for u in brute_force_monomials(ideals, tv):
             by_content.setdefault(content(u, n), []).append(u)
         for d in range(x_degree + 1):
             for combo in itertools.combinations_with_replacement(range(n), d):
@@ -360,6 +386,99 @@ OBSTRUCTED_TRIPLE = [
     borel_closure([m("x3^2", 5), m("x2*x4", 5)], 5),
     borel_closure([m("x2*x4", 5), m("x1*x5", 5)], 5),
 ]
+
+
+ENUMERATOR_CASES = pytest.mark.parametrize(
+    "ideals, budget",
+    [
+        ([borel_closure([m("x3^2", 5), m("x2*x5", 5)], 5)], (3,)),
+        ([borel_closure([m("x4*x5", 6), m("x2*x6", 6)], 6),
+          borel_closure([m("x4^2", 6), m("x3*x6", 6)], 6)], (2, 1)),
+        (OBSTRUCTED_TRIPLE, (1, 1, 1)),
+        ([borel_closure([m("x2*x3^2", 4), m("x1*x4^2", 4)], 4)], (2,)),
+    ],
+    ids=["r1", "r2", "r3", "cubic"],
+)
+
+
+def _x_vectors(n, degree):
+    for combo in itertools.combinations_with_replacement(range(n), degree):
+        yield tuple(combo.count(k) for k in range(n))
+
+
+class TestEnumeratorsAgainstBruteForce:
+    """The one backtracking enumerator, through all three of its wrappers,
+    against monomials grouped by phi: the same members in the same order."""
+
+    @ENUMERATOR_CASES
+    def test_fibers_by_multidegree(self, ideals, budget):
+        expected = list(brute_force_fibers(ideals, budget).items())
+        assert list(fibers_by_multidegree(ideals, budget)) == expected
+
+    @ENUMERATOR_CASES
+    def test_forbidden_lead_pairs_leave_the_standard_monomials(
+        self, ideals, budget
+    ):
+        rules = quadratic_basis_for(ideals) or []
+        rank = {v: k for k, v in enumerate(presentation_variables(ideals))}
+        pairs = [tuple(rank[f] for f in g.lead.factors) for g in rules]
+        leads = {g.lead.factors for g in rules}
+        expected = []
+        for mu, fiber in brute_force_fibers(ideals, budget).items():
+            # factor tuples are sorted, so every factor pair of u is too
+            standard = [u for u in fiber if leads.isdisjoint(
+                itertools.combinations(u.factors, 2))]
+            if standard:
+                expected.append((mu, standard))
+        got = list(fibers_by_multidegree(ideals, budget, pairs))
+        assert got == expected
+        if rules:
+            assert sum(len(f) for _, f in got) < sum(
+                len(f) for f in brute_force_fibers(ideals, budget).values())
+
+    @ENUMERATOR_CASES
+    def test_point_queries_images_and_non_images(self, ideals, budget):
+        n = ideals[0].n
+        fibers = brute_force_fibers(ideals, budget)
+        queried = nonempty = 0
+        for tv in t_vectors(budget):
+            monomials = brute_force_monomials(ideals, tv)
+            contents = [phi(u, ideals).x_exps for u in monomials]
+            degree = sum(a * i.degree for a, i in zip(tv, ideals))
+            for d in (degree - 1, degree, degree + 1):
+                for x in _x_vectors(n, max(d, 0)):
+                    mu = MultiDegree(x, tv)
+                    assert enumerate_fiber(mu, ideals) == fibers.get(mu, [])
+                    dividing = {c for c in set(contents)
+                                if all(a >= b for a, b in zip(x, c))}
+                    mixed = [
+                        MixedMonomial(Monomial(a - b for a, b in zip(x, c)), u)
+                        for c, u in zip(contents, monomials) if c in dividing
+                    ]
+                    assert enumerate_mixed_fiber(mu, ideals) == mixed
+                    queried += 1
+                    nonempty += bool(mixed)
+        assert 0 < nonempty < queried
+
+    def test_large_multidegree_returns_at_once(self, quadric_pair_ideal):
+        # only x1^2 divides a power of x1, so the target prunes every other
+        # branch of the 40 factor positions
+        ideals = [quadric_pair_ideal]
+        power = PresMonomial([PresVar(1, m("x1^2", 5))] * 40)
+        assert enumerate_fiber(MultiDegree(m("x1^99", 5).exps, (40,)),
+                               ideals) == []
+        assert enumerate_fiber(MultiDegree(m("x1^80", 5).exps, (40,)),
+                               ideals) == [power]
+        assert enumerate_mixed_fiber(
+            MultiDegree(m("x1^99", 5).exps, (40,)), ideals
+        ) == [MixedMonomial(m("x1^19", 5), power)]
+
+    @pytest.mark.parametrize("enumerate_", [enumerate_fiber,
+                                            enumerate_mixed_fiber])
+    def test_wrong_length_t_vector_rejected(self, running_pair, enumerate_):
+        mu = MultiDegree(m("x4^2*x5^2", 6).exps, (2,))
+        with pytest.raises(ValueError, match="t-vector length 1 != r=2"):
+            enumerate_(mu, list(running_pair))
 
 
 class TestMixedFibersDifferential:
@@ -416,6 +535,30 @@ class TestVerifyGBMixed:
         rules = build_syzygy_set([quadric_pair_ideal])
         report = verify_gb(rules, [quadric_pair_ideal], (2,), x_degree=4)
         assert report.verdict == "refuted"
+
+    def test_default_x_degree_reaches_every_budgeted_slice(
+        self, running_pair, running_pair_basis
+    ):
+        # t = (2,1) has content degree 6; the old default, 4, left it out
+        pair = list(running_pair)
+        rules = build_fiber_type_basis(pair, running_pair_basis)
+        assert mixed_x_degree(rules, pair, (2, 1)) == 6
+        assert mixed_x_degree(rules, pair, (2, 2)) == 8
+        # never below twice the largest generator degree
+        assert mixed_x_degree(rules, pair, (1, 0)) == 4
+        assert mixed_x_degree(rules, pair, (2, 1), 3) == 3
+        assert mixed_x_degree(running_pair_basis, pair, (2, 1)) is None
+
+    def test_unreached_slices_are_named(self, running_pair):
+        pair = list(running_pair)
+        assert unreached_slice_notes(pair, (2, 1), 6) == []
+        assert unreached_slice_notes(pair, (2, 1), 5) == [
+            "unchecked t-vectors, content degree above x-degree 5: 2,1"
+        ]
+        assert unreached_slice_notes(pair, (2, 2), 4) == [
+            "unchecked t-vectors, content degree above x-degree 4: "
+            "1,2 2,1 2,2"
+        ]
 
 
 class TestJobs:
@@ -478,14 +621,8 @@ def _one_quadric_swap(u, v):
 def reference_obstructions(ideals, budget):
     """(multidegree, components) of every fiber of total t-degree >= 3 that
     pairwise quadric swaps leave disconnected, from fibers grouped by phi."""
-    by_mu = {}
-    for tv in t_vectors(budget):
-        for u in pres_monomials_with_t(ideals, tv):
-            by_mu.setdefault(phi(u, ideals), []).append(u)
     out = []
-    for mu in sorted(by_mu, key=lambda mu: (mu.t_exps, mu.x_exps)):
-        fiber = sorted(by_mu[mu],
-                       key=lambda v: [f.sort_key() for f in v.factors])
+    for mu, fiber in brute_force_fibers(ideals, budget).items():
         if mu.total_t < 3 or len(fiber) < 2:
             continue
         comp = list(range(len(fiber)))
