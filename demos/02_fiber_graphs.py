@@ -58,7 +58,7 @@ fiber = enumerate_fiber(mu, [ideal])
 graph = build_graph(rules, fiber=fiber)
 print(f"\nfiber of {mu.display()}: {len(fiber)} vertices,",
       f"{graph.num_edges()} edges")
-print("unique sink:", graph.sinks[0].label("auto", 1))
+print("unique sink:", graph.sinks[0].label(1))
 
 # Graphviz output for the picture-inclined.
 print("\n" + to_dot(graph, name=mu.display(), r=1)[:400] + "...")

@@ -31,7 +31,7 @@ triple = [
 (witness,) = detect_obstructions(triple, t_budget=(1, 1, 1))
 print("witness multidegree:", witness.multidegree.display())
 for k, comp in enumerate(witness.components):
-    print(f"  component {k}:", [v.label("auto", 3) for v in comp])
+    print(f"  component {k}:", [v.label(3) for v in comp])
 
 # Two ideals with degree-4 generators split the same way.
 quartics = [

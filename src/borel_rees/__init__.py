@@ -43,7 +43,6 @@ from .reduction import (
     MarkedBinomial,
     ReductionGraph,
     RuleIndex,
-    analyze,
     applicable_reductions,
     build_graph,
     ell_max,

@@ -88,11 +88,14 @@ def _parse_jobs(text: str) -> int:
     return int(text)
 
 
-def _basis_for(ideals, name: str | None, order: str | None):
-    """Resolve --basis / --order into a marked collection."""
-    choice = name or {"rlex": "g1", "mrlex": "g2", "ht": "ht", None: None}[order]
-    if choice is None:
-        choice = "g1" if len(ideals) == 1 else "ht"
+def _basis_name(ideals, name: str | None) -> str:
+    """The --basis choice, defaulting to g1 for one ideal and ht otherwise."""
+    return name or ("g1" if len(ideals) == 1 else "ht")
+
+
+def _basis_for(ideals, name: str | None):
+    """Resolve --basis into a marked collection."""
+    choice = _basis_name(ideals, name)
     if choice == "g1":
         if len(ideals) != 1:
             raise InvalidIdeal("basis g1 applies to a single ideal")
@@ -154,7 +157,7 @@ def cmd_fiber_graph(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     t = args.t or (0,) * r
     mu = MultiDegree(x_part.exps, t)
-    rules = _basis_for(ideals, args.basis, args.order)
+    rules = _basis_for(ideals, args.basis)
     if mixed_x_degree(rules, ideals, t) is None:
         fiber = enumerate_fiber(mu, ideals)
     else:
@@ -167,9 +170,9 @@ def cmd_fiber_graph(args: argparse.Namespace) -> int:
     dot = to_dot(graph, name=mu.display(), r=r)
     payload = {
         "multidegree": mu.display(),
-        "vertices": sorted(v.label("auto", r) for v in graph.vertices),
+        "vertices": sorted(v.label(r) for v in graph.vertices),
         "vertex_count": len(graph.vertices),
-        "sinks": sorted(s.label("auto", r) for s in graph.sinks),
+        "sinks": sorted(s.label(r) for s in graph.sinks),
         "has_cycle": graph.has_cycle,
         "edge_count": graph.num_edges(),
         "dot": dot,
@@ -182,12 +185,7 @@ def cmd_fiber_graph(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     ideals = _load_ideals(args)
-    if len(args.budget) != len(ideals):
-        print(
-            f"error: budget needs {len(ideals)} entries", file=sys.stderr
-        )
-        return EXIT_USAGE
-    rules = _basis_for(ideals, args.basis, args.order)
+    rules = _basis_for(ideals, args.basis)
     report = verify_gb(
         rules,
         ideals,
@@ -197,7 +195,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         x_degree=args.x_degree,
     )
     payload = report.to_json_dict()
-    payload["basis"] = args.basis or ("g1" if len(ideals) == 1 else "ht")
+    payload["basis"] = _basis_name(ideals, args.basis)
     _emit(payload, args.out, "verify.json")
     if args.out:
         Path(args.out, "basis.jsonl").write_text(dump_basis(rules, len(ideals)))
@@ -208,7 +206,7 @@ def cmd_kernel_oracle(args: argparse.Namespace) -> int:
     from .borel import collection_spec
 
     ideals = _load_ideals(args)
-    rules = _basis_for(ideals, args.basis, args.order)
+    rules = _basis_for(ideals, args.basis)
     report = VerificationReport(
         ideals=collection_spec(ideals), t_budget=tuple(args.budget)
     )
@@ -303,20 +301,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True, help="x-part, e.g. x2*x3*x4^2*x5*x6")
     p.add_argument("--t", type=_parse_budget, default=None,
                    help="t-vector, e.g. 2,1")
-    p.add_argument("--order", choices=["rlex", "mrlex", "ht"])
     p.add_argument("--basis",
                    choices=["g1", "g2", "g3", "ht", "fiber-type"])
 
     p = sub.add_parser("verify", help="exhaustive fiber-graph certification")
     common(p, budget=True)
-    p.add_argument("--order", choices=["rlex", "mrlex", "ht"])
     p.add_argument("--basis", choices=["g1", "g2", "g3", "ht", "fiber-type"])
     p.add_argument("--xdeg", dest="x_degree", type=_parse_x_degree,
                    help="x-degree bound for fiber-type verification")
 
     p = sub.add_parser("kernel-oracle", help="brute-force kernel membership")
     common(p, budget=True)
-    p.add_argument("--order", choices=["rlex", "mrlex", "ht"])
     p.add_argument("--basis", choices=["g1", "g2", "g3", "ht", "fiber-type"])
     p.add_argument("--xdeg", dest="x_degree", type=_parse_x_degree)
 

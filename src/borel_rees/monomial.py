@@ -106,6 +106,11 @@ class Monomial:
     def __str__(self) -> str:
         return format_monomial(self)
 
+    def label(self, r: int | None = None) -> str:
+        """Display label, the same for every r: the presentation monomial
+        kinds take r for their T../Z.. aliases."""
+        return str(self)
+
     # pickling support despite __slots__/immutability (used by parallel verify)
     def __getstate__(self):
         return self.exps

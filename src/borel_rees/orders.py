@@ -281,17 +281,13 @@ def dump_basis(rules: Sequence[MarkedBinomial], r: int | None = None) -> str:
     """JSON-lines dump: one {"lead", "trail", "source"} object per rule."""
     lines = [
         json.dumps(
-            {"lead": _side(g.lead, r), "trail": _side(g.trail, r),
+            {"lead": g.lead.label(r), "trail": g.trail.label(r),
              "source": g.source or "ADHOC"},
             sort_keys=True,
         )
         for g in rules
     ]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _side(v, r):
-    return v.label("auto", r) if hasattr(v, "label") else str(v)
 
 
 def _rlex_sorted(T: PresMonomial) -> tuple[PresVar, ...]:

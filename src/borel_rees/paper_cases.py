@@ -23,19 +23,16 @@ COHERENT = "consistent with a coherent GB marking"
 
 
 def _graph_dict(graph: ReductionGraph, r: int | None = None) -> dict:
-    def lab(v):
-        return v.label("auto", r) if hasattr(v, "label") else str(v)
-
     edges = sorted(
-        (lab(graph.vertices[i]), lab(graph.vertices[j]),
+        (graph.vertices[i].label(r), graph.vertices[j].label(r),
          "; ".join(g.label(r=r) for g in rules))
         for i, outs in enumerate(graph.edges)
         for j, rules in outs
     )
     return {
-        "vertices": sorted(lab(v) for v in graph.vertices),
+        "vertices": sorted(v.label(r) for v in graph.vertices),
         "edges": [list(e) for e in edges],
-        "sinks": sorted(lab(s) for s in graph.sinks),
+        "sinks": sorted(s.label(r) for s in graph.sinks),
         "has_cycle": graph.has_cycle,
         "verdict": COHERENT
         if (not graph.has_cycle and len(graph.sinks) == 1)

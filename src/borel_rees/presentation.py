@@ -68,11 +68,10 @@ class PresVar:
             f"generator={self.generator!r})"
         )
 
-    def label(self, style: str = "auto", r: int | None = None) -> str:
+    def label(self, r: int | None = None) -> str:
         """Display label; two-ideal quadric runs get the compact T../Z.. aliases."""
         if (
-            style in ("auto", "legacy")
-            and self.generator.degree == 2
+            self.generator.degree == 2
             and self.ideal_index <= 2
             and (r is None or r <= 2)
         ):
@@ -184,13 +183,13 @@ class PresMonomial:
     def __repr__(self) -> str:
         return f"PresMonomial({self.factors!r})"
 
-    def label(self, style: str = "auto", r: int | None = None) -> str:
+    def label(self, r: int | None = None) -> str:
         if not self.factors:
             return "1"
         parts = []
         for var, group in itertools.groupby(self.factors):
             k = len(list(group))
-            base = var.label(style, r)
+            base = var.label(r)
             parts.append(base if k == 1 else f"{base}^{k}")
         return "*".join(parts)
 
@@ -227,9 +226,9 @@ class MixedMonomial:
             self.x_part.quotient(other.x_part), self.t_part.quotient(other.t_part)
         )
 
-    def label(self, style: str = "auto", r: int | None = None) -> str:
+    def label(self, r: int | None = None) -> str:
         xs = format_monomial(self.x_part)
-        ts = self.t_part.label(style, r)
+        ts = self.t_part.label(r)
         if ts == "1":
             return xs
         if xs == "1":
@@ -262,6 +261,16 @@ def phi(
         x = v.x_part * content(v.t_part, n)
         return MultiDegree(x.exps, v.t_part.t_vector(r))
     return MultiDegree(content(v, n).exps, v.t_vector(r))
+
+
+def check_t_budget(
+    ideals: Sequence[StronglyStableIdeal], t_budget: Sequence[int]
+) -> None:
+    """Raise ValueError unless t_budget has one entry per ideal."""
+    if len(t_budget) != len(ideals):
+        raise ValueError(
+            f"t budget needs {len(ideals)} entries, got {len(t_budget)}"
+        )
 
 
 def t_vectors(t_budget: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -394,10 +403,7 @@ def fibers_by_multidegree(
     i == j). With the lead pairs of a quadratic marking this lists exactly
     the standard monomials, and multidegrees without one are skipped.
     """
-    if len(t_budget) != len(ideals):
-        raise ValueError(
-            f"t budget needs {len(ideals)} entries, got {len(t_budget)}"
-        )
+    check_t_budget(ideals, t_budget)
     variables = presentation_variables(ideals)
     forbidden_pairs = list(forbidden_pairs)
     for tv in t_vectors(t_budget):

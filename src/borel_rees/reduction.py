@@ -7,13 +7,14 @@ divides the vertex, and the successor swaps the lead for the trail.
 One core finds the rules that apply: rule_indices keys the quadratic
 presentation leads by their factor pair and leaves every other rule to a
 divisibility scan, and rewrites() lists a monomial's one-step reductions in
-rule-list order from that index. fiber_edges builds every fiber graph from
-it (reduction graphs here, the verifier's fiber analysis and obstruction
-scan), and has_cycle is the one cycle detector. normal_form probes the same
-index for the earliest applicable rule only; it is the one rewriting loop,
-and with a memo it records every monomial on its path with the normal form
-and the rewrites left, so callers reducing many monomials under one rule
-list (the kernel oracle) walk each path once. Graphs also carry the
+rule-list order from that index. fiber_edges builds every fiber graph of a
+marking from it (reduction graphs here and the verifier's fiber analysis;
+the obstruction scan needs no rules and does not use it), and has_cycle is
+the one cycle detector. normal_form probes the same index for the earliest
+applicable rule only; it is the one rewriting loop, and with a memo it
+records every monomial on its path with the normal form and the rewrites
+left, so callers reducing many monomials under one rule list (the kernel
+oracle) walk each path once. Graphs also carry the
 longest-path invariant used to certify that a marked collection rewrites
 Noetherianly.
 """
@@ -24,7 +25,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .monomial import Monomial
 from .presentation import MixedMonomial, PresMonomial, PresVar
@@ -55,17 +56,11 @@ class MarkedBinomial:
         if self.lead == self.trail:
             raise ValueError("lead equals trail")
 
-    def label(self, style: str = "auto", r: int | None = None) -> str:
-        lead = _label(self.lead, style, r)
-        trail = _label(self.trail, style, r)
-        return f"{lead} -> {trail}"
+    def label(self, r: int | None = None) -> str:
+        return f"{self.lead.label(r)} -> {self.trail.label(r)}"
 
     def __str__(self) -> str:
         return self.label()
-
-
-def _label(v, style="auto", r=None) -> str:
-    return v.label(style, r) if hasattr(v, "label") else str(v)
 
 
 def lift_to_mixed(rules: Sequence[MarkedBinomial], n: int) -> list[MarkedBinomial]:
@@ -207,18 +202,15 @@ class ReductionGraph:
     """Directed reduction graph on a set of monomial vertices.
 
     Edges with identical endpoints arising from distinct rules are collapsed
-    into one edge carrying the full rule tuple. sinks/has_cycle are computed
-    at construction and recomputable via analyze().
+    into one edge carrying the full rule tuple. build_graph computes the
+    sinks (out-degree zero) and the cycle flag once, at construction.
     """
 
     vertices: list
     index: dict = field(repr=False)
     edges: list[list[tuple[int, tuple[MarkedBinomial, ...]]]]
-    sinks: list = None
-    has_cycle: bool = None
-
-    def successors(self, i: int) -> list[int]:
-        return [j for j, _ in self.edges[i]]
+    sinks: list
+    has_cycle: bool
 
     def num_edges(self) -> int:
         return sum(len(outs) for outs in self.edges)
@@ -250,22 +242,14 @@ def build_graph(
                     fiber.append(succ)
                     todo.append(succ)
     vertices = list(fiber)
-    graph = ReductionGraph(
+    edges = fiber_edges(vertices, index)
+    return ReductionGraph(
         vertices=vertices,
         index={v: i for i, v in enumerate(vertices)},
-        edges=fiber_edges(vertices, index),
+        edges=edges,
+        sinks=[v for v, outs in zip(vertices, edges) if not outs],
+        has_cycle=has_cycle([[j for j, _ in outs] for outs in edges]),
     )
-    analyze(graph)
-    return graph
-
-
-def analyze(graph: ReductionGraph) -> dict:
-    """Recompute sinks (out-degree zero) and cycle existence."""
-    graph.sinks = [v for v, outs in zip(graph.vertices, graph.edges) if not outs]
-    graph.has_cycle = has_cycle(
-        [graph.successors(i) for i in range(len(graph.vertices))]
-    )
-    return {"sinks": graph.sinks, "has_cycle": graph.has_cycle}
 
 
 def ell_max(graph: ReductionGraph, v) -> int:
@@ -410,15 +394,13 @@ def _earliest_applicable(v, pair_index, generic):
 def to_dot(
     graph: ReductionGraph,
     name: str = "fiber",
-    label: Callable | None = None,
     r: int | None = None,
 ) -> str:
     """Graphviz DOT text: sink highlighted, edges labeled with their rules."""
-    lab = label or (lambda v: _label(v, "auto", r))
     lines = [f'digraph "{name}" {{', "  rankdir=TB;"]
     for i, v in enumerate(graph.vertices):
         sink = ' style=filled fillcolor="lightblue"' if not graph.edges[i] else ""
-        lines.append(f'  v{i} [label="{lab(v)}"{sink}];')
+        lines.append(f'  v{i} [label="{v.label(r)}"{sink}];')
     for i, outs in enumerate(graph.edges):
         for j, rules in outs:
             rule_text = "; ".join(g.label(r=r) for g in rules)

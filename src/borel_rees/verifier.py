@@ -4,7 +4,9 @@ Everything here is finite evidence: a basis is "certified" only over the
 multidegrees within an explicit t-budget (every nonempty fiber graph acyclic
 with a unique sink), kernel membership is checked by brute-force fiber pairs,
 and cubic obstructions are found as fibers disconnected under the full set of
-degree-2 coincident-product moves.
+degree-2 coincident-product moves. That connectivity is a partition: a
+union-find joins the fiber members that agree after removing two factors,
+with no rewriting.
 
 One verifier serves the pure and the mixed presentation, and the rules pick
 the fibers: when some lead is a MixedMonomial (the fiber-type basis of
@@ -44,6 +46,7 @@ from .presentation import (
     MixedMonomial,
     MultiDegree,
     PresMonomial,
+    check_t_budget,
     content_degree,
     fibers_by_multidegree,
     presentation_variables,
@@ -77,10 +80,6 @@ class FiberFailure:
             "sinks": self.sinks,
             "has_cycle": self.has_cycle,
         }
-
-
-def _vlabel(v, mu: MultiDegree) -> str:
-    return v.label("auto", len(mu.t_exps)) if hasattr(v, "label") else str(v)
 
 
 @dataclass
@@ -146,7 +145,7 @@ class ObstructionWitness:
         return {
             "multidegree": _mu_dict(self.multidegree),
             "components": [
-                [_vlabel(v, self.multidegree) for v in comp]
+                [v.label(len(self.multidegree.t_exps)) for v in comp]
                 for comp in self.components
             ],
         }
@@ -212,11 +211,13 @@ def verify_gb(
     standard monomials (serially, whatever jobs says); otherwise the fiber
     graphs are built, chunked over a process pool when jobs > 1, with one
     worker per CPU at most. Chunks are merged in submission order, so
-    reports are byte-identical for any worker count. jobs below 1 raises
-    ValueError.
+    reports are byte-identical for any worker count. jobs below 1, or a
+    t_budget without one entry per ideal, raises ValueError before any
+    work starts.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    check_t_budget(ideals, t_budget)
     report = VerificationReport(
         ideals=collection_spec(ideals), t_budget=tuple(t_budget)
     )
@@ -235,7 +236,9 @@ def verify_gb(
             ok = not cyc and len(sink_vertices) == 1
             if not ok:
                 report.failures.append(
-                    FiberFailure(mu, [_vlabel(v, mu) for v in sink_vertices], cyc)
+                    FiberFailure(
+                        mu, [v.label(len(mu.t_exps)) for v in sink_vertices], cyc
+                    )
                 )
             elif collect_sinks:
                 sink_log.append((mu, sink_vertices[0]))
@@ -441,76 +444,60 @@ def check_membership(
 # obstruction detection
 
 
-def _quadric_moves(ideals: Sequence[StronglyStableIdeal]) -> RuleIndex:
-    """Every coincident-product swap of two factors, as rules both ways.
+def _move_components(fiber: Sequence[PresMonomial]):
+    """The connected components of a fiber under all quadric moves.
 
-    Factor pairs from the same ideals with the same generator product are
-    interchangeable; each ordered pair of distinct such quadrics is a rule,
-    indexed under its lead's factor pair. The moves are not a marking, so
-    they are indexed here rather than listed for rule_indices.
+    A quadric move swaps two factors for two others from the same ideals
+    with the same generator product. Inside one fiber the other factors
+    decide the class: members w*p*q and w*p'*q' with the same rest w have
+    equal multidegrees, so p*q and p'*q' have equal ones too, which are the
+    same ideals and the same generator product. So a union-find joins the
+    members that share a rest (the factors left after removing two).
+    Components come in the order of their first member, each in fiber
+    order.
     """
-    variables = presentation_variables(ideals)
-    classes: dict[tuple, list[PresMonomial]] = {}
-    for a, p in enumerate(variables):
-        for q in variables[a:]:
-            key = (p.ideal_index, q.ideal_index, (p.generator * q.generator).exps)
-            classes.setdefault(key, []).append(PresMonomial.from_sorted((p, q)))
-    position = itertools.count()
-    pair_index = {
-        lead.factors: [
-            (next(position), MarkedBinomial(lead, trail, "move"))
-            for trail in quadrics if trail != lead
-        ]
-        for quadrics in classes.values()
-        for lead in quadrics
-    }
-    return RuleIndex(pair_index, [])
+    parent = list(range(len(fiber)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    first: dict[tuple, int] = {}
+    for i, v in enumerate(fiber):
+        for rest in itertools.combinations(v.factors, len(v.factors) - 2):
+            j = first.setdefault(rest, i)
+            if j != i:
+                parent[root(i)] = root(j)
+    comps: dict[int, list[PresMonomial]] = {}
+    for i, v in enumerate(fiber):
+        comps.setdefault(root(i), []).append(v)
+    return tuple(tuple(c) for c in comps.values())
 
 
 def detect_obstructions(
     ideals: Sequence[StronglyStableIdeal],
     t_budget: Sequence[int],
-    move_degree: int = 2,
 ) -> list[ObstructionWitness]:
     """Fibers of total t-degree >= 3 disconnected under all quadratic moves.
 
     The move set is every coincident-product swap of two factors (within one
     ideal or across two), not only marked basis elements: connectivity under
     the full quadric move set is the right criterion for degree-2 generation.
-    Moves go both ways, so the components of a fiber's move graph are its
-    connected components.
+    Moves go both ways, so a fiber's components are the classes of a
+    partition, found by union-find (_move_components) with no rewriting.
     """
-    if move_degree != 2:
-        raise ValueError("only degree-2 moves are implemented")
-    if len(t_budget) != len(ideals):
-        raise ValueError(
-            f"t budget needs {len(ideals)} entries, got {len(t_budget)}"
-        )
+    check_t_budget(ideals, t_budget)
     if sum(t_budget) < 3:
         raise ValueError("t budget must allow total t-degree >= 3")
-    moves = _quadric_moves(ideals)
     witnesses = []
     for mu, fiber in fibers_by_multidegree(ideals, t_budget):
         if mu.total_t < 3 or len(fiber) < 2:
             continue
-        adj = fiber_edges(fiber, moves, collapse=False)
-        comp = [-1] * len(fiber)
-        comps = []
-        for start in range(len(fiber)):
-            if comp[start] >= 0:
-                continue
-            comp[start] = len(comps)
-            members, todo = [], [start]
-            while todo:
-                x = todo.pop()
-                members.append(x)
-                for y in adj[x]:
-                    if comp[y] < 0:
-                        comp[y] = comp[start]
-                        todo.append(y)
-            comps.append(tuple(fiber[i] for i in sorted(members)))
+        comps = _move_components(fiber)
         if len(comps) > 1:
-            witnesses.append(ObstructionWitness(mu, tuple(comps)))
+            witnesses.append(ObstructionWitness(mu, comps))
     return witnesses
 
 

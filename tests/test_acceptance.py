@@ -170,7 +170,7 @@ def test_04_eight_vertex_fiber_graph(quadric_pair_ideal, quadric_pair_G1):
         "degree-8 fiber: 8 vertices, unique sink, all 12 drawn edges",
         {
             "vertices": set(result["vertices"]) == FIG1_VERTICES
-            and {v.label("auto", 1) for v in graph.vertices} == FIG1_VERTICES,
+            and {v.label(1) for v in graph.vertices} == FIG1_VERTICES,
             "sink": result["sinks"] == ["T11*T33*T24*T25"],
             "acyclic": not result["has_cycle"] and not graph.has_cycle,
             "drawn_edges_present": all(
@@ -224,7 +224,7 @@ def test_05_seven_vertex_pair_fiber_graph(running_pair, running_pair_basis):
             "vertices": {_normalize_label(v) for v in result["vertices"]}
             == {_normalize_label(v) for v in FIG4_VERTICES},
             "sink": result["sinks"] == ["T35*T26*Z44"]
-            and [s.label("auto", 2) for s in graph.sinks]
+            and [s.label(2) for s in graph.sinks]
             == ["T35*T26*Z44"],
             "acyclic": not result["has_cycle"] and not graph.has_cycle,
             "drawn_edges_with_labels": all(
@@ -254,7 +254,7 @@ def test_06_rlex_certification(c6_run, quadric_pair_ideal):
     rep, elapsed = c6_run
     fig_mu = MultiDegree(m("x1^2*x2^2*x3^2*x4*x5", 5).exps, (4,))
     sink_at = {
-        mu: sink.label("auto", 1) for mu, sink in rep.sink_log
+        mu: sink.label(1) for mu, sink in rep.sink_log
     }
     report(
         6,
@@ -273,7 +273,7 @@ def test_06_rlex_certification(c6_run, quadric_pair_ideal):
 def test_07_head_and_tail_certification(c7_run):
     rep, elapsed = c7_run
     fig_mu = MultiDegree(m("x2*x3*x4^2*x5*x6", 6).exps, (2, 1))
-    sink_at = {mu: sink.label("auto", 2) for mu, sink in rep.sink_log}
+    sink_at = {mu: sink.label(2) for mu, sink in rep.sink_log}
     report(
         7,
         f"head-and-tail basis certified over t<=(2,2) "

@@ -77,7 +77,7 @@ class TestFiberGraph:
             "--spec", spec_file(PAIR_SPEC),
             "--mu", "x2*x3*x4^2*x5*x6",
             "--t", "2,1",
-            "--order", "ht",
+            "--basis", "ht",
             "--out", str(out_dir),
         )
         assert code == 0
@@ -386,6 +386,23 @@ class TestUsageErrors:
         assert code == 4 and captured.out == ""
         assert "error: argument" in captured.err
 
+    @pytest.mark.parametrize(
+        "command", ["verify", "kernel-oracle", "detect-cubics", "koszul-report"]
+    )
+    def test_budget_length_is_checked_first(self, capsys, spec_file, command):
+        # one entry for two ideals: detect-cubics used to report "t budget
+        # must allow total t-degree >= 3", and verify "budget needs 2 entries"
+        code = main([command, "--spec", spec_file(PAIR_SPEC), "--budget", "1"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == "error: t budget needs 2 entries, got 1\n"
+
+    def test_order_alias_is_gone(self, capsys, spec_file):
+        # --order mrlex selected G2 while the report said "basis": "g1"
+        code = main(["verify", "--spec", spec_file(SINGLE_SPEC), "--budget",
+                     "2", "--order", "mrlex"])
+        assert code == 4 and capsys.readouterr().out == ""
+
 
 class TestSpecSchema:
     @pytest.mark.parametrize(
@@ -480,15 +497,6 @@ class TestDetectCubics:
             "--budget", "3",
         )
         assert code == 0 and payload["witnesses"] == []
-
-    def test_budget_length_is_checked_first(self, capsys, spec_file):
-        # one entry for two ideals used to be reported as "t budget must
-        # allow total t-degree >= 3"
-        code = main(["detect-cubics", "--spec", spec_file(PAIR_SPEC),
-                     "--budget", "1"])
-        captured = capsys.readouterr()
-        assert code == 4 and captured.out == ""
-        assert captured.err == "error: t budget needs 2 entries, got 1\n"
 
 
 class TestKoszulReportCommand:

@@ -51,7 +51,7 @@ def pres(n, *specs):
 
 
 def _sorted_labels(fiber, r):
-    return {"*".join(sorted(v.label("auto", r).split("*"))) for v in fiber}
+    return {"*".join(sorted(v.label(r).split("*"))) for v in fiber}
 
 
 def _normalize(labels):
@@ -152,7 +152,7 @@ class TestEnumerateFiber:
         # divisors of x1*x3^2*x4 among the generators: x3^2, x1*x3, x1*x4
         mu = MultiDegree(m("x1*x3^2*x4", 5).exps, (1,))
         fiber = enumerate_mixed_fiber(mu, [quadric_pair_ideal])
-        labels = {v.label("auto", 1) for v in fiber}
+        labels = {v.label(1) for v in fiber}
         assert labels == {"x1*x4*T33", "x3*x4*T13", "x3^2*T14"}
         for v in fiber:
             assert phi(v, [quadric_pair_ideal]) == mu

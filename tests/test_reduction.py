@@ -23,7 +23,6 @@ from borel_rees.reduction import (
     MarkedBinomial,
     ReductionLimitExceeded,
     applicable_reductions,
-    analyze,
     build_graph,
     ell_max,
     lift_to_mixed,
@@ -91,7 +90,7 @@ class TestApplicableReductions:
         (succ_rule,) = [
             s for s, g in applicable_reductions(v, [rule])
         ]
-        assert succ_rule.label("auto", 2) == "T35*T26*Z44"
+        assert succ_rule.label(2) == "T35*T26*Z44"
 
 
 class TestBuildGraphSmallExamples:
@@ -120,13 +119,6 @@ class TestBuildGraphSmallExamples:
         assert {str(s) for s in graph.sinks} == {"x2^3", "x3^3"}
         assert not graph.has_cycle
 
-    def test_analyze_recomputes(self):
-        graph = build_graph(
-            rules_of(3, *TWO_SINK_RULES), start=m("x1*x2*x3", 3)
-        )
-        result = analyze(graph)
-        assert len(result["sinks"]) == 2 and not result["has_cycle"]
-
     def test_exactly_one_of_start_and_fiber(self):
         with pytest.raises(ValueError):
             build_graph([], start=m("x1", 1), fiber=[m("x1", 1)])
@@ -150,7 +142,7 @@ class TestFiberGraph:
         fiber = enumerate_fiber(mu, [quadric_pair_ideal])
         graph = build_graph(quadric_pair_G1, fiber=fiber)
         assert len(graph.vertices) == 8
-        assert [s.label("auto", 1) for s in graph.sinks] == ["T11*T33*T24*T25"]
+        assert [s.label(1) for s in graph.sinks] == ["T11*T33*T24*T25"]
         assert not graph.has_cycle
         assert graph.num_edges() == 14
 
@@ -159,7 +151,7 @@ class TestFiberGraph:
     ):
         mu = MultiDegree(m("x1^2*x2^2*x3^2*x4*x5", 5).exps, (4,))
         fiber = enumerate_fiber(mu, [quadric_pair_ideal])
-        top = next(v for v in fiber if v.label("auto", 1) == "T23^2*T14*T15")
+        top = next(v for v in fiber if v.label(1) == "T23^2*T14*T15")
         by_fiber = build_graph(quadric_pair_G1, fiber=fiber)
         by_closure = build_graph(quadric_pair_G1, start=top)
         assert set(by_closure.vertices) == set(by_fiber.vertices)
@@ -198,7 +190,7 @@ class TestEllMax:
         graph = build_graph(quadric_pair_G1, fiber=fiber)
         for i, v in enumerate(graph.vertices):
             assert ell_max(graph, v) == max(_all_path_lengths(graph, i))
-        top = next(v for v in fiber if v.label("auto", 1) == "T23^2*T14*T15")
+        top = next(v for v in fiber if v.label(1) == "T23^2*T14*T15")
         assert ell_max(graph, top) == 4
 
     def test_strictly_decreasing_along_edges(
@@ -289,9 +281,9 @@ class TestNormalForm:
     def test_reduces_to_sink(self, quadric_pair_ideal, quadric_pair_G1):
         mu = MultiDegree(m("x1^2*x2^2*x3^2*x4*x5", 5).exps, (4,))
         fiber = enumerate_fiber(mu, [quadric_pair_ideal])
-        top = next(v for v in fiber if v.label("auto", 1) == "T23^2*T14*T15")
+        top = next(v for v in fiber if v.label(1) == "T23^2*T14*T15")
         nf = normal_form(top, quadric_pair_G1)
-        assert nf.label("auto", 1) == "T11*T33*T24*T25"
+        assert nf.label(1) == "T11*T33*T24*T25"
 
     def test_irreducible_fixed_point(self):
         u = m("x2*x4^2*x5", 5)
@@ -604,7 +596,7 @@ class TestMixedReduction:
         v = MixedMonomial(
             m("x4", 5), PresMonomial([PresVar(1, m("x2*x3", 5))] * 2)
         )
-        succ = {s.label("auto", 1) for s, _ in applicable_reductions(v, lifted)}
+        succ = {s.label(1) for s, _ in applicable_reductions(v, lifted)}
         assert succ == {"x4*T22*T33"}
 
 

@@ -144,7 +144,7 @@ def reference_run(rules, ideals, budget):
         sinks, cyc = analyze_fiber(fiber, pair_index, generic)
         nontrivial |= len(fiber) >= 2
         if cyc or len(sinks) != 1:
-            failures.append((mu, [fiber[i].label("auto", r) for i in sinks], cyc))
+            failures.append((mu, [fiber[i].label(r) for i in sinks], cyc))
         else:
             sink_log.append((mu, fiber[sinks[0]]))
     verdict = ("refuted" if failures else
@@ -288,7 +288,7 @@ class TestKernelSpan:
         ideal = borel_closure([m("x2^2", 3)], 3)
         pairs = toric_kernel_span([ideal], (2,))
         assert len(pairs) == 1
-        labels = {v.label("auto", 1) for v in pairs[0]}
+        labels = {v.label(1) for v in pairs[0]}
         assert labels == {"T11*T22", "T12^2"}
 
     def test_singleton_fibers_give_no_pairs(self):
@@ -385,6 +385,13 @@ OBSTRUCTED_TRIPLE = [
     borel_closure([m("x3^2", 5), m("x1*x5", 5)], 5),
     borel_closure([m("x3^2", 5), m("x2*x4", 5)], 5),
     borel_closure([m("x2*x4", 5), m("x1*x5", 5)], 5),
+]
+
+
+# the pair of Example 4.2: B(x1^2x3^2, x1x2^2x3), B(x1^2x3^2, x2^4) in n=3
+EX4_2_PAIR = [
+    borel_closure([m("x1^2*x3^2", 3), m("x1*x2^2*x3", 3)], 3),
+    borel_closure([m("x1^2*x3^2", 3), m("x2^4", 3)], 3),
 ]
 
 
@@ -673,13 +680,23 @@ class TestDetectObstructions:
         i2 = borel_closure([m("x3*x4", 4)], 4)
         assert detect_obstructions([i1, i2], (2, 1)) == []
 
-    @pytest.mark.parametrize("budget", [(1, 1, 1), (2, 1, 1)])
-    def test_witnesses_equal_brute_force_swaps(self, budget):
-        ideals = OBSTRUCTED_TRIPLE
+    @pytest.mark.parametrize(
+        "ideals, budget, witnesses",
+        [
+            (OBSTRUCTED_TRIPLE, (1, 1, 1), 1),
+            (OBSTRUCTED_TRIPLE, (2, 1, 1), 3),
+            (EX4_2_PAIR, (2, 1), 1),
+            (EX4_2_PAIR, (3, 1), 3),
+            ([borel_closure([m("x2*x3", 4)], 4),
+              borel_closure([m("x3*x4", 4)], 4)], (2, 1), 0),
+        ],
+        ids=["triple-111", "triple-211", "ex4.2-21", "ex4.2-31", "clean-21"],
+    )
+    def test_witnesses_equal_brute_force_swaps(self, ideals, budget, witnesses):
         got = [(w.multidegree, w.components)
                for w in detect_obstructions(ideals, budget)]
         assert got == reference_obstructions(ideals, budget)
-        assert got
+        assert len(got) == witnesses
 
     def test_witness_component_partition(self):
         i1 = borel_closure([m("x3^2", 5), m("x1*x5", 5)], 5)
