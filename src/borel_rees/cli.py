@@ -60,10 +60,14 @@ def _emit(payload: dict, out_dir: str | None, filename: str = "report.json") -> 
 
 
 def _load_ideals(args: argparse.Namespace):
+    """The spec's collection; an omitted --budget becomes 2 per ideal."""
     if not args.spec_path:
         raise InvalidIdeal("--spec FILE is required for this command")
     with open(args.spec_path) as fh:
-        return load_collection(json.load(fh))
+        ideals = load_collection(json.load(fh))
+    if "budget" in args and args.budget is None:
+        args.budget = (2,) * len(ideals)
+    return ideals
 
 
 def _parse_budget(text: str) -> tuple[int, ...]:
@@ -282,16 +286,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, budget=False):
+    def common(p, budget=False, jobs=None):
         p.add_argument("--spec", dest="spec_path", help="ideal spec JSON file")
         p.add_argument("--out", help="directory for reports and DOT files")
-        p.add_argument("--jobs", type=_parse_jobs, default=1,
-                       help="parallel workers, at most one per CPU")
+        if jobs:
+            p.add_argument("--jobs", type=_parse_jobs, default=1, help=jobs)
         if budget:
             p.add_argument(
-                "--budget", type=_parse_budget, default=(2,),
-                help="per-ideal t bound, e.g. 2,1",
+                "--budget", type=_parse_budget,
+                help="per-ideal t bound, e.g. 2,1 (default: 2 per ideal)",
             )
+
+    parallel = "parallel fiber-graph workers, at most one per CPU"
+    serial = "accepted for scripts; this command runs serially"
 
     p = sub.add_parser("closure", help="minimal generators and regions")
     common(p)
@@ -305,21 +312,21 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["g1", "g2", "g3", "ht", "fiber-type"])
 
     p = sub.add_parser("verify", help="exhaustive fiber-graph certification")
-    common(p, budget=True)
+    common(p, budget=True, jobs=parallel)
     p.add_argument("--basis", choices=["g1", "g2", "g3", "ht", "fiber-type"])
     p.add_argument("--xdeg", dest="x_degree", type=_parse_x_degree,
                    help="x-degree bound for fiber-type verification")
 
     p = sub.add_parser("kernel-oracle", help="brute-force kernel membership")
-    common(p, budget=True)
+    common(p, budget=True, jobs=serial)
     p.add_argument("--basis", choices=["g1", "g2", "g3", "ht", "fiber-type"])
     p.add_argument("--xdeg", dest="x_degree", type=_parse_x_degree)
 
     p = sub.add_parser("detect-cubics", help="disconnected-fiber obstructions")
-    common(p, budget=True)
+    common(p, budget=True, jobs=serial)
 
     p = sub.add_parser("koszul-report", help="gate + obstructions + GB run")
-    common(p, budget=True)
+    common(p, budget=True, jobs=parallel)
 
     p = sub.add_parser("paper-examples", help="run a named worked example")
     p.add_argument("example", help="ex2.2 ex2.3 ex2.4 fig1..fig4 ex4.1 ex4.2 ex4.3")

@@ -10,19 +10,20 @@ divisibility scan, and rewrites() lists a monomial's one-step reductions in
 rule-list order from that index. fiber_edges builds every fiber graph of a
 marking from it (reduction graphs here and the verifier's fiber analysis;
 the obstruction scan needs no rules and does not use it), and has_cycle is
-the one cycle detector. normal_form probes the same index for the earliest
-applicable rule only; it is the one rewriting loop, and with a memo it
-records every monomial on its path with the normal form and the rewrites
-left, so callers reducing many monomials under one rule list (the kernel
-oracle) walk each path once. Graphs also carry the
-longest-path invariant used to certify that a marked collection rewrites
-Noetherianly.
+the one cycle detector on graphs. normal_form probes the same index for the
+earliest applicable rule only; it is the one rewriting loop, and with a memo
+it records every monomial on its path with its normal form, so callers
+reducing many monomials under one rule list (the kernel oracle) walk each
+path once. Every rule keeps degree, so that deterministic path stays among
+finitely many monomials: it either ends or returns to a monomial it has
+visited, and normal_form detects the return exactly (RewriteCycle) instead
+of guessing from a step budget. Graphs also carry the longest-path
+invariant used to certify that a marked collection rewrites Noetherianly.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -30,12 +31,9 @@ from typing import Iterable, NamedTuple, Sequence
 from .monomial import Monomial
 from .presentation import MixedMonomial, PresMonomial, PresVar
 
-DEFAULT_STEP_LIMIT = 10_000
-STEP_LIMIT_ENV = "BOREL_REES_STEP_LIMIT"
 
-
-class ReductionLimitExceeded(RuntimeError):
-    """Rewriting did not terminate within the step budget (cycle suspected)."""
+class RewriteCycle(RuntimeError):
+    """Rewriting returned to a monomial on its own path, so it never ends."""
 
 
 class GraphShapeError(ValueError):
@@ -44,7 +42,11 @@ class GraphShapeError(ValueError):
 
 @dataclass(frozen=True)
 class MarkedBinomial:
-    """An ordered pair (lead, trail) of equal-image monomials; lead is marked."""
+    """An ordered pair (lead, trail) of equal-image monomials; lead is marked.
+
+    Lead and trail have equal degree, which keeps every rewrite path among
+    finitely many monomials.
+    """
 
     lead: Monomial | PresMonomial | MixedMonomial
     trail: Monomial | PresMonomial | MixedMonomial
@@ -55,6 +57,8 @@ class MarkedBinomial:
             raise TypeError("lead and trail must be the same monomial kind")
         if self.lead == self.trail:
             raise ValueError("lead equals trail")
+        if self.lead.degree != self.trail.degree:
+            raise ValueError("lead and trail differ in degree")
 
     def label(self, r: int | None = None) -> str:
         return f"{self.lead.label(r)} -> {self.trail.label(r)}"
@@ -297,28 +301,9 @@ def o_invariant(v: MixedMonomial) -> int:
     return total
 
 
-def resolve_step_limit(step_limit: int | None = None) -> int:
-    """The rewrite step budget: step_limit, else the BOREL_REES_STEP_LIMIT
-    environment variable, else DEFAULT_STEP_LIMIT. Anything but a positive
-    integer raises ValueError."""
-    name, value = "step limit", step_limit
-    if value is None:
-        name, value = STEP_LIMIT_ENV, os.environ.get(STEP_LIMIT_ENV)
-        if not value:
-            return DEFAULT_STEP_LIMIT
-        try:
-            value = int(value)
-        except ValueError:
-            pass
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
 def normal_form(v, rules: Sequence[MarkedBinomial] | RuleIndex,
-                step_limit: int | None = None, memo: dict | None = None):
-    """Rewrite v by the earliest-listed applicable rule until none applies,
-    taking at most step_limit rewrites.
+                memo: dict | None = None):
+    """Rewrite v by the earliest-listed applicable rule until none applies.
 
     rules is a rule list or its rule_indices(); callers reducing many
     monomials build the index once. Each step probes the index with the
@@ -328,49 +313,40 @@ def normal_form(v, rules: Sequence[MarkedBinomial] | RuleIndex,
     collection is a verified Groebner basis the result is the unique sink
     regardless of rule order.
 
-    memo, when given, maps monomials to (normal form, rewrites left): the
-    form the path from that monomial ends in and the number of rewrites it
-    takes to get there. It is valid for one rule list only. The path stops
-    at the first monomial that is irreducible or already in memo, and every
-    monomial on it is then recorded. A path of more than step_limit
-    rewrites in all raises ReductionLimitExceeded, with or without a memo,
-    and records nothing, so a memo filled under one limit holds only
-    entries within it.
+    The path is kept in visit order; a rewrite back onto it raises
+    RewriteCycle naming the monomial that recurs and the cycle's length.
+    Rules keep degree, so every path ends or cycles.
+
+    memo, when given, maps monomials to their normal forms and is valid for
+    one rule list only. The path stops at the first monomial that is
+    irreducible or already in memo, and every monomial on it is then
+    recorded; a cycling path records nothing.
     """
     pair_index, generic = (
         rules if isinstance(rules, RuleIndex) else rule_indices(rules)
     )
-    limit = resolve_step_limit(step_limit)
-    path = []
+    path: dict = {}
     current = v
     while True:
         if memo is not None:
-            hit = memo.get(current)
-            if hit is not None:
+            nf = memo.get(current)
+            if nf is not None:
                 break
         g = _earliest_applicable(current, pair_index, generic)
         if g is None:
-            hit = (current, 0)
+            nf = current
             break
-        if len(path) == limit:
-            raise _limit_exceeded(limit)
-        path.append(current)
+        path[current] = len(path)
         current = current.quotient(g.lead) * g.trail
-    nf, left = hit
-    if len(path) + left > limit:
-        raise _limit_exceeded(limit)
+        if current in path:
+            raise RewriteCycle(
+                f"rewriting cycles: {current} recurs after "
+                f"{len(path) - path[current]} steps"
+            )
     if memo is not None:
-        memo[current] = hit
-        for u in reversed(path):
-            left += 1
-            memo[u] = (nf, left)
+        memo.update(dict.fromkeys(path, nf))
+        memo[current] = nf
     return nf
-
-
-def _limit_exceeded(limit: int) -> ReductionLimitExceeded:
-    return ReductionLimitExceeded(
-        f"no normal form within {limit} steps; collection may not terminate"
-    )
 
 
 def _earliest_applicable(v, pair_index, generic):

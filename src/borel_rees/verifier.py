@@ -54,12 +54,11 @@ from .presentation import (
 )
 from .reduction import (
     MarkedBinomial,
-    ReductionLimitExceeded,
+    RewriteCycle,
     RuleIndex,
     fiber_edges,
     has_cycle,
     normal_form,
-    resolve_step_limit,
     rule_indices,
 )
 
@@ -302,15 +301,22 @@ def mixed_x_degree(
     """The x-degree bound of the mixed fibers a rule list is checked on.
 
     None when no lead is a MixedMonomial: such rules live on the pure
-    presentation. Otherwise x_degree when given, else the budget's content
-    degree sum(b_i * d_i), the least bound that reaches every budgeted
-    t-slice. Each lower slice keeps min(d_i) x-degrees of room or more, for
-    the overlaps x_i*T_u*T_v of a syzygy with a fiber rule. The one margin
-    is a floor of 2 * max(d_i), the bound used before: at a one-factor
-    budget the least bound leaves only singleton fibers, where no syzygy
-    applies, and 2*d reaches the overlaps x_i*x_j*T_u (x-degree d + 2).
+    presentation, and an x_degree given for them raises ValueError rather
+    than being ignored. Otherwise x_degree when given, else the budget's
+    content degree sum(b_i * d_i), the least bound that reaches every
+    budgeted t-slice. Each lower slice keeps min(d_i) x-degrees of room or
+    more, for the overlaps x_i*T_u*T_v of a syzygy with a fiber rule. The
+    one margin is a floor of 2 * max(d_i), the bound used before: at a
+    one-factor budget the least bound leaves only singleton fibers, where no
+    syzygy applies, and 2*d reaches the overlaps x_i*x_j*T_u (x-degree
+    d + 2).
     """
     if not any(isinstance(g.lead, MixedMonomial) for g in rules):
+        if x_degree is not None:
+            raise ValueError(
+                "an x-degree bound applies only to a basis with mixed "
+                "(fiber-type) leads"
+            )
         return None
     if x_degree is not None:
         return x_degree
@@ -408,29 +414,24 @@ def mixed_fibers(
 def check_membership(
     span_pairs: Sequence[tuple],
     rules: Sequence[MarkedBinomial],
-    step_limit: int | None = None,
 ) -> tuple[int, list[dict]]:
     """Reduce both sides of every pair; a pair passes when the normal forms
     coincide.
 
-    The rules are indexed and the step limit resolved once (a bad limit
-    raises ValueError). One memo serves every normal_form call, so each
-    monomial on a rewrite path is reduced once across all pairs; a side
-    already in it is looked up here without a call. A side with no normal
-    form within the step limit makes its pair an "error" failure; any other
-    exception propagates.
+    The rules are indexed once. One memo serves every normal_form call, so
+    each monomial on a rewrite path is reduced once across all pairs; a side
+    already in it is looked up here without a call. A side whose rewriting
+    cycles makes its pair an "error" failure naming the monomial that
+    recurs; any other exception propagates.
     """
-    limit = resolve_step_limit(step_limit)
     index = rule_indices(rules)
     memo: dict = {}
     failures = []
     for a, b in span_pairs:
         try:
-            hit = memo.get(a)
-            na = hit[0] if hit else normal_form(a, index, limit, memo)
-            hit = memo.get(b)
-            nb = hit[0] if hit else normal_form(b, index, limit, memo)
-        except ReductionLimitExceeded as exc:
+            na = memo.get(a) or normal_form(a, index, memo)
+            nb = memo.get(b) or normal_form(b, index, memo)
+        except RewriteCycle as exc:
             failures.append({"pair": [str(a), str(b)], "error": str(exc)})
             continue
         if na is not nb and na != nb:

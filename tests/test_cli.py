@@ -159,6 +159,15 @@ class TestVerify:
         out2 = capsys.readouterr().out
         assert code1 == code2 == 0 and out1 == out2
 
+    def test_default_budget_is_two_per_ideal(self, capsys, spec_file):
+        # the default used to be a single 2, which a pair rejects with exit 4
+        path = spec_file(PAIR_SPEC)
+        code1 = main(["verify", "--spec", path])
+        out1 = capsys.readouterr().out
+        code2 = main(["verify", "--spec", path, "--budget", "2,2"])
+        out2 = capsys.readouterr().out
+        assert code1 == code2 == 0 and out1 == out2
+
     def test_fiber_type_verification(self, capsys, spec_file):
         code, payload = run_cli(
             capsys,
@@ -315,50 +324,6 @@ class TestKernelOracle:
         )
         assert code == 0 and not payload["oracle_failures"]
 
-    @pytest.mark.parametrize("limit", ["abc", "0", "-5", "2.5"])
-    def test_bad_step_limit_is_a_usage_error(
-        self, capsys, spec_file, monkeypatch, limit
-    ):
-        # used to fail every pair and report a false "refuted" with exit 2
-        monkeypatch.setenv("BOREL_REES_STEP_LIMIT", limit)
-        code = main(["kernel-oracle", "--spec", spec_file(PAIR_SPEC),
-                     "--budget", "1,1", "--basis", "ht"])
-        captured = capsys.readouterr()
-        assert code == 4 and captured.out == ""
-        assert "BOREL_REES_STEP_LIMIT must be a positive integer" in captured.err
-
-    def test_valid_step_limit_is_used(self, capsys, spec_file, monkeypatch):
-        monkeypatch.setenv("BOREL_REES_STEP_LIMIT", "1")
-        code, payload = run_cli(
-            capsys, "kernel-oracle", "--spec", spec_file(PAIR_SPEC),
-            "--budget", "1,1", "--basis", "ht",
-        )
-        # one rewrite step is too few for some pairs, and those are reported
-        failures = payload["oracle_failures"]
-        assert code == 2 and failures
-        assert all("within 1 steps" in f["error"] for f in failures)
-        monkeypatch.setenv("BOREL_REES_STEP_LIMIT", "50")
-        code, payload = run_cli(
-            capsys, "kernel-oracle", "--spec", spec_file(PAIR_SPEC),
-            "--budget", "1,1", "--basis", "ht",
-        )
-        assert code == 0 and payload["oracle_failures"] == []
-
-    @pytest.mark.parametrize("limit, failing", [("1", 67), ("2", 0), ("3", 0)])
-    def test_step_limit_failure_counts(
-        self, capsys, spec_file, monkeypatch, limit, failing
-    ):
-        # 289 pairs at (1,1); 67 of them have a side two rewrites from its
-        # normal form, which the memo must not let through under limit 1
-        monkeypatch.setenv("BOREL_REES_STEP_LIMIT", limit)
-        code, payload = run_cli(
-            capsys, "kernel-oracle", "--spec", spec_file(PAIR_SPEC),
-            "--budget", "1,1", "--basis", "ht",
-        )
-        assert payload["oracle_binomials_checked"] == 289
-        assert len(payload["oracle_failures"]) == failing
-        assert code == (2 if failing else 0)
-
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -375,16 +340,35 @@ class TestUsageErrors:
             ["verify", "--budget", "2", "--jobs", "x"],
             ["kernel-oracle", "--budget", "2", "--jobs", "0"],
             ["koszul-report", "--budget", "2", "--jobs", "-1"],
+            ["verify", "--budget", "2", "--basis", "g1", "--xdeg", "3"],
+            ["kernel-oracle", "--budget", "2", "--basis", "g1", "--xdeg", "3"],
         ],
     )
     def test_bad_argument_exits_four(self, capsys, spec_file, argv):
         # a negative --xdeg used to report "inconclusive" (exit 3), a --jobs
-        # below 1 ran serially without a word, and argparse's own exit
-        # code 2 read as "refuted"
+        # below 1 ran serially without a word, argparse's own exit code 2
+        # read as "refuted", and --xdeg on a pure basis (g1) was ignored
         code = main(argv[:1] + ["--spec", spec_file(SINGLE_SPEC)] + argv[1:])
         captured = capsys.readouterr()
         assert code == 4 and captured.out == ""
-        assert "error: argument" in captured.err
+        if "g1" in argv:
+            assert "error: an x-degree bound applies only" in captured.err
+        else:
+            assert "error: argument" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["closure", "--jobs", "5"],
+            ["fiber-graph", "--mu", "x3^2", "--jobs", "3"],
+        ],
+    )
+    def test_jobs_only_where_it_acts(self, capsys, spec_file, argv):
+        # these commands used to accept --jobs and run serially without a word
+        code = main(argv[:1] + ["--spec", spec_file(SINGLE_SPEC)] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert "unrecognized arguments: --jobs" in captured.err
 
     @pytest.mark.parametrize(
         "command", ["verify", "kernel-oracle", "detect-cubics", "koszul-report"]

@@ -21,14 +21,13 @@ from borel_rees.presentation import (
 from borel_rees.reduction import (
     GraphShapeError,
     MarkedBinomial,
-    ReductionLimitExceeded,
+    RewriteCycle,
     applicable_reductions,
     build_graph,
     ell_max,
     lift_to_mixed,
     normal_form,
     o_invariant,
-    resolve_step_limit,
     rewrites,
     rule_indices,
     to_dot,
@@ -57,6 +56,11 @@ class TestMarkedBinomial:
     def test_kind_mismatch_rejected(self):
         with pytest.raises(TypeError):
             MarkedBinomial(m("x1", 2), PresMonomial.one())
+
+    def test_degree_change_rejected(self):
+        # equal degrees keep every rewrite path among finitely many monomials
+        with pytest.raises(ValueError, match="differ in degree"):
+            MarkedBinomial(m("x1*x2", 3), m("x3", 3))
 
 
 class TestApplicableReductions:
@@ -289,20 +293,24 @@ class TestNormalForm:
         u = m("x2*x4^2*x5", 5)
         assert normal_form(u, rules_of(5, *UNIQUE_SINK_RULES)) is u
 
-    def test_step_limit_counts_rewrites_not_the_final_probe(self):
-        # x1*x2*x3*x4 -> x2^2*x3*x5 -> x2*x4^2*x5: two rewrites
-        rules = rules_of(5, *UNIQUE_SINK_RULES)
-        nf = m("x2*x4^2*x5", 5)
-        assert normal_form(m("x2^2*x3*x5", 5), rules, step_limit=1) == nf
-        assert normal_form(m("x1*x2*x3*x4", 5), rules, step_limit=2) == nf
-        with pytest.raises(ReductionLimitExceeded):
-            normal_form(m("x1*x2*x3*x4", 5), rules, step_limit=1)
+    def test_cycle_names_the_recurring_monomial(self):
+        # x1*x3*x5*x6 -> x2*x3*x4*x6 -> x3^2*x4*x5 -> x1*x3*x5*x6
+        with pytest.raises(RewriteCycle) as raised:
+            normal_form(m("x1*x3*x5*x6", 6), rules_of(6, *CYCLING_RULES))
+        assert str(raised.value) == (
+            "rewriting cycles: x1*x3*x5*x6 recurs after 3 steps"
+        )
 
-    def test_cycle_hits_step_limit(self):
-        with pytest.raises(ReductionLimitExceeded):
-            normal_form(
-                m("x1*x3*x5*x6", 6), rules_of(6, *CYCLING_RULES), step_limit=100
-            )
+    def test_cycle_entered_from_a_tail(self):
+        # x1*x4^2 -> x2*x3*x4 -> x2^3 -> x2*x3*x4: the count is the cycle's
+        # length, not the path's
+        rules = rules_of(4, ("x1*x4", "x2*x3"), ("x3*x4", "x2^2"),
+                         ("x2^2", "x3*x4"))
+        with pytest.raises(RewriteCycle) as raised:
+            normal_form(m("x1*x4^2", 4), rules)
+        assert str(raised.value) == (
+            "rewriting cycles: x2*x3*x4 recurs after 2 steps"
+        )
 
     def test_scan_order_does_not_change_certified_normal_forms(
         self, quadric_pair_ideal, quadric_pair_G1
@@ -321,53 +329,50 @@ class TestNormalForm:
                 rng.shuffle(shuffled)
                 assert normal_form(v, shuffled) == reference
 
-    def test_env_var_overrides_limit(self, monkeypatch):
-        monkeypatch.setenv("BOREL_REES_STEP_LIMIT", "123")
-        assert resolve_step_limit() == 123
-        monkeypatch.delenv("BOREL_REES_STEP_LIMIT")
-        assert resolve_step_limit() == 10_000
-        assert resolve_step_limit(7) == 7
-        with pytest.raises(ValueError):
-            resolve_step_limit(0)
 
-
-def scan_normal_form(v, rules, step_limit=10_000):
+def scan_normal_form(v, rules):
     """Reference rewriting: always take the first of applicable_reductions,
-    which scans the rule list in order; at most step_limit rewrites."""
-    for _ in range(step_limit):
+    which scans the rule list in order, until no rule applies or a
+    monomial already visited comes back."""
+    visited = []
+    while True:
         steps = applicable_reductions(v, rules)
         if not steps:
             return v
+        visited.append(v)
         v = steps[0][0]
-    if not applicable_reductions(v, rules):
-        return v
-    raise ReductionLimitExceeded(
-        f"no normal form within {step_limit} steps; collection may not terminate"
-    )
+        if v in visited:
+            raise RewriteCycle(
+                f"rewriting cycles: {v} recurs after "
+                f"{len(visited) - visited.index(v)} steps"
+            )
 
 
-def assert_scan_equivalent(pairs, rules, step_limit=10_000):
-    """Indexed normal forms and check_membership equal the in-order scan's."""
+def assert_scan_equivalent(pairs, rules):
+    """Indexed normal forms, cycle errors and check_membership equal the
+    in-order scan's."""
     index = rule_indices(rules)
     reference = {}
     for v in dict.fromkeys(w for pair in pairs for w in pair):
         try:
-            reference[v] = scan_normal_form(v, rules, step_limit)
-            assert normal_form(v, index, step_limit) == reference[v], v
-        except ReductionLimitExceeded as exc:
+            reference[v] = scan_normal_form(v, rules)
+        except RewriteCycle as exc:
             reference[v] = exc
-            with pytest.raises(ReductionLimitExceeded):
-                normal_form(v, index, step_limit)
+            with pytest.raises(RewriteCycle) as raised:
+                normal_form(v, index)
+            assert str(raised.value) == str(exc), v
+        else:
+            assert normal_form(v, index) == reference[v], v
 
-    def scan(v, _index, _limit, _memo):
+    def scan(v, _index, _memo):
         # the memo stays empty, so every pair side comes here
-        if isinstance(reference[v], ReductionLimitExceeded):
+        if isinstance(reference[v], RewriteCycle):
             raise reference[v]
         return reference[v]
 
-    result = check_membership(pairs, rules, step_limit)
+    result = check_membership(pairs, rules)
     with mock.patch.object(verifier, "normal_form", scan):
-        assert result == check_membership(pairs, rules, step_limit)
+        assert result == check_membership(pairs, rules)
     return result
 
 
@@ -426,7 +431,7 @@ class TestIndexedRewritingMatchesScan:
         # random orientations inside fibers: quadratic leads are indexed,
         # cubic ones are generic, and the list interleaves them, so which
         # generic rules precede the best pair hit decides the path; some
-        # markings cycle and hit the step limit
+        # markings cycle
         rng = random.Random(15)
         fibers = [f for _, f in fibers_by_multidegree([quadric_pair_ideal], (3,))
                   if len(f) >= 2]
@@ -438,7 +443,7 @@ class TestIndexedRewritingMatchesScan:
             ]
             kinds = {len(g.lead.factors) for g in rules}
             assert kinds == {2, 3}
-            assert_scan_equivalent(pairs, rules, step_limit=30)
+            assert_scan_equivalent(pairs, rules)
 
     def test_rewrites_equal_the_scan(
         self, running_pair, running_pair_basis, quadric_pair_ideal
@@ -485,24 +490,28 @@ class TestIndexedRewritingMatchesScan:
         assert normal_form(v, [generic_rule, pair_rule]) == w
         assert normal_form(v, [pair_rule, generic_rule]) == after_pair
 
-    def test_two_rule_loop_hits_step_limit(self, quadric_pair_G1):
+    def test_two_rule_loop_is_a_cycle(self, quadric_pair_G1):
         g = quadric_pair_G1[0]
         loop = [g, MarkedBinomial(g.trail, g.lead)]
-        with pytest.raises(ReductionLimitExceeded):
-            normal_form(g.lead, loop, step_limit=25)
-        _, failures = assert_scan_equivalent([(g.lead, g.trail)], loop, 25)
-        assert "within 25 steps" in failures[0]["error"]
+        message = f"rewriting cycles: {g.lead} recurs after 2 steps"
+        with pytest.raises(RewriteCycle) as raised:
+            normal_form(g.lead, loop)
+        assert str(raised.value) == message
+        _, failures = assert_scan_equivalent([(g.lead, g.trail)], loop)
+        assert failures == [
+            {"pair": [str(g.lead), str(g.trail)], "error": message}
+        ]
 
 
-def memo_free_membership(pairs, rules, step_limit=10_000):
+def memo_free_membership(pairs, rules):
     """check_membership without the memo: normal_form once per pair side."""
     index = rule_indices(rules)
     failures = []
     for a, b in pairs:
         try:
-            na = normal_form(a, index, step_limit)
-            nb = normal_form(b, index, step_limit)
-        except ReductionLimitExceeded as exc:
+            na = normal_form(a, index)
+            nb = normal_form(b, index)
+        except RewriteCycle as exc:
             failures.append({"pair": [str(a), str(b)], "error": str(exc)})
             continue
         if na != nb:
@@ -512,32 +521,27 @@ def memo_free_membership(pairs, rules, step_limit=10_000):
     return len(pairs), failures
 
 
-def assert_memo_equivalent(pairs, rules, limits=(1, 2, 3, 10_000)):
-    """check_membership equals the memo-free reference under each limit, and
-    every memo entry holds the monomial's normal form and its distance."""
-    for limit in limits:
-        result = check_membership(pairs, rules, limit)
-        assert result == memo_free_membership(pairs, rules, limit), limit
+def assert_memo_equivalent(pairs, rules):
+    """check_membership equals the memo-free reference, and every memo entry
+    equals a memo-free normal_form of its monomial."""
+    result = check_membership(pairs, rules)
+    assert result == memo_free_membership(pairs, rules)
     index = rule_indices(rules)
     memo = {}
     for v in dict.fromkeys(w for pair in pairs for w in pair):
         try:
-            normal_form(v, index, max(limits), memo)
-        except ReductionLimitExceeded:
+            normal_form(v, index, memo)
+        except RewriteCycle:
             assert v not in memo
-    for u, (nf, left) in memo.items():
-        assert normal_form(u, index, max(left, 1)) == nf
-        assert (left == 0) == (u == nf)
-        if left > 1:
-            with pytest.raises(ReductionLimitExceeded):
-                normal_form(u, index, left - 1)
+    for u, nf in memo.items():
+        assert normal_form(u, index) == nf
     return result
 
 
 class TestMemoizedNormalForms:
     """check_membership shares one memo across its normal_form calls; the
-    results equal reducing every pair side afresh, under every step limit,
-    including paths that end in a memo entry but exceed the limit in all."""
+    results equal reducing every pair side afresh, including paths that end
+    in a memo entry and paths that enter a cycle."""
 
     def test_shuffled_head_and_tail_basis(self, running_pair, running_pair_basis):
         rng = random.Random(21)
@@ -559,7 +563,7 @@ class TestMemoizedNormalForms:
         g = quadric_pair_G1[0]
         loop = [g, MarkedBinomial(g.trail, g.lead)] + quadric_pair_G1[1:]
         pairs = toric_kernel_span([quadric_pair_ideal], (3,))
-        _, failures = assert_memo_equivalent(pairs, loop, (1, 2, 25))
+        _, failures = assert_memo_equivalent(pairs, loop)
         assert any("error" in f for f in failures)
 
     def test_three_rule_cycle(self):
@@ -572,12 +576,12 @@ class TestMemoizedNormalForms:
         ]
         pairs = [(v, succ) for v in monomials
                  for succ, _ in applicable_reductions(v, rules)]
-        _, failures = assert_memo_equivalent(pairs, rules, (1, 2, 3, 50))
+        _, failures = assert_memo_equivalent(pairs, rules)
         assert any("error" in f for f in failures)
         assert len(failures) < len(pairs)
 
     def test_other_errors_propagate(self, running_pair, running_pair_basis):
-        # only a step-limit overrun is a pair failure; a fault in the
+        # only a rewrite cycle is a pair failure; a fault in the
         # rewriting is not turned into a "refuted" verdict
         pairs = toric_kernel_span(running_pair, (1, 1))
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -322,17 +323,35 @@ class TestCheckMembership:
         _, failures = check_membership(pairs, partial)
         assert failures
 
-    def test_step_limit_failure_is_reported_not_raised(self):
-        from borel_rees.reduction import MarkedBinomial
-
+    def test_cycle_is_reported_not_raised(self):
         loop = [
             MarkedBinomial(m("x1*x5", 6), m("x2*x4", 6)),
             MarkedBinomial(m("x2*x6", 6), m("x3*x5", 6)),
             MarkedBinomial(m("x3*x4", 6), m("x1*x6", 6)),
         ]
         pair = (m("x1*x3*x5*x6", 6), m("x2*x3*x4*x6", 6))
-        checked, failures = check_membership([pair], loop, step_limit=50)
-        assert checked == 1 and failures and "error" in failures[0]
+        checked, failures = check_membership([pair], loop)
+        assert checked == 1 and failures == [{
+            "pair": ["x1*x3*x5*x6", "x2*x3*x4*x6"],
+            "error": "rewriting cycles: x1*x3*x5*x6 recurs after 3 steps",
+        }]
+
+    def test_cycling_marking_names_the_recurring_monomial(
+        self, quadric_pair_ideal, quadric_pair_G1
+    ):
+        # G1 with its first rule also listed reversed right after it, so
+        # T12^2 and T11*T22 rewrite to each other
+        g = quadric_pair_G1[0]
+        marking = [g, MarkedBinomial(g.trail, g.lead)] + quadric_pair_G1[1:]
+        pairs = toric_kernel_span([quadric_pair_ideal], (3,))
+        checked, failures = check_membership(pairs, marking)
+        assert checked == 160 and len(failures) == 32
+        monomials = {str(v): v for pair in pairs for v in pair}
+        for failure in failures:
+            match = re.fullmatch(r"rewriting cycles: (\S+) recurs after 2 steps",
+                                 failure["error"])
+            recurring = monomials[match[1]]
+            assert g.lead.divides(recurring) or g.trail.divides(recurring)
 
 
 class TestMixedOracle:
