@@ -60,6 +60,7 @@ from .verifier import (
     VerificationReport,
     check_membership,
     detect_obstructions,
+    kernel_membership,
     koszul_report,
     mixed_fibers,
     mixed_x_degree,

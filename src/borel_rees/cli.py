@@ -27,13 +27,12 @@ from .presentation import MultiDegree, enumerate_fiber, enumerate_mixed_fiber
 from .reduction import build_graph, to_dot
 from .verifier import (
     VerificationReport,
-    check_membership,
     detect_obstructions,
+    kernel_membership,
     koszul_report,
     mixed_x_degree,
     progress_to_stderr,
     quadratic_basis_for,
-    toric_kernel_span,
     unreached_slice_notes,
     verify_gb,
 )
@@ -218,8 +217,7 @@ def cmd_kernel_oracle(args: argparse.Namespace) -> int:
     if x_degree is not None:
         report.notes.append(f"mixed kernel pairs up to x-degree {x_degree}")
         report.notes += unreached_slice_notes(ideals, args.budget, x_degree)
-    pairs = toric_kernel_span(ideals, args.budget, x_degree)
-    checked, failures = check_membership(pairs, rules)
+    checked, failures = kernel_membership(rules, ideals, args.budget, x_degree)
     report.oracle_binomials_checked = checked
     report.oracle_failures = failures
     _emit(report.to_json_dict(), args.out, "oracle.json")
@@ -249,7 +247,8 @@ def cmd_koszul_report(args: argparse.Namespace) -> int:
 def cmd_paper_examples(args: argparse.Namespace) -> int:
     from .paper_cases import is_default_run, load_expectation, run_case
 
-    params = {"a": args.a, "b": args.b, "c": args.c}
+    given = {"a": args.a, "b": args.b, "c": args.c}
+    params = {k: v for k, v in given.items() if v is not None}
     try:
         result = run_case(args.example, params)
     except KeyError as exc:
@@ -330,9 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paper-examples", help="run a named worked example")
     p.add_argument("example", help="ex2.2 ex2.3 ex2.4 fig1..fig4 ex4.1 ex4.2 ex4.3")
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--b", type=int, default=0)
-    p.add_argument("--c", type=int, default=0)
+    for name in ("a", "b", "c"):
+        p.add_argument(f"--{name}", type=int,
+                       help="shift exponent (ex4.1: a, b, c; ex4.2: a, b; "
+                       "ex4.3: a), >= 0")
     p.add_argument("--out")
     return parser
 

@@ -307,11 +307,22 @@ PARAMETRIC = {"ex4.1": ("a", "b", "c"), "ex4.2": ("a", "b"), "ex4.3": ("a",)}
 
 
 def run_case(name: str, params: dict | None = None) -> dict:
+    """Run one example. An unknown name raises KeyError; a parameter the
+    example does not take, or a negative one, raises ValueError."""
     if name not in CASES:
         raise KeyError(
             f"unknown example {name!r}; known: {', '.join(sorted(CASES))}"
         )
     params = params or {}
+    taken = PARAMETRIC.get(name, ())
+    for key, value in params.items():
+        if key not in taken:
+            takes = f"; it takes {', '.join(taken)}" if taken else ""
+            raise ValueError(
+                f"example {name} does not take parameter {key!r}{takes}"
+            )
+        if value < 0:
+            raise ValueError(f"parameter {key!r} must be >= 0, got {value}")
     result = CASES[name](params)
     result["name"] = name
     result["params"] = {k: params.get(k, 0) for k in PARAMETRIC.get(name, ())}

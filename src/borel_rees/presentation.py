@@ -8,8 +8,9 @@ and models monomials of the full multi-graded presentation ring.
 
 One backtracking enumerator lists the fibers of phi, a t-slice at a time.
 enumerate_fiber (one fiber), enumerate_mixed_fiber (one fiber of the full
-presentation map) and fibers_by_multidegree (every fiber within a t-budget)
-are thin wrappers around it.
+presentation map) and rank_fibers (every fiber within a t-budget, as rank
+tuples) are thin wrappers around it; fibers_by_multidegree builds
+PresMonomials from rank_fibers.
 """
 
 from __future__ import annotations
@@ -386,6 +387,25 @@ def enumerate_mixed_fiber(
     ]
 
 
+def rank_fibers(
+    ideals: Sequence[StronglyStableIdeal],
+    t_budget: Sequence[int],
+    forbidden_pairs: Iterable[tuple[int, int]] = (),
+) -> Iterator[tuple[MultiDegree, list[tuple[int, ...]]]]:
+    """fibers_by_multidegree with each monomial as its rank tuple (positions
+    in presentation_variables, non-decreasing), building no objects."""
+    check_t_budget(ideals, t_budget)
+    variables = presentation_variables(ideals)
+    forbidden_pairs = list(forbidden_pairs)
+    for tv in t_vectors(t_budget):
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for x, ranks in _slice_ranks(variables, ideals, tv,
+                                     forbidden_pairs=forbidden_pairs):
+            groups.setdefault(x, []).append(ranks)
+        for x in sorted(groups):
+            yield MultiDegree(x, tv), groups[x]
+
+
 def fibers_by_multidegree(
     ideals: Sequence[StronglyStableIdeal],
     t_budget: Sequence[int],
@@ -396,23 +416,17 @@ def fibers_by_multidegree(
     Yields (multidegree, fiber) pairs in a deterministic order: t-vectors
     lexicographically, x-exponents ascending within each t-slice, each fiber
     canonically sorted. This is what the exhaustive verifier iterates; each
-    fiber is the one enumerate_fiber lists for its multidegree.
+    fiber is the one enumerate_fiber lists for its multidegree, built from
+    the rank tuples of rank_fibers.
 
     forbidden_pairs lists index pairs (i, j) of presentation_variables no
     yielded monomial may contain both factors of (twice the factor when
     i == j). With the lead pairs of a quadratic marking this lists exactly
     the standard monomials, and multidegrees without one are skipped.
     """
-    check_t_budget(ideals, t_budget)
     variables = presentation_variables(ideals)
-    forbidden_pairs = list(forbidden_pairs)
-    for tv in t_vectors(t_budget):
-        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for x, ranks in _slice_ranks(variables, ideals, tv,
-                                     forbidden_pairs=forbidden_pairs):
-            groups.setdefault(x, []).append(ranks)
-        for x in sorted(groups):
-            yield MultiDegree(x, tv), [
-                PresMonomial.from_sorted(tuple(variables[k] for k in ranks))
-                for ranks in groups[x]
-            ]
+    for mu, group in rank_fibers(ideals, t_budget, forbidden_pairs):
+        yield mu, [
+            PresMonomial.from_sorted(tuple(variables[k] for k in ranks))
+            for ranks in group
+        ]

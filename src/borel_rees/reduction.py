@@ -11,14 +11,23 @@ rule-list order from that index. fiber_edges builds every fiber graph of a
 marking from it (reduction graphs here and the verifier's fiber analysis;
 the obstruction scan needs no rules and does not use it), and has_cycle is
 the one cycle detector on graphs. normal_form probes the same index for the
-earliest applicable rule only; it is the one rewriting loop, and with a memo
-it records every monomial on its path with its normal form, so callers
-reducing many monomials under one rule list (the kernel oracle) walk each
-path once. Every rule keeps degree, so that deterministic path stays among
-finitely many monomials: it either ends or returns to a monomial it has
-visited, and normal_form detects the return exactly (RewriteCycle) instead
-of guessing from a step budget. Graphs also carry the longest-path
-invariant used to certify that a marked collection rewrites Noetherianly.
+earliest applicable rule only, and with a memo it records every monomial on
+its path with its normal form, so callers reducing many monomials under one
+rule list walk each path once. Every rule keeps degree, so that
+deterministic path stays among finitely many monomials: it either ends or
+returns to a monomial it has visited, and normal_form detects the return
+exactly (RewriteCycle) instead of guessing from a step budget. Graphs also
+carry the longest-path invariant used to certify that a marked collection
+rewrites Noetherianly.
+
+rank_normal_form is the same loop on int tuples, for the kernel oracle: a
+rule list compiled once by rank_rules writes x_i as atom i - 1 and the
+presentation variable of rank k as atom n + k, so pure and mixed monomials
+are sorted atom tuples and need no objects. Two-atom leads (quadrics,
+syzygies x_i*T_u and lifted fiber leads alike) are keyed by their atom
+pair; any other lead is found by multiset containment. It picks the rule
+normal_form picks, keeps its memo semantics and raises its RewriteCycle
+message, and normal_form stays as its object-level reference.
 """
 
 from __future__ import annotations
@@ -365,6 +374,121 @@ def _earliest_applicable(v, pair_index, generic):
         if g.lead.divides(v):
             return g
     return rule
+
+
+class RankRules(NamedTuple):
+    """A rule list compiled onto a collection's atom alphabet.
+
+    x_i is atom i - 1 and the presentation variable of rank k (its position
+    in presentation_variables) is atom n + k, so pure and mixed monomials
+    are both sorted int tuples. pairs maps each two-atom lead to the
+    (position, lead, trail) of the earliest-listed rule with that lead;
+    others holds (position, lead, trail) of every other rule, in list order.
+    """
+
+    n: int
+    atoms: dict[PresVar, int]
+    variables: tuple[PresVar, ...]
+    pairs: dict[tuple[int, int], tuple[int, tuple[int, ...], tuple[int, ...]]]
+    others: list[tuple[int, tuple[int, ...], tuple[int, ...]]]
+
+    def encode(self, v: PresMonomial | MixedMonomial) -> tuple[int, ...]:
+        """The sorted atom tuple of a pure or mixed presentation monomial."""
+        xs: list[int] = []
+        if isinstance(v, MixedMonomial):
+            xs = [i for i, e in enumerate(v.x_part.exps) for _ in range(e)]
+            v = v.t_part
+        try:
+            return tuple(xs + [self.atoms[f] for f in v.factors])
+        except KeyError as exc:
+            raise ValueError(
+                f"{exc.args[0]} is not a variable of this collection"
+            ) from None
+
+    def label(self, atoms: Sequence[int]) -> str:
+        """The label str() gives the monomial the atoms encode."""
+        exps = [0] * self.n
+        ts = []
+        for a in atoms:
+            if a < self.n:
+                exps[a] += 1
+            else:
+                ts.append(self.variables[a - self.n])
+        return MixedMonomial(
+            Monomial(exps), PresMonomial.from_sorted(tuple(ts))
+        ).label()
+
+
+def rank_rules(
+    rules: Sequence[MarkedBinomial], variables: Sequence[PresVar], n: int
+) -> RankRules:
+    """Compile a pure or mixed rule list onto the atoms of a collection with
+    n ambient variables and presentation_variables `variables`."""
+    compiled = RankRules(
+        n, {v: n + k for k, v in enumerate(variables)}, tuple(variables),
+        {}, [],
+    )
+    for pos, g in enumerate(rules):
+        lead, trail = compiled.encode(g.lead), compiled.encode(g.trail)
+        if len(lead) == 2:
+            compiled.pairs.setdefault(lead, (pos, lead, trail))
+        else:
+            compiled.others.append((pos, lead, trail))
+    return compiled
+
+
+def rank_normal_form(v: tuple[int, ...], rules: RankRules,
+                     memo: dict | None = None) -> tuple[int, ...]:
+    """normal_form on atom tuples: the same rule at every step, the same memo
+    semantics and the same RewriteCycle message.
+
+    Each step probes pairs with every factor pair of the current monomial and
+    scans by multiset containment only the other rules listed before the
+    best hit.
+    """
+    pairs, others = rules.pairs, rules.others
+    path: dict = {}
+    current = v
+    while True:
+        if memo is not None:
+            nf = memo.get(current)
+            if nf is not None:
+                break
+        best, lead, trail = math.inf, None, None
+        if pairs:
+            last = len(current) - 1
+            for i in range(last):
+                a = current[i]
+                for j in range(i + 1, last + 1):
+                    hit = pairs.get((a, current[j]))
+                    if hit is not None and hit[0] < best:
+                        best, lead, trail = hit
+        for pos, other_lead, other_trail in others:
+            if pos > best:
+                break
+            if all(current.count(a) >= other_lead.count(a)
+                   for a in other_lead):
+                lead, trail = other_lead, other_trail
+                break
+        if lead is None:
+            nf = current
+            break
+        path[current] = len(path)
+        rest = list(current)
+        for a in lead:
+            rest.remove(a)
+        rest += trail
+        rest.sort()
+        current = tuple(rest)
+        if current in path:
+            raise RewriteCycle(
+                f"rewriting cycles: {rules.label(current)} recurs after "
+                f"{len(path) - path[current]} steps"
+            )
+    if memo is not None:
+        memo.update(dict.fromkeys(path, nf))
+        memo[current] = nf
+    return nf
 
 
 def to_dot(

@@ -15,7 +15,10 @@ fibers up to an x-degree bound (mixed_fibers, regrouped from the pure
 ones), otherwise the pure fibers of fibers_by_multidegree. The default
 x-degree bound reaches every budgeted t-slice (mixed_x_degree); a note
 names each slice an explicit bound leaves unreached. The kernel oracle
-(toric_kernel_span) pairs up the members of the same fibers.
+(kernel_membership) reduces every member of the same fibers once, on atom
+tuples, and counts a fiber of k members as its C(k, 2) pairs; the pair list
+(toric_kernel_span) and its object-level check (check_membership) stay as
+its reference.
 
 verify_gb picks its method from the marking alone. When a library term order
 orients every rule (orders.marking_order), rewriting strictly descends that
@@ -32,6 +35,7 @@ oracle pair was checked) is "inconclusive", never "certified".
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import os
@@ -50,6 +54,7 @@ from .presentation import (
     content_degree,
     fibers_by_multidegree,
     presentation_variables,
+    rank_fibers,
     t_vectors,
 )
 from .reduction import (
@@ -59,6 +64,8 @@ from .reduction import (
     fiber_edges,
     has_cycle,
     normal_form,
+    rank_normal_form,
+    rank_rules,
     rule_indices,
 )
 
@@ -439,6 +446,68 @@ def check_membership(
                 {"pair": [str(a), str(b)], "normal_forms": [str(na), str(nb)]}
             )
     return len(span_pairs), failures
+
+
+def kernel_membership(
+    rules: Sequence[MarkedBinomial],
+    ideals: Sequence[StronglyStableIdeal],
+    t_budget: Sequence[int],
+    x_degree: int | None = None,
+) -> tuple[int, list[dict]]:
+    """Exactly check_membership(toric_kernel_span(ideals, t_budget,
+    x_degree), rules), a fiber at a time on atom tuples.
+
+    The rules are compiled once (reduction.rank_rules) and every fiber
+    member is reduced once by rank_normal_form, with one memo; a fiber of k
+    members counts C(k, 2) pairs. Only a fiber whose members do not all
+    share one normal form has its pairs walked, in combinations order, for
+    the same failure dicts: the error of the first side that cycles,
+    otherwise both normal forms. Pure fibers come as rank tuples from
+    rank_fibers and mixed ones are encoded from mixed_fibers; monomials are
+    decoded only for failure labels.
+    """
+    check_t_budget(ideals, t_budget)
+    n = ideals[0].n
+    compiled = rank_rules(rules, presentation_variables(ideals), n)
+    if x_degree is None:
+        fibers = (
+            [tuple([n + k for k in ranks]) for ranks in group]
+            for _, group in rank_fibers(ideals, t_budget) if len(group) > 1
+        )
+    else:
+        fibers = (
+            [compiled.encode(v) for v in fiber]
+            for _, fiber in mixed_fibers(ideals, t_budget, x_degree)
+            if len(fiber) > 1
+        )
+    label = functools.cache(compiled.label)
+    memo: dict = {}
+    checked = 0
+    failures = []
+    for fiber in fibers:
+        checked += len(fiber) * (len(fiber) - 1) // 2
+        forms = []
+        for v in fiber:
+            nf = memo.get(v)
+            if nf is None:
+                try:
+                    nf = rank_normal_form(v, compiled, memo)
+                except RewriteCycle as exc:
+                    nf = exc
+            forms.append(nf)
+        first = forms[0]
+        if type(first) is tuple and forms.count(first) == len(forms):
+            continue
+        for (a, na), (b, nb) in itertools.combinations(zip(fiber, forms), 2):
+            pair = [label(a), label(b)]
+            if isinstance(na, RewriteCycle) or isinstance(nb, RewriteCycle):
+                cycle = na if isinstance(na, RewriteCycle) else nb
+                failures.append({"pair": pair, "error": str(cycle)})
+            elif na != nb:
+                failures.append(
+                    {"pair": pair, "normal_forms": [label(na), label(nb)]}
+                )
+    return checked, failures
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from borel_rees import reduction, verifier
 from borel_rees.cli import main
 from borel_rees.paper_cases import CASES, load_expectation, run_case
 
@@ -325,6 +327,24 @@ class TestKernelOracle:
         assert code == 0 and not payload["oracle_failures"]
 
 
+    @pytest.mark.parametrize("basis", ["ht", "fiber-type"])
+    def test_reference_pairs_are_not_built(self, capsys, spec_file, basis):
+        # the command reduces fiber members on atom tuples; the pair list
+        # and the object-level rewriting stay as test references only
+        def unused(*_args, **_kwargs):
+            raise AssertionError("reference called")
+
+        with mock.patch.multiple(verifier, toric_kernel_span=unused,
+                                 check_membership=unused,
+                                 normal_form=unused), \
+                mock.patch.object(reduction, "normal_form", unused):
+            code, payload = run_cli(
+                capsys, "kernel-oracle", "--spec", spec_file(PAIR_SPEC),
+                "--budget", "1,1", "--basis", basis,
+            )
+        assert code == 0 and payload["oracle_binomials_checked"] > 0
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -519,6 +539,27 @@ class TestPaperExamples:
 
     def test_unknown_name(self, capsys):
         assert main(["paper-examples", "ex9.9"]) == 4
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # a negative shift used to run the shift-1 ideals, and an
+            # unused parameter was ignored, both with exit 0
+            (["ex4.2", "--a", "-2"], "parameter 'a' must be >= 0, got -2"),
+            (["ex4.1", "--a", "1", "--c", "-1"],
+             "parameter 'c' must be >= 0, got -1"),
+            (["ex4.2", "--c", "3"],
+             "example ex4.2 does not take parameter 'c'; it takes a, b"),
+            (["ex4.3", "--b", "0"],
+             "example ex4.3 does not take parameter 'b'; it takes a"),
+            (["fig1", "--a", "2"], "example fig1 does not take parameter 'a'"),
+        ],
+    )
+    def test_bad_parameters_exit_four(self, capsys, argv, message):
+        code = main(["paper-examples"] + argv)
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_shifted_family_still_obstructed(self, capsys):
         code, payload = run_cli(

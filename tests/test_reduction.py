@@ -17,6 +17,8 @@ from borel_rees.presentation import (
     enumerate_fiber,
     fibers_by_multidegree,
     phi,
+    presentation_variables,
+    rank_fibers,
 )
 from borel_rees.reduction import (
     GraphShapeError,
@@ -28,11 +30,13 @@ from borel_rees.reduction import (
     lift_to_mixed,
     normal_form,
     o_invariant,
+    rank_normal_form,
+    rank_rules,
     rewrites,
     rule_indices,
     to_dot,
 )
-from borel_rees.verifier import check_membership, toric_kernel_span
+from borel_rees.verifier import check_membership, mixed_fibers, toric_kernel_span
 
 
 def m(text, n):
@@ -591,6 +595,83 @@ class TestMemoizedNormalForms:
         with mock.patch.object(verifier, "normal_form", broken):
             with pytest.raises(TypeError):
                 check_membership(pairs, running_pair_basis)
+
+
+def assert_rank_equivalent(monomials, rules, ideals):
+    """rank_normal_form on atom tuples equals normal_form on objects for
+    every monomial, cycle messages included, and both memos agree."""
+    compiled = rank_rules(rules, presentation_variables(ideals), ideals[0].n)
+    index = rule_indices(rules)
+    memo, rank_memo = {}, {}
+    outcomes = Counter()
+    for v in monomials:
+        try:
+            expected = compiled.encode(normal_form(v, index, memo))
+        except RewriteCycle as exc:
+            expected = str(exc)
+        try:
+            got = rank_normal_form(compiled.encode(v), compiled, rank_memo)
+        except RewriteCycle as exc:
+            got = str(exc)
+        assert got == expected
+        outcomes[type(got).__name__] += 1
+    assert rank_memo == {
+        compiled.encode(u): compiled.encode(nf) for u, nf in memo.items()
+    }
+    return outcomes
+
+
+class TestRankRewriting:
+    """The rank loop picks normal_form's rule at every step, on pure and on
+    mixed monomials."""
+
+    def test_interleaved_pair_and_containment_leads(self, quadric_pair_ideal):
+        # random orientations inside fibers: quadratic leads go to the pair
+        # dict, cubic ones to the containment scan; some markings cycle
+        rng = random.Random(31)
+        ideals = [quadric_pair_ideal]
+        fibers = [f for _, f in fibers_by_multidegree(ideals, (3,))
+                  if len(f) >= 2]
+        monomials = [v for f in fibers for v in f]
+        outcomes = Counter()
+        for _ in range(4):
+            rules = [MarkedBinomial(*rng.sample(f, 2))
+                     for f in rng.sample(fibers, 60)]
+            assert {len(g.lead.factors) for g in rules} == {2, 3}
+            outcomes += assert_rank_equivalent(monomials, rules, ideals)
+        assert set(outcomes) == {"tuple", "str"}
+
+    def test_fiber_type_basis_on_mixed_monomials(self, quadric_pair_ideal,
+                                                 quadric_pair_G1):
+        ideals = [quadric_pair_ideal]
+        rules = build_fiber_type_basis(ideals, quadric_pair_G1)
+        random.Random(32).shuffle(rules)
+        monomials = [v for _, f in mixed_fibers(ideals, (2,), 5) for v in f]
+        assert_rank_equivalent(monomials, rules, ideals)
+        assert_rank_equivalent(monomials, rules[:-15], ideals)
+
+    def test_atoms_round_trip_to_labels(self, running_pair, quadric_pair_ideal):
+        ideals = list(running_pair)
+        n = ideals[0].n
+        compiled = rank_rules([], presentation_variables(ideals), n)
+        pure = [v for _, f in fibers_by_multidegree(ideals, (2, 1)) for v in f]
+        ranks = [r for _, f in rank_fibers(ideals, (2, 1)) for r in f]
+        assert [compiled.encode(v) for v in pure] == [
+            tuple(n + k for k in r) for r in ranks]
+        assert all(compiled.label(compiled.encode(v)) == str(v) for v in pure)
+        ideals = [quadric_pair_ideal]
+        compiled = rank_rules([], presentation_variables(ideals), 5)
+        for _, fiber in mixed_fibers(ideals, (1,), 4):
+            for v in fiber:
+                atoms = compiled.encode(v)
+                assert list(atoms) == sorted(atoms)
+                assert compiled.label(atoms) == str(v)
+
+    def test_foreign_variables_are_rejected(self, running_pair,
+                                            quadric_pair_G1):
+        with pytest.raises(ValueError, match="not a variable of this"):
+            rank_rules(quadric_pair_G1,
+                       presentation_variables(list(running_pair)), 6)
 
 
 class TestMixedReduction:

@@ -5,6 +5,7 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from borel_rees import verifier
 from borel_rees.borel import borel_closure
@@ -13,6 +14,7 @@ from borel_rees.borel import order_view
 from borel_rees.orders import (
     build_G1,
     build_G2,
+    build_G3,
     build_fiber_type_basis,
     build_head_and_tail_basis,
     build_syzygy_set,
@@ -36,6 +38,7 @@ from borel_rees.verifier import (
     analyze_fiber,
     check_membership,
     detect_obstructions,
+    kernel_membership,
     koszul_report,
     mixed_fibers,
     mixed_x_degree,
@@ -352,6 +355,95 @@ class TestCheckMembership:
                                  failure["error"])
             recurring = monomials[match[1]]
             assert g.lead.divides(recurring) or g.trail.divides(recurring)
+
+
+def _kernel_case(name):
+    """(rules, ideals, t_budget, x_degree, failures) of one differential
+    case for kernel_membership."""
+    pair = [borel_closure([m("x4*x5", 6), m("x2*x6", 6)], 6),
+            borel_closure([m("x4^2", 6), m("x3*x6", 6)], 6)]
+    one = [borel_closure([m("x3^2", 5), m("x2*x5", 5)], 5)]
+    b45 = [pair[0]]
+    views = [order_view(i) for i in pair]
+    g1 = build_G1(one[0])
+    fiber_type = build_fiber_type_basis(b45, quadratic_basis_for(b45))
+    return {
+        "ht-21": (build_head_and_tail_basis(*views), pair, (2, 1), None, 0),
+        "ht-22": (build_head_and_tail_basis(*views), pair, (2, 2), None, 0),
+        "g3-21": (build_G3(*views), pair, (2, 1), None, 3370),
+        "g1-3": (g1, one, (3,), None, 0),
+        # G1 with its first rule also listed reversed right after it
+        "cycling-3": ([g1[0], MarkedBinomial(g1[0].trail, g1[0].lead)]
+                      + g1[1:], one, (3,), None, 32),
+        "fiber-type-xdeg4": (fiber_type, b45, (2,), 4, 0),
+        "fiber-type-xdeg6": (fiber_type, b45, (2,), 6, 0),
+        "fiber-type-no-first-syzygy": (fiber_type[1:], b45, (2,), 6, 392),
+    }[name]
+
+
+class TestKernelMembership:
+    """kernel_membership reduces each fiber member once on atom tuples; its
+    (checked, failures) equals check_membership over toric_kernel_span's
+    pairs, the object-level reference, exactly."""
+
+    @pytest.mark.parametrize("name", [
+        "ht-21", "ht-22", "g3-21", "g1-3", "cycling-3", "fiber-type-xdeg4",
+        "fiber-type-xdeg6", "fiber-type-no-first-syzygy",
+    ])
+    def test_equals_the_pair_reference(self, name):
+        rules, ideals, budget, x_degree, failures = _kernel_case(name)
+        expected = check_membership(
+            toric_kernel_span(ideals, budget, x_degree), rules
+        )
+        got = kernel_membership(rules, ideals, budget, x_degree)
+        assert got == expected
+        assert got[0] > 0 and len(got[1]) == failures
+        if name == "cycling-3":
+            assert all("error" in f for f in got[1])
+
+    @pytest.mark.parametrize("budget", [(3,), (4,)])
+    def test_cubic_lead_before_and_after_a_quadric(self, quadric_pair_ideal,
+                                                   quadric_pair_G1, budget):
+        # one cubic lead with a squared factor listed twice, around a
+        # quadric rule whose lead shares a factor with it, and the G1 rules
+        # after them: the containment scan must count multiplicity, stop at
+        # the best pair hit and keep the earliest-listed rule
+        ideals = [quadric_pair_ideal]
+        lead, trails, quad = next(
+            (v, [u for u in f if u != v], g)
+            for _, f in fibers_by_multidegree(ideals, (3,)) if len(f) >= 3
+            for v in f if len(set(v.factors)) == 2
+            for g in quadric_pair_G1 if set(g.lead.factors) & set(v.factors)
+        )
+        first = MarkedBinomial(lead, trails[0])
+        second = MarkedBinomial(lead, trails[1])
+        for rules in ([first, quad, second], [quad, first, second],
+                      [second, quad, first] + quadric_pair_G1,
+                      [quad, second, first] + quadric_pair_G1[::-1]):
+            assert kernel_membership(rules, ideals, budget) == (
+                check_membership(toric_kernel_span(ideals, budget), rules))
+
+    @settings(max_examples=10, deadline=None)
+    @given(budget=st.sampled_from([(1, 1), (2, 1)]), rng=st.randoms(),
+           reverse=st.floats(0.0, 0.3))
+    def test_random_markings_of_the_running_pair(self, running_pair,
+                                                 running_pair_basis, budget,
+                                                 rng, reverse):
+        # subsets and shuffles of ht with some rules reversed: many
+        # markings refute, and many cycle
+        rules = [
+            MarkedBinomial(g.trail, g.lead, g.source)
+            if rng.random() < reverse else g
+            for g in rng.sample(running_pair_basis,
+                                rng.randint(1, len(running_pair_basis)))
+        ]
+        ideals = list(running_pair)
+        assert kernel_membership(rules, ideals, budget) == check_membership(
+            toric_kernel_span(ideals, budget), rules)
+
+    def test_budget_length_is_checked(self, running_pair, running_pair_basis):
+        with pytest.raises(ValueError, match="t budget needs 2 entries"):
+            kernel_membership(running_pair_basis, list(running_pair), (2,))
 
 
 class TestMixedOracle:
