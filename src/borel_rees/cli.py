@@ -53,9 +53,7 @@ def _emit(payload: dict, out_dir: str | None, filename: str = "report.json") -> 
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
     if out_dir:
-        path = Path(out_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / filename).write_text(text)
+        Path(out_dir, filename).write_text(text)
 
 
 def _load_ideals(args: argparse.Namespace):
@@ -281,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="borel-rees",
         description="Strongly stable ideals, toric presentations, and "
-        "fiber-graph certification of explicit Groebner bases.",
+        "bounded certification of explicit Groebner bases by standard "
+        "monomials or fiber graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -310,7 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis",
                    choices=["g1", "g2", "g3", "ht", "fiber-type"])
 
-    p = sub.add_parser("verify", help="exhaustive fiber-graph certification")
+    p = sub.add_parser(
+        "verify",
+        help="exhaustive certification: standard monomials under a term "
+        "order, else fiber graphs",
+    )
     common(p, budget=True, jobs=parallel)
     p.add_argument("--basis", choices=["g1", "g2", "g3", "ht", "fiber-type"])
     p.add_argument("--xdeg", dest="x_degree", type=_parse_x_degree,
@@ -355,6 +358,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help, or a usage error
         return exc.code
     try:
+        # a bad --out fails here, before any work or output
+        if args.out:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.command](args)
     except (InvalidIdeal, MonomialParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

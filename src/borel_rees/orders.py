@@ -11,14 +11,16 @@ of the full presentation.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from typing import Sequence
 
 from .borel import InvalidIdeal, StronglyStableIdeal, TwoQuadricView, order_view
 from .monomial import Monomial, rlex_sort_key
-from .presentation import MixedMonomial, PresMonomial, PresVar, phi
+from .presentation import MixedMonomial, PresMonomial, PresVar
 from .reduction import MarkedBinomial, lift_to_mixed
 
 
@@ -71,7 +73,10 @@ class PresOrder:
         try:
             return self.rank[p]
         except KeyError:
-            raise OrderDomainError(f"{p} outside the {self.kind} order's context")
+            raise self._outside(p)
+
+    def _outside(self, p: PresVar) -> OrderDomainError:
+        return OrderDomainError(f"{p} outside the {self.kind} order's context")
 
     def compare_presvars(self, p: PresVar, q: PresVar) -> int:
         """1 if p > q, -1 if p < q, 0 if equal (lower rank is larger)."""
@@ -81,21 +86,26 @@ class PresOrder:
         return 1 if rp < rq else -1
 
     def compare_presmonomials(self, A: PresMonomial, B: PresMonomial) -> int:
-        """Induced (graded) revlex: 1 if A > B, -1 if A < B, 0 if equal."""
+        """Induced (graded) revlex: 1 if A > B, -1 if A < B, 0 if equal.
+
+        Degrees compare first. For equal degrees the smallest variable whose
+        exponents differ decides, and the side with fewer of it is larger:
+        that is, A > B exactly when A's factor ranks, sorted descending, are
+        the lexicographically smaller list.
+        """
         if A.degree != B.degree:
             return 1 if A.degree > B.degree else -1
-        ea = self._exponents(A)
-        eb = self._exponents(B)
-        for x, y in zip(reversed(ea), reversed(eb)):
-            if x != y:
-                return 1 if x < y else -1
-        return 0
+        ra = self._descending_ranks(A)
+        rb = self._descending_ranks(B)
+        if ra == rb:
+            return 0
+        return 1 if ra < rb else -1
 
-    def _exponents(self, A: PresMonomial) -> list[int]:
-        exps = [0] * len(self.ranked)
-        for f in A.factors:
-            exps[self.var_rank(f)] += 1
-        return exps
+    def _descending_ranks(self, A: PresMonomial) -> list[int]:
+        try:
+            return sorted(map(self.rank.__getitem__, A.factors), reverse=True)
+        except KeyError as exc:
+            raise self._outside(exc.args[0]) from None
 
 
 def _mrlex_chain(view: TwoQuadricView) -> list[Monomial]:
@@ -137,7 +147,7 @@ def marking_order(
                 return False
         except OrderDomainError:
             return False
-        return phi(g.lead, ideals) == phi(g.trail, ideals)
+        return _same_image(g.lead, g.trail)
 
     for order in candidates:
         if all(orients(order, g) for g in rules):
@@ -145,8 +155,21 @@ def marking_order(
     return None
 
 
+def _same_image(A: PresMonomial, B: PresMonomial) -> bool:
+    """phi(A) == phi(B) for two quadrics over the order's ideals: the same
+    ideal index per factor (both are canonically sorted, ideal index first)
+    and the same generator product."""
+    (p, q), (p2, q2) = A.factors, B.factors
+    return (
+        p.ideal_index == p2.ideal_index
+        and q.ideal_index == q2.ideal_index
+        and list(map(add, p.generator.exps, q.generator.exps))
+        == list(map(add, p2.generator.exps, q2.generator.exps))
+    )
+
+
 def _pair_key(p: tuple[PresVar, PresVar]):
-    return tuple(sorted((f.sort_key() for f in p)))
+    return tuple(sorted(f.key for f in p))
 
 
 def _coincident_product_binomials(
@@ -175,19 +198,16 @@ def _coincident_product_binomials(
             if key in seen:
                 continue
             seen.add(key)
-            prod = (p.generator * q.generator).exps
+            prod = tuple(map(add, p.generator.exps, q.generator.exps))
             by_product.setdefault(prod, []).append(pair)
     out = []
     for prod in sorted(by_product):
-        pairs = by_product[prod]
-        for a in range(len(pairs)):
-            for b in range(a + 1, len(pairs)):
-                A = PresMonomial(pairs[a])
-                B = PresMonomial(pairs[b])
-                cmp = order.compare_presmonomials(A, B)
-                lead, trail = (A, B) if cmp > 0 else (B, A)
-                out.append(MarkedBinomial(lead, trail, source))
-    out.sort(key=lambda g: (tuple(f.sort_key() for f in g.lead.factors)))
+        factorizations = [PresMonomial(pair) for pair in by_product[prod]]
+        for A, B in itertools.combinations(factorizations, 2):
+            cmp = order.compare_presmonomials(A, B)
+            lead, trail = (A, B) if cmp > 0 else (B, A)
+            out.append(MarkedBinomial(lead, trail, source))
+    out.sort(key=lambda g: tuple(f.key for f in g.lead.factors))
     return out
 
 

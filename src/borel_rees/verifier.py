@@ -24,10 +24,12 @@ verify_gb picks its method from the marking alone. When a library term order
 orients every rule (orders.marking_order), rewriting strictly descends that
 order, so each fiber graph is acyclic and its sinks are the fiber's standard
 monomials: the certificate is one standard monomial per multidegree, listed
-directly by fibers_by_multidegree with the lead pairs forbidden and no graph
-built. Any other marking, mixed ones included, gets the fiber graphs
-themselves (analyze_fiber, on the rewriting core of reduction), which also
-serve as the differential oracle. The report's notes name the method.
+directly as rank tuples by rank_fibers with the lead pairs forbidden and no
+graph built; only a multidegree whose count is not one has its monomials
+built, for the failure labels. Any other marking, mixed ones included, gets
+the fiber graphs themselves (analyze_fiber, on the rewriting core of
+reduction), which also serve as the differential oracle. The report's notes
+name the method.
 
 A run whose evidence is empty (no checked fiber had two monomials and no
 oracle pair was checked) is "inconclusive", never "certified".
@@ -254,7 +256,8 @@ def verify_gb(
             f"standard monomials under the {order.kind} order; "
             f"{len(rules)} rules oriented, images equal"
         )
-        consume(_standard_monomial_results(pair_index, ideals, t_budget))
+        consume(_standard_monomial_results(pair_index, ideals, t_budget,
+                                            collect_sinks))
         # the other nontrivial fibers are those holding a lead within budget,
         # which shares its fiber with its trail
         report.nontrivial_fiber |= any(
@@ -289,13 +292,25 @@ def verify_gb(
     return report
 
 
-def _standard_monomial_results(pair_index, ideals, t_budget):
+def _standard_monomial_results(pair_index, ideals, t_budget, collect_sinks):
     """Per multidegree: its standard monomials, which are the fiber graph's
     sinks under a term-order marking, with no cycle; their count stands in
-    for the fiber size as a lower bound. pair_index is keyed by the leads."""
-    rank = {v: k for k, v in enumerate(presentation_variables(ideals))}
+    for the fiber size as a lower bound. pair_index is keyed by the leads.
+
+    The standard monomials come as rank tuples from rank_fibers. A
+    multidegree with exactly one is certified by its count alone, so its
+    monomial is handed out unbuilt unless collect_sinks logs it; every other
+    count is a failure, whose sinks are labelled.
+    """
+    variables = presentation_variables(ideals)
+    rank = {v: k for k, v in enumerate(variables)}
     lead_pairs = [(rank[p], rank[q]) for p, q in pair_index]
-    for mu, standard in fibers_by_multidegree(ideals, t_budget, lead_pairs):
+    for mu, standard in rank_fibers(ideals, t_budget, lead_pairs):
+        if collect_sinks or len(standard) != 1:
+            standard = [
+                PresMonomial.from_sorted(tuple([variables[k] for k in ranks]))
+                for ranks in standard
+            ]
         yield mu, standard, False, len(standard)
 
 

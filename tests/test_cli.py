@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from borel_rees import reduction, verifier
+from borel_rees import cli, paper_cases, reduction, verifier
 from borel_rees.cli import main
 from borel_rees.paper_cases import CASES, load_expectation, run_case
 
@@ -406,6 +406,45 @@ class TestUsageErrors:
         code = main(["verify", "--spec", spec_file(SINGLE_SPEC), "--budget",
                      "2", "--order", "mrlex"])
         assert code == 4 and capsys.readouterr().out == ""
+
+
+class TestBadOut:
+    """An --out that cannot be a directory exits 4 before any work: no
+    report on stdout, and the command's work function is never called."""
+
+    @pytest.mark.parametrize(
+        "argv, module, work",
+        [
+            (["verify", "--budget", "1,1"], cli, "verify_gb"),
+            (["kernel-oracle", "--budget", "1,1"], cli, "kernel_membership"),
+            (["paper-examples", "fig4"], paper_cases, "run_case"),
+        ],
+    )
+    def test_existing_file_exits_four_with_empty_stdout(
+        self, capsys, spec_file, argv, module, work
+    ):
+        spec = spec_file(PAIR_SPEC)
+        if argv[0] != "paper-examples":
+            argv = argv + ["--spec", spec]
+
+        def unused(*_args, **_kwargs):
+            raise AssertionError("work started")
+
+        with mock.patch.object(module, work, unused):
+            code = main(argv + ["--out", spec])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert json.loads(Path(spec).read_text()) == PAIR_SPEC
+
+    def test_missing_parents_are_created(self, capsys, spec_file, tmp_path):
+        out_dir = tmp_path / "a" / "b"
+        code = main(["verify", "--spec", spec_file(PAIR_SPEC), "--budget",
+                     "1,1", "--out", str(out_dir)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert (out_dir / "verify.json").read_text() == out
+        assert (out_dir / "basis.jsonl").is_file()
 
 
 class TestSpecSchema:

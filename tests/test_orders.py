@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from borel_rees.borel import borel_closure, order_view
-from borel_rees.monomial import parse_monomial, rlex_sort_key
+from borel_rees.monomial import Monomial, parse_monomial, rlex_sort_key
 from borel_rees.orders import (
     OrderDomainError,
     PresOrder,
@@ -18,7 +19,13 @@ from borel_rees.orders import (
     sink_violations_mrlex,
     sink_violations_rlex,
 )
-from borel_rees.presentation import PresMonomial, PresVar, content, phi
+from borel_rees.presentation import (
+    MixedMonomial,
+    PresMonomial,
+    PresVar,
+    content,
+    phi,
+)
 from borel_rees.reduction import MarkedBinomial
 
 
@@ -309,6 +316,161 @@ class TestMarkingOrder:
         self, quadric_pair_ideal, running_pair_basis
     ):
         assert marking_order(running_pair_basis, [quadric_pair_ideal]) is None
+
+
+def reference_compare(order, A, B):
+    """Graded revlex on exponent vectors over the order's ranking: degrees
+    first, then the last (smallest) variable whose exponents differ, the side
+    with fewer of it being larger."""
+    if A.degree != B.degree:
+        return 1 if A.degree > B.degree else -1
+
+    def exponents(M):
+        exps = [0] * len(order.ranked)
+        for f in M.factors:
+            exps[order.var_rank(f)] += 1
+        return exps
+
+    for x, y in zip(reversed(exponents(A)), reversed(exponents(B))):
+        if x != y:
+            return 1 if x < y else -1
+    return 0
+
+
+def reference_orients(order, g, ideals):
+    """A quadratic presentation lead above its trail, with equal phi images."""
+    if not (isinstance(g.lead, PresMonomial) and g.lead.degree == 2):
+        return False
+    try:
+        if reference_compare(order, g.lead, g.trail) <= 0:
+            return False
+    except OrderDomainError:
+        return False
+    return phi(g.lead, ideals) == phi(g.trail, ideals)
+
+
+def _library_orders(ideals):
+    if len(ideals) == 1:
+        return [PresOrder.rlex(ideals[0]), PresOrder.mrlex(order_view(ideals[0]))]
+    return [PresOrder.head_and_tail(order_view(ideals[0]), order_view(ideals[1]))]
+
+
+class TestRankComparison:
+    """compare_presmonomials on sorted rank lists against exponent vectors."""
+
+    @pytest.mark.parametrize("kind", ["rlex", "mrlex", "ht"])
+    def test_matches_exponent_vector_revlex(
+        self, kind, quadric_pair_ideal, running_pair
+    ):
+        ideals = [quadric_pair_ideal] if kind != "ht" else list(running_pair)
+        order = next(o for o in _library_orders(ideals) if o.kind == kind)
+        rng = random.Random(kind)
+        monomials = [
+            PresMonomial(rng.choices(order.ranked, k=rng.randint(1, 4)))
+            for _ in range(120)
+        ]
+        monomials += monomials[:10]  # equal monomials, built apart
+        for A in monomials:
+            for B in monomials:
+                assert order.compare_presmonomials(A, B) == reference_compare(
+                    order, A, B
+                ), (A, B)
+
+    @pytest.mark.parametrize("kind", ["rlex", "mrlex", "ht"])
+    def test_foreign_variable_raises(self, kind, quadric_pair_ideal, running_pair):
+        ideals = [quadric_pair_ideal] if kind != "ht" else list(running_pair)
+        order = next(o for o in _library_orders(ideals) if o.kind == kind)
+        inside = order.ranked[0]
+        foreign = PresVar(3, inside.generator)
+        A = PresMonomial([inside, foreign])
+        B = PresMonomial([inside, inside])
+        for left, right in ((A, B), (B, A), (A, A)):
+            with pytest.raises(OrderDomainError):
+                order.compare_presmonomials(left, right)
+
+
+class TestMarkingOrderDifferential:
+    """marking_order against the object-level orients on mutated bases."""
+
+    @staticmethod
+    def reference_marking_order(rules, ideals):
+        for order in _library_orders(ideals):
+            if all(reference_orients(order, g, ideals) for g in rules):
+                return order.kind
+        return None
+
+    @staticmethod
+    def found(rules, ideals):
+        order = marking_order(rules, ideals)
+        return order.kind if order is not None else None
+
+    def test_each_rule_reversed_in_turn(self, running_pair, running_pair_basis):
+        ideals = list(running_pair)
+        (order,) = _library_orders(ideals)
+        assert self.found(running_pair_basis, ideals) == "ht"
+        assert all(reference_orients(order, g, ideals) for g in running_pair_basis)
+        for k, g in enumerate(running_pair_basis):
+            flipped = MarkedBinomial(g.trail, g.lead, g.source)
+            assert not reference_orients(order, flipped, ideals)
+            rules = list(running_pair_basis)
+            rules[k] = flipped
+            assert self.found(rules, ideals) is None, g.label(2)
+
+    def test_mutated_rules(self, running_pair, running_pair_basis):
+        ideals = list(running_pair)
+        (order,) = _library_orders(ideals)
+        i1, i2 = running_pair
+        basis = running_pair_basis
+        g1 = next(g for g in basis if g.source == "G1")
+        g3 = next(g for g in basis if g.source == "G3")
+        mutations = {}
+        # a lower trail of the same t-vector with another content
+        k = basis.index(g3)
+        mutations["content"] = (k, MarkedBinomial(g3.lead, next(
+            h.trail for h in basis if h.source == "G3"
+            and phi(h.trail, ideals) != phi(g3.lead, ideals)
+            and reference_compare(order, g3.lead, h.trail) > 0), "G3"))
+        # the same generators in the second ideal: equal content, other t
+        shared = next(
+            g for g in basis if g.source == "G1" and all(
+                f.generator in i2.minimal_generators for f in g.lead.factors))
+        twin = PresMonomial([PresVar(2, f.generator) for f in shared.lead.factors])
+        mutations["t-vector"] = (basis.index(shared),
+                                 MarkedBinomial(shared.lead, twin, "G1"))
+        # a cubic lead, and one mixed lead
+        extra = g1.lead.factors[0]
+        mutations["cubic"] = (0, MarkedBinomial(
+            PresMonomial(g1.lead.factors + (extra,)),
+            PresMonomial(g1.trail.factors + (extra,)), "G1"))
+        one = Monomial.one(6)
+        mutations["mixed"] = (0, MarkedBinomial(
+            MixedMonomial(one, g1.lead), MixedMonomial(one, g1.trail), "G1"))
+        # a factor from a third ideal, in the trail and in the lead
+        stray = PresVar(3, extra.generator)
+        mutations["foreign trail"] = (len(basis) - 1, MarkedBinomial(
+            g1.lead, PresMonomial([g1.trail.factors[0], stray]), "G1"))
+        mutations["foreign lead"] = (len(basis) - 1, MarkedBinomial(
+            PresMonomial([g1.lead.factors[0], stray]), g1.trail, "G1"))
+        assert reference_compare(order, shared.lead, twin) > 0
+        for name, (k, rule) in mutations.items():
+            for rules in (basis[:k] + [rule] + basis[k + 1:],
+                          basis[:k] + [rule] + basis[k:]):
+                expected = self.reference_marking_order(rules, ideals)
+                assert expected is None, name
+                assert self.found(rules, ideals) == expected, name
+
+    def test_single_ideal_candidates(self, quadric_pair_ideal):
+        ideals = [quadric_pair_ideal]
+        view = order_view(quadric_pair_ideal)
+        rng = random.Random(3)
+        for rules in (build_G1(quadric_pair_ideal), build_G2(view)):
+            assert self.found(rules, ideals) == self.reference_marking_order(
+                rules, ideals) is not None
+            for k in rng.sample(range(len(rules)), 5):
+                g = rules[k]
+                flipped = rules[:k] + [MarkedBinomial(g.trail, g.lead)] + rules[k + 1:]
+                assert self.found(flipped, ideals) == \
+                    self.reference_marking_order(flipped, ideals)
 
 
 class TestSinkViolationCheckers:

@@ -3,6 +3,7 @@ import json
 import random
 import re
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -285,6 +286,58 @@ class TestStandardMonomialDifferential:
             rules, list(running_pair), (2, 0), "fiber graphs"
         )
         assert report.verdict == "certified-up-to-bound"
+
+
+class TestStandardMonomialsOnRanks:
+    """The standard-monomial path counts rank tuples; monomials are built
+    only for failure labels and the sink log."""
+
+    @staticmethod
+    def count_built(run):
+        built = []
+        init, from_sorted = PresMonomial.__init__, PresMonomial.from_sorted
+
+        def counting_init(self, factors):
+            built.append(self)
+            init(self, factors)
+
+        def counting_from_sorted(factors):
+            built.append(factors)
+            return from_sorted(factors)
+
+        with mock.patch.object(PresMonomial, "__init__", counting_init), \
+                mock.patch.object(PresMonomial, "from_sorted",
+                                  staticmethod(counting_from_sorted)):
+            report = run()
+        return report, len(built)
+
+    def test_certified_run_builds_no_monomial(
+        self, running_pair, running_pair_basis
+    ):
+        report, built = self.count_built(lambda: verify_gb(
+            running_pair_basis, list(running_pair), (2, 2)))
+        assert report.verdict == "certified-up-to-bound"
+        assert report.notes[0].startswith("standard monomials under the ht")
+        assert report.multidegrees_checked > 0 and built == 0
+        logged, built = self.count_built(lambda: verify_gb(
+            running_pair_basis, list(running_pair), (2, 2),
+            collect_sinks=True))
+        assert built == len(logged.sink_log) == report.multidegrees_checked
+        assert logged.to_json_dict() == report.to_json_dict()
+
+    def test_refuted_runs_build_only_failing_multidegrees(
+        self, running_pair, running_pair_basis
+    ):
+        rng = random.Random(11)
+        for k in (1, 3, 8):
+            rules = _drop_rules(running_pair_basis, rng, k)
+            logged = assert_matches_reference(
+                rules, list(running_pair), (2, 1), "standard")
+            assert logged.verdict == "refuted"
+            report, built = self.count_built(lambda: verify_gb(
+                rules, list(running_pair), (2, 1)))
+            assert report.to_json_dict() == logged.to_json_dict()
+            assert built == sum(len(f.sinks) for f in report.failures)
 
 
 class TestKernelSpan:
