@@ -42,7 +42,6 @@ from .presentation import (
 from .reduction import (
     MarkedBinomial,
     ReductionGraph,
-    RuleIndex,
     applicable_reductions,
     build_graph,
     ell_max,
@@ -50,7 +49,7 @@ from .reduction import (
     has_cycle,
     normal_form,
     o_invariant,
-    rewrites,
+    rank_rewrites,
     rule_indices,
     to_dot,
 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -351,20 +352,39 @@ _HANDLERS = {
 }
 
 
+def _remove_empty(created: list[Path]) -> None:
+    """Remove the given directories, deepest first, while they are empty;
+    one that was never made is skipped."""
+    for path in created:
+        try:
+            os.rmdir(path)
+        except FileNotFoundError:
+            continue
+        except OSError:
+            return
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help, or a usage error
         return exc.code
+    created: list[Path] = []
     try:
         # a bad --out fails here, before any work or output
         if args.out:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-        return _HANDLERS[args.command](args)
+            out = Path(args.out)
+            created = [p for p in (out, *out.parents) if not p.exists()]
+            out.mkdir(parents=True, exist_ok=True)
+        status = _HANDLERS[args.command](args)
     except (InvalidIdeal, MonomialParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        status = EXIT_USAGE
+    if status == EXIT_USAGE:
+        # a refused run leaves no directory of its own behind
+        _remove_empty(created)
+    return status
 
 
 if __name__ == "__main__":

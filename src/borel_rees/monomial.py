@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from functools import reduce
+from operator import le
 from typing import Iterable, Sequence
 
 
@@ -86,7 +87,7 @@ class Monomial:
     def divides(self, other: "Monomial") -> bool:
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n} vs {other.n} variables")
-        return all(a <= b for a, b in zip(self.exps, other.exps))
+        return all(map(le, self.exps, other.exps))
 
     def quotient(self, other: "Monomial") -> "Monomial":
         """self / other, requiring exact divisibility."""

@@ -9,7 +9,8 @@ and models monomials of the full multi-graded presentation ring.
 One backtracking enumerator lists the fibers of phi, a t-slice at a time.
 enumerate_fiber (one fiber), enumerate_mixed_fiber (one fiber of the full
 presentation map) and rank_fibers (every fiber within a t-budget, as rank
-tuples) are thin wrappers around it; fibers_by_multidegree builds
+tuples, or with an x-degree bound every fiber of the full presentation map
+as atom tuples) are thin wrappers around it; fibers_by_multidegree builds
 PresMonomials from rank_fibers.
 """
 
@@ -153,12 +154,16 @@ class PresMonomial:
         return PresMonomial(self.factors + other.factors)
 
     def divides(self, other: "PresMonomial") -> bool:
-        """Multiset containment; factor tuples are sorted, so merge-scan."""
+        """Multiset containment; factor tuples are sorted by key, so
+        merge-scan the keys and stop at the first one past a factor."""
         it = iter(other.factors)
         for f in self.factors:
+            key = f.key
             for g in it:
-                if g == f:
+                if g.key == key:
                     break
+                if g.key > key:
+                    return False
             else:
                 return False
         return True
@@ -391,19 +396,51 @@ def rank_fibers(
     ideals: Sequence[StronglyStableIdeal],
     t_budget: Sequence[int],
     forbidden_pairs: Iterable[tuple[int, int]] = (),
+    x_degree: int | None = None,
 ) -> Iterator[tuple[MultiDegree, list[tuple[int, ...]]]]:
     """fibers_by_multidegree with each monomial as its rank tuple (positions
-    in presentation_variables, non-decreasing), building no objects."""
+    in presentation_variables, non-decreasing), building no objects.
+
+    With x_degree, the fibers of the full presentation map instead, up to
+    that x-degree, each member m*u as its sorted atom tuple: x_i is atom
+    i - 1 and rank k is atom n + k. They come t-slice by t-slice, then by
+    x-degree, then in combinations_with_replacement order of the x-atoms;
+    a fiber holds the slice monomials u whose content divides its x-part,
+    contents in the order of their first monomial and each content's
+    monomials in rank order, with m the rest of the x-part.
+    """
     check_t_budget(ideals, t_budget)
     variables = presentation_variables(ideals)
     forbidden_pairs = list(forbidden_pairs)
+    n = ideals[0].n
     for tv in t_vectors(t_budget):
         groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for x, ranks in _slice_ranks(variables, ideals, tv,
                                      forbidden_pairs=forbidden_pairs):
             groups.setdefault(x, []).append(ranks)
-        for x in sorted(groups):
-            yield MultiDegree(x, tv), groups[x]
+        if x_degree is None:
+            for x in sorted(groups):
+                yield MultiDegree(x, tv), groups[x]
+            continue
+        # a content c and an x-monomial w of the rest make the fiber of c*w
+        members = [
+            (tuple(i for i, e in enumerate(x) for _ in range(e)),
+             [tuple([n + k for k in ranks]) for ranks in group])
+            for x, group in groups.items()
+        ]
+        low = content_degree(ideals, tv)
+        for d in range(low, x_degree + 1):
+            fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+            for c, us in members:
+                for w in itertools.combinations_with_replacement(
+                        range(n), d - low):
+                    fibers.setdefault(tuple(sorted(c + w)), []).extend(
+                        w + u for u in us)
+            for xs in sorted(fibers):
+                exps = [0] * n
+                for i in xs:
+                    exps[i] += 1
+                yield MultiDegree(tuple(exps), tv), fibers[xs]
 
 
 def fibers_by_multidegree(

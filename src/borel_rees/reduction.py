@@ -1,38 +1,39 @@
 """Marked binomials, one-step reductions, and directed reduction graphs.
 
-The engine is generic over the three monomial kinds (ambient Monomial,
-PresMonomial, MixedMonomial): a rule applies to a vertex when its lead
-divides the vertex, and the successor swaps the lead for the trail.
+A rule applies to a monomial when its lead divides it, and the successor
+swaps the lead for the trail. Rules and monomials of all three kinds
+(ambient Monomial, PresMonomial, MixedMonomial) are rewritten by one core,
+on sorted int tuples: rank_rules compiles a rule list once onto the atoms of
+a collection, where x_i is atom i - 1 and the presentation variable of rank
+k is atom n + k, and RankRules.encode and decode translate monomials.
+Two-atom leads (quadrics, syzygies x_i*T_u and lifted fiber leads alike) are
+keyed by their atom pair with every rule of that lead, in list order; any
+other lead is found by multiset containment.
 
-One core finds the rules that apply: rule_indices keys the quadratic
-presentation leads by their factor pair and leaves every other rule to a
-divisibility scan, and rewrites() lists a monomial's one-step reductions in
-rule-list order from that index. fiber_edges builds every fiber graph of a
-marking from it (reduction graphs here and the verifier's fiber analysis;
-the obstruction scan needs no rules and does not use it), and has_cycle is
-the one cycle detector on graphs. normal_form probes the same index for the
-earliest applicable rule only, and with a memo it records every monomial on
-its path with its normal form, so callers reducing many monomials under one
-rule list walk each path once. Every rule keeps degree, so that
-deterministic path stays among finitely many monomials: it either ends or
-returns to a monomial it has visited, and normal_form detects the return
-exactly (RewriteCycle) instead of guessing from a step budget. Graphs also
-carry the longest-path invariant used to certify that a marked collection
-rewrites Noetherianly.
+On that core, rank_rewrites lists every one-step reduction of an atom tuple
+in rule-list order, fiber_edges builds every fiber graph from it (the
+verifier's fiber analysis, and build_graph's reduction graphs for the paper
+cases, the fiber-graph command and the demos), and has_cycle is the one
+cycle detector on graphs. rank_normal_form follows the earliest-listed
+applicable rule only; with a memo it records every monomial on its path
+with its normal form, so callers reducing many monomials under one rule
+list walk each path once. Every rule keeps degree, so that deterministic
+path stays among finitely many monomials: it either ends or returns to a
+monomial it has visited, which raises RewriteCycle exactly instead of
+guessing from a step budget. Graphs also carry the longest-path invariant
+used to certify that a marked collection rewrites Noetherianly.
 
-rank_normal_form is the same loop on int tuples, for the kernel oracle: a
-rule list compiled once by rank_rules writes x_i as atom i - 1 and the
-presentation variable of rank k as atom n + k, so pure and mixed monomials
-are sorted atom tuples and need no objects. Two-atom leads (quadrics,
-syzygies x_i*T_u and lifted fiber leads alike) are keyed by their atom
-pair; any other lead is found by multiset containment. It picks the rule
-normal_form picks, keeps its memo semantics and raises its RewriteCycle
-message, and normal_form stays as its object-level reference.
+applicable_reductions and normal_form are the object-level references: they
+scan the rule list in order with each lead's divides, on the monomials
+themselves. rule_indices splits a rule list into quadratic presentation
+leads keyed by their factor pair and the rest, which is what the
+term-order certificate reads its lead pairs from.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -94,22 +95,11 @@ def lift_to_mixed(rules: Sequence[MarkedBinomial], n: int) -> list[MarkedBinomia
     return out
 
 
-class RuleIndex(NamedTuple):
-    """The leads of a rule list, indexed for finding applicable rules.
-
-    Entries are (position in the list, rule), in list order. pair_index maps
-    the canonical factor pair of each quadratic presentation lead to its
-    rules, so the first entry is the earliest-listed rule with that lead;
-    generic holds every other rule, found by a divisibility scan.
-    """
-
-    pair_index: dict[tuple[PresVar, PresVar], list[tuple[int, MarkedBinomial]]]
-    generic: list[tuple[int, MarkedBinomial]]
-
-
-def rule_indices(rules: Sequence[MarkedBinomial]) -> RuleIndex:
-    """Split rules into a pair index over quadratic presentation leads and a
-    generic remainder scanned by divisibility."""
+def rule_indices(rules: Sequence[MarkedBinomial]):
+    """(pair_index, generic): the rules split by their leads, each entry a
+    (list position, rule), in list order. pair_index maps the canonical
+    factor pair of each quadratic PresMonomial lead to its rules; generic
+    holds every other rule, mixed and ambient leads included."""
     pair_index: dict = {}
     generic = []
     for pos, g in enumerate(rules):
@@ -117,73 +107,17 @@ def rule_indices(rules: Sequence[MarkedBinomial]) -> RuleIndex:
             pair_index.setdefault(g.lead.factors, []).append((pos, g))
         else:
             generic.append((pos, g))
-    return RuleIndex(pair_index, generic)
+    return pair_index, generic
 
 
 def applicable_reductions(v, rules: Sequence[MarkedBinomial]):
     """All one-step reductions of v: (successor, rule) per applicable rule,
-    found by scanning the list in order; the reference for rewrites()."""
+    found by scanning the list in order; the reference for rank_rewrites."""
     out = []
     for g in rules:
         if g.lead.divides(v):
             out.append((v.quotient(g.lead) * g.trail, g))
     return out
-
-
-def rewrites(v, index: RuleIndex, ordered: bool = True):
-    """Every one-step reduction of v as (successor, rule), in list order.
-
-    Probes the pair index with each distinct factor pair of v (equal factors
-    sit next to each other in the canonical order) and scans the generic
-    rules by divisibility; without ordered the hits come in probe order.
-    """
-    pair_index, generic = index
-    hits = []
-    if pair_index:
-        fcs = v.factors
-        for a in range(len(fcs) - 1):
-            if a and fcs[a] == fcs[a - 1]:
-                continue
-            for b in range(a + 1, len(fcs)):
-                if b > a + 1 and fcs[b] == fcs[b - 1]:
-                    continue
-                found = pair_index.get((fcs[a], fcs[b]))
-                if found:
-                    hits += found
-    for pos, g in generic:
-        if g.lead.divides(v):
-            hits.append((pos, g))
-    if ordered and len(hits) > 1:
-        hits.sort(key=itemgetter(0))
-    return [(v.quotient(g.lead) * g.trail, g) for _, g in hits]
-
-
-def fiber_edges(fiber: Sequence, index: RuleIndex, collapse: bool = True):
-    """The out-edges of every fiber member under the indexed rules.
-
-    With collapse, each vertex gets its (target, rules) edges, one per target
-    in ascending order with the rules in list order; without, just the set
-    of targets. A successor outside the fiber raises ValueError.
-    """
-    position = {v: i for i, v in enumerate(fiber)}
-    if len(position) != len(fiber):
-        raise ValueError("duplicate vertices in fiber")
-    edges = []
-    for v in fiber:
-        steps = []
-        for succ, g in rewrites(v, index, ordered=collapse):
-            j = position.get(succ)
-            if j is None:
-                raise ValueError(f"reduction left the fiber: {v} -> {succ}")
-            steps.append((j, g))
-        if not collapse:
-            edges.append({j for j, _ in steps})
-            continue
-        rules: dict[int, list[MarkedBinomial]] = {}
-        for j, g in steps:
-            rules.setdefault(j, []).append(g)
-        edges.append([(j, tuple(rules[j])) for j in sorted(rules)])
-    return edges
 
 
 def has_cycle(successors: Sequence[Iterable[int]]) -> bool:
@@ -238,24 +172,31 @@ def build_graph(
 
     With `start`, vertices are everything reachable by one-step reductions,
     numbered in discovery order. With `fiber`, the vertex set is fixed. Both
-    get every reduction edge from fiber_edges; when the rules preserve the
-    toric image the two constructions agree on fibers, since reductions
-    cannot leave the fiber.
+    get every reduction edge from fiber_edges, on atom tuples over the
+    variables of the rules and the given monomials; vertices are decoded back
+    to the given monomial kind. When the rules preserve the toric image the
+    two constructions agree on fibers, since reductions cannot leave the
+    fiber.
     """
     if (start is None) == (fiber is None):
         raise ValueError("give exactly one of start or fiber")
-    index = rule_indices(rules)
+    given = [start] if start is not None else list(fiber)
+    compiled = _graph_rules(rules, given)
+    atoms = [compiled.encode(v) for v in given]
+    vertices = list(given)
     if start is not None:
-        fiber, todo = [start], [start]
-        seen = {start}
+        seen, todo = set(atoms), list(atoms)
         while todo:
-            for succ, _ in rewrites(todo.pop(), index):
+            for succ, _ in rank_rewrites(todo.pop(), compiled):
                 if succ not in seen:
                     seen.add(succ)
-                    fiber.append(succ)
+                    atoms.append(succ)
                     todo.append(succ)
-    vertices = list(fiber)
-    edges = fiber_edges(vertices, index)
+                    vertices.append(compiled.decode(succ, type(start)))
+    edges = [
+        [(j, tuple(rules[p] for p in positions)) for j, positions in outs]
+        for outs in fiber_edges(atoms, compiled)
+    ]
     return ReductionGraph(
         vertices=vertices,
         index={v: i for i, v in enumerate(vertices)},
@@ -263,6 +204,22 @@ def build_graph(
         sinks=[v for v, outs in zip(vertices, edges) if not outs],
         has_cycle=has_cycle([[j for j, _ in outs] for outs in edges]),
     )
+
+
+def _graph_rules(rules: Sequence[MarkedBinomial], monomials) -> "RankRules":
+    """rank_rules over every presentation variable and the ambient variable
+    count of the rules and the monomials; the alphabet of one graph."""
+    variables: set[PresVar] = set()
+    n = 0
+    for v in [m for g in rules for m in (g.lead, g.trail)] + list(monomials):
+        if isinstance(v, Monomial):
+            n = v.n
+        elif isinstance(v, MixedMonomial):
+            n = v.x_part.n
+            variables.update(v.t_part.factors)
+        else:
+            variables.update(v.factors)
+    return rank_rules(rules, sorted(variables, key=PresVar.sort_key), n)
 
 
 def ell_max(graph: ReductionGraph, v) -> int:
@@ -310,17 +267,11 @@ def o_invariant(v: MixedMonomial) -> int:
     return total
 
 
-def normal_form(v, rules: Sequence[MarkedBinomial] | RuleIndex,
-                memo: dict | None = None):
-    """Rewrite v by the earliest-listed applicable rule until none applies.
-
-    rules is a rule list or its rule_indices(); callers reducing many
-    monomials build the index once. Each step probes the index with the
-    factor pairs of the current monomial and scans only the generic rules
-    listed before the best hit, so the rule applied, and the whole rewrite
-    path, is the one a scan of the list in order would pick. When the
-    collection is a verified Groebner basis the result is the unique sink
-    regardless of rule order.
+def normal_form(v, rules: Sequence[MarkedBinomial], memo: dict | None = None):
+    """Rewrite v by the earliest-listed applicable rule until none applies:
+    the object-level reference for rank_normal_form, scanning the list in
+    order. When the collection is a verified Groebner basis the result is
+    the unique sink regardless of rule order.
 
     The path is kept in visit order; a rewrite back onto it raises
     RewriteCycle naming the monomial that recurs and the cycle's length.
@@ -331,9 +282,6 @@ def normal_form(v, rules: Sequence[MarkedBinomial] | RuleIndex,
     irreducible or already in memo, and every monomial on it is then
     recorded; a cycling path records nothing.
     """
-    pair_index, generic = (
-        rules if isinstance(rules, RuleIndex) else rule_indices(rules)
-    )
     path: dict = {}
     current = v
     while True:
@@ -341,12 +289,14 @@ def normal_form(v, rules: Sequence[MarkedBinomial] | RuleIndex,
             nf = memo.get(current)
             if nf is not None:
                 break
-        g = _earliest_applicable(current, pair_index, generic)
-        if g is None:
+        for rule in rules:
+            if rule.lead.divides(current):
+                break
+        else:
             nf = current
             break
         path[current] = len(path)
-        current = current.quotient(g.lead) * g.trail
+        current = current.quotient(rule.lead) * rule.trail
         if current in path:
             raise RewriteCycle(
                 f"rewriting cycles: {current} recurs after "
@@ -358,42 +308,27 @@ def normal_form(v, rules: Sequence[MarkedBinomial] | RuleIndex,
     return nf
 
 
-def _earliest_applicable(v, pair_index, generic):
-    """The earliest-listed rule whose lead divides v, or None."""
-    best, rule = math.inf, None
-    if pair_index:
-        fcs = v.factors
-        for a in range(len(fcs) - 1):
-            for b in range(a + 1, len(fcs)):
-                hits = pair_index.get((fcs[a], fcs[b]))
-                if hits and hits[0][0] < best:
-                    best, rule = hits[0]
-    for pos, g in generic:
-        if pos > best:
-            break
-        if g.lead.divides(v):
-            return g
-    return rule
-
-
 class RankRules(NamedTuple):
     """A rule list compiled onto a collection's atom alphabet.
 
     x_i is atom i - 1 and the presentation variable of rank k (its position
-    in presentation_variables) is atom n + k, so pure and mixed monomials
-    are both sorted int tuples. pairs maps each two-atom lead to the
-    (position, lead, trail) of the earliest-listed rule with that lead;
+    in presentation_variables) is atom n + k, so ambient, pure and mixed
+    monomials are all sorted int tuples. pairs maps each two-atom lead to
+    the (position, lead, trail) of every rule with that lead, in list order;
     others holds (position, lead, trail) of every other rule, in list order.
     """
 
     n: int
     atoms: dict[PresVar, int]
     variables: tuple[PresVar, ...]
-    pairs: dict[tuple[int, int], tuple[int, tuple[int, ...], tuple[int, ...]]]
+    pairs: dict[tuple[int, int], list[tuple[int, tuple[int, ...], tuple[int, ...]]]]
     others: list[tuple[int, tuple[int, ...], tuple[int, ...]]]
 
-    def encode(self, v: PresMonomial | MixedMonomial) -> tuple[int, ...]:
-        """The sorted atom tuple of a pure or mixed presentation monomial."""
+    def encode(self, v: Monomial | PresMonomial | MixedMonomial) -> tuple[int, ...]:
+        """The sorted atom tuple of a monomial; an ambient Monomial has
+        x-atoms only."""
+        if isinstance(v, Monomial):
+            return tuple(i for i, e in enumerate(v.exps) for _ in range(e))
         xs: list[int] = []
         if isinstance(v, MixedMonomial):
             xs = [i for i, e in enumerate(v.x_part.exps) for _ in range(e)]
@@ -405,25 +340,30 @@ class RankRules(NamedTuple):
                 f"{exc.args[0]} is not a variable of this collection"
             ) from None
 
+    def decode(self, atoms: Sequence[int], kind: type = MixedMonomial):
+        """The monomial of the given kind (Monomial, PresMonomial or
+        MixedMonomial) that the atoms encode."""
+        split = bisect_left(atoms, self.n)
+        xs = atoms[:split]
+        exps = [xs.count(i) for i in range(self.n)]
+        if kind is Monomial:
+            return Monomial(exps)
+        t_part = PresMonomial.from_sorted(
+            tuple([self.variables[a - self.n] for a in atoms[split:]]))
+        if kind is PresMonomial:
+            return t_part
+        return MixedMonomial(Monomial(exps), t_part)
+
     def label(self, atoms: Sequence[int]) -> str:
         """The label str() gives the monomial the atoms encode."""
-        exps = [0] * self.n
-        ts = []
-        for a in atoms:
-            if a < self.n:
-                exps[a] += 1
-            else:
-                ts.append(self.variables[a - self.n])
-        return MixedMonomial(
-            Monomial(exps), PresMonomial.from_sorted(tuple(ts))
-        ).label()
+        return self.decode(atoms).label()
 
 
 def rank_rules(
     rules: Sequence[MarkedBinomial], variables: Sequence[PresVar], n: int
 ) -> RankRules:
-    """Compile a pure or mixed rule list onto the atoms of a collection with
-    n ambient variables and presentation_variables `variables`."""
+    """Compile a rule list onto the atoms of a collection with n ambient
+    variables and presentation_variables `variables`."""
     compiled = RankRules(
         n, {v: n + k for k, v in enumerate(variables)}, tuple(variables),
         {}, [],
@@ -431,18 +371,95 @@ def rank_rules(
     for pos, g in enumerate(rules):
         lead, trail = compiled.encode(g.lead), compiled.encode(g.trail)
         if len(lead) == 2:
-            compiled.pairs.setdefault(lead, (pos, lead, trail))
+            compiled.pairs.setdefault(lead, []).append((pos, lead, trail))
         else:
             compiled.others.append((pos, lead, trail))
     return compiled
 
 
+def _contains(v: tuple[int, ...], lead: tuple[int, ...]) -> bool:
+    """Multiset containment of atom tuples."""
+    return all(v.count(a) >= lead.count(a) for a in lead)
+
+
+def _apply(v: tuple[int, ...], lead: tuple[int, ...],
+           trail: tuple[int, ...]) -> tuple[int, ...]:
+    """v with lead replaced by trail, sorted."""
+    rest = list(v)
+    for a in lead:
+        rest.remove(a)
+    rest += trail
+    rest.sort()
+    return tuple(rest)
+
+
+def rank_rewrites(v: tuple[int, ...],
+                  rules: RankRules) -> list[tuple[tuple[int, ...], int]]:
+    """Every one-step reduction of an atom tuple as (successor, rule
+    position), in rule-list order.
+
+    Probes pairs with each distinct atom pair of v (equal atoms sit next to
+    each other) and scans the other rules by multiset containment.
+    """
+    hits = []
+    pairs = rules.pairs
+    if pairs:
+        last = len(v) - 1
+        for i in range(last):
+            a = v[i]
+            if i and a == v[i - 1]:
+                continue
+            for j in range(i + 1, last + 1):
+                if j > i + 1 and v[j] == v[j - 1]:
+                    continue
+                found = pairs.get((a, v[j]))
+                if found:
+                    hits += found
+    for entry in rules.others:
+        if _contains(v, entry[1]):
+            hits.append(entry)
+    if len(hits) > 1:
+        hits.sort(key=itemgetter(0))
+    return [(_apply(v, lead, trail), pos) for pos, lead, trail in hits]
+
+
+def fiber_edges(fiber: Sequence[tuple[int, ...]], rules: RankRules,
+                collapse: bool = True):
+    """The out-edges of every member of a fiber of atom tuples.
+
+    With collapse, each vertex gets its (target, rule positions) edges, one
+    per target in ascending order with the positions in list order; without,
+    just the set of targets. A successor outside the fiber raises
+    ValueError.
+    """
+    position = {v: i for i, v in enumerate(fiber)}
+    if len(position) != len(fiber):
+        raise ValueError("duplicate vertices in fiber")
+    edges = []
+    for v in fiber:
+        targets: dict[int, list[int]] = {}
+        for succ, pos in rank_rewrites(v, rules):
+            j = position.get(succ)
+            if j is None:
+                raise ValueError(
+                    f"reduction left the fiber: {rules.label(v)} -> "
+                    f"{rules.label(succ)}"
+                )
+            targets.setdefault(j, []).append(pos)
+        if collapse:
+            edges.append([(j, tuple(targets[j])) for j in sorted(targets)])
+        else:
+            edges.append(set(targets))
+    return edges
+
+
 def rank_normal_form(v: tuple[int, ...], rules: RankRules,
                      memo: dict | None = None) -> tuple[int, ...]:
-    """normal_form on atom tuples: the same rule at every step, the same memo
-    semantics and the same RewriteCycle message.
+    """Rewrite an atom tuple by the earliest-listed applicable rule until
+    none applies, with normal_form's memo semantics and RewriteCycle
+    message.
 
-    Each step probes pairs with every factor pair of the current monomial and
+    Each step probes pairs with every atom pair of the current monomial and
     scans by multiset containment only the other rules listed before the
     best hit.
     """
@@ -461,25 +478,19 @@ def rank_normal_form(v: tuple[int, ...], rules: RankRules,
                 a = current[i]
                 for j in range(i + 1, last + 1):
                     hit = pairs.get((a, current[j]))
-                    if hit is not None and hit[0] < best:
-                        best, lead, trail = hit
+                    if hit is not None and hit[0][0] < best:
+                        best, lead, trail = hit[0]
         for pos, other_lead, other_trail in others:
             if pos > best:
                 break
-            if all(current.count(a) >= other_lead.count(a)
-                   for a in other_lead):
+            if _contains(current, other_lead):
                 lead, trail = other_lead, other_trail
                 break
         if lead is None:
             nf = current
             break
         path[current] = len(path)
-        rest = list(current)
-        for a in lead:
-            rest.remove(a)
-        rest += trail
-        rest.sort()
-        current = tuple(rest)
+        current = _apply(current, lead, trail)
         if current in path:
             raise RewriteCycle(
                 f"rewriting cycles: {rules.label(current)} recurs after "

@@ -11,25 +11,26 @@ with no rewriting.
 One verifier serves the pure and the mixed presentation, and the rules pick
 the fibers: when some lead is a MixedMonomial (the fiber-type basis of
 syzygies plus the lifted fiber basis) they are the full presentation's
-fibers up to an x-degree bound (mixed_fibers, regrouped from the pure
-ones), otherwise the pure fibers of fibers_by_multidegree. The default
-x-degree bound reaches every budgeted t-slice (mixed_x_degree); a note
-names each slice an explicit bound leaves unreached. The kernel oracle
-(kernel_membership) reduces every member of the same fibers once, on atom
-tuples, and counts a fiber of k members as its C(k, 2) pairs; the pair list
-(toric_kernel_span) and its object-level check (check_membership) stay as
-its reference.
+fibers up to an x-degree bound, otherwise the pure fibers. Both come as
+atom tuples from the one enumerator (presentation.rank_fibers), and
+mixed_fibers only decodes them. The default x-degree bound reaches every
+budgeted t-slice (mixed_x_degree); a note names each slice an explicit
+bound leaves unreached. The kernel oracle (kernel_membership) reduces every
+member of the same fibers once, on atom tuples, and counts a fiber of k
+members as its C(k, 2) pairs; the pair list (toric_kernel_span) and its
+object-level check (check_membership) stay as its reference.
 
 verify_gb picks its method from the marking alone. When a library term order
 orients every rule (orders.marking_order), rewriting strictly descends that
 order, so each fiber graph is acyclic and its sinks are the fiber's standard
 monomials: the certificate is one standard monomial per multidegree, listed
 directly as rank tuples by rank_fibers with the lead pairs forbidden and no
-graph built; only a multidegree whose count is not one has its monomials
-built, for the failure labels. Any other marking, mixed ones included, gets
-the fiber graphs themselves (analyze_fiber, on the rewriting core of
-reduction), which also serve as the differential oracle. The report's notes
-name the method.
+graph built. Any other marking, mixed ones included, gets the fiber graphs
+themselves, built on atom tuples by the one rewriting core of reduction
+(rank_rules once, then fiber_edges per fiber, in each pool worker too).
+Either way only a multidegree whose check fails has its monomials built,
+for the failure labels. analyze_fiber is the object-level fiber graph, kept
+as the reference. The report's notes name the method.
 
 A run whose evidence is empty (no checked fiber had two monomials and no
 oracle pair was checked) is "inconclusive", never "certified".
@@ -43,10 +44,10 @@ import multiprocessing
 import os
 import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .borel import StronglyStableIdeal, collection_spec, order_view
-from .monomial import Monomial
 from .orders import build_G1, build_head_and_tail_basis, marking_order
 from .presentation import (
     MixedMonomial,
@@ -62,7 +63,7 @@ from .presentation import (
 from .reduction import (
     MarkedBinomial,
     RewriteCycle,
-    RuleIndex,
+    applicable_reductions,
     fiber_edges,
     has_cycle,
     normal_form,
@@ -164,8 +165,19 @@ class ObstructionWitness:
 
 
 def analyze_fiber(fiber: Sequence, pair_index, generic):
-    """(sink vertex indexes, cycle flag) for one fiber under the rule set."""
-    edges = fiber_edges(fiber, RuleIndex(pair_index, generic), collapse=False)
+    """(sink vertex indexes, cycle flag) of one fiber's graph under the rules
+    rule_indices split into pair_index and generic: the object-level
+    reference, every edge found by applicable_reductions."""
+    rules = [g for _, g in sorted(
+        itertools.chain(generic, *pair_index.values()), key=itemgetter(0))]
+    position = {v: i for i, v in enumerate(fiber)}
+    edges = []
+    for v in fiber:
+        targets = {position.get(succ) for succ, _ in
+                   applicable_reductions(v, rules)}
+        if None in targets:
+            raise ValueError(f"reduction left the fiber from {v}")
+        edges.append(targets)
     return [i for i, outs in enumerate(edges) if not outs], has_cycle(edges)
 
 
@@ -173,21 +185,21 @@ def analyze_fiber(fiber: Sequence, pair_index, generic):
 _POOL_RULES = None
 
 
-def _pool_init(rules):
+def _pool_init(rules, variables, n):
     global _POOL_RULES
-    _POOL_RULES = rule_indices(rules)
+    _POOL_RULES = rank_rules(rules, variables, n)
 
 
 def _pool_work(chunk):
-    pair_index, generic = _POOL_RULES
-    return [_fiber_graph_result(mu, fiber, pair_index, generic)
-            for mu, fiber in chunk]
+    return [_fiber_graph_result(mu, fiber, _POOL_RULES) for mu, fiber in chunk]
 
 
-def _fiber_graph_result(mu, fiber, pair_index, generic):
-    """(multidegree, sink monomials, cycle flag, fiber size) of one fiber."""
-    sinks, cyc = analyze_fiber(fiber, pair_index, generic)
-    return mu, [fiber[i] for i in sinks], cyc, len(fiber)
+def _fiber_graph_result(mu, fiber, compiled):
+    """(multidegree, sink atom tuples, cycle flag, fiber size) of one fiber
+    of atom tuples."""
+    edges = fiber_edges(fiber, compiled, collapse=False)
+    sinks = [fiber[i] for i, outs in enumerate(edges) if not outs]
+    return mu, sinks, has_cycle(edges), len(fiber)
 
 
 def _chunks(it: Iterable, size: int) -> Iterator[list]:
@@ -217,11 +229,11 @@ def verify_gb(
     MixedMonomial (mixed_x_degree), the pure presentation's otherwise. When
     a library term order orients every rule, that is checked by listing the
     standard monomials (serially, whatever jobs says); otherwise the fiber
-    graphs are built, chunked over a process pool when jobs > 1, with one
-    worker per CPU at most. Chunks are merged in submission order, so
-    reports are byte-identical for any worker count. jobs below 1, or a
-    t_budget without one entry per ideal, raises ValueError before any
-    work starts.
+    graphs are built on atom tuples, chunked over a process pool when
+    jobs > 1, with one worker per CPU at most. Chunks are merged in
+    submission order, so reports are byte-identical for any worker count.
+    jobs below 1, or a t_budget without one entry per ideal, raises
+    ValueError before any work starts.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -230,34 +242,40 @@ def verify_gb(
         ideals=collection_spec(ideals), t_budget=tuple(t_budget)
     )
     sink_log: list[tuple[MultiDegree, PresMonomial | MixedMonomial]] = []
-    pair_index, generic = rule_indices(rules)
+    pair_index, _ = rule_indices(rules)
     x_degree = mixed_x_degree(rules, ideals, t_budget, x_degree)
     order = marking_order(rules, ideals) if x_degree is None else None
 
-    def consume(results):
-        for mu, sink_vertices, cyc, size in results:
+    def consume(results, decode):
+        # sinks come undecoded; only a failure or the sink log builds them
+        for mu, sinks, cyc, size in results:
             report.multidegrees_checked += 1
             if progress and report.multidegrees_checked % 2000 == 0:
                 progress(report.multidegrees_checked)
             if size >= 2:
                 report.nontrivial_fiber = True
-            ok = not cyc and len(sink_vertices) == 1
-            if not ok:
-                report.failures.append(
-                    FiberFailure(
-                        mu, [v.label(len(mu.t_exps)) for v in sink_vertices], cyc
-                    )
-                )
+            if cyc or len(sinks) != 1:
+                report.failures.append(FiberFailure(
+                    mu, [decode(v).label(len(mu.t_exps)) for v in sinks], cyc
+                ))
             elif collect_sinks:
-                sink_log.append((mu, sink_vertices[0]))
+                sink_log.append((mu, decode(sinks[0])))
 
+    variables = presentation_variables(ideals)
     if order is not None:
         report.notes.append(
             f"standard monomials under the {order.kind} order; "
             f"{len(rules)} rules oriented, images equal"
         )
-        consume(_standard_monomial_results(pair_index, ideals, t_budget,
-                                            collect_sinks))
+        rank = {v: k for k, v in enumerate(variables)}
+        lead_pairs = [(rank[p], rank[q]) for p, q in pair_index]
+        # the standard monomials of a multidegree are its fiber graph's
+        # sinks, with no cycle; their count stands in for the fiber size as
+        # a lower bound
+        consume(((mu, standard, False, len(standard)) for mu, standard
+                 in rank_fibers(ideals, t_budget, lead_pairs)),
+                lambda ranks: PresMonomial.from_sorted(
+                    tuple([variables[k] for k in ranks])))
         # the other nontrivial fibers are those holding a lead within budget,
         # which shares its fiber with its trail
         report.nontrivial_fiber |= any(
@@ -273,45 +291,27 @@ def verify_gb(
         else:
             report.notes.append(f"mixed fibers up to x-degree {x_degree}")
             report.notes += unreached_slice_notes(ideals, t_budget, x_degree)
-        fibers = _fibers(ideals, t_budget, x_degree)
+        n = ideals[0].n
+        compiled = rank_rules(rules, variables, n)
+        decode = functools.partial(
+            compiled.decode,
+            kind=PresMonomial if x_degree is None else MixedMonomial,
+        )
+        fibers = _atom_fibers(ideals, t_budget, x_degree)
         if jobs <= 1:
-            consume(
-                _fiber_graph_result(mu, fiber, pair_index, generic)
-                for mu, fiber in fibers
-            )
+            consume((_fiber_graph_result(mu, fiber, compiled)
+                     for mu, fiber in fibers), decode)
         else:
             with multiprocessing.Pool(
                 processes=min(jobs, os.cpu_count() or 1),
                 initializer=_pool_init,
-                initargs=(list(rules),),
+                initargs=(list(rules), variables, n),
             ) as pool:
                 for results in pool.imap(_pool_work, _chunks(fibers, 256)):
-                    consume(results)
+                    consume(results, decode)
     if collect_sinks:
         report.sink_log = sink_log
     return report
-
-
-def _standard_monomial_results(pair_index, ideals, t_budget, collect_sinks):
-    """Per multidegree: its standard monomials, which are the fiber graph's
-    sinks under a term-order marking, with no cycle; their count stands in
-    for the fiber size as a lower bound. pair_index is keyed by the leads.
-
-    The standard monomials come as rank tuples from rank_fibers. A
-    multidegree with exactly one is certified by its count alone, so its
-    monomial is handed out unbuilt unless collect_sinks logs it; every other
-    count is a failure, whose sinks are labelled.
-    """
-    variables = presentation_variables(ideals)
-    rank = {v: k for k, v in enumerate(variables)}
-    lead_pairs = [(rank[p], rank[q]) for p, q in pair_index]
-    for mu, standard in rank_fibers(ideals, t_budget, lead_pairs):
-        if collect_sinks or len(standard) != 1:
-            standard = [
-                PresMonomial.from_sorted(tuple([variables[k] for k in ranks]))
-                for ranks in standard
-            ]
-        yield mu, standard, False, len(standard)
 
 
 def mixed_x_degree(
@@ -364,11 +364,16 @@ def unreached_slice_notes(
             f"{unreached}"]
 
 
-def _fibers(ideals, t_budget, x_degree):
-    """The pure fibers, or the mixed ones up to x_degree when it is given."""
-    if x_degree is None:
-        return fibers_by_multidegree(ideals, t_budget)
-    return mixed_fibers(ideals, t_budget, x_degree)
+def _atom_fibers(ideals, t_budget, x_degree):
+    """(multidegree, fiber of atom tuples): the pure fibers, or the mixed
+    ones up to x_degree when it is given, from rank_fibers."""
+    if x_degree is not None:
+        return rank_fibers(ideals, t_budget, x_degree=x_degree)
+    n = ideals[0].n
+    return (
+        (mu, [tuple([n + k for k in ranks]) for ranks in group])
+        for mu, group in rank_fibers(ideals, t_budget)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +391,14 @@ def toric_kernel_span(
     the oracle side of every certification. With x_degree the pairs are
     those of the full presentation's fibers up to that x-degree.
     """
+    if x_degree is None:
+        fibers = fibers_by_multidegree(ideals, t_budget)
+    else:
+        fibers = mixed_fibers(ideals, t_budget, x_degree)
     pairs = []
-    for _, fiber in _fibers(ideals, t_budget, x_degree):
+    for _, fiber in fibers:
         pairs += itertools.combinations(fiber, 2)
     return pairs
-
-
-def _monomials_of_degree(n: int, d: int) -> Iterator[Monomial]:
-    for combo in itertools.combinations_with_replacement(range(n), d):
-        exps = [0] * n
-        for k in combo:
-            exps[k] += 1
-        yield Monomial(exps)
 
 
 def mixed_fibers(
@@ -405,32 +406,11 @@ def mixed_fibers(
     t_budget: Sequence[int],
     x_degree: int,
 ) -> Iterator[tuple[MultiDegree, list[MixedMonomial]]]:
-    """Fibers of the full presentation map, x-degree bounded.
-
-    Each t-slice of fibers_by_multidegree groups the presentation monomials
-    u by their content. For each ambient monomial m of degree up to
-    x_degree, the fiber collects every (m / content(u)) * u with content(u)
-    dividing m: contents in the order of their first monomial, which is
-    their canonical order, and each content's monomials in fiber order.
-    """
-    n = ideals[0].n
-    slices = itertools.groupby(fibers_by_multidegree(ideals, t_budget),
-                               key=lambda item: item[0].t_exps)
-    for tv, groups in slices:
-        by_content = sorted(
-            ((Monomial(mu.x_exps), us) for mu, us in groups),
-            key=lambda cu: [f.sort_key() for f in cu[1][0].factors],
-        )
-        min_deg = min(c.degree for c, _ in by_content)
-        for d in range(min_deg, x_degree + 1):
-            for mu_x in _monomials_of_degree(n, d):
-                fiber = [
-                    MixedMonomial(mu_x.quotient(c), u)
-                    for c, us in by_content if c.divides(mu_x)
-                    for u in us
-                ]
-                if fiber:
-                    yield MultiDegree(mu_x.exps, tv), fiber
+    """Fibers of the full presentation map, x-degree bounded: the mixed
+    fibers of rank_fibers, each member decoded to a MixedMonomial."""
+    decode = rank_rules((), presentation_variables(ideals), ideals[0].n).decode
+    for mu, fiber in rank_fibers(ideals, t_budget, x_degree=x_degree):
+        yield mu, [decode(atoms) for atoms in fiber]
 
 
 def check_membership(
@@ -440,19 +420,18 @@ def check_membership(
     """Reduce both sides of every pair; a pair passes when the normal forms
     coincide.
 
-    The rules are indexed once. One memo serves every normal_form call, so
-    each monomial on a rewrite path is reduced once across all pairs; a side
+    One memo serves every normal_form call (the in-order scan), so each
+    monomial on a rewrite path is reduced once across all pairs; a side
     already in it is looked up here without a call. A side whose rewriting
     cycles makes its pair an "error" failure naming the monomial that
     recurs; any other exception propagates.
     """
-    index = rule_indices(rules)
     memo: dict = {}
     failures = []
     for a, b in span_pairs:
         try:
-            na = memo.get(a) or normal_form(a, index, memo)
-            nb = memo.get(b) or normal_form(b, index, memo)
+            na = memo.get(a) or normal_form(a, rules, memo)
+            nb = memo.get(b) or normal_form(b, rules, memo)
         except RewriteCycle as exc:
             failures.append({"pair": [str(a), str(b)], "error": str(exc)})
             continue
@@ -477,24 +456,13 @@ def kernel_membership(
     members counts C(k, 2) pairs. Only a fiber whose members do not all
     share one normal form has its pairs walked, in combinations order, for
     the same failure dicts: the error of the first side that cycles,
-    otherwise both normal forms. Pure fibers come as rank tuples from
-    rank_fibers and mixed ones are encoded from mixed_fibers; monomials are
-    decoded only for failure labels.
+    otherwise both normal forms. Pure and mixed fibers alike come as atom
+    tuples from rank_fibers; monomials are decoded only for failure labels.
     """
     check_t_budget(ideals, t_budget)
-    n = ideals[0].n
-    compiled = rank_rules(rules, presentation_variables(ideals), n)
-    if x_degree is None:
-        fibers = (
-            [tuple([n + k for k in ranks]) for ranks in group]
-            for _, group in rank_fibers(ideals, t_budget) if len(group) > 1
-        )
-    else:
-        fibers = (
-            [compiled.encode(v) for v in fiber]
-            for _, fiber in mixed_fibers(ideals, t_budget, x_degree)
-            if len(fiber) > 1
-        )
+    compiled = rank_rules(rules, presentation_variables(ideals), ideals[0].n)
+    fibers = (fiber for _, fiber in _atom_fibers(ideals, t_budget, x_degree)
+              if len(fiber) > 1)
     label = functools.cache(compiled.label)
     memo: dict = {}
     checked = 0

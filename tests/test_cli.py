@@ -344,6 +344,28 @@ class TestKernelOracle:
             )
         assert code == 0 and payload["oracle_binomials_checked"] > 0
 
+    @pytest.mark.parametrize("command, count", [
+        ("kernel-oracle", "oracle_binomials_checked"),
+        ("verify", "multidegrees_checked"),
+    ])
+    def test_fiber_type_runs_use_no_object_reference(self, capsys, spec_file,
+                                                     command, count):
+        # both commands work on atom tuples from the one enumerator; the
+        # object-level fibers, rewriting and fiber graphs stay references
+        def unused(*_args, **_kwargs):
+            raise AssertionError("reference called")
+
+        references = dict(mixed_fibers=unused, normal_form=unused,
+                          analyze_fiber=unused, applicable_reductions=unused)
+        with mock.patch.multiple(verifier, **references), \
+                mock.patch.multiple(reduction, normal_form=unused,
+                                    applicable_reductions=unused):
+            code, payload = run_cli(
+                capsys, command, "--spec", spec_file(SINGLE_SPEC),
+                "--budget", "2", "--basis", "fiber-type", "--xdeg", "5",
+            )
+        assert code == 0 and payload[count] > 0
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -436,6 +458,37 @@ class TestBadOut:
         assert code == 4 and captured.out == ""
         assert captured.err.startswith("error: ")
         assert json.loads(Path(spec).read_text()) == PAIR_SPEC
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--spec", "missing.json"],
+        ["fiber-graph", "--mu", "x9"],
+    ])
+    def test_refused_run_removes_the_directories_it_made(
+        self, capsys, spec_file, tmp_path, argv
+    ):
+        if argv[0] == "fiber-graph":
+            argv = argv + ["--spec", spec_file(PAIR_SPEC)]
+        else:
+            argv = [a.replace("missing.json", str(tmp_path / "missing.json"))
+                    for a in argv]
+        (tmp_path / "kept").mkdir()
+        for out in (tmp_path / "new" / "dir", tmp_path / "kept" / "a" / "b"):
+            code = main(argv + ["--out", str(out)])
+            assert code == 4 and capsys.readouterr().out == ""
+        # the made directories go, deepest first; the existing parent stays
+        assert not (tmp_path / "new").exists()
+        assert (tmp_path / "kept").is_dir()
+        assert not any((tmp_path / "kept").iterdir())
+
+    def test_refused_run_leaves_an_existing_out_alone(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "old.json").write_text("{}")
+        code = main(["verify", "--spec", str(tmp_path / "missing.json"),
+                     "--out", str(out)])
+        assert code == 4 and capsys.readouterr().out == ""
+        assert [p.name for p in out.iterdir()] == ["old.json"]
+        assert (out / "old.json").read_text() == "{}"
 
     def test_missing_parents_are_created(self, capsys, spec_file, tmp_path):
         out_dir = tmp_path / "a" / "b"

@@ -31,8 +31,8 @@ from borel_rees.reduction import (
     normal_form,
     o_invariant,
     rank_normal_form,
+    rank_rewrites,
     rank_rules,
-    rewrites,
     rule_indices,
     to_dot,
 )
@@ -334,50 +334,41 @@ class TestNormalForm:
                 assert normal_form(v, shuffled) == reference
 
 
-def scan_normal_form(v, rules):
-    """Reference rewriting: always take the first of applicable_reductions,
-    which scans the rule list in order, until no rule applies or a
-    monomial already visited comes back."""
-    visited = []
-    while True:
-        steps = applicable_reductions(v, rules)
-        if not steps:
-            return v
-        visited.append(v)
-        v = steps[0][0]
-        if v in visited:
-            raise RewriteCycle(
-                f"rewriting cycles: {v} recurs after "
-                f"{len(visited) - visited.index(v)} steps"
-            )
-
-
-def assert_scan_equivalent(pairs, rules):
-    """Indexed normal forms, cycle errors and check_membership equal the
-    in-order scan's."""
-    index = rule_indices(rules)
-    reference = {}
-    for v in dict.fromkeys(w for pair in pairs for w in pair):
+def assert_atoms_match_scan(monomials, rules, ideals=None, n=None):
+    """On every monomial, rank_rewrites lists applicable_reductions (the
+    in-order scan) as the same multiset and in the same order, and
+    rank_normal_form gives the scan normal_form's result or RewriteCycle
+    message. The atoms are those of the ideals, or of n ambient variables
+    alone. Returns each monomial's normal form as atoms, or the message."""
+    if ideals is None:
+        compiled = rank_rules(rules, (), n)
+    else:
+        compiled = rank_rules(rules, presentation_variables(ideals),
+                              ideals[0].n)
+    forms = {}
+    for v in dict.fromkeys(monomials):
+        atoms = compiled.encode(v)
+        expected = [(compiled.encode(s), g)
+                    for s, g in applicable_reductions(v, rules)]
+        got = [(s, rules[pos]) for s, pos in rank_rewrites(atoms, compiled)]
+        assert Counter(s for s, _ in got) == Counter(s for s, _ in expected)
+        assert got == expected, v
         try:
-            reference[v] = scan_normal_form(v, rules)
+            reference = compiled.encode(normal_form(v, rules))
         except RewriteCycle as exc:
-            reference[v] = exc
-            with pytest.raises(RewriteCycle) as raised:
-                normal_form(v, index)
-            assert str(raised.value) == str(exc), v
-        else:
-            assert normal_form(v, index) == reference[v], v
+            reference = str(exc)
+        try:
+            forms[v] = rank_normal_form(atoms, compiled)
+        except RewriteCycle as exc:
+            forms[v] = str(exc)
+        assert forms[v] == reference, v
+    return forms
 
-    def scan(v, _index, _memo):
-        # the memo stays empty, so every pair side comes here
-        if isinstance(reference[v], RewriteCycle):
-            raise reference[v]
-        return reference[v]
 
-    result = check_membership(pairs, rules)
-    with mock.patch.object(verifier, "normal_form", scan):
-        assert result == check_membership(pairs, rules)
-    return result
+def unjoined(pairs, forms):
+    """The pairs whose sides do not reach one normal form."""
+    return [(a, b) for a, b in pairs
+            if forms[a] != forms[b] or isinstance(forms[a], str)]
 
 
 def _pairs_sample(pairs, rng, k=300):
@@ -385,9 +376,10 @@ def _pairs_sample(pairs, rng, k=300):
 
 
 class TestIndexedRewritingMatchesScan:
-    """normal_form applies the earliest-listed applicable rule, found through
-    the lead index; the rewrite path equals the linear scan's for any rule
-    order, Groebner or not."""
+    """The atom core (rank_rewrites, rank_normal_form) against the in-order
+    scan on objects (applicable_reductions, normal_form): every one-step
+    reduction in list order and the same rewrite path, for any rule order,
+    Groebner or not."""
 
     def test_shuffled_head_and_tail_basis(self, running_pair, running_pair_basis):
         rng = random.Random(11)
@@ -395,8 +387,9 @@ class TestIndexedRewritingMatchesScan:
         for _ in range(2):
             rules = list(running_pair_basis)
             rng.shuffle(rules)
-            _, failures = assert_scan_equivalent(pairs, rules)
-            assert not failures
+            forms = assert_atoms_match_scan(
+                [v for p in pairs for v in p], rules, running_pair)
+            assert not unjoined(pairs, forms)
 
     def test_rules_dropped_refute_identically(
         self, running_pair, running_pair_basis
@@ -407,39 +400,46 @@ class TestIndexedRewritingMatchesScan:
             rules = list(running_pair_basis)
             rng.shuffle(rules)
             del rules[:k]
-            _, failures = assert_scan_equivalent(pairs, rules)
-            assert failures
+            forms = assert_atoms_match_scan(
+                [v for p in pairs for v in p], rules, running_pair)
+            assert unjoined(pairs, forms)
 
     def test_single_ideal_g1_and_g2(self, quadric_pair_ideal, quadric_pair_G1):
         rng = random.Random(13)
-        pairs = toric_kernel_span([quadric_pair_ideal], (3,))
+        ideals = [quadric_pair_ideal]
+        monomials = [v for _, f in fibers_by_multidegree(ideals, (3,))
+                     for v in f]
         g2 = build_G2(order_view(quadric_pair_ideal))
         for rules in (quadric_pair_G1, g2, rng.sample(g2, len(g2) - 3)):
-            assert_scan_equivalent(pairs, rules)
+            assert_atoms_match_scan(monomials, rules, ideals)
 
     def test_fiber_type_basis_takes_the_generic_path(
         self, quadric_pair_ideal, quadric_pair_G1
     ):
-        rules = build_fiber_type_basis([quadric_pair_ideal], quadric_pair_G1)
-        assert not rule_indices(rules).pair_index
+        # rule_indices leaves every mixed lead to its generic list, while
+        # the atom core keys every one (syzygy and lifted) by its atom pair
+        ideals = [quadric_pair_ideal]
+        rules = build_fiber_type_basis(ideals, quadric_pair_G1)
+        assert not rule_indices(rules)[0]
+        assert not rank_rules(rules, presentation_variables(ideals), 5).others
+        monomials = [v for _, f in mixed_fibers(ideals, (2,), 4) for v in f]
         rng = random.Random(14)
-        pairs = _pairs_sample(
-            toric_kernel_span([quadric_pair_ideal], (2,), x_degree=4), rng
-        )
-        _, failures = assert_scan_equivalent(pairs, rules)
-        assert not failures
+        forms = assert_atoms_match_scan(monomials, rules, ideals)
+        assert len(set(forms.values())) < len(forms)
         rng.shuffle(rules)
-        assert_scan_equivalent(pairs, rules[:-10])
+        assert_atoms_match_scan(monomials, rules[:-10], ideals)
 
     def test_interleaved_pair_and_generic_leads(self, quadric_pair_ideal):
-        # random orientations inside fibers: quadratic leads are indexed,
-        # cubic ones are generic, and the list interleaves them, so which
-        # generic rules precede the best pair hit decides the path; some
-        # markings cycle
+        # random orientations inside fibers: quadratic leads are keyed by
+        # their atom pair, cubic ones are scanned by containment, and the
+        # list interleaves them, so which cubic rules precede the best pair
+        # hit decides the path; some markings cycle
         rng = random.Random(15)
-        fibers = [f for _, f in fibers_by_multidegree([quadric_pair_ideal], (3,))
+        ideals = [quadric_pair_ideal]
+        fibers = [f for _, f in fibers_by_multidegree(ideals, (3,))
                   if len(f) >= 2]
-        pairs = [(a, b) for f in fibers for a, b in zip(f, f[1:])]
+        monomials = [v for f in fibers for v in f]
+        outcomes = Counter()
         for _ in range(4):
             rules = [
                 MarkedBinomial(*rng.sample(f, 2))
@@ -447,13 +447,16 @@ class TestIndexedRewritingMatchesScan:
             ]
             kinds = {len(g.lead.factors) for g in rules}
             assert kinds == {2, 3}
-            assert_scan_equivalent(pairs, rules)
+            forms = assert_atoms_match_scan(monomials, rules, ideals)
+            outcomes.update(type(nf).__name__ for nf in forms.values())
+        assert set(outcomes) == {"tuple", "str"}
 
     def test_rewrites_equal_the_scan(
         self, running_pair, running_pair_basis, quadric_pair_ideal
     ):
-        # every applicable rule, in list order (unordered: the same multiset),
-        # on monomials with repeated factors and interleaved lead kinds
+        # every applicable rule, in list order and as a multiset, on
+        # monomials with repeated factors, with leads of several kinds and
+        # rules sharing a lead
         rng = random.Random(16)
         ht = list(running_pair_basis)
         rng.shuffle(ht)
@@ -461,18 +464,32 @@ class TestIndexedRewritingMatchesScan:
                   if len(f) >= 2]
         mixed_kinds = [MarkedBinomial(*rng.sample(f, 2))
                        for f in rng.sample(fibers, 60)]
+        shared = [MarkedBinomial(f[0], u) for f in fibers[:20] for u in f[1:]]
         for ideals, budget, rules in (
             (list(running_pair), (2, 1), ht),
             ([quadric_pair_ideal], (3,), mixed_kinds),
+            ([quadric_pair_ideal], (3,), shared + mixed_kinds),
         ):
-            index = rule_indices(rules)
             monomials = [v for _, f in fibers_by_multidegree(ideals, budget)
                          for v in f]
-            for v in rng.sample(monomials, min(300, len(monomials))):
-                expected = applicable_reductions(v, rules)
-                assert rewrites(v, index) == expected
-                assert Counter(rewrites(v, index, ordered=False)) == Counter(
-                    expected)
+            assert_atoms_match_scan(
+                rng.sample(monomials, min(300, len(monomials))), rules, ideals)
+
+    def test_ambient_rules_of_the_examples(self):
+        # the ex2.2-2.4 markings on ambient monomials: x-atoms only; two
+        # sinks, a unique sink and a three-rule cycle
+        for n, pairs in ((3, TWO_SINK_RULES), (5, UNIQUE_SINK_RULES),
+                         (6, CYCLING_RULES)):
+            rules = rules_of(n, *pairs)
+            monomials = [
+                Monomial([combo.count(k) for k in range(n)])
+                for d in (3, 4)
+                for combo in itertools.combinations_with_replacement(
+                    range(n), d)
+            ]
+            forms = assert_atoms_match_scan(monomials, rules, n=n)
+            assert any(isinstance(nf, str) for nf in forms.values()) == (
+                pairs is CYCLING_RULES)
 
     def test_list_position_decides_between_pair_and_generic_rules(
         self, quadric_pair_ideal, quadric_pair_G1
@@ -491,30 +508,39 @@ class TestIndexedRewritingMatchesScan:
             if u not in (v, after_pair) and not pair_rule.lead.divides(u)
         )
         generic_rule = MarkedBinomial(v, w)
-        assert normal_form(v, [generic_rule, pair_rule]) == w
-        assert normal_form(v, [pair_rule, generic_rule]) == after_pair
+        variables = presentation_variables([quadric_pair_ideal])
+        for rules, expected in (([generic_rule, pair_rule], w),
+                                ([pair_rule, generic_rule], after_pair)):
+            assert normal_form(v, rules) == expected
+            compiled = rank_rules(rules, variables, 5)
+            assert rank_normal_form(compiled.encode(v), compiled) == (
+                compiled.encode(expected))
+            assert [pos for _, pos in rank_rewrites(compiled.encode(v),
+                                                    compiled)] == [0, 1]
 
-    def test_two_rule_loop_is_a_cycle(self, quadric_pair_G1):
+    def test_two_rule_loop_is_a_cycle(self, quadric_pair_ideal,
+                                      quadric_pair_G1):
         g = quadric_pair_G1[0]
         loop = [g, MarkedBinomial(g.trail, g.lead)]
         message = f"rewriting cycles: {g.lead} recurs after 2 steps"
         with pytest.raises(RewriteCycle) as raised:
             normal_form(g.lead, loop)
         assert str(raised.value) == message
-        _, failures = assert_scan_equivalent([(g.lead, g.trail)], loop)
-        assert failures == [
+        forms = assert_atoms_match_scan([g.lead, g.trail], loop,
+                                        [quadric_pair_ideal])
+        assert forms[g.lead] == message
+        assert check_membership([(g.lead, g.trail)], loop)[1] == [
             {"pair": [str(g.lead), str(g.trail)], "error": message}
         ]
 
 
 def memo_free_membership(pairs, rules):
     """check_membership without the memo: normal_form once per pair side."""
-    index = rule_indices(rules)
     failures = []
     for a, b in pairs:
         try:
-            na = normal_form(a, index)
-            nb = normal_form(b, index)
+            na = normal_form(a, rules)
+            nb = normal_form(b, rules)
         except RewriteCycle as exc:
             failures.append({"pair": [str(a), str(b)], "error": str(exc)})
             continue
@@ -530,15 +556,14 @@ def assert_memo_equivalent(pairs, rules):
     equals a memo-free normal_form of its monomial."""
     result = check_membership(pairs, rules)
     assert result == memo_free_membership(pairs, rules)
-    index = rule_indices(rules)
     memo = {}
     for v in dict.fromkeys(w for pair in pairs for w in pair):
         try:
-            normal_form(v, index, memo)
+            normal_form(v, rules, memo)
         except RewriteCycle:
             assert v not in memo
     for u, nf in memo.items():
-        assert normal_form(u, index) == nf
+        assert normal_form(u, rules) == nf
     return result
 
 
@@ -601,12 +626,11 @@ def assert_rank_equivalent(monomials, rules, ideals):
     """rank_normal_form on atom tuples equals normal_form on objects for
     every monomial, cycle messages included, and both memos agree."""
     compiled = rank_rules(rules, presentation_variables(ideals), ideals[0].n)
-    index = rule_indices(rules)
     memo, rank_memo = {}, {}
     outcomes = Counter()
     for v in monomials:
         try:
-            expected = compiled.encode(normal_form(v, index, memo))
+            expected = compiled.encode(normal_form(v, rules, memo))
         except RewriteCycle as exc:
             expected = str(exc)
         try:

@@ -138,11 +138,16 @@ def brute_force_fibers(ideals, budget):
             for mu in sorted(by_mu, key=lambda mu: (mu.t_exps, mu.x_exps))}
 
 
-def reference_run(rules, ideals, budget):
-    """verify_gb's findings rebuilt from per-multidegree fiber graphs:
-    (multidegrees, failures as (mu, sink labels, cycle), sink log, verdict)."""
+def reference_run(rules, ideals, budget, x_degree=None):
+    """verify_gb's findings rebuilt from per-multidegree fiber graphs on
+    objects (analyze_fiber) over brute-force fibers, mixed ones up to
+    x_degree when it is given: (multidegrees, failures as (mu, sink labels,
+    cycle), sink log, verdict)."""
     r = len(ideals)
-    fibers = brute_force_fibers(ideals, budget)
+    if x_degree is None:
+        fibers = brute_force_fibers(ideals, budget)
+    else:
+        fibers = dict(reference_mixed_fibers(ideals, budget, x_degree))
     pair_index, generic = rule_indices(rules)
     failures, sink_log, nontrivial = [], [], False
     for mu, fiber in fibers.items():
@@ -157,10 +162,12 @@ def reference_run(rules, ideals, budget):
     return len(fibers), failures, sink_log, verdict
 
 
-def assert_matches_reference(rules, ideals, budget, method):
-    report = verify_gb(rules, ideals, budget, collect_sinks=True)
+def assert_matches_reference(rules, ideals, budget, method, x_degree=None):
+    report = verify_gb(rules, ideals, budget, collect_sinks=True,
+                       x_degree=x_degree)
     assert len(report.notes) == 1 and report.notes[0].startswith(method)
-    checked, failures, sink_log, verdict = reference_run(rules, ideals, budget)
+    checked, failures, sink_log, verdict = reference_run(rules, ideals, budget,
+                                                         x_degree)
     assert report.multidegrees_checked == checked
     assert [
         (f.multidegree, f.sinks, f.has_cycle) for f in report.failures
@@ -730,6 +737,58 @@ class TestVerifyGBMixed:
             "unchecked t-vectors, content degree above x-degree 4: "
             "1,2 2,1 2,2"
         ]
+
+
+def _fiber_type_case(name):
+    """The fiber-type basis of B(x4x5, x2x6), intact, without its first
+    syzygy, or with that syzygy listed reversed."""
+    b45 = [borel_closure([m("x4*x5", 6), m("x2*x6", 6)], 6)]
+    rules = build_fiber_type_basis(b45, quadratic_basis_for(b45))
+    first = rules[0]
+    assert first.source == "SYZ"
+    return b45, {
+        "intact": rules,
+        "no-first-syzygy": rules[1:],
+        "first-syzygy-reversed":
+            [MarkedBinomial(first.trail, first.lead, first.source)] + rules[1:],
+    }[name]
+
+
+class TestFiberGraphsOnAtoms:
+    """verify_gb builds its fiber graphs on atom tuples (rank_rules once,
+    fiber_edges per fiber, in each pool worker too); reference_run rebuilds
+    them on objects with analyze_fiber over brute-force fibers. Reports are
+    equal, and equal for one and two workers."""
+
+    @pytest.mark.parametrize("name, failures, cycles", [
+        ("intact", 0, 0),
+        ("no-first-syzygy", 29, 0),
+        ("first-syzygy-reversed", 10, 10),
+    ])
+    def test_fiber_type_basis(self, name, failures, cycles):
+        ideals, rules = _fiber_type_case(name)
+        report = assert_matches_reference(rules, ideals, (2,), "mixed fibers",
+                                          x_degree=5)
+        assert len(report.failures) == failures
+        assert sum(f.has_cycle for f in report.failures) == cycles
+        pooled = verify_gb(rules, ideals, (2,), jobs=2, x_degree=5)
+        assert json.dumps(pooled.to_json_dict(), sort_keys=True) == (
+            json.dumps(report.to_json_dict(), sort_keys=True))
+
+    def test_head_and_tail_with_its_first_rule_reversed(
+        self, running_pair, running_pair_basis
+    ):
+        # no library term order orients the marking: the pure fallback
+        g = running_pair_basis[0]
+        rules = [MarkedBinomial(g.trail, g.lead, g.source)]
+        rules += running_pair_basis[1:]
+        report = assert_matches_reference(rules, list(running_pair), (2, 1),
+                                          "fiber graphs")
+        # the reversed rule is the marking of another term order
+        assert report.verdict == "certified-up-to-bound"
+        pooled = verify_gb(rules, list(running_pair), (2, 1), jobs=2)
+        assert json.dumps(pooled.to_json_dict(), sort_keys=True) == (
+            json.dumps(report.to_json_dict(), sort_keys=True))
 
 
 class TestJobs:
