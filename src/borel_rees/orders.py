@@ -7,6 +7,11 @@ mrlex). Each induces a revlex order on presentation monomials; the G1/G2/G3
 collections are the coincident-product quadratic binomials marked by the
 matching induced order, and the syzygy set supplies the linear-in-T relations
 of the full presentation.
+
+Building a collection and checking a marking both run on ints: variables
+become ids in PresVar.key order, an order becomes the rank of each id
+(_order_ranks), and of two quadrics the larger has the smaller pair of
+ranks sorted descending. Only the output rules are built as objects.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import add, itemgetter
 from typing import Sequence
 
 from .borel import InvalidIdeal, StronglyStableIdeal, TwoQuadricView, order_view
@@ -126,6 +131,14 @@ def marking_order(
     quadratic presentation lead, lead > trail, and phi(lead) = phi(trail).
     Rewriting then strictly descends a term order inside each fiber, so every
     fiber graph is acyclic and its sinks are the fiber's standard monomials.
+
+    The checks run on ints. Each rule is read once as four variable ids
+    (lead factors, then trail factors, in canonical order). The image test
+    does not depend on the order: the same ideal index per factor and the
+    same summed generator exponents. Each candidate is mapped onto ranks once
+    (_order_ranks), and a rule is oriented when its lead's two ranks, sorted
+    descending, form the smaller tuple. A variable outside a candidate's
+    context means that candidate orients nothing.
     """
     candidates = []
     try:
@@ -139,37 +152,46 @@ def marking_order(
     except InvalidIdeal:
         pass  # no region split: keep the candidates built so far
 
-    def orients(order: PresOrder, g: MarkedBinomial) -> bool:
+    ids: dict[PresVar, int] = {}
+    quads = []
+    for g in rules:
         if not (isinstance(g.lead, PresMonomial) and g.lead.degree == 2):
-            return False
-        try:
-            if order.compare_presmonomials(g.lead, g.trail) <= 0:
-                return False
-        except OrderDomainError:
-            return False
-        return _same_image(g.lead, g.trail)
-
+            return None
+        quads.append(tuple([ids.setdefault(v, len(ids))
+                            for v in g.lead.factors + g.trail.factors]))
+    variables = list(ids)
+    ideal_of = [v.ideal_index for v in variables]
+    exps = [v.generator.exps for v in variables]
+    for a, b, c, d in quads:
+        if not (ideal_of[a] == ideal_of[c] and ideal_of[b] == ideal_of[d]
+                and list(map(add, exps[a], exps[b]))
+                == list(map(add, exps[c], exps[d]))):
+            return None
     for order in candidates:
-        if all(orients(order, g) for g in rules):
+        try:
+            rank = _order_ranks(order, variables)
+        except OrderDomainError:
+            continue
+        if all(_descending(rank[a], rank[b]) < _descending(rank[c], rank[d])
+               for a, b, c, d in quads):
             return order
     return None
 
 
-def _same_image(A: PresMonomial, B: PresMonomial) -> bool:
-    """phi(A) == phi(B) for two quadrics over the order's ideals: the same
-    ideal index per factor (both are canonically sorted, ideal index first)
-    and the same generator product."""
-    (p, q), (p2, q2) = A.factors, B.factors
-    return (
-        p.ideal_index == p2.ideal_index
-        and q.ideal_index == q2.ideal_index
-        and list(map(add, p.generator.exps, q.generator.exps))
-        == list(map(add, p2.generator.exps, q2.generator.exps))
-    )
+def _order_ranks(order: PresOrder, variables: Sequence[PresVar]) -> list[int]:
+    """The order rank of each variable, in the given sequence (lower rank
+    is larger); a variable outside the order raises OrderDomainError."""
+    rank = order.rank
+    try:
+        return [rank[v] for v in variables]
+    except KeyError as exc:
+        raise order._outside(exc.args[0]) from None
 
 
-def _pair_key(p: tuple[PresVar, PresVar]):
-    return tuple(sorted(f.key for f in p))
+def _descending(r: int, s: int) -> tuple[int, int]:
+    """Two ranks sorted descending: of two quadrics, the one with the
+    smaller such tuple is larger under the induced revlex order."""
+    return (r, s) if r >= s else (s, r)
 
 
 def _coincident_product_binomials(
@@ -185,30 +207,51 @@ def _coincident_product_binomials(
     emits one marked binomial per unordered pair of distinct factorizations,
     the lead being the larger monomial under the induced order. Distinct
     factorizations of one product never share a variable, so lead and trail
-    are automatically different.
+    are automatically different. Binomials come by product, ascending, then
+    sorted (stably) by lead.
+
+    Everything up to the output runs on ints. Each variable gets an id in
+    PresVar.key order, so a pair (min id, max id) is the canonical factor
+    pair of its quadric and pairs of ids sort as leads do; the order enters
+    as the ranks of _order_ranks, compared sorted descending. The
+    PresMonomials and MarkedBinomials are built only at the end.
     """
-    by_product: dict[tuple[int, ...], list[tuple[PresVar, PresVar]]] = {}
-    seen: set = set()
+    variables = sorted({*left, *right}, key=PresVar.sort_key)
+    ids = {v: i for i, v in enumerate(variables)}
+    rank = _order_ranks(order, variables)
+    exps = [v.generator.exps for v in variables]
+    ideal_of = [v.ideal_index for v in variables]
+    right_ids = [ids[q] for q in right]
+    by_product: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    seen: set[tuple[int, int]] = set()
     for p in left:
-        for q in right:
-            if cross_only and p.ideal_index == q.ideal_index:
+        a = ids[p]
+        for b in right_ids:
+            if cross_only and ideal_of[a] == ideal_of[b]:
                 continue
-            pair = (p, q)
-            key = _pair_key(pair)
-            if key in seen:
+            pair = (a, b) if a <= b else (b, a)
+            if pair in seen:
                 continue
-            seen.add(key)
-            prod = tuple(map(add, p.generator.exps, q.generator.exps))
+            seen.add(pair)
+            prod = tuple(map(add, exps[a], exps[b]))
             by_product.setdefault(prod, []).append(pair)
-    out = []
+    marked = []
     for prod in sorted(by_product):
-        factorizations = [PresMonomial(pair) for pair in by_product[prod]]
-        for A, B in itertools.combinations(factorizations, 2):
-            cmp = order.compare_presmonomials(A, B)
-            lead, trail = (A, B) if cmp > 0 else (B, A)
-            out.append(MarkedBinomial(lead, trail, source))
-    out.sort(key=lambda g: tuple(f.key for f in g.lead.factors))
-    return out
+        for A, B in itertools.combinations(by_product[prod], 2):
+            if _descending(rank[A[0]], rank[A[1]]) < _descending(rank[B[0]],
+                                                                 rank[B[1]]):
+                marked.append((A, B))
+            else:
+                marked.append((B, A))
+    marked.sort(key=itemgetter(0))
+    return [
+        MarkedBinomial(
+            PresMonomial.from_sorted((variables[a], variables[b])),
+            PresMonomial.from_sorted((variables[c], variables[d])),
+            source,
+        )
+        for (a, b), (c, d) in marked
+    ]
 
 
 def build_G1(

@@ -8,10 +8,11 @@ and models monomials of the full multi-graded presentation ring.
 
 One backtracking enumerator lists the fibers of phi, a t-slice at a time.
 enumerate_fiber (one fiber), enumerate_mixed_fiber (one fiber of the full
-presentation map) and rank_fibers (every fiber within a t-budget, as rank
-tuples, or with an x-degree bound every fiber of the full presentation map
-as atom tuples) are thin wrappers around it; fibers_by_multidegree builds
-PresMonomials from rank_fibers.
+presentation map) and rank_slices (each t-slice's monomials as rank tuples,
+grouped by content) are thin wrappers around it. rank_fibers yields every
+fiber within a t-budget from rank_slices, as rank tuples, or with an
+x-degree bound every fiber of the full presentation map as atom tuples;
+fibers_by_multidegree builds PresMonomials from rank_fibers.
 """
 
 from __future__ import annotations
@@ -392,6 +393,34 @@ def enumerate_mixed_fiber(
     ]
 
 
+def rank_slices(
+    ideals: Sequence[StronglyStableIdeal],
+    t_budget: Sequence[int],
+    forbidden_pairs: Iterable[tuple[int, int]] = (),
+) -> Iterator[
+    tuple[tuple[int, ...], dict[tuple[int, ...], list[tuple[int, ...]]]]
+]:
+    """Every presentation monomial with t <= budget as its rank tuple, one
+    t-slice at a time: (t-vector, {content exponents: rank tuples}).
+
+    t-vectors come lexicographically; in a slice the contents come in the
+    order of their first monomial, unsorted, and each content's monomials
+    in rank order. A content is a multidegree of the slice, and its list is
+    the multidegree's fiber (its monomials avoiding forbidden_pairs, as in
+    fibers_by_multidegree). A t_budget without one entry per ideal raises
+    ValueError.
+    """
+    check_t_budget(ideals, t_budget)
+    variables = presentation_variables(ideals)
+    forbidden_pairs = list(forbidden_pairs)
+    for tv in t_vectors(t_budget):
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for x, ranks in _slice_ranks(variables, ideals, tv,
+                                     forbidden_pairs=forbidden_pairs):
+            groups.setdefault(x, []).append(ranks)
+        yield tv, groups
+
+
 def rank_fibers(
     ideals: Sequence[StronglyStableIdeal],
     t_budget: Sequence[int],
@@ -399,7 +428,8 @@ def rank_fibers(
     x_degree: int | None = None,
 ) -> Iterator[tuple[MultiDegree, list[tuple[int, ...]]]]:
     """fibers_by_multidegree with each monomial as its rank tuple (positions
-    in presentation_variables, non-decreasing), building no objects.
+    in presentation_variables, non-decreasing), building no objects: the
+    slices of rank_slices, contents ascending.
 
     With x_degree, the fibers of the full presentation map instead, up to
     that x-degree, each member m*u as its sorted atom tuple: x_i is atom
@@ -409,15 +439,8 @@ def rank_fibers(
     contents in the order of their first monomial and each content's
     monomials in rank order, with m the rest of the x-part.
     """
-    check_t_budget(ideals, t_budget)
-    variables = presentation_variables(ideals)
-    forbidden_pairs = list(forbidden_pairs)
     n = ideals[0].n
-    for tv in t_vectors(t_budget):
-        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for x, ranks in _slice_ranks(variables, ideals, tv,
-                                     forbidden_pairs=forbidden_pairs):
-            groups.setdefault(x, []).append(ranks)
+    for tv, groups in rank_slices(ideals, t_budget, forbidden_pairs):
         if x_degree is None:
             for x in sorted(groups):
                 yield MultiDegree(x, tv), groups[x]

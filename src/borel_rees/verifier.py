@@ -6,7 +6,7 @@ with a unique sink), kernel membership is checked by brute-force fiber pairs,
 and cubic obstructions are found as fibers disconnected under the full set of
 degree-2 coincident-product moves. That connectivity is a partition: a
 union-find joins the fiber members that agree after removing two factors,
-with no rewriting.
+on rank tuples and with no rewriting.
 
 One verifier serves the pure and the mixed presentation, and the rules pick
 the fibers: when some lead is a MixedMonomial (the fiber-type basis of
@@ -24,13 +24,15 @@ verify_gb picks its method from the marking alone. When a library term order
 orients every rule (orders.marking_order), rewriting strictly descends that
 order, so each fiber graph is acyclic and its sinks are the fiber's standard
 monomials: the certificate is one standard monomial per multidegree, listed
-directly as rank tuples by rank_fibers with the lead pairs forbidden and no
-graph built. Any other marking, mixed ones included, gets the fiber graphs
-themselves, built on atom tuples by the one rewriting core of reduction
-(rank_rules once, then fiber_edges per fiber, in each pool worker too).
-Either way only a multidegree whose check fails has its monomials built,
-for the failure labels. analyze_fiber is the object-level fiber graph, kept
-as the reference. The report's notes name the method.
+directly as rank tuples by rank_slices with the lead pairs forbidden and no
+graph built. A t-slice is counted whole, and only a content without exactly
+one standard monomial is sorted into place. Any other marking, mixed ones
+included, gets the fiber graphs themselves, built on atom tuples by the one
+rewriting core of reduction (rank_rules once, then fiber_edges per fiber, in
+each pool worker too). Either way only a multidegree whose check fails (or,
+with collect_sinks, every multidegree for the sink log) has its monomials
+built. analyze_fiber is the object-level fiber graph, kept as the reference.
+The report's notes name the method.
 
 A run whose evidence is empty (no checked fiber had two monomials and no
 oracle pair was checked) is "inconclusive", never "certified".
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass, field
@@ -58,6 +59,7 @@ from .presentation import (
     fibers_by_multidegree,
     presentation_variables,
     rank_fibers,
+    rank_slices,
     t_vectors,
 )
 from .reduction import (
@@ -228,12 +230,16 @@ def verify_gb(
     rules pick the fibers: mixed ones up to x_degree when a lead is a
     MixedMonomial (mixed_x_degree), the pure presentation's otherwise. When
     a library term order orients every rule, that is checked by listing the
-    standard monomials (serially, whatever jobs says); otherwise the fiber
-    graphs are built on atom tuples, chunked over a process pool when
-    jobs > 1, with one worker per CPU at most. Chunks are merged in
-    submission order, so reports are byte-identical for any worker count.
-    jobs below 1, or a t_budget without one entry per ideal, raises
-    ValueError before any work starts.
+    standard monomials (serially, whatever jobs says): each t-slice adds its
+    number of contents to the count, and only the contents without exactly
+    one standard monomial are sorted and built as failures, or every content
+    when collect_sinks asks for the sink log. Failures come by t-vector,
+    then x ascending, and progress is called at every multiple of 2000 the
+    count reaches. Otherwise the fiber graphs are built on atom tuples,
+    chunked over a process pool when jobs > 1, with one worker per CPU at
+    most. Chunks are merged in submission order, so reports are
+    byte-identical for any worker count. jobs below 1, or a t_budget without
+    one entry per ideal, raises ValueError before any work starts.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -246,20 +252,30 @@ def verify_gb(
     x_degree = mixed_x_degree(rules, ideals, t_budget, x_degree)
     order = marking_order(rules, ideals) if x_degree is None else None
 
-    def consume(results, decode):
+    def count(k):
+        # progress at every multiple of 2000 the count reaches
+        before = report.multidegrees_checked
+        report.multidegrees_checked += k
+        if progress:
+            for mark in range(before // 2000 + 1,
+                              report.multidegrees_checked // 2000 + 1):
+                progress(2000 * mark)
+
+    def record(mu, sinks, cyc, decode):
         # sinks come undecoded; only a failure or the sink log builds them
+        if cyc or len(sinks) != 1:
+            report.failures.append(FiberFailure(
+                mu, [decode(v).label(len(mu.t_exps)) for v in sinks], cyc
+            ))
+        elif collect_sinks:
+            sink_log.append((mu, decode(sinks[0])))
+
+    def consume(results, decode):
         for mu, sinks, cyc, size in results:
-            report.multidegrees_checked += 1
-            if progress and report.multidegrees_checked % 2000 == 0:
-                progress(report.multidegrees_checked)
+            count(1)
             if size >= 2:
                 report.nontrivial_fiber = True
-            if cyc or len(sinks) != 1:
-                report.failures.append(FiberFailure(
-                    mu, [decode(v).label(len(mu.t_exps)) for v in sinks], cyc
-                ))
-            elif collect_sinks:
-                sink_log.append((mu, decode(sinks[0])))
+            record(mu, sinks, cyc, decode)
 
     variables = presentation_variables(ideals)
     if order is not None:
@@ -269,13 +285,27 @@ def verify_gb(
         )
         rank = {v: k for k, v in enumerate(variables)}
         lead_pairs = [(rank[p], rank[q]) for p, q in pair_index]
+
+        def decode(ranks):
+            return PresMonomial.from_sorted(
+                tuple([variables[k] for k in ranks]))
+
         # the standard monomials of a multidegree are its fiber graph's
-        # sinks, with no cycle; their count stands in for the fiber size as
-        # a lower bound
-        consume(((mu, standard, False, len(standard)) for mu, standard
-                 in rank_fibers(ideals, t_budget, lead_pairs)),
-                lambda ranks: PresMonomial.from_sorted(
-                    tuple([variables[k] for k in ranks])))
+        # sinks, with no cycle, so a slice is counted whole and only a
+        # content without exactly one (or every content, for the sink log)
+        # is sorted into place and built
+        for tv, groups in rank_slices(ideals, t_budget, lead_pairs):
+            count(len(groups))
+            if collect_sinks:
+                contents = sorted(groups)
+            else:
+                contents = sorted(x for x, standard in groups.items()
+                                  if len(standard) != 1)
+            for x in contents:
+                standard = groups[x]
+                if len(standard) >= 2:
+                    report.nontrivial_fiber = True
+                record(MultiDegree(x, tv), standard, False, decode)
         # the other nontrivial fibers are those holding a lead within budget,
         # which shares its fiber with its trail
         report.nontrivial_fiber |= any(
@@ -302,6 +332,8 @@ def verify_gb(
             consume((_fiber_graph_result(mu, fiber, compiled)
                      for mu, fiber in fibers), decode)
         else:
+            import multiprocessing  # only a pooled run pays for the import
+
             with multiprocessing.Pool(
                 processes=min(jobs, os.cpu_count() or 1),
                 initializer=_pool_init,
@@ -497,15 +529,16 @@ def kernel_membership(
 # obstruction detection
 
 
-def _move_components(fiber: Sequence[PresMonomial]):
-    """The connected components of a fiber under all quadric moves.
+def _move_components(fiber: Sequence[tuple[int, ...]]):
+    """The connected components of a fiber of rank tuples under all quadric
+    moves.
 
     A quadric move swaps two factors for two others from the same ideals
     with the same generator product. Inside one fiber the other factors
     decide the class: members w*p*q and w*p'*q' with the same rest w have
     equal multidegrees, so p*q and p'*q' have equal ones too, which are the
     same ideals and the same generator product. So a union-find joins the
-    members that share a rest (the factors left after removing two).
+    members that share a rest (the ranks left after removing two).
     Components come in the order of their first member, each in fiber
     order.
     """
@@ -517,16 +550,17 @@ def _move_components(fiber: Sequence[PresMonomial]):
             i = parent[i]
         return i
 
-    first: dict[tuple, int] = {}
+    first: dict[tuple[int, ...], int] = {}
     for i, v in enumerate(fiber):
-        for rest in itertools.combinations(v.factors, len(v.factors) - 2):
+        # i is still a root here: earlier roots are joined under it
+        for rest in itertools.combinations(v, len(v) - 2):
             j = first.setdefault(rest, i)
             if j != i:
-                parent[root(i)] = root(j)
-    comps: dict[int, list[PresMonomial]] = {}
+                parent[root(j)] = i
+    comps: dict[int, list[tuple[int, ...]]] = {}
     for i, v in enumerate(fiber):
         comps.setdefault(root(i), []).append(v)
-    return tuple(tuple(c) for c in comps.values())
+    return list(comps.values())
 
 
 def detect_obstructions(
@@ -539,18 +573,25 @@ def detect_obstructions(
     ideal or across two), not only marked basis elements: connectivity under
     the full quadric move set is the right criterion for degree-2 generation.
     Moves go both ways, so a fiber's components are the classes of a
-    partition, found by union-find (_move_components) with no rewriting.
+    partition, found by union-find (_move_components) with no rewriting, on
+    the rank tuples of rank_fibers. Only a witness fiber has its members
+    built as PresMonomials.
     """
     check_t_budget(ideals, t_budget)
     if sum(t_budget) < 3:
         raise ValueError("t budget must allow total t-degree >= 3")
+    variables = presentation_variables(ideals)
     witnesses = []
-    for mu, fiber in fibers_by_multidegree(ideals, t_budget):
+    for mu, fiber in rank_fibers(ideals, t_budget):
         if mu.total_t < 3 or len(fiber) < 2:
             continue
         comps = _move_components(fiber)
         if len(comps) > 1:
-            witnesses.append(ObstructionWitness(mu, comps))
+            witnesses.append(ObstructionWitness(mu, tuple(
+                tuple(PresMonomial.from_sorted(
+                    tuple([variables[k] for k in ranks])) for ranks in comp)
+                for comp in comps
+            )))
     return witnesses
 
 

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -8,6 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import borel_rees
 from borel_rees import cli, paper_cases, reduction, verifier
 from borel_rees.cli import main
 from borel_rees.paper_cases import CASES, load_expectation, run_case
@@ -671,3 +675,17 @@ class TestPaperExamples:
         )
         assert code == 0
         assert payload["checks"]["stated_pair_separated"]
+
+
+class TestStartup:
+    def test_importing_the_cli_leaves_multiprocessing_unloaded(self):
+        # a fresh interpreter: only a pooled verify run imports it
+        src = str(Path(borel_rees.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import borel_rees.cli, sys; "
+             "sys.exit('multiprocessing' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr

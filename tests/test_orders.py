@@ -11,6 +11,7 @@ from borel_rees.orders import (
     build_G1,
     build_G2,
     build_G3,
+    build_head_and_tail_basis,
     build_fiber_type_basis,
     build_syzygy_set,
     dump_basis,
@@ -471,6 +472,93 @@ class TestMarkingOrderDifferential:
                 flipped = rules[:k] + [MarkedBinomial(g.trail, g.lead)] + rules[k + 1:]
                 assert self.found(flipped, ideals) == \
                     self.reference_marking_order(flipped, ideals)
+
+
+def reference_coincident_product_binomials(left, right, order, source,
+                                           cross_only):
+    """The object-level construction: pairs deduplicated by their sorted
+    PresVar keys, grouped by generator product, each pair of factorizations
+    marked by compare_presmonomials, sorted stably by the lead's keys."""
+    by_product = {}
+    seen = set()
+    for p in left:
+        for q in right:
+            if cross_only and p.ideal_index == q.ideal_index:
+                continue
+            key = tuple(sorted(f.key for f in (p, q)))
+            if key in seen:
+                continue
+            seen.add(key)
+            prod = tuple(a + b for a, b in
+                         zip(p.generator.exps, q.generator.exps))
+            by_product.setdefault(prod, []).append((p, q))
+    out = []
+    for prod in sorted(by_product):
+        factorizations = [PresMonomial(pair) for pair in by_product[prod]]
+        for A, B in itertools.combinations(factorizations, 2):
+            cmp = order.compare_presmonomials(A, B)
+            lead, trail = (A, B) if cmp > 0 else (B, A)
+            out.append(MarkedBinomial(lead, trail, source))
+    out.sort(key=lambda g: tuple(f.key for f in g.lead.factors))
+    return out
+
+
+def reference_G1(ideal, k=1):
+    vars_ = [PresVar(k, g) for g in ideal.minimal_generators]
+    return reference_coincident_product_binomials(
+        vars_, vars_, PresOrder.rlex(ideal, k), "G1", False)
+
+
+def reference_G2(view, k=1):
+    vars_ = [PresVar(k, g) for g in view.ideal.minimal_generators]
+    return reference_coincident_product_binomials(
+        vars_, vars_, PresOrder.mrlex(view, k), "G2", False)
+
+
+def reference_G3(view1, view2):
+    return reference_coincident_product_binomials(
+        [PresVar(1, g) for g in view1.ideal.minimal_generators],
+        [PresVar(2, g) for g in view2.ideal.minimal_generators],
+        PresOrder.head_and_tail(view1, view2), "G3", True)
+
+
+class TestCoincidentProductsOnRanks:
+    """The coincident-product binomials built on ints against the
+    object-level reference: the same rules in the same order."""
+
+    @staticmethod
+    def assert_same(got, expected, r):
+        assert got, "an empty collection proves nothing"
+        assert [(g.lead, g.trail, g.source) for g in got] == [
+            (g.lead, g.trail, g.source) for g in expected]
+        assert dump_basis(got, r) == dump_basis(expected, r)
+
+    @pytest.mark.parametrize("gens, n", [
+        (["x3^2", "x2*x5"], 5), (["x4*x5", "x2*x6"], 6), (["x2*x4"], 4),
+    ], ids=["B(x3^2,x2x5)", "B(x4x5,x2x6)", "B(x2x4)"])
+    def test_G1_and_G2_of_quadric_ideals(self, gens, n):
+        ideal = borel_closure([m(g, n) for g in gens], n)
+        view = order_view(ideal)
+        for k in (1, 2):
+            self.assert_same(build_G1(ideal, k), reference_G1(ideal, k), 2)
+            self.assert_same(build_G2(view, k), reference_G2(view, k), 2)
+
+    def test_G1_of_a_cubic_ideal(self):
+        ideal = borel_closure([m("x2*x3^2", 4), m("x1*x4^2", 4)], 4)
+        self.assert_same(build_G1(ideal), reference_G1(ideal), 1)
+
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["pair", "reversed pair"])
+    def test_G3_and_head_and_tail(self, running_pair, reverse):
+        i1, i2 = running_pair[::-1] if reverse else running_pair
+        view1, view2 = order_view(i1), order_view(i2)
+        self.assert_same(build_G3(view1, view2), reference_G3(view1, view2), 2)
+        self.assert_same(
+            build_head_and_tail_basis(view1, view2),
+            reference_G1(i1, 1) + reference_G2(view2, 2)
+            + reference_G3(view1, view2),
+            2,
+        )
 
 
 class TestSinkViolationCheckers:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import multiprocessing
 import random
 import re
 from collections import Counter
@@ -345,6 +346,52 @@ class TestStandardMonomialsOnRanks:
                 rules, list(running_pair), (2, 1)))
             assert report.to_json_dict() == logged.to_json_dict()
             assert built == sum(len(f.sinks) for f in report.failures)
+
+
+class TestStandardCountsPerSlice:
+    """The standard path counts each t-slice whole and builds only the
+    contents without exactly one standard monomial. Refuted head-and-tail
+    runs against per-multidegree references: failures in the same order,
+    the same sink log and the same progress calls."""
+
+    @pytest.mark.parametrize("k", [8, 20])
+    def test_refuted_runs_equal_reference_run(
+        self, running_pair, running_pair_basis, k
+    ):
+        rules = _drop_rules(running_pair_basis, random.Random(k), k)
+        report = assert_matches_reference(rules, list(running_pair), (2, 1),
+                                          "standard")
+        assert report.verdict == "refuted"
+
+    @pytest.mark.parametrize("k", [1, 8, 20])
+    def test_refuted_runs_equal_fiber_graphs(
+        self, running_pair, running_pair_basis, k
+    ):
+        # at 2,2 the fiber graphs on atom tuples are the reference: the
+        # object-level one takes seconds per run there
+        ideals = list(running_pair)
+        rules = _drop_rules(running_pair_basis, random.Random(k), k)
+        report = verify_gb(rules, ideals, (2, 2), collect_sinks=True)
+        with mock.patch.object(verifier, "marking_order", return_value=None):
+            graphs = verify_gb(rules, ideals, (2, 2), collect_sinks=True)
+        assert report.notes[0].startswith("standard")
+        assert graphs.notes[0].startswith("fiber graphs")
+        assert report.failures == graphs.failures
+        assert report.sink_log == graphs.sink_log
+        assert report.multidegrees_checked == graphs.multidegrees_checked
+        assert report.verdict == graphs.verdict
+
+    @pytest.mark.parametrize("k", [0, 8, 20])
+    def test_progress_at_every_multiple_of_2000(
+        self, running_pair, running_pair_basis, k
+    ):
+        rules = _drop_rules(running_pair_basis, random.Random(k), k)
+        calls = []
+        report = verify_gb(rules, list(running_pair), (3, 3),
+                           progress=calls.append)
+        assert report.notes[0].startswith("standard")
+        assert report.multidegrees_checked == 13900
+        assert calls == [2000, 4000, 6000, 8000, 10000, 12000]
 
 
 class TestKernelSpan:
@@ -818,7 +865,7 @@ class TestJobs:
                 return map(fn, chunks)
 
         monkeypatch.setattr(verifier, "_POOL_RULES", None)
-        monkeypatch.setattr(verifier.multiprocessing, "Pool", InlinePool)
+        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
         monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
         ideals = [quadric_pair_ideal]
         rules = build_fiber_type_basis(ideals, quadric_pair_G1)
