@@ -6,20 +6,26 @@ it to its multidegree: the product of the underlying generators together with
 the vector counting factors per ideal. MixedMonomial adds an ambient x-part
 and models monomials of the full multi-graded presentation ring.
 
-One backtracking enumerator lists the fibers of phi, a t-slice at a time.
-enumerate_fiber (one fiber), enumerate_mixed_fiber (one fiber of the full
-presentation map) and rank_slices (each t-slice's monomials as rank tuples,
-grouped by content) are thin wrappers around it. rank_fibers yields every
-fiber within a t-budget from rank_slices, as rank tuples, or with an
-x-degree bound every fiber of the full presentation map as atom tuples;
-fibers_by_multidegree builds PresMonomials from rank_fibers.
+One enumerator lists the fibers of phi: _Expansion grows presentation
+monomials a factor at a time, a whole t-slice (level) at once, each
+monomial a rank tuple with its content packed into an int (Digits) and the
+ranks still allowed beside it as a bitmask. rank_slices grows each t-slice
+from its parent slice, so every monomial within a t-budget is built once,
+and groups each slice by packed content; enumerate_fiber (one fiber) and
+enumerate_mixed_fiber (one fiber of the full presentation map) grow one
+slice pruned against the target x-part. rank_fibers yields every fiber
+within a t-budget from rank_slices, as rank tuples, or with an x-degree
+bound every fiber of the full presentation map as atom tuples;
+fibers_by_multidegree builds PresMonomials from rank_fibers. rank_slices
+hands out its contents packed, with the Digits that decode them; the others
+decode a content only when they yield it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add, attrgetter, gt, sub
+from operator import attrgetter, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .borel import StronglyStableIdeal
@@ -301,61 +307,136 @@ def presentation_variables(
     )
 
 
-def _slice_ranks(
-    variables: Sequence[PresVar],
-    ideals: Sequence[StronglyStableIdeal],
-    tv: Sequence[int],
-    target: Sequence[int] | None = None,
-    forbidden_pairs: Sequence[tuple[int, int]] = (),
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(content exponents, rank tuple) of each presentation monomial with
-    t-vector tv, in canonical order: the one enumerator of this module.
+class Digits:
+    """Exponent tuples of n variables packed into ints: one fixed-width digit
+    per variable, big-endian, so x_1's exponent is the most significant.
 
-    Backtracks over non-decreasing tuples of ranks (positions in variables,
-    which is presentation_variables(ideals)), accumulating the content; rank
-    order is the canonical order. Given a target x-vector, only variables
-    whose generator divides what is left of it are tried. No monomial holds
-    both factors of a forbidden rank pair (i, j) (twice it when i == j).
-    Callers build a monomial from its ranks when they hand it out, so the
-    objects of a large slice are never all alive at once.
+    A digit is one byte while degree (the largest digit to hold) is below
+    256, and a byte wider at each further power of 256. Adding two packed
+    tuples adds their exponents while no digit overflows, and packed ints
+    compare as their exponent tuples do, so sorting packed contents sorts
+    the tuples.
     """
-    if len(tv) != len(ideals):
-        raise ValueError(f"t-vector length {len(tv)} != r={len(ideals)}")
-    exps = [v.generator.exps for v in variables]
-    slots: list[tuple[int, int]] = []  # rank range of each factor position
-    offset = 0
-    for ideal, count in zip(ideals, tv):
-        stop = offset + len(ideal.minimal_generators)
-        slots += [(offset, stop)] * count
-        offset = stop
-    bans: list[list[int]] = [[] for _ in variables]
-    for i, j in forbidden_pairs:
-        bans[min(i, j)].append(max(i, j))
-    banned = [0] * len(variables)
-    chosen: list[int] = []
-    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
-    def extend(pos, lo, x):
-        if pos == len(slots):
-            out.append((x, tuple(chosen)))
-            return
-        start, stop = slots[pos]
-        for k in range(max(lo, start), stop):
-            if banned[k]:
-                continue
-            nx = tuple(map(add, x, exps[k]))
-            if target is not None and any(map(gt, nx, target)):
-                continue
-            chosen.append(k)
-            for j in bans[k]:
-                banned[j] += 1
-            extend(pos + 1, k, nx)
-            for j in bans[k]:
-                banned[j] -= 1
-            chosen.pop()
+    __slots__ = ("n", "width", "bits")
 
-    extend(0, 0, (0,) * ideals[0].n)
-    return out
+    def __init__(self, n: int, degree: int):
+        width = 1
+        while degree >> (8 * width):
+            width += 1
+        self.n, self.width, self.bits = n, width, 8 * width
+
+    def pack(self, exps: Iterable[int]) -> int:
+        width = self.width
+        return int.from_bytes(
+            b"".join([e.to_bytes(width, "big") for e in exps]), "big")
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        raw = x.to_bytes(self.n * self.width, "big")
+        width = self.width
+        if width == 1:
+            return tuple(raw)
+        return tuple([int.from_bytes(raw[i:i + width], "big")
+                      for i in range(0, len(raw), width)])
+
+
+class _Steps(dict):
+    """mask -> the steps of the ranks in it, ascending; a step of rank k is
+    (packed generator, ok[k], (k,)), what appending k adds to a node."""
+
+    def __init__(self, steps: Iterable[tuple[int, int, tuple[int]]]):
+        super().__init__()
+        self.by_rank = tuple(steps)
+
+    def __missing__(self, mask: int) -> tuple:
+        steps = self[mask] = tuple(
+            s for k, s in enumerate(self.by_rank) if mask >> k & 1)
+        return steps
+
+
+class _Expansion:
+    """The one enumerator of this module: presentation monomials grown a
+    factor at a time, a whole level (one t-slice) at once.
+
+    A node is (packed content, allowed, rank tuple). Ranks are positions in
+    presentation_variables(ideals), non-decreasing along a tuple; allowed is
+    the bitmask of the ranks that may come next: none below the last rank,
+    and none that would complete a forbidden pair (i, j) (twice i when
+    i == j). Appending rank k to a node leaves allowed & ok[k], and the ranks
+    of ideal i are the bits of blocks[i], so a banned rank is never visited.
+    A level in rank-tuple order, each node extended in rank order, gives the
+    next level in rank-tuple order too.
+    """
+
+    def __init__(
+        self,
+        ideals: Sequence[StronglyStableIdeal],
+        digits: Digits,
+        forbidden_pairs: Iterable[tuple[int, int]] = (),
+    ):
+        variables = presentation_variables(ideals)
+        size = len(variables)
+        ok = [(1 << size) - (1 << k) for k in range(size)]
+        for i, j in forbidden_pairs:
+            ok[min(i, j)] &= ~(1 << max(i, j))
+        self.blocks = []
+        start = 0
+        for ideal in ideals:
+            stop = start + len(ideal.minimal_generators)
+            self.blocks.append((1 << stop) - (1 << start))
+            start = stop
+        self.steps = _Steps(
+            (digits.pack(v.generator.exps), ok[k], (k,))
+            for k, v in enumerate(variables)
+        )
+        self.root = [(0, (1 << size) - 1, ())]
+
+    def grow(self, level: list, i: int, guard: tuple[int, int] | None = None):
+        """The level of each node of level times one factor of ideal i (0-based)
+        allowed beside it. With guard = (top, g) a child is kept only when its
+        content y passes (top - y) & g == g: with g a guard bit above every
+        digit and top the packed target plus g, that is y <= target digitwise.
+        """
+        block = self.blocks[i]
+        steps = self.steps
+        out: list = []
+        append = out.append
+        if guard is None:
+            for x, allowed, ranks in level:
+                for p, ok, k in steps[allowed & block]:
+                    append((x + p, allowed & ok, ranks + k))
+        else:
+            top, g = guard
+            for x, allowed, ranks in level:
+                for p, ok, k in steps[allowed & block]:
+                    y = x + p
+                    if (top - y) & g == g:
+                        append((y, allowed & ok, ranks + k))
+        return out
+
+
+def _fiber_level(
+    ideals: Sequence[StronglyStableIdeal], mu: MultiDegree
+) -> tuple[Digits, list]:
+    """The nodes of mu's t-slice whose content divides mu's x-part, grown
+    factor by factor from the empty monomial, pruned against the x-part at
+    every step; with the digits that pack their contents."""
+    if len(mu.t_exps) != len(ideals):
+        raise ValueError(f"t-vector length {len(mu.t_exps)} != r={len(ideals)}")
+    target = tuple(mu.x_exps)
+    n = ideals[0].n
+    # a guard bit above each digit: targets and generators stay below it
+    digits = Digits(n, 2 * max(sum(target), *(i.degree for i in ideals)))
+    if min(target, default=0) < 0:
+        return digits, []
+    expansion = _Expansion(ideals, digits)
+    g = digits.pack([1 << (digits.bits - 1)] * n)
+    guard = (digits.pack(target) + g, g)
+    level = expansion.root
+    for i, count in enumerate(mu.t_exps):
+        for _ in range(count):
+            level = expansion.grow(level, i, guard)
+    return digits, level
 
 
 def enumerate_fiber(
@@ -366,14 +447,14 @@ def enumerate_fiber(
     degree than the t-vector's content degree has an empty fiber."""
     if len(mu.t_exps) != len(ideals):
         raise ValueError(f"t-vector length {len(mu.t_exps)} != r={len(ideals)}")
-    target = tuple(mu.x_exps)
-    if sum(target) != content_degree(ideals, mu.t_exps):
+    if sum(mu.x_exps) != content_degree(ideals, mu.t_exps):
         return []
     variables = presentation_variables(ideals)
+    # a content dividing the x-part, of the same degree, is the x-part
+    _, level = _fiber_level(ideals, mu)
     return [
-        PresMonomial.from_sorted(tuple(variables[k] for k in ranks))
-        for x, ranks in _slice_ranks(variables, ideals, mu.t_exps, target)
-        if x == target
+        PresMonomial.from_sorted(tuple([variables[k] for k in ranks]))
+        for _, _, ranks in level
     ]
 
 
@@ -384,12 +465,13 @@ def enumerate_mixed_fiber(
     each slice monomial u whose content divides the x-part, with m the rest."""
     target = tuple(mu.x_exps)
     variables = presentation_variables(ideals)
+    digits, level = _fiber_level(ideals, mu)
     return [
         MixedMonomial(
-            Monomial(map(sub, target, x)),
-            PresMonomial.from_sorted(tuple(variables[k] for k in ranks)),
+            Monomial(map(sub, target, digits.unpack(x))),
+            PresMonomial.from_sorted(tuple([variables[k] for k in ranks])),
         )
-        for x, ranks in _slice_ranks(variables, ideals, mu.t_exps, target)
+        for x, _, ranks in level
     ]
 
 
@@ -397,27 +479,57 @@ def rank_slices(
     ideals: Sequence[StronglyStableIdeal],
     t_budget: Sequence[int],
     forbidden_pairs: Iterable[tuple[int, int]] = (),
-) -> Iterator[
-    tuple[tuple[int, ...], dict[tuple[int, ...], list[tuple[int, ...]]]]
+    degree: int = 0,
+) -> tuple[
+    Digits,
+    Iterator[tuple[tuple[int, ...], dict[int, list[tuple[int, ...]]]]],
 ]:
     """Every presentation monomial with t <= budget as its rank tuple, one
-    t-slice at a time: (t-vector, {content exponents: rank tuples}).
+    t-slice at a time: (digits, slices), each slice (t-vector, {packed
+    content: rank tuples}), with digits.unpack decoding a content.
 
+    Digits are wide enough for the budget's content degree and for degree.
     t-vectors come lexicographically; in a slice the contents come in the
     order of their first monomial, unsorted, and each content's monomials
     in rank order. A content is a multidegree of the slice, and its list is
     the multidegree's fiber (its monomials avoiding forbidden_pairs, as in
     fibers_by_multidegree). A t_budget without one entry per ideal raises
     ValueError.
+
+    Each slice grows from its parent, the t-vector less one in its last
+    nonzero coordinate j, by one factor of ideal j: every monomial in the
+    box is built once, and only the levels a later slice still extends are
+    kept (one per last nonzero coordinate, r + 1 at most).
     """
     check_t_budget(ideals, t_budget)
-    variables = presentation_variables(ideals)
-    forbidden_pairs = list(forbidden_pairs)
+    digits = Digits(ideals[0].n, max(content_degree(ideals, t_budget), degree))
+    expansion = _Expansion(ideals, digits, forbidden_pairs)
+    return digits, _level_slices(expansion, t_budget)
+
+
+def _level_slices(expansion: _Expansion, t_budget: Sequence[int]):
+    # the latest level of each last nonzero coordinate (-1: the empty slice)
+    kept = {-1: expansion.root}
     for tv in t_vectors(t_budget):
-        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for x, ranks in _slice_ranks(variables, ideals, tv,
-                                     forbidden_pairs=forbidden_pairs):
-            groups.setdefault(x, []).append(ranks)
+        nonzero = [i for i, a in enumerate(tv) if a]
+        if nonzero:
+            j = nonzero[-1]
+            parent = j if tv[j] > 1 else (nonzero[-2] if len(nonzero) > 1
+                                          else -1)
+            level = expansion.grow(kept[parent], j)
+            # levels past j hold an older prefix: no later slice extends them
+            for i in range(j + 1, len(tv)):
+                kept.pop(i, None)
+            kept[j] = level
+        else:
+            level = expansion.root
+        groups: dict[int, list[tuple[int, ...]]] = {}
+        for x, _, ranks in level:
+            group = groups.get(x)
+            if group is None:
+                groups[x] = [ranks]
+            else:
+                group.append(ranks)
         yield tv, groups
 
 
@@ -437,33 +549,40 @@ def rank_fibers(
     x-degree, then in combinations_with_replacement order of the x-atoms;
     a fiber holds the slice monomials u whose content divides its x-part,
     contents in the order of their first monomial and each content's
-    monomials in rank order, with m the rest of the x-part.
+    monomials in rank order, with m the rest of the x-part. A fiber is keyed
+    by its packed x-part, the packed content plus the packed m.
     """
     n = ideals[0].n
-    for tv, groups in rank_slices(ideals, t_budget, forbidden_pairs):
-        if x_degree is None:
+    digits, slices = rank_slices(ideals, t_budget, forbidden_pairs,
+                                 x_degree or 0)
+    if x_degree is None:
+        for tv, groups in slices:
             for x in sorted(groups):
-                yield MultiDegree(x, tv), groups[x]
-            continue
-        # a content c and an x-monomial w of the rest make the fiber of c*w
+                yield MultiDegree(digits.unpack(x), tv), groups[x]
+        return
+    units = [digits.pack([int(i == j) for j in range(n)]) for i in range(n)]
+    # x-degree -> (packed m, atoms of m), in combinations order
+    rests: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for tv, groups in slices:
         members = [
-            (tuple(i for i, e in enumerate(x) for _ in range(e)),
-             [tuple([n + k for k in ranks]) for ranks in group])
+            (x, [tuple([n + k for k in ranks]) for ranks in group])
             for x, group in groups.items()
         ]
         low = content_degree(ideals, tv)
         for d in range(low, x_degree + 1):
-            fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-            for c, us in members:
-                for w in itertools.combinations_with_replacement(
-                        range(n), d - low):
-                    fibers.setdefault(tuple(sorted(c + w)), []).extend(
-                        w + u for u in us)
-            for xs in sorted(fibers):
-                exps = [0] * n
-                for i in xs:
-                    exps[i] += 1
-                yield MultiDegree(tuple(exps), tv), fibers[xs]
+            if d - low not in rests:
+                rests[d - low] = [
+                    (sum([units[i] for i in w]), w)
+                    for w in itertools.combinations_with_replacement(
+                        range(n), d - low)
+                ]
+            fibers: dict[int, list[tuple[int, ...]]] = {}
+            for x, us in members:
+                for pw, w in rests[d - low]:
+                    fibers.setdefault(x + pw, []).extend(w + u for u in us)
+            # same degree: atom tuples ascend as exponent tuples descend
+            for key in sorted(fibers, reverse=True):
+                yield MultiDegree(digits.unpack(key), tv), fibers[key]
 
 
 def fibers_by_multidegree(

@@ -294,7 +294,8 @@ def verify_gb(
         # sinks, with no cycle, so a slice is counted whole and only a
         # content without exactly one (or every content, for the sink log)
         # is sorted into place and built
-        for tv, groups in rank_slices(ideals, t_budget, lead_pairs):
+        digits, slices = rank_slices(ideals, t_budget, lead_pairs)
+        for tv, groups in slices:
             count(len(groups))
             if collect_sinks:
                 contents = sorted(groups)
@@ -305,7 +306,8 @@ def verify_gb(
                 standard = groups[x]
                 if len(standard) >= 2:
                     report.nontrivial_fiber = True
-                record(MultiDegree(x, tv), standard, False, decode)
+                record(MultiDegree(digits.unpack(x), tv), standard, False,
+                       decode)
         # the other nontrivial fibers are those holding a lead within budget,
         # which shares its fiber with its trail
         report.nontrivial_fiber |= any(

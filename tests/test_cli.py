@@ -579,6 +579,37 @@ def test_fuzzed_specs_get_a_documented_exit_code(spec, basis, budget):
     assert "Traceback" not in err.getvalue()
 
 
+PRINCIPAL_SPEC = {"n": 2, "ideals": [{"borel_generators": ["x1^2"]}]}
+
+
+class TestDeepBudgets:
+    """A slice of 1,200 factors: one monomial per t-slice, built level by
+    level with no recursion, and a documented exit code."""
+
+    @pytest.mark.parametrize("command, code", [
+        ("verify", 3), ("kernel-oracle", 3), ("detect-cubics", 0)])
+    def test_budget_1200(self, spec_file, command, code):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            got = main([command, "--spec", spec_file(PRINCIPAL_SPEC),
+                        "--budget", "1200"])
+        assert got == code
+        assert "Traceback" not in err.getvalue()
+        payload = json.loads(out.getvalue())
+        if command == "verify":
+            assert payload["multidegrees_checked"] == 1201
+            assert payload["verdict"] == "inconclusive"
+
+    def test_fiber_graph_t_1200(self, spec_file):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            got = main(["fiber-graph", "--spec", spec_file(PRINCIPAL_SPEC),
+                        "--mu", "x1^2400", "--t", "1200"])
+        assert got == 0
+        assert "Traceback" not in err.getvalue()
+        assert json.loads(out.getvalue())["sinks"] == ["T11^1200"]
+
+
 class TestDetectCubics:
     def test_obstructed_collection(self, capsys, spec_file):
         code, payload = run_cli(

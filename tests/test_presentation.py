@@ -6,8 +6,9 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from borel_rees.borel import borel_closure
+from borel_rees.borel import borel_closure, order_view
 from borel_rees.monomial import Monomial, parse_monomial, rlex_sort_key
+from borel_rees.orders import build_head_and_tail_basis
 from borel_rees.presentation import (
     MixedMonomial,
     MultiDegree,
@@ -18,6 +19,10 @@ from borel_rees.presentation import (
     enumerate_mixed_fiber,
     fibers_by_multidegree,
     phi,
+    presentation_variables,
+    rank_fibers,
+    rank_slices,
+    t_vectors,
 )
 
 FIG1_FIBER = {
@@ -284,3 +289,150 @@ class TestValueSemantics:
         assert repr(p) == (
             "PresVar(ideal_index=2, generator=Monomial((0, 0, 1, 0, 0, 1)))")
         assert repr(PresMonomial([p])) == f"PresMonomial(({p!r},))"
+
+
+# ---------------------------------------------------------------------------
+# the level enumerator against a brute-force reference
+
+
+def reference_slice(ideals, tv, forbidden_pairs=()):
+    """{content exponents: rank tuples} of one t-slice, brute force: one
+    combinations_with_replacement choice of ranks per ideal, the product
+    across ideals, monomials holding a forbidden pair dropped, grouped by
+    content in first-member order."""
+    exps = [v.generator.exps for v in presentation_variables(ideals)]
+    pairs = {(min(i, j), max(i, j)) for i, j in forbidden_pairs}
+    blocks, start = [], 0
+    for ideal in ideals:
+        blocks.append(range(start, start + len(ideal.minimal_generators)))
+        start += len(ideal.minimal_generators)
+    groups = {}
+    for combo in itertools.product(*(
+            itertools.combinations_with_replacement(block, k)
+            for block, k in zip(blocks, tv))):
+        ranks = sum(combo, ())
+        if any((i, j) in pairs and (i != j or ranks.count(i) > 1)
+               for i, j in itertools.combinations_with_replacement(
+                   sorted(set(ranks)), 2)):
+            continue
+        x = tuple(sum(ranks.count(k) * exps[k][i] for k in set(ranks))
+                  for i in range(ideals[0].n))
+        groups.setdefault(x, []).append(ranks)
+    return groups
+
+
+def _ht_lead_pairs(first, second):
+    ideals = [first, second]
+    rank = {v: k for k, v in enumerate(presentation_variables(ideals))}
+    rules = build_head_and_tail_basis(order_view(first), order_view(second))
+    return ideals, [tuple(rank[f] for f in g.lead.factors) for g in rules]
+
+
+def _level_cases():
+    one = borel_closure([m("x3^2", 5), m("x2*x5", 5)], 5)
+    first = borel_closure([m("x4*x5", 6), m("x2*x6", 6)], 6)
+    second = borel_closure([m("x4^2", 6), m("x3*x6", 6)], 6)
+    triple = [
+        borel_closure([m("x3^2", 5), m("x1*x5", 5)], 5),
+        borel_closure([m("x3^2", 5), m("x2*x4", 5)], 5),
+        borel_closure([m("x2*x4", 5), m("x1*x5", 5)], 5),
+    ]
+    cubic = borel_closure([m("x2*x3^2", 4), m("x1*x4^2", 4)], 4)
+    ht, ht_pairs = _ht_lead_pairs(first, second)
+    th, th_pairs = _ht_lead_pairs(second, first)
+    return [
+        pytest.param([one], (3,), (), id="r1"),
+        pytest.param([first, second], (2, 1), (), id="r2"),
+        pytest.param(triple, (1, 1, 1), (), id="r3"),
+        pytest.param([cubic], (2,), (), id="cubic"),
+        pytest.param([first, second], (0, 2), (), id="r2-zero-entry"),
+        pytest.param(triple, (2, 0, 1), (), id="r3-zero-entry"),
+        # (i, i) bans a square; (j, i) with j > i is the pair (i, j)
+        pytest.param([one], (3,), [(3, 3), (7, 2), (0, 9), (5, 5)],
+                     id="r1-forbidden"),
+        pytest.param([first, second], (2, 2), [(20, 4), (11, 11), (30, 1)],
+                     id="r2-forbidden"),
+        pytest.param(ht, (2, 2), ht_pairs, id="ht-lead-pairs"),
+        pytest.param(th, (2, 2), th_pairs, id="ht-lead-pairs-reversed"),
+    ]
+
+
+class TestLevelEnumeratorAgainstReference:
+    """rank_slices and rank_fibers against reference_slice: the same slices
+    in the same order, contents in first-member order (ascending for
+    rank_fibers), and each content's members in the same order."""
+
+    @pytest.mark.parametrize("ideals, budget, pairs", _level_cases())
+    def test_rank_slices(self, ideals, budget, pairs):
+        digits, slices = rank_slices(ideals, budget, pairs)
+        got = [(tv, [(digits.unpack(x), members)
+                     for x, members in groups.items()])
+               for tv, groups in slices]
+        expected = [(tv, list(reference_slice(ideals, tv, pairs).items()))
+                    for tv in t_vectors(budget)]
+        assert got == expected
+
+    @pytest.mark.parametrize("ideals, budget, pairs", _level_cases())
+    def test_rank_fibers(self, ideals, budget, pairs):
+        expected = [
+            (MultiDegree(x, tv), members)
+            for tv in t_vectors(budget)
+            for x, members in sorted(reference_slice(ideals, tv,
+                                                     pairs).items())
+        ]
+        assert list(rank_fibers(ideals, budget, pairs)) == expected
+
+
+class TestDigitWidth:
+    """Contents past 255 in one exponent take two-byte digits."""
+
+    # B(x1^15*x2) = (x1^16, x1^15*x2) at n = 2: content degree 256 at t = 16
+    WIDE = [borel_closure([m("x1^15*x2", 2)], 2)]
+
+    def test_rank_fibers_past_one_byte(self):
+        digits, _ = rank_slices(self.WIDE, (16,))
+        assert digits.width == 2
+        expected = [
+            (MultiDegree(x, tv), members)
+            for tv in t_vectors((16,))
+            for x, members in sorted(reference_slice(self.WIDE, tv).items())
+        ]
+        assert list(rank_fibers(self.WIDE, (16,))) == expected
+
+    def test_exponents_past_255_come_back(self):
+        top = [mu.x_exps for mu, _ in rank_fibers(self.WIDE, (16,))
+               if mu.t_exps == (16,)]
+        assert top == [(256 - k, k) for k in range(16, -1, -1)]
+        assert enumerate_fiber(MultiDegree((256, 0), (16,)), self.WIDE) == [
+            PresMonomial([PresVar(1, m("x1^16", 2))] * 16)]
+        ((rest, power),) = [
+            (v.x_part, v.t_part) for v in enumerate_mixed_fiber(
+                MultiDegree((300, 0), (16,)), self.WIDE)]
+        assert rest == m("x1^44", 2) and power.degree == 16
+
+    def test_point_queries_between_128_and_255(self):
+        # the target's guard bit needs one more bit than its largest digit
+        high, low = (PresVar(1, m(t, 2)) for t in ("x1^16", "x1^15*x2"))
+        for x, fiber in [((160, 0), [PresMonomial([high] * 10)]),
+                         ((150, 10), [PresMonomial([low] * 10)]),
+                         ((155, 5), [PresMonomial([high] * 5 + [low] * 5)]),
+                         ((149, 11), [])]:
+            assert enumerate_fiber(MultiDegree(x, (10,)), self.WIDE) == fiber
+        mixed = enumerate_mixed_fiber(MultiDegree((200, 1), (10,)), self.WIDE)
+        assert [(v.x_part.exps, v.t_part.factors.count(low))
+                for v in mixed] == [((40, 1), 0), ((41, 0), 1)]
+
+    def test_mixed_keys_past_one_byte(self):
+        # x-parts up to degree 256 over the content x1^2 of B(x1^2)
+        ideals = [borel_closure([m("x1^2", 2)], 2)]
+        fibers = [(mu, f) for mu, f in rank_fibers(ideals, (1,),
+                                                   x_degree=256)
+                  if mu.t_exps == (1,)]
+        assert len(fibers) == sum(d - 1 for d in range(2, 257))
+        for (mu, (atoms,)), (nu, _) in zip(fibers, fibers[1:]):
+            # a member is x1^(a - 2) * x2^b * T{x1^2}
+            a, b = mu.x_exps
+            assert atoms == (0,) * (a - 2) + (1,) * b + (2,)
+            # by x-degree, then x-atoms ascending: x1's exponent descending
+            assert (sum(mu.x_exps), -a) < (sum(nu.x_exps), -nu.x_exps[0])
+        assert [mu.x_exps for mu, _ in fibers[-2:]] == [(3, 253), (2, 254)]
