@@ -1,4 +1,12 @@
-"""Strongly stable ideals from Borel generators and the two-quadric region split."""
+"""Strongly stable ideals from Borel generators and the two-quadric region split.
+
+borel_closure runs on exponent tuples: it keeps only the minimal Borel
+generators (no repeat, none inside another's closure), closes them under
+the moves x_i -> x_(i-1), and builds one Monomial per minimal generator.
+Each ideal keeps what is derived from it once per ideal object: its region
+view (order_view) and, for presentation.ideal_variables, its presentation
+variables. A failing region split is not kept, so it raises on every call.
+"""
 
 from __future__ import annotations
 
@@ -6,12 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .monomial import (
-    Monomial,
-    all_one_step_reductions,
-    monomial_from_any,
-    rlex_sort_key,
-)
+from .monomial import Monomial, monomial_from_any, strongly_stable_precedes
 
 
 class InvalidIdeal(ValueError):
@@ -22,9 +25,10 @@ class InvalidIdeal(ValueError):
 class StronglyStableIdeal:
     """A strongly stable ideal generated in a single degree.
 
-    minimal_generators is the full set of degree-d monomials in the ideal
-    (equigenerated ideals have no divisibility among generators), closed under
-    one-step reductions and sorted rlex-descending.
+    borel_generators are minimal: none repeats and none lies in the Borel
+    closure of another. minimal_generators is the full set of degree-d
+    monomials in the ideal (equigenerated ideals have no divisibility among
+    generators), closed under one-step reductions and sorted rlex-descending.
     """
 
     n: int
@@ -43,11 +47,60 @@ class StronglyStableIdeal:
     def _generator_set(self) -> frozenset:
         return frozenset(self.minimal_generators)
 
+    @cached_property
+    def _order_view(self) -> "TwoQuadricView":
+        # a raising call stores nothing, so the next call raises again
+        if self.num_borel_generators == 1:
+            return principal_view(self)
+        return region_partition(self)
+
+    @cached_property
+    def _presentation_variables(self) -> dict:
+        # ideal index -> its PresVars, filled by presentation.ideal_variables
+        return {}
+
+
+def _minimal_borel_generators(
+    gens: Sequence[Monomial],
+) -> tuple[Monomial, ...]:
+    """gens, all of one degree, without repeats and without any generator in
+    the Borel closure of another one; otherwise in the given order."""
+    unique = tuple(dict.fromkeys(gens))
+    return tuple(
+        g for g in unique
+        if not any(h is not g and strongly_stable_precedes(g, h)
+                   for h in unique)
+    )
+
+
+def _closure_exponents(gens: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """Every exponent tuple reached from gens by one-step reductions.
+
+    A move x_i -> x_j with j < i is the chain of moves x_k -> x_(k-1) for
+    k = i..j+1, each of which stays in the closure, so the adjacent moves
+    reach the whole closure.
+    """
+    seen = set(gens)
+    frontier = list(seen)
+    while frontier:
+        e = frontier.pop()
+        for i in range(1, len(e)):
+            if e[i]:
+                f = list(e)
+                f[i] -= 1
+                f[i - 1] += 1
+                f = tuple(f)
+                if f not in seen:
+                    seen.add(f)
+                    frontier.append(f)
+    return seen
+
 
 def borel_closure(gens: Sequence[Monomial], n: int) -> StronglyStableIdeal:
     """Smallest strongly stable ideal containing gens (all of one degree).
 
-    Breadth-first closure under every legal one-step reduction.
+    The minimal Borel generators are closed under one-step reductions on
+    exponent tuples; one Monomial is built per minimal generator.
     """
     gens = tuple(gens)
     if not gens:
@@ -61,17 +114,13 @@ def borel_closure(gens: Sequence[Monomial], n: int) -> StronglyStableIdeal:
         raise InvalidIdeal(
             f"mixed generator degrees {sorted({g.degree for g in gens})}"
         )
-    seen = set(gens)
-    frontier = list(gens)
-    while frontier:
-        m = frontier.pop()
-        for red, _, _ in all_one_step_reductions(m):
-            if red not in seen:
-                seen.add(red)
-                frontier.append(red)
-    minimal = tuple(sorted(seen, key=rlex_sort_key))
+    borel = _minimal_borel_generators(gens)
+    # one degree: rlex-descending is ascending on the reversed tuples
+    closure = sorted(_closure_exponents(g.exps for g in borel),
+                     key=lambda e: e[::-1])
     return StronglyStableIdeal(
-        n=n, degree=degree, borel_generators=gens, minimal_generators=minimal
+        n=n, degree=degree, borel_generators=borel,
+        minimal_generators=tuple(map(Monomial, closure)),
     )
 
 
@@ -135,9 +184,10 @@ def region_partition(ideal: StronglyStableIdeal) -> TwoQuadricView:
         raise InvalidIdeal(
             f"Borel generators {g1}, {g2} are not in the shape c < a <= b < d"
         )
-    closure_m = set(borel_closure([M], ideal.n).minimal_generators)
-    B_M = tuple(g for g in ideal.minimal_generators if g in closure_m)
-    B_N = tuple(g for g in ideal.minimal_generators if g not in closure_m)
+    in_m = [strongly_stable_precedes(g, M) for g in ideal.minimal_generators]
+    B_M = tuple(g for g, inside in zip(ideal.minimal_generators, in_m) if inside)
+    B_N = tuple(g for g, inside in zip(ideal.minimal_generators, in_m)
+                if not inside)
     return TwoQuadricView(
         ideal=ideal, M=M, N=N, a=a, b=b, c=c, d=d, B_M=B_M, B_N=B_N
     )
@@ -163,10 +213,11 @@ def principal_view(ideal: StronglyStableIdeal) -> TwoQuadricView:
 
 
 def order_view(ideal: StronglyStableIdeal) -> TwoQuadricView:
-    """View suitable for the region-aware orders: principal or two-quadric."""
-    if ideal.num_borel_generators == 1:
-        return principal_view(ideal)
-    return region_partition(ideal)
+    """View suitable for the region-aware orders: principal or two-quadric.
+
+    Built once per ideal and kept on it; an ideal without a region split
+    raises InvalidIdeal on every call."""
+    return ideal._order_view
 
 
 def validate_collection(

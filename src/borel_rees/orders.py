@@ -10,8 +10,16 @@ of the full presentation.
 
 Building a collection and checking a marking both run on ints: variables
 become ids in PresVar.key order, an order becomes the rank of each id
-(_order_ranks), and of two quadrics the larger has the smaller pair of
-ranks sorted descending. Only the output rules are built as objects.
+(_order_ranks), a generator's exponents are one packed int (so a quadric's
+image is a sum of two ints), and of two quadrics the larger has the smaller
+pair of ranks sorted descending. Only the output rules are built as
+objects, one PresMonomial per quadric however many rules share it.
+
+Every order and rule set takes its variables from
+presentation.ideal_variables and its region split from borel.order_view,
+so a collection builds each PresVar and each view once, and the dicts
+keyed by variables (order ranks, rule_indices, rank_rules) hit on
+identity.
 """
 
 from __future__ import annotations
@@ -20,12 +28,18 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Sequence
 
 from .borel import InvalidIdeal, StronglyStableIdeal, TwoQuadricView, order_view
 from .monomial import Monomial, rlex_sort_key
-from .presentation import MixedMonomial, PresMonomial, PresVar
+from .presentation import (
+    Digits,
+    MixedMonomial,
+    PresMonomial,
+    PresVar,
+    ideal_variables,
+)
 from .reduction import MarkedBinomial, lift_to_mixed
 
 
@@ -47,28 +61,19 @@ class PresOrder:
 
     @classmethod
     def rlex(cls, ideal: StronglyStableIdeal, ideal_index: int = 1) -> "PresOrder":
-        ranked = tuple(
-            PresVar(ideal_index, g)
-            for g in sorted(ideal.minimal_generators, key=rlex_sort_key)
-        )
-        return cls("rlex", ranked)
+        return cls("rlex", tuple(_rlex_chain(ideal, ideal_index)))
 
     @classmethod
     def mrlex(cls, view: TwoQuadricView, ideal_index: int = 1) -> "PresOrder":
         """Mixed order: B_N block above B_M block, rlex inside each block."""
-        ranked = tuple(PresVar(ideal_index, g) for g in _mrlex_chain(view))
-        return cls("mrlex", ranked)
+        return cls("mrlex", tuple(_mrlex_chain(view, ideal_index)))
 
     @classmethod
     def head_and_tail(
         cls, view1: TwoQuadricView, view2: TwoQuadricView
     ) -> "PresOrder":
-        first = tuple(
-            PresVar(1, g)
-            for g in sorted(view1.ideal.minimal_generators, key=rlex_sort_key)
-        )
-        second = tuple(PresVar(2, g) for g in _mrlex_chain(view2))
-        return cls("ht", first + second)
+        return cls("ht", tuple(_rlex_chain(view1.ideal, 1)
+                               + _mrlex_chain(view2, 2)))
 
     @cached_property
     def rank(self) -> dict[PresVar, int]:
@@ -113,11 +118,29 @@ class PresOrder:
             raise self._outside(exc.args[0]) from None
 
 
-def _mrlex_chain(view: TwoQuadricView) -> list[Monomial]:
-    gens = sorted(view.ideal.minimal_generators, key=rlex_sort_key)
-    top = [g for g in gens if view.in_B_N(g)]
-    bottom = [g for g in gens if not view.in_B_N(g)]
+def _rlex_chain(ideal: StronglyStableIdeal, ideal_index: int) -> list[PresVar]:
+    """The ideal's variables, their generators rlex-descending."""
+    return sorted(ideal_variables(ideal, ideal_index), key=PresVar.sort_key)
+
+
+def _mrlex_chain(view: TwoQuadricView, ideal_index: int) -> list[PresVar]:
+    """The ideal's variables, the B_N block above the B_M block and each
+    block rlex-descending."""
+    chain = _rlex_chain(view.ideal, ideal_index)
+    top = [v for v in chain if view.in_B_N(v.generator)]
+    bottom = [v for v in chain if not view.in_B_N(v.generator)]
     return top + bottom
+
+
+def _packed_exponents(variables: Sequence[PresVar]) -> list[int]:
+    """Each variable's generator exponents packed into one int, with room
+    for the sum of two: equal sums are equal products, and sums sort as
+    their exponent tuples do."""
+    if not variables:
+        return []
+    digits = Digits(len(variables[0].generator.exps),
+                    2 * max(v.generator.degree for v in variables))
+    return [digits.pack(v.generator.exps) for v in variables]
 
 
 def marking_order(
@@ -135,10 +158,10 @@ def marking_order(
     The checks run on ints. Each rule is read once as four variable ids
     (lead factors, then trail factors, in canonical order). The image test
     does not depend on the order: the same ideal index per factor and the
-    same summed generator exponents. Each candidate is mapped onto ranks once
-    (_order_ranks), and a rule is oriented when its lead's two ranks, sorted
-    descending, form the smaller tuple. A variable outside a candidate's
-    context means that candidate orients nothing.
+    same sum of packed generator exponents. Each candidate is mapped onto
+    ranks once (_order_ranks), and a rule is oriented when its lead's two
+    ranks, sorted descending, form the smaller tuple. A variable outside a
+    candidate's context means that candidate orients nothing.
     """
     candidates = []
     try:
@@ -161,11 +184,10 @@ def marking_order(
                             for v in g.lead.factors + g.trail.factors]))
     variables = list(ids)
     ideal_of = [v.ideal_index for v in variables]
-    exps = [v.generator.exps for v in variables]
+    exps = _packed_exponents(variables)
     for a, b, c, d in quads:
         if not (ideal_of[a] == ideal_of[c] and ideal_of[b] == ideal_of[d]
-                and list(map(add, exps[a], exps[b]))
-                == list(map(add, exps[c], exps[d]))):
+                and exps[a] + exps[b] == exps[c] + exps[d]):
             return None
     for order in candidates:
         try:
@@ -212,17 +234,19 @@ def _coincident_product_binomials(
 
     Everything up to the output runs on ints. Each variable gets an id in
     PresVar.key order, so a pair (min id, max id) is the canonical factor
-    pair of its quadric and pairs of ids sort as leads do; the order enters
-    as the ranks of _order_ranks, compared sorted descending. The
-    PresMonomials and MarkedBinomials are built only at the end.
+    pair of its quadric and pairs of ids sort as leads do; a product is the
+    sum of two packed generators, which sort as the exponent tuples do; the
+    order enters as the ranks of _order_ranks, compared sorted descending.
+    The PresMonomials (one per quadric of a product with two or more
+    factorizations) and the MarkedBinomials are built only at the end.
     """
     variables = sorted({*left, *right}, key=PresVar.sort_key)
     ids = {v: i for i, v in enumerate(variables)}
     rank = _order_ranks(order, variables)
-    exps = [v.generator.exps for v in variables]
+    exps = _packed_exponents(variables)
     ideal_of = [v.ideal_index for v in variables]
     right_ids = [ids[q] for q in right]
-    by_product: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    by_product: dict[int, list[tuple[int, int]]] = {}
     seen: set[tuple[int, int]] = set()
     for p in left:
         a = ids[p]
@@ -233,25 +257,24 @@ def _coincident_product_binomials(
             if pair in seen:
                 continue
             seen.add(pair)
-            prod = tuple(map(add, exps[a], exps[b]))
-            by_product.setdefault(prod, []).append(pair)
+            by_product.setdefault(exps[a] + exps[b], []).append(pair)
     marked = []
+    quadric = {}
     for prod in sorted(by_product):
-        for A, B in itertools.combinations(by_product[prod], 2):
+        pairs = by_product[prod]
+        if len(pairs) < 2:
+            continue
+        for a, b in pairs:
+            quadric[a, b] = PresMonomial.from_sorted((variables[a],
+                                                      variables[b]))
+        for A, B in itertools.combinations(pairs, 2):
             if _descending(rank[A[0]], rank[A[1]]) < _descending(rank[B[0]],
                                                                  rank[B[1]]):
                 marked.append((A, B))
             else:
                 marked.append((B, A))
     marked.sort(key=itemgetter(0))
-    return [
-        MarkedBinomial(
-            PresMonomial.from_sorted((variables[a], variables[b])),
-            PresMonomial.from_sorted((variables[c], variables[d])),
-            source,
-        )
-        for (a, b), (c, d) in marked
-    ]
+    return [MarkedBinomial(quadric[A], quadric[B], source) for A, B in marked]
 
 
 def build_G1(
@@ -259,14 +282,14 @@ def build_G1(
 ) -> list[MarkedBinomial]:
     """All coincident-product quadratic binomials of one ideal, rlex-marked."""
     order = PresOrder.rlex(ideal, ideal_index)
-    vars_ = [PresVar(ideal_index, g) for g in ideal.minimal_generators]
+    vars_ = ideal_variables(ideal, ideal_index)
     return _coincident_product_binomials(vars_, vars_, order, "G1", False)
 
 
 def build_G2(view: TwoQuadricView, ideal_index: int = 1) -> list[MarkedBinomial]:
     """As build_G1 but marked by the mixed order of the given region split."""
     order = PresOrder.mrlex(view, ideal_index)
-    vars_ = [PresVar(ideal_index, g) for g in view.ideal.minimal_generators]
+    vars_ = ideal_variables(view.ideal, ideal_index)
     return _coincident_product_binomials(vars_, vars_, order, "G2", False)
 
 
@@ -274,8 +297,8 @@ def build_G3(view1: TwoQuadricView, view2: TwoQuadricView) -> list[MarkedBinomia
     """Cross binomials T_u Z_v - T_u' Z_v', marked by the larger mixed-order
     second-ideal part (equivalently, head-and-tail initial terms)."""
     order = PresOrder.head_and_tail(view1, view2)
-    first = [PresVar(1, g) for g in view1.ideal.minimal_generators]
-    second = [PresVar(2, g) for g in view2.ideal.minimal_generators]
+    first = ideal_variables(view1.ideal, 1)
+    second = ideal_variables(view2.ideal, 2)
     return _coincident_product_binomials(first, second, order, "G3", True)
 
 
@@ -302,7 +325,7 @@ def build_syzygy_set(
     out = []
     n = ideals[0].n
     for l, ideal in enumerate(ideals, start=1):
-        genset = set(ideal.minimal_generators)
+        var_of = dict(zip(ideal.minimal_generators, ideal_variables(ideal, l)))
         for u in ideal.minimal_generators:
             for j in u.support():
                 for i in range(1, j):
@@ -312,14 +335,14 @@ def build_syzygy_set(
                             for k, e in enumerate(u.exps)
                         )
                     )
-                    if swapped in genset:
+                    if swapped in var_of:
                         lead = MixedMonomial(
                             Monomial.variable(i, n),
-                            PresMonomial([PresVar(l, u)]),
+                            PresMonomial([var_of[u]]),
                         )
                         trail = MixedMonomial(
                             Monomial.variable(j, n),
-                            PresMonomial([PresVar(l, swapped)]),
+                            PresMonomial([var_of[swapped]]),
                         )
                         out.append(MarkedBinomial(lead, trail, "SYZ"))
     out.sort(

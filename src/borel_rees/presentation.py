@@ -1,10 +1,12 @@
 """Presentation variables, the toric maps, multidegrees, and fiber enumeration.
 
 The presentation ring has one variable per (ideal index, minimal generator)
-pair. A PresMonomial is a multiset of those variables; the toric map phi sends
-it to its multidegree: the product of the underlying generators together with
-the vector counting factors per ideal. MixedMonomial adds an ambient x-part
-and models monomials of the full multi-graded presentation ring.
+pair; ideal_variables builds them once per ideal and index, so a collection
+shares one PresVar per variable. A PresMonomial is a multiset of those
+variables; the toric map phi sends it to its multidegree: the product of the
+underlying generators together with the vector counting factors per ideal.
+MixedMonomial adds an ambient x-part and models monomials of the full
+multi-graded presentation ring.
 
 One enumerator lists the fibers of phi: _Expansion grows presentation
 monomials a factor at a time, a whole t-slice (level) at once, each
@@ -129,8 +131,8 @@ class PresMonomial:
     __slots__ = ("factors", "_hash")
 
     def __init__(self, factors: Iterable[PresVar]):
-        object.__setattr__(self, "factors", tuple(sorted(factors, key=_BY_KEY)))
-        object.__setattr__(self, "_hash", None)
+        _set_factors(self, tuple(sorted(factors, key=_BY_KEY)))
+        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PresMonomial is immutable")
@@ -138,9 +140,9 @@ class PresMonomial:
     @classmethod
     def from_sorted(cls, factors: tuple[PresVar, ...]) -> "PresMonomial":
         """Wrap factors already in canonical (PresVar.sort_key) order."""
-        v = object.__new__(cls)
-        object.__setattr__(v, "factors", factors)
-        object.__setattr__(v, "_hash", None)
+        v = _new(cls)
+        _set_factors(v, factors)
+        _set_hash(v, None)
         return v
 
     @classmethod
@@ -190,7 +192,7 @@ class PresMonomial:
         h = self._hash
         if h is None:
             h = hash(self.factors)
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self) -> str:
@@ -213,8 +215,15 @@ class PresMonomial:
         return self.factors
 
     def __setstate__(self, state):
-        object.__setattr__(self, "factors", tuple(state))
-        object.__setattr__(self, "_hash", None)
+        _set_factors(self, tuple(state))
+        _set_hash(self, None)
+
+
+# the slots written past the immutability guard: a slot's own setter is the
+# cheapest write there is, and monomials are built on every rewrite step
+_new = object.__new__
+_set_factors = PresMonomial.factors.__set__
+_set_hash = PresMonomial._hash.__set__
 
 
 @dataclass(frozen=True)
@@ -290,21 +299,34 @@ def t_vectors(t_budget: Sequence[int]) -> Iterator[tuple[int, ...]]:
     yield from itertools.product(*(range(b + 1) for b in t_budget))
 
 
+def ideal_variables(
+    ideal: StronglyStableIdeal, ideal_index: int
+) -> tuple[PresVar, ...]:
+    """The presentation variables of one ideal at a 1-based index, one per
+    minimal generator, in the order of minimal_generators.
+
+    They are built once per ideal and index and kept on the ideal, so every
+    order, rule set and variable list of a collection shares one PresVar
+    per variable, and dict lookups among them hit on identity.
+    """
+    kept = ideal._presentation_variables
+    variables = kept.get(ideal_index)
+    if variables is None:
+        variables = kept[ideal_index] = tuple(
+            PresVar(ideal_index, g) for g in ideal.minimal_generators)
+    return variables
+
+
 def presentation_variables(
     ideals: Sequence[StronglyStableIdeal],
 ) -> tuple[PresVar, ...]:
     """Every presentation variable ranked by PresVar.sort_key; a variable's
     position is its index in fibers_by_multidegree's forbidden pairs."""
-    return tuple(
-        sorted(
-            (
-                PresVar(i, g)
-                for i, ideal in enumerate(ideals, start=1)
-                for g in ideal.minimal_generators
-            ),
-            key=_BY_KEY,
-        )
-    )
+    return tuple(sorted(
+        itertools.chain.from_iterable(
+            ideal_variables(ideal, i) for i, ideal in enumerate(ideals, 1)),
+        key=_BY_KEY,
+    ))
 
 
 class Digits:

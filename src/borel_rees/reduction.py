@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -50,31 +50,67 @@ class GraphShapeError(ValueError):
     """An invariant required the graph to be acyclic with a unique sink."""
 
 
-@dataclass(frozen=True)
 class MarkedBinomial:
     """An ordered pair (lead, trail) of equal-image monomials; lead is marked.
 
-    Lead and trail have equal degree, which keeps every rewrite path among
-    finitely many monomials.
+    Lead and trail are of one monomial kind, differ, and have equal degree,
+    which keeps every rewrite path among finitely many monomials. Immutable,
+    compared and hashed as the tuple (lead, trail, source); the repr is a
+    dataclass's. A collection builds hundreds of rules, so the fields are
+    slots written by their own setters, and pickling rebuilds a rule through
+    the checking constructor.
     """
 
-    lead: Monomial | PresMonomial | MixedMonomial
-    trail: Monomial | PresMonomial | MixedMonomial
-    source: str = ""
+    __slots__ = ("lead", "trail", "source")
 
-    def __post_init__(self):
-        if type(self.lead) is not type(self.trail):
+    def __init__(
+        self,
+        lead: Monomial | PresMonomial | MixedMonomial,
+        trail: Monomial | PresMonomial | MixedMonomial,
+        source: str = "",
+    ):
+        if type(lead) is not type(trail):
             raise TypeError("lead and trail must be the same monomial kind")
-        if self.lead == self.trail:
+        if lead == trail:
             raise ValueError("lead equals trail")
-        if self.lead.degree != self.trail.degree:
+        if lead.degree != trail.degree:
             raise ValueError("lead and trail differ in degree")
+        _set_lead(self, lead)
+        _set_trail(self, trail)
+        _set_source(self, source)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return MarkedBinomial, (self.lead, self.trail, self.source)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lead, self.trail, self.source) == (
+            other.lead, other.trail, other.source)
+
+    def __hash__(self) -> int:
+        return hash((self.lead, self.trail, self.source))
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(lead={self.lead!r}, "
+                f"trail={self.trail!r}, source={self.source!r})")
 
     def label(self, r: int | None = None) -> str:
         return f"{self.lead.label(r)} -> {self.trail.label(r)}"
 
     def __str__(self) -> str:
         return self.label()
+
+
+_set_lead = MarkedBinomial.lead.__set__
+_set_trail = MarkedBinomial.trail.__set__
+_set_source = MarkedBinomial.source.__set__
 
 
 def lift_to_mixed(rules: Sequence[MarkedBinomial], n: int) -> list[MarkedBinomial]:

@@ -17,12 +17,62 @@ from borel_rees.monomial import (
     Monomial,
     all_one_step_reductions,
     parse_monomial,
+    rlex_sort_key,
     strongly_stable_precedes,
 )
 
 
 def m(text, n):
     return parse_monomial(text, n)
+
+
+def object_closure(gens, n):
+    """The minimal generators of B(gens) by breadth-first search on Monomial
+    objects under every one-step reduction, with borel_closure's checks:
+    the reference for the closure on exponent tuples."""
+    gens = tuple(gens)
+    if not gens:
+        raise InvalidIdeal("empty Borel generator list")
+    if any(g.n != n for g in gens):
+        raise InvalidIdeal(f"generator ambient dimension differs from n={n}")
+    degree = gens[0].degree
+    if degree == 0:
+        raise InvalidIdeal("Borel generators must have positive degree")
+    if any(g.degree != degree for g in gens):
+        raise InvalidIdeal(
+            f"mixed generator degrees {sorted({g.degree for g in gens})}"
+        )
+    seen = set(gens)
+    frontier = list(gens)
+    while frontier:
+        for red, _, _ in all_one_step_reductions(frontier.pop()):
+            if red not in seen:
+                seen.add(red)
+                frontier.append(red)
+    return tuple(sorted(seen, key=rlex_sort_key))
+
+
+def outcome(build, gens, n):
+    """What build returns for gens, or the type and text of what it raises."""
+    try:
+        return build(gens, n)
+    except InvalidIdeal as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def generator_lists(draw):
+    """(n, 0-3 generators of degree 1-4 in n <= 7 variables); the degrees
+    agree unless mixed is drawn."""
+    n = draw(st.integers(1, 7))
+    mixed = draw(st.booleans())
+    degree = draw(st.integers(1, 4))
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        d = draw(st.integers(1, 4)) if mixed else degree
+        picks = draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d))
+        gens.append(Monomial([picks.count(i) for i in range(n)]))
+    return n, gens
 
 
 class TestBorelClosure:
@@ -75,6 +125,39 @@ class TestBorelClosure:
             if any(strongly_stable_precedes(u, g) for g in gens)
         }
         assert set(ideal.minimal_generators) == expected
+
+    @given(generator_lists())
+    def test_matches_the_object_closure(self, drawn):
+        n, gens = drawn
+        got = outcome(
+            lambda g, k: borel_closure(g, k).minimal_generators, gens, n)
+        assert got == outcome(object_closure, gens, n)
+
+    @given(generator_lists())
+    def test_borel_generators_are_the_minimal_ones(self, drawn):
+        n, gens = drawn
+        if not gens or len({g.degree for g in gens}) > 1:
+            return
+        ideal = borel_closure(gens, n)
+        kept = ideal.borel_generators
+        # no repeat, none inside another's closure, in the given order
+        assert len(set(kept)) == len(kept)
+        assert not any(g != h and strongly_stable_precedes(g, h)
+                       for g in kept for h in kept)
+        given_order = list(dict.fromkeys(gens))
+        assert sorted(kept, key=given_order.index) == list(kept)
+        # and they generate the same ideal
+        assert borel_closure(kept, n).minimal_generators == (
+            ideal.minimal_generators)
+
+    def test_redundant_generators_are_dropped(self):
+        assert borel_closure([m("x3*x4", 4), m("x4^2", 4)],
+                             4).borel_generators == (m("x4^2", 4),)
+        assert borel_closure([m("x2^2", 2), m("x1*x2", 2), m("x1^2", 2)],
+                             2).borel_generators == (m("x2^2", 2),)
+        pair = [m("x4*x5", 6), m("x2*x6", 6)]
+        assert borel_closure(pair + [m("x4*x5", 6), m("x1*x6", 6)],
+                             6).borel_generators == tuple(pair)
 
     def test_ambient_dimension_matters(self):
         small = borel_closure([m("x3^2", 3)], 3)
@@ -137,7 +220,7 @@ class TestRegionPartition:
         assert a.N == b.N == m("x1*x3", 3)
 
     def test_shape_constraint_enforced(self):
-        # x1*x3 lies inside B(x2*x3): not an incomparable pair
+        # x1*x3 lies inside B(x2*x3): one minimal Borel generator, no split
         with pytest.raises(InvalidIdeal):
             region_partition(borel_closure([m("x2*x3", 3), m("x1*x3", 3)], 3))
 
@@ -174,6 +257,21 @@ class TestRegionPartition:
     def test_order_view_dispatch(self, quadric_pair_ideal):
         assert order_view(quadric_pair_ideal).N is not None
         assert order_view(borel_closure([m("x1^2", 2)], 2)).N is None
+
+    def test_order_view_is_built_once_per_ideal(self, running_pair):
+        i1, _ = running_pair
+        assert order_view(i1) is order_view(i1)
+        again = borel_closure(i1.borel_generators, i1.n)
+        # an equal ideal built apart gets its own, equal view
+        assert order_view(again) is not order_view(i1)
+        assert order_view(again) == order_view(i1)
+
+    def test_failing_split_raises_on_every_call(self):
+        three = borel_closure([m("x1*x6", 6), m("x2*x5", 6), m("x3*x4", 6)], 6)
+        assert three.num_borel_generators == 3
+        for _ in range(3):
+            with pytest.raises(InvalidIdeal, match="exactly 2 Borel"):
+                order_view(three)
 
 
 class TestCollections:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import borel_rees
-from borel_rees import cli, paper_cases, reduction, verifier
+from borel_rees import borel, cli, paper_cases, reduction, verifier
 from borel_rees.cli import main
 from borel_rees.paper_cases import CASES, load_expectation, run_case
 
@@ -720,3 +720,111 @@ class TestStartup:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+# each redundant spec with its minimal spec
+REDUNDANT_SPECS = [
+    # x3*x4 lies in B(x4^2); the split used to refuse the pair's shape
+    ({"n": 4, "ideals": [{"borel_generators": ["x3*x4", "x4^2"]}]},
+     {"n": 4, "ideals": [{"borel_generators": ["x4^2"]}]}),
+    # x1*x2 and x1^2 lie in B(x2^2); the gate used to count g = 3
+    ({"n": 2, "ideals": [{"borel_generators": ["x2^2", "x1*x2", "x1^2"]}]},
+     {"n": 2, "ideals": [{"borel_generators": ["x2^2"]}]}),
+    # a repeat, and a generator inside another's closure
+    ({"n": 6, "ideals": [
+        {"borel_generators": ["x4*x5", "x2*x6", "x4*x5", "x1*x6"]},
+        {"borel_generators": ["x4^2", "x3*x6"]}]},
+     PAIR_SPEC),
+]
+
+
+class TestRedundantGenerators:
+    @pytest.mark.parametrize("redundant, minimal", REDUNDANT_SPECS)
+    @pytest.mark.parametrize("command", ["closure", "verify", "koszul-report"])
+    def test_output_is_the_minimal_specs(self, capsys, spec_file, command,
+                                         redundant, minimal):
+        argv = [command]
+        if command == "koszul-report":
+            # a total t-degree of 3 runs the obstruction scan
+            argv += ["--budget", "3" if len(minimal["ideals"]) == 1 else "2,1"]
+        runs = []
+        for spec, name in ((redundant, "redundant.json"),
+                           (minimal, "minimal.json")):
+            code = main(argv + ["--spec", spec_file(spec, name)])
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+
+    def test_gate_counts_minimal_generators(self, capsys, spec_file):
+        code, payload = run_cli(
+            capsys, "koszul-report", "--spec", spec_file(REDUNDANT_SPECS[1][0]),
+            "--budget", "3",
+        )
+        assert payload["parameter_gate"]["g"] == [1]
+        assert payload["parameter_gate"]["case"] == "c"
+
+
+class TestFrontEnd:
+    def test_verify_builds_each_view_and_variable_once(self, capsys,
+                                                      spec_file):
+        seen = {}
+        marking_order = verifier.marking_order
+        presentation_variables = verifier.presentation_variables
+
+        def recorded_marking_order(rules, ideals):
+            seen["rules"] = rules
+            seen["order"] = marking_order(rules, ideals)
+            return seen["order"]
+
+        def recorded_variables(ideals):
+            seen["variables"] = presentation_variables(ideals)
+            return seen["variables"]
+
+        with mock.patch.object(borel, "region_partition",
+                               wraps=borel.region_partition) as split, \
+                mock.patch.object(verifier, "marking_order",
+                                  recorded_marking_order), \
+                mock.patch.object(verifier, "presentation_variables",
+                                  recorded_variables):
+            code = main(["verify", "--spec", spec_file(PAIR_SPEC),
+                         "--budget", "1,1", "--basis", "ht"])
+        capsys.readouterr()
+        assert code == 0
+        # once per ideal: _basis_for and marking_order share the views
+        assert split.call_count == 2
+        variables = seen["variables"]
+        one = {v.key: v for v in variables}
+        assert len(one) == len(variables) == 32
+        order = seen["order"]
+        assert order.kind == "ht"
+        assert sorted(map(id, order.ranked)) == sorted(map(id, variables))
+        factors = [f for g in seen["rules"] for side in (g.lead, g.trail)
+                   for f in side.factors]
+        assert len(factors) == 4 * 387
+        assert all(one[f.key] is f for f in factors)
+
+    def test_jobs_keep_a_fiber_graph_marking_byte_identical(
+            self, capsys, spec_file, tmp_path):
+        # one ht rule reversed: no library order orients the marking, so
+        # the fiber graphs are built, in a pool at --jobs 2
+        basis_for = cli._basis_for
+
+        def one_rule_reversed(ideals, name):
+            rules = basis_for(ideals, name)
+            g = rules[0]
+            return [reduction.MarkedBinomial(g.trail, g.lead, g.source),
+                    *rules[1:]]
+
+        path = spec_file(PAIR_SPEC)
+        runs = []
+        with mock.patch.object(cli, "_basis_for", one_rule_reversed):
+            for jobs in ("1", "2"):
+                out = tmp_path / jobs
+                code = main(["verify", "--spec", path, "--budget", "2,1",
+                             "--basis", "ht", "--jobs", jobs,
+                             "--out", str(out)])
+                runs.append((code, capsys.readouterr().out,
+                             (out / "verify.json").read_text(),
+                             (out / "basis.jsonl").read_text()))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][1])["notes"][0].startswith("fiber graphs")

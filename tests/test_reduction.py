@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 import random
 from collections import Counter
 from unittest import mock
@@ -65,6 +67,62 @@ class TestMarkedBinomial:
         # equal degrees keep every rewrite path among finitely many monomials
         with pytest.raises(ValueError, match="differ in degree"):
             MarkedBinomial(m("x1*x2", 3), m("x3", 3))
+
+    def test_constructor_errors_name_the_check(self, running_pair_basis):
+        g = running_pair_basis[0]
+        with pytest.raises(TypeError, match="same monomial kind"):
+            MarkedBinomial(g.lead, MixedMonomial(m("1", 6), g.trail))
+        with pytest.raises(ValueError, match="lead equals trail"):
+            MarkedBinomial(g.lead, PresMonomial(g.lead.factors), "G1")
+        with pytest.raises(ValueError, match="differ in degree"):
+            MarkedBinomial(g.lead, g.trail * g.trail)
+
+    @staticmethod
+    def kinds(running_pair_basis):
+        """One rule of each monomial kind: ambient, presentation, mixed."""
+        g = running_pair_basis[-1]
+        return [
+            MarkedBinomial(m("x1*x4", 5), m("x2*x3", 5), "ADHOC"),
+            g,
+            lift_to_mixed([g], 6)[0],
+        ]
+
+    def test_equality_and_hash_follow_the_fields(self, running_pair_basis):
+        for g in self.kinds(running_pair_basis):
+            twin = MarkedBinomial(g.lead, g.trail, g.source)
+            assert twin == g and hash(twin) == hash(g)
+            assert hash(g) == hash((g.lead, g.trail, g.source))
+            assert MarkedBinomial(g.lead, g.trail, "other") != g
+            assert MarkedBinomial(g.trail, g.lead, g.source) != g
+            assert g != (g.lead, g.trail, g.source)
+        # equal factors built apart make equal rules
+        g = running_pair_basis[0]
+        apart = MarkedBinomial(
+            PresMonomial([PresVar(v.ideal_index, Monomial(v.generator.exps))
+                          for v in g.lead.factors]),
+            PresMonomial(list(g.trail.factors)), g.source)
+        assert apart == g and hash(apart) == hash(g)
+
+    def test_repr_is_the_dataclass_text(self, running_pair_basis):
+        for g in self.kinds(running_pair_basis):
+            assert repr(g) == (f"MarkedBinomial(lead={g.lead!r}, "
+                               f"trail={g.trail!r}, source={g.source!r})")
+
+    def test_immutable(self, running_pair_basis):
+        g = running_pair_basis[0]
+        for name in ("lead", "trail", "source", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, name, g.trail)
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        assert not hasattr(g, "__dict__")
+
+    def test_pickle_round_trip(self, running_pair_basis):
+        rules = self.kinds(running_pair_basis)
+        again = pickle.loads(pickle.dumps(rules))
+        assert again == rules
+        assert [repr(g) for g in again] == [repr(g) for g in rules]
+        assert [hash(g) for g in again] == [hash(g) for g in rules]
 
 
 class TestApplicableReductions:
