@@ -9,6 +9,7 @@ refuted/obstructed/mismatch, 3 inconclusive, 4 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -364,10 +365,16 @@ def _remove_empty(created: list[Path]) -> None:
             return
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reuses across calls in one process; parsing leaves
+    it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # --help, or a usage error
         return exc.code
     created: list[Path] = []

@@ -17,7 +17,10 @@ and groups each slice by packed content; enumerate_fiber (one fiber) and
 enumerate_mixed_fiber (one fiber of the full presentation map) grow one
 slice pruned against the target x-part. rank_fibers yields every fiber
 within a t-budget from rank_slices, as rank tuples, or with an x-degree
-bound every fiber of the full presentation map as atom tuples;
+bound every fiber of the full presentation map as atom tuples: a member
+u*m is u's rank tuple followed by m's x-atoms, x_i being atom size + i - 1
+after the size presentation variables, so a rank tuple is its own atom
+tuple;
 fibers_by_multidegree builds PresMonomials from rank_fibers. rank_slices
 hands out its contents packed, with the Digits that decode them; the others
 decode a content only when they yield it.
@@ -566,13 +569,15 @@ def rank_fibers(
     slices of rank_slices, contents ascending.
 
     With x_degree, the fibers of the full presentation map instead, up to
-    that x-degree, each member m*u as its sorted atom tuple: x_i is atom
-    i - 1 and rank k is atom n + k. They come t-slice by t-slice, then by
-    x-degree, then in combinations_with_replacement order of the x-atoms;
-    a fiber holds the slice monomials u whose content divides its x-part,
-    contents in the order of their first monomial and each content's
-    monomials in rank order, with m the rest of the x-part. A fiber is keyed
-    by its packed x-part, the packed content plus the packed m.
+    that x-degree, each member u*m as its sorted atom tuple: rank k is atom
+    k and x_i is atom size + i - 1, with size = len(presentation_variables),
+    so a member is u's rank tuple followed by m's x-atoms. They come t-slice
+    by t-slice, then by x-degree, then in combinations_with_replacement
+    order of the x-atoms; a fiber holds the slice monomials u whose content
+    divides its x-part, contents in the order of their first monomial and
+    each content's monomials in rank order, with m the rest of the x-part. A
+    fiber is keyed by its packed x-part, the packed content plus the packed
+    m.
     """
     n = ideals[0].n
     digits, slices = rank_slices(ideals, t_budget, forbidden_pairs,
@@ -582,27 +587,24 @@ def rank_fibers(
             for x in sorted(groups):
                 yield MultiDegree(digits.unpack(x), tv), groups[x]
         return
+    size = len(presentation_variables(ideals))
     units = [digits.pack([int(i == j) for j in range(n)]) for i in range(n)]
-    # x-degree -> (packed m, atoms of m), in combinations order
+    # x-degree -> (packed m, x-atoms of m), in combinations order
     rests: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for tv, groups in slices:
-        members = [
-            (x, [tuple([n + k for k in ranks]) for ranks in group])
-            for x, group in groups.items()
-        ]
         low = content_degree(ideals, tv)
         for d in range(low, x_degree + 1):
             if d - low not in rests:
                 rests[d - low] = [
-                    (sum([units[i] for i in w]), w)
+                    (sum([units[a - size] for a in w]), w)
                     for w in itertools.combinations_with_replacement(
-                        range(n), d - low)
+                        range(size, size + n), d - low)
                 ]
             fibers: dict[int, list[tuple[int, ...]]] = {}
-            for x, us in members:
+            for x, us in groups.items():
                 for pw, w in rests[d - low]:
-                    fibers.setdefault(x + pw, []).extend(w + u for u in us)
-            # same degree: atom tuples ascend as exponent tuples descend
+                    fibers.setdefault(x + pw, []).extend([u + w for u in us])
+            # same degree: x-atom tuples ascend as exponent tuples descend
             for key in sorted(fibers, reverse=True):
                 yield MultiDegree(digits.unpack(key), tv), fibers[key]
 

@@ -4,11 +4,13 @@ A rule applies to a monomial when its lead divides it, and the successor
 swaps the lead for the trail. Rules and monomials of all three kinds
 (ambient Monomial, PresMonomial, MixedMonomial) are rewritten by one core,
 on sorted int tuples: rank_rules compiles a rule list once onto the atoms of
-a collection, where x_i is atom i - 1 and the presentation variable of rank
-k is atom n + k, and RankRules.encode and decode translate monomials.
-Two-atom leads (quadrics, syzygies x_i*T_u and lifted fiber leads alike) are
-keyed by their atom pair with every rule of that lead, in list order; any
-other lead is found by multiset containment.
+a collection, where the presentation variable of rank k is atom k and x_i
+is atom size + i - 1 (size presentation variables), so a rank tuple is
+already an atom tuple; RankRules.encode and decode translate monomials.
+Two-atom leads (quadrics, syzygies T_u*x_i and lifted fiber leads alike)
+are found in a lead table indexed by atom: rows[a][b] lists every rule with
+lead (a, b), in list order. Any other lead is found by multiset
+containment.
 
 On that core, rank_rewrites lists every one-step reduction of an atom tuple
 in rule-list order, fiber_edges builds every fiber graph from it (the
@@ -44,6 +46,12 @@ from .presentation import MixedMonomial, PresMonomial, PresVar
 
 class RewriteCycle(RuntimeError):
     """Rewriting returned to a monomial on its own path, so it never ends."""
+
+    @classmethod
+    def recurring(cls, label: str, steps: int) -> "RewriteCycle":
+        """The error of a path that returns to the monomial with this label
+        after this many steps."""
+        return cls(f"rewriting cycles: {label} recurs after {steps} steps")
 
 
 class GraphShapeError(ValueError):
@@ -334,10 +342,8 @@ def normal_form(v, rules: Sequence[MarkedBinomial], memo: dict | None = None):
         path[current] = len(path)
         current = current.quotient(rule.lead) * rule.trail
         if current in path:
-            raise RewriteCycle(
-                f"rewriting cycles: {current} recurs after "
-                f"{len(path) - path[current]} steps"
-            )
+            raise RewriteCycle.recurring(
+                str(current), len(path) - path[current])
     if memo is not None:
         memo.update(dict.fromkeys(path, nf))
         memo[current] = nf
@@ -347,30 +353,37 @@ def normal_form(v, rules: Sequence[MarkedBinomial], memo: dict | None = None):
 class RankRules(NamedTuple):
     """A rule list compiled onto a collection's atom alphabet.
 
-    x_i is atom i - 1 and the presentation variable of rank k (its position
-    in presentation_variables) is atom n + k, so ambient, pure and mixed
-    monomials are all sorted int tuples. pairs maps each two-atom lead to
-    the (position, lead, trail) of every rule with that lead, in list order;
-    others holds (position, lead, trail) of every other rule, in list order.
+    The presentation variable of rank k (its position in
+    presentation_variables) is atom k and x_i is atom size + i - 1, where
+    size is the number of presentation variables, so ambient, pure and
+    mixed monomials are all sorted int tuples, ranks first. rows is the lead
+    table of the two-atom leads: rows[a] is None unless atom a is the first
+    atom of some such lead, and then rows[a][b] is the list of
+    (position, lead, trail) of every rule with lead (a, b), in list order,
+    or None. others holds (position, lead, trail) of every other rule, in
+    list order.
     """
 
     n: int
     atoms: dict[PresVar, int]
     variables: tuple[PresVar, ...]
-    pairs: dict[tuple[int, int], list[tuple[int, tuple[int, ...], tuple[int, ...]]]]
+    rows: list[list | None]
     others: list[tuple[int, tuple[int, ...], tuple[int, ...]]]
 
     def encode(self, v: Monomial | PresMonomial | MixedMonomial) -> tuple[int, ...]:
         """The sorted atom tuple of a monomial; an ambient Monomial has
         x-atoms only."""
+        size = len(self.variables)
         if isinstance(v, Monomial):
-            return tuple(i for i, e in enumerate(v.exps) for _ in range(e))
+            return tuple(size + i for i, e in enumerate(v.exps)
+                         for _ in range(e))
         xs: list[int] = []
         if isinstance(v, MixedMonomial):
-            xs = [i for i, e in enumerate(v.x_part.exps) for _ in range(e)]
+            xs = [size + i for i, e in enumerate(v.x_part.exps)
+                  for _ in range(e)]
             v = v.t_part
         try:
-            return tuple(xs + [self.atoms[f] for f in v.factors])
+            return tuple([self.atoms[f] for f in v.factors] + xs)
         except KeyError as exc:
             raise ValueError(
                 f"{exc.args[0]} is not a variable of this collection"
@@ -379,13 +392,15 @@ class RankRules(NamedTuple):
     def decode(self, atoms: Sequence[int], kind: type = MixedMonomial):
         """The monomial of the given kind (Monomial, PresMonomial or
         MixedMonomial) that the atoms encode."""
-        split = bisect_left(atoms, self.n)
-        xs = atoms[:split]
-        exps = [xs.count(i) for i in range(self.n)]
+        size = len(self.variables)
+        split = bisect_left(atoms, size)
+        exps = [0] * self.n
+        for a in atoms[split:]:
+            exps[a - size] += 1
         if kind is Monomial:
             return Monomial(exps)
         t_part = PresMonomial.from_sorted(
-            tuple([self.variables[a - self.n] for a in atoms[split:]]))
+            tuple([self.variables[k] for k in atoms[:split]]))
         if kind is PresMonomial:
             return t_part
         return MixedMonomial(Monomial(exps), t_part)
@@ -399,15 +414,28 @@ def rank_rules(
     rules: Sequence[MarkedBinomial], variables: Sequence[PresVar], n: int
 ) -> RankRules:
     """Compile a rule list onto the atoms of a collection with n ambient
-    variables and presentation_variables `variables`."""
+    variables and presentation_variables `variables`.
+
+    The lead table has a row only for an atom that leads some two-atom
+    rule, and no rows at all (an empty list) when none does.
+    """
+    width = len(variables) + n
     compiled = RankRules(
-        n, {v: n + k for k, v in enumerate(variables)}, tuple(variables),
-        {}, [],
+        n, {v: k for k, v in enumerate(variables)}, tuple(variables), [], [],
     )
+    rows = compiled.rows
     for pos, g in enumerate(rules):
         lead, trail = compiled.encode(g.lead), compiled.encode(g.trail)
         if len(lead) == 2:
-            compiled.pairs.setdefault(lead, []).append((pos, lead, trail))
+            if not rows:
+                rows += [None] * width
+            a, b = lead
+            row = rows[a]
+            if row is None:
+                row = rows[a] = [None] * width
+            if row[b] is None:
+                row[b] = []
+            row[b].append((pos, lead, trail))
         else:
             compiled.others.append((pos, lead, trail))
     return compiled
@@ -429,34 +457,47 @@ def _apply(v: tuple[int, ...], lead: tuple[int, ...],
     return tuple(rest)
 
 
+def _swap(v: tuple[int, ...], i: int, j: int,
+          trail: tuple[int, ...]) -> tuple[int, ...]:
+    """v with the atoms at positions i < j replaced by trail, sorted."""
+    rest = list(v)
+    del rest[j]
+    del rest[i]
+    rest += trail
+    rest.sort()
+    return tuple(rest)
+
+
 def rank_rewrites(v: tuple[int, ...],
                   rules: RankRules) -> list[tuple[tuple[int, ...], int]]:
     """Every one-step reduction of an atom tuple as (successor, rule
     position), in rule-list order.
 
-    Probes pairs with each distinct atom pair of v (equal atoms sit next to
-    each other) and scans the other rules by multiset containment.
+    Reads the lead table at each distinct atom pair of v (equal atoms sit
+    next to each other) and scans the other rules by multiset containment.
     """
     hits = []
-    pairs = rules.pairs
-    if pairs:
+    rows = rules.rows
+    if rows:
         last = len(v) - 1
         for i in range(last):
             a = v[i]
-            if i and a == v[i - 1]:
+            row = rows[a]
+            if row is None or i and a == v[i - 1]:
                 continue
             for j in range(i + 1, last + 1):
                 if j > i + 1 and v[j] == v[j - 1]:
                     continue
-                found = pairs.get((a, v[j]))
+                found = row[v[j]]
                 if found:
-                    hits += found
-    for entry in rules.others:
-        if _contains(v, entry[1]):
-            hits.append(entry)
+                    hits += [(pos, _swap(v, i, j, trail))
+                             for pos, _, trail in found]
+    for pos, lead, trail in rules.others:
+        if _contains(v, lead):
+            hits.append((pos, _apply(v, lead, trail)))
     if len(hits) > 1:
         hits.sort(key=itemgetter(0))
-    return [(_apply(v, lead, trail), pos) for pos, lead, trail in hits]
+    return [(succ, pos) for pos, succ in hits]
 
 
 def fiber_edges(fiber: Sequence[tuple[int, ...]], rules: RankRules,
@@ -489,17 +530,39 @@ def fiber_edges(fiber: Sequence[tuple[int, ...]], rules: RankRules,
     return edges
 
 
+def rank_step(v: tuple[int, ...], rules: RankRules) -> tuple[int, ...] | None:
+    """The successor of an atom tuple under its earliest-listed applicable
+    rule, or None when no rule applies.
+
+    Reads the lead table at every atom pair of v and scans by multiset
+    containment only the other rules listed before the best table hit.
+    """
+    best, found = math.inf, None
+    rows = rules.rows
+    if rows:
+        last = len(v) - 1
+        for i in range(last):
+            row = rows[v[i]]
+            if row is not None:
+                for j in range(i + 1, last + 1):
+                    hit = row[v[j]]
+                    if hit is not None and hit[0][0] < best:
+                        best, found = hit[0][0], (i, j, hit[0][2])
+    for pos, lead, trail in rules.others:
+        if pos > best:
+            break
+        if _contains(v, lead):
+            return _apply(v, lead, trail)
+    if found is None:
+        return None
+    return _swap(v, *found)
+
+
 def rank_normal_form(v: tuple[int, ...], rules: RankRules,
                      memo: dict | None = None) -> tuple[int, ...]:
-    """Rewrite an atom tuple by the earliest-listed applicable rule until
-    none applies, with normal_form's memo semantics and RewriteCycle
-    message.
-
-    Each step probes pairs with every atom pair of the current monomial and
-    scans by multiset containment only the other rules listed before the
-    best hit.
-    """
-    pairs, others = rules.pairs, rules.others
+    """Rewrite an atom tuple by the earliest-listed applicable rule
+    (rank_step) until none applies, with normal_form's memo semantics and
+    RewriteCycle message."""
     path: dict = {}
     current = v
     while True:
@@ -507,31 +570,15 @@ def rank_normal_form(v: tuple[int, ...], rules: RankRules,
             nf = memo.get(current)
             if nf is not None:
                 break
-        best, lead, trail = math.inf, None, None
-        if pairs:
-            last = len(current) - 1
-            for i in range(last):
-                a = current[i]
-                for j in range(i + 1, last + 1):
-                    hit = pairs.get((a, current[j]))
-                    if hit is not None and hit[0][0] < best:
-                        best, lead, trail = hit[0]
-        for pos, other_lead, other_trail in others:
-            if pos > best:
-                break
-            if _contains(current, other_lead):
-                lead, trail = other_lead, other_trail
-                break
-        if lead is None:
+        succ = rank_step(current, rules)
+        if succ is None:
             nf = current
             break
         path[current] = len(path)
-        current = _apply(current, lead, trail)
+        current = succ
         if current in path:
-            raise RewriteCycle(
-                f"rewriting cycles: {rules.label(current)} recurs after "
-                f"{len(path) - path[current]} steps"
-            )
+            raise RewriteCycle.recurring(
+                rules.label(current), len(path) - path[current])
     if memo is not None:
         memo.update(dict.fromkeys(path, nf))
         memo[current] = nf

@@ -12,13 +12,15 @@ One verifier serves the pure and the mixed presentation, and the rules pick
 the fibers: when some lead is a MixedMonomial (the fiber-type basis of
 syzygies plus the lifted fiber basis) they are the full presentation's
 fibers up to an x-degree bound, otherwise the pure fibers. Both come as
-atom tuples from the one enumerator (presentation.rank_fibers), and
-mixed_fibers only decodes them. The default x-degree bound reaches every
-budgeted t-slice (mixed_x_degree); a note names each slice an explicit
-bound leaves unreached. The kernel oracle (kernel_membership) reduces every
-member of the same fibers once, on atom tuples, and counts a fiber of k
-members as its C(k, 2) pairs; the pair list (toric_kernel_span) and its
-object-level check (check_membership) stay as its reference.
+atom tuples from the one enumerator (presentation.rank_fibers): the
+presentation variable of rank k is atom k and x_i is atom size + i - 1,
+so a pure fiber's rank tuples are its atom tuples, and mixed_fibers only
+decodes them. The default x-degree bound reaches every budgeted t-slice
+(mixed_x_degree); a note names each slice an explicit bound leaves
+unreached. The kernel oracle (kernel_membership) reduces every member of
+the same fibers once, on atom tuples, and counts a fiber of k members as
+its C(k, 2) pairs; the pair list (toric_kernel_span) and its object-level
+check (check_membership) stay as its reference.
 
 verify_gb picks its method from the marking alone. When a library term order
 orients every rule (orders.marking_order), rewriting strictly descends that
@@ -329,7 +331,7 @@ def verify_gb(
             compiled.decode,
             kind=PresMonomial if x_degree is None else MixedMonomial,
         )
-        fibers = _atom_fibers(ideals, t_budget, x_degree)
+        fibers = rank_fibers(ideals, t_budget, x_degree=x_degree)
         if jobs <= 1:
             consume((_fiber_graph_result(mu, fiber, compiled)
                      for mu, fiber in fibers), decode)
@@ -396,18 +398,6 @@ def unreached_slice_notes(
         return []
     return [f"unchecked t-vectors, content degree above x-degree {x_degree}: "
             f"{unreached}"]
-
-
-def _atom_fibers(ideals, t_budget, x_degree):
-    """(multidegree, fiber of atom tuples): the pure fibers, or the mixed
-    ones up to x_degree when it is given, from rank_fibers."""
-    if x_degree is not None:
-        return rank_fibers(ideals, t_budget, x_degree=x_degree)
-    n = ideals[0].n
-    return (
-        (mu, [tuple([n + k for k in ranks]) for ranks in group])
-        for mu, group in rank_fibers(ideals, t_budget)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +485,8 @@ def kernel_membership(
     """
     check_t_budget(ideals, t_budget)
     compiled = rank_rules(rules, presentation_variables(ideals), ideals[0].n)
-    fibers = (fiber for _, fiber in _atom_fibers(ideals, t_budget, x_degree)
+    fibers = (fiber for _, fiber in
+              rank_fibers(ideals, t_budget, x_degree=x_degree)
               if len(fiber) > 1)
     label = functools.cache(compiled.label)
     memo: dict = {}

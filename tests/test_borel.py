@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from borel_rees.borel import (
     InvalidIdeal,
+    StronglyStableIdeal,
     borel_closure,
     collection_spec,
     load_collection,
@@ -220,9 +221,25 @@ class TestRegionPartition:
         assert a.N == b.N == m("x1*x3", 3)
 
     def test_shape_constraint_enforced(self):
-        # x1*x3 lies inside B(x2*x3): one minimal Borel generator, no split
-        with pytest.raises(InvalidIdeal):
+        # x1*x3 lies inside B(x2*x3): one minimal Borel generator, so the
+        # generator count refuses the split before the shape is looked at
+        with pytest.raises(InvalidIdeal,
+                           match="needs exactly 2 Borel generators, got 1"):
             region_partition(borel_closure([m("x2*x3", 3), m("x1*x3", 3)], 3))
+
+    def test_comparable_generators_are_not_in_the_shape(self):
+        # borel_closure keeps only incomparable generators, which always
+        # fit the shape; an ideal built directly can still hold two
+        # comparable ones
+        ideal = StronglyStableIdeal(
+            n=3, degree=2,
+            borel_generators=(m("x2*x3", 3), m("x1*x3", 3)),
+            minimal_generators=borel_closure(
+                [m("x2*x3", 3)], 3).minimal_generators,
+        )
+        with pytest.raises(InvalidIdeal,
+                           match=r"not in the shape c < a <= b < d"):
+            region_partition(ideal)
 
     def test_wrong_generator_count(self, running_pair):
         i1, _ = running_pair

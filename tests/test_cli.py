@@ -722,6 +722,48 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
 
 
+def main_outcomes(calls):
+    """(exit code, stdout, stderr) of main on each argv in turn."""
+    outcomes = []
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        outcomes.append((code, out.getvalue(), err.getvalue()))
+    return outcomes
+
+
+class TestParserReuse:
+    def test_one_parser_answers_like_fresh_ones(self, spec_file):
+        # main builds its parser once per process; usage errors, --help and
+        # real runs interleaved read exactly as with a parser per call
+        spec = spec_file(PAIR_SPEC)
+        calls = [
+            ["verify", "--spec", spec, "--budget", "x"],
+            ["--help"],
+            ["verify", "--spec", spec, "--budget", "1,1", "--basis", "ht"],
+            ["kernel-oracle", "--help"],
+            ["verify", "--spec", spec, "--budget", "1,1", "--jobs", "0"],
+            ["verify", "--spec", spec, "--budget", "2,1", "--basis", "g3"],
+            # the default budget, after a call that gave one
+            ["verify", "--spec", spec, "--basis", "ht"],
+        ]
+        cli._parser.cache_clear()
+        with mock.patch.object(cli, "build_parser",
+                               wraps=cli.build_parser) as build:
+            reused = main_outcomes(calls)
+        assert build.call_count == 1
+        with mock.patch.object(cli, "_parser", cli.build_parser):
+            fresh = main_outcomes(calls)
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [4, 0, 0, 0, 4, 2, 0]
+        assert "usage: borel-rees" in reused[1][1]
+        assert "error: argument --budget" in reused[0][2]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+
 # each redundant spec with its minimal spec
 REDUNDANT_SPECS = [
     # x3*x4 lies in B(x4^2); the split used to refuse the pair's shape

@@ -430,9 +430,9 @@ class TestDigitWidth:
                   if mu.t_exps == (1,)]
         assert len(fibers) == sum(d - 1 for d in range(2, 257))
         for (mu, (atoms,)), (nu, _) in zip(fibers, fibers[1:]):
-            # a member is x1^(a - 2) * x2^b * T{x1^2}
+            # a member is T{x1^2} * x1^(a - 2) * x2^b
             a, b = mu.x_exps
-            assert atoms == (0,) * (a - 2) + (1,) * b + (2,)
+            assert atoms == (0,) + (1,) * (a - 2) + (2,) * b
             # by x-degree, then x-atoms ascending: x1's exponent descending
             assert (sum(mu.x_exps), -a) < (sum(nu.x_exps), -nu.x_exps[0])
         assert [mu.x_exps for mu, _ in fibers[-2:]] == [(3, 253), (2, 254)]

@@ -35,6 +35,7 @@ from borel_rees.reduction import (
     rank_normal_form,
     rank_rewrites,
     rank_rules,
+    rank_step,
     rule_indices,
     to_dot,
 )
@@ -738,8 +739,7 @@ class TestRankRewriting:
         compiled = rank_rules([], presentation_variables(ideals), n)
         pure = [v for _, f in fibers_by_multidegree(ideals, (2, 1)) for v in f]
         ranks = [r for _, f in rank_fibers(ideals, (2, 1)) for r in f]
-        assert [compiled.encode(v) for v in pure] == [
-            tuple(n + k for k in r) for r in ranks]
+        assert [compiled.encode(v) for v in pure] == ranks
         assert all(compiled.label(compiled.encode(v)) == str(v) for v in pure)
         ideals = [quadric_pair_ideal]
         compiled = rank_rules([], presentation_variables(ideals), 5)
@@ -754,6 +754,97 @@ class TestRankRewriting:
         with pytest.raises(ValueError, match="not a variable of this"):
             rank_rules(quadric_pair_G1,
                        presentation_variables(list(running_pair)), 6)
+
+
+class TestLeadTable:
+    """The lead table of rank_rules against the in-order scan
+    (applicable_reductions, normal_form); each case fails on a plausible
+    slip in the table core."""
+
+    def test_earliest_listed_rule_beats_the_first_probed_pair(self):
+        # x1*x2 is probed before x3*x4, but the rule on x3*x4 is listed
+        # first; x1*x2 leads two rules, kept in list order
+        listed = rules_of(4, ("x3*x4", "x1^2"), ("x1*x2", "x3^2"),
+                          ("x1*x2", "x4^2"))
+        assert [pos for pos, _, _ in rank_rules(listed, (), 4).rows[0][1]] \
+            == [1, 2]
+        v = m("x1*x2*x3*x4", 4)
+        monomials = [
+            Monomial([combo.count(k) for k in range(4)])
+            for combo in itertools.combinations_with_replacement(range(4), 4)
+        ]
+        for rules, step in ((listed, "x1^3*x2"), (listed[1:], "x3^3*x4"),
+                            (listed[:0:-1], "x3*x4^3")):
+            compiled = rank_rules(rules, (), 4)
+            atoms = compiled.encode(v)
+            assert rank_step(atoms, compiled) == compiled.encode(m(step, 4))
+            assert [rules[pos] for _, pos in rank_rewrites(atoms, compiled)] \
+                == [g for _, g in applicable_reductions(v, rules)]
+            assert_atoms_match_scan(monomials, rules, n=4)
+
+    def test_square_lead_on_a_cube(self):
+        # the lead x1^2 sits at three position pairs of x1^3*x2: one
+        # reduction, with two of the three x1 removed; x1*x2^3 has one x1
+        rules = rules_of(2, ("x1^2", "x2^2"))
+        compiled = rank_rules(rules, (), 2)
+        cube = compiled.encode(m("x1^3*x2", 2))
+        assert cube == (0, 0, 0, 1)
+        assert rank_rewrites(cube, compiled) == [((0, 1, 1, 1), 0)]
+        assert rank_step(cube, compiled) == (0, 1, 1, 1)
+        assert rank_normal_form(cube, compiled) == (0, 1, 1, 1)
+        assert rank_rewrites((0, 1, 1, 1), compiled) == []
+        assert rank_step((0, 1, 1, 1), compiled) is None
+        monomials = [Monomial([a, d - a]) for d in range(2, 7)
+                     for a in range(d + 1)]
+        forms = assert_atoms_match_scan(monomials, rules, n=2)
+        assert forms[m("x1^5", 2)] == (0, 1, 1, 1, 1)
+
+    def test_syzygy_leads_put_the_t_atom_first(self, quadric_pair_ideal,
+                                               quadric_pair_G1):
+        # x_i*T_u is the atom pair (rank of u, size + i - 1): its row is the
+        # t-atom's, and no x-atom leads a rule, so none has a row
+        ideals = [quadric_pair_ideal]
+        rules = build_fiber_type_basis(ideals, quadric_pair_G1)
+        variables = presentation_variables(ideals)
+        size = len(variables)
+        compiled = rank_rules(rules, variables, 5)
+        syzygies = [(pos, g) for pos, g in enumerate(rules)
+                    if g.source == "SYZ"]
+        assert syzygies
+        for pos, g in syzygies:
+            (factor,), (i,) = (g.lead.t_part.factors,
+                               g.lead.x_part.variables_with_multiplicity())
+            lead = (variables.index(factor), size + i - 1)
+            assert compiled.encode(g.lead) == lead
+            assert (pos, lead, compiled.encode(g.trail)) in (
+                compiled.rows[lead[0]][lead[1]])
+        assert len(compiled.rows) == size + 5
+        assert all(row is None for row in compiled.rows[size:])
+        monomials = [v for _, f in mixed_fibers(ideals, (2,), 5) for v in f]
+        forms = assert_atoms_match_scan(monomials, rules, ideals)
+        assert len(set(forms.values())) < len(forms)
+
+    def test_ambient_example_rules_keep_x_atoms(self):
+        # no presentation variables: x_i stays atom i - 1, and only the
+        # first atom of a lead has a row
+        for n, pairs in ((3, TWO_SINK_RULES), (5, UNIQUE_SINK_RULES),
+                         (6, CYCLING_RULES)):
+            rules = rules_of(n, *pairs)
+            compiled = rank_rules(rules, (), n)
+            for g in rules:
+                assert compiled.encode(g.lead) == tuple(
+                    i - 1 for i in g.lead.variables_with_multiplicity())
+            assert {a for a, row in enumerate(compiled.rows)
+                    if row is not None} == {
+                compiled.encode(g.lead)[0] for g in rules}
+            monomials = [
+                Monomial([combo.count(k) for k in range(n)])
+                for combo in itertools.combinations_with_replacement(
+                    range(n), 3)
+            ]
+            for v in monomials:
+                assert compiled.decode(compiled.encode(v), Monomial) == v
+            assert_atoms_match_scan(monomials, rules, n=n)
 
 
 class TestMixedReduction:

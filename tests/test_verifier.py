@@ -474,9 +474,14 @@ def _kernel_case(name):
     views = [order_view(i) for i in pair]
     g1 = build_G1(one[0])
     fiber_type = build_fiber_type_basis(b45, quadratic_basis_for(b45))
+    ht = build_head_and_tail_basis(*views)
     return {
-        "ht-21": (build_head_and_tail_basis(*views), pair, (2, 1), None, 0),
-        "ht-22": (build_head_and_tail_basis(*views), pair, (2, 2), None, 0),
+        "ht-21": (ht, pair, (2, 1), None, 0),
+        # ht with its rule 5 also listed reversed right after it
+        "ht-21-rule5-reversed": (
+            ht[:6] + [MarkedBinomial(ht[5].trail, ht[5].lead, ht[5].source)]
+            + ht[6:], pair, (2, 1), None, 600),
+        "ht-22": (ht, pair, (2, 2), None, 0),
         "g3-21": (build_G3(*views), pair, (2, 1), None, 3370),
         "g1-3": (g1, one, (3,), None, 0),
         # G1 with its first rule also listed reversed right after it
@@ -493,9 +498,14 @@ class TestKernelMembership:
     (checked, failures) equals check_membership over toric_kernel_span's
     pairs, the object-level reference, exactly."""
 
+    # pairs checked by the cases the kernel-oracle command is run on
+    PAIRS = {"ht-21": 9941, "ht-21-rule5-reversed": 9941, "g3-21": 9941,
+             "fiber-type-xdeg6": 22190}
+
     @pytest.mark.parametrize("name", [
-        "ht-21", "ht-22", "g3-21", "g1-3", "cycling-3", "fiber-type-xdeg4",
-        "fiber-type-xdeg6", "fiber-type-no-first-syzygy",
+        "ht-21", "ht-21-rule5-reversed", "ht-22", "g3-21", "g1-3",
+        "cycling-3", "fiber-type-xdeg4", "fiber-type-xdeg6",
+        "fiber-type-no-first-syzygy",
     ])
     def test_equals_the_pair_reference(self, name):
         rules, ideals, budget, x_degree, failures = _kernel_case(name)
@@ -504,9 +514,12 @@ class TestKernelMembership:
         )
         got = kernel_membership(rules, ideals, budget, x_degree)
         assert got == expected
-        assert got[0] > 0 and len(got[1]) == failures
-        if name == "cycling-3":
-            assert all("error" in f for f in got[1])
+        assert got[0] == self.PAIRS.get(name, got[0]) > 0
+        assert len(got[1]) == failures
+        if name in ("cycling-3", "ht-21-rule5-reversed"):
+            assert all(set(f) == {"pair", "error"} for f in got[1])
+        if name == "g3-21":
+            assert all(set(f) == {"pair", "normal_forms"} for f in got[1])
 
     @pytest.mark.parametrize("budget", [(3,), (4,)])
     def test_cubic_lead_before_and_after_a_quadric(self, quadric_pair_ideal,
@@ -551,6 +564,23 @@ class TestKernelMembership:
     def test_budget_length_is_checked(self, running_pair, running_pair_basis):
         with pytest.raises(ValueError, match="t budget needs 2 entries"):
             kernel_membership(running_pair_basis, list(running_pair), (2,))
+
+    def test_rules_that_leave_a_fiber(self, quadric_pair_ideal,
+                                      quadric_pair_G1):
+        # a lead and trail of different images rewrite out of the lead's
+        # fiber, through members the run-wide memo may already hold
+        ideals = [quadric_pair_ideal]
+        quadrics = [f for mu, f in fibers_by_multidegree(ideals, (2,))
+                    if mu.t_exps == (2,)]
+        stray = MarkedBinomial(max(quadrics, key=len)[0], quadrics[0][0])
+        budget = (3,)
+        for rules in ([stray] + quadric_pair_G1,
+                      quadric_pair_G1 + [stray, MarkedBinomial(
+                          stray.trail, stray.lead)]):
+            got = kernel_membership(rules, ideals, budget)
+            assert got == check_membership(
+                toric_kernel_span(ideals, budget), rules)
+            assert got[1]
 
 
 class TestMixedOracle:
