@@ -10,31 +10,40 @@ variables. A failing region split is not kept, so it raises on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .monomial import Monomial, monomial_from_any, strongly_stable_precedes
+from .records import Frozen
 
 
 class InvalidIdeal(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class StronglyStableIdeal:
+class StronglyStableIdeal(Frozen):
     """A strongly stable ideal generated in a single degree.
 
     borel_generators are minimal: none repeats and none lies in the Borel
     closure of another. minimal_generators is the full set of degree-d
     monomials in the ideal (equigenerated ideals have no divisibility among
     generators), closed under one-step reductions and sorted rlex-descending.
+    Immutable; equal and hashed as its four fields.
     """
 
-    n: int
-    degree: int
-    borel_generators: tuple[Monomial, ...]
-    minimal_generators: tuple[Monomial, ...]
+    _fields = ("n", "degree", "borel_generators", "minimal_generators")
+
+    def __init__(
+        self,
+        n: int,
+        degree: int,
+        borel_generators: tuple[Monomial, ...],
+        minimal_generators: tuple[Monomial, ...],
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "borel_generators", borel_generators)
+        object.__setattr__(self, "minimal_generators", minimal_generators)
 
     @property
     def num_borel_generators(self) -> int:
@@ -124,24 +133,38 @@ def borel_closure(gens: Sequence[Monomial], n: int) -> StronglyStableIdeal:
     )
 
 
-@dataclass(frozen=True)
-class TwoQuadricView:
+class TwoQuadricView(Frozen):
     """Region data for I = B(M, N) with quadrics M = x_a*x_b, N = x_c*x_d.
 
     B_M lists the minimal generators of B(M); B_N those of B(M,N) outside
     B(M). Principal ideals degenerate to N = None with B_N empty, which is
-    what the mixed order needs to coincide with plain rlex there.
+    what the mixed order needs to coincide with plain rlex there. Immutable;
+    equal and hashed as its nine fields.
     """
 
-    ideal: StronglyStableIdeal
-    M: Monomial
-    N: Monomial | None
-    a: int
-    b: int
-    c: int
-    d: int
-    B_M: tuple[Monomial, ...]
-    B_N: tuple[Monomial, ...]
+    _fields = ("ideal", "M", "N", "a", "b", "c", "d", "B_M", "B_N")
+
+    def __init__(
+        self,
+        ideal: StronglyStableIdeal,
+        M: Monomial,
+        N: Monomial | None,
+        a: int,
+        b: int,
+        c: int,
+        d: int,
+        B_M: tuple[Monomial, ...],
+        B_N: tuple[Monomial, ...],
+    ):
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "B_M", B_M)
+        object.__setattr__(self, "B_N", B_N)
 
     def in_B_N(self, m: Monomial) -> bool:
         return m in self._bn_set

@@ -15,7 +15,13 @@ import os
 import sys
 from pathlib import Path
 
-from .borel import InvalidIdeal, load_collection, order_view, region_partition
+from .borel import (
+    InvalidIdeal,
+    collection_spec,
+    load_collection,
+    order_view,
+    region_partition,
+)
 from .monomial import MonomialParseError, parse_monomial
 from .orders import (
     build_G1,
@@ -206,8 +212,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel_oracle(args: argparse.Namespace) -> int:
-    from .borel import collection_spec
-
     ideals = _load_ideals(args)
     rules = _basis_for(ideals, args.basis)
     report = VerificationReport(

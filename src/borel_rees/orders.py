@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Sequence
@@ -40,6 +39,7 @@ from .presentation import (
     PresVar,
     ideal_variables,
 )
+from .records import Frozen
 from .reduction import MarkedBinomial, lift_to_mixed
 
 
@@ -47,17 +47,20 @@ class OrderDomainError(KeyError):
     """A presentation variable fell outside the order's declared context."""
 
 
-@dataclass(frozen=True)
-class PresOrder:
+class PresOrder(Frozen):
     """A total order on a finite set of presentation variables.
 
     kind is one of "rlex", "mrlex", "ht". ranked lists the variables in
     descending order; comparisons of presentation monomials are revlex over
     that ranking (degree first, the smallest differing variable decides).
+    Immutable; equal and hashed as (kind, ranked).
     """
 
-    kind: str
-    ranked: tuple[PresVar, ...]
+    _fields = ("kind", "ranked")
+
+    def __init__(self, kind: str, ranked: tuple[PresVar, ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "ranked", ranked)
 
     @classmethod
     def rlex(cls, ideal: StronglyStableIdeal, ideal_index: int = 1) -> "PresOrder":

@@ -29,12 +29,12 @@ decode a content only when they yield it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import attrgetter, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .borel import StronglyStableIdeal
 from .monomial import Monomial, format_monomial, product, rlex_sort_key
+from .records import Frozen
 
 
 class PresVar:
@@ -229,12 +229,23 @@ _set_factors = PresMonomial.factors.__set__
 _set_hash = PresMonomial._hash.__set__
 
 
-@dataclass(frozen=True)
-class MixedMonomial:
-    """x-monomial times presentation monomial: a monomial of the big ring."""
+class MixedMonomial(Frozen):
+    """x-monomial times presentation monomial: a monomial of the big ring.
 
-    x_part: Monomial
-    t_part: PresMonomial
+    Immutable; equal and hashed as (x_part, t_part). The parts are slots,
+    and pickling (worker pools receive mixed rules) rebuilds a monomial
+    through the constructor.
+    """
+
+    __slots__ = ("x_part", "t_part")
+    _fields = __slots__
+
+    def __init__(self, x_part: Monomial, t_part: PresMonomial):
+        _set_x_part(self, x_part)
+        _set_t_part(self, t_part)
+
+    def __reduce__(self):
+        return MixedMonomial, (self.x_part, self.t_part)
 
     @property
     def degree(self) -> int:
@@ -262,6 +273,10 @@ class MixedMonomial:
 
     def __str__(self) -> str:
         return self.label()
+
+
+_set_x_part = MixedMonomial.x_part.__set__
+_set_t_part = MixedMonomial.t_part.__set__
 
 
 def content(u: PresMonomial, n: int) -> Monomial:

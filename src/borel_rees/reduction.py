@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError, dataclass, field
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .monomial import Monomial
 from .presentation import MixedMonomial, PresMonomial, PresVar
+from .records import Frozen, Record
 
 
 class RewriteCycle(RuntimeError):
@@ -58,18 +58,20 @@ class GraphShapeError(ValueError):
     """An invariant required the graph to be acyclic with a unique sink."""
 
 
-class MarkedBinomial:
+class MarkedBinomial(Frozen):
     """An ordered pair (lead, trail) of equal-image monomials; lead is marked.
 
     Lead and trail are of one monomial kind, differ, and have equal degree,
-    which keeps every rewrite path among finitely many monomials. Immutable,
-    compared and hashed as the tuple (lead, trail, source); the repr is a
-    dataclass's. A collection builds hundreds of rules, so the fields are
-    slots written by their own setters, and pickling rebuilds a rule through
-    the checking constructor.
+    which keeps every rewrite path among finitely many monomials. Immutable
+    (an assignment raises dataclasses.FrozenInstanceError, an
+    AttributeError), compared and hashed as the tuple (lead, trail,
+    source), and its repr names the three fields. A collection builds hundreds of rules, so the
+    fields are slots written by their own setters, and pickling rebuilds a
+    rule through the checking constructor.
     """
 
     __slots__ = ("lead", "trail", "source")
+    _fields = __slots__
 
     def __init__(
         self,
@@ -88,26 +90,11 @@ class MarkedBinomial:
         _set_source(self, source)
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # only a misuse pays
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return MarkedBinomial, (self.lead, self.trail, self.source)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lead, self.trail, self.source) == (
-            other.lead, other.trail, other.source)
-
-    def __hash__(self) -> int:
-        return hash((self.lead, self.trail, self.source))
-
-    def __repr__(self) -> str:
-        return (f"{self.__class__.__qualname__}(lead={self.lead!r}, "
-                f"trail={self.trail!r}, source={self.source!r})")
 
     def label(self, r: int | None = None) -> str:
         return f"{self.lead.label(r)} -> {self.trail.label(r)}"
@@ -188,8 +175,7 @@ def has_cycle(successors: Sequence[Iterable[int]]) -> bool:
     return False
 
 
-@dataclass
-class ReductionGraph:
+class ReductionGraph(Record):
     """Directed reduction graph on a set of monomial vertices.
 
     Edges with identical endpoints arising from distinct rules are collapsed
@@ -197,11 +183,22 @@ class ReductionGraph:
     sinks (out-degree zero) and the cycle flag once, at construction.
     """
 
-    vertices: list
-    index: dict = field(repr=False)
-    edges: list[list[tuple[int, tuple[MarkedBinomial, ...]]]]
-    sinks: list
-    has_cycle: bool
+    _fields = ("vertices", "index", "edges", "sinks", "has_cycle")
+    _hidden = ("index",)
+
+    def __init__(
+        self,
+        vertices: list,
+        index: dict,
+        edges: list[list[tuple[int, tuple[MarkedBinomial, ...]]]],
+        sinks: list,
+        has_cycle: bool,
+    ):
+        self.vertices = vertices
+        self.index = index
+        self.edges = edges
+        self.sinks = sinks
+        self.has_cycle = has_cycle
 
     def num_edges(self) -> int:
         return sum(len(outs) for outs in self.edges)
@@ -514,19 +511,21 @@ def fiber_edges(fiber: Sequence[tuple[int, ...]], rules: RankRules,
         raise ValueError("duplicate vertices in fiber")
     edges = []
     for v in fiber:
-        targets: dict[int, list[int]] = {}
-        for succ, pos in rank_rewrites(v, rules):
-            j = position.get(succ)
-            if j is None:
-                raise ValueError(
-                    f"reduction left the fiber: {rules.label(v)} -> "
-                    f"{rules.label(succ)}"
-                )
-            targets.setdefault(j, []).append(pos)
-        if collapse:
-            edges.append([(j, tuple(targets[j])) for j in sorted(targets)])
-        else:
+        rewrites = rank_rewrites(v, rules)
+        try:
+            targets = [position[succ] for succ, _ in rewrites]
+        except KeyError as exc:
+            raise ValueError(
+                f"reduction left the fiber: {rules.label(v)} -> "
+                f"{rules.label(exc.args[0])}"
+            ) from None
+        if not collapse:
             edges.append(set(targets))
+            continue
+        positions: dict[int, list[int]] = {}
+        for j, (_, pos) in zip(targets, rewrites):
+            positions.setdefault(j, []).append(pos)
+        edges.append([(j, tuple(positions[j])) for j in sorted(positions)])
     return edges
 
 

@@ -46,7 +46,6 @@ import functools
 import itertools
 import os
 import sys
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -64,6 +63,7 @@ from .presentation import (
     rank_slices,
     t_vectors,
 )
+from .records import Frozen, Record
 from .reduction import (
     MarkedBinomial,
     RewriteCycle,
@@ -81,11 +81,14 @@ from .reduction import (
 # report types
 
 
-@dataclass
-class FiberFailure:
-    multidegree: MultiDegree
-    sinks: list[str]
-    has_cycle: bool
+class FiberFailure(Record):
+    _fields = ("multidegree", "sinks", "has_cycle")
+
+    def __init__(self, multidegree: MultiDegree, sinks: list[str],
+                 has_cycle: bool):
+        self.multidegree = multidegree
+        self.sinks = sinks
+        self.has_cycle = has_cycle
 
     def to_json_dict(self) -> dict:
         return {
@@ -95,18 +98,37 @@ class FiberFailure:
         }
 
 
-@dataclass
-class VerificationReport:
-    ideals: dict
-    t_budget: tuple[int, ...]
-    multidegrees_checked: int = 0
-    failures: list[FiberFailure] = field(default_factory=list)
-    oracle_binomials_checked: int = 0
-    oracle_failures: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    sink_log: list = field(default_factory=list, repr=False)
-    # some checked fiber had two or more monomials (not serialized)
-    nontrivial_fiber: bool = field(default=False, repr=False)
+class VerificationReport(Record):
+    """What a certification run checked and found. A list field left out
+    gets a fresh empty list; nontrivial_fiber (some checked fiber had two or
+    more monomials) and sink_log are neither serialized nor in the repr."""
+
+    _fields = ("ideals", "t_budget", "multidegrees_checked", "failures",
+               "oracle_binomials_checked", "oracle_failures", "notes",
+               "sink_log", "nontrivial_fiber")
+    _hidden = ("sink_log", "nontrivial_fiber")
+
+    def __init__(
+        self,
+        ideals: dict,
+        t_budget: tuple[int, ...],
+        multidegrees_checked: int = 0,
+        failures: list[FiberFailure] | None = None,
+        oracle_binomials_checked: int = 0,
+        oracle_failures: list[dict] | None = None,
+        notes: list[str] | None = None,
+        sink_log: list | None = None,
+        nontrivial_fiber: bool = False,
+    ):
+        self.ideals = ideals
+        self.t_budget = t_budget
+        self.multidegrees_checked = multidegrees_checked
+        self.failures = [] if failures is None else failures
+        self.oracle_binomials_checked = oracle_binomials_checked
+        self.oracle_failures = [] if oracle_failures is None else oracle_failures
+        self.notes = [] if notes is None else notes
+        self.sink_log = [] if sink_log is None else sink_log
+        self.nontrivial_fiber = nontrivial_fiber
 
     @property
     def verdict(self) -> str:
@@ -133,16 +155,19 @@ def _mu_dict(mu: MultiDegree) -> dict:
     return {"x": list(mu.x_exps), "t": list(mu.t_exps), "display": mu.display()}
 
 
-@dataclass
-class ObstructionWitness:
+class ObstructionWitness(Record):
     """A fiber disconnected under all quadratic moves.
 
     Disconnection in total t-degree k certifies a minimal toric-kernel
     generator of degree k, so no quadratic generating set exists.
     """
 
-    multidegree: MultiDegree
-    components: tuple[tuple[PresMonomial, ...], ...]
+    _fields = ("multidegree", "components")
+
+    def __init__(self, multidegree: MultiDegree,
+                 components: tuple[tuple[PresMonomial, ...], ...]):
+        self.multidegree = multidegree
+        self.components = components
 
     @property
     def fiber_size(self) -> int:
@@ -592,12 +617,20 @@ def detect_obstructions(
 # the parameter gate and the combined report
 
 
-@dataclass(frozen=True)
-class GateResult:
-    verdict: str  # "possibly-koszul" | "known-obstructed"
-    case: str | None  # "a" | "b" | "c" | None
-    sorted_g: tuple[int, ...]
-    sorted_d: tuple[int, ...]
+class GateResult(Frozen):
+    """The parameter gate's verdict ("possibly-koszul" or
+    "known-obstructed") and case ("a", "b", "c" or None) on the sorted
+    generator counts and degrees. Immutable; equal and hashed as its four
+    fields."""
+
+    _fields = ("verdict", "case", "sorted_g", "sorted_d")
+
+    def __init__(self, verdict: str, case: str | None,
+                 sorted_g: tuple[int, ...], sorted_d: tuple[int, ...]):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "sorted_g", sorted_g)
+        object.__setattr__(self, "sorted_d", sorted_d)
 
     def to_json_dict(self) -> dict:
         return {
@@ -638,15 +671,30 @@ def parameter_gate(r: int, g: Sequence[int], d: Sequence[int]) -> GateResult:
     return result(None)
 
 
-@dataclass
-class KoszulReport:
-    ideals: dict
-    t_budget: tuple[int, ...]
-    gate: GateResult
-    obstructions: list[ObstructionWitness]
-    gb_report: VerificationReport | None
-    verdict: str  # "g-quadratic-certified" | "obstructed" | "inconclusive"
-    notes: list[str] = field(default_factory=list)
+class KoszulReport(Record):
+    """The gate, the obstruction scan and the basis run, with the combined
+    verdict: "g-quadratic-certified", "obstructed" or "inconclusive"."""
+
+    _fields = ("ideals", "t_budget", "gate", "obstructions", "gb_report",
+               "verdict", "notes")
+
+    def __init__(
+        self,
+        ideals: dict,
+        t_budget: tuple[int, ...],
+        gate: GateResult,
+        obstructions: list[ObstructionWitness],
+        gb_report: VerificationReport | None,
+        verdict: str,
+        notes: list[str] | None = None,
+    ):
+        self.ideals = ideals
+        self.t_budget = t_budget
+        self.gate = gate
+        self.obstructions = obstructions
+        self.gb_report = gb_report
+        self.verdict = verdict
+        self.notes = [] if notes is None else notes
 
     @property
     def exit_code(self) -> int:

@@ -165,6 +165,22 @@ class TestVerify:
         out2 = capsys.readouterr().out
         assert code1 == code2 == 0 and out1 == out2
 
+    def test_fiber_type_jobs_do_not_change_bytes(self, capsys, spec_file):
+        # at --jobs 2 the fiber graphs are built in a worker pool, whose
+        # workers receive the mixed rules
+        args = [
+            "verify",
+            "--spec", spec_file(PAIR_SPEC),
+            "--budget", "2,1",
+            "--basis", "fiber-type",
+        ]
+        code1 = main(args + ["--jobs", "1"])
+        out1 = capsys.readouterr().out
+        code2 = main(args + ["--jobs", "2"])
+        out2 = capsys.readouterr().out
+        assert code1 == code2 == 0 and out1 == out2
+        assert json.loads(out1)["verdict"] == "certified-up-to-bound"
+
     def test_default_budget_is_two_per_ideal(self, capsys, spec_file):
         # the default used to be a single 2, which a pair rejects with exit 4
         path = spec_file(PAIR_SPEC)
@@ -709,17 +725,22 @@ class TestPaperExamples:
 
 
 class TestStartup:
-    def test_importing_the_cli_leaves_multiprocessing_unloaded(self):
-        # a fresh interpreter: only a pooled verify run imports it
+    def test_importing_loads_no_slow_module(self):
+        # a fresh interpreter each: only a pooled verify run imports
+        # multiprocessing, and no class is generated by dataclasses, whose
+        # import also loads inspect, ast and dis. -S skips the site hooks,
+        # which in some installations import these modules themselves.
         src = str(Path(borel_rees.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import borel_rees.cli, sys; "
-             "sys.exit('multiprocessing' in sys.modules)"],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
+        for module in ("borel_rees", "borel_rees.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-S", "-c",
+                 f"import {module}, sys; print([m for m in ('dataclasses', "
+                 f"'inspect', 'multiprocessing') if m in sys.modules])"],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == "[]", module
 
 
 def main_outcomes(calls):

@@ -29,6 +29,7 @@ from borel_rees.reduction import (
     applicable_reductions,
     build_graph,
     ell_max,
+    fiber_edges,
     lift_to_mixed,
     normal_form,
     o_invariant,
@@ -748,6 +749,42 @@ class TestRankRewriting:
                 atoms = compiled.encode(v)
                 assert list(atoms) == sorted(atoms)
                 assert compiled.label(atoms) == str(v)
+
+    def test_uncollapsed_edges_are_the_collapsed_targets(
+            self, quadric_pair_ideal, quadric_pair_G1):
+        # the verifier reads target sets; build_graph reads the collapsed
+        # (target, rule positions) edges
+        ideals = [quadric_pair_ideal]
+        rules = list(quadric_pair_G1)
+        random.Random(33).shuffle(rules)
+        compiled = rank_rules(rules, presentation_variables(ideals), 5)
+        edges = 0
+        for _, fiber in rank_fibers(ideals, (3,)):
+            collapsed = fiber_edges(fiber, compiled)
+            assert fiber_edges(fiber, compiled, collapse=False) == [
+                {j for j, _ in outs} for outs in collapsed]
+            for v, outs in zip(fiber, collapsed):
+                assert [j for j, _ in outs] == sorted({j for j, _ in outs})
+                assert sorted(p for _, ps in outs for p in ps) == sorted(
+                    p for _, p in rank_rewrites(v, compiled))
+                edges += len(outs)
+        assert edges > 0
+
+    @pytest.mark.parametrize("collapse", [True, False])
+    def test_a_successor_outside_the_fiber_raises(
+            self, quadric_pair_ideal, quadric_pair_G1, collapse):
+        compiled = rank_rules(quadric_pair_G1,
+                              presentation_variables([quadric_pair_ideal]), 5)
+        fiber = max((f for _, f in rank_fibers([quadric_pair_ideal], (2,))),
+                    key=len)
+        top = next(v for v in fiber if rank_rewrites(v, compiled))
+        succ = rank_rewrites(top, compiled)[0][0]
+        with pytest.raises(ValueError) as info:
+            fiber_edges([top], compiled, collapse=collapse)
+        assert str(info.value) == (f"reduction left the fiber: "
+                                   f"{compiled.label(top)} -> "
+                                   f"{compiled.label(succ)}")
+        assert info.value.__cause__ is None and info.value.__suppress_context__
 
     def test_foreign_variables_are_rejected(self, running_pair,
                                             quadric_pair_G1):
