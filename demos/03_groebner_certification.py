@@ -42,7 +42,7 @@ basis = build_head_and_tail_basis(order_view(i1), order_view(i2))
 print("\npair basis sizes:",
       {src: sum(1 for r in basis if r.source == src)
        for src in ("G1", "G2", "G3")})
-report = verify_gb(basis, [i1, i2], t_budget=(2, 2), jobs=1)
+report = verify_gb(basis, [i1, i2], t_budget=(2, 2))
 print("pair:", report.verdict, f"({report.multidegrees_checked} multidegrees)")
 
 # --- the full presentation ring -------------------------------------------

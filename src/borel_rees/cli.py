@@ -199,7 +199,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         rules,
         ideals,
         args.budget,
-        jobs=args.jobs,
         progress=progress_to_stderr,
         x_degree=args.x_degree,
     )
@@ -241,9 +240,7 @@ def cmd_detect_cubics(args: argparse.Namespace) -> int:
 
 def cmd_koszul_report(args: argparse.Namespace) -> int:
     ideals = _load_ideals(args)
-    report = koszul_report(
-        ideals, args.budget, jobs=args.jobs, progress=progress_to_stderr
-    )
+    report = koszul_report(ideals, args.budget, progress=progress_to_stderr)
     _emit(report.to_json_dict(), args.out, "koszul.json")
     return report.exit_code
 
@@ -290,19 +287,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, budget=False, jobs=None):
+    def common(p, budget=False):
         p.add_argument("--spec", dest="spec_path", help="ideal spec JSON file")
         p.add_argument("--out", help="directory for reports and DOT files")
-        if jobs:
-            p.add_argument("--jobs", type=_parse_jobs, default=1, help=jobs)
         if budget:
+            p.add_argument("--jobs", type=_parse_jobs, default=1,
+                           help="accepted for scripts; this command runs "
+                           "serially")
             p.add_argument(
                 "--budget", type=_parse_budget,
                 help="per-ideal t bound, e.g. 2,1 (default: 2 per ideal)",
             )
-
-    parallel = "parallel fiber-graph workers, at most one per CPU"
-    serial = "accepted for scripts; this command runs serially"
 
     p = sub.add_parser("closure", help="minimal generators and regions")
     common(p)
@@ -320,21 +315,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="exhaustive certification: standard monomials under a term "
         "order, else fiber graphs",
     )
-    common(p, budget=True, jobs=parallel)
+    common(p, budget=True)
     p.add_argument("--basis", choices=["g1", "g2", "g3", "ht", "fiber-type"])
     p.add_argument("--xdeg", dest="x_degree", type=_parse_x_degree,
                    help="x-degree bound for fiber-type verification")
 
     p = sub.add_parser("kernel-oracle", help="brute-force kernel membership")
-    common(p, budget=True, jobs=serial)
+    common(p, budget=True)
     p.add_argument("--basis", choices=["g1", "g2", "g3", "ht", "fiber-type"])
     p.add_argument("--xdeg", dest="x_degree", type=_parse_x_degree)
 
     p = sub.add_parser("detect-cubics", help="disconnected-fiber obstructions")
-    common(p, budget=True, jobs=serial)
+    common(p, budget=True)
 
     p = sub.add_parser("koszul-report", help="gate + obstructions + GB run")
-    common(p, budget=True, jobs=parallel)
+    common(p, budget=True)
 
     p = sub.add_parser("paper-examples", help="run a named worked example")
     p.add_argument("example", help="ex2.2 ex2.3 ex2.4 fig1..fig4 ex4.1 ex4.2 ex4.3")

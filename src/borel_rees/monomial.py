@@ -112,7 +112,7 @@ class Monomial:
         kinds take r for their T../Z.. aliases."""
         return str(self)
 
-    # pickling support despite __slots__/immutability (used by parallel verify)
+    # pickling support despite __slots__/immutability
     def __getstate__(self):
         return self.exps
 

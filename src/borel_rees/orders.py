@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 from functools import cached_property
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Sequence
 
 from .borel import InvalidIdeal, StronglyStableIdeal, TwoQuadricView, order_view
@@ -153,18 +153,26 @@ def marking_order(
 
     The candidates are the orders the constructions above mark by: rlex and
     (when the region split exists) mrlex for one ideal, head-and-tail for a
-    pair. The first candidate is returned under which every rule has a
-    quadratic presentation lead, lead > trail, and phi(lead) = phi(trail).
-    Rewriting then strictly descends a term order inside each fiber, so every
-    fiber graph is acyclic and its sinks are the fiber's standard monomials.
+    pair. The first candidate is returned under which every quadric has
+    lead > trail and phi(lead) = phi(trail). Rewriting then strictly descends
+    a term order inside each fiber, so every fiber graph is acyclic and its
+    sinks are the fiber's standard monomials.
 
-    The checks run on ints. Each rule is read once as four variable ids
+    A quadric is a rule with a quadratic PresMonomial lead, or a mixed one
+    with x-part 1 on both sides, checked on its t-parts. A mixed list may
+    also hold syzygies (_is_syzygy); the candidate then stands for the block
+    order that compares x-parts first, with x_1 > ... > x_n, which orients
+    every syzygy and leaves the quadrics to the candidate. Any other rule
+    means None.
+
+    The checks run on ints. Each quadric is read once as four variable ids
     (lead factors, then trail factors, in canonical order). The image test
     does not depend on the order: the same ideal index per factor and the
     same sum of packed generator exponents. Each candidate is mapped onto
     ranks once (_order_ranks), and a rule is oriented when its lead's two
     ranks, sorted descending, form the smaller tuple. A variable outside a
-    candidate's context means that candidate orients nothing.
+    candidate's context, a syzygy's included, means that candidate orients
+    nothing.
     """
     candidates = []
     try:
@@ -181,10 +189,20 @@ def marking_order(
     ids: dict[PresVar, int] = {}
     quads = []
     for g in rules:
-        if not (isinstance(g.lead, PresMonomial) and g.lead.degree == 2):
+        lead, trail = g.lead, g.trail
+        if isinstance(lead, MixedMonomial):
+            if _is_syzygy(lead, trail):
+                # no quadric, but its factors too must lie in the context
+                for v in lead.t_part.factors + trail.t_part.factors:
+                    ids.setdefault(v, len(ids))
+                continue
+            if lead.x_part.degree or trail.x_part.degree:
+                return None
+            lead, trail = lead.t_part, trail.t_part
+        if not (isinstance(lead, PresMonomial) and lead.degree == 2):
             return None
         quads.append(tuple([ids.setdefault(v, len(ids))
-                            for v in g.lead.factors + g.trail.factors]))
+                            for v in lead.factors + trail.factors]))
     variables = list(ids)
     ideal_of = [v.ideal_index for v in variables]
     exps = _packed_exponents(variables)
@@ -201,6 +219,19 @@ def marking_order(
                for a, b, c, d in quads):
             return order
     return None
+
+
+def _is_syzygy(lead: MixedMonomial, trail: MixedMonomial) -> bool:
+    """Whether lead -> trail is x_i*T_u -> x_j*T_u' with T_u and T_u' of one
+    ideal, i < j, and x_i*u = x_j*u' on exponent tuples."""
+    xs, ys = lead.x_part.exps, trail.x_part.exps
+    if not (sum(xs) == sum(ys) == 1
+            and lead.t_part.degree == trail.t_part.degree == 1):
+        return False
+    (u,), (w,) = lead.t_part.factors, trail.t_part.factors
+    return (xs.index(1) < ys.index(1) and u.ideal_index == w.ideal_index
+            and list(map(add, xs, u.generator.exps))
+            == list(map(add, ys, w.generator.exps)))
 
 
 def _order_ranks(order: PresOrder, variables: Sequence[PresVar]) -> list[int]:

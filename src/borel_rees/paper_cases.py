@@ -8,7 +8,7 @@ are diffed against the expectations checked in under data/.
 from __future__ import annotations
 
 import json
-from importlib import resources
+from pathlib import Path
 from typing import Callable
 
 from .borel import borel_closure, order_view
@@ -329,16 +329,16 @@ def run_case(name: str, params: dict | None = None) -> dict:
     return result
 
 
-def _expectation_resource(name: str):
-    fname = name.replace(".", "_") + ".json"
-    return resources.files("borel_rees.data").joinpath(fname)
+# the bundled expectations, read by path: importlib.resources would load
+# inspect on Python 3.12 and later
+_DATA = Path(__file__).with_name("data")
 
 
 def load_expectation(name: str) -> dict | None:
-    res = _expectation_resource(name)
-    if not res.is_file():
+    path = _DATA / (name.replace(".", "_") + ".json")
+    if not path.is_file():
         return None
-    return json.loads(res.read_text())
+    return json.loads(path.read_text())
 
 
 def is_default_run(name: str, params: dict | None) -> bool:

@@ -29,7 +29,8 @@ decode a content only when they yield it.
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter, sub
+from functools import cache, reduce
+from operator import attrgetter, or_, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .borel import StronglyStableIdeal
@@ -60,7 +61,8 @@ class PresVar:
         raise AttributeError("PresVar is immutable")
 
     def __reduce__(self):
-        # worker pools pickle rules; rebuilding recomputes the key and hash
+        # unpickling rebuilds through the constructor, which recomputes the
+        # key and hash
         return PresVar, (self.ideal_index, self.generator)
 
     def sort_key(self):
@@ -233,8 +235,7 @@ class MixedMonomial(Frozen):
     """x-monomial times presentation monomial: a monomial of the big ring.
 
     Immutable; equal and hashed as (x_part, t_part). The parts are slots,
-    and pickling (worker pools receive mixed rules) rebuilds a monomial
-    through the constructor.
+    and unpickling rebuilds a monomial through the constructor.
     """
 
     __slots__ = ("x_part", "t_part")
@@ -593,32 +594,55 @@ def rank_fibers(
     each content's monomials in rank order, with m the rest of the x-part. A
     fiber is keyed by its packed x-part, the packed content plus the packed
     m.
+
+    forbidden_pairs are pairs of atoms. A pair of ranks acts as in
+    fibers_by_multidegree; with x_degree, a pair (k, size + i - 1) of a rank
+    and an x-atom keeps x_i out of m beside a factor of rank k. Members so
+    banned are left out of their fiber, and a fiber left empty is not
+    yielded.
     """
     n = ideals[0].n
-    digits, slices = rank_slices(ideals, t_budget, forbidden_pairs,
-                                 x_degree or 0)
+    size = len(presentation_variables(ideals))
+    pure, x_bans = [], {}  # x_bans: rank -> bitmask of the x-atoms banned
+    for pair in forbidden_pairs:
+        a, b = sorted(pair)
+        if b < size:
+            pure.append((a, b))
+        else:
+            x_bans[a] = x_bans.get(a, 0) | 1 << b
+    digits, slices = rank_slices(ideals, t_budget, pure, x_degree or 0)
     if x_degree is None:
         for tv, groups in slices:
             for x in sorted(groups):
                 yield MultiDegree(digits.unpack(x), tv), groups[x]
         return
-    size = len(presentation_variables(ideals))
     units = [digits.pack([int(i == j) for j in range(n)]) for i in range(n)]
-    # x-degree -> (packed m, x-atoms of m), in combinations order
-    rests: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+
+    @cache
+    def rest(e: int, ban: int) -> list[tuple[int, tuple[int, ...]]]:
+        """(packed m, x-atoms of m) of every m of x-degree e avoiding the
+        banned x-atoms, in combinations order."""
+        return [(sum([units[a - size] for a in w]), w)
+                for w in itertools.combinations_with_replacement(
+                    range(size, size + n), e)
+                if not any(ban >> a & 1 for a in w)]
+
     for tv, groups in slices:
         low = content_degree(ideals, tv)
         for d in range(low, x_degree + 1):
-            if d - low not in rests:
-                rests[d - low] = [
-                    (sum([units[a - size] for a in w]), w)
-                    for w in itertools.combinations_with_replacement(
-                        range(size, size + n), d - low)
-                ]
             fibers: dict[int, list[tuple[int, ...]]] = {}
             for x, us in groups.items():
-                for pw, w in rests[d - low]:
-                    fibers.setdefault(x + pw, []).extend([u + w for u in us])
+                if not x_bans:
+                    for pw, w in rest(d - low, 0):
+                        fibers.setdefault(x + pw, []).extend(
+                            [u + w for u in us])
+                    continue
+                # a content and a rest make one fiber, so members still
+                # come by content, then in rank order
+                for u in us:
+                    ban = reduce(or_, [x_bans.get(k, 0) for k in u], 0)
+                    for pw, w in rest(d - low, ban):
+                        fibers.setdefault(x + pw, []).append(u + w)
             # same degree: x-atom tuples ascend as exponent tuples descend
             for key in sorted(fibers, reverse=True):
                 yield MultiDegree(digits.unpack(key), tv), fibers[key]

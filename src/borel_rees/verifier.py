@@ -22,19 +22,18 @@ the same fibers once, on atom tuples, and counts a fiber of k members as
 its C(k, 2) pairs; the pair list (toric_kernel_span) and its object-level
 check (check_membership) stay as its reference.
 
-verify_gb picks its method from the marking alone. When a library term order
-orients every rule (orders.marking_order), rewriting strictly descends that
-order, so each fiber graph is acyclic and its sinks are the fiber's standard
-monomials: the certificate is one standard monomial per multidegree, listed
-directly as rank tuples by rank_slices with the lead pairs forbidden and no
-graph built. A t-slice is counted whole, and only a content without exactly
-one standard monomial is sorted into place. Any other marking, mixed ones
-included, gets the fiber graphs themselves, built on atom tuples by the one
-rewriting core of reduction (rank_rules once, then fiber_edges per fiber, in
-each pool worker too). Either way only a multidegree whose check fails (or,
-with collect_sinks, every multidegree for the sink log) has its monomials
-built. analyze_fiber is the object-level fiber graph, kept as the reference.
-The report's notes name the method.
+verify_gb picks its method from the marking alone, pure or mixed. When a
+library term order orients every rule (orders.marking_order; for a mixed
+list, the block order that compares x-parts first), rewriting strictly
+descends it, so each fiber graph is acyclic and its sinks are the fiber's
+standard monomials: one per multidegree is the certificate, and they are
+listed directly, with the leads as forbidden pairs of atoms and no graph
+built. Any other marking gets the fiber graphs themselves, built serially
+by the one rewriting core of reduction (rank_rules once, then fiber_edges
+per fiber). Either way only a multidegree whose check fails (or, with
+collect_sinks, every multidegree for the sink log) has its monomials built.
+analyze_fiber is the object-level fiber graph, kept as the reference. The
+report's first note names the method.
 
 A run whose evidence is empty (no checked fiber had two monomials and no
 oracle pair was checked) is "inconclusive", never "certified".
@@ -44,10 +43,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 import sys
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import itemgetter, le
+from typing import Callable, Iterator, Sequence
 
 from .borel import StronglyStableIdeal, collection_spec, order_view
 from .orders import build_G1, build_head_and_tail_basis, marking_order
@@ -58,6 +56,7 @@ from .presentation import (
     check_t_budget,
     content_degree,
     fibers_by_multidegree,
+    phi,
     presentation_variables,
     rank_fibers,
     rank_slices,
@@ -210,43 +209,10 @@ def analyze_fiber(fiber: Sequence, pair_index, generic):
     return [i for i, outs in enumerate(edges) if not outs], has_cycle(edges)
 
 
-# worker state for the process pool
-_POOL_RULES = None
-
-
-def _pool_init(rules, variables, n):
-    global _POOL_RULES
-    _POOL_RULES = rank_rules(rules, variables, n)
-
-
-def _pool_work(chunk):
-    return [_fiber_graph_result(mu, fiber, _POOL_RULES) for mu, fiber in chunk]
-
-
-def _fiber_graph_result(mu, fiber, compiled):
-    """(multidegree, sink atom tuples, cycle flag, fiber size) of one fiber
-    of atom tuples."""
-    edges = fiber_edges(fiber, compiled, collapse=False)
-    sinks = [fiber[i] for i, outs in enumerate(edges) if not outs]
-    return mu, sinks, has_cycle(edges), len(fiber)
-
-
-def _chunks(it: Iterable, size: int) -> Iterator[list]:
-    chunk: list = []
-    for item in it:
-        chunk.append(item)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
-
-
 def verify_gb(
     rules: Sequence[MarkedBinomial],
     ideals: Sequence[StronglyStableIdeal],
     t_budget: Sequence[int],
-    jobs: int = 1,
     progress: Callable[[int], None] | None = None,
     collect_sinks: bool = False,
     x_degree: int | None = None,
@@ -256,28 +222,23 @@ def verify_gb(
     Every nonempty fiber graph must be acyclic with exactly one sink. The
     rules pick the fibers: mixed ones up to x_degree when a lead is a
     MixedMonomial (mixed_x_degree), the pure presentation's otherwise. When
-    a library term order orients every rule, that is checked by listing the
-    standard monomials (serially, whatever jobs says): each t-slice adds its
-    number of contents to the count, and only the contents without exactly
-    one standard monomial are sorted and built as failures, or every content
-    when collect_sinks asks for the sink log. Failures come by t-vector,
-    then x ascending, and progress is called at every multiple of 2000 the
-    count reaches. Otherwise the fiber graphs are built on atom tuples,
-    chunked over a process pool when jobs > 1, with one worker per CPU at
-    most. Chunks are merged in submission order, so reports are
-    byte-identical for any worker count. jobs below 1, or a t_budget without
-    one entry per ideal, raises ValueError before any work starts.
+    a library term order orients every rule, the standard monomials are
+    counted instead: pure ones a t-slice at a time (rank_slices), building
+    only the contents without exactly one, or every content when
+    collect_sinks asks for the sink log, so failures come by t-vector, then
+    x ascending; mixed ones a fiber at a time from rank_fibers, in its
+    order, as are the fiber graphs. progress is called at every multiple of
+    2000 the count reaches. A t_budget without one entry per ideal raises
+    ValueError before any work starts.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     check_t_budget(ideals, t_budget)
     report = VerificationReport(
         ideals=collection_spec(ideals), t_budget=tuple(t_budget)
     )
     sink_log: list[tuple[MultiDegree, PresMonomial | MixedMonomial]] = []
-    pair_index, _ = rule_indices(rules)
+    pair_index, generic = rule_indices(rules)
     x_degree = mixed_x_degree(rules, ideals, t_budget, x_degree)
-    order = marking_order(rules, ideals) if x_degree is None else None
+    order = marking_order(rules, ideals)
 
     def count(k):
         # progress at every multiple of 2000 the count reaches
@@ -288,8 +249,10 @@ def verify_gb(
                               report.multidegrees_checked // 2000 + 1):
                 progress(2000 * mark)
 
-    def record(mu, sinks, cyc, decode):
-        # sinks come undecoded; only a failure or the sink log builds them
+    def record(mu, sinks, cyc):
+        # sinks come as atom tuples; only a failure or the sink log builds them
+        if len(sinks) >= 2:
+            report.nontrivial_fiber = True
         if cyc or len(sinks) != 1:
             report.failures.append(FiberFailure(
                 mu, [decode(v).label(len(mu.t_exps)) for v in sinks], cyc
@@ -297,30 +260,43 @@ def verify_gb(
         elif collect_sinks:
             sink_log.append((mu, decode(sinks[0])))
 
-    def consume(results, decode):
-        for mu, sinks, cyc, size in results:
-            count(1)
-            if size >= 2:
-                report.nontrivial_fiber = True
-            record(mu, sinks, cyc, decode)
+    # the rules are compiled only for the fiber graphs: a term-order run
+    # needs the alphabet alone
+    compiled = rank_rules(rules if order is None else (),
+                          presentation_variables(ideals), ideals[0].n)
+    decode = functools.partial(
+        compiled.decode,
+        kind=PresMonomial if x_degree is None else MixedMonomial,
+    )
+    lead_pairs = []
+    if order is None:
+        report.notes.append(f"fiber graphs; no library term order orients "
+                            f"all {len(rules)} rules")
+    else:
+        name = (f"{order.kind} order" if x_degree is None else
+                f"block order (x-parts first, then {order.kind})")
+        report.notes.append(f"standard monomials under the {name}; "
+                            f"{len(rules)} rules oriented, images equal")
+        # rewriting descends the order inside a fiber, so a fiber graph's
+        # sinks are its standard monomials, those with no lead pair of atoms
+        lead_pairs = [(compiled.atoms[p], compiled.atoms[q])
+                      for p, q in pair_index]
+        lead_pairs += [compiled.encode(g.lead) for _, g in generic]
+        # the nontrivial fibers with one standard monomial are those
+        # holding a lead within the bounds, which shares its fiber with its
+        # trail
+        report.nontrivial_fiber = any(
+            all(map(le, mu.t_exps, t_budget))
+            and (x_degree is None or sum(mu.x_exps) <= x_degree)
+            for mu in (phi(g.lead, ideals) for g in rules))
+    if x_degree is not None:
+        report.notes.append(f"mixed fibers up to x-degree {x_degree}")
+        report.notes += unreached_slice_notes(ideals, t_budget, x_degree)
 
-    variables = presentation_variables(ideals)
-    if order is not None:
-        report.notes.append(
-            f"standard monomials under the {order.kind} order; "
-            f"{len(rules)} rules oriented, images equal"
-        )
-        rank = {v: k for k, v in enumerate(variables)}
-        lead_pairs = [(rank[p], rank[q]) for p, q in pair_index]
-
-        def decode(ranks):
-            return PresMonomial.from_sorted(
-                tuple([variables[k] for k in ranks]))
-
-        # the standard monomials of a multidegree are its fiber graph's
-        # sinks, with no cycle, so a slice is counted whole and only a
-        # content without exactly one (or every content, for the sink log)
-        # is sorted into place and built
+    if order is not None and x_degree is None:
+        # a pure t-slice is counted whole, and only a content without
+        # exactly one standard monomial (or every content, for the sink
+        # log) is sorted into place
         digits, slices = rank_slices(ideals, t_budget, lead_pairs)
         for tv, groups in slices:
             count(len(groups))
@@ -330,46 +306,17 @@ def verify_gb(
                 contents = sorted(x for x, standard in groups.items()
                                   if len(standard) != 1)
             for x in contents:
-                standard = groups[x]
-                if len(standard) >= 2:
-                    report.nontrivial_fiber = True
-                record(MultiDegree(digits.unpack(x), tv), standard, False,
-                       decode)
-        # the other nontrivial fibers are those holding a lead within budget,
-        # which shares its fiber with its trail
-        report.nontrivial_fiber |= any(
-            all(a <= b for a, b in zip(g.lead.t_vector(len(ideals)), t_budget))
-            for g in rules
-        )
+                record(MultiDegree(digits.unpack(x), tv), groups[x], False)
     else:
-        if x_degree is None:
-            report.notes.append(
-                f"fiber graphs; no library term order orients all "
-                f"{len(rules)} rules"
-            )
-        else:
-            report.notes.append(f"mixed fibers up to x-degree {x_degree}")
-            report.notes += unreached_slice_notes(ideals, t_budget, x_degree)
-        n = ideals[0].n
-        compiled = rank_rules(rules, variables, n)
-        decode = functools.partial(
-            compiled.decode,
-            kind=PresMonomial if x_degree is None else MixedMonomial,
-        )
-        fibers = rank_fibers(ideals, t_budget, x_degree=x_degree)
-        if jobs <= 1:
-            consume((_fiber_graph_result(mu, fiber, compiled)
-                     for mu, fiber in fibers), decode)
-        else:
-            import multiprocessing  # only a pooled run pays for the import
-
-            with multiprocessing.Pool(
-                processes=min(jobs, os.cpu_count() or 1),
-                initializer=_pool_init,
-                initargs=(list(rules), variables, n),
-            ) as pool:
-                for results in pool.imap(_pool_work, _chunks(fibers, 256)):
-                    consume(results, decode)
+        for mu, fiber in rank_fibers(ideals, t_budget, lead_pairs, x_degree):
+            count(1)
+            if order is not None:
+                record(mu, fiber, False)
+            else:
+                report.nontrivial_fiber |= len(fiber) >= 2
+                edges = fiber_edges(fiber, compiled, collapse=False)
+                record(mu, [fiber[i] for i, outs in enumerate(edges)
+                            if not outs], has_cycle(edges))
     if collect_sinks:
         report.sink_log = sink_log
     return report
@@ -735,7 +682,6 @@ def quadratic_basis_for(
 def koszul_report(
     ideals: Sequence[StronglyStableIdeal],
     t_budget: Sequence[int],
-    jobs: int = 1,
     progress: Callable[[int], None] | None = None,
 ) -> KoszulReport:
     """Gate + obstruction scan + (where a basis exists) GB certification.
@@ -760,8 +706,7 @@ def koszul_report(
     else:
         rules = quadratic_basis_for(ideals)
         if rules is not None:
-            gb_report = verify_gb(rules, ideals, t_budget, jobs=jobs,
-                                  progress=progress)
+            gb_report = verify_gb(rules, ideals, t_budget, progress=progress)
             if gb_report.verdict == "certified-up-to-bound":
                 verdict = "g-quadratic-certified"
             elif gb_report.verdict == "refuted":

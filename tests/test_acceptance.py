@@ -84,7 +84,7 @@ def timed(fn, repeats=1):
 def c6_run(quadric_pair_ideal, quadric_pair_G1):
     def run():
         return verify_gb(
-            quadric_pair_G1, [quadric_pair_ideal], (4,), jobs=1,
+            quadric_pair_G1, [quadric_pair_ideal], (4,),
             collect_sinks=True,
         )
 
@@ -95,7 +95,7 @@ def c6_run(quadric_pair_ideal, quadric_pair_G1):
 def c7_run(running_pair, running_pair_basis):
     def run():
         return verify_gb(
-            running_pair_basis, list(running_pair), (2, 2), jobs=1,
+            running_pair_basis, list(running_pair), (2, 2),
             collect_sinks=True,
         )
 
@@ -516,6 +516,6 @@ def test_14_parallel_determinism(tmp_path):
         outputs[jobs] = (out_dir / "verify.json").read_bytes()
     report(
         14,
-        "verification reports are byte-identical for 1 and 8 workers",
+        "verification reports are byte-identical for --jobs 1 and 8",
         {"identical": outputs[1] == outputs[8]},
     )

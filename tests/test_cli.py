@@ -166,8 +166,8 @@ class TestVerify:
         assert code1 == code2 == 0 and out1 == out2
 
     def test_fiber_type_jobs_do_not_change_bytes(self, capsys, spec_file):
-        # at --jobs 2 the fiber graphs are built in a worker pool, whose
-        # workers receive the mixed rules
+        # --jobs is accepted and every run is serial: the block order
+        # orients the fiber-type basis, so its standard monomials are counted
         args = [
             "verify",
             "--spec", spec_file(PAIR_SPEC),
@@ -179,7 +179,10 @@ class TestVerify:
         code2 = main(args + ["--jobs", "2"])
         out2 = capsys.readouterr().out
         assert code1 == code2 == 0 and out1 == out2
-        assert json.loads(out1)["verdict"] == "certified-up-to-bound"
+        payload = json.loads(out1)
+        assert payload["verdict"] == "certified-up-to-bound"
+        assert payload["notes"][0].startswith("standard monomials under the "
+                                              "block order")
 
     def test_default_budget_is_two_per_ideal(self, capsys, spec_file):
         # the default used to be a single 2, which a pair rejects with exit 4
@@ -251,7 +254,9 @@ class TestEvidence:
             "--basis", "fiber-type",
         )
         assert code == 0 and payload["verdict"] == "certified-up-to-bound"
-        assert payload["notes"] == ["mixed fibers up to x-degree 6"]
+        assert payload["notes"][0].startswith(
+            "standard monomials under the block order (x-parts first, then ")
+        assert payload["notes"][1:] == ["mixed fibers up to x-degree 6"]
         assert payload["multidegrees_checked"] == 1291
 
     @pytest.mark.parametrize("command", ["verify", "kernel-oracle"])
@@ -267,8 +272,10 @@ class TestEvidence:
             "--xdeg", "4",
         )
         assert code == 0
-        assert payload["notes"][1:] == [
-            "unchecked t-vectors, content degree above x-degree 4: 3"
+        assert payload["notes"][-2:] == [
+            f"mixed {'fibers' if command == 'verify' else 'kernel pairs'} "
+            f"up to x-degree 4",
+            "unchecked t-vectors, content degree above x-degree 4: 3",
         ]
 
     @pytest.mark.parametrize("budget", ["0,0", "1,0", "0,1"])
@@ -431,6 +438,17 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert code == 4 and captured.out == ""
         assert "unrecognized arguments: --jobs" in captured.err
+
+    @pytest.mark.parametrize(
+        "command", ["verify", "kernel-oracle", "detect-cubics", "koszul-report"]
+    )
+    def test_jobs_help_says_the_run_is_serial(self, capsys, command):
+        # verify and koszul-report used to offer --jobs as pool workers
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--jobs JOBS accepted for scripts; this command runs " \
+            "serially" in text
+        assert "worker" not in text and "parallel" not in text
 
     @pytest.mark.parametrize(
         "command", ["verify", "kernel-oracle", "detect-cubics", "koszul-report"]
@@ -726,17 +744,21 @@ class TestPaperExamples:
 
 class TestStartup:
     def test_importing_loads_no_slow_module(self):
-        # a fresh interpreter each: only a pooled verify run imports
-        # multiprocessing, and no class is generated by dataclasses, whose
-        # import also loads inspect, ast and dis. -S skips the site hooks,
-        # which in some installations import these modules themselves.
+        # a fresh interpreter each: nothing imports multiprocessing, no
+        # class is generated by dataclasses, whose import also loads
+        # inspect, ast and dis, and the bundled expectations are read by
+        # path, since importlib.resources loads inspect on Python 3.12 and
+        # later. -S skips the site hooks, which in some installations import
+        # these modules themselves.
         src = str(Path(borel_rees.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        for module in ("borel_rees", "borel_rees.cli"):
+        for module in ("borel_rees", "borel_rees.cli",
+                       "borel_rees.paper_cases"):
             proc = subprocess.run(
                 [sys.executable, "-S", "-c",
                  f"import {module}, sys; print([m for m in ('dataclasses', "
-                 f"'inspect', 'multiprocessing') if m in sys.modules])"],
+                 f"'inspect', 'importlib.resources', 'multiprocessing') "
+                 f"if m in sys.modules])"],
                 env=env, capture_output=True, text=True, timeout=60,
             )
             assert proc.returncode == 0, proc.stderr
@@ -869,7 +891,7 @@ class TestFrontEnd:
     def test_jobs_keep_a_fiber_graph_marking_byte_identical(
             self, capsys, spec_file, tmp_path):
         # one ht rule reversed: no library order orients the marking, so
-        # the fiber graphs are built, in a pool at --jobs 2
+        # the fiber graphs are built, serially whatever --jobs says
         basis_for = cli._basis_for
 
         def one_rule_reversed(ideals, name):

@@ -289,6 +289,16 @@ class TestMarkingOrder:
         assert marking_order(build_G1(quadric_pair_ideal), ideals).kind == "rlex"
         assert marking_order(build_G2(view), ideals).kind == "mrlex"
         assert marking_order(running_pair_basis, running_pair).kind == "ht"
+        # fiber-type bases: the block order, x-parts first, then the order
+        # of the fiber basis
+        for fiber_gb, kind in ((build_G1(quadric_pair_ideal), "rlex"),
+                               (build_G2(view), "mrlex")):
+            rules = build_fiber_type_basis(ideals, fiber_gb)
+            assert marking_order(rules, ideals).kind == kind
+        pair = list(running_pair)
+        rules = build_fiber_type_basis(pair, running_pair_basis)
+        assert marking_order(rules, pair).kind == "ht"
+        assert marking_order(build_syzygy_set(pair), pair).kind == "ht"
 
     def test_reversed_rule_has_no_order(self, quadric_pair_ideal):
         rules = build_G1(quadric_pair_ideal)
@@ -308,10 +318,32 @@ class TestMarkingOrder:
         assert marking_order(rules, [quadric_pair_ideal]) is None
 
     def test_mixed_leads_have_no_order(self, quadric_pair_ideal):
-        rules = build_fiber_type_basis(
-            [quadric_pair_ideal], build_G1(quadric_pair_ideal)
-        )
-        assert marking_order(rules, [quadric_pair_ideal]) is None
+        # a syzygy reversed, a syzygy with unequal images, and an x-part of
+        # degree 2: no block order takes them, though the last one's x-parts
+        # would orient it
+        ideals = [quadric_pair_ideal]
+        rules = build_fiber_type_basis(ideals, build_G1(quadric_pair_ideal))
+        assert marking_order(rules, ideals).kind == "rlex"
+        g = rules[0]
+        assert g.source == "SYZ"
+        other = next(h.trail.t_part for h in rules[1:] if h.source == "SYZ"
+                     and h.trail.t_part != g.trail.t_part)
+        x3 = Monomial.variable(3, 5)
+        mutations = [
+            MarkedBinomial(g.trail, g.lead, "SYZ"),
+            MarkedBinomial(g.lead, MixedMonomial(g.trail.x_part, other),
+                           "SYZ"),
+            MarkedBinomial(MixedMonomial(g.lead.x_part * x3, g.lead.t_part),
+                           MixedMonomial(g.trail.x_part * x3, g.trail.t_part),
+                           "SYZ"),
+        ]
+        assert phi(mutations[1].lead, ideals) != phi(mutations[1].trail,
+                                                     ideals)
+        assert phi(mutations[2].lead, ideals) == phi(mutations[2].trail,
+                                                     ideals)
+        for rule in mutations:
+            for mutated in ([rule] + rules[1:], rules + [rule]):
+                assert marking_order(mutated, ideals) is None, rule
 
     def test_variables_outside_the_collection_have_no_order(
         self, quadric_pair_ideal, running_pair_basis
@@ -339,15 +371,31 @@ def reference_compare(order, A, B):
 
 
 def reference_orients(order, g, ideals):
-    """A quadratic presentation lead above its trail, with equal phi images."""
-    if not (isinstance(g.lead, PresMonomial) and g.lead.degree == 2):
+    """A quadratic presentation lead above its trail, with equal phi images.
+    A mixed rule is a syzygy x_i*T_u -> x_j*T_u' with equal images and
+    x_i > x_j, or has x-part 1 on both sides and is checked on its t-parts:
+    the block order that compares x-parts first, then by order."""
+    lead, trail = g.lead, g.trail
+    if isinstance(lead, MixedMonomial):
+        if phi(lead, ideals) != phi(trail, ideals):
+            return False
+        if (lead.x_part.degree == trail.x_part.degree == 1
+                and lead.t_part.degree == trail.t_part.degree == 1):
+            if not all(f in order.ranked for f in lead.t_part.factors
+                       + trail.t_part.factors):
+                return False
+            return lead.x_part.support() < trail.x_part.support()
+        if lead.x_part.degree or trail.x_part.degree:
+            return False
+        lead, trail = lead.t_part, trail.t_part
+    if not (isinstance(lead, PresMonomial) and lead.degree == 2):
         return False
     try:
-        if reference_compare(order, g.lead, g.trail) <= 0:
+        if reference_compare(order, lead, trail) <= 0:
             return False
     except OrderDomainError:
         return False
-    return phi(g.lead, ideals) == phi(g.trail, ideals)
+    return phi(lead, ideals) == phi(trail, ideals)
 
 
 def _library_orders(ideals):
@@ -438,7 +486,8 @@ class TestMarkingOrderDifferential:
         twin = PresMonomial([PresVar(2, f.generator) for f in shared.lead.factors])
         mutations["t-vector"] = (basis.index(shared),
                                  MarkedBinomial(shared.lead, twin, "G1"))
-        # a cubic lead, and one mixed lead
+        # a cubic lead, and one lead lifted to x-part 1, which the block
+        # order orients as the quadric it lifts
         extra = g1.lead.factors[0]
         mutations["cubic"] = (0, MarkedBinomial(
             PresMonomial(g1.lead.factors + (extra,)),
@@ -457,8 +506,22 @@ class TestMarkingOrderDifferential:
             for rules in (basis[:k] + [rule] + basis[k + 1:],
                           basis[:k] + [rule] + basis[k:]):
                 expected = self.reference_marking_order(rules, ideals)
-                assert expected is None, name
+                assert expected == ("ht" if name == "mixed" else None), name
                 assert self.found(rules, ideals) == expected, name
+
+    def test_fiber_type_rules_reversed_in_turn(self, quadric_pair_ideal):
+        # the block order against its reference on every rule of the
+        # fiber-type bases over G1 and G2, and on each one reversed
+        ideals = [quadric_pair_ideal]
+        view = order_view(quadric_pair_ideal)
+        for fiber_gb in (build_G1(quadric_pair_ideal), build_G2(view)):
+            rules = build_fiber_type_basis(ideals, fiber_gb)
+            assert self.found(rules, ideals) == self.reference_marking_order(
+                rules, ideals) is not None
+            for k, g in enumerate(rules):
+                flipped = rules[:k] + [MarkedBinomial(g.trail, g.lead)] + rules[k + 1:]
+                assert self.found(flipped, ideals) == \
+                    self.reference_marking_order(flipped, ideals), g.label()
 
     def test_single_ideal_candidates(self, quadric_pair_ideal):
         ideals = [quadric_pair_ideal]

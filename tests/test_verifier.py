@@ -1,6 +1,4 @@
 import itertools
-import json
-import multiprocessing
 import random
 import re
 from collections import Counter
@@ -32,9 +30,10 @@ from borel_rees.presentation import (
     fibers_by_multidegree,
     phi,
     presentation_variables,
+    rank_fibers,
     t_vectors,
 )
-from borel_rees.reduction import MarkedBinomial
+from borel_rees.reduction import MarkedBinomial, rank_rules
 from borel_rees.verifier import (
     VerificationReport,
     analyze_fiber,
@@ -85,13 +84,6 @@ class TestVerifyGB:
         assert len(report.sink_log) == report.multidegrees_checked
         for mu, sink in report.sink_log:
             assert phi(sink, [quadric_pair_ideal]) == mu
-
-    def test_worker_pool_matches_serial(self, quadric_pair_ideal, quadric_pair_G1):
-        serial = verify_gb(quadric_pair_G1, [quadric_pair_ideal], (3,), jobs=1)
-        pooled = verify_gb(quadric_pair_G1, [quadric_pair_ideal], (3,), jobs=3)
-        assert json.dumps(serial.to_json_dict(), sort_keys=True) == json.dumps(
-            pooled.to_json_dict(), sort_keys=True
-        )
 
 
 def _two_quadric(c, a, b, d, n):
@@ -164,9 +156,16 @@ def reference_run(rules, ideals, budget, x_degree=None):
 
 
 def assert_matches_reference(rules, ideals, budget, method, x_degree=None):
+    """verify_gb against reference_run; its first note names the method, and
+    a mixed run's other notes are the x-degree and unreached-slice ones."""
     report = verify_gb(rules, ideals, budget, collect_sinks=True,
                        x_degree=x_degree)
-    assert len(report.notes) == 1 and report.notes[0].startswith(method)
+    assert report.notes[0].startswith(method)
+    x_degree = mixed_x_degree(rules, ideals, budget, x_degree)
+    assert report.notes[1:] == ([] if x_degree is None else [
+        f"mixed fibers up to x-degree {x_degree}",
+        *unreached_slice_notes(ideals, budget, x_degree),
+    ])
     checked, failures, sink_log, verdict = reference_run(rules, ideals, budget,
                                                          x_degree)
     assert report.multidegrees_checked == checked
@@ -276,8 +275,6 @@ class TestStandardMonomialDifferential:
             rules, list(running_pair), (2, 1), "fiber graphs"
         )
         assert report.verdict == "refuted"
-        pooled = verify_gb(rules, list(running_pair), (2, 1), jobs=2)
-        assert pooled.to_json_dict() == report.to_json_dict()
 
     def test_unequal_images_fall_back_to_fiber_graphs(
         self, running_pair, running_pair_basis
@@ -755,32 +752,40 @@ class TestMixedFibersDifferential:
         assert got == list(reference_mixed_fibers(ideals, budget, x_degree))
         assert any(len(fiber) >= 2 for _, fiber in got)
 
+    @pytest.mark.parametrize("dropped", [0, 1, 4])
+    def test_lead_atom_pairs_leave_the_mixed_standard_monomials(
+        self, quadric_pair_ideal, quadric_pair_G1, dropped
+    ):
+        # each lead as a pair of atoms, syzygy leads x_i*T_u included: the
+        # members no lead divides, in fiber order, and no fiber left empty
+        ideals = [quadric_pair_ideal]
+        rules = _drop_rules(build_fiber_type_basis(ideals, quadric_pair_G1),
+                            random.Random(dropped), dropped)
+        alphabet = rank_rules((), presentation_variables(ideals), 5)
+        pairs = [alphabet.encode(g.lead) for g in rules]
+        assert any(max(p) >= len(alphabet.variables) for p in pairs)
+        expected = []
+        for mu, fiber in reference_mixed_fibers(ideals, (2,), 5):
+            standard = [alphabet.encode(v) for v in fiber
+                        if not any(g.lead.divides(v) for g in rules)]
+            if standard:
+                expected.append((mu, standard))
+        got = list(rank_fibers(ideals, (2,), pairs, 5))
+        assert got == expected
+        assert any(len(fiber) >= 2 for _, fiber in got) == bool(dropped)
+
 
 class TestVerifyGBMixed:
-    def test_jobs_do_not_change_reports(self, quadric_pair_ideal,
-                                        quadric_pair_G1):
-        ideals = [quadric_pair_ideal]
-        verdicts = []
-        for rules, x_degree in (
-            (build_fiber_type_basis(ideals, quadric_pair_G1), 5),
-            (build_syzygy_set(ideals), 4),
-        ):
-            serial, pooled = (
-                verify_gb(rules, ideals, (2,), jobs=jobs, x_degree=x_degree)
-                for jobs in (1, 2)
-            )
-            assert json.dumps(serial.to_json_dict(), sort_keys=True) == (
-                json.dumps(pooled.to_json_dict(), sort_keys=True)
-            )
-            verdicts.append(serial.verdict)
-        assert verdicts == ["certified-up-to-bound", "refuted"]
-
     def test_lifted_basis_certifies_mixed_fibers(
         self, quadric_pair_ideal, quadric_pair_G1
     ):
         rules = build_fiber_type_basis([quadric_pair_ideal], quadric_pair_G1)
         report = verify_gb(rules, [quadric_pair_ideal], (2,), x_degree=5)
-        assert report.notes == ["mixed fibers up to x-degree 5"]
+        assert report.notes == [
+            f"standard monomials under the block order (x-parts first, then "
+            f"rlex); {len(rules)} rules oriented, images equal",
+            "mixed fibers up to x-degree 5",
+        ]
         assert report.verdict == "certified-up-to-bound"
         assert report.multidegrees_checked > 100
 
@@ -817,40 +822,56 @@ class TestVerifyGBMixed:
 
 
 def _fiber_type_case(name):
-    """The fiber-type basis of B(x4x5, x2x6), intact, without its first
-    syzygy, or with that syzygy listed reversed."""
+    """A fiber-type basis with its budget and x-degree bound: the one of
+    B(x4x5, x2x6) at (2,) up to x-degree 5, intact, without its first
+    syzygy or its first lifted rule, its syzygies alone, or its first syzygy
+    listed reversed; and the running pair's at (2, 1), with the default
+    bound, without its first syzygy."""
+    if name == "pair-no-first-syzygy":
+        pair = [borel_closure([m("x4*x5", 6), m("x2*x6", 6)], 6),
+                borel_closure([m("x4^2", 6), m("x3*x6", 6)], 6)]
+        rules = build_fiber_type_basis(pair, quadratic_basis_for(pair))
+        return pair, rules[1:], (2, 1), None
     b45 = [borel_closure([m("x4*x5", 6), m("x2*x6", 6)], 6)]
     rules = build_fiber_type_basis(b45, quadratic_basis_for(b45))
     first = rules[0]
     assert first.source == "SYZ"
+    lifted = next(k for k, g in enumerate(rules) if g.source != "SYZ")
     return b45, {
         "intact": rules,
         "no-first-syzygy": rules[1:],
+        "no-first-lifted-rule": rules[:lifted] + rules[lifted + 1:],
+        "syzygies-alone": rules[:lifted],
         "first-syzygy-reversed":
             [MarkedBinomial(first.trail, first.lead, first.source)] + rules[1:],
-    }[name]
+    }[name], (2,), 5
 
 
 class TestFiberGraphsOnAtoms:
-    """verify_gb builds its fiber graphs on atom tuples (rank_rules once,
-    fiber_edges per fiber, in each pool worker too); reference_run rebuilds
-    them on objects with analyze_fiber over brute-force fibers. Reports are
-    equal, and equal for one and two workers."""
+    """verify_gb on fiber-type bases against reference_run, which rebuilds
+    every fiber graph on objects with analyze_fiber over brute-force mixed
+    fibers. The block order orients the intact basis and every deletion, so
+    their standard monomials are counted; a reversed syzygy leaves no term
+    order, and the fiber graphs are built on atom tuples."""
 
     @pytest.mark.parametrize("name, failures, cycles", [
         ("intact", 0, 0),
         ("no-first-syzygy", 29, 0),
+        ("no-first-lifted-rule", 6, 0),
+        ("syzygies-alone", 141, 0),
         ("first-syzygy-reversed", 10, 10),
+        ("pair-no-first-syzygy", 91, 0),
     ])
     def test_fiber_type_basis(self, name, failures, cycles):
-        ideals, rules = _fiber_type_case(name)
-        report = assert_matches_reference(rules, ideals, (2,), "mixed fibers",
-                                          x_degree=5)
+        ideals, rules, budget, x_degree = _fiber_type_case(name)
+        method = ("fiber graphs" if name == "first-syzygy-reversed"
+                  else "standard monomials under the block order")
+        report = assert_matches_reference(rules, ideals, budget, method,
+                                          x_degree=x_degree)
         assert len(report.failures) == failures
         assert sum(f.has_cycle for f in report.failures) == cycles
-        pooled = verify_gb(rules, ideals, (2,), jobs=2, x_degree=5)
-        assert json.dumps(pooled.to_json_dict(), sort_keys=True) == (
-            json.dumps(report.to_json_dict(), sort_keys=True))
+        assert report.verdict == ("refuted" if failures
+                                  else "certified-up-to-bound")
 
     def test_head_and_tail_with_its_first_rule_reversed(
         self, running_pair, running_pair_basis
@@ -863,52 +884,6 @@ class TestFiberGraphsOnAtoms:
                                           "fiber graphs")
         # the reversed rule is the marking of another term order
         assert report.verdict == "certified-up-to-bound"
-        pooled = verify_gb(rules, list(running_pair), (2, 1), jobs=2)
-        assert json.dumps(pooled.to_json_dict(), sort_keys=True) == (
-            json.dumps(report.to_json_dict(), sort_keys=True))
-
-
-class TestJobs:
-    @pytest.mark.parametrize("jobs, cpus, processes", [
-        (64, 2, 2), (2, 8, 2), (3, None, 1), (1, 8, None),
-    ])
-    def test_pool_size_is_capped_by_the_cpu_count(
-        self, monkeypatch, quadric_pair_ideal, quadric_pair_G1,
-        jobs, cpus, processes,
-    ):
-        # the pool is replaced by an in-process stand-in that records its
-        # size, so no worker process is started
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, processes, initializer, initargs):
-                sizes.append(processes)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, fn, chunks):
-                return map(fn, chunks)
-
-        monkeypatch.setattr(verifier, "_POOL_RULES", None)
-        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
-        monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
-        ideals = [quadric_pair_ideal]
-        rules = build_fiber_type_basis(ideals, quadric_pair_G1)
-        report = verify_gb(rules, ideals, (2,), jobs=jobs, x_degree=4)
-        assert sizes == ([] if processes is None else [processes])
-        serial = verify_gb(rules, ideals, (2,), jobs=1, x_degree=4)
-        assert report.to_json_dict() == serial.to_json_dict()
-
-    @pytest.mark.parametrize("jobs", [0, -3])
-    def test_jobs_below_one_rejected(self, quadric_pair_ideal, quadric_pair_G1,
-                                     jobs):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            verify_gb(quadric_pair_G1, [quadric_pair_ideal], (2,), jobs=jobs)
 
 
 def _one_quadric_swap(u, v):
