@@ -22,7 +22,8 @@ u*m is u's rank tuple followed by m's x-atoms, x_i being atom size + i - 1
 after the size presentation variables, so a rank tuple is its own atom
 tuple;
 fibers_by_multidegree builds PresMonomials from rank_fibers. rank_slices
-hands out its contents packed, with the Digits that decode them; the others
+hands out its contents packed, with the Digits that decode them, and so does
+_keyed_fibers, rank_fibers' fibers keyed by their packed x-part; the others
 decode a content only when they yield it.
 """
 
@@ -601,6 +602,23 @@ def rank_fibers(
     banned are left out of their fiber, and a fiber left empty is not
     yielded.
     """
+    digits, fibers = _keyed_fibers(ideals, t_budget, forbidden_pairs,
+                                   x_degree)
+    for tv, key, members in fibers:
+        yield MultiDegree(digits.unpack(key), tv), members
+
+
+def _keyed_fibers(
+    ideals: Sequence[StronglyStableIdeal],
+    t_budget: Sequence[int],
+    forbidden_pairs: Iterable[tuple[int, int]] = (),
+    x_degree: int | None = None,
+) -> tuple[Digits,
+           Iterator[tuple[tuple[int, ...], int, list[tuple[int, ...]]]]]:
+    """(digits, fibers): the fibers of rank_fibers, in its order, each as
+    (t-vector, packed x-part, members), with digits.unpack decoding the
+    x-part; no MultiDegree is built. A t_budget without one entry per ideal
+    raises ValueError at once."""
     n = ideals[0].n
     size = len(presentation_variables(ideals))
     pure, x_bans = [], {}  # x_bans: rank -> bitmask of the x-atoms banned
@@ -611,41 +629,46 @@ def rank_fibers(
         else:
             x_bans[a] = x_bans.get(a, 0) | 1 << b
     digits, slices = rank_slices(ideals, t_budget, pure, x_degree or 0)
-    if x_degree is None:
+
+    def fibers():
+        if x_degree is None:
+            for tv, groups in slices:
+                for x in sorted(groups):
+                    yield tv, x, groups[x]
+            return
+        units = [digits.pack([int(i == j) for j in range(n)])
+                 for i in range(n)]
+
+        @cache
+        def rest(e: int, ban: int) -> list[tuple[int, tuple[int, ...]]]:
+            """(packed m, x-atoms of m) of every m of x-degree e avoiding
+            the banned x-atoms, in combinations order."""
+            return [(sum([units[a - size] for a in w]), w)
+                    for w in itertools.combinations_with_replacement(
+                        range(size, size + n), e)
+                    if not any(ban >> a & 1 for a in w)]
+
         for tv, groups in slices:
-            for x in sorted(groups):
-                yield MultiDegree(digits.unpack(x), tv), groups[x]
-        return
-    units = [digits.pack([int(i == j) for j in range(n)]) for i in range(n)]
+            low = content_degree(ideals, tv)
+            for d in range(low, x_degree + 1):
+                mixed: dict[int, list[tuple[int, ...]]] = {}
+                for x, us in groups.items():
+                    if not x_bans:
+                        for pw, w in rest(d - low, 0):
+                            mixed.setdefault(x + pw, []).extend(
+                                [u + w for u in us])
+                        continue
+                    # a content and a rest make one fiber, so members
+                    # still come by content, then in rank order
+                    for u in us:
+                        ban = reduce(or_, [x_bans.get(k, 0) for k in u], 0)
+                        for pw, w in rest(d - low, ban):
+                            mixed.setdefault(x + pw, []).append(u + w)
+                # same degree: x-atom tuples ascend as exponent tuples descend
+                for key in sorted(mixed, reverse=True):
+                    yield tv, key, mixed[key]
 
-    @cache
-    def rest(e: int, ban: int) -> list[tuple[int, tuple[int, ...]]]:
-        """(packed m, x-atoms of m) of every m of x-degree e avoiding the
-        banned x-atoms, in combinations order."""
-        return [(sum([units[a - size] for a in w]), w)
-                for w in itertools.combinations_with_replacement(
-                    range(size, size + n), e)
-                if not any(ban >> a & 1 for a in w)]
-
-    for tv, groups in slices:
-        low = content_degree(ideals, tv)
-        for d in range(low, x_degree + 1):
-            fibers: dict[int, list[tuple[int, ...]]] = {}
-            for x, us in groups.items():
-                if not x_bans:
-                    for pw, w in rest(d - low, 0):
-                        fibers.setdefault(x + pw, []).extend(
-                            [u + w for u in us])
-                    continue
-                # a content and a rest make one fiber, so members still
-                # come by content, then in rank order
-                for u in us:
-                    ban = reduce(or_, [x_bans.get(k, 0) for k in u], 0)
-                    for pw, w in rest(d - low, ban):
-                        fibers.setdefault(x + pw, []).append(u + w)
-            # same degree: x-atom tuples ascend as exponent tuples descend
-            for key in sorted(fibers, reverse=True):
-                yield MultiDegree(digits.unpack(key), tv), fibers[key]
+    return digits, fibers()
 
 
 def fibers_by_multidegree(

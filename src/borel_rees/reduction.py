@@ -9,17 +9,18 @@ is atom size + i - 1 (size presentation variables), so a rank tuple is
 already an atom tuple; RankRules.encode and decode translate monomials.
 Two-atom leads (quadrics, syzygies T_u*x_i and lifted fiber leads alike)
 are found in a lead table indexed by atom: rows[a][b] lists every rule with
-lead (a, b), in list order. Any other lead is found by multiset
-containment.
+lead (a, b), in list order, and heads[a][b] is the earliest of them. Any
+other lead is found by multiset containment.
 
 On that core, rank_rewrites lists every one-step reduction of an atom tuple
 in rule-list order, fiber_edges builds every fiber graph from it (the
 verifier's fiber analysis, and build_graph's reduction graphs for the paper
 cases, the fiber-graph command and the demos), and has_cycle is the one
-cycle detector on graphs. rank_normal_form follows the earliest-listed
-applicable rule only; with a memo it records every monomial on its path
-with its normal form, so callers reducing many monomials under one rule
-list walk each path once. Every rule keeps degree, so that deterministic
+cycle detector on graphs. rank_normal_form, the one normal-form routine on
+atoms, follows the earliest-listed applicable rule only (rank_step, which
+reads heads); with a memo it records every monomial on its path with its
+normal form, so callers reducing many monomials under one rule list walk
+each path once. Every rule keeps degree, so that deterministic
 path stays among finitely many monomials: it either ends or returns to a
 monomial it has visited, which raises RewriteCycle exactly instead of
 guessing from a step budget. Graphs also carry the longest-path invariant
@@ -34,7 +35,7 @@ term-order certificate reads its lead pairs from.
 
 from __future__ import annotations
 
-import math
+import sys
 from bisect import bisect_left
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -357,14 +358,16 @@ class RankRules(NamedTuple):
     table of the two-atom leads: rows[a] is None unless atom a is the first
     atom of some such lead, and then rows[a][b] is the list of
     (position, lead, trail) of every rule with lead (a, b), in list order,
-    or None. others holds (position, lead, trail) of every other rule, in
-    list order.
+    or None. heads has the shape of rows, with the (position, trail) of the
+    earliest of those rules in place of the list. others holds
+    (position, lead, trail) of every other rule, in list order.
     """
 
     n: int
     atoms: dict[PresVar, int]
     variables: tuple[PresVar, ...]
     rows: list[list | None]
+    heads: list[list | None]
     others: list[tuple[int, tuple[int, ...], tuple[int, ...]]]
 
     def encode(self, v: Monomial | PresMonomial | MixedMonomial) -> tuple[int, ...]:
@@ -382,9 +385,7 @@ class RankRules(NamedTuple):
         try:
             return tuple([self.atoms[f] for f in v.factors] + xs)
         except KeyError as exc:
-            raise ValueError(
-                f"{exc.args[0]} is not a variable of this collection"
-            ) from None
+            raise _foreign(exc) from None
 
     def decode(self, atoms: Sequence[int], kind: type = MixedMonomial):
         """The monomial of the given kind (Monomial, PresMonomial or
@@ -407,35 +408,59 @@ class RankRules(NamedTuple):
         return self.decode(atoms).label()
 
 
+def _foreign(exc: KeyError) -> ValueError:
+    """The error of a variable missing from a collection's atoms."""
+    return ValueError(f"{exc.args[0]} is not a variable of this collection")
+
+
 def rank_rules(
     rules: Sequence[MarkedBinomial], variables: Sequence[PresVar], n: int
 ) -> RankRules:
     """Compile a rule list onto the atoms of a collection with n ambient
     variables and presentation_variables `variables`.
 
-    The lead table has a row only for an atom that leads some two-atom
-    rule, and no rows at all (an empty list) when none does.
+    A quadric PresMonomial's two factors are read straight off the atoms;
+    any other monomial goes through encode. The lead table has a row only for
+    an atom that leads some two-atom rule, and no rows at all (an empty
+    list) when none does.
     """
     width = len(variables) + n
-    compiled = RankRules(
-        n, {v: k for k, v in enumerate(variables)}, tuple(variables), [], [],
-    )
-    rows = compiled.rows
+    atoms = {v: k for k, v in enumerate(variables)}
+    compiled = RankRules(n, atoms, tuple(variables), [], [], [])
+    rows, heads, others = compiled.rows, compiled.heads, compiled.others
+    encode = compiled.encode
     for pos, g in enumerate(rules):
-        lead, trail = compiled.encode(g.lead), compiled.encode(g.trail)
-        if len(lead) == 2:
-            if not rows:
-                rows += [None] * width
-            a, b = lead
-            row = rows[a]
-            if row is None:
-                row = rows[a] = [None] * width
-            if row[b] is None:
-                row[b] = []
-            row[b].append((pos, lead, trail))
+        lead, trail = g.lead, g.trail
+        if type(lead) is PresMonomial and len(lead.factors) == 2:
+            (p, q), (r, s) = lead.factors, trail.factors
+            try:
+                lead, trail = (atoms[p], atoms[q]), (atoms[r], atoms[s])
+            except KeyError as exc:
+                raise _foreign(exc) from None
         else:
-            compiled.others.append((pos, lead, trail))
+            lead, trail = encode(lead), encode(trail)
+            if len(lead) != 2:
+                others.append((pos, lead, trail))
+                continue
+        if not rows:
+            rows += [None] * width
+            heads += [None] * width
+        a, b = lead
+        row = rows[a]
+        if row is None:
+            row = rows[a] = [None] * width
+            heads[a] = [None] * width
+        listed = row[b]
+        if listed is None:
+            row[b] = [(pos, lead, trail)]
+            heads[a][b] = (pos, trail)
+        else:
+            listed.append((pos, lead, trail))
     return compiled
+
+
+# past every list position: rank_step's best hit before it finds one
+_UNLISTED = sys.maxsize
 
 
 def _contains(v: tuple[int, ...], lead: tuple[int, ...]) -> bool:
@@ -533,28 +558,38 @@ def rank_step(v: tuple[int, ...], rules: RankRules) -> tuple[int, ...] | None:
     """The successor of an atom tuple under its earliest-listed applicable
     rule, or None when no rule applies.
 
-    Reads the lead table at every atom pair of v and scans by multiset
-    containment only the other rules listed before the best table hit.
+    Reads the earliest rule of every atom pair of v off the lead table
+    (heads) and scans by multiset containment only the other rules listed
+    before the best table hit.
     """
-    best, found = math.inf, None
-    rows = rules.rows
-    if rows:
-        last = len(v) - 1
-        for i in range(last):
-            row = rows[v[i]]
+    best = _UNLISTED
+    heads = rules.heads
+    if heads:
+        i = 0
+        for a in v:
+            i += 1
+            row = heads[a]
             if row is not None:
-                for j in range(i + 1, last + 1):
-                    hit = row[v[j]]
-                    if hit is not None and hit[0][0] < best:
-                        best, found = hit[0][0], (i, j, hit[0][2])
+                for b in v[i:]:
+                    hit = row[b]
+                    if hit is not None and hit[0] < best:
+                        best = hit[0]
+                        found = a, b, hit[1]
     for pos, lead, trail in rules.others:
         if pos > best:
             break
         if _contains(v, lead):
             return _apply(v, lead, trail)
-    if found is None:
+    if best is _UNLISTED:
         return None
-    return _swap(v, *found)
+    # _apply inlined for two atoms: a call there costs a fifth of a step
+    a, b, trail = found
+    rest = list(v)
+    rest.remove(a)
+    rest.remove(b)
+    rest += trail
+    rest.sort()
+    return tuple(rest)
 
 
 def rank_normal_form(v: tuple[int, ...], rules: RankRules,
@@ -562,24 +597,27 @@ def rank_normal_form(v: tuple[int, ...], rules: RankRules,
     """Rewrite an atom tuple by the earliest-listed applicable rule
     (rank_step) until none applies, with normal_form's memo semantics and
     RewriteCycle message."""
-    path: dict = {}
+    path: list = []
+    visit = path.append
+    known = {}.get if memo is None else memo.get
+    step = rank_step
     current = v
     while True:
-        if memo is not None:
-            nf = memo.get(current)
-            if nf is not None:
-                break
-        succ = rank_step(current, rules)
+        nf = known(current)
+        if nf is not None:
+            break
+        succ = step(current, rules)
         if succ is None:
             nf = current
             break
-        path[current] = len(path)
+        visit(current)
         current = succ
         if current in path:
             raise RewriteCycle.recurring(
-                rules.label(current), len(path) - path[current])
+                rules.label(current), len(path) - path.index(current))
     if memo is not None:
-        memo.update(dict.fromkeys(path, nf))
+        for u in path:
+            memo[u] = nf
         memo[current] = nf
     return nf
 

@@ -53,14 +53,15 @@ from .presentation import (
     MixedMonomial,
     MultiDegree,
     PresMonomial,
+    PresVar,
     check_t_budget,
     content_degree,
     fibers_by_multidegree,
-    phi,
     presentation_variables,
     rank_fibers,
     rank_slices,
     t_vectors,
+    _keyed_fibers,
 )
 from .records import Frozen, Record
 from .reduction import (
@@ -226,10 +227,11 @@ def verify_gb(
     counted instead: pure ones a t-slice at a time (rank_slices), building
     only the contents without exactly one, or every content when
     collect_sinks asks for the sink log, so failures come by t-vector, then
-    x ascending; mixed ones a fiber at a time from rank_fibers, in its
-    order, as are the fiber graphs. progress is called at every multiple of
-    2000 the count reaches. A t_budget without one entry per ideal raises
-    ValueError before any work starts.
+    x ascending; mixed ones a fiber at a time in rank_fibers order, as are
+    the fiber graphs, each keyed by its t-vector and packed x-part. A
+    MultiDegree is built only for a failure or the sink log. progress is
+    called at every multiple of 2000 the count reaches. A t_budget without
+    one entry per ideal raises ValueError before any work starts.
     """
     check_t_budget(ideals, t_budget)
     report = VerificationReport(
@@ -249,16 +251,19 @@ def verify_gb(
                               report.multidegrees_checked // 2000 + 1):
                 progress(2000 * mark)
 
-    def record(mu, sinks, cyc):
-        # sinks come as atom tuples; only a failure or the sink log builds them
+    def record(tv, key, sinks, cyc):
+        # a multidegree comes as its t-vector and packed x-part, its sinks
+        # as atom tuples; only a failure or the sink log builds them
         if len(sinks) >= 2:
             report.nontrivial_fiber = True
         if cyc or len(sinks) != 1:
             report.failures.append(FiberFailure(
-                mu, [decode(v).label(len(mu.t_exps)) for v in sinks], cyc
+                MultiDegree(digits.unpack(key), tv),
+                [decode(v).label(len(tv)) for v in sinks], cyc
             ))
         elif collect_sinks:
-            sink_log.append((mu, decode(sinks[0])))
+            sink_log.append((MultiDegree(digits.unpack(key), tv),
+                             decode(sinks[0])))
 
     # the rules are compiled only for the fiber graphs: a term-order run
     # needs the alphabet alone
@@ -285,10 +290,8 @@ def verify_gb(
         # the nontrivial fibers with one standard monomial are those
         # holding a lead within the bounds, which shares its fiber with its
         # trail
-        report.nontrivial_fiber = any(
-            all(map(le, mu.t_exps, t_budget))
-            and (x_degree is None or sum(mu.x_exps) <= x_degree)
-            for mu in (phi(g.lead, ideals) for g in rules))
+        report.nontrivial_fiber = _some_lead_within(
+            lead_pairs, compiled.variables, ideals, t_budget, x_degree)
     if x_degree is not None:
         report.notes.append(f"mixed fibers up to x-degree {x_degree}")
         report.notes += unreached_slice_notes(ideals, t_budget, x_degree)
@@ -306,20 +309,52 @@ def verify_gb(
                 contents = sorted(x for x, standard in groups.items()
                                   if len(standard) != 1)
             for x in contents:
-                record(MultiDegree(digits.unpack(x), tv), groups[x], False)
+                record(tv, x, groups[x], False)
     else:
-        for mu, fiber in rank_fibers(ideals, t_budget, lead_pairs, x_degree):
+        digits, fibers = _keyed_fibers(ideals, t_budget, lead_pairs,
+                                       x_degree)
+        for tv, key, fiber in fibers:
             count(1)
-            if order is not None:
-                record(mu, fiber, False)
-            else:
+            if order is None:
                 report.nontrivial_fiber |= len(fiber) >= 2
                 edges = fiber_edges(fiber, compiled, collapse=False)
-                record(mu, [fiber[i] for i, outs in enumerate(edges)
-                            if not outs], has_cycle(edges))
+                record(tv, key, [fiber[i] for i, outs in enumerate(edges)
+                                 if not outs], has_cycle(edges))
+            elif collect_sinks or len(fiber) != 1:
+                record(tv, key, fiber, False)
     if collect_sinks:
         report.sink_log = sink_log
     return report
+
+
+def _some_lead_within(
+    leads: Sequence[tuple[int, ...]],
+    variables: Sequence[PresVar],
+    ideals: Sequence[StronglyStableIdeal],
+    t_budget: Sequence[int],
+    x_degree: int | None,
+) -> bool:
+    """Whether the image of some lead, an atom tuple over the presentation
+    variables of the ideals, lies within the t-budget and, when x_degree is
+    given, within that x-degree: a rank adds one to its ideal's t-count and
+    the ideal's degree to the x-degree, an x-atom adds one to the
+    x-degree."""
+    ideal_of = [v.ideal_index - 1 for v in variables]
+    size = len(ideal_of)
+    degrees = [ideal.degree for ideal in ideals]
+    for lead in leads:
+        t = [0] * len(ideals)
+        x = 0
+        for a in lead:
+            if a < size:
+                i = ideal_of[a]
+                t[i] += 1
+                x += degrees[i]
+            else:
+                x += 1
+        if all(map(le, t, t_budget)) and (x_degree is None or x <= x_degree):
+            return True
+    return False
 
 
 def mixed_x_degree(
@@ -453,18 +488,19 @@ def kernel_membership(
     share one normal form has its pairs walked, in combinations order, for
     the same failure dicts: the error of the first side that cycles,
     otherwise both normal forms. Pure and mixed fibers alike come as atom
-    tuples from rank_fibers; monomials are decoded only for failure labels.
+    tuples from the keyed fibers of rank_fibers, with no MultiDegree built;
+    monomials are decoded only for failure labels.
     """
     check_t_budget(ideals, t_budget)
     compiled = rank_rules(rules, presentation_variables(ideals), ideals[0].n)
-    fibers = (fiber for _, fiber in
-              rank_fibers(ideals, t_budget, x_degree=x_degree)
-              if len(fiber) > 1)
+    _, fibers = _keyed_fibers(ideals, t_budget, x_degree=x_degree)
     label = functools.cache(compiled.label)
     memo: dict = {}
     checked = 0
     failures = []
-    for fiber in fibers:
+    for _, _, fiber in fibers:
+        if len(fiber) < 2:
+            continue
         checked += len(fiber) * (len(fiber) - 1) // 2
         forms = []
         for v in fiber:

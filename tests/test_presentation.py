@@ -23,7 +23,9 @@ from borel_rees.presentation import (
     rank_fibers,
     rank_slices,
     t_vectors,
+    _keyed_fibers,
 )
+from borel_rees.reduction import rank_rules
 
 FIG1_FIBER = {
     "T23^2*T14*T15",
@@ -381,6 +383,42 @@ class TestLevelEnumeratorAgainstReference:
                                                      pairs).items())
         ]
         assert list(rank_fibers(ideals, budget, pairs)) == expected
+
+    @pytest.mark.parametrize("ideals, budget, pairs", _level_cases())
+    def test_keyed_fibers(self, ideals, budget, pairs):
+        # rank_fibers' fibers as (t-vector, packed x-part, members)
+        digits, fibers = _keyed_fibers(ideals, budget, pairs)
+        assert list(fibers) == [
+            (tv, digits.pack(x), members)
+            for tv in t_vectors(budget)
+            for x, members in sorted(reference_slice(ideals, tv,
+                                                     pairs).items())
+        ]
+
+    @pytest.mark.parametrize("x_pairs", [(), ((0, 14), (3, 12), (2, 5))])
+    def test_keyed_mixed_fibers_pack_their_image(self, x_pairs):
+        # B(x3^2, x2*x5): ranks 0..9, x_i is atom 9 + i; a pair of a rank
+        # and an x-atom bans the x-variable beside that factor, and a pair
+        # of ranks bans the two factors together
+        ideals = [borel_closure([m("x3^2", 5), m("x2*x5", 5)], 5)]
+        decode = rank_rules((), presentation_variables(ideals), 5).decode
+        digits, fibers = _keyed_fibers(ideals, (2,), x_pairs, 6)
+        keyed = list(fibers)
+        assert keyed == [
+            (mu.t_exps, digits.pack(mu.x_exps), members)
+            for mu, members in rank_fibers(ideals, (2,), x_pairs, 6)
+        ]
+        assert len(keyed) > 100
+        for tv, key, members in keyed:
+            for atoms in members:
+                assert not any(a in atoms and b in atoms for a, b in x_pairs)
+                assert phi(decode(atoms), ideals) == MultiDegree(
+                    digits.unpack(key), tv)
+
+    def test_keyed_fibers_check_the_budget_at_once(self):
+        ideals = [borel_closure([m("x3^2", 5), m("x2*x5", 5)], 5)]
+        with pytest.raises(ValueError, match="t budget needs 1 entries"):
+            _keyed_fibers(ideals, (1, 1))
 
 
 class TestDigitWidth:

@@ -884,6 +884,93 @@ class TestLeadTable:
             assert_atoms_match_scan(monomials, rules, n=n)
 
 
+class TestLeanCore:
+    """rank_step and rank_normal_form on the heads of the lead table, each
+    against normal_form on objects with the same rule list: the cycle
+    message of a path with a tail, a memo hit inside a path, two rules on
+    one lead, and containment leads on either side of the best table
+    hit."""
+
+    @staticmethod
+    def both(v, rules, n, memo=None, rank_memo=None):
+        """(normal_form's result, rank_normal_form's) on ambient rules, as
+        atom tuples or as the RewriteCycle message."""
+        compiled = rank_rules(rules, (), n)
+        try:
+            expected = compiled.encode(normal_form(v, rules, memo))
+        except RewriteCycle as exc:
+            expected = str(exc)
+        try:
+            got = rank_normal_form(compiled.encode(v), compiled, rank_memo)
+        except RewriteCycle as exc:
+            got = str(exc)
+        return expected, got
+
+    def test_a_cycle_after_a_tail_names_the_cycle_length(self):
+        # x1*x4^2 -> x2*x3*x4 -> x2^3 -> x2*x3*x4: a path of three
+        # monomials whose cycle has two
+        rules = rules_of(4, ("x1*x4", "x2*x3"), ("x3*x4", "x2^2"),
+                         ("x2^2", "x3*x4"))
+        memo, rank_memo = {}, {}
+        expected, got = self.both(m("x1*x4^2", 4), rules, 4, memo, rank_memo)
+        assert got == expected == (
+            "rewriting cycles: x2*x3*x4 recurs after 2 steps")
+        assert memo == rank_memo == {}
+
+    def test_a_memo_hit_inside_a_path_ends_it(self):
+        # x1^2 -> x1*x2 -> x2^2 -> x2*x3: with x1*x2 reduced first, the
+        # walk from x1^2 takes one step and records x1^2 alone
+        rules = rules_of(3, ("x1^2", "x1*x2"), ("x1*x2", "x2^2"),
+                         ("x2^2", "x2*x3"))
+        compiled = rank_rules(rules, (), 3)
+        memo, rank_memo = {}, {}
+        expected, got = self.both(m("x1*x2", 3), rules, 3, memo, rank_memo)
+        assert got == expected == (1, 2)
+        assert set(rank_memo) == {(0, 1), (1, 1), (1, 2)}
+        with mock.patch("borel_rees.reduction.rank_step",
+                        wraps=rank_step) as step:
+            assert rank_normal_form((0, 0), compiled, rank_memo) == (1, 2)
+        assert step.call_count == 1
+        normal_form(m("x1^2", 3), rules, memo)
+        assert rank_memo == {
+            compiled.encode(u): compiled.encode(nf) for u, nf in memo.items()
+        }
+
+    def test_the_earliest_of_two_rules_on_one_lead_wins(self):
+        first, second = ("x1*x2", "x3^2"), ("x1*x2", "x4^2")
+        for listed, successor in (((first, second), (2, 2)),
+                                  ((second, first), (3, 3))):
+            rules = rules_of(4, ("x3*x4", "x1*x2"), *listed)
+            compiled = rank_rules(rules, (), 4)
+            assert compiled.heads[0][1] == (1, successor)
+            assert [pos for pos, _, _ in compiled.rows[0][1]] == [1, 2]
+            assert rank_step((0, 1), compiled) == successor
+            assert self.both(m("x1*x2", 4), rules, 4) == (successor,) * 2
+
+    def test_a_containment_lead_wins_only_before_the_best_table_hit(self):
+        # x1*x2*x3 holds the cubic lead and the quadric leads x1*x3 and
+        # x2*x3, probed in that order; the earliest listed of the three
+        # rewrites it
+        cubic = ("x1*x2*x3", "x4^3")
+        q13, q23 = ("x1*x3", "x2*x4"), ("x2*x3", "x1*x4")
+        v = m("x1*x2*x3", 4)
+        for listed, successor in (
+            ((cubic, q23, q13), (3, 3, 3)),
+            ((q23, cubic, q13), (0, 0, 3)),
+            ((q13, cubic, q23), (1, 1, 3)),
+            ((q23, q13, cubic), (0, 0, 3)),
+        ):
+            rules = rules_of(4, ("x4^2", "x1*x2"), *listed)
+            compiled = rank_rules(rules, (), 4)
+            assert [pos for pos, _, _ in compiled.others] == [
+                1 + listed.index(cubic)]
+            assert rank_step((0, 1, 2), compiled) == successor
+            assert compiled.encode(
+                applicable_reductions(v, rules)[0][0]) == successor
+            expected, got = self.both(v, rules, 4)
+            assert got == expected
+
+
 class TestMixedReduction:
     def test_lift_and_reduce(self, quadric_pair_ideal, quadric_pair_G1):
         lifted = lift_to_mixed(quadric_pair_G1, 5)

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 import re
 from collections import Counter
@@ -135,16 +136,24 @@ def reference_run(rules, ideals, budget, x_degree=None):
     """verify_gb's findings rebuilt from per-multidegree fiber graphs on
     objects (analyze_fiber) over brute-force fibers, mixed ones up to
     x_degree when it is given: (multidegrees, failures as (mu, sink labels,
-    cycle), sink log, verdict)."""
+    cycle), sink log, verdict).
+
+    A rule whose lead divides a monomial has a lead image dividing the
+    monomial's, so each fiber's graph is built from the rules whose lead
+    image is at most its multidegree, componentwise; phi runs once per
+    rule."""
     r = len(ideals)
     if x_degree is None:
         fibers = brute_force_fibers(ideals, budget)
     else:
         fibers = dict(reference_mixed_fibers(ideals, budget, x_degree))
-    pair_index, generic = rule_indices(rules)
+    images = [(phi(g.lead, ideals), (pos, g)) for pos, g in enumerate(rules)]
     failures, sink_log, nontrivial = [], [], False
     for mu, fiber in fibers.items():
-        sinks, cyc = analyze_fiber(fiber, pair_index, generic)
+        below = [rule for image, rule in images
+                 if all(map(operator.le, image.x_exps, mu.x_exps))
+                 and all(map(operator.le, image.t_exps, mu.t_exps))]
+        sinks, cyc = analyze_fiber(fiber, {}, below)
         nontrivial |= len(fiber) >= 2
         if cyc or len(sinks) != 1:
             failures.append((mu, [fiber[i].label(r) for i in sinks], cyc))
@@ -478,6 +487,11 @@ def _kernel_case(name):
         "ht-21-rule5-reversed": (
             ht[:6] + [MarkedBinomial(ht[5].trail, ht[5].lead, ht[5].source)]
             + ht[6:], pair, (2, 1), None, 600),
+        # ht with its first rule replaced by its reverse: the marking of
+        # another term order, so every pair still joins
+        "ht-21-first-rule-reversed": (
+            [MarkedBinomial(ht[0].trail, ht[0].lead, ht[0].source)] + ht[1:],
+            pair, (2, 1), None, 0),
         "ht-22": (ht, pair, (2, 2), None, 0),
         "g3-21": (build_G3(*views), pair, (2, 1), None, 3370),
         "g1-3": (g1, one, (3,), None, 0),
@@ -497,10 +511,12 @@ class TestKernelMembership:
 
     # pairs checked by the cases the kernel-oracle command is run on
     PAIRS = {"ht-21": 9941, "ht-21-rule5-reversed": 9941, "g3-21": 9941,
+             "ht-21-first-rule-reversed": 9941, "ht-22": 369597,
              "fiber-type-xdeg6": 22190}
 
     @pytest.mark.parametrize("name", [
-        "ht-21", "ht-21-rule5-reversed", "ht-22", "g3-21", "g1-3",
+        "ht-21", "ht-21-rule5-reversed", "ht-21-first-rule-reversed",
+        "ht-22", "g3-21", "g1-3",
         "cycling-3", "fiber-type-xdeg4", "fiber-type-xdeg6",
         "fiber-type-no-first-syzygy",
     ])
@@ -773,6 +789,33 @@ class TestMixedFibersDifferential:
         got = list(rank_fibers(ideals, (2,), pairs, 5))
         assert got == expected
         assert any(len(fiber) >= 2 for _, fiber in got) == bool(dropped)
+
+
+class TestLeadImageEvidence:
+    """A term-order run's nontrivial-fiber evidence reads each lead's image
+    off its atoms (verifier._some_lead_within); it equals the scan of phi
+    over the leads, pure and mixed."""
+
+    def test_equals_the_phi_scan(self, running_pair, running_pair_basis):
+        pair = list(running_pair)
+        variables = presentation_variables(pair)
+        encode = rank_rules((), variables, 6).encode
+        fiber_type = build_fiber_type_basis(pair, quadratic_basis_for(pair))
+        outcomes = set()
+        for rules, x_degrees in ((running_pair_basis, [None]),
+                                 (fiber_type, [2, 3, 4, 5])):
+            leads = [encode(g.lead) for g in rules]
+            images = [phi(g.lead, pair) for g in rules]
+            for budget in t_vectors((2, 2)):
+                for x_degree in x_degrees:
+                    expected = any(
+                        all(map(operator.le, mu.t_exps, budget))
+                        and (x_degree is None or sum(mu.x_exps) <= x_degree)
+                        for mu in images)
+                    assert verifier._some_lead_within(
+                        leads, variables, pair, budget, x_degree) == expected
+                    outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 class TestVerifyGBMixed:
