@@ -40,7 +40,15 @@ from .presentation import (
     ideal_variables,
 )
 from .records import Frozen
-from .reduction import MarkedBinomial, lift_to_mixed
+from .reduction import (
+    MarkedBinomial,
+    lift_to_mixed,
+    _set_lead,
+    _set_source,
+    _set_trail,
+)
+
+_new = object.__new__
 
 
 class OrderDomainError(KeyError):
@@ -270,9 +278,10 @@ def _coincident_product_binomials(
     PresVar.key order, so a pair (min id, max id) is the canonical factor
     pair of its quadric and pairs of ids sort as leads do; a product is the
     sum of two packed generators, which sort as the exponent tuples do; the
-    order enters as the ranks of _order_ranks, compared sorted descending.
-    The PresMonomials (one per quadric of a product with two or more
-    factorizations) and the MarkedBinomials are built only at the end.
+    order enters as the ranks of _order_ranks, sorted descending once per
+    quadric. The PresMonomials (one per quadric of a product with two or
+    more factorizations) and the MarkedBinomials are built only at the end,
+    each rule written through its slot setters.
     """
     variables = sorted({*left, *right}, key=PresVar.sort_key)
     ids = {v: i for i, v in enumerate(variables)}
@@ -294,6 +303,7 @@ def _coincident_product_binomials(
             by_product.setdefault(exps[a] + exps[b], []).append(pair)
     marked = []
     quadric = {}
+    descending = {}
     for prod in sorted(by_product):
         pairs = by_product[prod]
         if len(pairs) < 2:
@@ -301,14 +311,22 @@ def _coincident_product_binomials(
         for a, b in pairs:
             quadric[a, b] = PresMonomial.from_sorted((variables[a],
                                                       variables[b]))
+            descending[a, b] = _descending(rank[a], rank[b])
         for A, B in itertools.combinations(pairs, 2):
-            if _descending(rank[A[0]], rank[A[1]]) < _descending(rank[B[0]],
-                                                                 rank[B[1]]):
-                marked.append((A, B))
-            else:
-                marked.append((B, A))
+            marked.append((A, B) if descending[A] < descending[B] else (B, A))
     marked.sort(key=itemgetter(0))
-    return [MarkedBinomial(quadric[A], quadric[B], source) for A, B in marked]
+    rules = []
+    for A, B in marked:
+        # MarkedBinomial.__init__'s checks: one kind and one degree hold by
+        # construction, and lead != trail is checked on the id pairs
+        if A == B:
+            raise ValueError("lead equals trail")
+        g = _new(MarkedBinomial)
+        _set_lead(g, quadric[A])
+        _set_trail(g, quadric[B])
+        _set_source(g, source)
+        rules.append(g)
+    return rules
 
 
 def build_G1(

@@ -24,7 +24,10 @@ tuple;
 fibers_by_multidegree builds PresMonomials from rank_fibers. rank_slices
 hands out its contents packed, with the Digits that decode them, and so does
 _keyed_fibers, rank_fibers' fibers keyed by their packed x-part; the others
-decode a content only when they yield it.
+decode a content only when they yield it. _standard_counts counts the same
+fibers and their members group by group (a t-slice, or a t-slice at one
+x-degree) without listing a member: its levels map each enumerator state to
+the packed contents of the nodes in it.
 """
 
 from __future__ import annotations
@@ -391,23 +394,38 @@ class _Steps(dict):
         self.by_rank = tuple(steps)
 
     def __missing__(self, mask: int) -> tuple:
-        steps = self[mask] = tuple(
-            s for k, s in enumerate(self.by_rank) if mask >> k & 1)
+        by_rank = self.by_rank
+        found = []
+        rest = mask
+        while rest:  # the set bits, lowest first
+            low = rest & -rest
+            found.append(by_rank[low.bit_length() - 1])
+            rest ^= low
+        steps = self[mask] = tuple(found)
         return steps
 
 
 class _Expansion:
     """The one enumerator of this module: presentation monomials grown a
-    factor at a time, a whole level (one t-slice) at once.
+    factor at a time, a whole level (one t-slice) at once, in one of two
+    ways that share the steps and blocks tables.
 
-    A node is (packed content, allowed, rank tuple). Ranks are positions in
-    presentation_variables(ideals), non-decreasing along a tuple; allowed is
-    the bitmask of the ranks that may come next: none below the last rank,
-    and none that would complete a forbidden pair (i, j) (twice i when
-    i == j). Appending rank k to a node leaves allowed & ok[k], and the ranks
-    of ideal i are the bits of blocks[i], so a banned rank is never visited.
-    A level in rank-tuple order, each node extended in rank order, gives the
-    next level in rank-tuple order too.
+    grow keeps members: a node is (packed content, allowed, rank tuple).
+    Ranks are positions in presentation_variables(ideals), non-decreasing
+    along a tuple; allowed is the bitmask of the ranks that may come next:
+    none below the last rank, and none that would complete a forbidden pair
+    (i, j) (twice i when i == j). Appending rank k to a node leaves
+    allowed & ok[k], and the ranks of ideal i are the bits of blocks[i], so
+    a banned rank is never visited. A level in rank-tuple order, each node
+    extended in rank order, gives the next level in rank-tuple order too.
+
+    grow_states keeps counts: a level is {state: packed contents}, with the
+    content of every node that reaches the state, in no set order. A state
+    is allowed, ORed with the x-atom bans of the node's ranks: a forbidden
+    pair (k, a) of a rank and an x-atom (a >= size) sets bit a in bans[k].
+    Nodes of one state grow alike, so a step extends a whole list at once
+    and no rank tuple is built. The steps' ok[k] keeps every banned x-atom
+    bit, which a node's allowed never has and a state keeps once set.
     """
 
     def __init__(
@@ -417,10 +435,17 @@ class _Expansion:
         forbidden_pairs: Iterable[tuple[int, int]] = (),
     ):
         variables = presentation_variables(ideals)
-        size = len(variables)
+        self.size = size = len(variables)
+        self.digits = digits
         ok = [(1 << size) - (1 << k) for k in range(size)]
-        for i, j in forbidden_pairs:
-            ok[min(i, j)] &= ~(1 << max(i, j))
+        self.bans: dict[int, int] = {}
+        for pair in forbidden_pairs:
+            i, j = sorted(pair)
+            if j < size:
+                ok[i] &= ~(1 << j)
+            else:
+                self.bans[i] = self.bans.get(i, 0) | 1 << j
+        keep = reduce(or_, self.bans.values(), 0)
         self.blocks = []
         start = 0
         for ideal in ideals:
@@ -428,10 +453,11 @@ class _Expansion:
             self.blocks.append((1 << stop) - (1 << start))
             start = stop
         self.steps = _Steps(
-            (digits.pack(v.generator.exps), ok[k], (k,))
+            (digits.pack(v.generator.exps), ok[k] | keep, (k,))
             for k, v in enumerate(variables)
         )
         self.root = [(0, (1 << size) - 1, ())]
+        self.states = {(1 << size) - 1: [0]}
 
     def grow(self, level: list, i: int, guard: tuple[int, int] | None = None):
         """The level of each node of level times one factor of ideal i (0-based)
@@ -454,6 +480,26 @@ class _Expansion:
                     y = x + p
                     if (top - y) & g == g:
                         append((y, allowed & ok, ranks + k))
+        return out
+
+    def grow_states(self, level: dict, i: int) -> dict:
+        """grow on a level of states: the contents of the nodes of level
+        times one factor of ideal i (0-based), by the state they reach."""
+        block = self.blocks[i]
+        steps = self.steps
+        bans = self.bans
+        out: dict[int, list[int]] = {}
+        for state, xs in level.items():
+            for p, ok, (k,) in steps[state & block]:
+                s = state & ok
+                if bans:
+                    s |= bans.get(k, 0)
+                ys = [x + p for x in xs]
+                have = out.get(s)
+                if have is None:
+                    out[s] = ys
+                else:
+                    have += ys
         return out
 
 
@@ -543,28 +589,46 @@ def rank_slices(
     box is built once, and only the levels a later slice still extends are
     kept (one per last nonzero coordinate, r + 1 at most).
     """
+    expansion = _budget_expansion(ideals, t_budget, forbidden_pairs, degree)
+    return expansion.digits, _grouped(
+        _level_slices(expansion.root, expansion.grow, t_budget))
+
+
+def _budget_expansion(
+    ideals: Sequence[StronglyStableIdeal],
+    t_budget: Sequence[int],
+    forbidden_pairs: Iterable[tuple[int, int]],
+    degree: int,
+) -> _Expansion:
+    """The _Expansion of a t-budget, its digits as rank_slices describes."""
     check_t_budget(ideals, t_budget)
     digits = Digits(ideals[0].n, max(content_degree(ideals, t_budget), degree))
-    expansion = _Expansion(ideals, digits, forbidden_pairs)
-    return digits, _level_slices(expansion, t_budget)
+    return _Expansion(ideals, digits, forbidden_pairs)
 
 
-def _level_slices(expansion: _Expansion, t_budget: Sequence[int]):
+def _level_slices(root, grow, t_budget: Sequence[int]):
+    """(t-vector, level) of every t-slice in the budget, each level grown
+    by grow(parent level, j) from root, as rank_slices describes."""
     # the latest level of each last nonzero coordinate (-1: the empty slice)
-    kept = {-1: expansion.root}
+    kept = {-1: root}
     for tv in t_vectors(t_budget):
         nonzero = [i for i, a in enumerate(tv) if a]
         if nonzero:
             j = nonzero[-1]
             parent = j if tv[j] > 1 else (nonzero[-2] if len(nonzero) > 1
                                           else -1)
-            level = expansion.grow(kept[parent], j)
+            level = grow(kept[parent], j)
             # levels past j hold an older prefix: no later slice extends them
             for i in range(j + 1, len(tv)):
                 kept.pop(i, None)
             kept[j] = level
         else:
-            level = expansion.root
+            level = root
+        yield tv, level
+
+
+def _grouped(slices):
+    for tv, level in slices:
         groups: dict[int, list[tuple[int, ...]]] = {}
         for x, _, ranks in level:
             group = groups.get(x)
@@ -573,6 +637,23 @@ def _level_slices(expansion: _Expansion, t_budget: Sequence[int]):
             else:
                 group.append(ranks)
         yield tv, groups
+
+
+def _rest_lists(digits: Digits, size: int):
+    """rest(e, ban): (packed m, x-atoms of m) of every x-monomial m of
+    degree e avoiding the x-atoms banned in ban (bit size + i - 1 for
+    x_i), in combinations_with_replacement order; each list built once."""
+    n = digits.n
+    units = [digits.pack([int(i == j) for j in range(n)]) for i in range(n)]
+
+    @cache
+    def rest(e: int, ban: int) -> list[tuple[int, tuple[int, ...]]]:
+        return [(sum([units[a - size] for a in w]), w)
+                for w in itertools.combinations_with_replacement(
+                    range(size, size + n), e)
+                if not any(ban >> a & 1 for a in w)]
+
+    return rest
 
 
 def rank_fibers(
@@ -619,16 +700,10 @@ def _keyed_fibers(
     (t-vector, packed x-part, members), with digits.unpack decoding the
     x-part; no MultiDegree is built. A t_budget without one entry per ideal
     raises ValueError at once."""
-    n = ideals[0].n
-    size = len(presentation_variables(ideals))
-    pure, x_bans = [], {}  # x_bans: rank -> bitmask of the x-atoms banned
-    for pair in forbidden_pairs:
-        a, b = sorted(pair)
-        if b < size:
-            pure.append((a, b))
-        else:
-            x_bans[a] = x_bans.get(a, 0) | 1 << b
-    digits, slices = rank_slices(ideals, t_budget, pure, x_degree or 0)
+    expansion = _budget_expansion(ideals, t_budget, forbidden_pairs,
+                                  x_degree or 0)
+    digits, x_bans = expansion.digits, expansion.bans
+    slices = _grouped(_level_slices(expansion.root, expansion.grow, t_budget))
 
     def fibers():
         if x_degree is None:
@@ -636,18 +711,7 @@ def _keyed_fibers(
                 for x in sorted(groups):
                     yield tv, x, groups[x]
             return
-        units = [digits.pack([int(i == j) for j in range(n)])
-                 for i in range(n)]
-
-        @cache
-        def rest(e: int, ban: int) -> list[tuple[int, tuple[int, ...]]]:
-            """(packed m, x-atoms of m) of every m of x-degree e avoiding
-            the banned x-atoms, in combinations order."""
-            return [(sum([units[a - size] for a in w]), w)
-                    for w in itertools.combinations_with_replacement(
-                        range(size, size + n), e)
-                    if not any(ban >> a & 1 for a in w)]
-
+        rest = _rest_lists(digits, expansion.size)
         for tv, groups in slices:
             low = content_degree(ideals, tv)
             for d in range(low, x_degree + 1):
@@ -669,6 +733,48 @@ def _keyed_fibers(
                     yield tv, key, mixed[key]
 
     return digits, fibers()
+
+
+def _standard_counts(
+    ideals: Sequence[StronglyStableIdeal],
+    t_budget: Sequence[int],
+    forbidden_pairs: Iterable[tuple[int, int]] = (),
+    x_degree: int | None = None,
+) -> Iterator[tuple[tuple[int, ...], int | None, int, int]]:
+    """(t-vector, x-degree, multidegrees, members) of every group of
+    _keyed_fibers' fibers, in its order: one group per t-slice with
+    x_degree None (x-degree None), one per t-slice and x-degree d up to
+    x_degree otherwise. multidegrees is the number of the group's fibers,
+    members the number of their members; a fiber's key is packed as there.
+
+    The members are counted, never listed: slices grow by
+    _Expansion.grow_states, and a mixed key is a content plus a rest of
+    x-degree d less the slice's content degree, from the rests its state's
+    bans leave. A t_budget without one entry per ideal raises ValueError at
+    once.
+    """
+    expansion = _budget_expansion(ideals, t_budget, forbidden_pairs,
+                                  x_degree or 0)
+    size = expansion.size
+    high = ((1 << expansion.digits.n) - 1) << size  # the x-atom bits
+    rest = _rest_lists(expansion.digits, size)
+    levels = _level_slices(expansion.states, expansion.grow_states, t_budget)
+
+    def groups():
+        for tv, level in levels:
+            low = content_degree(ideals, tv)
+            for d in ((None,) if x_degree is None
+                      else range(low, x_degree + 1)):
+                keys: set[int] = set()
+                members = 0
+                for state, xs in level.items():
+                    for pw, _ in (rest(0, 0) if d is None
+                                  else rest(d - low, state & high)):
+                        keys.update([x + pw for x in xs] if pw else xs)
+                        members += len(xs)
+                yield tv, d, len(keys), members
+
+    return groups()
 
 
 def fibers_by_multidegree(

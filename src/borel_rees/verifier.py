@@ -26,11 +26,14 @@ verify_gb picks its method from the marking alone, pure or mixed. When a
 library term order orients every rule (orders.marking_order; for a mixed
 list, the block order that compares x-parts first), rewriting strictly
 descends it, so each fiber graph is acyclic and its sinks are the fiber's
-standard monomials: one per multidegree is the certificate, and they are
-listed directly, with the leads as forbidden pairs of atoms and no graph
-built. Any other marking gets the fiber graphs themselves, built serially
-by the one rewriting core of reduction (rank_rules once, then fiber_edges
-per fiber). Either way only a multidegree whose check fails (or, with
+standard monomials: one per multidegree is the certificate, with the leads
+as forbidden pairs of atoms and no graph built. They are counted by
+enumerator state (presentation._standard_counts), a group at a time, and
+listed as atom tuples only from the first group holding a multidegree
+without exactly one, or from the start for the sink log. Any other
+marking gets the fiber graphs themselves, built serially by the one
+rewriting core of reduction (rank_rules once, then fiber_edges per
+fiber). Either way only a multidegree whose check fails (or, with
 collect_sinks, every multidegree for the sink log) has its monomials built.
 analyze_fiber is the object-level fiber graph, kept as the reference. The
 report's first note names the method.
@@ -62,6 +65,7 @@ from .presentation import (
     rank_slices,
     t_vectors,
     _keyed_fibers,
+    _standard_counts,
 )
 from .records import Frozen, Record
 from .reduction import (
@@ -224,10 +228,14 @@ def verify_gb(
     rules pick the fibers: mixed ones up to x_degree when a lead is a
     MixedMonomial (mixed_x_degree), the pure presentation's otherwise. When
     a library term order orients every rule, the standard monomials are
-    counted instead: pure ones a t-slice at a time (rank_slices), building
-    only the contents without exactly one, or every content when
-    collect_sinks asks for the sink log, so failures come by t-vector, then
-    x ascending; mixed ones a fiber at a time in rank_fibers order, as are
+    checked instead. They are counted by enumerator state, a group (a pure
+    t-slice, or a mixed t-slice at one x-degree) at a time, with no member
+    listed, until a group holds fewer multidegrees than standard
+    monomials. From that group on, or from the start when collect_sinks
+    asks for the sink log, they are listed as members: pure ones a t-slice
+    at a time (rank_slices), sorting only the contents without exactly one,
+    or every content for the sink log, so failures come by t-vector, then x
+    ascending; mixed ones a fiber at a time in rank_fibers order, as are
     the fiber graphs, each keyed by its t-vector and packed x-part. A
     MultiDegree is built only for a failure or the sink log. progress is
     called at every multiple of 2000 the count reaches. A t_budget without
@@ -296,12 +304,25 @@ def verify_gb(
         report.notes.append(f"mixed fibers up to x-degree {x_degree}")
         report.notes += unreached_slice_notes(ideals, t_budget, x_degree)
 
+    counted = 0  # leading groups counted by state; the members skip them
+    if order is not None and not collect_sinks:
+        # the standard monomials are counted by enumerator state, a group
+        # (pure t-slice, or t-slice and x-degree) at a time; at the first
+        # group without one per multidegree the members take over
+        for _, _, keys, members in _standard_counts(ideals, t_budget,
+                                                    lead_pairs, x_degree):
+            if keys != members:
+                break
+            count(keys)
+            counted += 1
+        else:
+            return report
     if order is not None and x_degree is None:
         # a pure t-slice is counted whole, and only a content without
         # exactly one standard monomial (or every content, for the sink
         # log) is sorted into place
         digits, slices = rank_slices(ideals, t_budget, lead_pairs)
-        for tv, groups in slices:
+        for tv, groups in itertools.islice(slices, counted, None):
             count(len(groups))
             if collect_sinks:
                 contents = sorted(groups)
@@ -313,7 +334,9 @@ def verify_gb(
     else:
         digits, fibers = _keyed_fibers(ideals, t_budget, lead_pairs,
                                        x_degree)
-        for tv, key, fiber in fibers:
+        # the groups counted above hold the first multidegrees_checked fibers
+        for tv, key, fiber in itertools.islice(
+                fibers, report.multidegrees_checked, None):
             count(1)
             if order is None:
                 report.nontrivial_fiber |= len(fiber) >= 2

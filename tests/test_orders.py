@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -622,6 +623,66 @@ class TestCoincidentProductsOnRanks:
             + reference_G3(view1, view2),
             2,
         )
+
+
+def _shape_ideal(c, a, b, d):
+    """B(x_c*x_d, x_a*x_b) at n = d."""
+    gens = [[int(i in (c, d)) + int(i == c == d) for i in range(1, d + 1)],
+            [int(i == a) + int(i == b) for i in range(1, d + 1)]]
+    return borel_closure([Monomial(g) for g in gens], d)
+
+
+SHAPES = [(c, a, b, d) for d in range(2, 7)
+          for c, a, b in itertools.product(range(1, d), repeat=3)
+          if c < a <= b < d]
+
+
+class TestBuilderRulesAsConstructed:
+    """The builder writes each rule through MarkedBinomial's slot setters.
+    Its rules equal, in order, the rules the checking constructor builds
+    from the same lead, trail and source: equal, hashed and repr'd alike,
+    and a pickle round trip rebuilds them."""
+
+    @staticmethod
+    def assert_as_constructed(rules):
+        assert rules, "an empty collection proves nothing"
+        rebuilt = [MarkedBinomial(g.lead, g.trail, g.source) for g in rules]
+        assert rules == rebuilt
+        assert [hash(g) for g in rules] == [hash(g) for g in rebuilt]
+        assert [repr(g) for g in rules] == [repr(g) for g in rebuilt]
+        assert [g.source for g in rules] == [g.source for g in rebuilt]
+        back = pickle.loads(pickle.dumps(rules))
+        assert back == rules and [hash(g) for g in back] == [
+            hash(g) for g in rules]
+        for g in rules:
+            assert type(g) is MarkedBinomial and g.lead != g.trail
+        with pytest.raises(AttributeError):
+            rules[0].lead = rules[0].trail
+
+    @pytest.mark.parametrize("shape", SHAPES,
+                             ids=["".join(map(str, s)) for s in SHAPES])
+    def test_G1_and_G2_of_every_shape(self, shape):
+        ideal = _shape_ideal(*shape)
+        view = order_view(ideal)
+        for k in (1, 2):
+            self.assert_as_constructed(build_G1(ideal, k))
+            self.assert_as_constructed(build_G2(view, k))
+            assert build_G1(ideal, k) == reference_G1(ideal, k)
+            assert build_G2(view, k) == reference_G2(view, k)
+
+    def test_G3_and_head_and_tail_of_sampled_pairs(self, running_pair):
+        rng = random.Random(19)
+        pairs = [tuple(running_pair)]
+        for _ in range(8):
+            s1, s2 = rng.choice(SHAPES), rng.choice(SHAPES)
+            n = max(s1[3], s2[3])
+            pairs.append(tuple(_shape_ideal(*s[:3], n) for s in (s1, s2)))
+        for i1, i2 in pairs:
+            view1, view2 = order_view(i1), order_view(i2)
+            g3 = build_G3(view1, view2)
+            self.assert_as_constructed(g3)
+            assert g3 == reference_G3(view1, view2)
+            self.assert_as_constructed(build_head_and_tail_basis(view1, view2))
 
 
 class TestSinkViolationCheckers:

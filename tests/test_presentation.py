@@ -1,6 +1,9 @@
 import itertools
 import pickle
 import random
+from collections import Counter
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -23,7 +26,10 @@ from borel_rees.presentation import (
     rank_fibers,
     rank_slices,
     t_vectors,
+    _budget_expansion,
     _keyed_fibers,
+    _level_slices,
+    _standard_counts,
 )
 from borel_rees.reduction import rank_rules
 
@@ -419,6 +425,112 @@ class TestLevelEnumeratorAgainstReference:
         ideals = [borel_closure([m("x3^2", 5), m("x2*x5", 5)], 5)]
         with pytest.raises(ValueError, match="t budget needs 1 entries"):
             _keyed_fibers(ideals, (1, 1))
+
+
+def _shape_cases():
+    """One two-generator quadric ideal B(x_c*x_d, x_a*x_b) per shape
+    c < a <= b < d <= 6, at n = d."""
+    cases = []
+    for d in range(2, 7):
+        for c, a, b in itertools.product(range(1, d), repeat=3):
+            if c < a <= b < d:
+                gens = [f"x{c}*x{d}", f"x{a}*x{b}" if a < b else f"x{a}^2"]
+                cases.append(pytest.param(
+                    [borel_closure([m(g, d) for g in gens], d)], (3,), (),
+                    id=f"shape-{c}{a}{b}{d}"))
+    return cases
+
+
+def _state_levels(ideals, budget, pairs=()):
+    expansion = _budget_expansion(ideals, budget, pairs, 0)
+    return expansion, _level_slices(expansion.states, expansion.grow_states,
+                                    budget)
+
+
+# B(x3^2, x2*x5): ranks 0..9, x_i is atom 9 + i
+_ONE = [borel_closure([m("x3^2", 5), m("x2*x5", 5)], 5)]
+_X_BANS = ((0, 14), (3, 12), (2, 5), (7, 10), (3, 10))
+
+
+class TestStateLevels:
+    """_Expansion.grow_states against the members of rank_slices: every
+    slice holds the same contents with multiplicity, and each member's
+    state carries the x-atom bans of its ranks."""
+
+    @pytest.mark.parametrize("ideals, budget, pairs",
+                             _level_cases() + _shape_cases())
+    def test_contents_with_multiplicity(self, ideals, budget, pairs):
+        _, levels = _state_levels(ideals, budget, pairs)
+        _, slices = rank_slices(ideals, budget, pairs)
+        got = [(tv, Counter(itertools.chain.from_iterable(level.values())))
+               for tv, level in levels]
+        assert got == [(tv, Counter({x: len(us) for x, us in groups.items()}))
+                       for tv, groups in slices]
+
+    def test_states_carry_the_x_atom_bans(self):
+        expansion, levels = _state_levels(_ONE, (3,), _X_BANS)
+        _, fibers = _keyed_fibers(_ONE, (3,), _X_BANS, 9)
+        assert expansion.bans == {0: 1 << 14, 3: 1 << 12 | 1 << 10,
+                                  7: 1 << 10}
+        high = ((1 << 5) - 1) << expansion.size
+        _, slices = rank_slices(_ONE, (3,), [(2, 5)])
+        for (tv, level), (_, groups) in zip(levels, slices):
+            got = Counter((x, state & high) for state, xs in level.items()
+                          for x in xs)
+            assert got == Counter(
+                (x, reduce(or_, [expansion.bans.get(k, 0) for k in u], 0))
+                for x, us in groups.items() for u in us)
+            if sum(tv) >= 2:
+                assert len({ban for _, ban in got}) > 2
+
+
+def _reference_counts(ideals, budget, pairs, x_degree):
+    """(t-vector, x-degree, fibers, members) of each group of _keyed_fibers,
+    every group of the budget listed, empty ones too."""
+    digits, fibers = _keyed_fibers(ideals, budget, pairs, x_degree)
+    groups = {}
+    for tv in t_vectors(budget):
+        low = sum(a * i.degree for a, i in zip(tv, ideals))
+        for d in ([None] if x_degree is None
+                  else range(low, x_degree + 1)):
+            groups[tv, d] = [0, 0]
+    for tv, key, members in fibers:
+        d = None if x_degree is None else sum(digits.unpack(key))
+        groups[tv, d][0] += 1
+        groups[tv, d][1] += len(members)
+    return [(tv, d, keys, count) for (tv, d), (keys, count) in groups.items()]
+
+
+class TestStandardCounts:
+    """_standard_counts against the fibers of _keyed_fibers, group by
+    group: the fibers of a group and their members, pure or mixed, with
+    rank bans and x-atom bans."""
+
+    @pytest.mark.parametrize("ideals, budget, pairs", _level_cases())
+    def test_pure_groups(self, ideals, budget, pairs):
+        got = list(_standard_counts(ideals, budget, pairs))
+        assert got == _reference_counts(ideals, budget, pairs, None)
+        if not pairs:
+            assert any(keys != count for _, _, keys, count in got)
+
+    @pytest.mark.parametrize("pairs", [(), _X_BANS, ((1, 1), (4, 6))])
+    def test_mixed_groups(self, pairs):
+        got = list(_standard_counts(_ONE, (3,), pairs, 8))
+        assert got == _reference_counts(_ONE, (3,), pairs, 8)
+        assert any(keys != count for _, _, keys, count in got)
+
+    def test_mixed_groups_of_the_pair_under_its_syzygy_bans(self):
+        pair = [borel_closure([m("x4*x5", 6), m("x2*x6", 6)], 6),
+                borel_closure([m("x4^2", 6), m("x3*x6", 6)], 6)]
+        size = len(presentation_variables(pair))
+        # a syzygy-like ban of x_i beside each rank i mod 6 of the pair
+        pairs = [(k, size + k % 6) for k in range(size)]
+        got = list(_standard_counts(pair, (1, 1), pairs, 5))
+        assert got == _reference_counts(pair, (1, 1), pairs, 5)
+
+    def test_budget_checked_at_once(self):
+        with pytest.raises(ValueError, match="t budget needs 1 entries"):
+            _standard_counts(_ONE, (1, 1))
 
 
 class TestDigitWidth:

@@ -929,6 +929,85 @@ class TestFiberGraphsOnAtoms:
         assert report.verdict == "certified-up-to-bound"
 
 
+class TestStandardCountsByState:
+    """A term-order run without the sink log counts its standard monomials
+    by enumerator state and hands over to the members at the first group
+    without one per multidegree: the same failures, verdict, count and
+    progress calls as a run with the sink log, which lists every member."""
+
+    @staticmethod
+    def assert_same_run(rules, ideals, budget, x_degree=None):
+        runs = []
+        for collect in (False, True):
+            calls = []
+            report = verify_gb(rules, ideals, budget, progress=calls.append,
+                               collect_sinks=collect, x_degree=x_degree)
+            runs.append((report, calls))
+        (counted, counted_calls), (listed, listed_calls) = runs
+        assert counted.notes[0].startswith("standard monomials")
+        assert counted.failures == listed.failures
+        assert counted.verdict == listed.verdict
+        assert counted.multidegrees_checked == listed.multidegrees_checked
+        assert counted.to_json_dict() == listed.to_json_dict()
+        assert counted_calls == listed_calls
+        return counted, counted_calls
+
+    @pytest.mark.parametrize("budget", [(2, 2), (3, 3)])
+    @pytest.mark.parametrize("k", [1, 8, 20])
+    def test_head_and_tail_with_rules_dropped(
+        self, running_pair, running_pair_basis, budget, k
+    ):
+        rules = _drop_rules(running_pair_basis, random.Random(k), k)
+        report, _ = self.assert_same_run(rules, list(running_pair), budget)
+        assert report.verdict == "refuted"
+
+    def test_progress_of_the_pure_pair_at_3_3(
+        self, running_pair, running_pair_basis
+    ):
+        report, calls = self.assert_same_run(running_pair_basis,
+                                             list(running_pair), (3, 3))
+        assert report.verdict == "certified-up-to-bound"
+        assert report.multidegrees_checked == 13900
+        assert calls == [2000 * i for i in range(1, 7)]
+
+    def test_progress_of_the_fiber_type_pair_at_2_2(self, running_pair):
+        pair = list(running_pair)
+        rules = build_fiber_type_basis(pair, quadratic_basis_for(pair))
+        report, calls = self.assert_same_run(rules, pair, (2, 2))
+        assert report.verdict == "certified-up-to-bound"
+        assert report.multidegrees_checked == 22206
+        assert calls == [2000 * i for i in range(1, 12)]
+
+    @pytest.mark.parametrize("name, failures", [
+        ("intact", 0),
+        ("no-first-syzygy", 29),
+        ("no-first-lifted-rule", 6),
+        ("syzygies-alone", 141),
+        ("pair-no-first-syzygy", 91),
+    ])
+    def test_fiber_type_deletions(self, name, failures):
+        ideals, rules, budget, x_degree = _fiber_type_case(name)
+        report, _ = self.assert_same_run(rules, ideals, budget, x_degree)
+        assert len(report.failures) == failures
+
+    def test_principal_run_of_1200_factors(self):
+        principal = [borel_closure([m("x1^2", 2)], 2)]
+        report, _ = self.assert_same_run(build_G1(principal[0]), principal,
+                                         (1200,))
+        assert report.multidegrees_checked == 1201
+        assert report.verdict == "inconclusive"
+
+    def test_certified_run_lists_no_member(
+        self, running_pair, running_pair_basis
+    ):
+        # the members are listed only from a failing group on
+        with mock.patch.object(verifier, "rank_slices") as slices, \
+                mock.patch.object(verifier, "_keyed_fibers") as fibers:
+            report = verify_gb(running_pair_basis, list(running_pair), (3, 3))
+        assert report.verdict == "certified-up-to-bound"
+        assert not slices.called and not fibers.called
+
+
 def _one_quadric_swap(u, v):
     """Whether v is u with two factors swapped for two others of the same
     ideals and the same generator product."""
