@@ -281,8 +281,10 @@ def load_collection(spec: dict) -> tuple[StronglyStableIdeal, ...]:
         raise InvalidIdeal("field 'ideals' must be a list")
     ideals = []
     for k, entry in enumerate(raw_ideals):
+        if not isinstance(entry, dict):
+            raise InvalidIdeal(f"field 'ideals[{k}]' must be an object")
         field = f"ideals[{k}].borel_generators"
-        if not isinstance(entry, dict) or "borel_generators" not in entry:
+        if "borel_generators" not in entry:
             raise InvalidIdeal(f"ideal spec missing field {field!r}")
         raw_gens = entry["borel_generators"]
         if not isinstance(raw_gens, list):

@@ -8,17 +8,21 @@ collections are the coincident-product quadratic binomials marked by the
 matching induced order, and the syzygy set supplies the linear-in-T relations
 of the full presentation.
 
-Building a collection and checking a marking both run on ints: variables
-become ids in PresVar.key order, an order becomes the rank of each id
-(_order_ranks), a generator's exponents are one packed int (so a quadric's
-image is a sum of two ints), and of two quadrics the larger has the smaller
-pair of ranks sorted descending. Only the output rules are built as
-objects, one PresMonomial per quadric however many rules share it.
+Building a collection and checking a marking both run on ints: a variable
+is named by its position in a list, an order by the rank of each position
+(read off PresOrder.rank once per variable), and a variable's image
+x^u*t_k by one packed int (_packed_images), so a quadric's image is a sum
+of two ints; of two quadrics the larger has the smaller pair of ranks
+sorted descending. Each rule is read once. The builder lists the variables
+as ideal_variables does, in PresVar.key order, so the factor pairs it
+enumerates, each once, are canonical, and it builds one PresMonomial per
+quadric however many rules share it; marking_order reads each rule's four
+factors into positions through one dict.
 
 Every order and rule set takes its variables from
 presentation.ideal_variables and its region split from borel.order_view,
 so a collection builds each PresVar and each view once, and the dicts
-keyed by variables (order ranks, rule_indices, rank_rules) hit on
+keyed by variables (PresOrder.rank, rule_indices, rank_rules) hit on
 identity.
 """
 
@@ -28,7 +32,7 @@ import itertools
 import json
 from functools import cached_property
 from operator import add, itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .borel import InvalidIdeal, StronglyStableIdeal, TwoQuadricView, order_view
 from .monomial import Monomial, rlex_sort_key
@@ -72,7 +76,7 @@ class PresOrder(Frozen):
 
     @classmethod
     def rlex(cls, ideal: StronglyStableIdeal, ideal_index: int = 1) -> "PresOrder":
-        return cls("rlex", tuple(_rlex_chain(ideal, ideal_index)))
+        return cls("rlex", ideal_variables(ideal, ideal_index))
 
     @classmethod
     def mrlex(cls, view: TwoQuadricView, ideal_index: int = 1) -> "PresOrder":
@@ -83,8 +87,8 @@ class PresOrder(Frozen):
     def head_and_tail(
         cls, view1: TwoQuadricView, view2: TwoQuadricView
     ) -> "PresOrder":
-        return cls("ht", tuple(_rlex_chain(view1.ideal, 1)
-                               + _mrlex_chain(view2, 2)))
+        return cls("ht", ideal_variables(view1.ideal, 1)
+                   + tuple(_mrlex_chain(view2, 2)))
 
     @cached_property
     def rank(self) -> dict[PresVar, int]:
@@ -129,29 +133,28 @@ class PresOrder(Frozen):
             raise self._outside(exc.args[0]) from None
 
 
-def _rlex_chain(ideal: StronglyStableIdeal, ideal_index: int) -> list[PresVar]:
-    """The ideal's variables, their generators rlex-descending."""
-    return sorted(ideal_variables(ideal, ideal_index), key=PresVar.sort_key)
-
-
 def _mrlex_chain(view: TwoQuadricView, ideal_index: int) -> list[PresVar]:
     """The ideal's variables, the B_N block above the B_M block and each
-    block rlex-descending."""
-    chain = _rlex_chain(view.ideal, ideal_index)
+    block rlex-descending as ideal_variables lists them."""
+    chain = ideal_variables(view.ideal, ideal_index)
     top = [v for v in chain if view.in_B_N(v.generator)]
     bottom = [v for v in chain if not view.in_B_N(v.generator)]
     return top + bottom
 
 
-def _packed_exponents(variables: Sequence[PresVar]) -> list[int]:
-    """Each variable's generator exponents packed into one int, with room
-    for the sum of two: equal sums are equal products, and sums sort as
-    their exponent tuples do."""
+def _packed_images(variables: Sequence[PresVar]) -> list[int]:
+    """The image x^u*t_k of each variable T_u of ideal k, packed into one
+    int with room for the sum of two: a quadric's image is the sum of its
+    factors' ints, equal sums are equal images, and sums of one t-part sort
+    as their x-parts do."""
     if not variables:
         return []
+    r = max(v.ideal_index for v in variables)
     digits = Digits(len(variables[0].generator.exps),
                     2 * max(v.generator.degree for v in variables))
-    return [digits.pack(v.generator.exps) for v in variables]
+    t = digits.bits
+    return [(digits.pack(v.generator.exps) << t * r)
+            | (1 << t * (r - v.ideal_index)) for v in variables]
 
 
 def marking_order(
@@ -173,14 +176,14 @@ def marking_order(
     every syzygy and leaves the quadrics to the candidate. Any other rule
     means None.
 
-    The checks run on ints. Each quadric is read once as four variable ids
-    (lead factors, then trail factors, in canonical order). The image test
-    does not depend on the order: the same ideal index per factor and the
-    same sum of packed generator exponents. Each candidate is mapped onto
-    ranks once (_order_ranks), and a rule is oriented when its lead's two
-    ranks, sorted descending, form the smaller tuple. A variable outside a
-    candidate's context, a syzygy's included, means that candidate orients
-    nothing.
+    Every candidate ranks the same variables, those of the ideals, so the
+    rules are read once, on ints: each quadric's four factors (lead, then
+    trail) become positions in the first candidate's ranking through its
+    rank dict, and a variable outside it, a syzygy's included, means None.
+    The images are equal when the packed images (_packed_images) of the
+    two sides sum alike, and a candidate orients the quadric when the
+    lead's two ranks, sorted descending, form the smaller pair; a
+    candidate that fails one quadric is dropped.
     """
     candidates = []
     try:
@@ -193,40 +196,47 @@ def marking_order(
             )
     except InvalidIdeal:
         pass  # no region split: keep the candidates built so far
-
-    ids: dict[PresVar, int] = {}
-    quads = []
+    if not candidates:
+        return None
+    # the candidates rank one set of variables: name each by its position
+    # in the first candidate's ranking
+    variables = candidates[0].ranked
+    ids = candidates[0].rank
+    live = [(order, [order.rank[v] for v in variables]) for order in candidates]
+    images = _packed_images(variables)
     for g in rules:
         lead, trail = g.lead, g.trail
-        if isinstance(lead, MixedMonomial):
+        kind = type(lead)
+        if kind is MixedMonomial:
             if _is_syzygy(lead, trail):
                 # no quadric, but its factors too must lie in the context
-                for v in lead.t_part.factors + trail.t_part.factors:
-                    ids.setdefault(v, len(ids))
+                if (lead.t_part.factors[0] not in ids
+                        or trail.t_part.factors[0] not in ids):
+                    return None
                 continue
             if lead.x_part.degree or trail.x_part.degree:
                 return None
             lead, trail = lead.t_part, trail.t_part
-        if not (isinstance(lead, PresMonomial) and lead.degree == 2):
+        elif kind is not PresMonomial:
             return None
-        quads.append(tuple([ids.setdefault(v, len(ids))
-                            for v in lead.factors + trail.factors]))
-    variables = list(ids)
-    ideal_of = [v.ideal_index for v in variables]
-    exps = _packed_exponents(variables)
-    for a, b, c, d in quads:
-        if not (ideal_of[a] == ideal_of[c] and ideal_of[b] == ideal_of[d]
-                and exps[a] + exps[b] == exps[c] + exps[d]):
+        p, q = lead.factors, trail.factors
+        if len(p) != 2 or len(q) != 2:
             return None
-    for order in candidates:
         try:
-            rank = _order_ranks(order, variables)
-        except OrderDomainError:
-            continue
-        if all(_descending(rank[a], rank[b]) < _descending(rank[c], rank[d])
-               for a, b, c, d in quads):
-            return order
-    return None
+            a, b, c, d = ids[p[0]], ids[p[1]], ids[q[0]], ids[q[1]]
+        except KeyError:
+            return None
+        if images[a] + images[b] != images[c] + images[d]:
+            return None
+        for candidate in live:
+            rank = candidate[1]
+            r, s, u, w = rank[a], rank[b], rank[c], rank[d]
+            if ((r, s) if r > s else (s, r)) >= ((u, w) if u > w else (w, u)):
+                # the loop keeps walking the list it started on
+                live = [x for x in live if x is not candidate]
+                if not live:
+                    return None
+    return live[0][0]
 
 
 def _is_syzygy(lead: MixedMonomial, trail: MixedMonomial) -> bool:
@@ -242,126 +252,120 @@ def _is_syzygy(lead: MixedMonomial, trail: MixedMonomial) -> bool:
             == list(map(add, ys, w.generator.exps)))
 
 
-def _order_ranks(order: PresOrder, variables: Sequence[PresVar]) -> list[int]:
-    """The order rank of each variable, in the given sequence (lower rank
-    is larger); a variable outside the order raises OrderDomainError."""
-    rank = order.rank
-    try:
-        return [rank[v] for v in variables]
-    except KeyError as exc:
-        raise order._outside(exc.args[0]) from None
-
-
-def _descending(r: int, s: int) -> tuple[int, int]:
-    """Two ranks sorted descending: of two quadrics, the one with the
-    smaller such tuple is larger under the induced revlex order."""
-    return (r, s) if r >= s else (s, r)
-
-
 def _coincident_product_binomials(
-    left: Sequence[PresVar],
-    right: Sequence[PresVar],
-    order: PresOrder,
+    variables: Sequence[PresVar],
+    rank: Sequence[int],
+    images: Sequence[int],
+    pairs: Iterable[tuple[int, int]],
     source: str,
-    cross_only: bool,
 ) -> list[MarkedBinomial]:
-    """Quadratic binomials among products of one left and one right variable.
+    """Quadratic binomials among the given factor pairs, marked by an order.
 
-    Groups unordered variable pairs by the product of their generators and
-    emits one marked binomial per unordered pair of distinct factorizations,
-    the lead being the larger monomial under the induced order. Distinct
-    factorizations of one product never share a variable, so lead and trail
-    are automatically different. Binomials come by product, ascending, then
-    sorted (stably) by lead.
+    variables lists the presentation variables in PresVar.key order, and a
+    variable is named by its position: rank and images give each one's
+    order rank and packed image (_packed_images), and pairs lists the
+    candidate factor pairs (a, b), each once and with a <= b, so each is
+    the canonical factor tuple of its quadric and pairs sort as leads do.
+    Within one ideal they are its positions i <= j, across two ideals every
+    (first, second) pair.
 
-    Everything up to the output runs on ints. Each variable gets an id in
-    PresVar.key order, so a pair (min id, max id) is the canonical factor
-    pair of its quadric and pairs of ids sort as leads do; a product is the
-    sum of two packed generators, which sort as the exponent tuples do; the
-    order enters as the ranks of _order_ranks, sorted descending once per
-    quadric. The PresMonomials (one per quadric of a product with two or
-    more factorizations) and the MarkedBinomials are built only at the end,
-    each rule written through its slot setters.
+    The pairs are grouped by the sum of their images, the product of their
+    generators, and one marked binomial is emitted per unordered pair of
+    distinct factorizations of one product, the lead being the larger
+    quadric: the one whose two ranks, sorted descending, form the smaller
+    pair. Distinct factorizations of one product never share a variable,
+    so lead and trail always differ. Binomials come by product, ascending,
+    then sorted (stably) by lead. Only the output is built as objects: one
+    PresMonomial per quadric of a product with two or more factorizations,
+    and each rule written through MarkedBinomial's slot setters.
     """
-    variables = sorted({*left, *right}, key=PresVar.sort_key)
-    ids = {v: i for i, v in enumerate(variables)}
-    rank = _order_ranks(order, variables)
-    exps = _packed_exponents(variables)
-    ideal_of = [v.ideal_index for v in variables]
-    right_ids = [ids[q] for q in right]
     by_product: dict[int, list[tuple[int, int]]] = {}
-    seen: set[tuple[int, int]] = set()
-    for p in left:
-        a = ids[p]
-        for b in right_ids:
-            if cross_only and ideal_of[a] == ideal_of[b]:
-                continue
-            pair = (a, b) if a <= b else (b, a)
-            if pair in seen:
-                continue
-            seen.add(pair)
-            by_product.setdefault(exps[a] + exps[b], []).append(pair)
+    for pair in pairs:
+        by_product.setdefault(images[pair[0]] + images[pair[1]],
+                              []).append(pair)
     marked = []
-    quadric = {}
-    descending = {}
-    for prod in sorted(by_product):
-        pairs = by_product[prod]
-        if len(pairs) < 2:
+    for product in sorted(by_product):
+        group = by_product[product]
+        if len(group) < 2:
             continue
-        for a, b in pairs:
-            quadric[a, b] = PresMonomial.from_sorted((variables[a],
-                                                      variables[b]))
-            descending[a, b] = _descending(rank[a], rank[b])
-        for A, B in itertools.combinations(pairs, 2):
-            marked.append((A, B) if descending[A] < descending[B] else (B, A))
+        quadrics = []
+        for a, b in group:
+            r, s = rank[a], rank[b]
+            quadrics.append(((r, s) if r > s else (s, r), (a, b),
+                             PresMonomial.from_sorted((variables[a],
+                                                       variables[b]))))
+        for A, B in itertools.combinations(quadrics, 2):
+            marked.append((A[1], A[2], B[2]) if A[0] < B[0]
+                          else (B[1], B[2], A[2]))
     marked.sort(key=itemgetter(0))
-    rules = []
-    for A, B in marked:
-        # MarkedBinomial.__init__'s checks: one kind and one degree hold by
-        # construction, and lead != trail is checked on the id pairs
-        if A == B:
-            raise ValueError("lead equals trail")
-        g = _new(MarkedBinomial)
-        _set_lead(g, quadric[A])
-        _set_trail(g, quadric[B])
-        _set_source(g, source)
-        rules.append(g)
-    return rules
+    return [_unchecked_rule(lead, trail, source) for _, lead, trail in marked]
+
+
+def _unchecked_rule(lead: PresMonomial, trail: PresMonomial,
+                    source: str) -> MarkedBinomial:
+    """A rule past MarkedBinomial.__init__, whose checks (one kind, one
+    degree, lead != trail) the builder's quadrics meet by construction."""
+    g = _new(MarkedBinomial)
+    _set_lead(g, lead)
+    _set_trail(g, trail)
+    _set_source(g, source)
+    return g
 
 
 def build_G1(
     ideal: StronglyStableIdeal, ideal_index: int = 1
 ) -> list[MarkedBinomial]:
     """All coincident-product quadratic binomials of one ideal, rlex-marked."""
-    order = PresOrder.rlex(ideal, ideal_index)
-    vars_ = ideal_variables(ideal, ideal_index)
-    return _coincident_product_binomials(vars_, vars_, order, "G1", False)
+    variables = ideal_variables(ideal, ideal_index)
+    positions = range(len(variables))  # rlex ranks them as listed
+    return _coincident_product_binomials(
+        variables, positions, _packed_images(variables),
+        itertools.combinations_with_replacement(positions, 2), "G1")
 
 
 def build_G2(view: TwoQuadricView, ideal_index: int = 1) -> list[MarkedBinomial]:
     """As build_G1 but marked by the mixed order of the given region split."""
-    order = PresOrder.mrlex(view, ideal_index)
-    vars_ = ideal_variables(view.ideal, ideal_index)
-    return _coincident_product_binomials(vars_, vars_, order, "G2", False)
+    variables = ideal_variables(view.ideal, ideal_index)
+    rank = PresOrder.mrlex(view, ideal_index).rank
+    return _coincident_product_binomials(
+        variables, [rank[v] for v in variables], _packed_images(variables),
+        itertools.combinations_with_replacement(range(len(variables)), 2),
+        "G2")
+
+
+def _head_and_tail_table(view1: TwoQuadricView, view2: TwoQuadricView):
+    """(variables, ht ranks, packed images, first ideal's positions, second
+    ideal's positions) of a pair: restricted to one ideal, the ht ranks
+    order it as rlex (the first) or the mixed order (the second) does."""
+    first = ideal_variables(view1.ideal, 1)
+    variables = first + ideal_variables(view2.ideal, 2)
+    rank = PresOrder.head_and_tail(view1, view2).rank
+    return (variables, [rank[v] for v in variables], _packed_images(variables),
+            range(len(first)), range(len(first), len(variables)))
 
 
 def build_G3(view1: TwoQuadricView, view2: TwoQuadricView) -> list[MarkedBinomial]:
     """Cross binomials T_u Z_v - T_u' Z_v', marked by the larger mixed-order
     second-ideal part (equivalently, head-and-tail initial terms)."""
-    order = PresOrder.head_and_tail(view1, view2)
-    first = ideal_variables(view1.ideal, 1)
-    second = ideal_variables(view2.ideal, 2)
-    return _coincident_product_binomials(first, second, order, "G3", True)
+    variables, rank, images, first, second = _head_and_tail_table(view1, view2)
+    return _coincident_product_binomials(
+        variables, rank, images, itertools.product(first, second), "G3")
 
 
 def build_head_and_tail_basis(
     view1: TwoQuadricView, view2: TwoQuadricView
 ) -> list[MarkedBinomial]:
-    """G = G1 u G2 u G3 for a pair of two-quadric-generator ideals."""
+    """G = G1 u G2 u G3 for a pair of two-quadric-generator ideals, the
+    three built on one table of the pair."""
+    variables, rank, images, first, second = _head_and_tail_table(view1, view2)
+    within = itertools.combinations_with_replacement
     return (
-        build_G1(view1.ideal, 1)
-        + build_G2(view2, 2)
-        + build_G3(view1, view2)
+        _coincident_product_binomials(variables, rank, images,
+                                      within(first, 2), "G1")
+        + _coincident_product_binomials(variables, rank, images,
+                                        within(second, 2), "G2")
+        + _coincident_product_binomials(
+            variables, rank, images, itertools.product(first, second), "G3")
     )
 
 

@@ -326,7 +326,8 @@ def ideal_variables(
     ideal: StronglyStableIdeal, ideal_index: int
 ) -> tuple[PresVar, ...]:
     """The presentation variables of one ideal at a 1-based index, one per
-    minimal generator, in the order of minimal_generators.
+    minimal generator, in the order of minimal_generators: rlex-descending,
+    which is PresVar.key order.
 
     They are built once per ideal and index and kept on the ideal, so every
     order, rule set and variable list of a collection shares one PresVar
@@ -373,6 +374,8 @@ class Digits:
 
     def pack(self, exps: Iterable[int]) -> int:
         width = self.width
+        if width == 1:
+            return int.from_bytes(bytes(exps), "big")
         return int.from_bytes(
             b"".join([e.to_bytes(width, "big") for e in exps]), "big")
 

@@ -135,8 +135,9 @@ def rule_indices(rules: Sequence[MarkedBinomial]):
     pair_index: dict = {}
     generic = []
     for pos, g in enumerate(rules):
-        if isinstance(g.lead, PresMonomial) and g.lead.degree == 2:
-            pair_index.setdefault(g.lead.factors, []).append((pos, g))
+        lead = g.lead
+        if type(lead) is PresMonomial and len(lead.factors) == 2:
+            pair_index.setdefault(lead.factors, []).append((pos, g))
         else:
             generic.append((pos, g))
     return pair_index, generic

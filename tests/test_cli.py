@@ -425,6 +425,20 @@ class TestUsageErrors:
         else:
             assert "error: argument" in captured.err
 
+    @pytest.mark.parametrize("entries", [
+        ["x1"], [5], [None], [["x1^2"]],
+        [{"borel_generators": ["x1^2"]}, "x1"],
+    ], ids=["text", "number", "null", "list", "second entry"])
+    def test_ideal_entry_that_is_no_object(self, capsys, spec_file, entries):
+        # a non-object entry used to be reported as missing its
+        # borel_generators field
+        spec = spec_file({"n": 6, "ideals": entries})
+        code = main(["verify", "--spec", spec, "--budget", "2"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        k = len(entries) - 1
+        assert captured.err == f"error: field 'ideals[{k}]' must be an object\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

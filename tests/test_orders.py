@@ -502,13 +502,36 @@ class TestMarkingOrderDifferential:
             g1.lead, PresMonomial([g1.trail.factors[0], stray]), "G1"))
         mutations["foreign lead"] = (len(basis) - 1, MarkedBinomial(
             PresMonomial([g1.lead.factors[0], stray]), g1.trail, "G1"))
+        # a linear rule T_u -> T_v, and a rule listed twice (inserting a
+        # rule in its own place), which the order still orients
+        mutations["linear"] = (1, MarkedBinomial(
+            PresMonomial(g1.lead.factors[:1]),
+            PresMonomial(g1.trail.factors[:1]), "G1"))
+        mutations["twice"] = (basis.index(g3), g3)
         assert reference_compare(order, shared.lead, twin) > 0
         for name, (k, rule) in mutations.items():
             for rules in (basis[:k] + [rule] + basis[k + 1:],
                           basis[:k] + [rule] + basis[k:]):
                 expected = self.reference_marking_order(rules, ideals)
-                assert expected == ("ht" if name == "mixed" else None), name
+                assert expected == (
+                    "ht" if name in ("mixed", "twice") else None), name
                 assert self.found(rules, ideals) == expected, name
+        # no rule at all: the first candidate orients it vacuously
+        assert self.reference_marking_order([], ideals) == "ht"
+        assert self.found([], ideals) == "ht"
+        assert self.found([], [i1]) == "rlex"
+
+    def test_syzygies_outside_the_context(self, running_pair):
+        # syzygies orient under the block order alone, but their factors
+        # must lie among the ideals' variables
+        i1, i2 = running_pair
+        syzygies = build_syzygy_set([i1])
+        assert self.found(syzygies, [i1]) == self.reference_marking_order(
+            syzygies, [i1]) == "rlex"
+        assert not all(g.lead.t_part.factors[0].generator in i2
+                       for g in syzygies)
+        assert self.reference_marking_order(syzygies, [i2]) is None
+        assert self.found(syzygies, [i2]) is None
 
     def test_fiber_type_rules_reversed_in_turn(self, quadric_pair_ideal):
         # the block order against its reference on every rule of the
@@ -682,7 +705,10 @@ class TestBuilderRulesAsConstructed:
             g3 = build_G3(view1, view2)
             self.assert_as_constructed(g3)
             assert g3 == reference_G3(view1, view2)
-            self.assert_as_constructed(build_head_and_tail_basis(view1, view2))
+            ht = build_head_and_tail_basis(view1, view2)
+            self.assert_as_constructed(ht)
+            assert ht == (reference_G1(i1, 1) + reference_G2(view2, 2)
+                          + reference_G3(view1, view2))
 
 
 class TestSinkViolationCheckers:

@@ -13,6 +13,7 @@ from borel_rees.borel import borel_closure, order_view
 from borel_rees.monomial import Monomial, parse_monomial, rlex_sort_key
 from borel_rees.orders import build_head_and_tail_basis
 from borel_rees.presentation import (
+    Digits,
     MixedMonomial,
     MultiDegree,
     PresMonomial,
@@ -538,6 +539,18 @@ class TestDigitWidth:
 
     # B(x1^15*x2) = (x1^16, x1^15*x2) at n = 2: content degree 256 at t = 16
     WIDE = [borel_closure([m("x1^15*x2", 2)], 2)]
+
+    @pytest.mark.parametrize("degree", [2, 255, 256, 70000])
+    def test_pack_is_the_digit_sum(self, degree):
+        # one-byte digits and wider ones pack to the same place values
+        digits = Digits(4, degree)
+        rng = random.Random(degree)
+        for _ in range(50):
+            exps = tuple(rng.randint(0, degree) for _ in range(4))
+            packed = digits.pack(exps)
+            assert packed == sum(e << digits.bits * (3 - i)
+                                 for i, e in enumerate(exps))
+            assert digits.unpack(packed) == exps
 
     def test_rank_fibers_past_one_byte(self):
         digits, _ = rank_slices(self.WIDE, (16,))
