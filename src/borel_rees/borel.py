@@ -13,7 +13,12 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .monomial import Monomial, monomial_from_any, strongly_stable_precedes
+from .monomial import (
+    Monomial,
+    monomial_from_any,
+    rlex_sort_key,
+    strongly_stable_precedes,
+)
 from .records import Frozen
 
 
@@ -27,7 +32,8 @@ class StronglyStableIdeal(Frozen):
     borel_generators are minimal: none repeats and none lies in the Borel
     closure of another. minimal_generators is the full set of degree-d
     monomials in the ideal (equigenerated ideals have no divisibility among
-    generators), closed under one-step reductions and sorted rlex-descending.
+    generators), closed under one-step reductions and stored rlex-descending
+    whatever order they are given in, which the rule builders rely on.
     Immutable; equal and hashed as its four fields.
     """
 
@@ -43,7 +49,8 @@ class StronglyStableIdeal(Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "borel_generators", borel_generators)
-        object.__setattr__(self, "minimal_generators", minimal_generators)
+        object.__setattr__(self, "minimal_generators",
+                           tuple(sorted(minimal_generators, key=rlex_sort_key)))
 
     @property
     def num_borel_generators(self) -> int:
@@ -124,12 +131,10 @@ def borel_closure(gens: Sequence[Monomial], n: int) -> StronglyStableIdeal:
             f"mixed generator degrees {sorted({g.degree for g in gens})}"
         )
     borel = _minimal_borel_generators(gens)
-    # one degree: rlex-descending is ascending on the reversed tuples
-    closure = sorted(_closure_exponents(g.exps for g in borel),
-                     key=lambda e: e[::-1])
     return StronglyStableIdeal(
         n=n, degree=degree, borel_generators=borel,
-        minimal_generators=tuple(map(Monomial, closure)),
+        minimal_generators=tuple(map(Monomial, _closure_exponents(
+            g.exps for g in borel))),
     )
 
 

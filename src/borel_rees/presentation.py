@@ -11,23 +11,21 @@ multi-graded presentation ring.
 One enumerator lists the fibers of phi: _Expansion grows presentation
 monomials a factor at a time, a whole t-slice (level) at once, each
 monomial a rank tuple with its content packed into an int (Digits) and the
-ranks still allowed beside it as a bitmask. rank_slices grows each t-slice
-from its parent slice, so every monomial within a t-budget is built once,
-and groups each slice by packed content; enumerate_fiber (one fiber) and
-enumerate_mixed_fiber (one fiber of the full presentation map) grow one
-slice pruned against the target x-part. rank_fibers yields every fiber
-within a t-budget from rank_slices, as rank tuples, or with an x-degree
-bound every fiber of the full presentation map as atom tuples: a member
-u*m is u's rank tuple followed by m's x-atoms, x_i being atom size + i - 1
-after the size presentation variables, so a rank tuple is its own atom
-tuple;
-fibers_by_multidegree builds PresMonomials from rank_fibers. rank_slices
-hands out its contents packed, with the Digits that decode them, and so does
-_keyed_fibers, rank_fibers' fibers keyed by their packed x-part; the others
-decode a content only when they yield it. _standard_counts counts the same
-fibers and their members group by group (a t-slice, or a t-slice at one
-x-degree) without listing a member: its levels map each enumerator state to
-the packed contents of the nodes in it.
+ranks still allowed beside it as a bitmask. Each t-slice grows from its
+parent slice (_level_slices), so every monomial within a t-budget is built
+once; enumerate_fiber (one fiber) and enumerate_mixed_fiber (one fiber of
+the full presentation map) grow one slice pruned against the target
+x-part. _fiber_groups groups every fiber within a t-budget by packed
+x-part, one group per t-slice, or with an x-degree bound one per t-slice
+and x-degree, each member of a mixed fiber u*m as an atom tuple: u's rank
+tuple followed by m's x-atoms, x_i being atom size + i - 1 after the size
+presentation variables, so a rank tuple is its own atom tuple.
+_standard_counts counts the members of the same groups without listing
+one: its levels map each enumerator state to the packed contents of the
+nodes in it. Listing and counting run on the same groups, so a run can
+count some and list the rest. _keyed_fibers flattens the groups into
+sorted fibers still keyed by packed x-part, rank_fibers decodes the keys,
+and fibers_by_multidegree builds PresMonomials from rank_fibers.
 """
 
 from __future__ import annotations
@@ -566,52 +564,29 @@ def enumerate_mixed_fiber(
     ]
 
 
-def rank_slices(
-    ideals: Sequence[StronglyStableIdeal],
-    t_budget: Sequence[int],
-    forbidden_pairs: Iterable[tuple[int, int]] = (),
-    degree: int = 0,
-) -> tuple[
-    Digits,
-    Iterator[tuple[tuple[int, ...], dict[int, list[tuple[int, ...]]]]],
-]:
-    """Every presentation monomial with t <= budget as its rank tuple, one
-    t-slice at a time: (digits, slices), each slice (t-vector, {packed
-    content: rank tuples}), with digits.unpack decoding a content.
-
-    Digits are wide enough for the budget's content degree and for degree.
-    t-vectors come lexicographically; in a slice the contents come in the
-    order of their first monomial, unsorted, and each content's monomials
-    in rank order. A content is a multidegree of the slice, and its list is
-    the multidegree's fiber (its monomials avoiding forbidden_pairs, as in
-    fibers_by_multidegree). A t_budget without one entry per ideal raises
-    ValueError.
-
-    Each slice grows from its parent, the t-vector less one in its last
-    nonzero coordinate j, by one factor of ideal j: every monomial in the
-    box is built once, and only the levels a later slice still extends are
-    kept (one per last nonzero coordinate, r + 1 at most).
-    """
-    expansion = _budget_expansion(ideals, t_budget, forbidden_pairs, degree)
-    return expansion.digits, _grouped(
-        _level_slices(expansion.root, expansion.grow, t_budget))
-
-
 def _budget_expansion(
     ideals: Sequence[StronglyStableIdeal],
     t_budget: Sequence[int],
     forbidden_pairs: Iterable[tuple[int, int]],
     degree: int,
 ) -> _Expansion:
-    """The _Expansion of a t-budget, its digits as rank_slices describes."""
+    """The _Expansion of a t-budget, its digits wide enough for the budget's
+    content degree and for degree. A t_budget without one entry per ideal
+    raises ValueError."""
     check_t_budget(ideals, t_budget)
     digits = Digits(ideals[0].n, max(content_degree(ideals, t_budget), degree))
     return _Expansion(ideals, digits, forbidden_pairs)
 
 
 def _level_slices(root, grow, t_budget: Sequence[int]):
-    """(t-vector, level) of every t-slice in the budget, each level grown
-    by grow(parent level, j) from root, as rank_slices describes."""
+    """(t-vector, level) of every t-slice in the budget, t-vectors
+    lexicographically, each level grown by grow(parent level, j) from root.
+
+    A slice's parent is its t-vector less one in its last nonzero coordinate
+    j, so it grows by one factor of ideal j: every monomial in the box is
+    built once, and only the levels a later slice still extends are kept
+    (one per last nonzero coordinate, r + 1 at most).
+    """
     # the latest level of each last nonzero coordinate (-1: the empty slice)
     kept = {-1: root}
     for tv in t_vectors(t_budget):
@@ -628,18 +603,6 @@ def _level_slices(root, grow, t_budget: Sequence[int]):
         else:
             level = root
         yield tv, level
-
-
-def _grouped(slices):
-    for tv, level in slices:
-        groups: dict[int, list[tuple[int, ...]]] = {}
-        for x, _, ranks in level:
-            group = groups.get(x)
-            if group is None:
-                groups[x] = [ranks]
-            else:
-                group.append(ranks)
-        yield tv, groups
 
 
 def _rest_lists(digits: Digits, size: int):
@@ -667,7 +630,9 @@ def rank_fibers(
 ) -> Iterator[tuple[MultiDegree, list[tuple[int, ...]]]]:
     """fibers_by_multidegree with each monomial as its rank tuple (positions
     in presentation_variables, non-decreasing), building no objects: the
-    slices of rank_slices, contents ascending.
+    fibers of _keyed_fibers, keys decoded. Listing and counting run on the
+    same groups (_fiber_groups, _standard_counts); in a t-slice the
+    contents ascend.
 
     With x_degree, the fibers of the full presentation map instead, up to
     that x-degree, each member u*m as its sorted atom tuple: rank k is atom
@@ -692,6 +657,54 @@ def rank_fibers(
         yield MultiDegree(digits.unpack(key), tv), members
 
 
+def _fiber_groups(
+    ideals: Sequence[StronglyStableIdeal],
+    t_budget: Sequence[int],
+    forbidden_pairs: Iterable[tuple[int, int]] = (),
+    x_degree: int | None = None,
+) -> tuple[Digits,
+           Iterator[tuple[tuple[int, ...], dict[int, list[tuple[int, ...]]]]]]:
+    """(digits, groups): the fibers of rank_fibers in the groups that
+    _standard_counts counts, each (t-vector, {packed x-part: members}), with
+    digits.unpack decoding an x-part. Listing and counting run on these same
+    groups: one per t-slice with x_degree None, one per t-slice and x-degree
+    from the slice's content degree up to x_degree otherwise, empty ones
+    too. The keys come in no set order; the members as in rank_fibers. A
+    t_budget without one entry per ideal raises ValueError at once.
+    """
+    expansion = _budget_expansion(ideals, t_budget, forbidden_pairs,
+                                  x_degree or 0)
+    digits, x_bans = expansion.digits, expansion.bans
+    slices = _level_slices(expansion.root, expansion.grow, t_budget)
+    rest = _rest_lists(digits, expansion.size)
+
+    def groups():
+        for tv, level in slices:
+            by_content: dict[int, list[tuple[int, ...]]] = {}
+            for x, _, ranks in level:
+                group = by_content.get(x)
+                if group is None:
+                    by_content[x] = [ranks]
+                else:
+                    group.append(ranks)
+            if x_degree is None:
+                yield tv, by_content
+                continue
+            low = content_degree(ideals, tv)
+            for d in range(low, x_degree + 1):
+                mixed: dict[int, list[tuple[int, ...]]] = {}
+                # a content and a rest make one fiber, so members still
+                # come by content, then in rank order
+                for x, us in by_content.items():
+                    for u in us:
+                        ban = reduce(or_, [x_bans.get(k, 0) for k in u], 0)
+                        for pw, w in rest(d - low, ban):
+                            mixed.setdefault(x + pw, []).append(u + w)
+                yield tv, mixed
+
+    return digits, groups()
+
+
 def _keyed_fibers(
     ideals: Sequence[StronglyStableIdeal],
     t_budget: Sequence[int],
@@ -699,41 +712,21 @@ def _keyed_fibers(
     x_degree: int | None = None,
 ) -> tuple[Digits,
            Iterator[tuple[tuple[int, ...], int, list[tuple[int, ...]]]]]:
-    """(digits, fibers): the fibers of rank_fibers, in its order, each as
-    (t-vector, packed x-part, members), with digits.unpack decoding the
-    x-part; no MultiDegree is built. A t_budget without one entry per ideal
-    raises ValueError at once."""
-    expansion = _budget_expansion(ideals, t_budget, forbidden_pairs,
-                                  x_degree or 0)
-    digits, x_bans = expansion.digits, expansion.bans
-    slices = _grouped(_level_slices(expansion.root, expansion.grow, t_budget))
+    """(digits, fibers): the groups of _fiber_groups flattened into
+    rank_fibers order, each fiber as (t-vector, packed x-part, members); no
+    MultiDegree is built. Listing and counting run on the same groups, the
+    ones _standard_counts counts. Keys ascend in a pure t-slice and descend
+    in a mixed group: at one x-degree, x-atom tuples ascend as exponent
+    tuples descend. A t_budget without one entry per ideal raises
+    ValueError at once."""
+    digits, groups = _fiber_groups(ideals, t_budget, forbidden_pairs,
+                                   x_degree)
+    mixed = x_degree is not None
 
     def fibers():
-        if x_degree is None:
-            for tv, groups in slices:
-                for x in sorted(groups):
-                    yield tv, x, groups[x]
-            return
-        rest = _rest_lists(digits, expansion.size)
-        for tv, groups in slices:
-            low = content_degree(ideals, tv)
-            for d in range(low, x_degree + 1):
-                mixed: dict[int, list[tuple[int, ...]]] = {}
-                for x, us in groups.items():
-                    if not x_bans:
-                        for pw, w in rest(d - low, 0):
-                            mixed.setdefault(x + pw, []).extend(
-                                [u + w for u in us])
-                        continue
-                    # a content and a rest make one fiber, so members
-                    # still come by content, then in rank order
-                    for u in us:
-                        ban = reduce(or_, [x_bans.get(k, 0) for k in u], 0)
-                        for pw, w in rest(d - low, ban):
-                            mixed.setdefault(x + pw, []).append(u + w)
-                # same degree: x-atom tuples ascend as exponent tuples descend
-                for key in sorted(mixed, reverse=True):
-                    yield tv, key, mixed[key]
+        for tv, group in groups:
+            for key in sorted(group, reverse=mixed):
+                yield tv, key, group[key]
 
     return digits, fibers()
 
@@ -745,10 +738,9 @@ def _standard_counts(
     x_degree: int | None = None,
 ) -> Iterator[tuple[tuple[int, ...], int | None, int, int]]:
     """(t-vector, x-degree, multidegrees, members) of every group of
-    _keyed_fibers' fibers, in its order: one group per t-slice with
-    x_degree None (x-degree None), one per t-slice and x-degree d up to
-    x_degree otherwise. multidegrees is the number of the group's fibers,
-    members the number of their members; a fiber's key is packed as there.
+    _fiber_groups, in its order: counting and listing run on the same
+    groups, x-degree None for a pure t-slice. multidegrees is the number of
+    the group's keys, members the number of their members.
 
     The members are counted, never listed: slices grow by
     _Expansion.grow_states, and a mixed key is a content plus a rest of

@@ -66,9 +66,9 @@ class MarkedBinomial(Frozen):
     which keeps every rewrite path among finitely many monomials. Immutable
     (an assignment raises dataclasses.FrozenInstanceError, an
     AttributeError), compared and hashed as the tuple (lead, trail,
-    source), and its repr names the three fields. A collection builds hundreds of rules, so the
-    fields are slots written by their own setters, and pickling rebuilds a
-    rule through the checking constructor.
+    source), and its repr names the three fields. A collection builds
+    hundreds of rules, so the fields are slots written by their own
+    setters, and pickling rebuilds a rule through the checking constructor.
     """
 
     __slots__ = ("lead", "trail", "source")

@@ -29,11 +29,12 @@ descends it, so each fiber graph is acyclic and its sinks are the fiber's
 standard monomials: one per multidegree is the certificate, with the leads
 as forbidden pairs of atoms and no graph built. They are counted by
 enumerator state (presentation._standard_counts), a group at a time, and
-listed as atom tuples only from the first group holding a multidegree
-without exactly one, or from the start for the sink log. Any other
-marking gets the fiber graphs themselves, built serially by the one
-rewriting core of reduction (rank_rules once, then fiber_edges per
-fiber). Either way only a multidegree whose check fails (or, with
+listed as atom tuples (presentation._fiber_groups) only from the first
+group holding a multidegree without exactly one, or from the start for the
+sink log; listing and counting run on the same groups. Any other marking
+gets the fiber graphs themselves, built serially by the one rewriting core
+of reduction (rank_rules once, then fiber_edges per fiber), listed from
+the same groups. Either way only a multidegree whose check fails (or, with
 collect_sinks, every multidegree for the sink log) has its monomials built.
 analyze_fiber is the object-level fiber graph, kept as the reference. The
 report's first note names the method.
@@ -62,8 +63,8 @@ from .presentation import (
     fibers_by_multidegree,
     presentation_variables,
     rank_fibers,
-    rank_slices,
     t_vectors,
+    _fiber_groups,
     _keyed_fibers,
     _standard_counts,
 )
@@ -232,14 +233,16 @@ def verify_gb(
     t-slice, or a mixed t-slice at one x-degree) at a time, with no member
     listed, until a group holds fewer multidegrees than standard
     monomials. From that group on, or from the start when collect_sinks
-    asks for the sink log, they are listed as members: pure ones a t-slice
-    at a time (rank_slices), sorting only the contents without exactly one,
-    or every content for the sink log, so failures come by t-vector, then x
-    ascending; mixed ones a fiber at a time in rank_fibers order, as are
-    the fiber graphs, each keyed by its t-vector and packed x-part. A
-    MultiDegree is built only for a failure or the sink log. progress is
-    called at every multiple of 2000 the count reaches. A t_budget without
-    one entry per ideal raises ValueError before any work starts.
+    asks for the sink log, the members are listed a group at a time
+    (presentation._fiber_groups), in the same groups the count ran on, as
+    are the fiber graphs; a group is counted whole, and only the keys it
+    records are sorted: those without exactly one standard monomial, or
+    every key for the fiber graphs and the sink log. So failures come in
+    rank_fibers order, by t-vector, then x ascending (pure) or by x-degree,
+    then x descending (mixed). A MultiDegree is built only for a failure or
+    the sink log. progress is called at every multiple of 2000 the count
+    reaches. A t_budget without one entry per ideal raises ValueError
+    before any work starts.
     """
     check_t_budget(ideals, t_budget)
     report = VerificationReport(
@@ -304,7 +307,7 @@ def verify_gb(
         report.notes.append(f"mixed fibers up to x-degree {x_degree}")
         report.notes += unreached_slice_notes(ideals, t_budget, x_degree)
 
-    counted = 0  # leading groups counted by state; the members skip them
+    counted = 0  # leading groups counted by state; the listing skips them
     if order is not None and not collect_sinks:
         # the standard monomials are counted by enumerator state, a group
         # (pure t-slice, or t-slice and x-degree) at a time; at the first
@@ -317,33 +320,24 @@ def verify_gb(
             counted += 1
         else:
             return report
-    if order is not None and x_degree is None:
-        # a pure t-slice is counted whole, and only a content without
-        # exactly one standard monomial (or every content, for the sink
-        # log) is sorted into place
-        digits, slices = rank_slices(ideals, t_budget, lead_pairs)
-        for tv, groups in itertools.islice(slices, counted, None):
-            count(len(groups))
-            if collect_sinks:
-                contents = sorted(groups)
-            else:
-                contents = sorted(x for x, standard in groups.items()
-                                  if len(standard) != 1)
-            for x in contents:
-                record(tv, x, groups[x], False)
-    else:
-        digits, fibers = _keyed_fibers(ideals, t_budget, lead_pairs,
-                                       x_degree)
-        # the groups counted above hold the first multidegrees_checked fibers
-        for tv, key, fiber in itertools.islice(
-                fibers, report.multidegrees_checked, None):
-            count(1)
+    # listing and counting run on the same groups, so the listing starts at
+    # the first group not counted; it counts a group whole and sorts only
+    # the keys it records, into rank_fibers order
+    digits, groups = _fiber_groups(ideals, t_budget, lead_pairs, x_degree)
+    for tv, fibers in itertools.islice(groups, counted, None):
+        count(len(fibers))
+        if order is None or collect_sinks:
+            keys = fibers
+        else:
+            keys = [x for x, standard in fibers.items() if len(standard) != 1]
+        for key in sorted(keys, reverse=x_degree is not None):
+            fiber = fibers[key]
             if order is None:
                 report.nontrivial_fiber |= len(fiber) >= 2
                 edges = fiber_edges(fiber, compiled, collapse=False)
                 record(tv, key, [fiber[i] for i, outs in enumerate(edges)
                                  if not outs], has_cycle(edges))
-            elif collect_sinks or len(fiber) != 1:
+            else:
                 record(tv, key, fiber, False)
     if collect_sinks:
         report.sink_log = sink_log

@@ -21,6 +21,7 @@ from borel_rees.monomial import (
     rlex_sort_key,
     strongly_stable_precedes,
 )
+from borel_rees.orders import build_G1
 
 
 def m(text, n):
@@ -159,6 +160,20 @@ class TestBorelClosure:
         pair = [m("x4*x5", 6), m("x2*x6", 6)]
         assert borel_closure(pair + [m("x4*x5", 6), m("x1*x6", 6)],
                              6).borel_generators == tuple(pair)
+
+    def test_constructor_stores_generators_rlex_descending(self):
+        # the rule builders trust this order, whatever order an ideal is
+        # built with
+        closed = borel_closure([m("x3*x5", 5), m("x2*x4", 5)], 5)
+        reversed_order = StronglyStableIdeal(
+            n=5, degree=2, borel_generators=closed.borel_generators,
+            minimal_generators=closed.minimal_generators[::-1],
+        )
+        assert reversed_order == closed
+        assert reversed_order.minimal_generators == tuple(
+            sorted(closed.minimal_generators, key=rlex_sort_key))
+        rules = build_G1(reversed_order)
+        assert len(rules) == 27 and rules == build_G1(closed)
 
     def test_ambient_dimension_matters(self):
         small = borel_closure([m("x3^2", 3)], 3)

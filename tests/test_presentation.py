@@ -19,15 +19,16 @@ from borel_rees.presentation import (
     PresMonomial,
     PresVar,
     content,
+    content_degree,
     enumerate_fiber,
     enumerate_mixed_fiber,
     fibers_by_multidegree,
     phi,
     presentation_variables,
     rank_fibers,
-    rank_slices,
     t_vectors,
     _budget_expansion,
+    _fiber_groups,
     _keyed_fibers,
     _level_slices,
     _standard_counts,
@@ -367,17 +368,19 @@ def _level_cases():
 
 
 class TestLevelEnumeratorAgainstReference:
-    """rank_slices and rank_fibers against reference_slice: the same slices
-    in the same order, contents in first-member order (ascending for
-    rank_fibers), and each content's members in the same order."""
+    """The pure groups of _fiber_groups, rank_fibers and _keyed_fibers
+    against reference_slice: the same slices in the same order, the same
+    contents (ascending for rank_fibers and _keyed_fibers), and each
+    content's members in the same order."""
 
     @pytest.mark.parametrize("ideals, budget, pairs", _level_cases())
     def test_rank_slices(self, ideals, budget, pairs):
-        digits, slices = rank_slices(ideals, budget, pairs)
-        got = [(tv, [(digits.unpack(x), members)
-                     for x, members in groups.items()])
+        # one group per t-slice of rank tuples, every slice, keys unsorted
+        digits, slices = _fiber_groups(ideals, budget, pairs)
+        got = [(tv, {digits.unpack(x): members
+                     for x, members in groups.items()})
                for tv, groups in slices]
-        expected = [(tv, list(reference_slice(ideals, tv, pairs).items()))
+        expected = [(tv, reference_slice(ideals, tv, pairs))
                     for tv in t_vectors(budget)]
         assert got == expected
 
@@ -409,14 +412,15 @@ class TestLevelEnumeratorAgainstReference:
         # of ranks bans the two factors together
         ideals = [borel_closure([m("x3^2", 5), m("x2*x5", 5)], 5)]
         decode = rank_rules((), presentation_variables(ideals), 5).decode
-        digits, fibers = _keyed_fibers(ideals, (2,), x_pairs, 6)
-        keyed = list(fibers)
-        assert keyed == [
-            (mu.t_exps, digits.pack(mu.x_exps), members)
+        digits, groups = _fiber_groups(ideals, (2,), x_pairs, 6)
+        keyed = {(tv, key): members for tv, group in groups
+                 for key, members in group.items()}
+        assert keyed == {
+            (mu.t_exps, digits.pack(mu.x_exps)): members
             for mu, members in rank_fibers(ideals, (2,), x_pairs, 6)
-        ]
+        }
         assert len(keyed) > 100
-        for tv, key, members in keyed:
+        for (tv, key), members in keyed.items():
             for atoms in members:
                 assert not any(a in atoms and b in atoms for a, b in x_pairs)
                 assert phi(decode(atoms), ideals) == MultiDegree(
@@ -424,8 +428,9 @@ class TestLevelEnumeratorAgainstReference:
 
     def test_keyed_fibers_check_the_budget_at_once(self):
         ideals = [borel_closure([m("x3^2", 5), m("x2*x5", 5)], 5)]
-        with pytest.raises(ValueError, match="t budget needs 1 entries"):
-            _keyed_fibers(ideals, (1, 1))
+        for fibers in (_fiber_groups, _keyed_fibers):
+            with pytest.raises(ValueError, match="t budget needs 1 entries"):
+                fibers(ideals, (1, 1))
 
 
 def _shape_cases():
@@ -454,7 +459,7 @@ _X_BANS = ((0, 14), (3, 12), (2, 5), (7, 10), (3, 10))
 
 
 class TestStateLevels:
-    """_Expansion.grow_states against the members of rank_slices: every
+    """_Expansion.grow_states against the members of _fiber_groups: every
     slice holds the same contents with multiplicity, and each member's
     state carries the x-atom bans of its ranks."""
 
@@ -462,7 +467,7 @@ class TestStateLevels:
                              _level_cases() + _shape_cases())
     def test_contents_with_multiplicity(self, ideals, budget, pairs):
         _, levels = _state_levels(ideals, budget, pairs)
-        _, slices = rank_slices(ideals, budget, pairs)
+        _, slices = _fiber_groups(ideals, budget, pairs)
         got = [(tv, Counter(itertools.chain.from_iterable(level.values())))
                for tv, level in levels]
         assert got == [(tv, Counter({x: len(us) for x, us in groups.items()}))
@@ -470,11 +475,10 @@ class TestStateLevels:
 
     def test_states_carry_the_x_atom_bans(self):
         expansion, levels = _state_levels(_ONE, (3,), _X_BANS)
-        _, fibers = _keyed_fibers(_ONE, (3,), _X_BANS, 9)
         assert expansion.bans == {0: 1 << 14, 3: 1 << 12 | 1 << 10,
                                   7: 1 << 10}
         high = ((1 << 5) - 1) << expansion.size
-        _, slices = rank_slices(_ONE, (3,), [(2, 5)])
+        _, slices = _fiber_groups(_ONE, (3,), [(2, 5)])
         for (tv, level), (_, groups) in zip(levels, slices):
             got = Counter((x, state & high) for state, xs in level.items()
                           for x in xs)
@@ -502,6 +506,14 @@ def _reference_counts(ideals, budget, pairs, x_degree):
     return [(tv, d, keys, count) for (tv, d), (keys, count) in groups.items()]
 
 
+def _pair_syzygy_bans():
+    # a syzygy-like ban of x_i beside each rank i mod 6 of the running pair
+    pair = [borel_closure([m("x4*x5", 6), m("x2*x6", 6)], 6),
+            borel_closure([m("x4^2", 6), m("x3*x6", 6)], 6)]
+    size = len(presentation_variables(pair))
+    return pair, [(k, size + k % 6) for k in range(size)]
+
+
 class TestStandardCounts:
     """_standard_counts against the fibers of _keyed_fibers, group by
     group: the fibers of a group and their members, pure or mixed, with
@@ -521,17 +533,63 @@ class TestStandardCounts:
         assert any(keys != count for _, _, keys, count in got)
 
     def test_mixed_groups_of_the_pair_under_its_syzygy_bans(self):
-        pair = [borel_closure([m("x4*x5", 6), m("x2*x6", 6)], 6),
-                borel_closure([m("x4^2", 6), m("x3*x6", 6)], 6)]
-        size = len(presentation_variables(pair))
-        # a syzygy-like ban of x_i beside each rank i mod 6 of the pair
-        pairs = [(k, size + k % 6) for k in range(size)]
+        pair, pairs = _pair_syzygy_bans()
         got = list(_standard_counts(pair, (1, 1), pairs, 5))
         assert got == _reference_counts(pair, (1, 1), pairs, 5)
 
     def test_budget_checked_at_once(self):
         with pytest.raises(ValueError, match="t budget needs 1 entries"):
             _standard_counts(_ONE, (1, 1))
+
+
+def _group_cases():
+    pair, syzygy_bans = _pair_syzygy_bans()
+    cases = [pytest.param(*case.values, None, id=case.id)
+             for case in _level_cases()]
+    for pairs, pairs_id in [((), "none"), (_X_BANS, "x-atom"),
+                            (((1, 1), (4, 6)), "rank")]:
+        for x_degree in (8, 5):  # 5: below the content degree 6 of t = 3
+            cases.append(pytest.param(_ONE, (3,), pairs, x_degree,
+                                      id=f"mixed-{pairs_id}-{x_degree}"))
+    # banning every pair of ranks empties the slices of two factors or more
+    every_pair = list(itertools.combinations_with_replacement(range(10), 2))
+    cases += [
+        pytest.param(pair, (0, 2), syzygy_bans, 6, id="mixed-zero-entry"),
+        pytest.param(pair, (2, 1), syzygy_bans, 5, id="mixed-pair-below"),
+        pytest.param(_ONE, (3,), every_pair, 5, id="mixed-empty-groups"),
+    ]
+    return cases
+
+
+class TestGroupsAreCounted:
+    """_fiber_groups lists the groups _standard_counts counts: the same
+    sequence of (t-vector, x-degree) groups, each with as many keys and
+    members as counted. verify_gb counts the leading groups and lists the
+    rest by skipping as many groups, so this is what its hand-over rests
+    on."""
+
+    @pytest.mark.parametrize("ideals, budget, pairs, x_degree",
+                             _group_cases())
+    def test_same_groups_counted_and_listed(self, ideals, budget, pairs,
+                                            x_degree):
+        counts = list(_standard_counts(ideals, budget, pairs, x_degree))
+        digits, groups = _fiber_groups(ideals, budget, pairs, x_degree)
+        groups = list(groups)
+        assert [(tv, len(group), sum(map(len, group.values())))
+                for tv, group in groups] == [
+            (tv, keys, members) for tv, _, keys, members in counts]
+        for (tv, group), (_, d, _, _) in zip(groups, counts):
+            # every key of a group has the x-degree of its count
+            assert {sum(digits.unpack(key)) for key in group} <= {
+                content_degree(ideals, tv) if d is None else d}
+        # one group per slice, or per slice and x-degree from the slice's
+        # content degree up: a slice past x_degree has none
+        assert [(tv, d) for tv, d, _, _ in counts] == [
+            (tv, d) for tv in t_vectors(budget)
+            for d in ([None] if x_degree is None else
+                      range(content_degree(ideals, tv), x_degree + 1))]
+        if not pairs:
+            assert any(keys != members for _, _, keys, members in counts)
 
 
 class TestDigitWidth:
@@ -553,7 +611,7 @@ class TestDigitWidth:
             assert digits.unpack(packed) == exps
 
     def test_rank_fibers_past_one_byte(self):
-        digits, _ = rank_slices(self.WIDE, (16,))
+        digits, _ = _fiber_groups(self.WIDE, (16,))
         assert digits.width == 2
         expected = [
             (MultiDegree(x, tv), members)

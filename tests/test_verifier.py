@@ -1001,11 +1001,10 @@ class TestStandardCountsByState:
         self, running_pair, running_pair_basis
     ):
         # the members are listed only from a failing group on
-        with mock.patch.object(verifier, "rank_slices") as slices, \
-                mock.patch.object(verifier, "_keyed_fibers") as fibers:
+        with mock.patch.object(verifier, "_fiber_groups") as groups:
             report = verify_gb(running_pair_basis, list(running_pair), (3, 3))
         assert report.verdict == "certified-up-to-bound"
-        assert not slices.called and not fibers.called
+        assert not groups.called
 
 
 def _one_quadric_swap(u, v):
