@@ -69,7 +69,11 @@ def _load_ideals(args: argparse.Namespace):
     if not args.spec_path:
         raise InvalidIdeal("--spec FILE is required for this command")
     with open(args.spec_path) as fh:
-        ideals = load_collection(json.load(fh))
+        try:
+            spec = json.load(fh)
+        except RecursionError:
+            raise InvalidIdeal("spec nests too deeply to parse") from None
+    ideals = load_collection(spec)
     if "budget" in args and args.budget is None:
         args.budget = (2,) * len(ideals)
     return ideals

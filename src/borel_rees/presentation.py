@@ -23,9 +23,9 @@ presentation variables, so a rank tuple is its own atom tuple.
 _standard_counts counts the members of the same groups without listing
 one: its levels map each enumerator state to the packed contents of the
 nodes in it. Listing and counting run on the same groups, so a run can
-count some and list the rest. _keyed_fibers flattens the groups into
-sorted fibers still keyed by packed x-part, rank_fibers decodes the keys,
-and fibers_by_multidegree builds PresMonomials from rank_fibers.
+count some and list the rest. rank_fibers flattens the groups into sorted
+fibers with decoded keys, and fibers_by_multidegree builds PresMonomials
+from rank_fibers.
 """
 
 from __future__ import annotations
@@ -608,16 +608,16 @@ def _level_slices(root, grow, t_budget: Sequence[int]):
 def _rest_lists(digits: Digits, size: int):
     """rest(e, ban): (packed m, x-atoms of m) of every x-monomial m of
     degree e avoiding the x-atoms banned in ban (bit size + i - 1 for
-    x_i), in combinations_with_replacement order; each list built once."""
+    x_i), in combinations_with_replacement order of the unbanned x-atoms;
+    each list built once."""
     n = digits.n
     units = [digits.pack([int(i == j) for j in range(n)]) for i in range(n)]
 
     @cache
     def rest(e: int, ban: int) -> list[tuple[int, tuple[int, ...]]]:
+        free = [a for a in range(size, size + n) if not ban >> a & 1]
         return [(sum([units[a - size] for a in w]), w)
-                for w in itertools.combinations_with_replacement(
-                    range(size, size + n), e)
-                if not any(ban >> a & 1 for a in w)]
+                for w in itertools.combinations_with_replacement(free, e)]
 
     return rest
 
@@ -630,9 +630,10 @@ def rank_fibers(
 ) -> Iterator[tuple[MultiDegree, list[tuple[int, ...]]]]:
     """fibers_by_multidegree with each monomial as its rank tuple (positions
     in presentation_variables, non-decreasing), building no objects: the
-    fibers of _keyed_fibers, keys decoded. Listing and counting run on the
-    same groups (_fiber_groups, _standard_counts); in a t-slice the
-    contents ascend.
+    groups of _fiber_groups flattened, each key decoded. Listing and
+    counting run on the same groups (_fiber_groups, _standard_counts). Keys
+    ascend in a pure t-slice and descend in a mixed group: at one x-degree,
+    x-atom tuples ascend as exponent tuples descend.
 
     With x_degree, the fibers of the full presentation map instead, up to
     that x-degree, each member u*m as its sorted atom tuple: rank k is atom
@@ -651,10 +652,11 @@ def rank_fibers(
     banned are left out of their fiber, and a fiber left empty is not
     yielded.
     """
-    digits, fibers = _keyed_fibers(ideals, t_budget, forbidden_pairs,
+    digits, groups = _fiber_groups(ideals, t_budget, forbidden_pairs,
                                    x_degree)
-    for tv, key, members in fibers:
-        yield MultiDegree(digits.unpack(key), tv), members
+    for tv, group in groups:
+        for key in sorted(group, reverse=x_degree is not None):
+            yield MultiDegree(digits.unpack(key), tv), group[key]
 
 
 def _fiber_groups(
@@ -703,32 +705,6 @@ def _fiber_groups(
                 yield tv, mixed
 
     return digits, groups()
-
-
-def _keyed_fibers(
-    ideals: Sequence[StronglyStableIdeal],
-    t_budget: Sequence[int],
-    forbidden_pairs: Iterable[tuple[int, int]] = (),
-    x_degree: int | None = None,
-) -> tuple[Digits,
-           Iterator[tuple[tuple[int, ...], int, list[tuple[int, ...]]]]]:
-    """(digits, fibers): the groups of _fiber_groups flattened into
-    rank_fibers order, each fiber as (t-vector, packed x-part, members); no
-    MultiDegree is built. Listing and counting run on the same groups, the
-    ones _standard_counts counts. Keys ascend in a pure t-slice and descend
-    in a mixed group: at one x-degree, x-atom tuples ascend as exponent
-    tuples descend. A t_budget without one entry per ideal raises
-    ValueError at once."""
-    digits, groups = _fiber_groups(ideals, t_budget, forbidden_pairs,
-                                   x_degree)
-    mixed = x_degree is not None
-
-    def fibers():
-        for tv, group in groups:
-            for key in sorted(group, reverse=mixed):
-                yield tv, key, group[key]
-
-    return digits, fibers()
 
 
 def _standard_counts(
@@ -781,9 +757,11 @@ def fibers_by_multidegree(
 
     Yields (multidegree, fiber) pairs in a deterministic order: t-vectors
     lexicographically, x-exponents ascending within each t-slice, each fiber
-    canonically sorted. This is what the exhaustive verifier iterates; each
-    fiber is the one enumerate_fiber lists for its multidegree, built from
-    the rank tuples of rank_fibers.
+    canonically sorted. Each fiber is the one enumerate_fiber lists for its
+    multidegree, built from the rank tuples of rank_fibers: the object-level
+    listing, which toric_kernel_span pairs up, while the verifier, the
+    kernel oracle and the obstruction scan read the rank tuples of
+    _fiber_groups.
 
     forbidden_pairs lists index pairs (i, j) of presentation_variables no
     yielded monomial may contain both factors of (twice the factor when

@@ -9,7 +9,7 @@ is atom size + i - 1 (size presentation variables), so a rank tuple is
 already an atom tuple; RankRules.encode and decode translate monomials.
 Two-atom leads (quadrics, syzygies T_u*x_i and lifted fiber leads alike)
 are found in a lead table indexed by atom: rows[a][b] lists every rule with
-lead (a, b), in list order, and heads[a][b] is the earliest of them. Any
+lead (a, b), in list order, so rows[a][b][0] is the earliest of them. Any
 other lead is found by multiset containment.
 
 On that core, rank_rewrites lists every one-step reduction of an atom tuple
@@ -18,13 +18,14 @@ verifier's fiber analysis, and build_graph's reduction graphs for the paper
 cases, the fiber-graph command and the demos), and has_cycle is the one
 cycle detector on graphs. rank_normal_form, the one normal-form routine on
 atoms, follows the earliest-listed applicable rule only (rank_step, which
-reads heads); with a memo it records every monomial on its path with its
-normal form, so callers reducing many monomials under one rule list walk
-each path once. Every rule keeps degree, so that deterministic
-path stays among finitely many monomials: it either ends or returns to a
-monomial it has visited, which raises RewriteCycle exactly instead of
-guessing from a step budget. Graphs also carry the longest-path invariant
-used to certify that a marked collection rewrites Noetherianly.
+reads the first entry of each lead's list); with a memo it records every
+monomial on its path with its normal form, so callers reducing many
+monomials under one rule list walk each path once. Every rule keeps
+degree, so that deterministic path stays among finitely many monomials:
+it either ends or returns to a monomial it has visited, which raises
+RewriteCycle exactly instead of guessing from a step budget. Graphs also
+carry the longest-path invariant used to certify that a marked collection
+rewrites Noetherianly.
 
 applicable_reductions and normal_form are the object-level references: they
 scan the rule list in order with each lead's divides, on the monomials
@@ -359,16 +360,14 @@ class RankRules(NamedTuple):
     table of the two-atom leads: rows[a] is None unless atom a is the first
     atom of some such lead, and then rows[a][b] is the list of
     (position, lead, trail) of every rule with lead (a, b), in list order,
-    or None. heads has the shape of rows, with the (position, trail) of the
-    earliest of those rules in place of the list. others holds
-    (position, lead, trail) of every other rule, in list order.
+    or None. others holds (position, lead, trail) of every other rule, in
+    list order.
     """
 
     n: int
     atoms: dict[PresVar, int]
     variables: tuple[PresVar, ...]
     rows: list[list | None]
-    heads: list[list | None]
     others: list[tuple[int, tuple[int, ...], tuple[int, ...]]]
 
     def encode(self, v: Monomial | PresMonomial | MixedMonomial) -> tuple[int, ...]:
@@ -427,8 +426,8 @@ def rank_rules(
     """
     width = len(variables) + n
     atoms = {v: k for k, v in enumerate(variables)}
-    compiled = RankRules(n, atoms, tuple(variables), [], [], [])
-    rows, heads, others = compiled.rows, compiled.heads, compiled.others
+    compiled = RankRules(n, atoms, tuple(variables), [], [])
+    rows, others = compiled.rows, compiled.others
     encode = compiled.encode
     for pos, g in enumerate(rules):
         lead, trail = g.lead, g.trail
@@ -445,16 +444,13 @@ def rank_rules(
                 continue
         if not rows:
             rows += [None] * width
-            heads += [None] * width
         a, b = lead
         row = rows[a]
         if row is None:
             row = rows[a] = [None] * width
-            heads[a] = [None] * width
         listed = row[b]
         if listed is None:
             row[b] = [(pos, lead, trail)]
-            heads[a][b] = (pos, trail)
         else:
             listed.append((pos, lead, trail))
     return compiled
@@ -559,23 +555,23 @@ def rank_step(v: tuple[int, ...], rules: RankRules) -> tuple[int, ...] | None:
     """The successor of an atom tuple under its earliest-listed applicable
     rule, or None when no rule applies.
 
-    Reads the earliest rule of every atom pair of v off the lead table
-    (heads) and scans by multiset containment only the other rules listed
-    before the best table hit.
+    Reads the earliest rule of every atom pair of v off the lead table (the
+    first entry of rows[a][b]) and scans by multiset containment only the
+    other rules listed before the best table hit.
     """
     best = _UNLISTED
-    heads = rules.heads
-    if heads:
+    rows = rules.rows
+    if rows:
         i = 0
         for a in v:
             i += 1
-            row = heads[a]
+            row = rows[a]
             if row is not None:
                 for b in v[i:]:
-                    hit = row[b]
-                    if hit is not None and hit[0] < best:
-                        best = hit[0]
-                        found = a, b, hit[1]
+                    listed = row[b]
+                    if listed is not None and listed[0][0] < best:
+                        best, _, trail = listed[0]
+                        found = a, b, trail
     for pos, lead, trail in rules.others:
         if pos > best:
             break

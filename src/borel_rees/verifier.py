@@ -12,15 +12,16 @@ One verifier serves the pure and the mixed presentation, and the rules pick
 the fibers: when some lead is a MixedMonomial (the fiber-type basis of
 syzygies plus the lifted fiber basis) they are the full presentation's
 fibers up to an x-degree bound, otherwise the pure fibers. Both come as
-atom tuples from the one enumerator (presentation.rank_fibers): the
-presentation variable of rank k is atom k and x_i is atom size + i - 1,
-so a pure fiber's rank tuples are its atom tuples, and mixed_fibers only
-decodes them. The default x-degree bound reaches every budgeted t-slice
-(mixed_x_degree); a note names each slice an explicit bound leaves
-unreached. The kernel oracle (kernel_membership) reduces every member of
-the same fibers once, on atom tuples, and counts a fiber of k members as
-its C(k, 2) pairs; the pair list (toric_kernel_span) and its object-level
-check (check_membership) stay as its reference.
+atom tuples from the one enumerator, in the groups of
+presentation._fiber_groups that every check here walks: the presentation
+variable of rank k is atom k and x_i is atom size + i - 1, so a pure
+fiber's rank tuples are its atom tuples, and mixed_fibers only decodes
+the fibers of rank_fibers. The default x-degree bound reaches every
+budgeted t-slice (mixed_x_degree); a note names each slice an explicit
+bound leaves unreached. The kernel oracle (kernel_membership) reduces
+every member of the same fibers once, on atom tuples, and counts a fiber
+of k members as its C(k, 2) pairs; the pair list (toric_kernel_span) and
+its object-level check (check_membership) stay as its reference.
 
 verify_gb picks its method from the marking alone, pure or mixed. When a
 library term order orients every rule (orders.marking_order; for a mixed
@@ -65,7 +66,6 @@ from .presentation import (
     rank_fibers,
     t_vectors,
     _fiber_groups,
-    _keyed_fibers,
     _standard_counts,
 )
 from .records import Frozen, Record
@@ -505,41 +505,46 @@ def kernel_membership(
     share one normal form has its pairs walked, in combinations order, for
     the same failure dicts: the error of the first side that cycles,
     otherwise both normal forms. Pure and mixed fibers alike come as atom
-    tuples from the keyed fibers of rank_fibers, with no MultiDegree built;
-    monomials are decoded only for failure labels.
+    tuples in the groups of presentation._fiber_groups, each group walked
+    in no set order, with no MultiDegree built. Only its failing fibers are
+    sorted, into rank_fibers order, and monomials are decoded only for
+    their labels. A t_budget without one entry per ideal raises ValueError
+    before any work starts.
     """
-    check_t_budget(ideals, t_budget)
+    _, groups = _fiber_groups(ideals, t_budget, x_degree=x_degree)
     compiled = rank_rules(rules, presentation_variables(ideals), ideals[0].n)
-    _, fibers = _keyed_fibers(ideals, t_budget, x_degree=x_degree)
     label = functools.cache(compiled.label)
     memo: dict = {}
     checked = 0
     failures = []
-    for _, _, fiber in fibers:
-        if len(fiber) < 2:
-            continue
-        checked += len(fiber) * (len(fiber) - 1) // 2
-        forms = []
-        for v in fiber:
-            nf = memo.get(v)
-            if nf is None:
-                try:
-                    nf = rank_normal_form(v, compiled, memo)
-                except RewriteCycle as exc:
-                    nf = exc
-            forms.append(nf)
-        first = forms[0]
-        if type(first) is tuple and forms.count(first) == len(forms):
-            continue
-        for (a, na), (b, nb) in itertools.combinations(zip(fiber, forms), 2):
-            pair = [label(a), label(b)]
-            if isinstance(na, RewriteCycle) or isinstance(nb, RewriteCycle):
-                cycle = na if isinstance(na, RewriteCycle) else nb
-                failures.append({"pair": pair, "error": str(cycle)})
-            elif na != nb:
-                failures.append(
-                    {"pair": pair, "normal_forms": [label(na), label(nb)]}
-                )
+    for _, group in groups:
+        failing = {}
+        for key, fiber in group.items():
+            if len(fiber) < 2:
+                continue
+            checked += len(fiber) * (len(fiber) - 1) // 2
+            forms = []
+            for v in fiber:
+                nf = memo.get(v)
+                if nf is None:
+                    try:
+                        nf = rank_normal_form(v, compiled, memo)
+                    except RewriteCycle as exc:
+                        nf = exc
+                forms.append(nf)
+            first = forms[0]
+            if type(first) is not tuple or forms.count(first) != len(forms):
+                failing[key] = zip(fiber, forms)
+        for key in sorted(failing, reverse=x_degree is not None):
+            for (a, na), (b, nb) in itertools.combinations(failing[key], 2):
+                pair = [label(a), label(b)]
+                if type(na) is not tuple or type(nb) is not tuple:
+                    cycle = nb if type(na) is tuple else na
+                    failures.append({"pair": pair, "error": str(cycle)})
+                elif na != nb:
+                    failures.append(
+                        {"pair": pair, "normal_forms": [label(na), label(nb)]}
+                    )
     return checked, failures
 
 
@@ -592,24 +597,32 @@ def detect_obstructions(
     the full quadric move set is the right criterion for degree-2 generation.
     Moves go both ways, so a fiber's components are the classes of a
     partition, found by union-find (_move_components) with no rewriting, on
-    the rank tuples of rank_fibers. Only a witness fiber has its members
-    built as PresMonomials.
+    the rank tuples of presentation._fiber_groups. Each t-slice of total
+    degree 3 or more is walked in no set order, and only its witnesses are
+    sorted, x-parts ascending as in rank_fibers; only a witness has its
+    MultiDegree and members built. A t_budget without one entry per ideal
+    raises ValueError first.
     """
-    check_t_budget(ideals, t_budget)
+    digits, groups = _fiber_groups(ideals, t_budget)
     if sum(t_budget) < 3:
         raise ValueError("t budget must allow total t-degree >= 3")
     variables = presentation_variables(ideals)
     witnesses = []
-    for mu, fiber in rank_fibers(ideals, t_budget):
-        if mu.total_t < 3 or len(fiber) < 2:
+    for tv, group in groups:
+        if sum(tv) < 3:
             continue
-        comps = _move_components(fiber)
-        if len(comps) > 1:
-            witnesses.append(ObstructionWitness(mu, tuple(
-                tuple(PresMonomial.from_sorted(
+        split = {}
+        for key, fiber in group.items():
+            if len(fiber) > 1:
+                comps = _move_components(fiber)
+                if len(comps) > 1:
+                    split[key] = comps
+        for key in sorted(split):
+            witnesses.append(ObstructionWitness(
+                MultiDegree(digits.unpack(key), tv),
+                tuple(tuple(PresMonomial.from_sorted(
                     tuple([variables[k] for k in ranks])) for ranks in comp)
-                for comp in comps
-            )))
+                    for comp in split[key])))
     return witnesses
 
 

@@ -439,6 +439,16 @@ class TestUsageErrors:
         k = len(entries) - 1
         assert captured.err == f"error: field 'ideals[{k}]' must be an object\n"
 
+    @pytest.mark.parametrize("command", ["verify", "closure"])
+    def test_deeply_nested_spec_exits_four(self, capsys, tmp_path, command):
+        # json.load raised RecursionError here, a traceback with exit 1
+        spec = tmp_path / "nested.json"
+        spec.write_text("[" * 100000 + "]" * 100000)
+        code = main([command, "--spec", str(spec)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == "error: spec nests too deeply to parse\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -29,8 +29,8 @@ from borel_rees.presentation import (
     t_vectors,
     _budget_expansion,
     _fiber_groups,
-    _keyed_fibers,
     _level_slices,
+    _rest_lists,
     _standard_counts,
 )
 from borel_rees.reduction import rank_rules
@@ -368,10 +368,10 @@ def _level_cases():
 
 
 class TestLevelEnumeratorAgainstReference:
-    """The pure groups of _fiber_groups, rank_fibers and _keyed_fibers
+    """The pure groups of _fiber_groups and the fibers of rank_fibers
     against reference_slice: the same slices in the same order, the same
-    contents (ascending for rank_fibers and _keyed_fibers), and each
-    content's members in the same order."""
+    contents (ascending for rank_fibers, and for the keys of _fiber_groups
+    once sorted), and each content's members in the same order."""
 
     @pytest.mark.parametrize("ideals, budget, pairs", _level_cases())
     def test_rank_slices(self, ideals, budget, pairs):
@@ -396,9 +396,12 @@ class TestLevelEnumeratorAgainstReference:
 
     @pytest.mark.parametrize("ideals, budget, pairs", _level_cases())
     def test_keyed_fibers(self, ideals, budget, pairs):
-        # rank_fibers' fibers as (t-vector, packed x-part, members)
-        digits, fibers = _keyed_fibers(ideals, budget, pairs)
-        assert list(fibers) == [
+        # each group's packed x-parts, sorted ascending, give rank_fibers'
+        # fibers: the order the kernel oracle and the obstruction scan
+        # sort what they report into
+        digits, groups = _fiber_groups(ideals, budget, pairs)
+        assert [(tv, key, group[key]) for tv, group in groups
+                for key in sorted(group)] == [
             (tv, digits.pack(x), members)
             for tv in t_vectors(budget)
             for x, members in sorted(reference_slice(ideals, tv,
@@ -428,9 +431,11 @@ class TestLevelEnumeratorAgainstReference:
 
     def test_keyed_fibers_check_the_budget_at_once(self):
         ideals = [borel_closure([m("x3^2", 5), m("x2*x5", 5)], 5)]
-        for fibers in (_fiber_groups, _keyed_fibers):
-            with pytest.raises(ValueError, match="t budget needs 1 entries"):
-                fibers(ideals, (1, 1))
+        with pytest.raises(ValueError, match="t budget needs 1 entries"):
+            _fiber_groups(ideals, (1, 1))
+        # rank_fibers is a generator: it checks on its first fiber
+        with pytest.raises(ValueError, match="t budget needs 1 entries"):
+            next(rank_fibers(ideals, (1, 1)))
 
 
 def _shape_cases():
@@ -490,19 +495,18 @@ class TestStateLevels:
 
 
 def _reference_counts(ideals, budget, pairs, x_degree):
-    """(t-vector, x-degree, fibers, members) of each group of _keyed_fibers,
+    """(t-vector, x-degree, fibers, members) of each group of rank_fibers,
     every group of the budget listed, empty ones too."""
-    digits, fibers = _keyed_fibers(ideals, budget, pairs, x_degree)
     groups = {}
     for tv in t_vectors(budget):
         low = sum(a * i.degree for a, i in zip(tv, ideals))
         for d in ([None] if x_degree is None
                   else range(low, x_degree + 1)):
             groups[tv, d] = [0, 0]
-    for tv, key, members in fibers:
-        d = None if x_degree is None else sum(digits.unpack(key))
-        groups[tv, d][0] += 1
-        groups[tv, d][1] += len(members)
+    for mu, members in rank_fibers(ideals, budget, pairs, x_degree):
+        d = None if x_degree is None else sum(mu.x_exps)
+        groups[mu.t_exps, d][0] += 1
+        groups[mu.t_exps, d][1] += len(members)
     return [(tv, d, keys, count) for (tv, d), (keys, count) in groups.items()]
 
 
@@ -515,7 +519,7 @@ def _pair_syzygy_bans():
 
 
 class TestStandardCounts:
-    """_standard_counts against the fibers of _keyed_fibers, group by
+    """_standard_counts against the fibers of rank_fibers, group by
     group: the fibers of a group and their members, pure or mixed, with
     rank bans and x-atom bans."""
 
@@ -540,6 +544,22 @@ class TestStandardCounts:
     def test_budget_checked_at_once(self):
         with pytest.raises(ValueError, match="t budget needs 1 entries"):
             _standard_counts(_ONE, (1, 1))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_rest_lists_skip_the_banned_atoms(self, n):
+        # the rests over the unbanned x-atoms are every rest with the
+        # banned ones filtered out, in the same order, for every ban mask
+        size = 7
+        digits = Digits(n, 4)
+        rest = _rest_lists(digits, size)
+        atoms = range(size, size + n)
+        for ban in range(1 << n):
+            ban <<= size
+            for e in range(5):
+                assert rest(e, ban) == [
+                    (digits.pack([w.count(a) for a in atoms]), w)
+                    for w in itertools.combinations_with_replacement(atoms, e)
+                    if not any(ban >> a & 1 for a in w)]
 
 
 def _group_cases():

@@ -885,7 +885,7 @@ class TestLeadTable:
 
 
 class TestLeanCore:
-    """rank_step and rank_normal_form on the heads of the lead table, each
+    """rank_step and rank_normal_form on the lead table's earliest rules, each
     against normal_form on objects with the same rule list: the cycle
     message of a path with a tail, a memo hit inside a path, two rules on
     one lead, and containment leads on either side of the best table
@@ -942,8 +942,9 @@ class TestLeanCore:
                                   ((second, first), (3, 3))):
             rules = rules_of(4, ("x3*x4", "x1*x2"), *listed)
             compiled = rank_rules(rules, (), 4)
-            assert compiled.heads[0][1] == (1, successor)
+            # the earliest rule of a lead is the first of its list
             assert [pos for pos, _, _ in compiled.rows[0][1]] == [1, 2]
+            assert compiled.rows[0][1][0] == (1, (0, 1), successor)
             assert rank_step((0, 1), compiled) == successor
             assert self.both(m("x1*x2", 4), rules, 4) == (successor,) * 2
 

@@ -1083,10 +1083,12 @@ class TestDetectObstructions:
             (OBSTRUCTED_TRIPLE, (2, 1, 1), 3),
             (EX4_2_PAIR, (2, 1), 1),
             (EX4_2_PAIR, (3, 1), 3),
+            (EX4_2_PAIR, (3, 2), 9),
             ([borel_closure([m("x2*x3", 4)], 4),
               borel_closure([m("x3*x4", 4)], 4)], (2, 1), 0),
         ],
-        ids=["triple-111", "triple-211", "ex4.2-21", "ex4.2-31", "clean-21"],
+        ids=["triple-111", "triple-211", "ex4.2-21", "ex4.2-31", "ex4.2-32",
+             "clean-21"],
     )
     def test_witnesses_equal_brute_force_swaps(self, ideals, budget, witnesses):
         got = [(w.multidegree, w.components)
