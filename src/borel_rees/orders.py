@@ -94,21 +94,8 @@ class PresOrder(Frozen):
     def rank(self) -> dict[PresVar, int]:
         return {v: i for i, v in enumerate(self.ranked)}
 
-    def var_rank(self, p: PresVar) -> int:
-        try:
-            return self.rank[p]
-        except KeyError:
-            raise self._outside(p)
-
     def _outside(self, p: PresVar) -> OrderDomainError:
         return OrderDomainError(f"{p} outside the {self.kind} order's context")
-
-    def compare_presvars(self, p: PresVar, q: PresVar) -> int:
-        """1 if p > q, -1 if p < q, 0 if equal (lower rank is larger)."""
-        rp, rq = self.var_rank(p), self.var_rank(q)
-        if rp == rq:
-            return 0
-        return 1 if rp < rq else -1
 
     def compare_presmonomials(self, A: PresMonomial, B: PresMonomial) -> int:
         """Induced (graded) revlex: 1 if A > B, -1 if A < B, 0 if equal.

@@ -19,13 +19,13 @@ x-part. _fiber_groups groups every fiber within a t-budget by packed
 x-part, one group per t-slice, or with an x-degree bound one per t-slice
 and x-degree, each member of a mixed fiber u*m as an atom tuple: u's rank
 tuple followed by m's x-atoms, x_i being atom size + i - 1 after the size
-presentation variables, so a rank tuple is its own atom tuple.
-_standard_counts counts the members of the same groups without listing
-one: its levels map each enumerator state to the packed contents of the
-nodes in it. Listing and counting run on the same groups, so a run can
-count some and list the rest. rank_fibers flattens the groups into sorted
-fibers with decoded keys, and fibers_by_multidegree builds PresMonomials
-from rank_fibers.
+presentation variables, so a rank tuple is its own atom tuple. It is the
+one source of both walks over a budget: its counts count the members of
+each group without listing one (their levels map each enumerator state
+to the packed contents of the nodes in it), and its groups list them, on
+one expansion, so a run can count some groups and list the rest.
+rank_fibers flattens the listed groups into sorted fibers with decoded
+keys, and fibers_by_multidegree builds PresMonomials from rank_fibers.
 """
 
 from __future__ import annotations
@@ -309,11 +309,14 @@ def phi(
 def check_t_budget(
     ideals: Sequence[StronglyStableIdeal], t_budget: Sequence[int]
 ) -> None:
-    """Raise ValueError unless t_budget has one entry per ideal."""
+    """Raise ValueError unless t_budget has one entry per ideal, none of
+    them negative."""
     if len(t_budget) != len(ideals):
         raise ValueError(
             f"t budget needs {len(ideals)} entries, got {len(t_budget)}"
         )
+    if min(t_budget, default=0) < 0:
+        raise ValueError(f"t budget entries must be >= 0, got {min(t_budget)}")
 
 
 def t_vectors(t_budget: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -571,9 +574,12 @@ def _budget_expansion(
     degree: int,
 ) -> _Expansion:
     """The _Expansion of a t-budget, its digits wide enough for the budget's
-    content degree and for degree. A t_budget without one entry per ideal
-    raises ValueError."""
+    content degree and for degree, the x-degree bound of every walk over
+    the budget. A t_budget that check_t_budget refuses or a negative
+    degree raises ValueError."""
     check_t_budget(ideals, t_budget)
+    if degree < 0:
+        raise ValueError(f"x-degree must be >= 0, got {degree}")
     digits = Digits(ideals[0].n, max(content_degree(ideals, t_budget), degree))
     return _Expansion(ideals, digits, forbidden_pairs)
 
@@ -630,10 +636,9 @@ def rank_fibers(
 ) -> Iterator[tuple[MultiDegree, list[tuple[int, ...]]]]:
     """fibers_by_multidegree with each monomial as its rank tuple (positions
     in presentation_variables, non-decreasing), building no objects: the
-    groups of _fiber_groups flattened, each key decoded. Listing and
-    counting run on the same groups (_fiber_groups, _standard_counts). Keys
-    ascend in a pure t-slice and descend in a mixed group: at one x-degree,
-    x-atom tuples ascend as exponent tuples descend.
+    listed groups of _fiber_groups flattened, each key decoded. Keys ascend
+    in a pure t-slice and descend in a mixed group: at one x-degree, x-atom
+    tuples ascend as exponent tuples descend.
 
     With x_degree, the fibers of the full presentation map instead, up to
     that x-degree, each member u*m as its sorted atom tuple: rank k is atom
@@ -652,8 +657,8 @@ def rank_fibers(
     banned are left out of their fiber, and a fiber left empty is not
     yielded.
     """
-    digits, groups = _fiber_groups(ideals, t_budget, forbidden_pairs,
-                                   x_degree)
+    digits, _, groups = _fiber_groups(ideals, t_budget, forbidden_pairs,
+                                      x_degree)
     for tv, group in groups:
         for key in sorted(group, reverse=x_degree is not None):
             yield MultiDegree(digits.unpack(key), tv), group[key]
@@ -665,23 +670,54 @@ def _fiber_groups(
     forbidden_pairs: Iterable[tuple[int, int]] = (),
     x_degree: int | None = None,
 ) -> tuple[Digits,
+           Iterator[tuple[tuple[int, ...], int | None, int, int]],
            Iterator[tuple[tuple[int, ...], dict[int, list[tuple[int, ...]]]]]]:
-    """(digits, groups): the fibers of rank_fibers in the groups that
-    _standard_counts counts, each (t-vector, {packed x-part: members}), with
-    digits.unpack decoding an x-part. Listing and counting run on these same
-    groups: one per t-slice with x_degree None, one per t-slice and x-degree
-    from the slice's content degree up to x_degree otherwise, empty ones
-    too. The keys come in no set order; the members as in rank_fibers. A
-    t_budget without one entry per ideal raises ValueError at once.
+    """(digits, counts, groups) of the fibers of rank_fibers, grouped one
+    per t-slice with x_degree None, one per t-slice and x-degree from the
+    slice's content degree up to x_degree otherwise, empty groups too. Both
+    generators walk these groups on one _Expansion and one rest cache, and
+    neither grows a level until it is iterated, so a run can count some
+    groups and list the rest.
+
+    counts yields (t-vector, x-degree or None, multidegrees, members), the
+    number of a group's keys and of their members, listing none: slices
+    grow by _Expansion.grow_states, and a mixed key is a content plus a
+    rest of x-degree d less the slice's content degree, from the rests its
+    state's bans leave. groups yields (t-vector, {packed x-part: members}),
+    keys in no set order (digits.unpack decodes one), members as in
+    rank_fibers. A t_budget or x_degree that _budget_expansion refuses
+    raises ValueError at once.
     """
     expansion = _budget_expansion(ideals, t_budget, forbidden_pairs,
                                   x_degree or 0)
     digits, x_bans = expansion.digits, expansion.bans
-    slices = _level_slices(expansion.root, expansion.grow, t_budget)
+    high = ((1 << digits.n) - 1) << expansion.size  # the x-atom bits
     rest = _rest_lists(digits, expansion.size)
 
+    def slices(root, grow):
+        # each slice's level and its groups as (x-degree, rest degree)
+        for tv, level in _level_slices(root, grow, t_budget):
+            if x_degree is None:
+                yield tv, level, [(None, 0)]
+            else:
+                low = content_degree(ideals, tv)
+                yield tv, level, [(d, d - low)
+                                  for d in range(low, x_degree + 1)]
+
+    def counts():
+        for tv, level, degrees in slices(expansion.states,
+                                         expansion.grow_states):
+            for d, e in degrees:
+                keys: set[int] = set()
+                members = 0
+                for state, xs in level.items():
+                    for pw, _ in rest(e, state & high):
+                        keys.update([x + pw for x in xs] if pw else xs)
+                        members += len(xs)
+                yield tv, d, len(keys), members
+
     def groups():
-        for tv, level in slices:
+        for tv, level, degrees in slices(expansion.root, expansion.grow):
             by_content: dict[int, list[tuple[int, ...]]] = {}
             for x, _, ranks in level:
                 group = by_content.get(x)
@@ -689,63 +725,21 @@ def _fiber_groups(
                     by_content[x] = [ranks]
                 else:
                     group.append(ranks)
-            if x_degree is None:
-                yield tv, by_content
-                continue
-            low = content_degree(ideals, tv)
-            for d in range(low, x_degree + 1):
+            for d, e in degrees:
+                if d is None:
+                    yield tv, by_content
+                    continue
                 mixed: dict[int, list[tuple[int, ...]]] = {}
                 # a content and a rest make one fiber, so members still
                 # come by content, then in rank order
                 for x, us in by_content.items():
                     for u in us:
                         ban = reduce(or_, [x_bans.get(k, 0) for k in u], 0)
-                        for pw, w in rest(d - low, ban):
+                        for pw, w in rest(e, ban):
                             mixed.setdefault(x + pw, []).append(u + w)
                 yield tv, mixed
 
-    return digits, groups()
-
-
-def _standard_counts(
-    ideals: Sequence[StronglyStableIdeal],
-    t_budget: Sequence[int],
-    forbidden_pairs: Iterable[tuple[int, int]] = (),
-    x_degree: int | None = None,
-) -> Iterator[tuple[tuple[int, ...], int | None, int, int]]:
-    """(t-vector, x-degree, multidegrees, members) of every group of
-    _fiber_groups, in its order: counting and listing run on the same
-    groups, x-degree None for a pure t-slice. multidegrees is the number of
-    the group's keys, members the number of their members.
-
-    The members are counted, never listed: slices grow by
-    _Expansion.grow_states, and a mixed key is a content plus a rest of
-    x-degree d less the slice's content degree, from the rests its state's
-    bans leave. A t_budget without one entry per ideal raises ValueError at
-    once.
-    """
-    expansion = _budget_expansion(ideals, t_budget, forbidden_pairs,
-                                  x_degree or 0)
-    size = expansion.size
-    high = ((1 << expansion.digits.n) - 1) << size  # the x-atom bits
-    rest = _rest_lists(expansion.digits, size)
-    levels = _level_slices(expansion.states, expansion.grow_states, t_budget)
-
-    def groups():
-        for tv, level in levels:
-            low = content_degree(ideals, tv)
-            for d in ((None,) if x_degree is None
-                      else range(low, x_degree + 1)):
-                keys: set[int] = set()
-                members = 0
-                for state, xs in level.items():
-                    for pw, _ in (rest(0, 0) if d is None
-                                  else rest(d - low, state & high)):
-                        keys.update([x + pw for x in xs] if pw else xs)
-                        members += len(xs)
-                yield tv, d, len(keys), members
-
-    return groups()
+    return digits, counts(), groups()
 
 
 def fibers_by_multidegree(

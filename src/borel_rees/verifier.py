@@ -28,11 +28,11 @@ library term order orients every rule (orders.marking_order; for a mixed
 list, the block order that compares x-parts first), rewriting strictly
 descends it, so each fiber graph is acyclic and its sinks are the fiber's
 standard monomials: one per multidegree is the certificate, with the leads
-as forbidden pairs of atoms and no graph built. They are counted by
-enumerator state (presentation._standard_counts), a group at a time, and
-listed as atom tuples (presentation._fiber_groups) only from the first
-group holding a multidegree without exactly one, or from the start for the
-sink log; listing and counting run on the same groups. Any other marking
+as forbidden pairs of atoms and no graph built. One call of
+presentation._fiber_groups serves both walks: its counts count them by
+enumerator state, a group at a time, and its groups list them as atom
+tuples only from the first group holding a multidegree without exactly
+one, or from the start for the sink log. Any other marking
 gets the fiber graphs themselves, built serially by the one rewriting core
 of reduction (rank_rules once, then fiber_edges per fiber), listed from
 the same groups. Either way only a multidegree whose check fails (or, with
@@ -66,7 +66,6 @@ from .presentation import (
     rank_fibers,
     t_vectors,
     _fiber_groups,
-    _standard_counts,
 )
 from .records import Frozen, Record
 from .reduction import (
@@ -233,16 +232,18 @@ def verify_gb(
     t-slice, or a mixed t-slice at one x-degree) at a time, with no member
     listed, until a group holds fewer multidegrees than standard
     monomials. From that group on, or from the start when collect_sinks
-    asks for the sink log, the members are listed a group at a time
-    (presentation._fiber_groups), in the same groups the count ran on, as
-    are the fiber graphs; a group is counted whole, and only the keys it
-    records are sorted: those without exactly one standard monomial, or
-    every key for the fiber graphs and the sink log. So failures come in
-    rank_fibers order, by t-vector, then x ascending (pure) or by x-degree,
-    then x descending (mixed). A MultiDegree is built only for a failure or
-    the sink log. progress is called at every multiple of 2000 the count
-    reaches. A t_budget without one entry per ideal raises ValueError
-    before any work starts.
+    asks for the sink log, the members are listed a group at a time, as
+    are the fiber graphs. The count and the listing are the counts and the
+    groups of one presentation._fiber_groups call. A group is counted
+    whole, and only the keys it records are sorted: those without exactly
+    one standard monomial, or every key for the fiber graphs and the sink
+    log. So failures come in rank_fibers order, by t-vector, then x
+    ascending (pure) or by x-degree, then x descending (mixed). A
+    MultiDegree is built only for a failure or the sink log. progress is
+    called at every multiple of 2000 the count reaches. A t_budget without
+    one entry per ideal, or with a negative entry, raises ValueError
+    before any work starts, and a negative x_degree before any fiber is
+    grown.
     """
     check_t_budget(ideals, t_budget)
     report = VerificationReport(
@@ -307,23 +308,22 @@ def verify_gb(
         report.notes.append(f"mixed fibers up to x-degree {x_degree}")
         report.notes += unreached_slice_notes(ideals, t_budget, x_degree)
 
+    digits, counts, groups = _fiber_groups(ideals, t_budget, lead_pairs,
+                                           x_degree)
     counted = 0  # leading groups counted by state; the listing skips them
     if order is not None and not collect_sinks:
         # the standard monomials are counted by enumerator state, a group
         # (pure t-slice, or t-slice and x-degree) at a time; at the first
         # group without one per multidegree the members take over
-        for _, _, keys, members in _standard_counts(ideals, t_budget,
-                                                    lead_pairs, x_degree):
+        for _, _, keys, members in counts:
             if keys != members:
                 break
             count(keys)
             counted += 1
         else:
             return report
-    # listing and counting run on the same groups, so the listing starts at
-    # the first group not counted; it counts a group whole and sorts only
-    # the keys it records, into rank_fibers order
-    digits, groups = _fiber_groups(ideals, t_budget, lead_pairs, x_degree)
+    # the listing starts at the first group not counted; it counts a group
+    # whole and sorts only the keys it records, into rank_fibers order
     for tv, fibers in itertools.islice(groups, counted, None):
         count(len(fibers))
         if order is None or collect_sinks:
@@ -505,13 +505,14 @@ def kernel_membership(
     share one normal form has its pairs walked, in combinations order, for
     the same failure dicts: the error of the first side that cycles,
     otherwise both normal forms. Pure and mixed fibers alike come as atom
-    tuples in the groups of presentation._fiber_groups, each group walked
-    in no set order, with no MultiDegree built. Only its failing fibers are
-    sorted, into rank_fibers order, and monomials are decoded only for
-    their labels. A t_budget without one entry per ideal raises ValueError
-    before any work starts.
+    tuples in the listed groups of presentation._fiber_groups (its counts
+    are never started), each group walked in no set order, with no
+    MultiDegree built. Only its failing fibers are sorted, into
+    rank_fibers order, and monomials are decoded only for their labels. A
+    t_budget without one entry per ideal or with a negative entry, or a
+    negative x_degree, raises ValueError before any work starts.
     """
-    _, groups = _fiber_groups(ideals, t_budget, x_degree=x_degree)
+    _, _, groups = _fiber_groups(ideals, t_budget, x_degree=x_degree)
     compiled = rank_rules(rules, presentation_variables(ideals), ideals[0].n)
     label = functools.cache(compiled.label)
     memo: dict = {}
@@ -597,13 +598,14 @@ def detect_obstructions(
     the full quadric move set is the right criterion for degree-2 generation.
     Moves go both ways, so a fiber's components are the classes of a
     partition, found by union-find (_move_components) with no rewriting, on
-    the rank tuples of presentation._fiber_groups. Each t-slice of total
-    degree 3 or more is walked in no set order, and only its witnesses are
-    sorted, x-parts ascending as in rank_fibers; only a witness has its
-    MultiDegree and members built. A t_budget without one entry per ideal
-    raises ValueError first.
+    the rank tuples of the listed groups of presentation._fiber_groups.
+    Each t-slice of total degree 3 or more is walked in no set order, and
+    only its witnesses are sorted, x-parts ascending as in rank_fibers;
+    only a witness has its MultiDegree and members built. A t_budget
+    without one entry per ideal or with a negative entry raises ValueError
+    first.
     """
-    digits, groups = _fiber_groups(ideals, t_budget)
+    digits, _, groups = _fiber_groups(ideals, t_budget)
     if sum(t_budget) < 3:
         raise ValueError("t budget must allow total t-degree >= 3")
     variables = presentation_variables(ideals)

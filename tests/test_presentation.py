@@ -31,7 +31,6 @@ from borel_rees.presentation import (
     _fiber_groups,
     _level_slices,
     _rest_lists,
-    _standard_counts,
 )
 from borel_rees.reduction import rank_rules
 
@@ -376,7 +375,7 @@ class TestLevelEnumeratorAgainstReference:
     @pytest.mark.parametrize("ideals, budget, pairs", _level_cases())
     def test_rank_slices(self, ideals, budget, pairs):
         # one group per t-slice of rank tuples, every slice, keys unsorted
-        digits, slices = _fiber_groups(ideals, budget, pairs)
+        digits, _, slices = _fiber_groups(ideals, budget, pairs)
         got = [(tv, {digits.unpack(x): members
                      for x, members in groups.items()})
                for tv, groups in slices]
@@ -399,7 +398,7 @@ class TestLevelEnumeratorAgainstReference:
         # each group's packed x-parts, sorted ascending, give rank_fibers'
         # fibers: the order the kernel oracle and the obstruction scan
         # sort what they report into
-        digits, groups = _fiber_groups(ideals, budget, pairs)
+        digits, _, groups = _fiber_groups(ideals, budget, pairs)
         assert [(tv, key, group[key]) for tv, group in groups
                 for key in sorted(group)] == [
             (tv, digits.pack(x), members)
@@ -415,7 +414,7 @@ class TestLevelEnumeratorAgainstReference:
         # of ranks bans the two factors together
         ideals = [borel_closure([m("x3^2", 5), m("x2*x5", 5)], 5)]
         decode = rank_rules((), presentation_variables(ideals), 5).decode
-        digits, groups = _fiber_groups(ideals, (2,), x_pairs, 6)
+        digits, _, groups = _fiber_groups(ideals, (2,), x_pairs, 6)
         keyed = {(tv, key): members for tv, group in groups
                  for key, members in group.items()}
         assert keyed == {
@@ -472,7 +471,7 @@ class TestStateLevels:
                              _level_cases() + _shape_cases())
     def test_contents_with_multiplicity(self, ideals, budget, pairs):
         _, levels = _state_levels(ideals, budget, pairs)
-        _, slices = _fiber_groups(ideals, budget, pairs)
+        _, _, slices = _fiber_groups(ideals, budget, pairs)
         got = [(tv, Counter(itertools.chain.from_iterable(level.values())))
                for tv, level in levels]
         assert got == [(tv, Counter({x: len(us) for x, us in groups.items()}))
@@ -483,7 +482,7 @@ class TestStateLevels:
         assert expansion.bans == {0: 1 << 14, 3: 1 << 12 | 1 << 10,
                                   7: 1 << 10}
         high = ((1 << 5) - 1) << expansion.size
-        _, slices = _fiber_groups(_ONE, (3,), [(2, 5)])
+        _, _, slices = _fiber_groups(_ONE, (3,), [(2, 5)])
         for (tv, level), (_, groups) in zip(levels, slices):
             got = Counter((x, state & high) for state, xs in level.items()
                           for x in xs)
@@ -519,31 +518,39 @@ def _pair_syzygy_bans():
 
 
 class TestStandardCounts:
-    """_standard_counts against the fibers of rank_fibers, group by
-    group: the fibers of a group and their members, pure or mixed, with
+    """The counts of _fiber_groups against the fibers of rank_fibers,
+    group by group: the fibers of a group and their members, pure or mixed, with
     rank bans and x-atom bans."""
 
     @pytest.mark.parametrize("ideals, budget, pairs", _level_cases())
     def test_pure_groups(self, ideals, budget, pairs):
-        got = list(_standard_counts(ideals, budget, pairs))
+        got = list(_fiber_groups(ideals, budget, pairs)[1])
         assert got == _reference_counts(ideals, budget, pairs, None)
         if not pairs:
             assert any(keys != count for _, _, keys, count in got)
 
     @pytest.mark.parametrize("pairs", [(), _X_BANS, ((1, 1), (4, 6))])
     def test_mixed_groups(self, pairs):
-        got = list(_standard_counts(_ONE, (3,), pairs, 8))
+        got = list(_fiber_groups(_ONE, (3,), pairs, 8)[1])
         assert got == _reference_counts(_ONE, (3,), pairs, 8)
         assert any(keys != count for _, _, keys, count in got)
 
     def test_mixed_groups_of_the_pair_under_its_syzygy_bans(self):
         pair, pairs = _pair_syzygy_bans()
-        got = list(_standard_counts(pair, (1, 1), pairs, 5))
+        got = list(_fiber_groups(pair, (1, 1), pairs, 5)[1])
         assert got == _reference_counts(pair, (1, 1), pairs, 5)
 
     def test_budget_checked_at_once(self):
-        with pytest.raises(ValueError, match="t budget needs 1 entries"):
-            _standard_counts(_ONE, (1, 1))
+        # a walk over a negative budget entry or x-degree would check
+        # nothing, so it is refused before either generator starts
+        for budget, x_degree, message in [
+            ((1, 1), None, "t budget needs 1 entries, got 2"),
+            ((-1,), None, "t budget entries must be >= 0, got -1"),
+            ((-2,), 8, "t budget entries must be >= 0, got -2"),
+            ((2,), -3, "x-degree must be >= 0, got -3"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                _fiber_groups(_ONE, budget, x_degree=x_degree)
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_rest_lists_skip_the_banned_atoms(self, n):
@@ -582,19 +589,19 @@ def _group_cases():
 
 
 class TestGroupsAreCounted:
-    """_fiber_groups lists the groups _standard_counts counts: the same
-    sequence of (t-vector, x-degree) groups, each with as many keys and
-    members as counted. verify_gb counts the leading groups and lists the
-    rest by skipping as many groups, so this is what its hand-over rests
-    on."""
+    """_fiber_groups lists the groups it counts: the same sequence of
+    (t-vector, x-degree) groups, each with as many keys and members as
+    counted. verify_gb counts the leading groups and lists the rest by
+    skipping as many groups, so this is what its hand-over rests on."""
 
     @pytest.mark.parametrize("ideals, budget, pairs, x_degree",
                              _group_cases())
     def test_same_groups_counted_and_listed(self, ideals, budget, pairs,
                                             x_degree):
-        counts = list(_standard_counts(ideals, budget, pairs, x_degree))
-        digits, groups = _fiber_groups(ideals, budget, pairs, x_degree)
-        groups = list(groups)
+        # the counts and the groups of one call, as verify_gb reads them
+        digits, counts, groups = _fiber_groups(ideals, budget, pairs,
+                                               x_degree)
+        counts, groups = list(counts), list(groups)
         assert [(tv, len(group), sum(map(len, group.values())))
                 for tv, group in groups] == [
             (tv, keys, members) for tv, _, keys, members in counts]
@@ -631,7 +638,7 @@ class TestDigitWidth:
             assert digits.unpack(packed) == exps
 
     def test_rank_fibers_past_one_byte(self):
-        digits, _ = _fiber_groups(self.WIDE, (16,))
+        digits, _, _ = _fiber_groups(self.WIDE, (16,))
         assert digits.width == 2
         expected = [
             (MultiDegree(x, tv), members)

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from borel_rees import verifier
+from borel_rees import presentation, verifier
 from borel_rees.borel import borel_closure
 from borel_rees.monomial import Monomial, parse_monomial
 from borel_rees.borel import order_view
@@ -1000,11 +1000,83 @@ class TestStandardCountsByState:
     def test_certified_run_lists_no_member(
         self, running_pair, running_pair_basis
     ):
-        # the members are listed only from a failing group on
-        with mock.patch.object(verifier, "_fiber_groups") as groups:
-            report = verify_gb(running_pair_basis, list(running_pair), (3, 3))
+        # the members are listed only from a failing group on, so a
+        # certified run grows no node level
+        report, walked = _walked(lambda: verify_gb(
+            running_pair_basis, list(running_pair), (3, 3)))
         assert report.verdict == "certified-up-to-bound"
-        assert not groups.called
+        assert walked["grow"] == 0 and walked["grow_states"] > 0
+
+    @pytest.mark.parametrize("name", ["ht-less-8", "no-first-syzygy"])
+    def test_refuted_run_walks_one_expansion(
+        self, running_pair, running_pair_basis, name
+    ):
+        # the count and the listing are two generators of one
+        # _fiber_groups call: one _Expansion and one rest cache
+        if name == "ht-less-8":
+            ideals, budget, x_degree = list(running_pair), (2, 2), None
+            rules = _drop_rules(running_pair_basis, random.Random(8), 8)
+        else:
+            ideals, rules, budget, x_degree = _fiber_type_case(name)
+        report, walked = _walked(lambda: verify_gb(rules, ideals, budget,
+                                                   x_degree=x_degree))
+        assert report.verdict == "refuted"
+        assert walked["grow"] > 0 and walked["grow_states"] > 0
+        assert walked["expansions"] == walked["rests"] == 1
+
+    def test_oracle_and_scan_grow_no_state_level(
+        self, running_pair, running_pair_basis
+    ):
+        # they read the listed groups alone and never start the counts
+        pair = list(running_pair)
+        for run in (lambda: kernel_membership(running_pair_basis, pair,
+                                              (2, 1)),
+                    lambda: detect_obstructions(pair, (2, 1))):
+            _, walked = _walked(run)
+            assert walked["grow"] > 0 and walked["grow_states"] == 0
+            assert walked["expansions"] == 1
+
+
+def _walked(run):
+    """run() with the _Expansion objects built, the rest caches made and
+    the node (grow) and state (grow_states) levels grown, counted."""
+    expansion = presentation._Expansion
+    with mock.patch.object(expansion, "grow", autospec=True,
+                           side_effect=expansion.grow) as grow, \
+            mock.patch.object(expansion, "grow_states", autospec=True,
+                              side_effect=expansion.grow_states) as states, \
+            mock.patch.object(presentation, "_Expansion",
+                              wraps=expansion) as built, \
+            mock.patch.object(presentation, "_rest_lists",
+                              wraps=presentation._rest_lists) as rests:
+        result = run()
+    return result, {"expansions": built.call_count, "rests": rests.call_count,
+                    "grow": grow.call_count, "grow_states": states.call_count}
+
+
+class TestNegativeBounds:
+    """A negative budget entry or x-degree is refused, as the command line
+    refuses it, rather than walking nothing and reporting on that."""
+
+    def test_negative_budget_entry(self, running_pair, running_pair_basis):
+        pair = list(running_pair)
+        for run in (lambda: verify_gb(running_pair_basis, pair, (-1, 2)),
+                    lambda: kernel_membership(running_pair_basis, pair,
+                                              (-1, 2)),
+                    lambda: detect_obstructions(pair, (-1, 4)),
+                    lambda: list(rank_fibers(pair, (2, -1)))):
+            with pytest.raises(ValueError,
+                               match="t budget entries must be >= 0, got -1"):
+                run()
+
+    def test_negative_x_degree(self):
+        ideals, rules, budget, _ = _fiber_type_case("intact")
+        for run in (lambda: verify_gb(rules, ideals, budget, x_degree=-3),
+                    lambda: kernel_membership(rules, ideals, budget,
+                                              x_degree=-3)):
+            with pytest.raises(ValueError,
+                               match="x-degree must be >= 0, got -3"):
+                run()
 
 
 def _one_quadric_swap(u, v):
