@@ -35,7 +35,7 @@ from operator import add, itemgetter
 from typing import Iterable, Sequence
 
 from .borel import InvalidIdeal, StronglyStableIdeal, TwoQuadricView, order_view
-from .monomial import Monomial, rlex_sort_key
+from .monomial import Monomial, all_one_step_reductions, rlex_sort_key
 from .presentation import (
     Digits,
     MixedMonomial,
@@ -370,24 +370,18 @@ def build_syzygy_set(
     for l, ideal in enumerate(ideals, start=1):
         var_of = dict(zip(ideal.minimal_generators, ideal_variables(ideal, l)))
         for u in ideal.minimal_generators:
-            for j in u.support():
-                for i in range(1, j):
-                    swapped = Monomial(
-                        tuple(
-                            e + (1 if k == i - 1 else 0) - (1 if k == j - 1 else 0)
-                            for k, e in enumerate(u.exps)
-                        )
+            # swapped = u * x_i / x_j, each j in u's support and each i < j
+            for swapped, j, i in all_one_step_reductions(u):
+                if swapped in var_of:
+                    lead = MixedMonomial(
+                        Monomial.variable(i, n),
+                        PresMonomial([var_of[u]]),
                     )
-                    if swapped in var_of:
-                        lead = MixedMonomial(
-                            Monomial.variable(i, n),
-                            PresMonomial([var_of[u]]),
-                        )
-                        trail = MixedMonomial(
-                            Monomial.variable(j, n),
-                            PresMonomial([var_of[swapped]]),
-                        )
-                        out.append(MarkedBinomial(lead, trail, "SYZ"))
+                    trail = MixedMonomial(
+                        Monomial.variable(j, n),
+                        PresMonomial([var_of[swapped]]),
+                    )
+                    out.append(MarkedBinomial(lead, trail, "SYZ"))
     out.sort(
         key=lambda g: (
             g.lead.t_part.factors[0].sort_key(),

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache, reduce
+from math import comb, prod
 from operator import attrgetter, or_, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -321,6 +322,28 @@ def check_t_budget(
 
 def t_vectors(t_budget: Sequence[int]) -> Iterator[tuple[int, ...]]:
     yield from itertools.product(*(range(b + 1) for b in t_budget))
+
+
+def monomial_count(
+    ideals: Sequence[StronglyStableIdeal],
+    t_budget: Sequence[int],
+    x_degree: int | None = None,
+) -> int:
+    """The number of monomials in the fibers of rank_fibers with no
+    forbidden pair, in closed form: a t-slice holds prod C(g_i + t_i - 1,
+    t_i) presentation monomials, g_i the number of variables of ideal i,
+    and with x_degree each of them times the C(n + e, e) x-monomials of
+    degree at most e, the x-degree the slice's content degree leaves (none
+    when e < 0)."""
+    total = 0
+    for tv in t_vectors(t_budget):
+        count = prod([comb(len(ideal.minimal_generators) + t - 1, t)
+                      for ideal, t in zip(ideals, tv)])
+        if x_degree is not None:
+            e = x_degree - content_degree(ideals, tv)
+            count *= comb(ideals[0].n + e, e) if e >= 0 else 0
+        total += count
+    return total
 
 
 def ideal_variables(

@@ -32,16 +32,19 @@ as forbidden pairs of atoms and no graph built. One call of
 presentation._fiber_groups serves both walks: its counts count them by
 enumerator state, a group at a time, and its groups list them as atom
 tuples only from the first group holding a multidegree without exactly
-one, or from the start for the sink log. Any other marking
-gets the fiber graphs themselves, built serially by the one rewriting core
-of reduction (rank_rules once, then fiber_edges per fiber), listed from
-the same groups. Either way only a multidegree whose check fails (or, with
-collect_sinks, every multidegree for the sink log) has its monomials built.
-analyze_fiber is the object-level fiber graph, kept as the reference. The
-report's first note names the method.
+one. Any other marking gets the fiber graphs themselves, built serially
+by the one rewriting core of reduction (rank_rules once, then fiber_edges
+per fiber), listed from the same groups. Either way only a multidegree
+whose check fails has its monomials built. analyze_fiber is the
+object-level fiber graph, kept as the reference. The report's first note
+names the method.
 
 A run whose evidence is empty (no checked fiber had two monomials and no
-oracle pair was checked) is "inconclusive", never "certified".
+oracle pair was checked) is "inconclusive", never "certified". For
+verify_gb that is one count, for either method: every fiber holds a
+monomial, so some fiber holds two exactly when the budget holds more
+monomials (presentation.monomial_count, in closed form) than the
+multidegrees checked.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from __future__ import annotations
 import functools
 import itertools
 import sys
-from operator import itemgetter, le
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .borel import StronglyStableIdeal, collection_spec, order_view
@@ -58,10 +61,10 @@ from .presentation import (
     MixedMonomial,
     MultiDegree,
     PresMonomial,
-    PresVar,
     check_t_budget,
     content_degree,
     fibers_by_multidegree,
+    monomial_count,
     presentation_variables,
     rank_fibers,
     t_vectors,
@@ -104,13 +107,14 @@ class FiberFailure(Record):
 
 class VerificationReport(Record):
     """What a certification run checked and found. A list field left out
-    gets a fresh empty list; nontrivial_fiber (some checked fiber had two or
-    more monomials) and sink_log are neither serialized nor in the repr."""
+    gets a fresh empty list. nontrivial_fiber (some checked fiber had two or
+    more monomials: verify_gb reads it off monomial_count) is neither
+    serialized nor in the repr."""
 
     _fields = ("ideals", "t_budget", "multidegrees_checked", "failures",
                "oracle_binomials_checked", "oracle_failures", "notes",
-               "sink_log", "nontrivial_fiber")
-    _hidden = ("sink_log", "nontrivial_fiber")
+               "nontrivial_fiber")
+    _hidden = ("nontrivial_fiber",)
 
     def __init__(
         self,
@@ -121,7 +125,6 @@ class VerificationReport(Record):
         oracle_binomials_checked: int = 0,
         oracle_failures: list[dict] | None = None,
         notes: list[str] | None = None,
-        sink_log: list | None = None,
         nontrivial_fiber: bool = False,
     ):
         self.ideals = ideals
@@ -131,7 +134,6 @@ class VerificationReport(Record):
         self.oracle_binomials_checked = oracle_binomials_checked
         self.oracle_failures = [] if oracle_failures is None else oracle_failures
         self.notes = [] if notes is None else notes
-        self.sink_log = [] if sink_log is None else sink_log
         self.nontrivial_fiber = nontrivial_fiber
 
     @property
@@ -219,7 +221,6 @@ def verify_gb(
     ideals: Sequence[StronglyStableIdeal],
     t_budget: Sequence[int],
     progress: Callable[[int], None] | None = None,
-    collect_sinks: bool = False,
     x_degree: int | None = None,
 ) -> VerificationReport:
     """Certify or refute a marked collection over all budgeted multidegrees.
@@ -231,25 +232,26 @@ def verify_gb(
     checked instead. They are counted by enumerator state, a group (a pure
     t-slice, or a mixed t-slice at one x-degree) at a time, with no member
     listed, until a group holds fewer multidegrees than standard
-    monomials. From that group on, or from the start when collect_sinks
-    asks for the sink log, the members are listed a group at a time, as
-    are the fiber graphs. The count and the listing are the counts and the
-    groups of one presentation._fiber_groups call. A group is counted
-    whole, and only the keys it records are sorted: those without exactly
-    one standard monomial, or every key for the fiber graphs and the sink
-    log. So failures come in rank_fibers order, by t-vector, then x
+    monomials. From that group on the members are listed a group at a
+    time, as are the fiber graphs. The count and the listing are the
+    counts and the groups of one presentation._fiber_groups call. A group
+    is counted whole, and only the keys it checks are sorted: those
+    without exactly one standard monomial, or every key for the fiber
+    graphs. So failures come in rank_fibers order, by t-vector, then x
     ascending (pure) or by x-degree, then x descending (mixed). A
-    MultiDegree is built only for a failure or the sink log. progress is
-    called at every multiple of 2000 the count reaches. A t_budget without
-    one entry per ideal, or with a negative entry, raises ValueError
-    before any work starts, and a negative x_degree before any fiber is
-    grown.
+    MultiDegree is built only for a failure. The run has evidence
+    (nontrivial_fiber) when the budget holds more monomials
+    (presentation.monomial_count) than the multidegrees checked, so some
+    checked fiber holds two; otherwise an unrefuted run is "inconclusive".
+    progress is called at every multiple of 2000 the count reaches. A
+    t_budget without one entry per ideal, or with a negative entry, raises
+    ValueError before any work starts, and a negative x_degree before any
+    fiber is grown.
     """
     check_t_budget(ideals, t_budget)
     report = VerificationReport(
         ideals=collection_spec(ideals), t_budget=tuple(t_budget)
     )
-    sink_log: list[tuple[MultiDegree, PresMonomial | MixedMonomial]] = []
     pair_index, generic = rule_indices(rules)
     x_degree = mixed_x_degree(rules, ideals, t_budget, x_degree)
     order = marking_order(rules, ideals)
@@ -262,20 +264,6 @@ def verify_gb(
             for mark in range(before // 2000 + 1,
                               report.multidegrees_checked // 2000 + 1):
                 progress(2000 * mark)
-
-    def record(tv, key, sinks, cyc):
-        # a multidegree comes as its t-vector and packed x-part, its sinks
-        # as atom tuples; only a failure or the sink log builds them
-        if len(sinks) >= 2:
-            report.nontrivial_fiber = True
-        if cyc or len(sinks) != 1:
-            report.failures.append(FiberFailure(
-                MultiDegree(digits.unpack(key), tv),
-                [decode(v).label(len(tv)) for v in sinks], cyc
-            ))
-        elif collect_sinks:
-            sink_log.append((MultiDegree(digits.unpack(key), tv),
-                             decode(sinks[0])))
 
     # the rules are compiled only for the fiber graphs: a term-order run
     # needs the alphabet alone
@@ -299,11 +287,6 @@ def verify_gb(
         lead_pairs = [(compiled.atoms[p], compiled.atoms[q])
                       for p, q in pair_index]
         lead_pairs += [compiled.encode(g.lead) for _, g in generic]
-        # the nontrivial fibers with one standard monomial are those
-        # holding a lead within the bounds, which shares its fiber with its
-        # trail
-        report.nontrivial_fiber = _some_lead_within(
-            lead_pairs, compiled.variables, ideals, t_budget, x_degree)
     if x_degree is not None:
         report.notes.append(f"mixed fibers up to x-degree {x_degree}")
         report.notes += unreached_slice_notes(ideals, t_budget, x_degree)
@@ -311,7 +294,7 @@ def verify_gb(
     digits, counts, groups = _fiber_groups(ideals, t_budget, lead_pairs,
                                            x_degree)
     counted = 0  # leading groups counted by state; the listing skips them
-    if order is not None and not collect_sinks:
+    if order is not None:
         # the standard monomials are counted by enumerator state, a group
         # (pure t-slice, or t-slice and x-degree) at a time; at the first
         # group without one per multidegree the members take over
@@ -321,57 +304,35 @@ def verify_gb(
             count(keys)
             counted += 1
         else:
-            return report
+            groups = ()  # every group counted: none is listed
     # the listing starts at the first group not counted; it counts a group
-    # whole and sorts only the keys it records, into rank_fibers order
+    # whole and sorts only the keys it checks, into rank_fibers order
     for tv, fibers in itertools.islice(groups, counted, None):
         count(len(fibers))
-        if order is None or collect_sinks:
+        if order is None:
             keys = fibers
         else:
             keys = [x for x, standard in fibers.items() if len(standard) != 1]
         for key in sorted(keys, reverse=x_degree is not None):
             fiber = fibers[key]
             if order is None:
-                report.nontrivial_fiber |= len(fiber) >= 2
                 edges = fiber_edges(fiber, compiled, collapse=False)
-                record(tv, key, [fiber[i] for i, outs in enumerate(edges)
-                                 if not outs], has_cycle(edges))
+                sinks = [fiber[i] for i, outs in enumerate(edges) if not outs]
+                cyc = has_cycle(edges)
             else:
-                record(tv, key, fiber, False)
-    if collect_sinks:
-        report.sink_log = sink_log
+                sinks, cyc = fiber, False
+            if cyc or len(sinks) != 1:
+                report.failures.append(FiberFailure(
+                    MultiDegree(digits.unpack(key), tv),
+                    [decode(v).label(len(tv)) for v in sinks], cyc))
+    # Every fiber of the budget holds a monomial, and under a term order a
+    # standard one (its least member), so every multidegree is checked and
+    # the budget holds more monomials than multidegrees checked exactly
+    # when some checked fiber holds two. A refuted run is refuted whatever
+    # this says.
+    report.nontrivial_fiber = (monomial_count(ideals, t_budget, x_degree)
+                               > report.multidegrees_checked)
     return report
-
-
-def _some_lead_within(
-    leads: Sequence[tuple[int, ...]],
-    variables: Sequence[PresVar],
-    ideals: Sequence[StronglyStableIdeal],
-    t_budget: Sequence[int],
-    x_degree: int | None,
-) -> bool:
-    """Whether the image of some lead, an atom tuple over the presentation
-    variables of the ideals, lies within the t-budget and, when x_degree is
-    given, within that x-degree: a rank adds one to its ideal's t-count and
-    the ideal's degree to the x-degree, an x-atom adds one to the
-    x-degree."""
-    ideal_of = [v.ideal_index - 1 for v in variables]
-    size = len(ideal_of)
-    degrees = [ideal.degree for ideal in ideals]
-    for lead in leads:
-        t = [0] * len(ideals)
-        x = 0
-        for a in lead:
-            if a < size:
-                i = ideal_of[a]
-                t[i] += 1
-                x += degrees[i]
-            else:
-                x += 1
-        if all(map(le, t, t_budget)) and (x_degree is None or x <= x_degree):
-            return True
-    return False
 
 
 def mixed_x_degree(

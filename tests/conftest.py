@@ -3,6 +3,11 @@ import pytest
 from borel_rees import borel_closure, order_view
 from borel_rees.monomial import parse_monomial
 from borel_rees.orders import build_head_and_tail_basis, build_G1
+from borel_rees.presentation import (
+    fibers_by_multidegree,
+    presentation_variables,
+)
+from borel_rees.reduction import rank_rules
 
 
 def mono(text, n):
@@ -32,3 +37,24 @@ def running_pair():
 def running_pair_basis(running_pair):
     i1, i2 = running_pair
     return build_head_and_tail_basis(order_view(i1), order_view(i2))
+
+
+@pytest.fixture(scope="session")
+def standard_monomials():
+    """listed(rules, ideals, budget): the (multidegree, standard monomial)
+    of every fiber within budget under a quadratic marking that a term
+    order orients, from fibers_by_multidegree with the encoded lead pairs
+    forbidden. Each fiber must hold exactly one member: the sink of its
+    graph when the marking certifies."""
+
+    def listed(rules, ideals, budget):
+        encode = rank_rules((), presentation_variables(ideals),
+                            ideals[0].n).encode
+        pairs = [encode(g.lead) for g in rules]
+        out = []
+        for mu, fiber in fibers_by_multidegree(ideals, budget, pairs):
+            assert len(fiber) == 1, (mu, [v.label() for v in fiber])
+            out.append((mu, fiber[0]))
+        return out
+
+    return listed

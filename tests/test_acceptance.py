@@ -81,25 +81,23 @@ def timed(fn, repeats=1):
 
 
 @pytest.fixture(scope="module")
-def c6_run(quadric_pair_ideal, quadric_pair_G1):
+def c6_run(quadric_pair_ideal, quadric_pair_G1, standard_monomials):
     def run():
-        return verify_gb(
-            quadric_pair_G1, [quadric_pair_ideal], (4,),
-            collect_sinks=True,
-        )
+        return verify_gb(quadric_pair_G1, [quadric_pair_ideal], (4,))
 
-    return timed(run)
+    rep, elapsed = timed(run)
+    sinks = standard_monomials(quadric_pair_G1, [quadric_pair_ideal], (4,))
+    return rep, elapsed, sinks
 
 
 @pytest.fixture(scope="module")
-def c7_run(running_pair, running_pair_basis):
+def c7_run(running_pair, running_pair_basis, standard_monomials):
     def run():
-        return verify_gb(
-            running_pair_basis, list(running_pair), (2, 2),
-            collect_sinks=True,
-        )
+        return verify_gb(running_pair_basis, list(running_pair), (2, 2))
 
-    return timed(run)
+    rep, elapsed = timed(run)
+    sinks = standard_monomials(running_pair_basis, list(running_pair), (2, 2))
+    return rep, elapsed, sinks
 
 
 def test_01_two_sink_counterexample():
@@ -251,11 +249,9 @@ def test_05b_figure_edge_set_equality():
 
 
 def test_06_rlex_certification(c6_run, quadric_pair_ideal):
-    rep, elapsed = c6_run
+    rep, elapsed, sinks = c6_run
     fig_mu = MultiDegree(m("x1^2*x2^2*x3^2*x4*x5", 5).exps, (4,))
-    sink_at = {
-        mu: sink.label(1) for mu, sink in rep.sink_log
-    }
+    sink_at = {mu: sink.label(1) for mu, sink in sinks}
     report(
         6,
         f"rlex basis certified over t<=4 "
@@ -263,6 +259,8 @@ def test_06_rlex_certification(c6_run, quadric_pair_ideal):
         {
             "certified": rep.verdict == "certified-up-to-bound",
             "no_failures": not rep.failures,
+            "one_sink_per_multidegree": len(sinks)
+            == rep.multidegrees_checked,
             "reference_fiber_sink": sink_at.get(fig_mu)
             == "T11*T33*T24*T25",
             "under_60s": elapsed < 60.0,
@@ -271,15 +269,17 @@ def test_06_rlex_certification(c6_run, quadric_pair_ideal):
 
 
 def test_07_head_and_tail_certification(c7_run):
-    rep, elapsed = c7_run
+    rep, elapsed, sinks = c7_run
     fig_mu = MultiDegree(m("x2*x3*x4^2*x5*x6", 6).exps, (2, 1))
-    sink_at = {mu: sink.label(2) for mu, sink in rep.sink_log}
+    sink_at = {mu: sink.label(2) for mu, sink in sinks}
     report(
         7,
         f"head-and-tail basis certified over t<=(2,2) "
         f"({rep.multidegrees_checked} multidegrees, {elapsed:.2f}s)",
         {
             "certified": rep.verdict == "certified-up-to-bound",
+            "one_sink_per_multidegree": len(sinks)
+            == rep.multidegrees_checked,
             "reference_fiber_sink": sink_at.get(fig_mu) == "T35*T26*Z44",
             "under_120s": elapsed < 120.0,
         },
@@ -419,24 +419,25 @@ def test_11_parameter_gate():
 
 
 def test_12_sink_index_inequalities(
-    c6_run, c7_run, quadric_pair_ideal, running_pair
+    c6_run, c7_run, quadric_pair_ideal, running_pair, standard_monomials
 ):
-    rep6, _ = c6_run
-    rep7, _ = c7_run
+    _, _, sinks6 = c6_run
+    rep7, _, sinks7 = c7_run
     view = order_view(quadric_pair_ideal)
     view1, view2 = map(order_view, running_pair)
     rlex_bad = []
-    for _, sink in rep6.sink_log:
+    for _, sink in sinks6:
         rlex_bad += sink_violations_rlex(sink, view)
     ht_bad = []
-    for _, sink in rep7.sink_log:
+    for _, sink in sinks7:
         ht_bad += sink_violations_ht(sink, view1, view2)
     # direct mixed-order sinks for the second ideal
     i2 = running_pair[1]
     g2 = build_G2(view2, 1)
-    rep_g2 = verify_gb(g2, [i2], (3,), collect_sinks=True)
+    rep_g2 = verify_gb(g2, [i2], (3,))
+    sinks_g2 = standard_monomials(g2, [i2], (3,))
     mrlex_bad = []
-    for _, sink in rep_g2.sink_log:
+    for _, sink in sinks_g2:
         mrlex_bad += sink_violations_mrlex(sink, view2)
     # the two-sink hypothesis never fires once the basis certifies
     two_sink_hypothesis_hits = sum(
@@ -444,8 +445,8 @@ def test_12_sink_index_inequalities(
     )
     report(
         12,
-        f"index inequalities on {len(rep6.sink_log)} rlex, "
-        f"{len(rep_g2.sink_log)} mixed-order and {len(rep7.sink_log)} "
+        f"index inequalities on {len(sinks6)} rlex, "
+        f"{len(sinks_g2)} mixed-order and {len(sinks7)} "
         "head-and-tail sinks",
         {
             "rlex_clean": not rlex_bad,

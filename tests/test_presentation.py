@@ -23,6 +23,7 @@ from borel_rees.presentation import (
     enumerate_fiber,
     enumerate_mixed_fiber,
     fibers_by_multidegree,
+    monomial_count,
     phi,
     presentation_variables,
     rank_fibers,
@@ -33,6 +34,7 @@ from borel_rees.presentation import (
     _rest_lists,
 )
 from borel_rees.reduction import rank_rules
+from borel_rees.verifier import mixed_fibers
 
 FIG1_FIBER = {
     "T23^2*T14*T15",
@@ -684,3 +686,62 @@ class TestDigitWidth:
             # by x-degree, then x-atoms ascending: x1's exponent descending
             assert (sum(mu.x_exps), -a) < (sum(nu.x_exps), -nu.x_exps[0])
         assert [mu.x_exps for mu, _ in fibers[-2:]] == [(3, 253), (2, 254)]
+
+
+class TestMonomialCount:
+    """monomial_count, the closed form of a budget's monomials, against the
+    members of every fiber listed: fibers_by_multidegree's pure ones and
+    mixed_fibers' up to an x-degree."""
+
+    CASES = {
+        "pair": ([["x4*x5", "x2*x6"], ["x4^2", "x3*x6"]], 6, (2, 2)),
+        "ex4.1-triple": ([["x3^2", "x1*x5"], ["x3^2", "x2*x4"],
+                          ["x2*x4", "x1*x5"]], 5, (1, 1, 1)),
+        "cubic": ([["x2*x3*x4", "x1*x4^2", "x2^2*x5"]], 5, (2,)),
+        "mixed-degrees": ([["x2*x3"], ["x1*x2*x4"]], 4, (2, 2)),
+    }
+
+    @staticmethod
+    def listed(ideals, budget, x_degree=None):
+        if x_degree is None:
+            fibers = fibers_by_multidegree(ideals, budget)
+        else:
+            fibers = mixed_fibers(ideals, budget, x_degree)
+        return sum(len(fiber) for _, fiber in fibers)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_equals_the_listed_members(self, name):
+        gens, n, top = self.CASES[name]
+        ideals = [borel_closure([m(g, n) for g in gs], n) for gs in gens]
+        below = 0  # mixed counts with some slice past the x-degree
+        for budget in t_vectors(top):
+            assert monomial_count(ideals, budget) == self.listed(ideals,
+                                                                budget)
+            # the fibers up to x-degree 7, of which those up to a lower
+            # x-degree are the fibers of that bound
+            sizes = [(sum(mu.x_exps), len(fiber))
+                     for mu, fiber in mixed_fibers(ideals, budget, 7)]
+            for x_degree in range(8):
+                assert monomial_count(ideals, budget, x_degree) == sum(
+                    k for d, k in sizes if d <= x_degree), (budget, x_degree)
+                below += content_degree(ideals, budget) > x_degree
+        assert below > 0
+
+    def test_zero_entries_and_an_x_degree_below_every_slice(self):
+        pair = [borel_closure([m("x4*x5", 6), m("x2*x6", 6)], 6),
+                borel_closure([m("x4^2", 6), m("x3*x6", 6)], 6)]
+        g1, g2 = (len(i.minimal_generators) for i in pair)
+        assert monomial_count(pair, (0, 0)) == 1
+        assert monomial_count(pair, (2, 0)) == 1 + g1 + g1 * (g1 + 1) // 2
+        assert monomial_count(pair, (0, 1)) == 1 + g2
+        # the empty slice alone is within x-degree 1: 1 and x_1..x_6
+        assert monomial_count(pair, (2, 2), 1) == 7
+        assert self.listed(pair, (2, 2), 1) == 7
+
+    def test_principal_of_1200_factors(self):
+        principal = [borel_closure([m("x1^2", 2)], 2)]
+        assert monomial_count(principal, (1200,)) == 1201
+        assert self.listed(principal, (1200,)) == 1201
+        # slices 0, 1 and 2 within x-degree 5: C(7,5) + C(5,3) + C(3,1)
+        assert monomial_count(principal, (1200,), 5) == 21 + 10 + 3
+        assert self.listed(principal, (1200,), 5) == 34

@@ -102,7 +102,6 @@ class VerificationReport:
     oracle_binomials_checked: object = 0
     oracle_failures: object = field(default_factory=list)
     notes: object = field(default_factory=list)
-    sink_log: object = field(default_factory=list, repr=False)
     nontrivial_fiber: object = field(default=False, repr=False)
 
 
@@ -177,7 +176,7 @@ def samples():
     g3 = build_G3(v1, v2)
 
     def report(rules, budget):
-        return verify_gb(rules, (i1, i2), budget, collect_sinks=True)
+        return verify_gb(rules, (i1, i2), budget)
 
     refuted = report(g3, (2, 1))
     witnesses = detect_obstructions(triple, (1, 1, 1))
@@ -301,7 +300,7 @@ def test_default_lists_are_fresh():
     second = verifier.VerificationReport({}, ())
     twin = VerificationReport({}, ())
     assert field_values(first) == field_values(twin)
-    for name in ("failures", "oracle_failures", "notes", "sink_log"):
+    for name in ("failures", "oracle_failures", "notes"):
         assert getattr(first, name) is not getattr(second, name)
     gate = parameter_gate(1, [1], [2])
     report = verifier.KoszulReport({}, (), gate, [], None, "inconclusive")

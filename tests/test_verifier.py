@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import operator
 import random
@@ -78,14 +79,6 @@ class TestVerifyGB:
             len(f.sinks) > 1 and not f.has_cycle for f in report.failures
         )
 
-    def test_sink_log(self, quadric_pair_ideal, quadric_pair_G1):
-        report = verify_gb(
-            quadric_pair_G1, [quadric_pair_ideal], (2,), collect_sinks=True
-        )
-        assert len(report.sink_log) == report.multidegrees_checked
-        for mu, sink in report.sink_log:
-            assert phi(sink, [quadric_pair_ideal]) == mu
-
 
 def _two_quadric(c, a, b, d, n):
     M = Monomial([int(i + 1 == a) + int(i + 1 == b) for i in range(n)])
@@ -136,7 +129,7 @@ def reference_run(rules, ideals, budget, x_degree=None):
     """verify_gb's findings rebuilt from per-multidegree fiber graphs on
     objects (analyze_fiber) over brute-force fibers, mixed ones up to
     x_degree when it is given: (multidegrees, failures as (mu, sink labels,
-    cycle), sink log, verdict).
+    cycle), verdict).
 
     A rule whose lead divides a monomial has a lead image dividing the
     monomial's, so each fiber's graph is built from the rules whose lead
@@ -148,7 +141,7 @@ def reference_run(rules, ideals, budget, x_degree=None):
     else:
         fibers = dict(reference_mixed_fibers(ideals, budget, x_degree))
     images = [(phi(g.lead, ideals), (pos, g)) for pos, g in enumerate(rules)]
-    failures, sink_log, nontrivial = [], [], False
+    failures, nontrivial = [], False
     for mu, fiber in fibers.items():
         below = [rule for image, rule in images
                  if all(map(operator.le, image.x_exps, mu.x_exps))
@@ -157,31 +150,27 @@ def reference_run(rules, ideals, budget, x_degree=None):
         nontrivial |= len(fiber) >= 2
         if cyc or len(sinks) != 1:
             failures.append((mu, [fiber[i].label(r) for i in sinks], cyc))
-        else:
-            sink_log.append((mu, fiber[sinks[0]]))
     verdict = ("refuted" if failures else
                "certified-up-to-bound" if nontrivial else "inconclusive")
-    return len(fibers), failures, sink_log, verdict
+    return len(fibers), failures, verdict
 
 
 def assert_matches_reference(rules, ideals, budget, method, x_degree=None):
     """verify_gb against reference_run; its first note names the method, and
     a mixed run's other notes are the x-degree and unreached-slice ones."""
-    report = verify_gb(rules, ideals, budget, collect_sinks=True,
-                       x_degree=x_degree)
+    report = verify_gb(rules, ideals, budget, x_degree=x_degree)
     assert report.notes[0].startswith(method)
     x_degree = mixed_x_degree(rules, ideals, budget, x_degree)
     assert report.notes[1:] == ([] if x_degree is None else [
         f"mixed fibers up to x-degree {x_degree}",
         *unreached_slice_notes(ideals, budget, x_degree),
     ])
-    checked, failures, sink_log, verdict = reference_run(rules, ideals, budget,
-                                                         x_degree)
+    checked, failures, verdict = reference_run(rules, ideals, budget,
+                                               x_degree)
     assert report.multidegrees_checked == checked
     assert [
         (f.multidegree, f.sinks, f.has_cycle) for f in report.failures
     ] == failures
-    assert report.sink_log == sink_log
     assert report.verdict == verdict
     return report
 
@@ -304,7 +293,7 @@ class TestStandardMonomialDifferential:
 
 class TestStandardMonomialsOnRanks:
     """The standard-monomial path counts rank tuples; monomials are built
-    only for failure labels and the sink log."""
+    only for failure labels."""
 
     @staticmethod
     def count_built(run):
@@ -326,18 +315,17 @@ class TestStandardMonomialsOnRanks:
         return report, len(built)
 
     def test_certified_run_builds_no_monomial(
-        self, running_pair, running_pair_basis
+        self, running_pair, running_pair_basis, standard_monomials
     ):
         report, built = self.count_built(lambda: verify_gb(
             running_pair_basis, list(running_pair), (2, 2)))
         assert report.verdict == "certified-up-to-bound"
         assert report.notes[0].startswith("standard monomials under the ht")
         assert report.multidegrees_checked > 0 and built == 0
-        logged, built = self.count_built(lambda: verify_gb(
-            running_pair_basis, list(running_pair), (2, 2),
-            collect_sinks=True))
-        assert built == len(logged.sink_log) == report.multidegrees_checked
-        assert logged.to_json_dict() == report.to_json_dict()
+        # one listed standard monomial per multidegree counted
+        listed, built = self.count_built(lambda: standard_monomials(
+            running_pair_basis, list(running_pair), (2, 2)))
+        assert built == len(listed) == report.multidegrees_checked
 
     def test_refuted_runs_build_only_failing_multidegrees(
         self, running_pair, running_pair_basis
@@ -357,8 +345,8 @@ class TestStandardMonomialsOnRanks:
 class TestStandardCountsPerSlice:
     """The standard path counts each t-slice whole and builds only the
     contents without exactly one standard monomial. Refuted head-and-tail
-    runs against per-multidegree references: failures in the same order,
-    the same sink log and the same progress calls."""
+    runs against per-multidegree references: failures in the same order
+    and the same progress calls."""
 
     @pytest.mark.parametrize("k", [8, 20])
     def test_refuted_runs_equal_reference_run(
@@ -377,13 +365,12 @@ class TestStandardCountsPerSlice:
         # object-level one takes seconds per run there
         ideals = list(running_pair)
         rules = _drop_rules(running_pair_basis, random.Random(k), k)
-        report = verify_gb(rules, ideals, (2, 2), collect_sinks=True)
+        report = verify_gb(rules, ideals, (2, 2))
         with mock.patch.object(verifier, "marking_order", return_value=None):
-            graphs = verify_gb(rules, ideals, (2, 2), collect_sinks=True)
+            graphs = verify_gb(rules, ideals, (2, 2))
         assert report.notes[0].startswith("standard")
         assert graphs.notes[0].startswith("fiber graphs")
         assert report.failures == graphs.failures
-        assert report.sink_log == graphs.sink_log
         assert report.multidegrees_checked == graphs.multidegrees_checked
         assert report.verdict == graphs.verdict
 
@@ -792,30 +779,32 @@ class TestMixedFibersDifferential:
 
 
 class TestLeadImageEvidence:
-    """A term-order run's nontrivial-fiber evidence reads each lead's image
-    off its atoms (verifier._some_lead_within); it equals the scan of phi
-    over the leads, pure and mixed."""
+    """An unrefuted term-order run is "inconclusive" exactly when no lead's
+    image lies within the bounds: a lead within them shares its fiber with
+    its trail, and a fiber of two members holds a lead. The scan of phi
+    over the leads against verify_gb's counted evidence, pure and mixed."""
 
-    def test_equals_the_phi_scan(self, running_pair, running_pair_basis):
+    def test_equals_the_phi_scan(
+        self, running_pair, running_pair_basis
+    ):
         pair = list(running_pair)
-        variables = presentation_variables(pair)
-        encode = rank_rules((), variables, 6).encode
         fiber_type = build_fiber_type_basis(pair, quadratic_basis_for(pair))
-        outcomes = set()
+        verdicts = set()
         for rules, x_degrees in ((running_pair_basis, [None]),
                                  (fiber_type, [2, 3, 4, 5])):
-            leads = [encode(g.lead) for g in rules]
             images = [phi(g.lead, pair) for g in rules]
             for budget in t_vectors((2, 2)):
                 for x_degree in x_degrees:
-                    expected = any(
+                    within = any(
                         all(map(operator.le, mu.t_exps, budget))
                         and (x_degree is None or sum(mu.x_exps) <= x_degree)
                         for mu in images)
-                    assert verifier._some_lead_within(
-                        leads, variables, pair, budget, x_degree) == expected
-                    outcomes.add(expected)
-        assert outcomes == {True, False}
+                    verdict = verify_gb(rules, pair, budget,
+                                        x_degree=x_degree).verdict
+                    assert (verdict == "inconclusive") == (not within), (
+                        budget, x_degree, verdict)
+                    verdicts.add(verdict)
+        assert verdicts == {"inconclusive", "certified-up-to-bound"}
 
 
 class TestVerifyGBMixed:
@@ -930,25 +919,37 @@ class TestFiberGraphsOnAtoms:
 
 
 class TestStandardCountsByState:
-    """A term-order run without the sink log counts its standard monomials
-    by enumerator state and hands over to the members at the first group
-    without one per multidegree: the same failures, verdict, count and
-    progress calls as a run with the sink log, which lists every member."""
+    """A term-order run counts its standard monomials by enumerator state
+    and hands over to the members at the first group without one per
+    multidegree: the same failures, verdict, count and progress calls as a
+    run that lists every member."""
 
     @staticmethod
-    def assert_same_run(rules, ideals, budget, x_degree=None):
+    def assert_same_run(rules, ideals, budget, x_degree=None, graphs=True):
+        """The counted run against the fiber-graph run (marking_order
+        patched to None), or with graphs False, where that takes seconds a
+        run (the pair at 3,3), against the same term-order run handed over
+        to the members at its first group."""
+        if graphs:
+            reference = mock.patch.object(verifier, "marking_order",
+                                          return_value=None)
+        else:
+            reference = mock.patch.object(verifier, "_fiber_groups",
+                                          _handed_over_at_once)
         runs = []
-        for collect in (False, True):
+        for patch in (contextlib.nullcontext(), reference):
             calls = []
-            report = verify_gb(rules, ideals, budget, progress=calls.append,
-                               collect_sinks=collect, x_degree=x_degree)
+            with patch:
+                report = verify_gb(rules, ideals, budget,
+                                   progress=calls.append, x_degree=x_degree)
             runs.append((report, calls))
         (counted, counted_calls), (listed, listed_calls) = runs
         assert counted.notes[0].startswith("standard monomials")
+        assert listed.notes[0].startswith(
+            "fiber graphs" if graphs else "standard monomials")
         assert counted.failures == listed.failures
         assert counted.verdict == listed.verdict
         assert counted.multidegrees_checked == listed.multidegrees_checked
-        assert counted.to_json_dict() == listed.to_json_dict()
         assert counted_calls == listed_calls
         return counted, counted_calls
 
@@ -958,14 +959,16 @@ class TestStandardCountsByState:
         self, running_pair, running_pair_basis, budget, k
     ):
         rules = _drop_rules(running_pair_basis, random.Random(k), k)
-        report, _ = self.assert_same_run(rules, list(running_pair), budget)
+        report, _ = self.assert_same_run(rules, list(running_pair), budget,
+                                         graphs=budget == (2, 2))
         assert report.verdict == "refuted"
 
     def test_progress_of_the_pure_pair_at_3_3(
         self, running_pair, running_pair_basis
     ):
         report, calls = self.assert_same_run(running_pair_basis,
-                                             list(running_pair), (3, 3))
+                                             list(running_pair), (3, 3),
+                                             graphs=False)
         assert report.verdict == "certified-up-to-bound"
         assert report.multidegrees_checked == 13900
         assert calls == [2000 * i for i in range(1, 7)]
@@ -1035,6 +1038,13 @@ class TestStandardCountsByState:
             _, walked = _walked(run)
             assert walked["grow"] > 0 and walked["grow_states"] == 0
             assert walked["expansions"] == 1
+
+
+def _handed_over_at_once(*args):
+    """presentation._fiber_groups with counts that hand over at the first
+    group, so verify_gb lists every member."""
+    digits, _, groups = presentation._fiber_groups(*args)
+    return digits, iter([(None, None, 0, 1)]), groups
 
 
 def _walked(run):
