@@ -226,7 +226,7 @@ def principal_view(ideal: StronglyStableIdeal) -> TwoQuadricView:
     if ideal.num_borel_generators != 1:
         raise InvalidIdeal("principal view needs exactly one Borel generator")
     (g,) = ideal.borel_generators
-    sup = g.variables_with_multiplicity()
+    sup = g.support()
     return TwoQuadricView(
         ideal=ideal,
         M=g,

@@ -13,17 +13,20 @@ monomials a factor at a time, a whole t-slice (level) at once, each
 monomial a rank tuple with its content packed into an int (Digits) and the
 ranks still allowed beside it as a bitmask. Each t-slice grows from its
 parent slice (_level_slices), so every monomial within a t-budget is built
-once; enumerate_fiber (one fiber) and enumerate_mixed_fiber (one fiber of
-the full presentation map) grow one slice pruned against the target
-x-part. _fiber_groups groups every fiber within a t-budget by packed
-x-part, one group per t-slice, or with an x-degree bound one per t-slice
-and x-degree, each member of a mixed fiber u*m as an atom tuple: u's rank
-tuple followed by m's x-atoms, x_i being atom size + i - 1 after the size
-presentation variables, so a rank tuple is its own atom tuple. It is the
-one source of both walks over a budget: its counts count the members of
-each group without listing one (their levels map each enumerator state
-to the packed contents of the nodes in it), and its groups list them, on
-one expansion, so a run can count some groups and list the rest.
+once. A pure fiber is a fiber of the full presentation map whose x-part is
+all content, of rest degree 0, so each point query and each walk serves
+both presentations: enumerate_mixed_fiber (one fiber of the full map)
+grows one slice pruned against the target x-part, and enumerate_fiber
+takes its t-parts. _fiber_groups groups every fiber within a t-budget by
+packed x-part, one group per t-slice and x-degree, a pure walk taking each
+slice at its content degree alone, each member of a mixed fiber u*m as an
+atom tuple: u's rank tuple followed by m's x-atoms, x_i being atom
+size + i - 1 after the size presentation variables, so a rank tuple is
+its own atom tuple. It is the one source of both walks over a budget: its
+counts count the members of each group without listing one (their levels
+map each enumerator state to the packed contents of the nodes in it), and
+its groups list them, on one expansion, so a run can count some groups
+and list the rest.
 rank_fibers flattens the listed groups into sorted fibers with decoded
 keys, and fibers_by_multidegree builds PresMonomials from rank_fibers.
 """
@@ -44,18 +47,27 @@ from .records import Frozen
 class PresVar:
     """Presentation variable for one minimal generator of one ideal (1-based).
 
-    Immutable. The sort key (ideal index, then the generator rlex-descending)
-    and the hash are computed once, at construction: variables are dict keys
-    and sort keys on every rewrite step. Equality compares the keys.
+    Immutable. The sort key (ideal index, then the generator rlex-descending),
+    the hash and the two labels are computed once, at construction:
+    variables are dict keys and sort keys on every rewrite step, and a
+    refuted run labels thousands of monomials. Equality compares the keys.
     """
 
-    __slots__ = ("ideal_index", "generator", "key", "_hash")
+    __slots__ = ("ideal_index", "generator", "key", "_hash", "_alias",
+                 "_full")
 
     def __init__(self, ideal_index: int, generator: Monomial):
         object.__setattr__(self, "ideal_index", ideal_index)
         object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "key", (ideal_index, rlex_sort_key(generator)))
         object.__setattr__(self, "_hash", hash((ideal_index, generator)))
+        alias = full = f"T[{ideal_index}]{{{format_monomial(generator)}}}"
+        if generator.degree == 2 and ideal_index <= 2:
+            i, j = generator.variables_with_multiplicity()
+            if j <= 9:
+                alias = f"{'TZ'[ideal_index - 1]}{i}{j}"
+        object.__setattr__(self, "_alias", alias)
+        object.__setattr__(self, "_full", full)
 
     def __setattr__(self, name, value):
         raise AttributeError("PresVar is immutable")
@@ -89,16 +101,7 @@ class PresVar:
 
     def label(self, r: int | None = None) -> str:
         """Display label; two-ideal quadric runs get the compact T../Z.. aliases."""
-        if (
-            self.generator.degree == 2
-            and self.ideal_index <= 2
-            and (r is None or r <= 2)
-        ):
-            idx = self.generator.variables_with_multiplicity()
-            if max(idx) <= 9:
-                letter = "T" if self.ideal_index == 1 else "Z"
-                return f"{letter}{idx[0]}{idx[1]}"
-        return f"T[{self.ideal_index}]{{{format_monomial(self.generator)}}}"
+        return self._alias if r is None or r <= 2 else self._full
 
     def __str__(self) -> str:
         return self.label()
@@ -332,17 +335,16 @@ def monomial_count(
     """The number of monomials in the fibers of rank_fibers with no
     forbidden pair, in closed form: a t-slice holds prod C(g_i + t_i - 1,
     t_i) presentation monomials, g_i the number of variables of ideal i,
-    and with x_degree each of them times the C(n + e, e) x-monomials of
-    degree at most e, the x-degree the slice's content degree leaves (none
-    when e < 0)."""
+    each of them times the C(n + e, e) x-monomials of degree at most e, the
+    x-degree the slice's content degree leaves (none when e < 0). Without
+    x_degree e is 0: a pure fiber is a fiber of rest degree 0."""
     total = 0
     for tv in t_vectors(t_budget):
-        count = prod([comb(len(ideal.minimal_generators) + t - 1, t)
-                      for ideal, t in zip(ideals, tv)])
-        if x_degree is not None:
-            e = x_degree - content_degree(ideals, tv)
-            count *= comb(ideals[0].n + e, e) if e >= 0 else 0
-        total += count
+        e = 0 if x_degree is None else x_degree - content_degree(ideals, tv)
+        if e >= 0:
+            total += comb(ideals[0].n + e, e) * prod(
+                [comb(len(ideal.minimal_generators) + t - 1, t)
+                 for ideal, t in zip(ideals, tv)])
     return total
 
 
@@ -530,20 +532,37 @@ class _Expansion:
         return out
 
 
-def _fiber_level(
-    ideals: Sequence[StronglyStableIdeal], mu: MultiDegree
-) -> tuple[Digits, list]:
-    """The nodes of mu's t-slice whose content divides mu's x-part, grown
-    factor by factor from the empty monomial, pruned against the x-part at
-    every step; with the digits that pack their contents."""
+def enumerate_fiber(
+    mu: MultiDegree, ideals: Sequence[StronglyStableIdeal]
+) -> list[PresMonomial]:
+    """All presentation monomials mapping onto mu under phi, canonically
+    sorted: the t-parts of enumerate_mixed_fiber, whose members all have
+    x-part 1 when mu's x-part has the t-vector's content degree. A
+    wrong-length t-vector raises ValueError; an x-part of another degree
+    has an empty fiber."""
+    if len(mu.t_exps) != len(ideals):
+        raise ValueError(f"t-vector length {len(mu.t_exps)} != r={len(ideals)}")
+    if sum(mu.x_exps) != content_degree(ideals, mu.t_exps):
+        return []
+    return [v.t_part for v in enumerate_mixed_fiber(mu, ideals)]
+
+
+def enumerate_mixed_fiber(
+    mu: MultiDegree, ideals: Sequence[StronglyStableIdeal]
+) -> list[MixedMonomial]:
+    """All monomials m*u of the full presentation ring with phi(m*u) = mu:
+    each monomial u of mu's t-slice whose content divides the x-part, with m
+    the rest, u in canonical order. The slice grows factor by factor from
+    the empty monomial, pruned against the x-part at every step. A
+    wrong-length t-vector raises ValueError."""
     if len(mu.t_exps) != len(ideals):
         raise ValueError(f"t-vector length {len(mu.t_exps)} != r={len(ideals)}")
     target = tuple(mu.x_exps)
+    if min(target, default=0) < 0:
+        return []
     n = ideals[0].n
     # a guard bit above each digit: targets and generators stay below it
     digits = Digits(n, 2 * max(sum(target), *(i.degree for i in ideals)))
-    if min(target, default=0) < 0:
-        return digits, []
     expansion = _Expansion(ideals, digits)
     g = digits.pack([1 << (digits.bits - 1)] * n)
     guard = (digits.pack(target) + g, g)
@@ -551,36 +570,7 @@ def _fiber_level(
     for i, count in enumerate(mu.t_exps):
         for _ in range(count):
             level = expansion.grow(level, i, guard)
-    return digits, level
-
-
-def enumerate_fiber(
-    mu: MultiDegree, ideals: Sequence[StronglyStableIdeal]
-) -> list[PresMonomial]:
-    """All presentation monomials mapping onto mu under phi, canonically
-    sorted. A wrong-length t-vector raises ValueError; an x-part of another
-    degree than the t-vector's content degree has an empty fiber."""
-    if len(mu.t_exps) != len(ideals):
-        raise ValueError(f"t-vector length {len(mu.t_exps)} != r={len(ideals)}")
-    if sum(mu.x_exps) != content_degree(ideals, mu.t_exps):
-        return []
     variables = presentation_variables(ideals)
-    # a content dividing the x-part, of the same degree, is the x-part
-    _, level = _fiber_level(ideals, mu)
-    return [
-        PresMonomial.from_sorted(tuple([variables[k] for k in ranks]))
-        for _, _, ranks in level
-    ]
-
-
-def enumerate_mixed_fiber(
-    mu: MultiDegree, ideals: Sequence[StronglyStableIdeal]
-) -> list[MixedMonomial]:
-    """All monomials m*u of the full presentation ring with phi(m*u) = mu:
-    each slice monomial u whose content divides the x-part, with m the rest."""
-    target = tuple(mu.x_exps)
-    variables = presentation_variables(ideals)
-    digits, level = _fiber_level(ideals, mu)
     return [
         MixedMonomial(
             Monomial(map(sub, target, digits.unpack(x))),
@@ -659,9 +649,11 @@ def rank_fibers(
 ) -> Iterator[tuple[MultiDegree, list[tuple[int, ...]]]]:
     """fibers_by_multidegree with each monomial as its rank tuple (positions
     in presentation_variables, non-decreasing), building no objects: the
-    listed groups of _fiber_groups flattened, each key decoded. Keys ascend
-    in a pure t-slice and descend in a mixed group: at one x-degree, x-atom
-    tuples ascend as exponent tuples descend.
+    listed groups of _fiber_groups flattened, each key decoded. The walk
+    sets the order, not the group: keys ascend in a pure walk and descend
+    in a mixed one (at one x-degree, x-atom tuples ascend as exponent
+    tuples descend), so a mixed walk yields the fibers of a slice's group
+    of rest degree 0 in the reverse of the pure walk's order.
 
     With x_degree, the fibers of the full presentation map instead, up to
     that x-degree, each member u*m as its sorted atom tuple: rank k is atom
@@ -693,23 +685,26 @@ def _fiber_groups(
     forbidden_pairs: Iterable[tuple[int, int]] = (),
     x_degree: int | None = None,
 ) -> tuple[Digits,
-           Iterator[tuple[tuple[int, ...], int | None, int, int]],
+           Iterator[tuple[tuple[int, ...], int, int, int]],
            Iterator[tuple[tuple[int, ...], dict[int, list[tuple[int, ...]]]]]]:
-    """(digits, counts, groups) of the fibers of rank_fibers, grouped one
-    per t-slice with x_degree None, one per t-slice and x-degree from the
-    slice's content degree up to x_degree otherwise, empty groups too. Both
-    generators walk these groups on one _Expansion and one rest cache, and
-    neither grows a level until it is iterated, so a run can count some
-    groups and list the rest.
+    """(digits, counts, groups) of the fibers of rank_fibers, one group per
+    (t-slice, x-degree) pair, empty groups too: a group's keys are the
+    x-parts of its x-degree d, each a content plus a rest of degree d less
+    the slice's content degree. With x_degree each slice has a group for
+    every d from its content degree up to x_degree; without, the pure
+    walk, a slice has the one group of its content degree, whose rests are
+    all 1. Both generators walk these groups on one _Expansion and one
+    rest cache, and neither grows a level until it is iterated, so a run
+    can count some groups and list the rest.
 
-    counts yields (t-vector, x-degree or None, multidegrees, members), the
-    number of a group's keys and of their members, listing none: slices
-    grow by _Expansion.grow_states, and a mixed key is a content plus a
-    rest of x-degree d less the slice's content degree, from the rests its
-    state's bans leave. groups yields (t-vector, {packed x-part: members}),
-    keys in no set order (digits.unpack decodes one), members as in
-    rank_fibers. A t_budget or x_degree that _budget_expansion refuses
-    raises ValueError at once.
+    counts yields (t-vector, x-degree, multidegrees, members), the number
+    of a group's keys and of their members, listing none: slices grow by
+    _Expansion.grow_states, and a key's rests are those its state's bans
+    leave. groups yields (t-vector, {packed x-part: members}), keys in no
+    set order (digits.unpack decodes one), members as in rank_fibers; a
+    group of rest degree 0, pure or mixed, is the slice's members by
+    content. A t_budget or x_degree that _budget_expansion refuses raises
+    ValueError at once.
     """
     expansion = _budget_expansion(ideals, t_budget, forbidden_pairs,
                                   x_degree or 0)
@@ -718,14 +713,12 @@ def _fiber_groups(
     rest = _rest_lists(digits, expansion.size)
 
     def slices(root, grow):
-        # each slice's level and its groups as (x-degree, rest degree)
+        # each slice's level and its groups as (x-degree, rest degree); a
+        # pure walk takes each slice at its content degree alone
         for tv, level in _level_slices(root, grow, t_budget):
-            if x_degree is None:
-                yield tv, level, [(None, 0)]
-            else:
-                low = content_degree(ideals, tv)
-                yield tv, level, [(d, d - low)
-                                  for d in range(low, x_degree + 1)]
+            low = content_degree(ideals, tv)
+            top = low if x_degree is None else x_degree
+            yield tv, level, [(d, d - low) for d in range(low, top + 1)]
 
     def counts():
         for tv, level, degrees in slices(expansion.states,
@@ -748,8 +741,9 @@ def _fiber_groups(
                     by_content[x] = [ranks]
                 else:
                     group.append(ranks)
-            for d, e in degrees:
-                if d is None:
+            for _, e in degrees:
+                if not e:
+                    # the empty rest avoids every ban: the contents' members
                     yield tv, by_content
                     continue
                 mixed: dict[int, list[tuple[int, ...]]] = {}

@@ -11,8 +11,9 @@ on rank tuples and with no rewriting.
 One verifier serves the pure and the mixed presentation, and the rules pick
 the fibers: when some lead is a MixedMonomial (the fiber-type basis of
 syzygies plus the lifted fiber basis) they are the full presentation's
-fibers up to an x-degree bound, otherwise the pure fibers. Both come as
-atom tuples from the one enumerator, in the groups of
+fibers up to an x-degree bound, otherwise the pure fibers, which are the
+full presentation's fibers of rest degree 0. Both come as atom tuples
+from the one enumerator, in the (t-slice, x-degree) groups of
 presentation._fiber_groups that every check here walks: the presentation
 variable of rank k is atom k and x_i is atom size + i - 1, so a pure
 fiber's rank tuples are its atom tuples, and mixed_fibers only decodes
@@ -229,17 +230,19 @@ def verify_gb(
     rules pick the fibers: mixed ones up to x_degree when a lead is a
     MixedMonomial (mixed_x_degree), the pure presentation's otherwise. When
     a library term order orients every rule, the standard monomials are
-    checked instead. They are counted by enumerator state, a group (a pure
-    t-slice, or a mixed t-slice at one x-degree) at a time, with no member
-    listed, until a group holds fewer multidegrees than standard
-    monomials. From that group on the members are listed a group at a
-    time, as are the fiber graphs. The count and the listing are the
-    counts and the groups of one presentation._fiber_groups call. A group
-    is counted whole, and only the keys it checks are sorted: those
-    without exactly one standard monomial, or every key for the fiber
-    graphs. So failures come in rank_fibers order, by t-vector, then x
+    checked instead. They are counted by enumerator state, a group (a
+    t-slice at one x-degree; a pure walk takes each slice at its content
+    degree alone) at a time, with no member listed, until a group holds
+    fewer multidegrees than standard monomials. From that group on the
+    members are listed a group at a time, as are the fiber graphs. The
+    count and the listing are the counts and the groups of one
+    presentation._fiber_groups call. A group is counted whole, and only
+    the keys it checks are sorted: those without exactly one standard
+    monomial, or every key for the fiber graphs. So failures come in rank_fibers order, by t-vector, then x
     ascending (pure) or by x-degree, then x descending (mixed). A
-    MultiDegree is built only for a failure. The run has evidence
+    MultiDegree is built only for a failure, and each of its sinks is
+    labelled as the MixedMonomial its atoms decode to, which a pure sink
+    (x-part 1) labels as its t-part does. The run has evidence
     (nontrivial_fiber) when the budget holds more monomials
     (presentation.monomial_count) than the multidegrees checked, so some
     checked fiber holds two; otherwise an unrefuted run is "inconclusive".
@@ -269,10 +272,6 @@ def verify_gb(
     # needs the alphabet alone
     compiled = rank_rules(rules if order is None else (),
                           presentation_variables(ideals), ideals[0].n)
-    decode = functools.partial(
-        compiled.decode,
-        kind=PresMonomial if x_degree is None else MixedMonomial,
-    )
     lead_pairs = []
     if order is None:
         report.notes.append(f"fiber graphs; no library term order orients "
@@ -324,7 +323,7 @@ def verify_gb(
             if cyc or len(sinks) != 1:
                 report.failures.append(FiberFailure(
                     MultiDegree(digits.unpack(key), tv),
-                    [decode(v).label(len(tv)) for v in sinks], cyc))
+                    [compiled.decode(v).label(len(tv)) for v in sinks], cyc))
     # Every fiber of the budget holds a monomial, and under a term order a
     # standard one (its least member), so every multidegree is checked and
     # the budget holds more monomials than multidegrees checked exactly
@@ -718,7 +717,10 @@ def koszul_report(
     The verdict is evidence, never a proof: "g-quadratic-certified" is always
     bound-qualified, "obstructed" is definitive (a cubic minimal kernel
     generator rules out quadratic defining equations and hence Koszulness).
+    A t_budget without one entry per ideal, or with a negative entry,
+    raises ValueError first, whichever checks run.
     """
+    check_t_budget(ideals, t_budget)
     g = [i.num_borel_generators for i in ideals]
     d = [i.degree for i in ideals]
     gate = parameter_gate(len(ideals), g, d)

@@ -286,6 +286,14 @@ class TestRegionPartition:
         assert view.N is None and view.B_N == ()
         assert len(view.B_M) == 5
 
+    def test_principal_view_of_a_huge_exponent(self):
+        # a and b are read off the support, not off one entry per unit of
+        # exponent, which ran out of memory here
+        view = principal_view(borel_closure([m("x1^999999999999", 3)], 3))
+        assert (view.a, view.b) == (1, 1)
+        view = principal_view(borel_closure([m("x2^3*x3", 3)], 3))
+        assert (view.a, view.b) == (2, 3)
+
     def test_order_view_dispatch(self, quadric_pair_ideal):
         assert order_view(quadric_pair_ideal).N is not None
         assert order_view(borel_closure([m("x1^2", 2)], 2)).N is None

@@ -485,6 +485,18 @@ class TestUsageErrors:
         assert code == 4 and captured.out == ""
         assert captured.err == "error: t budget needs 2 entries, got 1\n"
 
+    def test_koszul_report_without_a_basis_checks_its_budget(self, capsys,
+                                                             spec_file):
+        # no constructive basis and no scan below total 3: the command used
+        # to exit 3 and echo the one-entry budget
+        spec = {"n": 3, "ideals": [{"borel_generators": ["x1*x2"]},
+                                   {"borel_generators": ["x1^3"]}]}
+        code = main(["koszul-report", "--spec", spec_file(spec), "--budget",
+                     "1"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == "error: t budget needs 2 entries, got 1\n"
+
     def test_order_alias_is_gone(self, capsys, spec_file):
         # --order mrlex selected G2 while the report said "basis": "g1"
         code = main(["verify", "--spec", spec_file(SINGLE_SPEC), "--budget",
@@ -666,6 +678,24 @@ class TestDeepBudgets:
         assert got == 0
         assert "Traceback" not in err.getvalue()
         assert json.loads(out.getvalue())["sinks"] == ["T11^1200"]
+
+
+class TestHugeExponent:
+    """A principal generator of exponent 999,999,999,999: the order view
+    reads its support, so the run ends with a documented exit code where a
+    MemoryError traceback used to end it."""
+
+    @pytest.mark.parametrize("command, budget", [("verify", "1"),
+                                                 ("koszul-report", "3")])
+    def test_principal_power(self, spec_file, command, budget):
+        spec = {"n": 3, "ideals": [{"borel_generators": ["x1^999999999999"]}]}
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            got = main([command, "--spec", spec_file(spec), "--budget",
+                        budget])
+        assert got == 3
+        assert "Traceback" not in err.getvalue()
+        assert json.loads(out.getvalue())["verdict"] == "inconclusive"
 
 
 class TestDetectCubics:

@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from borel_rees.borel import borel_closure, order_view
-from borel_rees.monomial import Monomial, parse_monomial, rlex_sort_key
+from borel_rees.monomial import (
+    Monomial,
+    format_monomial,
+    parse_monomial,
+    rlex_sort_key,
+)
 from borel_rees.orders import build_head_and_tail_basis
 from borel_rees.presentation import (
     Digits,
@@ -500,12 +505,12 @@ def _reference_counts(ideals, budget, pairs, x_degree):
     every group of the budget listed, empty ones too."""
     groups = {}
     for tv in t_vectors(budget):
-        low = sum(a * i.degree for a, i in zip(tv, ideals))
-        for d in ([None] if x_degree is None
+        low = content_degree(ideals, tv)
+        for d in ([low] if x_degree is None
                   else range(low, x_degree + 1)):
             groups[tv, d] = [0, 0]
     for mu, members in rank_fibers(ideals, budget, pairs, x_degree):
-        d = None if x_degree is None else sum(mu.x_exps)
+        d = sum(mu.x_exps)
         groups[mu.t_exps, d][0] += 1
         groups[mu.t_exps, d][1] += len(members)
     return [(tv, d, keys, count) for (tv, d), (keys, count) in groups.items()]
@@ -609,16 +614,136 @@ class TestGroupsAreCounted:
             (tv, keys, members) for tv, _, keys, members in counts]
         for (tv, group), (_, d, _, _) in zip(groups, counts):
             # every key of a group has the x-degree of its count
-            assert {sum(digits.unpack(key)) for key in group} <= {
-                content_degree(ideals, tv) if d is None else d}
-        # one group per slice, or per slice and x-degree from the slice's
-        # content degree up: a slice past x_degree has none
+            assert {sum(digits.unpack(key)) for key in group} <= {d}
+        # one group per slice and x-degree from the slice's content degree
+        # up, the content degree alone in a pure walk: a slice past
+        # x_degree has none
         assert [(tv, d) for tv, d, _, _ in counts] == [
             (tv, d) for tv in t_vectors(budget)
-            for d in ([None] if x_degree is None else
+            for d in ([content_degree(ideals, tv)] if x_degree is None else
                       range(content_degree(ideals, tv), x_degree + 1))]
         if not pairs:
             assert any(keys != members for _, _, keys, members in counts)
+
+
+def _sampled_pairs(count, seed):
+    """The running pair and count sampled pairs of two-quadric shapes, each
+    pair at n = the larger of its two shapes' n."""
+    rng = random.Random(seed)
+    shapes = [[c.values[0][0]] for c in _shape_cases()]
+    pairs = [[borel_closure([m("x4*x5", 6), m("x2*x6", 6)], 6),
+              borel_closure([m("x4^2", 6), m("x3*x6", 6)], 6)]]
+    for _ in range(count):
+        (first,), (second,) = rng.choice(shapes), rng.choice(shapes)
+        n = max(first.n, second.n)
+        pairs.append([borel_closure([m(format_monomial(g), n)
+                                     for g in i.borel_generators], n)
+                      for i in (first, second)])
+    return pairs
+
+
+def _rank_bans(ideals):
+    """Four random pairs of ranks to ban beside each other, a square when
+    both ranks agree."""
+    rng = random.Random(29)
+    size = len(presentation_variables(ideals))
+    return [(rng.randrange(size), rng.randrange(size)) for _ in range(4)]
+
+
+def _rest_degree_0_cases():
+    cases = [pytest.param(*c.values[:2], id=c.id) for c in _shape_cases()]
+    for k, pair in enumerate(_sampled_pairs(5, 23)):
+        cases.append(pytest.param(pair, (2, 1), id=f"pair-{k}"))
+    cases += [
+        pytest.param([borel_closure([m("x2*x3*x4", 5), m("x1*x4^2", 5),
+                                     m("x2^2*x5", 5)], 5)], (2,), id="cubic"),
+        pytest.param([borel_closure([m("x3^2", 5), m("x1*x5", 5)], 5),
+                      borel_closure([m("x3^2", 5), m("x2*x4", 5)], 5),
+                      borel_closure([m("x2*x4", 5), m("x1*x5", 5)], 5)],
+                     (1, 1, 1), id="ex4.1-triple"),
+    ]
+    return cases
+
+
+class TestPureIsRestDegreeZero:
+    """A pure fiber is a fiber of the full presentation map of rest degree
+    0: the pure walk's groups are a mixed walk's groups at each slice's
+    content degree, and the pure point query is the mixed one's t-parts."""
+
+    @pytest.mark.parametrize("banned", [False, True], ids=["free", "banned"])
+    @pytest.mark.parametrize("ideals, budget", _rest_degree_0_cases())
+    def test_pure_groups_are_the_rest_degree_0_groups(self, ideals, budget,
+                                                      banned):
+        pairs = _rank_bans(ideals) if banned else ()
+        top = content_degree(ideals, budget)
+        _, counts, groups = _fiber_groups(ideals, budget, pairs, top)
+        counts = list(counts)
+        rest_0 = [(tv, list(group.items()))
+                  for (tv, d, _, _), (_, group) in zip(counts, groups)
+                  if d == content_degree(ideals, tv)]
+        _, _, pure = _fiber_groups(ideals, budget, pairs)
+        # the same keys in the same order, each with the same members in
+        # the same order
+        assert [(tv, list(group.items())) for tv, group in pure] == rest_0
+        assert len(rest_0) == len(list(t_vectors(budget)))
+        # the mixed walk has groups past rest degree 0 as well
+        assert len(counts) > len(rest_0)
+
+    def test_point_queries(self, running_pair):
+        pair = list(running_pair)
+        fibers = list(rank_fibers(pair, (2, 1)))
+        assert len(fibers) > 100
+        for mu, _ in fibers:
+            mixed = enumerate_mixed_fiber(mu, pair)
+            assert all(v.x_part == Monomial.one(6) for v in mixed)
+            assert enumerate_fiber(mu, pair) == [v.t_part for v in mixed]
+        # an x-part of another degree than the content degree: the mixed
+        # fiber is not empty, the pure one is
+        mu = MultiDegree(m("x2*x3*x4^2*x5*x6^2", 6).exps, (2, 1))
+        assert enumerate_mixed_fiber(mu, pair)
+        assert enumerate_fiber(mu, pair) == []
+        short = MultiDegree(m("x4*x5", 6).exps, (1,))
+        for query in (enumerate_fiber, enumerate_mixed_fiber):
+            with pytest.raises(ValueError, match="t-vector length 1 != r=2"):
+                query(short, pair)
+
+
+def _label_as_computed_per_call(var, r):
+    """PresVar.label as it was computed on every call."""
+    if (var.generator.degree == 2 and var.ideal_index <= 2
+            and (r is None or r <= 2)):
+        idx = var.generator.variables_with_multiplicity()
+        if max(idx) <= 9:
+            letter = "T" if var.ideal_index == 1 else "Z"
+            return f"{letter}{idx[0]}{idx[1]}"
+    return f"T[{var.ideal_index}]{{{format_monomial(var.generator)}}}"
+
+
+class TestPresVarLabels:
+    """Each variable's labels are built once; label(r) picks the compact
+    alias or the full label exactly as the per-call formula did."""
+
+    @pytest.mark.parametrize("ideals", [
+        *[c.values[0] for c in _shape_cases()],
+        [borel_closure([m("x2*x3*x4", 5), m("x1*x4^2", 5),
+                        m("x2^2*x5", 5)], 5)],
+        [borel_closure([m("x3^2", 5), m("x1*x5", 5)], 5),
+         borel_closure([m("x3^2", 5), m("x2*x4", 5)], 5),
+         borel_closure([m("x2*x4", 5), m("x1*x5", 5)], 5)],
+        # a variable index past 9 has no compact alias
+        [borel_closure([m("x2*x10", 10)], 10)],
+    ], ids=[c.id for c in _shape_cases()] + ["cubic", "ex4.1-triple",
+                                            "n10"])
+    def test_same_labels_as_per_call(self, ideals):
+        # every generator as a variable of ideal 1, 2 and 3
+        variables = [PresVar(i, g) for ideal in ideals
+                     for g in ideal.minimal_generators for i in (1, 2, 3)]
+        for var in variables:
+            for r in (None, 1, 2, 3):
+                assert var.label(r) == _label_as_computed_per_call(var, r)
+            assert str(var) == var.label()
+        assert len({var.label(3) for var in variables}) == len(
+            set(variables))
 
 
 class TestDigitWidth:
@@ -726,6 +851,19 @@ class TestMonomialCount:
                     k for d, k in sizes if d <= x_degree), (budget, x_degree)
                 below += content_degree(ideals, budget) > x_degree
         assert below > 0
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_pure_count_is_the_rest_degree_0_terms(self, name):
+        # the e = 0 term of each slice counts the mixed fibers' members whose
+        # x-degree is the slice's content degree
+        gens, n, top = self.CASES[name]
+        ideals = [borel_closure([m(g, n) for g in gs], n) for gs in gens]
+        for budget in t_vectors(top):
+            fibers = rank_fibers(ideals, budget,
+                                 x_degree=content_degree(ideals, budget))
+            assert monomial_count(ideals, budget) == sum(
+                len(fiber) for mu, fiber in fibers
+                if sum(mu.x_exps) == content_degree(ideals, mu.t_exps))
 
     def test_zero_entries_and_an_x_degree_below_every_slice(self):
         pair = [borel_closure([m("x4*x5", 6), m("x2*x6", 6)], 6),

@@ -1263,6 +1263,19 @@ class TestKoszulReport:
         assert report.verdict == "inconclusive"
         assert report.exit_code == 3
 
+    def test_budget_checked_with_no_basis_and_no_scan(self):
+        # two generator degrees have no constructive basis, and a budget
+        # below total 3 skips the scan: such a budget used to be reported
+        # "inconclusive" unchecked
+        ideals = [borel_closure([m("x1*x2", 3)], 3),
+                  borel_closure([m("x1^3", 3)], 3)]
+        assert quadratic_basis_for(ideals) is None
+        with pytest.raises(ValueError,
+                           match="t budget entries must be >= 0, got -1"):
+            koszul_report(ideals, (-1, 2))
+        with pytest.raises(ValueError, match="t budget needs 2 entries, got 1"):
+            koszul_report(ideals, (1,))
+
     def test_gate_never_contradicts_obstructions(self):
         # collections refuted by witnesses must not be gate-approved, over
         # the bundled obstruction families
