@@ -12,10 +12,9 @@ from borel_rees import (
     build_fiber_type_basis,
     build_head_and_tail_basis,
     build_syzygy_set,
-    check_membership,
+    kernel_membership,
     order_view,
     parse_monomial,
-    toric_kernel_span,
     verify_gb,
 )
 from borel_rees.orders import build_G1
@@ -31,8 +30,7 @@ print("single ideal:", report.verdict,
 
 # oracle side: every same-fiber pair of presentation monomials must rewrite
 # to one normal form
-pairs = toric_kernel_span([ideal], (3,))
-checked, failures = check_membership(pairs, rules)
+checked, failures = kernel_membership(rules, [ideal], (3,))
 print(f"kernel oracle: {checked} pairs, {len(failures)} failures")
 
 # --- a pair of ideals -----------------------------------------------------
@@ -56,6 +54,5 @@ print("\nlinear syzygies:", len(build_syzygy_set([ideal])),
 report = verify_gb(full, [ideal], t_budget=(2,), x_degree=6)
 print("fiber type:", report.verdict,
       f"({report.multidegrees_checked} multidegrees)")
-pairs = toric_kernel_span([ideal], (2,), x_degree=6)
-checked, failures = check_membership(pairs, full)
+checked, failures = kernel_membership(full, [ideal], (2,), x_degree=6)
 print(f"mixed kernel oracle: {checked} pairs, {len(failures)} failures")

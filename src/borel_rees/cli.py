@@ -89,16 +89,40 @@ def _parse_budget(text: str) -> tuple[int, ...]:
     return budget
 
 
-def _parse_x_degree(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"x-degree must be >= 0, got {text!r}")
+def _parse_count(text: str, name: str, least: int) -> int:
+    """A decimal count of at least `least`; anything else is refused with
+    a message naming the option."""
+    if not (text.isascii() and text.isdigit()) or int(text) < least:
+        raise argparse.ArgumentTypeError(
+            f"{name} must be >= {least}, got {text!r}")
     return int(text)
+
+
+def _parse_x_degree(text: str) -> int:
+    return _parse_count(text, "x-degree", 0)
 
 
 def _parse_jobs(text: str) -> int:
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"jobs must be >= 1, got {text!r}")
-    return int(text)
+    return _parse_count(text, "jobs", 1)
+
+
+def _fiber_type_basis(ideals):
+    fiber_gb = quadratic_basis_for(ideals)
+    if fiber_gb is None:
+        raise InvalidIdeal("no constructive fiber basis for this collection")
+    return build_fiber_type_basis(ideals, fiber_gb)
+
+
+# --basis name -> (the number of ideals it applies to, None for any; builder)
+_BASES = {
+    "g1": (1, lambda ideals: build_G1(ideals[0], 1)),
+    "g2": (1, lambda ideals: build_G2(order_view(ideals[0]), 1)),
+    "g3": (2, lambda ideals: build_G3(order_view(ideals[0]),
+                                      order_view(ideals[1]))),
+    "ht": (2, lambda ideals: build_head_and_tail_basis(
+        order_view(ideals[0]), order_view(ideals[1]))),
+    "fiber-type": (None, _fiber_type_basis),
+}
 
 
 def _basis_name(ideals, name: str | None) -> str:
@@ -109,32 +133,11 @@ def _basis_name(ideals, name: str | None) -> str:
 def _basis_for(ideals, name: str | None):
     """Resolve --basis into a marked collection."""
     choice = _basis_name(ideals, name)
-    if choice == "g1":
-        if len(ideals) != 1:
-            raise InvalidIdeal("basis g1 applies to a single ideal")
-        return build_G1(ideals[0], 1)
-    if choice == "g2":
-        if len(ideals) != 1:
-            raise InvalidIdeal("basis g2 applies to a single ideal")
-        return build_G2(order_view(ideals[0]), 1)
-    if choice == "g3":
-        if len(ideals) != 2:
-            raise InvalidIdeal("basis g3 applies to a pair of ideals")
-        return build_G3(order_view(ideals[0]), order_view(ideals[1]))
-    if choice == "ht":
-        if len(ideals) != 2:
-            raise InvalidIdeal("basis ht applies to a pair of ideals")
-        return build_head_and_tail_basis(
-            order_view(ideals[0]), order_view(ideals[1])
-        )
-    if choice == "fiber-type":
-        fiber_gb = quadratic_basis_for(ideals)
-        if fiber_gb is None:
-            raise InvalidIdeal(
-                "no constructive fiber basis for this collection"
-            )
-        return build_fiber_type_basis(ideals, fiber_gb)
-    raise InvalidIdeal(f"unknown basis {choice!r}")
+    count, build = _BASES[choice]
+    if count not in (None, len(ideals)):
+        applies = "a single ideal" if count == 1 else "a pair of ideals"
+        raise InvalidIdeal(f"basis {choice} applies to {applies}")
+    return build(ideals)
 
 
 def cmd_closure(args: argparse.Namespace) -> int:
@@ -311,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True, help="x-part, e.g. x2*x3*x4^2*x5*x6")
     p.add_argument("--t", type=_parse_budget, default=None,
                    help="t-vector, e.g. 2,1")
-    p.add_argument("--basis",
-                   choices=["g1", "g2", "g3", "ht", "fiber-type"])
+    p.add_argument("--basis", choices=list(_BASES))
 
     p = sub.add_parser(
         "verify",
@@ -320,13 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
         "order, else fiber graphs",
     )
     common(p, budget=True)
-    p.add_argument("--basis", choices=["g1", "g2", "g3", "ht", "fiber-type"])
+    p.add_argument("--basis", choices=list(_BASES))
     p.add_argument("--xdeg", dest="x_degree", type=_parse_x_degree,
                    help="x-degree bound for fiber-type verification")
 
     p = sub.add_parser("kernel-oracle", help="brute-force kernel membership")
     common(p, budget=True)
-    p.add_argument("--basis", choices=["g1", "g2", "g3", "ht", "fiber-type"])
+    p.add_argument("--basis", choices=list(_BASES))
     p.add_argument("--xdeg", dest="x_degree", type=_parse_x_degree)
 
     p = sub.add_parser("detect-cubics", help="disconnected-fiber obstructions")

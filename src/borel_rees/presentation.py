@@ -28,12 +28,18 @@ map each enumerator state to the packed contents of the nodes in it), and
 its groups list them, on one expansion, so a run can count some groups
 and list the rest.
 rank_fibers flattens the listed groups into sorted fibers with decoded
-keys, and fibers_by_multidegree builds PresMonomials from rank_fibers.
+keys, and fibers_by_multidegree decodes PresMonomials from rank_fibers.
+
+Alphabet owns that atom numbering: Alphabet.of(ideals) encodes a monomial
+into its atom tuple and decodes an atom tuple into a Monomial, PresMonomial
+or MixedMonomial, and every atom tuple of the package becomes an object
+through one (reduction.RankRules compiles a rule list onto one).
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from functools import cache, reduce
 from math import comb, prod
 from operator import attrgetter, or_, sub
@@ -324,7 +330,15 @@ def check_t_budget(
 
 
 def t_vectors(t_budget: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    yield from itertools.product(*(range(b + 1) for b in t_budget))
+    """Every t-vector within t_budget, lexicographically: the order of
+    itertools.product over the ranges, which would first copy each range
+    into a tuple, however large its entry."""
+    if not t_budget:
+        yield ()
+        return
+    for a in range(t_budget[0] + 1):
+        for rest in t_vectors(t_budget[1:]):
+            yield (a, *rest)
 
 
 def monomial_count(
@@ -377,6 +391,76 @@ def presentation_variables(
             ideal_variables(ideal, i) for i, ideal in enumerate(ideals, 1)),
         key=_BY_KEY,
     ))
+
+
+class Alphabet:
+    """The atoms of a collection with n ambient variables and presentation
+    variables `variables`, ranked by PresVar.sort_key.
+
+    The presentation variable of rank k (its position in variables) is atom
+    k and x_i is atom size + i - 1, where size is the number of
+    presentation variables, so ambient, pure and mixed monomials are all
+    sorted int tuples, ranks first, and a rank tuple of the enumerator is
+    its own atom tuple. index maps each variable to its rank. Every atom
+    tuple becomes a monomial here (decode, label), and every monomial an
+    atom tuple (encode).
+    """
+
+    __slots__ = ("variables", "n", "index")
+
+    def __init__(self, variables: Sequence[PresVar], n: int):
+        self.variables = tuple(variables)
+        self.n = n
+        self.index = {v: k for k, v in enumerate(self.variables)}
+
+    @classmethod
+    def of(cls, ideals: Sequence[StronglyStableIdeal]) -> "Alphabet":
+        """The alphabet of a collection: presentation_variables(ideals) and
+        the ambient variable count of its ring."""
+        return cls(presentation_variables(ideals), ideals[0].n)
+
+    def encode(self, v: Monomial | PresMonomial | MixedMonomial) -> tuple[int, ...]:
+        """The sorted atom tuple of a monomial; an ambient Monomial has
+        x-atoms only. A presentation variable outside the alphabet raises
+        ValueError."""
+        size = len(self.variables)
+        if isinstance(v, Monomial):
+            return tuple(size + i for i, e in enumerate(v.exps)
+                         for _ in range(e))
+        xs: list[int] = []
+        if isinstance(v, MixedMonomial):
+            xs = [size + i for i, e in enumerate(v.x_part.exps)
+                  for _ in range(e)]
+            v = v.t_part
+        try:
+            return tuple([self.index[f] for f in v.factors] + xs)
+        except KeyError as exc:
+            raise _foreign(exc) from None
+
+    def decode(self, atoms: Sequence[int], kind: type = MixedMonomial):
+        """The monomial of the given kind (Monomial, PresMonomial or
+        MixedMonomial) that the atoms encode."""
+        size = len(self.variables)
+        split = bisect_left(atoms, size)
+        exps = [0] * self.n
+        for a in atoms[split:]:
+            exps[a - size] += 1
+        if kind is Monomial:
+            return Monomial(exps)
+        t_part = PresMonomial.from_sorted(
+            tuple([self.variables[k] for k in atoms[:split]]))
+        if kind is PresMonomial:
+            return t_part
+        return MixedMonomial(Monomial(exps), t_part)
+
+    def label(self, atoms: Sequence[int]) -> str:
+        """The label str() gives the monomial the atoms encode."""
+        return self.decode(atoms).label()
+
+
+def _foreign(exc: KeyError) -> ValueError:
+    """The error of a variable missing from an alphabet."""
+    return ValueError(f"{exc.args[0]} is not a variable of this collection")
 
 
 class Digits:
@@ -570,12 +654,10 @@ def enumerate_mixed_fiber(
     for i, count in enumerate(mu.t_exps):
         for _ in range(count):
             level = expansion.grow(level, i, guard)
-    variables = presentation_variables(ideals)
+    decode = Alphabet.of(ideals).decode
     return [
-        MixedMonomial(
-            Monomial(map(sub, target, digits.unpack(x))),
-            PresMonomial.from_sorted(tuple([variables[k] for k in ranks])),
-        )
+        MixedMonomial(Monomial(map(sub, target, digits.unpack(x))),
+                      decode(ranks, PresMonomial))
         for x, _, ranks in level
     ]
 
@@ -779,9 +861,6 @@ def fibers_by_multidegree(
     i == j). With the lead pairs of a quadratic marking this lists exactly
     the standard monomials, and multidegrees without one are skipped.
     """
-    variables = presentation_variables(ideals)
+    decode = Alphabet.of(ideals).decode
     for mu, group in rank_fibers(ideals, t_budget, forbidden_pairs):
-        yield mu, [
-            PresMonomial.from_sorted(tuple(variables[k] for k in ranks))
-            for ranks in group
-        ]
+        yield mu, [decode(ranks, PresMonomial) for ranks in group]

@@ -4,26 +4,27 @@ A rule applies to a monomial when its lead divides it, and the successor
 swaps the lead for the trail. Rules and monomials of all three kinds
 (ambient Monomial, PresMonomial, MixedMonomial) are rewritten by one core,
 on sorted int tuples: rank_rules compiles a rule list once onto the atoms of
-a collection, where the presentation variable of rank k is atom k and x_i
-is atom size + i - 1 (size presentation variables), so a rank tuple is
-already an atom tuple; RankRules.encode and decode translate monomials.
-Two-atom leads (quadrics, syzygies T_u*x_i and lifted fiber leads alike)
-are found in a lead table indexed by atom: rows[a][b] lists every rule with
-lead (a, b), in list order, so rows[a][b][0] is the earliest of them. Any
-other lead is found by multiset containment.
+a presentation.Alphabet, where the presentation variable of rank k is atom k
+and x_i is atom size + i - 1 (size presentation variables), so a rank tuple
+is already an atom tuple; the alphabet (RankRules.alphabet) encodes and
+decodes monomials. Two-atom leads (quadrics, syzygies T_u*x_i and lifted
+fiber leads alike) are found in a lead table indexed by atom: rows[a][b]
+lists every rule with lead (a, b), in list order, so rows[a][b][0] is the
+earliest of them. Any other lead is found by multiset containment.
 
 On that core, rank_rewrites lists every one-step reduction of an atom tuple
-in rule-list order, fiber_edges builds every fiber graph from it (the
-verifier's fiber analysis, and build_graph's reduction graphs for the paper
-cases, the fiber-graph command and the demos), and has_cycle is the one
-cycle detector on graphs. rank_normal_form, the one normal-form routine on
-atoms, follows the earliest-listed applicable rule only (rank_step, which
-reads the first entry of each lead's list); with a memo it records every
-monomial on its path with its normal form, so callers reducing many
-monomials under one rule list walk each path once. Every rule keeps
-degree, so that deterministic path stays among finitely many monomials:
-it either ends or returns to a monomial it has visited, which raises
-RewriteCycle exactly instead of guessing from a step budget. Graphs also
+in rule-list order, fiber_edges builds every fiber graph from it as
+collapsed (target, rule positions) edges (the verifier's fiber analysis,
+and build_graph's reduction graphs for the paper cases, the fiber-graph
+command and the demos), and has_cycle is the one cycle detector on graphs.
+rank_normal_form, the one normal-form routine on atoms, follows the
+earliest-listed applicable rule only (rank_step, which reads the first
+entry of each lead's list); with a memo it records every monomial on its
+path with its normal form, so callers reducing many monomials under one
+rule list walk each path once. Every rule keeps degree, so that
+deterministic path stays among finitely many monomials: it either ends or
+returns to a monomial it has visited, which raises RewriteCycle exactly
+instead of guessing from a step budget. Graphs also
 carry the longest-path invariant used to certify that a marked collection
 rewrites Noetherianly.
 
@@ -37,12 +38,17 @@ term-order certificate reads its lead pairs from.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .monomial import Monomial
-from .presentation import MixedMonomial, PresMonomial, PresVar
+from .presentation import (
+    Alphabet,
+    MixedMonomial,
+    PresMonomial,
+    PresVar,
+    _foreign,
+)
 from .records import Frozen, Record
 
 
@@ -226,7 +232,8 @@ def build_graph(
         raise ValueError("give exactly one of start or fiber")
     given = [start] if start is not None else list(fiber)
     compiled = _graph_rules(rules, given)
-    atoms = [compiled.encode(v) for v in given]
+    alphabet = compiled.alphabet
+    atoms = [alphabet.encode(v) for v in given]
     vertices = list(given)
     if start is not None:
         seen, todo = set(atoms), list(atoms)
@@ -236,7 +243,7 @@ def build_graph(
                     seen.add(succ)
                     atoms.append(succ)
                     todo.append(succ)
-                    vertices.append(compiled.decode(succ, type(start)))
+                    vertices.append(alphabet.decode(succ, type(start)))
     edges = [
         [(j, tuple(rules[p] for p in positions)) for j, positions in outs]
         for outs in fiber_edges(atoms, compiled)
@@ -251,8 +258,9 @@ def build_graph(
 
 
 def _graph_rules(rules: Sequence[MarkedBinomial], monomials) -> "RankRules":
-    """rank_rules over every presentation variable and the ambient variable
-    count of the rules and the monomials; the alphabet of one graph."""
+    """rank_rules on the Alphabet of every presentation variable and the
+    ambient variable count of the rules and the monomials: the alphabet of
+    one graph."""
     variables: set[PresVar] = set()
     n = 0
     for v in [m for g in rules for m in (g.lead, g.trail)] + list(monomials):
@@ -263,7 +271,8 @@ def _graph_rules(rules: Sequence[MarkedBinomial], monomials) -> "RankRules":
             variables.update(v.t_part.factors)
         else:
             variables.update(v.factors)
-    return rank_rules(rules, sorted(variables, key=PresVar.sort_key), n)
+    return rank_rules(
+        rules, Alphabet(sorted(variables, key=PresVar.sort_key), n))
 
 
 def ell_max(graph: ReductionGraph, v) -> int:
@@ -351,84 +360,34 @@ def normal_form(v, rules: Sequence[MarkedBinomial], memo: dict | None = None):
 
 
 class RankRules(NamedTuple):
-    """A rule list compiled onto a collection's atom alphabet.
+    """A rule list compiled onto an atom alphabet (presentation.Alphabet).
 
-    The presentation variable of rank k (its position in
-    presentation_variables) is atom k and x_i is atom size + i - 1, where
-    size is the number of presentation variables, so ambient, pure and
-    mixed monomials are all sorted int tuples, ranks first. rows is the lead
-    table of the two-atom leads: rows[a] is None unless atom a is the first
-    atom of some such lead, and then rows[a][b] is the list of
-    (position, lead, trail) of every rule with lead (a, b), in list order,
-    or None. others holds (position, lead, trail) of every other rule, in
-    list order.
+    rows is the lead table of the two-atom leads: rows[a] is None unless
+    atom a is the first atom of some such lead, and then rows[a][b] is the
+    list of (position, lead, trail) of every rule with lead (a, b), in list
+    order, or None. others holds (position, lead, trail) of every other
+    rule, in list order.
     """
 
-    n: int
-    atoms: dict[PresVar, int]
-    variables: tuple[PresVar, ...]
+    alphabet: Alphabet
     rows: list[list | None]
     others: list[tuple[int, tuple[int, ...], tuple[int, ...]]]
 
-    def encode(self, v: Monomial | PresMonomial | MixedMonomial) -> tuple[int, ...]:
-        """The sorted atom tuple of a monomial; an ambient Monomial has
-        x-atoms only."""
-        size = len(self.variables)
-        if isinstance(v, Monomial):
-            return tuple(size + i for i, e in enumerate(v.exps)
-                         for _ in range(e))
-        xs: list[int] = []
-        if isinstance(v, MixedMonomial):
-            xs = [size + i for i, e in enumerate(v.x_part.exps)
-                  for _ in range(e)]
-            v = v.t_part
-        try:
-            return tuple([self.atoms[f] for f in v.factors] + xs)
-        except KeyError as exc:
-            raise _foreign(exc) from None
 
-    def decode(self, atoms: Sequence[int], kind: type = MixedMonomial):
-        """The monomial of the given kind (Monomial, PresMonomial or
-        MixedMonomial) that the atoms encode."""
-        size = len(self.variables)
-        split = bisect_left(atoms, size)
-        exps = [0] * self.n
-        for a in atoms[split:]:
-            exps[a - size] += 1
-        if kind is Monomial:
-            return Monomial(exps)
-        t_part = PresMonomial.from_sorted(
-            tuple([self.variables[k] for k in atoms[:split]]))
-        if kind is PresMonomial:
-            return t_part
-        return MixedMonomial(Monomial(exps), t_part)
+def rank_rules(rules: Sequence[MarkedBinomial],
+               alphabet: Alphabet) -> RankRules:
+    """Compile a rule list onto the atoms of an alphabet.
 
-    def label(self, atoms: Sequence[int]) -> str:
-        """The label str() gives the monomial the atoms encode."""
-        return self.decode(atoms).label()
-
-
-def _foreign(exc: KeyError) -> ValueError:
-    """The error of a variable missing from a collection's atoms."""
-    return ValueError(f"{exc.args[0]} is not a variable of this collection")
-
-
-def rank_rules(
-    rules: Sequence[MarkedBinomial], variables: Sequence[PresVar], n: int
-) -> RankRules:
-    """Compile a rule list onto the atoms of a collection with n ambient
-    variables and presentation_variables `variables`.
-
-    A quadric PresMonomial's two factors are read straight off the atoms;
-    any other monomial goes through encode. The lead table has a row only for
-    an atom that leads some two-atom rule, and no rows at all (an empty
-    list) when none does.
+    A quadric PresMonomial's two factors are read straight off the
+    alphabet's index; any other monomial goes through encode. The lead
+    table has a row only for an atom that leads some two-atom rule, and no
+    rows at all (an empty list) when none does.
     """
-    width = len(variables) + n
-    atoms = {v: k for k, v in enumerate(variables)}
-    compiled = RankRules(n, atoms, tuple(variables), [], [])
+    width = len(alphabet.variables) + alphabet.n
+    atoms = alphabet.index
+    compiled = RankRules(alphabet, [], [])
     rows, others = compiled.rows, compiled.others
-    encode = compiled.encode
+    encode = alphabet.encode
     for pos, g in enumerate(rules):
         lead, trail = g.lead, g.trail
         if type(lead) is PresMonomial and len(lead.factors) == 2:
@@ -476,17 +435,6 @@ def _apply(v: tuple[int, ...], lead: tuple[int, ...],
     return tuple(rest)
 
 
-def _swap(v: tuple[int, ...], i: int, j: int,
-          trail: tuple[int, ...]) -> tuple[int, ...]:
-    """v with the atoms at positions i < j replaced by trail, sorted."""
-    rest = list(v)
-    del rest[j]
-    del rest[i]
-    rest += trail
-    rest.sort()
-    return tuple(rest)
-
-
 def rank_rewrites(v: tuple[int, ...],
                   rules: RankRules) -> list[tuple[tuple[int, ...], int]]:
     """Every one-step reduction of an atom tuple as (successor, rule
@@ -509,8 +457,8 @@ def rank_rewrites(v: tuple[int, ...],
                     continue
                 found = row[v[j]]
                 if found:
-                    hits += [(pos, _swap(v, i, j, trail))
-                             for pos, _, trail in found]
+                    hits += [(pos, _apply(v, lead, trail))
+                             for pos, lead, trail in found]
     for pos, lead, trail in rules.others:
         if _contains(v, lead):
             hits.append((pos, _apply(v, lead, trail)))
@@ -519,14 +467,11 @@ def rank_rewrites(v: tuple[int, ...],
     return [(succ, pos) for pos, succ in hits]
 
 
-def fiber_edges(fiber: Sequence[tuple[int, ...]], rules: RankRules,
-                collapse: bool = True):
-    """The out-edges of every member of a fiber of atom tuples.
-
-    With collapse, each vertex gets its (target, rule positions) edges, one
-    per target in ascending order with the positions in list order; without,
-    just the set of targets. A successor outside the fiber raises
-    ValueError.
+def fiber_edges(fiber: Sequence[tuple[int, ...]], rules: RankRules):
+    """The out-edges of every member of a fiber of atom tuples: each vertex
+    gets its (target, rule positions) edges, one per target in ascending
+    order with the positions in list order. A successor outside the fiber
+    raises ValueError.
     """
     position = {v: i for i, v in enumerate(fiber)}
     if len(position) != len(fiber):
@@ -537,13 +482,11 @@ def fiber_edges(fiber: Sequence[tuple[int, ...]], rules: RankRules,
         try:
             targets = [position[succ] for succ, _ in rewrites]
         except KeyError as exc:
+            label = rules.alphabet.label
             raise ValueError(
-                f"reduction left the fiber: {rules.label(v)} -> "
-                f"{rules.label(exc.args[0])}"
+                f"reduction left the fiber: {label(v)} -> "
+                f"{label(exc.args[0])}"
             ) from None
-        if not collapse:
-            edges.append(set(targets))
-            continue
         positions: dict[int, list[int]] = {}
         for j, (_, pos) in zip(targets, rewrites):
             positions.setdefault(j, []).append(pos)
@@ -611,7 +554,7 @@ def rank_normal_form(v: tuple[int, ...], rules: RankRules,
         current = succ
         if current in path:
             raise RewriteCycle.recurring(
-                rules.label(current), len(path) - path.index(current))
+                rules.alphabet.label(current), len(path) - path.index(current))
     if memo is not None:
         for u in path:
             memo[u] = nf

@@ -17,9 +17,11 @@ from the one enumerator, in the (t-slice, x-degree) groups of
 presentation._fiber_groups that every check here walks: the presentation
 variable of rank k is atom k and x_i is atom size + i - 1, so a pure
 fiber's rank tuples are its atom tuples, and mixed_fibers only decodes
-the fibers of rank_fibers. The default x-degree bound reaches every
-budgeted t-slice (mixed_x_degree); a note names each slice an explicit
-bound leaves unreached. The kernel oracle (kernel_membership) reduces
+the fibers of rank_fibers. Every atom tuple here becomes a monomial, and
+every lead an atom tuple, through the collection's presentation.Alphabet.
+The default x-degree bound reaches every budgeted t-slice
+(mixed_x_degree); a note names each slice an explicit bound leaves
+unreached. The kernel oracle (kernel_membership) reduces
 every member of the same fibers once, on atom tuples, and counts a fiber
 of k members as its C(k, 2) pairs; the pair list (toric_kernel_span) and
 its object-level check (check_membership) stay as its reference.
@@ -34,9 +36,9 @@ presentation._fiber_groups serves both walks: its counts count them by
 enumerator state, a group at a time, and its groups list them as atom
 tuples only from the first group holding a multidegree without exactly
 one. Any other marking gets the fiber graphs themselves, built serially
-by the one rewriting core of reduction (rank_rules once, then fiber_edges
-per fiber), listed from the same groups. Either way only a multidegree
-whose check fails has its monomials built. analyze_fiber is the
+by the one rewriting core of reduction (rank_rules once onto the
+alphabet, then fiber_edges per fiber), listed from the same groups.
+Either way only a multidegree whose check fails has its monomials built. analyze_fiber is the
 object-level fiber graph, kept as the reference. The report's first note
 names the method.
 
@@ -59,6 +61,7 @@ from typing import Callable, Iterator, Sequence
 from .borel import StronglyStableIdeal, collection_spec, order_view
 from .orders import build_G1, build_head_and_tail_basis, marking_order
 from .presentation import (
+    Alphabet,
     MixedMonomial,
     MultiDegree,
     PresMonomial,
@@ -66,7 +69,6 @@ from .presentation import (
     content_degree,
     fibers_by_multidegree,
     monomial_count,
-    presentation_variables,
     rank_fibers,
     t_vectors,
     _fiber_groups,
@@ -268,12 +270,10 @@ def verify_gb(
                               report.multidegrees_checked // 2000 + 1):
                 progress(2000 * mark)
 
-    # the rules are compiled only for the fiber graphs: a term-order run
-    # needs the alphabet alone
-    compiled = rank_rules(rules if order is None else (),
-                          presentation_variables(ideals), ideals[0].n)
+    alphabet = Alphabet.of(ideals)
     lead_pairs = []
     if order is None:
+        compiled = rank_rules(rules, alphabet)
         report.notes.append(f"fiber graphs; no library term order orients "
                             f"all {len(rules)} rules")
     else:
@@ -283,9 +283,9 @@ def verify_gb(
                             f"{len(rules)} rules oriented, images equal")
         # rewriting descends the order inside a fiber, so a fiber graph's
         # sinks are its standard monomials, those with no lead pair of atoms
-        lead_pairs = [(compiled.atoms[p], compiled.atoms[q])
+        lead_pairs = [(alphabet.index[p], alphabet.index[q])
                       for p, q in pair_index]
-        lead_pairs += [compiled.encode(g.lead) for _, g in generic]
+        lead_pairs += [alphabet.encode(g.lead) for _, g in generic]
     if x_degree is not None:
         report.notes.append(f"mixed fibers up to x-degree {x_degree}")
         report.notes += unreached_slice_notes(ideals, t_budget, x_degree)
@@ -315,15 +315,15 @@ def verify_gb(
         for key in sorted(keys, reverse=x_degree is not None):
             fiber = fibers[key]
             if order is None:
-                edges = fiber_edges(fiber, compiled, collapse=False)
+                edges = fiber_edges(fiber, compiled)
                 sinks = [fiber[i] for i, outs in enumerate(edges) if not outs]
-                cyc = has_cycle(edges)
+                cyc = has_cycle([[j for j, _ in outs] for outs in edges])
             else:
                 sinks, cyc = fiber, False
             if cyc or len(sinks) != 1:
                 report.failures.append(FiberFailure(
                     MultiDegree(digits.unpack(key), tv),
-                    [compiled.decode(v).label(len(tv)) for v in sinks], cyc))
+                    [alphabet.decode(v).label(len(tv)) for v in sinks], cyc))
     # Every fiber of the budget holds a monomial, and under a term order a
     # standard one (its least member), so every multidegree is checked and
     # the budget holds more monomials than multidegrees checked exactly
@@ -416,7 +416,7 @@ def mixed_fibers(
 ) -> Iterator[tuple[MultiDegree, list[MixedMonomial]]]:
     """Fibers of the full presentation map, x-degree bounded: the mixed
     fibers of rank_fibers, each member decoded to a MixedMonomial."""
-    decode = rank_rules((), presentation_variables(ideals), ideals[0].n).decode
+    decode = Alphabet.of(ideals).decode
     for mu, fiber in rank_fibers(ideals, t_budget, x_degree=x_degree):
         yield mu, [decode(atoms) for atoms in fiber]
 
@@ -473,8 +473,8 @@ def kernel_membership(
     negative x_degree, raises ValueError before any work starts.
     """
     _, _, groups = _fiber_groups(ideals, t_budget, x_degree=x_degree)
-    compiled = rank_rules(rules, presentation_variables(ideals), ideals[0].n)
-    label = functools.cache(compiled.label)
+    compiled = rank_rules(rules, Alphabet.of(ideals))
+    label = functools.cache(compiled.alphabet.label)
     memo: dict = {}
     checked = 0
     failures = []
@@ -568,7 +568,7 @@ def detect_obstructions(
     digits, _, groups = _fiber_groups(ideals, t_budget)
     if sum(t_budget) < 3:
         raise ValueError("t budget must allow total t-degree >= 3")
-    variables = presentation_variables(ideals)
+    decode = Alphabet.of(ideals).decode
     witnesses = []
     for tv, group in groups:
         if sum(tv) < 3:
@@ -582,9 +582,8 @@ def detect_obstructions(
         for key in sorted(split):
             witnesses.append(ObstructionWitness(
                 MultiDegree(digits.unpack(key), tv),
-                tuple(tuple(PresMonomial.from_sorted(
-                    tuple([variables[k] for k in ranks])) for ranks in comp)
-                    for comp in split[key])))
+                tuple(tuple(decode(ranks, PresMonomial) for ranks in comp)
+                      for comp in split[key])))
     return witnesses
 
 

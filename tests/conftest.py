@@ -3,11 +3,7 @@ import pytest
 from borel_rees import borel_closure, order_view
 from borel_rees.monomial import parse_monomial
 from borel_rees.orders import build_head_and_tail_basis, build_G1
-from borel_rees.presentation import (
-    fibers_by_multidegree,
-    presentation_variables,
-)
-from borel_rees.reduction import rank_rules
+from borel_rees.presentation import Alphabet, fibers_by_multidegree
 
 
 def mono(text, n):
@@ -48,8 +44,7 @@ def standard_monomials():
     graph when the marking certifies."""
 
     def listed(rules, ideals, budget):
-        encode = rank_rules((), presentation_variables(ideals),
-                            ideals[0].n).encode
+        encode = Alphabet.of(ideals).encode
         pairs = [encode(g.lead) for g in rules]
         out = []
         for mu, fiber in fibers_by_multidegree(ideals, budget, pairs):

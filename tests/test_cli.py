@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import borel_rees
-from borel_rees import borel, cli, paper_cases, reduction, verifier
+from borel_rees import (
+    borel,
+    cli,
+    paper_cases,
+    presentation,
+    reduction,
+    verifier,
+)
 from borel_rees.cli import main
 from borel_rees.paper_cases import CASES, load_expectation, run_case
 
@@ -908,7 +915,7 @@ class TestFrontEnd:
                                                       spec_file):
         seen = {}
         marking_order = verifier.marking_order
-        presentation_variables = verifier.presentation_variables
+        presentation_variables = presentation.presentation_variables
 
         def recorded_marking_order(rules, ideals):
             seen["rules"] = rules
@@ -923,7 +930,7 @@ class TestFrontEnd:
                                wraps=borel.region_partition) as split, \
                 mock.patch.object(verifier, "marking_order",
                                   recorded_marking_order), \
-                mock.patch.object(verifier, "presentation_variables",
+                mock.patch.object(presentation, "presentation_variables",
                                   recorded_variables):
             code = main(["verify", "--spec", spec_file(PAIR_SPEC),
                          "--budget", "1,1", "--basis", "ht"])

@@ -18,6 +18,7 @@ from borel_rees.monomial import (
 )
 from borel_rees.orders import build_head_and_tail_basis
 from borel_rees.presentation import (
+    Alphabet,
     Digits,
     MixedMonomial,
     MultiDegree,
@@ -38,7 +39,6 @@ from borel_rees.presentation import (
     _level_slices,
     _rest_lists,
 )
-from borel_rees.reduction import rank_rules
 from borel_rees.verifier import mixed_fibers
 
 FIG1_FIBER = {
@@ -420,7 +420,7 @@ class TestLevelEnumeratorAgainstReference:
         # and an x-atom bans the x-variable beside that factor, and a pair
         # of ranks bans the two factors together
         ideals = [borel_closure([m("x3^2", 5), m("x2*x5", 5)], 5)]
-        decode = rank_rules((), presentation_variables(ideals), 5).decode
+        decode = Alphabet.of(ideals).decode
         digits, _, groups = _fiber_groups(ideals, (2,), x_pairs, 6)
         keyed = {(tv, key): members for tv, group in groups
                  for key, members in group.items()}
@@ -883,3 +883,42 @@ class TestMonomialCount:
         # slices 0, 1 and 2 within x-degree 5: C(7,5) + C(5,3) + C(3,1)
         assert monomial_count(principal, (1200,), 5) == 21 + 10 + 3
         assert self.listed(principal, (1200,), 5) == 34
+
+
+class TestTVectors:
+    def test_a_huge_entry_is_never_expanded(self):
+        # itertools.product would copy range(10**20 + 1) into a tuple first
+        assert list(itertools.islice(t_vectors((10**20, 1)), 4)) == [
+            (0, 0), (0, 1), (1, 0), (1, 1)]
+
+    @pytest.mark.parametrize("budget", [(), (0,), (3,), (2, 0, 1), (1, 2, 2)])
+    def test_lexicographic_as_product(self, budget):
+        assert list(t_vectors(budget)) == list(
+            itertools.product(*(range(b + 1) for b in budget)))
+
+
+class TestAlphabet:
+    """Alphabet.of(ideals) decodes every member rank_fibers lists into the
+    object fibers_by_multidegree or mixed_fibers lists for it, and encodes
+    that object back to the same atoms."""
+
+    @pytest.mark.parametrize("x_degree", [None, 8])
+    def test_decodes_the_listed_objects(self, running_pair, x_degree):
+        ideals = list(running_pair)
+        alphabet = Alphabet.of(ideals)
+        if x_degree is None:
+            kind = PresMonomial
+            objects = fibers_by_multidegree(ideals, (2, 1))
+        else:
+            kind = MixedMonomial
+            objects = mixed_fibers(ideals, (2, 1), x_degree)
+        members = 0
+        for (mu, atoms), (nu, fiber) in itertools.zip_longest(
+                rank_fibers(ideals, (2, 1), x_degree=x_degree), objects):
+            assert mu == nu
+            decoded = [alphabet.decode(a, kind) for a in atoms]
+            assert decoded == fiber
+            assert phi(decoded[0], ideals) == mu
+            assert [alphabet.encode(v) for v in decoded] == atoms
+            members += len(atoms)
+        assert members == monomial_count(ideals, (2, 1), x_degree)

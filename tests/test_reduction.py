@@ -12,6 +12,7 @@ from borel_rees.borel import order_view
 from borel_rees.monomial import Monomial, parse_monomial
 from borel_rees.orders import build_fiber_type_basis, build_G2
 from borel_rees.presentation import (
+    Alphabet,
     MixedMonomial,
     MultiDegree,
     PresMonomial,
@@ -19,7 +20,6 @@ from borel_rees.presentation import (
     enumerate_fiber,
     fibers_by_multidegree,
     phi,
-    presentation_variables,
     rank_fibers,
 )
 from borel_rees.reduction import (
@@ -400,21 +400,18 @@ def assert_atoms_match_scan(monomials, rules, ideals=None, n=None):
     rank_normal_form gives the scan normal_form's result or RewriteCycle
     message. The atoms are those of the ideals, or of n ambient variables
     alone. Returns each monomial's normal form as atoms, or the message."""
-    if ideals is None:
-        compiled = rank_rules(rules, (), n)
-    else:
-        compiled = rank_rules(rules, presentation_variables(ideals),
-                              ideals[0].n)
+    alphabet = Alphabet((), n) if ideals is None else Alphabet.of(ideals)
+    compiled = rank_rules(rules, alphabet)
     forms = {}
     for v in dict.fromkeys(monomials):
-        atoms = compiled.encode(v)
-        expected = [(compiled.encode(s), g)
+        atoms = alphabet.encode(v)
+        expected = [(alphabet.encode(s), g)
                     for s, g in applicable_reductions(v, rules)]
         got = [(s, rules[pos]) for s, pos in rank_rewrites(atoms, compiled)]
         assert Counter(s for s, _ in got) == Counter(s for s, _ in expected)
         assert got == expected, v
         try:
-            reference = compiled.encode(normal_form(v, rules))
+            reference = alphabet.encode(normal_form(v, rules))
         except RewriteCycle as exc:
             reference = str(exc)
         try:
@@ -481,7 +478,7 @@ class TestIndexedRewritingMatchesScan:
         ideals = [quadric_pair_ideal]
         rules = build_fiber_type_basis(ideals, quadric_pair_G1)
         assert not rule_indices(rules)[0]
-        assert not rank_rules(rules, presentation_variables(ideals), 5).others
+        assert not rank_rules(rules, Alphabet.of(ideals)).others
         monomials = [v for _, f in mixed_fibers(ideals, (2,), 4) for v in f]
         rng = random.Random(14)
         forms = assert_atoms_match_scan(monomials, rules, ideals)
@@ -568,14 +565,14 @@ class TestIndexedRewritingMatchesScan:
             if u not in (v, after_pair) and not pair_rule.lead.divides(u)
         )
         generic_rule = MarkedBinomial(v, w)
-        variables = presentation_variables([quadric_pair_ideal])
+        alphabet = Alphabet.of([quadric_pair_ideal])
         for rules, expected in (([generic_rule, pair_rule], w),
                                 ([pair_rule, generic_rule], after_pair)):
             assert normal_form(v, rules) == expected
-            compiled = rank_rules(rules, variables, 5)
-            assert rank_normal_form(compiled.encode(v), compiled) == (
-                compiled.encode(expected))
-            assert [pos for _, pos in rank_rewrites(compiled.encode(v),
+            compiled = rank_rules(rules, alphabet)
+            assert rank_normal_form(alphabet.encode(v), compiled) == (
+                alphabet.encode(expected))
+            assert [pos for _, pos in rank_rewrites(alphabet.encode(v),
                                                     compiled)] == [0, 1]
 
     def test_two_rule_loop_is_a_cycle(self, quadric_pair_ideal,
@@ -685,22 +682,23 @@ class TestMemoizedNormalForms:
 def assert_rank_equivalent(monomials, rules, ideals):
     """rank_normal_form on atom tuples equals normal_form on objects for
     every monomial, cycle messages included, and both memos agree."""
-    compiled = rank_rules(rules, presentation_variables(ideals), ideals[0].n)
+    alphabet = Alphabet.of(ideals)
+    compiled = rank_rules(rules, alphabet)
     memo, rank_memo = {}, {}
     outcomes = Counter()
     for v in monomials:
         try:
-            expected = compiled.encode(normal_form(v, rules, memo))
+            expected = alphabet.encode(normal_form(v, rules, memo))
         except RewriteCycle as exc:
             expected = str(exc)
         try:
-            got = rank_normal_form(compiled.encode(v), compiled, rank_memo)
+            got = rank_normal_form(alphabet.encode(v), compiled, rank_memo)
         except RewriteCycle as exc:
             got = str(exc)
         assert got == expected
         outcomes[type(got).__name__] += 1
     assert rank_memo == {
-        compiled.encode(u): compiled.encode(nf) for u, nf in memo.items()
+        alphabet.encode(u): alphabet.encode(nf) for u, nf in memo.items()
     }
     return outcomes
 
@@ -736,33 +734,30 @@ class TestRankRewriting:
 
     def test_atoms_round_trip_to_labels(self, running_pair, quadric_pair_ideal):
         ideals = list(running_pair)
-        n = ideals[0].n
-        compiled = rank_rules([], presentation_variables(ideals), n)
+        alphabet = Alphabet.of(ideals)
         pure = [v for _, f in fibers_by_multidegree(ideals, (2, 1)) for v in f]
         ranks = [r for _, f in rank_fibers(ideals, (2, 1)) for r in f]
-        assert [compiled.encode(v) for v in pure] == ranks
-        assert all(compiled.label(compiled.encode(v)) == str(v) for v in pure)
+        assert [alphabet.encode(v) for v in pure] == ranks
+        assert all(alphabet.label(alphabet.encode(v)) == str(v) for v in pure)
         ideals = [quadric_pair_ideal]
-        compiled = rank_rules([], presentation_variables(ideals), 5)
+        alphabet = Alphabet.of(ideals)
         for _, fiber in mixed_fibers(ideals, (1,), 4):
             for v in fiber:
-                atoms = compiled.encode(v)
+                atoms = alphabet.encode(v)
                 assert list(atoms) == sorted(atoms)
-                assert compiled.label(atoms) == str(v)
+                assert alphabet.label(atoms) == str(v)
 
     def test_uncollapsed_edges_are_the_collapsed_targets(
             self, quadric_pair_ideal, quadric_pair_G1):
-        # the verifier reads target sets; build_graph reads the collapsed
-        # (target, rule positions) edges
+        # the verifier and build_graph both read the collapsed (target,
+        # rule positions) edges: one per target, every rewrite's position
         ideals = [quadric_pair_ideal]
         rules = list(quadric_pair_G1)
         random.Random(33).shuffle(rules)
-        compiled = rank_rules(rules, presentation_variables(ideals), 5)
+        compiled = rank_rules(rules, Alphabet.of(ideals))
         edges = 0
         for _, fiber in rank_fibers(ideals, (3,)):
             collapsed = fiber_edges(fiber, compiled)
-            assert fiber_edges(fiber, compiled, collapse=False) == [
-                {j for j, _ in outs} for outs in collapsed]
             for v, outs in zip(fiber, collapsed):
                 assert [j for j, _ in outs] == sorted({j for j, _ in outs})
                 assert sorted(p for _, ps in outs for p in ps) == sorted(
@@ -770,27 +765,25 @@ class TestRankRewriting:
                 edges += len(outs)
         assert edges > 0
 
-    @pytest.mark.parametrize("collapse", [True, False])
     def test_a_successor_outside_the_fiber_raises(
-            self, quadric_pair_ideal, quadric_pair_G1, collapse):
+            self, quadric_pair_ideal, quadric_pair_G1):
         compiled = rank_rules(quadric_pair_G1,
-                              presentation_variables([quadric_pair_ideal]), 5)
+                              Alphabet.of([quadric_pair_ideal]))
         fiber = max((f for _, f in rank_fibers([quadric_pair_ideal], (2,))),
                     key=len)
         top = next(v for v in fiber if rank_rewrites(v, compiled))
         succ = rank_rewrites(top, compiled)[0][0]
         with pytest.raises(ValueError) as info:
-            fiber_edges([top], compiled, collapse=collapse)
+            fiber_edges([top], compiled)
         assert str(info.value) == (f"reduction left the fiber: "
-                                   f"{compiled.label(top)} -> "
-                                   f"{compiled.label(succ)}")
+                                   f"{compiled.alphabet.label(top)} -> "
+                                   f"{compiled.alphabet.label(succ)}")
         assert info.value.__cause__ is None and info.value.__suppress_context__
 
     def test_foreign_variables_are_rejected(self, running_pair,
                                             quadric_pair_G1):
         with pytest.raises(ValueError, match="not a variable of this"):
-            rank_rules(quadric_pair_G1,
-                       presentation_variables(list(running_pair)), 6)
+            rank_rules(quadric_pair_G1, Alphabet.of(list(running_pair)))
 
 
 class TestLeadTable:
@@ -803,8 +796,8 @@ class TestLeadTable:
         # first; x1*x2 leads two rules, kept in list order
         listed = rules_of(4, ("x3*x4", "x1^2"), ("x1*x2", "x3^2"),
                           ("x1*x2", "x4^2"))
-        assert [pos for pos, _, _ in rank_rules(listed, (), 4).rows[0][1]] \
-            == [1, 2]
+        compiled = rank_rules(listed, Alphabet((), 4))
+        assert [pos for pos, _, _ in compiled.rows[0][1]] == [1, 2]
         v = m("x1*x2*x3*x4", 4)
         monomials = [
             Monomial([combo.count(k) for k in range(4)])
@@ -812,9 +805,10 @@ class TestLeadTable:
         ]
         for rules, step in ((listed, "x1^3*x2"), (listed[1:], "x3^3*x4"),
                             (listed[:0:-1], "x3*x4^3")):
-            compiled = rank_rules(rules, (), 4)
-            atoms = compiled.encode(v)
-            assert rank_step(atoms, compiled) == compiled.encode(m(step, 4))
+            compiled = rank_rules(rules, Alphabet((), 4))
+            atoms = compiled.alphabet.encode(v)
+            assert rank_step(atoms, compiled) == (
+                compiled.alphabet.encode(m(step, 4)))
             assert [rules[pos] for _, pos in rank_rewrites(atoms, compiled)] \
                 == [g for _, g in applicable_reductions(v, rules)]
             assert_atoms_match_scan(monomials, rules, n=4)
@@ -823,8 +817,8 @@ class TestLeadTable:
         # the lead x1^2 sits at three position pairs of x1^3*x2: one
         # reduction, with two of the three x1 removed; x1*x2^3 has one x1
         rules = rules_of(2, ("x1^2", "x2^2"))
-        compiled = rank_rules(rules, (), 2)
-        cube = compiled.encode(m("x1^3*x2", 2))
+        compiled = rank_rules(rules, Alphabet((), 2))
+        cube = compiled.alphabet.encode(m("x1^3*x2", 2))
         assert cube == (0, 0, 0, 1)
         assert rank_rewrites(cube, compiled) == [((0, 1, 1, 1), 0)]
         assert rank_step(cube, compiled) == (0, 1, 1, 1)
@@ -842,9 +836,10 @@ class TestLeadTable:
         # t-atom's, and no x-atom leads a rule, so none has a row
         ideals = [quadric_pair_ideal]
         rules = build_fiber_type_basis(ideals, quadric_pair_G1)
-        variables = presentation_variables(ideals)
+        alphabet = Alphabet.of(ideals)
+        variables = alphabet.variables
         size = len(variables)
-        compiled = rank_rules(rules, variables, 5)
+        compiled = rank_rules(rules, alphabet)
         syzygies = [(pos, g) for pos, g in enumerate(rules)
                     if g.source == "SYZ"]
         assert syzygies
@@ -852,8 +847,8 @@ class TestLeadTable:
             (factor,), (i,) = (g.lead.t_part.factors,
                                g.lead.x_part.variables_with_multiplicity())
             lead = (variables.index(factor), size + i - 1)
-            assert compiled.encode(g.lead) == lead
-            assert (pos, lead, compiled.encode(g.trail)) in (
+            assert alphabet.encode(g.lead) == lead
+            assert (pos, lead, alphabet.encode(g.trail)) in (
                 compiled.rows[lead[0]][lead[1]])
         assert len(compiled.rows) == size + 5
         assert all(row is None for row in compiled.rows[size:])
@@ -867,20 +862,21 @@ class TestLeadTable:
         for n, pairs in ((3, TWO_SINK_RULES), (5, UNIQUE_SINK_RULES),
                          (6, CYCLING_RULES)):
             rules = rules_of(n, *pairs)
-            compiled = rank_rules(rules, (), n)
+            alphabet = Alphabet((), n)
+            compiled = rank_rules(rules, alphabet)
             for g in rules:
-                assert compiled.encode(g.lead) == tuple(
+                assert alphabet.encode(g.lead) == tuple(
                     i - 1 for i in g.lead.variables_with_multiplicity())
             assert {a for a, row in enumerate(compiled.rows)
                     if row is not None} == {
-                compiled.encode(g.lead)[0] for g in rules}
+                alphabet.encode(g.lead)[0] for g in rules}
             monomials = [
                 Monomial([combo.count(k) for k in range(n)])
                 for combo in itertools.combinations_with_replacement(
                     range(n), 3)
             ]
             for v in monomials:
-                assert compiled.decode(compiled.encode(v), Monomial) == v
+                assert alphabet.decode(alphabet.encode(v), Monomial) == v
             assert_atoms_match_scan(monomials, rules, n=n)
 
 
@@ -895,13 +891,14 @@ class TestLeanCore:
     def both(v, rules, n, memo=None, rank_memo=None):
         """(normal_form's result, rank_normal_form's) on ambient rules, as
         atom tuples or as the RewriteCycle message."""
-        compiled = rank_rules(rules, (), n)
+        alphabet = Alphabet((), n)
+        compiled = rank_rules(rules, alphabet)
         try:
-            expected = compiled.encode(normal_form(v, rules, memo))
+            expected = alphabet.encode(normal_form(v, rules, memo))
         except RewriteCycle as exc:
             expected = str(exc)
         try:
-            got = rank_normal_form(compiled.encode(v), compiled, rank_memo)
+            got = rank_normal_form(alphabet.encode(v), compiled, rank_memo)
         except RewriteCycle as exc:
             got = str(exc)
         return expected, got
@@ -922,7 +919,7 @@ class TestLeanCore:
         # walk from x1^2 takes one step and records x1^2 alone
         rules = rules_of(3, ("x1^2", "x1*x2"), ("x1*x2", "x2^2"),
                          ("x2^2", "x2*x3"))
-        compiled = rank_rules(rules, (), 3)
+        compiled = rank_rules(rules, Alphabet((), 3))
         memo, rank_memo = {}, {}
         expected, got = self.both(m("x1*x2", 3), rules, 3, memo, rank_memo)
         assert got == expected == (1, 2)
@@ -933,7 +930,8 @@ class TestLeanCore:
         assert step.call_count == 1
         normal_form(m("x1^2", 3), rules, memo)
         assert rank_memo == {
-            compiled.encode(u): compiled.encode(nf) for u, nf in memo.items()
+            compiled.alphabet.encode(u): compiled.alphabet.encode(nf)
+            for u, nf in memo.items()
         }
 
     def test_the_earliest_of_two_rules_on_one_lead_wins(self):
@@ -941,7 +939,7 @@ class TestLeanCore:
         for listed, successor in (((first, second), (2, 2)),
                                   ((second, first), (3, 3))):
             rules = rules_of(4, ("x3*x4", "x1*x2"), *listed)
-            compiled = rank_rules(rules, (), 4)
+            compiled = rank_rules(rules, Alphabet((), 4))
             # the earliest rule of a lead is the first of its list
             assert [pos for pos, _, _ in compiled.rows[0][1]] == [1, 2]
             assert compiled.rows[0][1][0] == (1, (0, 1), successor)
@@ -962,11 +960,11 @@ class TestLeanCore:
             ((q23, q13, cubic), (0, 0, 3)),
         ):
             rules = rules_of(4, ("x4^2", "x1*x2"), *listed)
-            compiled = rank_rules(rules, (), 4)
+            compiled = rank_rules(rules, Alphabet((), 4))
             assert [pos for pos, _, _ in compiled.others] == [
                 1 + listed.index(cubic)]
             assert rank_step((0, 1, 2), compiled) == successor
-            assert compiled.encode(
+            assert compiled.alphabet.encode(
                 applicable_reductions(v, rules)[0][0]) == successor
             expected, got = self.both(v, rules, 4)
             assert got == expected

@@ -22,6 +22,7 @@ from borel_rees.orders import (
     build_syzygy_set,
 )
 from borel_rees.presentation import (
+    Alphabet,
     MixedMonomial,
     MultiDegree,
     PresMonomial,
@@ -35,7 +36,7 @@ from borel_rees.presentation import (
     rank_fibers,
     t_vectors,
 )
-from borel_rees.reduction import MarkedBinomial, rank_rules
+from borel_rees.reduction import MarkedBinomial
 from borel_rees.verifier import (
     VerificationReport,
     analyze_fiber,
@@ -764,7 +765,7 @@ class TestMixedFibersDifferential:
         ideals = [quadric_pair_ideal]
         rules = _drop_rules(build_fiber_type_basis(ideals, quadric_pair_G1),
                             random.Random(dropped), dropped)
-        alphabet = rank_rules((), presentation_variables(ideals), 5)
+        alphabet = Alphabet.of(ideals)
         pairs = [alphabet.encode(g.lead) for g in rules]
         assert any(max(p) >= len(alphabet.variables) for p in pairs)
         expected = []
