@@ -800,7 +800,7 @@ def _fiber_groups(
         for tv, level in _level_slices(root, grow, t_budget):
             low = content_degree(ideals, tv)
             top = low if x_degree is None else x_degree
-            yield tv, level, [(d, d - low) for d in range(low, top + 1)]
+            yield tv, level, zip(range(low, top + 1), range(top - low + 1))
 
     def counts():
         for tv, level, degrees in slices(expansion.states,

@@ -8,9 +8,10 @@ a presentation.Alphabet, where the presentation variable of rank k is atom k
 and x_i is atom size + i - 1 (size presentation variables), so a rank tuple
 is already an atom tuple; the alphabet (RankRules.alphabet) encodes and
 decodes monomials. Two-atom leads (quadrics, syzygies T_u*x_i and lifted
-fiber leads alike) are found in a lead table indexed by atom: rows[a][b]
-lists every rule with lead (a, b), in list order, so rows[a][b][0] is the
-earliest of them. Any other lead is found by multiset containment.
+fiber leads alike) are found in a lead table keyed by atom pair:
+leads[(a, b)] lists every rule with lead (a, b), in list order, so
+leads[(a, b)][0] is the earliest of them. Any other lead is found by
+multiset containment.
 
 On that core, rank_rewrites lists every one-step reduction of an atom tuple
 in rule-list order, fiber_edges builds every fiber graph from it as
@@ -18,13 +19,13 @@ collapsed (target, rule positions) edges (the verifier's fiber analysis,
 and build_graph's reduction graphs for the paper cases, the fiber-graph
 command and the demos), and has_cycle is the one cycle detector on graphs.
 rank_normal_form, the one normal-form routine on atoms, follows the
-earliest-listed applicable rule only (rank_step, which reads the first
-entry of each lead's list); with a memo it records every monomial on its
-path with its normal form, so callers reducing many monomials under one
-rule list walk each path once. Every rule keeps degree, so that
-deterministic path stays among finitely many monomials: it either ends or
-returns to a monomial it has visited, which raises RewriteCycle exactly
-instead of guessing from a step budget. Graphs also
+earliest-listed applicable rule only (the first entry of each lead's list,
+unless another rule listed before it applies); with a memo it records
+every monomial on its path with its normal form, so callers reducing many
+monomials under one rule list walk each path once. Every rule keeps
+degree, so that deterministic path stays among finitely many monomials: it
+either ends or returns to a monomial it has visited, which raises
+RewriteCycle exactly instead of guessing from a step budget. Graphs also
 carry the longest-path invariant used to certify that a marked collection
 rewrites Noetherianly.
 
@@ -37,7 +38,7 @@ term-order certificate reads its lead pairs from.
 
 from __future__ import annotations
 
-import sys
+from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -362,15 +363,15 @@ def normal_form(v, rules: Sequence[MarkedBinomial], memo: dict | None = None):
 class RankRules(NamedTuple):
     """A rule list compiled onto an atom alphabet (presentation.Alphabet).
 
-    rows is the lead table of the two-atom leads: rows[a] is None unless
-    atom a is the first atom of some such lead, and then rows[a][b] is the
-    list of (position, lead, trail) of every rule with lead (a, b), in list
-    order, or None. others holds (position, lead, trail) of every other
-    rule, in list order.
+    leads is the lead table of the two-atom leads: leads[(a, b)], a <= b,
+    lists the (position, lead, trail) of every rule with lead (a, b), in
+    list order. others holds (position, lead, trail) of every other rule,
+    in list order.
     """
 
     alphabet: Alphabet
-    rows: list[list | None]
+    leads: dict[tuple[int, int], list[tuple[int, tuple[int, int],
+                                            tuple[int, ...]]]]
     others: list[tuple[int, tuple[int, ...], tuple[int, ...]]]
 
 
@@ -379,14 +380,11 @@ def rank_rules(rules: Sequence[MarkedBinomial],
     """Compile a rule list onto the atoms of an alphabet.
 
     A quadric PresMonomial's two factors are read straight off the
-    alphabet's index; any other monomial goes through encode. The lead
-    table has a row only for an atom that leads some two-atom rule, and no
-    rows at all (an empty list) when none does.
+    alphabet's index; any other monomial goes through encode.
     """
-    width = len(alphabet.variables) + alphabet.n
     atoms = alphabet.index
-    compiled = RankRules(alphabet, [], [])
-    rows, others = compiled.rows, compiled.others
+    compiled = RankRules(alphabet, {}, [])
+    leads, others = compiled.leads, compiled.others
     encode = alphabet.encode
     for pos, g in enumerate(rules):
         lead, trail = g.lead, g.trail
@@ -401,22 +399,8 @@ def rank_rules(rules: Sequence[MarkedBinomial],
             if len(lead) != 2:
                 others.append((pos, lead, trail))
                 continue
-        if not rows:
-            rows += [None] * width
-        a, b = lead
-        row = rows[a]
-        if row is None:
-            row = rows[a] = [None] * width
-        listed = row[b]
-        if listed is None:
-            row[b] = [(pos, lead, trail)]
-        else:
-            listed.append((pos, lead, trail))
+        leads.setdefault(lead, []).append((pos, lead, trail))
     return compiled
-
-
-# past every list position: rank_step's best hit before it finds one
-_UNLISTED = sys.maxsize
 
 
 def _contains(v: tuple[int, ...], lead: tuple[int, ...]) -> bool:
@@ -440,25 +424,18 @@ def rank_rewrites(v: tuple[int, ...],
     """Every one-step reduction of an atom tuple as (successor, rule
     position), in rule-list order.
 
-    Reads the lead table at each distinct atom pair of v (equal atoms sit
-    next to each other) and scans the other rules by multiset containment.
+    Reads the lead table at each distinct atom pair of v and scans the
+    other rules by multiset containment.
     """
     hits = []
-    rows = rules.rows
-    if rows:
-        last = len(v) - 1
-        for i in range(last):
-            a = v[i]
-            row = rows[a]
-            if row is None or i and a == v[i - 1]:
-                continue
-            for j in range(i + 1, last + 1):
-                if j > i + 1 and v[j] == v[j - 1]:
-                    continue
-                found = row[v[j]]
-                if found:
-                    hits += [(pos, _apply(v, lead, trail))
-                             for pos, lead, trail in found]
+    leads = rules.leads
+    # v has about len(v)**2 / 2 atom pairs: walk them only for a table
+    if leads:
+        for pair in dict.fromkeys(combinations(v, 2)):
+            found = leads.get(pair)
+            if found:
+                hits += [(pos, _apply(v, lead, trail))
+                         for pos, lead, trail in found]
     for pos, lead, trail in rules.others:
         if _contains(v, lead):
             hits.append((pos, _apply(v, lead, trail)))
@@ -494,64 +471,42 @@ def fiber_edges(fiber: Sequence[tuple[int, ...]], rules: RankRules):
     return edges
 
 
-def rank_step(v: tuple[int, ...], rules: RankRules) -> tuple[int, ...] | None:
-    """The successor of an atom tuple under its earliest-listed applicable
-    rule, or None when no rule applies.
-
-    Reads the earliest rule of every atom pair of v off the lead table (the
-    first entry of rows[a][b]) and scans by multiset containment only the
-    other rules listed before the best table hit.
-    """
-    best = _UNLISTED
-    rows = rules.rows
-    if rows:
-        i = 0
-        for a in v:
-            i += 1
-            row = rows[a]
-            if row is not None:
-                for b in v[i:]:
-                    listed = row[b]
-                    if listed is not None and listed[0][0] < best:
-                        best, _, trail = listed[0]
-                        found = a, b, trail
-    for pos, lead, trail in rules.others:
-        if pos > best:
-            break
-        if _contains(v, lead):
-            return _apply(v, lead, trail)
-    if best is _UNLISTED:
-        return None
-    # _apply inlined for two atoms: a call there costs a fifth of a step
-    a, b, trail = found
-    rest = list(v)
-    rest.remove(a)
-    rest.remove(b)
-    rest += trail
-    rest.sort()
-    return tuple(rest)
-
-
 def rank_normal_form(v: tuple[int, ...], rules: RankRules,
                      memo: dict | None = None) -> tuple[int, ...]:
-    """Rewrite an atom tuple by the earliest-listed applicable rule
-    (rank_step) until none applies, with normal_form's memo semantics and
-    RewriteCycle message."""
+    """Rewrite an atom tuple by the earliest-listed applicable rule until
+    none applies, with normal_form's memo semantics and RewriteCycle
+    message.
+
+    Each step reads the earliest rule of every atom pair off the lead table
+    (the first entry of leads[(a, b)]) and scans by multiset containment
+    only the other rules listed before the best table hit.
+    """
     path: list = []
     visit = path.append
     known = {}.get if memo is None else memo.get
-    step = rank_step
+    leads, others = rules.leads, rules.others
     current = v
     while True:
         nf = known(current)
         if nf is not None:
             break
-        succ = step(current, rules)
-        if succ is None:
+        best = None
+        if leads:
+            for pair in combinations(current, 2):
+                listed = leads.get(pair)
+                if listed and (best is None or listed[0][0] < best[0]):
+                    best = listed[0]
+        for rule in others:
+            if best is not None and rule[0] > best[0]:
+                break
+            if _contains(current, rule[1]):
+                best = rule
+                break
+        if best is None:
             nf = current
             break
         visit(current)
-        current = succ
+        current = _apply(current, best[1], best[2])
         if current in path:
             raise RewriteCycle.recurring(
                 rules.alphabet.label(current), len(path) - path.index(current))

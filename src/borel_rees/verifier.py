@@ -47,7 +47,8 @@ oracle pair was checked) is "inconclusive", never "certified". For
 verify_gb that is one count, for either method: every fiber holds a
 monomial, so some fiber holds two exactly when the budget holds more
 monomials (presentation.monomial_count, in closed form) than the
-multidegrees checked.
+multidegrees checked. koszul_report checks its constructed basis before
+the obstruction scan, and scans only a budget the basis does not certify.
 """
 
 from __future__ import annotations
@@ -373,13 +374,15 @@ def unreached_slice_notes(
 ) -> list[str]:
     """A report note naming the budgeted t-vectors whose content degree
     exceeds x_degree, so that no fiber of theirs is checked; none when every
-    slice is reached."""
+    slice is reached. Content degree grows with every t entry, so the
+    budget's own decides at once whether any slice is unreached, and the
+    t-vectors are walked only to name them."""
+    if content_degree(ideals, t_budget) <= x_degree:
+        return []
     unreached = " ".join(
         ",".join(map(str, tv)) for tv in t_vectors(t_budget)
         if content_degree(ideals, tv) > x_degree
     )
-    if not unreached:
-        return []
     return [f"unchecked t-vectors, content degree above x-degree {x_degree}: "
             f"{unreached}"]
 
@@ -716,33 +719,36 @@ def koszul_report(
     The verdict is evidence, never a proof: "g-quadratic-certified" is always
     bound-qualified, "obstructed" is definitive (a cubic minimal kernel
     generator rules out quadratic defining equations and hence Koszulness).
-    A t_budget without one entry per ideal, or with a negative entry,
+    The basis is checked first, and the scan runs only when it does not
+    certify: every rule is a quadric move inside a fiber, so a fiber whose
+    members all rewrite to one normal form is connected under quadric moves
+    (Diaconis-Sturmfels 1998; Sturmfels 1996, ch. 4-5), and a certified
+    budget holds no obstruction. A scan that finds one discards the basis
+    run. A t_budget without one entry per ideal, or with a negative entry,
     raises ValueError first, whichever checks run.
     """
     check_t_budget(ideals, t_budget)
     g = [i.num_borel_generators for i in ideals]
     d = [i.degree for i in ideals]
     gate = parameter_gate(len(ideals), g, d)
-    notes = []
-    if sum(t_budget) >= 3:
-        witnesses = detect_obstructions(ideals, t_budget)
-    else:
-        witnesses = []
-        notes.append("t budget below 3: obstruction scan skipped")
+    rules = quadratic_basis_for(ideals)
     gb_report = None
     verdict = "inconclusive"
+    if rules is not None:
+        gb_report = verify_gb(rules, ideals, t_budget, progress=progress)
+        if gb_report.verdict == "certified-up-to-bound":
+            verdict = "g-quadratic-certified"
+    notes, witnesses = [], []
+    if sum(t_budget) < 3:
+        notes.append("t budget below 3: obstruction scan skipped")
+    elif verdict == "inconclusive":
+        witnesses = detect_obstructions(ideals, t_budget)
     if witnesses:
-        verdict = "obstructed"
-    else:
-        rules = quadratic_basis_for(ideals)
-        if rules is not None:
-            gb_report = verify_gb(rules, ideals, t_budget, progress=progress)
-            if gb_report.verdict == "certified-up-to-bound":
-                verdict = "g-quadratic-certified"
-            elif gb_report.verdict == "refuted":
-                notes.append("constructed basis failed certification")
-        else:
-            notes.append("no constructive quadratic basis for this collection")
+        verdict, gb_report = "obstructed", None
+    elif gb_report is None:
+        notes.append("no constructive quadratic basis for this collection")
+    elif gb_report.verdict == "refuted":
+        notes.append("constructed basis failed certification")
     return KoszulReport(
         ideals=collection_spec(ideals),
         t_budget=tuple(t_budget),

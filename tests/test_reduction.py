@@ -6,6 +6,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from borel_rees import verifier
 from borel_rees.borel import order_view
@@ -36,7 +37,6 @@ from borel_rees.reduction import (
     rank_normal_form,
     rank_rewrites,
     rank_rules,
-    rank_step,
     rule_indices,
     to_dot,
 )
@@ -797,7 +797,7 @@ class TestLeadTable:
         listed = rules_of(4, ("x3*x4", "x1^2"), ("x1*x2", "x3^2"),
                           ("x1*x2", "x4^2"))
         compiled = rank_rules(listed, Alphabet((), 4))
-        assert [pos for pos, _, _ in compiled.rows[0][1]] == [1, 2]
+        assert [pos for pos, _, _ in compiled.leads[(0, 1)]] == [1, 2]
         v = m("x1*x2*x3*x4", 4)
         monomials = [
             Monomial([combo.count(k) for k in range(4)])
@@ -807,7 +807,7 @@ class TestLeadTable:
                             (listed[:0:-1], "x3*x4^3")):
             compiled = rank_rules(rules, Alphabet((), 4))
             atoms = compiled.alphabet.encode(v)
-            assert rank_step(atoms, compiled) == (
+            assert rank_rewrites(atoms, compiled)[0][0] == (
                 compiled.alphabet.encode(m(step, 4)))
             assert [rules[pos] for _, pos in rank_rewrites(atoms, compiled)] \
                 == [g for _, g in applicable_reductions(v, rules)]
@@ -821,10 +821,9 @@ class TestLeadTable:
         cube = compiled.alphabet.encode(m("x1^3*x2", 2))
         assert cube == (0, 0, 0, 1)
         assert rank_rewrites(cube, compiled) == [((0, 1, 1, 1), 0)]
-        assert rank_step(cube, compiled) == (0, 1, 1, 1)
         assert rank_normal_form(cube, compiled) == (0, 1, 1, 1)
         assert rank_rewrites((0, 1, 1, 1), compiled) == []
-        assert rank_step((0, 1, 1, 1), compiled) is None
+        assert rank_normal_form((0, 1, 1, 1), compiled) == (0, 1, 1, 1)
         monomials = [Monomial([a, d - a]) for d in range(2, 7)
                      for a in range(d + 1)]
         forms = assert_atoms_match_scan(monomials, rules, n=2)
@@ -832,8 +831,8 @@ class TestLeadTable:
 
     def test_syzygy_leads_put_the_t_atom_first(self, quadric_pair_ideal,
                                                quadric_pair_G1):
-        # x_i*T_u is the atom pair (rank of u, size + i - 1): its row is the
-        # t-atom's, and no x-atom leads a rule, so none has a row
+        # x_i*T_u is the atom pair (rank of u, size + i - 1), t-atom first,
+        # and no lead pair starts with an x-atom
         ideals = [quadric_pair_ideal]
         rules = build_fiber_type_basis(ideals, quadric_pair_G1)
         alphabet = Alphabet.of(ideals)
@@ -849,16 +848,15 @@ class TestLeadTable:
             lead = (variables.index(factor), size + i - 1)
             assert alphabet.encode(g.lead) == lead
             assert (pos, lead, alphabet.encode(g.trail)) in (
-                compiled.rows[lead[0]][lead[1]])
-        assert len(compiled.rows) == size + 5
-        assert all(row is None for row in compiled.rows[size:])
+                compiled.leads[lead])
+        assert all(a < size for a, _ in compiled.leads)
         monomials = [v for _, f in mixed_fibers(ideals, (2,), 5) for v in f]
         forms = assert_atoms_match_scan(monomials, rules, ideals)
         assert len(set(forms.values())) < len(forms)
 
     def test_ambient_example_rules_keep_x_atoms(self):
-        # no presentation variables: x_i stays atom i - 1, and only the
-        # first atom of a lead has a row
+        # no presentation variables: x_i stays atom i - 1, and the lead
+        # table is keyed by exactly the leads' atom pairs
         for n, pairs in ((3, TWO_SINK_RULES), (5, UNIQUE_SINK_RULES),
                          (6, CYCLING_RULES)):
             rules = rules_of(n, *pairs)
@@ -867,9 +865,8 @@ class TestLeadTable:
             for g in rules:
                 assert alphabet.encode(g.lead) == tuple(
                     i - 1 for i in g.lead.variables_with_multiplicity())
-            assert {a for a, row in enumerate(compiled.rows)
-                    if row is not None} == {
-                alphabet.encode(g.lead)[0] for g in rules}
+            assert set(compiled.leads) == {
+                alphabet.encode(g.lead) for g in rules}
             monomials = [
                 Monomial([combo.count(k) for k in range(n)])
                 for combo in itertools.combinations_with_replacement(
@@ -881,11 +878,11 @@ class TestLeadTable:
 
 
 class TestLeanCore:
-    """rank_step and rank_normal_form on the lead table's earliest rules, each
-    against normal_form on objects with the same rule list: the cycle
-    message of a path with a tail, a memo hit inside a path, two rules on
-    one lead, and containment leads on either side of the best table
-    hit."""
+    """rank_normal_form and the earliest step (the first of rank_rewrites)
+    on the lead table's earliest rules, each against normal_form on objects
+    with the same rule list: the cycle message of a path with a tail, a
+    memo hit inside a path, two rules on one lead, and containment leads on
+    either side of the best table hit."""
 
     @staticmethod
     def both(v, rules, n, memo=None, rank_memo=None):
@@ -924,10 +921,14 @@ class TestLeanCore:
         expected, got = self.both(m("x1*x2", 3), rules, 3, memo, rank_memo)
         assert got == expected == (1, 2)
         assert set(rank_memo) == {(0, 1), (1, 1), (1, 2)}
-        with mock.patch("borel_rees.reduction.rank_step",
-                        wraps=rank_step) as step:
-            assert rank_normal_form((0, 0), compiled, rank_memo) == (1, 2)
-        assert step.call_count == 1
+        # holding x1*x2 alone, the memo gains x1^2 alone: the walk stopped
+        # at its first step's hit
+        hit = {(0, 1): (1, 2)}
+        assert rank_normal_form((0, 0), compiled, hit) == (1, 2)
+        assert hit == {(0, 1): (1, 2), (0, 0): (1, 2)}
+        before = set(rank_memo)
+        assert rank_normal_form((0, 0), compiled, rank_memo) == (1, 2)
+        assert set(rank_memo) - before == {(0, 0)}
         normal_form(m("x1^2", 3), rules, memo)
         assert rank_memo == {
             compiled.alphabet.encode(u): compiled.alphabet.encode(nf)
@@ -941,9 +942,9 @@ class TestLeanCore:
             rules = rules_of(4, ("x3*x4", "x1*x2"), *listed)
             compiled = rank_rules(rules, Alphabet((), 4))
             # the earliest rule of a lead is the first of its list
-            assert [pos for pos, _, _ in compiled.rows[0][1]] == [1, 2]
-            assert compiled.rows[0][1][0] == (1, (0, 1), successor)
-            assert rank_step((0, 1), compiled) == successor
+            assert [pos for pos, _, _ in compiled.leads[(0, 1)]] == [1, 2]
+            assert compiled.leads[(0, 1)][0] == (1, (0, 1), successor)
+            assert rank_rewrites((0, 1), compiled)[0][0] == successor
             assert self.both(m("x1*x2", 4), rules, 4) == (successor,) * 2
 
     def test_a_containment_lead_wins_only_before_the_best_table_hit(self):
@@ -963,11 +964,45 @@ class TestLeanCore:
             compiled = rank_rules(rules, Alphabet((), 4))
             assert [pos for pos, _, _ in compiled.others] == [
                 1 + listed.index(cubic)]
-            assert rank_step((0, 1, 2), compiled) == successor
+            assert rank_rewrites((0, 1, 2), compiled)[0][0] == successor
             assert compiled.alphabet.encode(
                 applicable_reductions(v, rules)[0][0]) == successor
             expected, got = self.both(v, rules, 4)
             assert got == expected
+
+
+def _ambient_monomials(n, degree):
+    return [Monomial([combo.count(k) for k in range(n)])
+            for combo in itertools.combinations_with_replacement(
+                range(n), degree)]
+
+
+@st.composite
+def ambient_rule_lists(draw, n=4):
+    """A list of one to seven ambient rules on n variables, quadric (squares
+    included) and cubic leads in random order, each trail another monomial
+    of the lead's degree."""
+    rules = []
+    for _ in range(draw(st.integers(1, 7))):
+        lead, trail = draw(st.lists(
+            st.sampled_from(_ambient_monomials(n, draw(st.sampled_from(
+                (2, 3))))), min_size=2, max_size=2, unique=True))
+        rules.append(MarkedBinomial(lead, trail))
+    return rules
+
+
+class TestRandomRuleLists:
+    """rank_rewrites and rank_normal_form against applicable_reductions and
+    normal_form on random ambient rule lists, over every monomial of degree
+    2 to 4: the one-step reductions as the same list, and the same normal
+    form or RewriteCycle message."""
+
+    MONOMIALS = [v for d in (2, 3, 4) for v in _ambient_monomials(4, d)]
+
+    @given(ambient_rule_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_atom_core_matches_the_scan(self, rules):
+        assert_atoms_match_scan(self.MONOMIALS, rules, n=4)
 
 
 class TestMixedReduction:

@@ -3,6 +3,7 @@ import itertools
 import operator
 import random
 import re
+import time
 from collections import Counter
 from unittest import mock
 
@@ -38,6 +39,7 @@ from borel_rees.presentation import (
 )
 from borel_rees.reduction import MarkedBinomial
 from borel_rees.verifier import (
+    KoszulReport,
     VerificationReport,
     analyze_fiber,
     check_membership,
@@ -853,6 +855,20 @@ class TestVerifyGBMixed:
             "1,2 2,1 2,2"
         ]
 
+    def test_a_huge_budget_at_the_default_x_degree_is_decided_at_once(
+            self, running_pair, running_pair_basis):
+        # the default x-degree reaches every slice, which the budget's own
+        # content degree decides with no walk over its 3,000,000,001
+        # t-vectors
+        pair = list(running_pair)
+        rules = build_fiber_type_basis(pair, running_pair_basis)
+        budget = (3000000000, 0)
+        x_degree = mixed_x_degree(rules, pair, budget)
+        assert x_degree == 6000000000
+        start = time.perf_counter()
+        assert unreached_slice_notes(pair, budget, x_degree) == []
+        assert time.perf_counter() - start < 1
+
 
 def _fiber_type_case(name):
     """A fiber-type basis with its budget and x-degree bound: the one of
@@ -1290,6 +1306,65 @@ class TestKoszulReport:
         report = koszul_report([deg4_1, deg4_2], (2, 1))
         assert report.verdict == "obstructed"
         assert report.gate.verdict == "known-obstructed"
+
+
+def _scan_first(report, ideals, t_budget):
+    """The JSON of a koszul_report on these ideals and budget when the
+    obstruction scan runs first and the basis is checked only when the
+    scan finds nothing; the ideals and the gate are the report's."""
+    witnesses = detect_obstructions(ideals, t_budget)
+    rules = quadratic_basis_for(ideals)
+    gb_report, notes = None, []
+    verdict = "obstructed" if witnesses else "inconclusive"
+    if not witnesses and rules is None:
+        notes.append("no constructive quadratic basis for this collection")
+    elif not witnesses:
+        gb_report = verify_gb(rules, ideals, t_budget)
+        if gb_report.verdict == "certified-up-to-bound":
+            verdict = "g-quadratic-certified"
+        elif gb_report.verdict == "refuted":
+            notes.append("constructed basis failed certification")
+    return KoszulReport(report.ideals, report.t_budget, report.gate,
+                        witnesses, gb_report, verdict, notes).to_json_dict()
+
+
+EX4_1_TRIPLE = [["x3^2", "x1*x5"], ["x3^2", "x2*x4"], ["x2*x4", "x1*x5"]]
+
+
+class TestKoszulReportCertifiesFirst:
+    """koszul_report checks the basis before the obstruction scan, which
+    runs only when the basis does not certify: a certified fiber is
+    connected under quadric moves, so the scan could find no witness."""
+
+    def test_equals_the_scan_first_report(self, running_pair):
+        pair = list(running_pair)
+        cases = [(pair, (2, 1)), (pair, (3, 1)),
+                 ([borel_closure([m(u, 5) for u in gens], 5)
+                   for gens in EX4_1_TRIPLE], (1, 1, 1))]
+        shapes = [s for s in ALL_SHAPES if s[3] <= 5]
+        cases += [([_two_quadric(*s1, 5), _two_quadric(*s2, 5)], (2, 1))
+                  for s1 in shapes for s2 in shapes]
+        assert len(cases) == 3 + 15 * 15
+        verdicts = Counter()
+        for ideals, budget in cases:
+            report = koszul_report(ideals, budget)
+            assert report.to_json_dict() == _scan_first(report, ideals,
+                                                        budget)
+            verdicts[report.verdict] += 1
+        assert verdicts == {"g-quadratic-certified": 227, "obstructed": 1}
+
+    def test_no_scan_when_the_basis_certifies(self, running_pair):
+        triple = [borel_closure([m(u, 5) for u in gens], 5)
+                  for gens in EX4_1_TRIPLE]
+        with mock.patch.object(verifier, "detect_obstructions",
+                               wraps=detect_obstructions) as scan:
+            certified = koszul_report(list(running_pair), (3, 1))
+            assert scan.call_count == 0
+            obstructed = koszul_report(triple, (1, 1, 1))
+            assert scan.call_count == 1
+        assert certified.verdict == "g-quadratic-certified"
+        assert obstructed.verdict == "obstructed"
+        assert obstructed.gb_report is None
 
 
 class TestSoundnessCoupling:
