@@ -227,7 +227,8 @@ def cmd_kernel_oracle(args: argparse.Namespace) -> int:
     if x_degree is not None:
         report.notes.append(f"mixed kernel pairs up to x-degree {x_degree}")
         report.notes += unreached_slice_notes(ideals, args.budget, x_degree)
-    checked, failures = kernel_membership(rules, ideals, args.budget, x_degree)
+    checked, failures = kernel_membership(rules, ideals, args.budget, x_degree,
+                                          progress=progress_to_stderr)
     report.oracle_binomials_checked = checked
     report.oracle_failures = failures
     _emit(report.to_json_dict(), args.out, "oracle.json")
@@ -236,7 +237,8 @@ def cmd_kernel_oracle(args: argparse.Namespace) -> int:
 
 def cmd_detect_cubics(args: argparse.Namespace) -> int:
     ideals = _load_ideals(args)
-    witnesses = detect_obstructions(ideals, args.budget)
+    witnesses = detect_obstructions(ideals, args.budget,
+                                    progress=progress_to_stderr)
     payload = {
         "t_budget": list(args.budget),
         "witnesses": [w.to_json_dict() for w in witnesses],

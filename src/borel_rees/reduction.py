@@ -18,16 +18,19 @@ in rule-list order, fiber_edges builds every fiber graph from it as
 collapsed (target, rule positions) edges (the verifier's fiber analysis,
 and build_graph's reduction graphs for the paper cases, the fiber-graph
 command and the demos), and has_cycle is the one cycle detector on graphs.
-rank_normal_form, the one normal-form routine on atoms, follows the
-earliest-listed applicable rule only (the first entry of each lead's list,
-unless another rule listed before it applies); with a memo it records
-every monomial on its path with its normal form, so callers reducing many
-monomials under one rule list walk each path once. Every rule keeps
-degree, so that deterministic path stays among finitely many monomials: it
-either ends or returns to a monomial it has visited, which raises
-RewriteCycle exactly instead of guessing from a step budget. Graphs also
-carry the longest-path invariant used to certify that a marked collection
-rewrites Noetherianly.
+rank_normal_forms, the one normal-form routine on atoms, reduces a fiber
+at a time: each member follows the earliest-listed applicable rule only
+(the first entry of each lead's list, unless another rule listed before
+it applies), and one memo per fiber records every monomial on a path with
+its normal form, so the members of a fiber walk each shared path once.
+Every rule keeps degree, so that deterministic path stays among finitely
+many monomials: it either ends or returns to a monomial it has visited,
+which makes the member's value a RewriteCycle exactly instead of a guess
+from a step budget. A rule whose sides have equal images keeps every path
+inside its fiber, so for such rules the per-fiber memo loses nothing; for
+any other rule list it is only a cache. Graphs also carry the
+longest-path invariant used to certify that a marked collection rewrites
+Noetherianly.
 
 applicable_reductions and normal_form are the object-level references: they
 scan the rule list in order with each lead's divides, on the monomials
@@ -323,7 +326,7 @@ def o_invariant(v: MixedMonomial) -> int:
 
 def normal_form(v, rules: Sequence[MarkedBinomial], memo: dict | None = None):
     """Rewrite v by the earliest-listed applicable rule until none applies:
-    the object-level reference for rank_normal_form, scanning the list in
+    the object-level reference for rank_normal_forms, scanning the list in
     order. When the collection is a verified Groebner basis the result is
     the unique sink regardless of rule order.
 
@@ -471,50 +474,57 @@ def fiber_edges(fiber: Sequence[tuple[int, ...]], rules: RankRules):
     return edges
 
 
-def rank_normal_form(v: tuple[int, ...], rules: RankRules,
-                     memo: dict | None = None) -> tuple[int, ...]:
-    """Rewrite an atom tuple by the earliest-listed applicable rule until
-    none applies, with normal_form's memo semantics and RewriteCycle
-    message.
+def rank_normal_forms(fiber: Sequence[tuple[int, ...]],
+                      rules: RankRules) -> list:
+    """The normal form of every member of a fiber of atom tuples, in fiber
+    order: each member rewritten by the earliest-listed applicable rule
+    until none applies, as normal_form does on objects. A member whose path
+    cycles gets its RewriteCycle, with normal_form's message, as its value.
 
-    Each step reads the earliest rule of every atom pair off the lead table
-    (the first entry of leads[(a, b)]) and scans by multiset containment
-    only the other rules listed before the best table hit.
+    One memo, local to the call, maps every monomial on a path that ends to
+    its normal form, so members whose paths meet walk the rest once; a
+    cycling path records nothing. Each step reads the earliest rule of
+    every atom pair off the lead table (the first entry of leads[(a, b)])
+    and scans by multiset containment only the other rules listed before
+    the best table hit.
     """
-    path: list = []
-    visit = path.append
-    known = {}.get if memo is None else memo.get
+    memo: dict = {}
+    known = memo.get
     leads, others = rules.leads, rules.others
-    current = v
-    while True:
-        nf = known(current)
-        if nf is not None:
-            break
-        best = None
-        if leads:
-            for pair in combinations(current, 2):
-                listed = leads.get(pair)
-                if listed and (best is None or listed[0][0] < best[0]):
-                    best = listed[0]
-        for rule in others:
-            if best is not None and rule[0] > best[0]:
+    forms = []
+    for current in fiber:
+        path: list = []
+        while True:
+            nf = known(current)
+            if nf is not None:
                 break
-            if _contains(current, rule[1]):
-                best = rule
+            best = None
+            if leads:
+                for pair in combinations(current, 2):
+                    listed = leads.get(pair)
+                    if listed and (best is None or listed[0][0] < best[0]):
+                        best = listed[0]
+            for rule in others:
+                if best is not None and rule[0] > best[0]:
+                    break
+                if _contains(current, rule[1]):
+                    best = rule
+                    break
+            if best is None:
+                nf = current
                 break
-        if best is None:
-            nf = current
-            break
-        visit(current)
-        current = _apply(current, best[1], best[2])
-        if current in path:
-            raise RewriteCycle.recurring(
-                rules.alphabet.label(current), len(path) - path.index(current))
-    if memo is not None:
-        for u in path:
-            memo[u] = nf
-        memo[current] = nf
-    return nf
+            path.append(current)
+            current = _apply(current, best[1], best[2])
+            if current in path:
+                nf = RewriteCycle.recurring(rules.alphabet.label(current),
+                                            len(path) - path.index(current))
+                break
+        if type(nf) is tuple:  # a cycling path records nothing
+            for u in path:
+                memo[u] = nf
+            memo[current] = nf
+        forms.append(nf)
+    return forms
 
 
 def to_dot(

@@ -22,9 +22,11 @@ every lead an atom tuple, through the collection's presentation.Alphabet.
 The default x-degree bound reaches every budgeted t-slice
 (mixed_x_degree); a note names each slice an explicit bound leaves
 unreached. The kernel oracle (kernel_membership) reduces
-every member of the same fibers once, on atom tuples, and counts a fiber
-of k members as its C(k, 2) pairs; the pair list (toric_kernel_span) and
-its object-level check (check_membership) stay as its reference.
+every member of the same fibers once, on atom tuples, a fiber at a time
+by reduction.rank_normal_forms with one memo per fiber, and counts a
+fiber of k members as its C(k, 2) pairs; the pair list
+(toric_kernel_span) and its object-level check (check_membership) stay
+as its reference.
 
 verify_gb picks its method from the marking alone, pure or mixed. When a
 library term order orients every rule (orders.marking_order; for a mixed
@@ -82,7 +84,7 @@ from .reduction import (
     fiber_edges,
     has_cycle,
     normal_form,
-    rank_normal_form,
+    rank_normal_forms,
     rank_rules,
     rule_indices,
 )
@@ -179,10 +181,6 @@ class ObstructionWitness(Record):
         self.multidegree = multidegree
         self.components = components
 
-    @property
-    def fiber_size(self) -> int:
-        return sum(len(c) for c in self.components)
-
     def component_of(self, v: PresMonomial) -> int:
         for i, comp in enumerate(self.components):
             if v in comp:
@@ -263,13 +261,8 @@ def verify_gb(
     order = marking_order(rules, ideals)
 
     def count(k):
-        # progress at every multiple of 2000 the count reaches
-        before = report.multidegrees_checked
-        report.multidegrees_checked += k
-        if progress:
-            for mark in range(before // 2000 + 1,
-                              report.multidegrees_checked // 2000 + 1):
-                progress(2000 * mark)
+        report.multidegrees_checked = _advance(
+            report.multidegrees_checked, k, progress)
 
     alphabet = Alphabet.of(ideals)
     lead_pairs = []
@@ -333,6 +326,15 @@ def verify_gb(
     report.nontrivial_fiber = (monomial_count(ideals, t_budget, x_degree)
                                > report.multidegrees_checked)
     return report
+
+
+def _advance(walked: int, k: int,
+             progress: Callable[[int], None] | None) -> int:
+    """walked + k, calling progress at every multiple of 2000 it reaches."""
+    if progress:
+        for mark in range(walked // 2000 + 1, (walked + k) // 2000 + 1):
+            progress(2000 * mark)
+    return walked + k
 
 
 def mixed_x_degree(
@@ -458,44 +460,41 @@ def kernel_membership(
     ideals: Sequence[StronglyStableIdeal],
     t_budget: Sequence[int],
     x_degree: int | None = None,
+    progress: Callable[[int], None] | None = None,
 ) -> tuple[int, list[dict]]:
     """Exactly check_membership(toric_kernel_span(ideals, t_budget,
     x_degree), rules), a fiber at a time on atom tuples.
 
-    The rules are compiled once (reduction.rank_rules) and every fiber
-    member is reduced once by rank_normal_form, with one memo; a fiber of k
-    members counts C(k, 2) pairs. Only a fiber whose members do not all
-    share one normal form has its pairs walked, in combinations order, for
-    the same failure dicts: the error of the first side that cycles,
-    otherwise both normal forms. Pure and mixed fibers alike come as atom
-    tuples in the listed groups of presentation._fiber_groups (its counts
-    are never started), each group walked in no set order, with no
+    The rules are compiled once (reduction.rank_rules) and each fiber's
+    members are reduced by one rank_normal_forms call, with one memo per
+    fiber, which loses nothing when every rule keeps images (no rewrite
+    path leaves its fiber) and is only a cache otherwise. A fiber of k
+    members counts C(k, 2) pairs. Only a fiber whose members do
+    not all share one normal form has its pairs walked, in combinations
+    order, for the same failure dicts: the error of the first side that
+    cycles, otherwise both normal forms. Pure and mixed fibers alike come
+    as atom tuples in the listed groups of presentation._fiber_groups (its
+    counts are never started), each group walked in no set order, with no
     MultiDegree built. Only its failing fibers are sorted, into
-    rank_fibers order, and monomials are decoded only for their labels. A
-    t_budget without one entry per ideal or with a negative entry, or a
-    negative x_degree, raises ValueError before any work starts.
+    rank_fibers order, and monomials are decoded only for their labels.
+    progress is called at every multiple of 2000 the multidegrees walked
+    reach. A t_budget without one entry per ideal or with a negative
+    entry, or a negative x_degree, raises ValueError before any work
+    starts.
     """
     _, _, groups = _fiber_groups(ideals, t_budget, x_degree=x_degree)
     compiled = rank_rules(rules, Alphabet.of(ideals))
     label = functools.cache(compiled.alphabet.label)
-    memo: dict = {}
-    checked = 0
+    checked = walked = 0
     failures = []
     for _, group in groups:
+        walked = _advance(walked, len(group), progress)
         failing = {}
         for key, fiber in group.items():
             if len(fiber) < 2:
                 continue
             checked += len(fiber) * (len(fiber) - 1) // 2
-            forms = []
-            for v in fiber:
-                nf = memo.get(v)
-                if nf is None:
-                    try:
-                        nf = rank_normal_form(v, compiled, memo)
-                    except RewriteCycle as exc:
-                        nf = exc
-                forms.append(nf)
+            forms = rank_normal_forms(fiber, compiled)
             first = forms[0]
             if type(first) is not tuple or forms.count(first) != len(forms):
                 failing[key] = zip(fiber, forms)
@@ -553,6 +552,7 @@ def _move_components(fiber: Sequence[tuple[int, ...]]):
 def detect_obstructions(
     ideals: Sequence[StronglyStableIdeal],
     t_budget: Sequence[int],
+    progress: Callable[[int], None] | None = None,
 ) -> list[ObstructionWitness]:
     """Fibers of total t-degree >= 3 disconnected under all quadratic moves.
 
@@ -564,16 +564,19 @@ def detect_obstructions(
     the rank tuples of the listed groups of presentation._fiber_groups.
     Each t-slice of total degree 3 or more is walked in no set order, and
     only its witnesses are sorted, x-parts ascending as in rank_fibers;
-    only a witness has its MultiDegree and members built. A t_budget
-    without one entry per ideal or with a negative entry raises ValueError
-    first.
+    only a witness has its MultiDegree and members built. progress is
+    called at every multiple of 2000 the multidegrees walked reach, lower
+    slices included. A t_budget without one entry per ideal or with a
+    negative entry raises ValueError first.
     """
     digits, _, groups = _fiber_groups(ideals, t_budget)
     if sum(t_budget) < 3:
         raise ValueError("t budget must allow total t-degree >= 3")
     decode = Alphabet.of(ideals).decode
     witnesses = []
+    walked = 0
     for tv, group in groups:
+        walked = _advance(walked, len(group), progress)
         if sum(tv) < 3:
             continue
         split = {}

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from borel_rees import verifier
+from borel_rees import reduction, verifier
 from borel_rees.borel import order_view
 from borel_rees.monomial import Monomial, parse_monomial
 from borel_rees.orders import build_fiber_type_basis, build_G2
@@ -34,7 +34,7 @@ from borel_rees.reduction import (
     lift_to_mixed,
     normal_form,
     o_invariant,
-    rank_normal_form,
+    rank_normal_forms,
     rank_rewrites,
     rank_rules,
     rule_indices,
@@ -394,12 +394,29 @@ class TestNormalForm:
                 assert normal_form(v, shuffled) == reference
 
 
+def rank_forms(fiber, compiled):
+    """rank_normal_forms of a fiber of atom tuples, each cycle as its
+    RewriteCycle message."""
+    forms = rank_normal_forms(fiber, compiled)
+    assert all(type(nf) is tuple or type(nf) is RewriteCycle for nf in forms)
+    return [nf if type(nf) is tuple else str(nf) for nf in forms]
+
+
+def scan_form(v, rules, alphabet, memo=None):
+    """normal_form of v as atoms, or its RewriteCycle message."""
+    try:
+        return alphabet.encode(normal_form(v, rules, memo))
+    except RewriteCycle as exc:
+        return str(exc)
+
+
 def assert_atoms_match_scan(monomials, rules, ideals=None, n=None):
     """On every monomial, rank_rewrites lists applicable_reductions (the
     in-order scan) as the same multiset and in the same order, and
-    rank_normal_form gives the scan normal_form's result or RewriteCycle
-    message. The atoms are those of the ideals, or of n ambient variables
-    alone. Returns each monomial's normal form as atoms, or the message."""
+    rank_normal_forms, of the monomial alone and of all of them as one
+    fiber, gives the scan normal_form's result or RewriteCycle message. The
+    atoms are those of the ideals, or of n ambient variables alone. Returns
+    each monomial's normal form as atoms, or the message."""
     alphabet = Alphabet((), n) if ideals is None else Alphabet.of(ideals)
     compiled = rank_rules(rules, alphabet)
     forms = {}
@@ -410,15 +427,10 @@ def assert_atoms_match_scan(monomials, rules, ideals=None, n=None):
         got = [(s, rules[pos]) for s, pos in rank_rewrites(atoms, compiled)]
         assert Counter(s for s, _ in got) == Counter(s for s, _ in expected)
         assert got == expected, v
-        try:
-            reference = alphabet.encode(normal_form(v, rules))
-        except RewriteCycle as exc:
-            reference = str(exc)
-        try:
-            forms[v] = rank_normal_form(atoms, compiled)
-        except RewriteCycle as exc:
-            forms[v] = str(exc)
-        assert forms[v] == reference, v
+        (forms[v],) = rank_forms([atoms], compiled)
+        assert forms[v] == scan_form(v, rules, alphabet), v
+    assert rank_forms([alphabet.encode(v) for v in forms], compiled) == list(
+        forms.values())
     return forms
 
 
@@ -433,7 +445,7 @@ def _pairs_sample(pairs, rng, k=300):
 
 
 class TestIndexedRewritingMatchesScan:
-    """The atom core (rank_rewrites, rank_normal_form) against the in-order
+    """The atom core (rank_rewrites, rank_normal_forms) against the in-order
     scan on objects (applicable_reductions, normal_form): every one-step
     reduction in list order and the same rewrite path, for any rule order,
     Groebner or not."""
@@ -570,8 +582,8 @@ class TestIndexedRewritingMatchesScan:
                                 ([pair_rule, generic_rule], after_pair)):
             assert normal_form(v, rules) == expected
             compiled = rank_rules(rules, alphabet)
-            assert rank_normal_form(alphabet.encode(v), compiled) == (
-                alphabet.encode(expected))
+            assert rank_normal_forms([alphabet.encode(v)], compiled) == [
+                alphabet.encode(expected)]
             assert [pos for _, pos in rank_rewrites(alphabet.encode(v),
                                                     compiled)] == [0, 1]
 
@@ -680,27 +692,16 @@ class TestMemoizedNormalForms:
 
 
 def assert_rank_equivalent(monomials, rules, ideals):
-    """rank_normal_form on atom tuples equals normal_form on objects for
-    every monomial, cycle messages included, and both memos agree."""
+    """rank_normal_forms on the monomials' atom tuples as one fiber equals
+    normal_form on objects with one memo for every monomial, cycle messages
+    included."""
     alphabet = Alphabet.of(ideals)
-    compiled = rank_rules(rules, alphabet)
-    memo, rank_memo = {}, {}
-    outcomes = Counter()
-    for v in monomials:
-        try:
-            expected = alphabet.encode(normal_form(v, rules, memo))
-        except RewriteCycle as exc:
-            expected = str(exc)
-        try:
-            got = rank_normal_form(alphabet.encode(v), compiled, rank_memo)
-        except RewriteCycle as exc:
-            got = str(exc)
-        assert got == expected
-        outcomes[type(got).__name__] += 1
-    assert rank_memo == {
-        alphabet.encode(u): alphabet.encode(nf) for u, nf in memo.items()
-    }
-    return outcomes
+    memo = {}
+    expected = [scan_form(v, rules, alphabet, memo) for v in monomials]
+    got = rank_forms([alphabet.encode(v) for v in monomials],
+                     rank_rules(rules, alphabet))
+    assert got == expected
+    return Counter(type(nf).__name__ for nf in got)
 
 
 class TestRankRewriting:
@@ -821,9 +822,9 @@ class TestLeadTable:
         cube = compiled.alphabet.encode(m("x1^3*x2", 2))
         assert cube == (0, 0, 0, 1)
         assert rank_rewrites(cube, compiled) == [((0, 1, 1, 1), 0)]
-        assert rank_normal_form(cube, compiled) == (0, 1, 1, 1)
         assert rank_rewrites((0, 1, 1, 1), compiled) == []
-        assert rank_normal_form((0, 1, 1, 1), compiled) == (0, 1, 1, 1)
+        assert rank_normal_forms([cube, (0, 1, 1, 1)], compiled) == [
+            (0, 1, 1, 1)] * 2
         monomials = [Monomial([a, d - a]) for d in range(2, 7)
                      for a in range(d + 1)]
         forms = assert_atoms_match_scan(monomials, rules, n=2)
@@ -878,62 +879,49 @@ class TestLeadTable:
 
 
 class TestLeanCore:
-    """rank_normal_form and the earliest step (the first of rank_rewrites)
+    """rank_normal_forms and the earliest step (the first of rank_rewrites)
     on the lead table's earliest rules, each against normal_form on objects
     with the same rule list: the cycle message of a path with a tail, a
-    memo hit inside a path, two rules on one lead, and containment leads on
-    either side of the best table hit."""
+    memo hit inside a fiber, two rules on one lead, and containment leads
+    on either side of the best table hit."""
 
     @staticmethod
-    def both(v, rules, n, memo=None, rank_memo=None):
-        """(normal_form's result, rank_normal_form's) on ambient rules, as
-        atom tuples or as the RewriteCycle message."""
+    def both(v, rules, n):
+        """(normal_form's result, rank_normal_forms') of v alone on ambient
+        rules, as atom tuples or as the RewriteCycle message."""
         alphabet = Alphabet((), n)
-        compiled = rank_rules(rules, alphabet)
-        try:
-            expected = alphabet.encode(normal_form(v, rules, memo))
-        except RewriteCycle as exc:
-            expected = str(exc)
-        try:
-            got = rank_normal_form(alphabet.encode(v), compiled, rank_memo)
-        except RewriteCycle as exc:
-            got = str(exc)
-        return expected, got
+        (got,) = rank_forms([alphabet.encode(v)], rank_rules(rules, alphabet))
+        return scan_form(v, rules, alphabet), got
 
     def test_a_cycle_after_a_tail_names_the_cycle_length(self):
         # x1*x4^2 -> x2*x3*x4 -> x2^3 -> x2*x3*x4: a path of three
         # monomials whose cycle has two
         rules = rules_of(4, ("x1*x4", "x2*x3"), ("x3*x4", "x2^2"),
                          ("x2^2", "x3*x4"))
-        memo, rank_memo = {}, {}
-        expected, got = self.both(m("x1*x4^2", 4), rules, 4, memo, rank_memo)
+        expected, got = self.both(m("x1*x4^2", 4), rules, 4)
         assert got == expected == (
             "rewriting cycles: x2*x3*x4 recurs after 2 steps")
-        assert memo == rank_memo == {}
+        # a cycling path records nothing: a later member on it cycles too,
+        # named from its own path
+        compiled = rank_rules(rules, Alphabet((), 4))
+        assert rank_forms([(0, 3, 3), (1, 1, 1)], compiled) == [
+            got, "rewriting cycles: x2^3 recurs after 2 steps"]
 
-    def test_a_memo_hit_inside_a_path_ends_it(self):
+    def test_a_memo_hit_inside_a_fiber_ends_the_path(self):
         # x1^2 -> x1*x2 -> x2^2 -> x2*x3: with x1*x2 reduced first, the
-        # walk from x1^2 takes one step and records x1^2 alone
+        # walk from x1^2 takes one step and stops at the memo; the memo
+        # lives in one call only
         rules = rules_of(3, ("x1^2", "x1*x2"), ("x1*x2", "x2^2"),
                          ("x2^2", "x2*x3"))
         compiled = rank_rules(rules, Alphabet((), 3))
-        memo, rank_memo = {}, {}
-        expected, got = self.both(m("x1*x2", 3), rules, 3, memo, rank_memo)
-        assert got == expected == (1, 2)
-        assert set(rank_memo) == {(0, 1), (1, 1), (1, 2)}
-        # holding x1*x2 alone, the memo gains x1^2 alone: the walk stopped
-        # at its first step's hit
-        hit = {(0, 1): (1, 2)}
-        assert rank_normal_form((0, 0), compiled, hit) == (1, 2)
-        assert hit == {(0, 1): (1, 2), (0, 0): (1, 2)}
-        before = set(rank_memo)
-        assert rank_normal_form((0, 0), compiled, rank_memo) == (1, 2)
-        assert set(rank_memo) - before == {(0, 0)}
-        normal_form(m("x1^2", 3), rules, memo)
-        assert rank_memo == {
-            compiled.alphabet.encode(u): compiled.alphabet.encode(nf)
-            for u, nf in memo.items()
-        }
+        for fiber, steps in ((((0, 1), (0, 0)), 3), (((0, 0), (0, 1)), 3),
+                             (((0, 1),), 2), (((0, 0),), 3)):
+            with mock.patch.object(reduction, "_apply",
+                                   wraps=reduction._apply) as applied:
+                assert rank_normal_forms(fiber, compiled) == [(1, 2)] * len(
+                    fiber)
+            assert applied.call_count == steps
+        assert self.both(m("x1^2", 3), rules, 3) == ((1, 2),) * 2
 
     def test_the_earliest_of_two_rules_on_one_lead_wins(self):
         first, second = ("x1*x2", "x3^2"), ("x1*x2", "x4^2")
@@ -992,7 +980,7 @@ def ambient_rule_lists(draw, n=4):
 
 
 class TestRandomRuleLists:
-    """rank_rewrites and rank_normal_form against applicable_reductions and
+    """rank_rewrites and rank_normal_forms against applicable_reductions and
     normal_form on random ambient rule lists, over every monomial of degree
     2 to 4: the one-step reductions as the same list, and the same normal
     form or RewriteCycle message."""
@@ -1003,6 +991,19 @@ class TestRandomRuleLists:
     @settings(max_examples=200, deadline=None)
     def test_atom_core_matches_the_scan(self, rules):
         assert_atoms_match_scan(self.MONOMIALS, rules, n=4)
+
+    @given(ambient_rule_lists(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_whole_fibers_match_the_scan_per_member(self, rules, data):
+        # a random "fiber" of distinct monomials in random order: the rules
+        # keep no image, so paths leave it, meet inside it and cycle, and
+        # every member's form is normal_form's, each reduced afresh
+        fiber = data.draw(st.lists(st.sampled_from(self.MONOMIALS),
+                                   min_size=1, max_size=30, unique=True))
+        alphabet = Alphabet((), 4)
+        got = rank_forms([alphabet.encode(v) for v in fiber],
+                         rank_rules(rules, alphabet))
+        assert got == [scan_form(v, rules, alphabet) for v in fiber]
 
 
 class TestMixedReduction:

@@ -571,7 +571,8 @@ class TestKernelMembership:
     def test_rules_that_leave_a_fiber(self, quadric_pair_ideal,
                                       quadric_pair_G1):
         # a lead and trail of different images rewrite out of the lead's
-        # fiber, through members the run-wide memo may already hold
+        # fiber, so the per-fiber memo is only a cache: members of other
+        # fibers are reduced again in each fiber whose paths reach them
         ideals = [quadric_pair_ideal]
         quadrics = [f for mu, f in fibers_by_multidegree(ideals, (2,))
                     if mu.t_exps == (2,)]
@@ -584,6 +585,18 @@ class TestKernelMembership:
             assert got == check_membership(
                 toric_kernel_span(ideals, budget), rules)
             assert got[1]
+
+    def test_progress_at_every_multiple_of_2000(self, running_pair,
+                                                running_pair_basis):
+        # the pair at 5,0 walks 3,430 fibers; at 2,1 it walks 572, so no call
+        ideals = list(running_pair)
+        for budget, expected in (((5, 0), [2000]), ((2, 1), [])):
+            calls = []
+            got = kernel_membership(running_pair_basis, ideals, budget,
+                                    progress=calls.append)
+            assert calls == expected
+            assert got == kernel_membership(running_pair_basis, ideals,
+                                            budget)
 
 
 class TestMixedOracle:
@@ -1200,8 +1213,18 @@ class TestDetectObstructions:
         i2 = borel_closure([m("x3^2", 5), m("x2*x4", 5)], 5)
         i3 = borel_closure([m("x2*x4", 5), m("x1*x5", 5)], 5)
         (witness,) = detect_obstructions([i1, i2, i3], (1, 1, 1))
-        assert witness.fiber_size == sum(len(c) for c in witness.components)
         assert len(witness.components) >= 2
+
+    def test_progress_at_every_multiple_of_2000(self, running_pair):
+        # the pair at 5,0 walks 3,430 fibers, lower slices included; at 2,1
+        # it walks 572, so no call
+        for budget, expected in (((5, 0), [2000]), ((2, 1), [])):
+            calls = []
+            witnesses = detect_obstructions(list(running_pair), budget,
+                                            progress=calls.append)
+            assert calls == expected
+            assert witnesses == detect_obstructions(list(running_pair),
+                                                    budget)
 
 
 class TestParameterGate:
