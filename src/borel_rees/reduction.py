@@ -7,11 +7,11 @@ on sorted int tuples: rank_rules compiles a rule list once onto the atoms of
 a presentation.Alphabet, where the presentation variable of rank k is atom k
 and x_i is atom size + i - 1 (size presentation variables), so a rank tuple
 is already an atom tuple; the alphabet (RankRules.alphabet) encodes and
-decodes monomials. Two-atom leads (quadrics, syzygies T_u*x_i and lifted
-fiber leads alike) are found in a lead table keyed by atom pair:
-leads[(a, b)] lists every rule with lead (a, b), in list order, so
-leads[(a, b)][0] is the earliest of them. Any other lead is found by
-multiset containment.
+decodes monomials. Every lead is two atoms (a T-quadric, a syzygy
+x_i*T_u, a lifted fiber lead or an ambient quadric), so the one rule index
+is a lead table keyed by atom pair: leads[(a, b)] lists every rule with
+lead (a, b), in list order, so leads[(a, b)][0] is the earliest of them. A
+lead of any other size is refused when the list is compiled.
 
 On that core, rank_rewrites lists every one-step reduction of an atom tuple
 in rule-list order, fiber_edges builds every fiber graph from it as
@@ -20,9 +20,9 @@ and build_graph's reduction graphs for the paper cases, the fiber-graph
 command and the demos), and has_cycle is the one cycle detector on graphs.
 rank_normal_forms, the one normal-form routine on atoms, reduces a fiber
 at a time: each member follows the earliest-listed applicable rule only
-(the first entry of each lead's list, unless another rule listed before
-it applies), and one memo per fiber records every monomial on a path with
-its normal form, so the members of a fiber walk each shared path once.
+(the earliest first entry of the lead lists at its atom pairs), and one
+memo per fiber records every monomial on a path with its normal form, so
+the members of a fiber walk each shared path once.
 Every rule keeps degree, so that deterministic path stays among finitely
 many monomials: it either ends or returns to a monomial it has visited,
 which makes the member's value a RewriteCycle exactly instead of a guess
@@ -34,9 +34,9 @@ Noetherianly.
 
 applicable_reductions and normal_form are the object-level references: they
 scan the rule list in order with each lead's divides, on the monomials
-themselves. rule_indices splits a rule list into quadratic presentation
-leads keyed by their factor pair and the rest, which is what the
-term-order certificate reads its lead pairs from.
+themselves, and take a lead of any size. rule_indices splits a rule list
+into quadratic presentation leads keyed by their factor pair and the rest,
+which is what the term-order certificate reads its lead pairs from.
 """
 
 from __future__ import annotations
@@ -230,7 +230,8 @@ def build_graph(
     variables of the rules and the given monomials; vertices are decoded back
     to the given monomial kind. When the rules preserve the toric image the
     two constructions agree on fibers, since reductions cannot leave the
-    fiber.
+    fiber. A rule whose lead is not two atoms raises ValueError
+    (rank_rules) before any vertex is grown.
     """
     if (start is None) == (fiber is None):
         raise ValueError("give exactly one of start or fiber")
@@ -366,16 +367,14 @@ def normal_form(v, rules: Sequence[MarkedBinomial], memo: dict | None = None):
 class RankRules(NamedTuple):
     """A rule list compiled onto an atom alphabet (presentation.Alphabet).
 
-    leads is the lead table of the two-atom leads: leads[(a, b)], a <= b,
+    leads is the lead table, the one rule index: leads[(a, b)], a <= b,
     lists the (position, lead, trail) of every rule with lead (a, b), in
-    list order. others holds (position, lead, trail) of every other rule,
-    in list order.
+    list order.
     """
 
     alphabet: Alphabet
     leads: dict[tuple[int, int], list[tuple[int, tuple[int, int],
                                             tuple[int, ...]]]]
-    others: list[tuple[int, tuple[int, ...], tuple[int, ...]]]
 
 
 def rank_rules(rules: Sequence[MarkedBinomial],
@@ -383,11 +382,12 @@ def rank_rules(rules: Sequence[MarkedBinomial],
     """Compile a rule list onto the atoms of an alphabet.
 
     A quadric PresMonomial's two factors are read straight off the
-    alphabet's index; any other monomial goes through encode.
+    alphabet's index; any other monomial goes through encode. A rule whose
+    lead is not two atoms raises ValueError naming the rule and its lead's
+    atom count.
     """
     atoms = alphabet.index
-    compiled = RankRules(alphabet, {}, [])
-    leads, others = compiled.leads, compiled.others
+    leads: dict = {}
     encode = alphabet.encode
     for pos, g in enumerate(rules):
         lead, trail = g.lead, g.trail
@@ -400,15 +400,11 @@ def rank_rules(rules: Sequence[MarkedBinomial],
         else:
             lead, trail = encode(lead), encode(trail)
             if len(lead) != 2:
-                others.append((pos, lead, trail))
-                continue
+                raise ValueError(
+                    f"rule {g.label()}: lead atom count {len(lead)}; the "
+                    f"rewriting core takes two-atom leads only")
         leads.setdefault(lead, []).append((pos, lead, trail))
-    return compiled
-
-
-def _contains(v: tuple[int, ...], lead: tuple[int, ...]) -> bool:
-    """Multiset containment of atom tuples."""
-    return all(v.count(a) >= lead.count(a) for a in lead)
+    return RankRules(alphabet, leads)
 
 
 def _apply(v: tuple[int, ...], lead: tuple[int, ...],
@@ -427,21 +423,15 @@ def rank_rewrites(v: tuple[int, ...],
     """Every one-step reduction of an atom tuple as (successor, rule
     position), in rule-list order.
 
-    Reads the lead table at each distinct atom pair of v and scans the
-    other rules by multiset containment.
+    Reads the lead table at each distinct atom pair of v.
     """
     hits = []
     leads = rules.leads
-    # v has about len(v)**2 / 2 atom pairs: walk them only for a table
-    if leads:
-        for pair in dict.fromkeys(combinations(v, 2)):
-            found = leads.get(pair)
-            if found:
-                hits += [(pos, _apply(v, lead, trail))
-                         for pos, lead, trail in found]
-    for pos, lead, trail in rules.others:
-        if _contains(v, lead):
-            hits.append((pos, _apply(v, lead, trail)))
+    for pair in dict.fromkeys(combinations(v, 2)):
+        found = leads.get(pair)
+        if found:
+            hits += [(pos, _apply(v, lead, trail))
+                     for pos, lead, trail in found]
     if len(hits) > 1:
         hits.sort(key=itemgetter(0))
     return [(succ, pos) for pos, succ in hits]
@@ -485,12 +475,11 @@ def rank_normal_forms(fiber: Sequence[tuple[int, ...]],
     its normal form, so members whose paths meet walk the rest once; a
     cycling path records nothing. Each step reads the earliest rule of
     every atom pair off the lead table (the first entry of leads[(a, b)])
-    and scans by multiset containment only the other rules listed before
-    the best table hit.
+    and follows the earliest listed of them.
     """
     memo: dict = {}
     known = memo.get
-    leads, others = rules.leads, rules.others
+    leads = rules.leads
     forms = []
     for current in fiber:
         path: list = []
@@ -499,17 +488,10 @@ def rank_normal_forms(fiber: Sequence[tuple[int, ...]],
             if nf is not None:
                 break
             best = None
-            if leads:
-                for pair in combinations(current, 2):
-                    listed = leads.get(pair)
-                    if listed and (best is None or listed[0][0] < best[0]):
-                        best = listed[0]
-            for rule in others:
-                if best is not None and rule[0] > best[0]:
-                    break
-                if _contains(current, rule[1]):
-                    best = rule
-                    break
+            for pair in combinations(current, 2):
+                listed = leads.get(pair)
+                if listed and (best is None or listed[0][0] < best[0]):
+                    best = listed[0]
             if best is None:
                 nf = current
                 break

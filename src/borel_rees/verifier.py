@@ -250,7 +250,8 @@ def verify_gb(
     progress is called at every multiple of 2000 the count reaches. A
     t_budget without one entry per ideal, or with a negative entry, raises
     ValueError before any work starts, and a negative x_degree before any
-    fiber is grown.
+    fiber is grown. So does a marking checked by fiber graphs with a lead
+    that is not two atoms (reduction.rank_rules refuses it).
     """
     check_t_budget(ideals, t_budget)
     report = VerificationReport(
@@ -462,10 +463,14 @@ def kernel_membership(
     x_degree: int | None = None,
     progress: Callable[[int], None] | None = None,
 ) -> tuple[int, list[dict]]:
-    """Exactly check_membership(toric_kernel_span(ideals, t_budget,
-    x_degree), rules), a fiber at a time on atom tuples.
+    """Exactly check_membership(toric_kernel_span(ideals, t_budget, x),
+    rules), a fiber at a time on atom tuples, where x is
+    mixed_x_degree(rules, ideals, t_budget, x_degree): the fibers verify_gb
+    checks. So mixed leads with no x_degree get the default bound, and pure
+    leads given an x_degree raise ValueError.
 
-    The rules are compiled once (reduction.rank_rules) and each fiber's
+    The rules are compiled once (reduction.rank_rules, which refuses a
+    lead that is not two atoms with ValueError) and each fiber's
     members are reduced by one rank_normal_forms call, with one memo per
     fiber, which loses nothing when every rule keeps images (no rewrite
     path leaves its fiber) and is only a cache otherwise. A fiber of k
@@ -482,6 +487,7 @@ def kernel_membership(
     entry, or a negative x_degree, raises ValueError before any work
     starts.
     """
+    x_degree = mixed_x_degree(rules, ideals, t_budget, x_degree)
     _, _, groups = _fiber_groups(ideals, t_budget, x_degree=x_degree)
     compiled = rank_rules(rules, Alphabet.of(ideals))
     label = functools.cache(compiled.alphabet.label)

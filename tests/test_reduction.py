@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -40,7 +41,12 @@ from borel_rees.reduction import (
     rule_indices,
     to_dot,
 )
-from borel_rees.verifier import check_membership, mixed_fibers, toric_kernel_span
+from borel_rees.verifier import (
+    analyze_fiber,
+    check_membership,
+    mixed_fibers,
+    toric_kernel_span,
+)
 
 
 def m(text, n):
@@ -192,12 +198,10 @@ class TestBuildGraphSmallExamples:
             build_graph([], start=m("x1", 1), fiber=[m("x1", 1)])
 
     def test_parallel_rules_collapse_to_one_edge(self):
-        # two distinct rules send x1*x2*x3 to the same successor
-        rules = [
-            MarkedBinomial(m("x1", 3), m("x2", 3)),
-            MarkedBinomial(m("x1*x3", 3), m("x2*x3", 3)),
-        ]
-        graph = build_graph(rules, start=m("x1*x2*x3", 3))
+        # two distinct rules on two atom pairs send x1*x3*x4 to the same
+        # successor
+        rules = rules_of(4, ("x1*x3", "x2*x3"), ("x1*x4", "x2*x4"))
+        graph = build_graph(rules, start=m("x1*x3*x4", 4))
         (outs,) = [o for o in graph.edges if o]
         ((_, edge_rules),) = outs
         assert len(edge_rules) == 2
@@ -274,13 +278,16 @@ class TestEllMax:
                 )
 
     def test_deep_chain_within_design_bound(self):
-        # a 3000-step chain exceeds the interpreter recursion limit, so the
-        # longest-path walk must be iterative
-        depth = 3000
-        start = Monomial((depth, 0))
-        rule = MarkedBinomial(Monomial((1, 0)), Monomial((0, 1)))
-        graph = build_graph([rule], start=start)
-        assert ell_max(graph, start) == depth
+        # x1*x2 -> x1*x3 -> ... -> x1*x1201: a chain of 1,199 steps on
+        # two-atom monomials exceeds the interpreter recursion limit, so
+        # the longest-path walk must be iterative
+        n = 1201
+        rules = [MarkedBinomial(m(f"x1*x{i}", n), m(f"x1*x{i + 1}", n))
+                 for i in range(2, n)]
+        start = m("x1*x2", n)
+        graph = build_graph(rules, start=start)
+        assert len(graph.vertices) == n - 1
+        assert ell_max(graph, start) == n - 2 > sys.getrecursionlimit()
 
     def test_rejects_bad_shapes(self):
         cyclic = build_graph(
@@ -444,6 +451,22 @@ def _pairs_sample(pairs, rng, k=300):
     return pairs if len(pairs) <= k else rng.sample(pairs, k)
 
 
+def quadric_fibers(ideals):
+    """The fibers of t-degree 2 holding two monomials or more."""
+    budget = (2,) * len(ideals)
+    return [f for mu, f in fibers_by_multidegree(ideals, budget)
+            if sum(mu.t_exps) == 2 and len(f) >= 2]
+
+
+def random_quadric_marking(ideals, rng):
+    """One random orientation of two members of every quadric fiber, in
+    random order: two-atom leads that keep images, often not a Groebner
+    basis."""
+    fibers = quadric_fibers(ideals)
+    return [MarkedBinomial(*rng.sample(f, 2))
+            for f in rng.sample(fibers, len(fibers))]
+
+
 class TestIndexedRewritingMatchesScan:
     """The atom core (rank_rewrites, rank_normal_forms) against the in-order
     scan on objects (applicable_reductions, normal_form): every one-step
@@ -490,7 +513,6 @@ class TestIndexedRewritingMatchesScan:
         ideals = [quadric_pair_ideal]
         rules = build_fiber_type_basis(ideals, quadric_pair_G1)
         assert not rule_indices(rules)[0]
-        assert not rank_rules(rules, Alphabet.of(ideals)).others
         monomials = [v for _, f in mixed_fibers(ideals, (2,), 4) for v in f]
         rng = random.Random(14)
         forms = assert_atoms_match_scan(monomials, rules, ideals)
@@ -498,24 +520,17 @@ class TestIndexedRewritingMatchesScan:
         rng.shuffle(rules)
         assert_atoms_match_scan(monomials, rules[:-10], ideals)
 
-    def test_interleaved_pair_and_generic_leads(self, quadric_pair_ideal):
-        # random orientations inside fibers: quadratic leads are keyed by
-        # their atom pair, cubic ones are scanned by containment, and the
-        # list interleaves them, so which cubic rules precede the best pair
-        # hit decides the path; some markings cycle
+    def test_interleaved_pair_leads(self, quadric_pair_ideal):
+        # one random orientation per degree-2 fiber, listed in random
+        # order: a cubic holds leads on several of its atom pairs, and the
+        # earliest listed of them decides the path; some markings cycle
         rng = random.Random(15)
         ideals = [quadric_pair_ideal]
-        fibers = [f for _, f in fibers_by_multidegree(ideals, (3,))
-                  if len(f) >= 2]
-        monomials = [v for f in fibers for v in f]
+        monomials = [v for _, f in fibers_by_multidegree(ideals, (3,))
+                     for v in f]
         outcomes = Counter()
         for _ in range(4):
-            rules = [
-                MarkedBinomial(*rng.sample(f, 2))
-                for f in rng.sample(fibers, 60)
-            ]
-            kinds = {len(g.lead.factors) for g in rules}
-            assert kinds == {2, 3}
+            rules = random_quadric_marking(ideals, rng)
             forms = assert_atoms_match_scan(monomials, rules, ideals)
             outcomes.update(type(nf).__name__ for nf in forms.values())
         assert set(outcomes) == {"tuple", "str"}
@@ -524,20 +539,22 @@ class TestIndexedRewritingMatchesScan:
         self, running_pair, running_pair_basis, quadric_pair_ideal
     ):
         # every applicable rule, in list order and as a multiset, on
-        # monomials with repeated factors, with leads of several kinds and
-        # rules sharing a lead
+        # monomials with repeated factors, with rules on many atom pairs and
+        # up to five rules sharing a lead
         rng = random.Random(16)
+        pair = list(running_pair)
         ht = list(running_pair_basis)
         rng.shuffle(ht)
-        fibers = [f for _, f in fibers_by_multidegree([quadric_pair_ideal], (3,))
-                  if len(f) >= 2]
-        mixed_kinds = [MarkedBinomial(*rng.sample(f, 2))
-                       for f in rng.sample(fibers, 60)]
-        shared = [MarkedBinomial(f[0], u) for f in fibers[:20] for u in f[1:]]
+        shared = [MarkedBinomial(f[0], u) for f in quadric_fibers(pair)
+                  for u in f[1:]]
+        assert max(Counter(g.lead for g in shared).values()) == 5
+        random_pair = random_quadric_marking(pair, rng)
         for ideals, budget, rules in (
-            (list(running_pair), (2, 1), ht),
-            ([quadric_pair_ideal], (3,), mixed_kinds),
-            ([quadric_pair_ideal], (3,), shared + mixed_kinds),
+            (pair, (2, 1), ht),
+            ([quadric_pair_ideal], (3,),
+             random_quadric_marking([quadric_pair_ideal], rng)),
+            (pair, (2, 1), shared + random_pair),
+            (pair, (2, 1), random_pair + shared),
         ):
             monomials = [v for _, f in fibers_by_multidegree(ideals, budget)
                          for v in f]
@@ -560,32 +577,45 @@ class TestIndexedRewritingMatchesScan:
             assert any(isinstance(nf, str) for nf in forms.values()) == (
                 pairs is CYCLING_RULES)
 
-    def test_list_position_decides_between_pair_and_generic_rules(
-        self, quadric_pair_ideal, quadric_pair_G1
+    def test_list_position_decides_between_rules_on_one_and_two_pairs(
+        self, running_pair
     ):
-        pair_rule = quadric_pair_G1[0]
-        x = next(
-            PresMonomial([f])
-            for f in (PresVar(1, u) for u in quadric_pair_ideal.minimal_generators)
-            if f not in pair_rule.lead.factors + pair_rule.trail.factors
-        )
-        v = pair_rule.lead * x
-        after_pair = pair_rule.trail * x
-        w = next(
-            u for u in enumerate_fiber(phi(v, [quadric_pair_ideal]),
-                                       [quadric_pair_ideal])
-            if u not in (v, after_pair) and not pair_rule.lead.divides(u)
-        )
-        generic_rule = MarkedBinomial(v, w)
-        alphabet = Alphabet.of([quadric_pair_ideal])
-        for rules, expected in (([generic_rule, pair_rule], w),
-                                ([pair_rule, generic_rule], after_pair)):
+        # v = p*q*x: two rules on the pair p*q and one on the pair p*x, each
+        # sending v to its own successor, which no rule rewrites; in every
+        # listing the earliest rule takes the step
+        ideals = list(running_pair)
+        quadrics = quadric_fibers(ideals)
+        fiber_of = {u: f for f in quadrics for u in f}
+        factors = sorted({a for f in quadrics for u in f for a in u.factors},
+                         key=PresVar.sort_key)
+
+        def candidates():
+            for lead, *trails in (f for f in quadrics if len(f) >= 3):
+                for x in factors:
+                    other = PresMonomial([lead.factors[0], x])
+                    if x in lead.factors or other not in fiber_of:
+                        continue
+                    w = next(u for u in fiber_of[other] if u != other)
+                    rules = [MarkedBinomial(lead, trails[0]),
+                             MarkedBinomial(lead, trails[1]),
+                             MarkedBinomial(other, w)]
+                    v = lead * PresMonomial([x])
+                    steps = [s for s, _ in applicable_reductions(v, rules)]
+                    if len(set(steps)) == 3 and not any(
+                            applicable_reductions(s, rules) for s in steps):
+                        yield v, dict(zip(rules, steps))
+
+        v, step = next(candidates())
+        alphabet = Alphabet.of(ideals)
+        atoms = alphabet.encode(v)
+        for rules in itertools.permutations(step):
+            expected = step[rules[0]]
             assert normal_form(v, rules) == expected
             compiled = rank_rules(rules, alphabet)
-            assert rank_normal_forms([alphabet.encode(v)], compiled) == [
+            assert rank_normal_forms([atoms], compiled) == [
                 alphabet.encode(expected)]
-            assert [pos for _, pos in rank_rewrites(alphabet.encode(v),
-                                                    compiled)] == [0, 1]
+            assert [pos for _, pos in rank_rewrites(atoms, compiled)] == [
+                0, 1, 2]
 
     def test_two_rule_loop_is_a_cycle(self, quadric_pair_ideal,
                                       quadric_pair_G1):
@@ -707,22 +737,6 @@ def assert_rank_equivalent(monomials, rules, ideals):
 class TestRankRewriting:
     """The rank loop picks normal_form's rule at every step, on pure and on
     mixed monomials."""
-
-    def test_interleaved_pair_and_containment_leads(self, quadric_pair_ideal):
-        # random orientations inside fibers: quadratic leads go to the pair
-        # dict, cubic ones to the containment scan; some markings cycle
-        rng = random.Random(31)
-        ideals = [quadric_pair_ideal]
-        fibers = [f for _, f in fibers_by_multidegree(ideals, (3,))
-                  if len(f) >= 2]
-        monomials = [v for f in fibers for v in f]
-        outcomes = Counter()
-        for _ in range(4):
-            rules = [MarkedBinomial(*rng.sample(f, 2))
-                     for f in rng.sample(fibers, 60)]
-            assert {len(g.lead.factors) for g in rules} == {2, 3}
-            outcomes += assert_rank_equivalent(monomials, rules, ideals)
-        assert set(outcomes) == {"tuple", "str"}
 
     def test_fiber_type_basis_on_mixed_monomials(self, quadric_pair_ideal,
                                                  quadric_pair_G1):
@@ -882,8 +896,7 @@ class TestLeanCore:
     """rank_normal_forms and the earliest step (the first of rank_rewrites)
     on the lead table's earliest rules, each against normal_form on objects
     with the same rule list: the cycle message of a path with a tail, a
-    memo hit inside a fiber, two rules on one lead, and containment leads
-    on either side of the best table hit."""
+    memo hit inside a fiber, and two rules on one lead."""
 
     @staticmethod
     def both(v, rules, n):
@@ -935,29 +948,6 @@ class TestLeanCore:
             assert rank_rewrites((0, 1), compiled)[0][0] == successor
             assert self.both(m("x1*x2", 4), rules, 4) == (successor,) * 2
 
-    def test_a_containment_lead_wins_only_before_the_best_table_hit(self):
-        # x1*x2*x3 holds the cubic lead and the quadric leads x1*x3 and
-        # x2*x3, probed in that order; the earliest listed of the three
-        # rewrites it
-        cubic = ("x1*x2*x3", "x4^3")
-        q13, q23 = ("x1*x3", "x2*x4"), ("x2*x3", "x1*x4")
-        v = m("x1*x2*x3", 4)
-        for listed, successor in (
-            ((cubic, q23, q13), (3, 3, 3)),
-            ((q23, cubic, q13), (0, 0, 3)),
-            ((q13, cubic, q23), (1, 1, 3)),
-            ((q23, q13, cubic), (0, 0, 3)),
-        ):
-            rules = rules_of(4, ("x4^2", "x1*x2"), *listed)
-            compiled = rank_rules(rules, Alphabet((), 4))
-            assert [pos for pos, _, _ in compiled.others] == [
-                1 + listed.index(cubic)]
-            assert rank_rewrites((0, 1, 2), compiled)[0][0] == successor
-            assert compiled.alphabet.encode(
-                applicable_reductions(v, rules)[0][0]) == successor
-            expected, got = self.both(v, rules, 4)
-            assert got == expected
-
 
 def _ambient_monomials(n, degree):
     return [Monomial([combo.count(k) for k in range(n)])
@@ -967,14 +957,13 @@ def _ambient_monomials(n, degree):
 
 @st.composite
 def ambient_rule_lists(draw, n=4):
-    """A list of one to seven ambient rules on n variables, quadric (squares
-    included) and cubic leads in random order, each trail another monomial
-    of the lead's degree."""
+    """A list of one to seven ambient rules on n variables, each a quadric
+    lead (squares included) and another quadric as its trail."""
     rules = []
     for _ in range(draw(st.integers(1, 7))):
         lead, trail = draw(st.lists(
-            st.sampled_from(_ambient_monomials(n, draw(st.sampled_from(
-                (2, 3))))), min_size=2, max_size=2, unique=True))
+            st.sampled_from(_ambient_monomials(n, 2)), min_size=2,
+            max_size=2, unique=True))
         rules.append(MarkedBinomial(lead, trail))
     return rules
 
@@ -1004,6 +993,52 @@ class TestRandomRuleLists:
         got = rank_forms([alphabet.encode(v) for v in fiber],
                          rank_rules(rules, alphabet))
         assert got == [scan_form(v, rules, alphabet) for v in fiber]
+
+
+class TestTwoAtomLeads:
+    """The rewriting core takes two-atom leads alone: rank_rules refuses
+    any other, and so do the functions built on it, while the object-level
+    references still reduce by a lead of any size."""
+
+    @staticmethod
+    def other_sizes(ideal):
+        """(rule, lead atom count, fiber holding the lead) of a one-atom
+        ambient lead and of a three-atom lead from a degree-3 fiber."""
+        fiber = next(f for mu, f in fibers_by_multidegree([ideal], (3,))
+                     if mu.t_exps == (3,) and len(f) >= 2)
+        return [(MarkedBinomial(m("x1", 5), m("x2", 5)), 1,
+                 [m("x1^2", 5), m("x1*x2", 5), m("x2^2", 5)]),
+                (MarkedBinomial(fiber[0], fiber[1]), 3, fiber)]
+
+    def test_other_lead_sizes_are_refused(self, quadric_pair_ideal,
+                                          quadric_pair_G1):
+        ideals = [quadric_pair_ideal]
+        for rule, count, fiber in self.other_sizes(quadric_pair_ideal):
+            rules = quadric_pair_G1 + [rule]
+            message = (f"rule {rule.label()}: lead atom count {count}; "
+                       f"the rewriting core takes two-atom leads only")
+            for run in (
+                lambda: rank_rules(rules, Alphabet.of(ideals)),
+                lambda: build_graph([rule], start=fiber[0]),
+                lambda: build_graph(rules, fiber=fiber),
+                lambda: verifier.verify_gb(rules, ideals, (3,)),
+                lambda: verifier.kernel_membership(rules, ideals, (3,)),
+            ):
+                with pytest.raises(ValueError) as info:
+                    run()
+                assert str(info.value) == message
+
+    def test_object_references_take_any_lead(self, quadric_pair_ideal):
+        (one, _, squares), (cubic, _, fiber) = self.other_sizes(
+            quadric_pair_ideal)
+        assert normal_form(m("x1^3*x2", 5), [one]) == m("x2^4", 5)
+        assert analyze_fiber(squares, *rule_indices([one])) == ([2], False)
+        x = PresMonomial([cubic.lead.factors[0]])
+        assert normal_form(cubic.lead * x, [cubic]) == cubic.trail * x
+        assert applicable_reductions(cubic.lead, [cubic]) == [
+            (cubic.trail, cubic)]
+        assert analyze_fiber(fiber, *rule_indices([cubic])) == (
+            list(range(1, len(fiber))), False)
 
 
 class TestMixedReduction:

@@ -14,6 +14,7 @@ from borel_rees import presentation, verifier
 from borel_rees.borel import borel_closure
 from borel_rees.monomial import Monomial, parse_monomial
 from borel_rees.borel import order_view
+from borel_rees.cli import _BASES
 from borel_rees.orders import (
     build_G1,
     build_G2,
@@ -37,7 +38,7 @@ from borel_rees.presentation import (
     rank_fibers,
     t_vectors,
 )
-from borel_rees.reduction import MarkedBinomial
+from borel_rees.reduction import MarkedBinomial, lift_to_mixed, rank_rules
 from borel_rees.verifier import (
     KoszulReport,
     VerificationReport,
@@ -217,6 +218,32 @@ class TestCertificationSweeps:
             basis = build_head_and_tail_basis(order_view(i1), order_view(i2))
             rep = assert_matches_reference(basis, [i1, i2], (2, 1), "standard")
             assert rep.verdict == "certified-up-to-bound", (s1, s2)
+
+
+class TestBuilderLeads:
+    def test_every_basis_builder_compiles_onto_the_core(self):
+        # the rewriting core takes two-atom leads alone, and every --basis
+        # builder makes only those: on every shape at n=6, on 50 sampled
+        # ordered pairs and on a cubic ideal
+        rng = random.Random(29)
+        cubic = [borel_closure([m("x2*x3*x4", 5), m("x1*x4^2", 5),
+                                m("x2^2*x5", 5)], 5)]
+        cases = (
+            ([[_two_quadric(*s, 6)] for s in ALL_SHAPES],
+             ("g1", "g2", "fiber-type")),
+            ([[_two_quadric(*rng.choice(ALL_SHAPES), 6),
+               _two_quadric(*rng.choice(ALL_SHAPES), 6)] for _ in range(50)],
+             ("ht", "g3", "fiber-type")),
+            ([cubic], ("g1", "fiber-type")),
+        )
+        assert len(ALL_SHAPES) == 35
+        assert {name for _, names in cases for name in names} == set(_BASES)
+        for collections, names in cases:
+            for ideals in collections:
+                for name in names:
+                    rules = _BASES[name][1](ideals)
+                    leads = rank_rules(rules, Alphabet.of(ideals)).leads
+                    assert sum(map(len, leads.values())) == len(rules) > 0
 
 
 class TestStandardMonomialDifferential:
@@ -524,28 +551,6 @@ class TestKernelMembership:
         if name == "g3-21":
             assert all(set(f) == {"pair", "normal_forms"} for f in got[1])
 
-    @pytest.mark.parametrize("budget", [(3,), (4,)])
-    def test_cubic_lead_before_and_after_a_quadric(self, quadric_pair_ideal,
-                                                   quadric_pair_G1, budget):
-        # one cubic lead with a squared factor listed twice, around a
-        # quadric rule whose lead shares a factor with it, and the G1 rules
-        # after them: the containment scan must count multiplicity, stop at
-        # the best pair hit and keep the earliest-listed rule
-        ideals = [quadric_pair_ideal]
-        lead, trails, quad = next(
-            (v, [u for u in f if u != v], g)
-            for _, f in fibers_by_multidegree(ideals, (3,)) if len(f) >= 3
-            for v in f if len(set(v.factors)) == 2
-            for g in quadric_pair_G1 if set(g.lead.factors) & set(v.factors)
-        )
-        first = MarkedBinomial(lead, trails[0])
-        second = MarkedBinomial(lead, trails[1])
-        for rules in ([first, quad, second], [quad, first, second],
-                      [second, quad, first] + quadric_pair_G1,
-                      [quad, second, first] + quadric_pair_G1[::-1]):
-            assert kernel_membership(rules, ideals, budget) == (
-                check_membership(toric_kernel_span(ideals, budget), rules))
-
     @settings(max_examples=10, deadline=None)
     @given(budget=st.sampled_from([(1, 1), (2, 1)]), rng=st.randoms(),
            reverse=st.floats(0.0, 0.3))
@@ -567,6 +572,35 @@ class TestKernelMembership:
     def test_budget_length_is_checked(self, running_pair, running_pair_basis):
         with pytest.raises(ValueError, match="t budget needs 2 entries"):
             kernel_membership(running_pair_basis, list(running_pair), (2,))
+
+    def test_mixed_rules_default_to_the_x_degree_verify_gb_checks(
+            self, quadric_pair_ideal, quadric_pair_G1):
+        # with no x_degree, the fiber-type basis is checked on the 183
+        # mixed pairs up to the default x-degree 4, not the 13 pure ones
+        ideals = [quadric_pair_ideal]
+        rules = build_fiber_type_basis(ideals, quadric_pair_G1)
+        assert mixed_x_degree(rules, ideals, (2,)) == 4
+        assert len(toric_kernel_span(ideals, (2,))) == 13
+        got = kernel_membership(rules, ideals, (2,))
+        assert got == check_membership(toric_kernel_span(ideals, (2,), 4),
+                                       rules) == (183, [])
+        assert verify_gb(rules, ideals, (2,)).notes[1] == (
+            "mixed fibers up to x-degree 4")
+
+    def test_pure_rules_refuse_an_x_degree(self, quadric_pair_ideal,
+                                           quadric_pair_G1):
+        # G1, lifted to the mixed ring, rewrites no x-part, so on the mixed
+        # pairs it reports false failures; like verify_gb, the oracle
+        # refuses the bound for the pure rules
+        ideals = [quadric_pair_ideal]
+        checked, failures = check_membership(
+            toric_kernel_span(ideals, (2,), 4),
+            lift_to_mixed(quadric_pair_G1, 5))
+        assert (checked, len(failures)) == (183, 170)
+        for run in (verify_gb, kernel_membership):
+            with pytest.raises(ValueError, match="an x-degree bound applies "
+                               "only to a basis with mixed"):
+                run(quadric_pair_G1, ideals, (2,), x_degree=4)
 
     def test_rules_that_leave_a_fiber(self, quadric_pair_ideal,
                                       quadric_pair_G1):
