@@ -13,6 +13,8 @@ from functools import reduce
 from operator import le
 from typing import Iterable, Sequence
 
+from .records import Frozen
+
 
 class DimensionMismatch(ValueError):
     """Two monomials from rings with different variable counts were combined."""
@@ -31,19 +33,25 @@ class MonomialParseError(ValueError):
         self.pos = pos
 
 
-class Monomial:
-    """An immutable monomial, identified with its exponent vector."""
+def kind_mismatch(a, b) -> TypeError:
+    """The error of an operation on monomials of two different kinds
+    (Monomial, PresMonomial, MixedMonomial)."""
+    return TypeError(f"monomial kinds differ: {type(a).__name__} and "
+                     f"{type(b).__name__}")
 
-    __slots__ = ("exps",)
+
+class Monomial(Frozen):
+    """An immutable monomial, identified with its exponent vector: a Frozen
+    on exps, equal and hashed as that tuple, with the short repr
+    Monomial(exps)."""
+
+    __slots__ = _fields = ("exps",)
 
     def __init__(self, exps: Iterable[int]):
         t = tuple(int(e) for e in exps)
         if any(e < 0 for e in t):
             raise ValueError(f"negative exponent in {t}")
         object.__setattr__(self, "exps", t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
 
     @classmethod
     def one(cls, n: int) -> "Monomial":
@@ -85,6 +93,8 @@ class Monomial:
         return Monomial(a + b for a, b in zip(self.exps, other.exps))
 
     def divides(self, other: "Monomial") -> bool:
+        if other.__class__ is not Monomial:
+            raise kind_mismatch(self, other)
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n} vs {other.n} variables")
         return all(map(le, self.exps, other.exps))
@@ -111,13 +121,6 @@ class Monomial:
         """Display label, the same for every r: the presentation monomial
         kinds take r for their T../Z.. aliases."""
         return str(self)
-
-    # pickling support despite __slots__/immutability
-    def __getstate__(self):
-        return self.exps
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "exps", tuple(state))
 
 
 def format_monomial(m: Monomial) -> str:

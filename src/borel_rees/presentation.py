@@ -46,21 +46,24 @@ from operator import attrgetter, or_, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .borel import StronglyStableIdeal
-from .monomial import Monomial, format_monomial, product, rlex_sort_key
+from .monomial import (Monomial, format_monomial, kind_mismatch, product,
+                       rlex_sort_key)
 from .records import Frozen
 
 
-class PresVar:
+class PresVar(Frozen):
     """Presentation variable for one minimal generator of one ideal (1-based).
 
-    Immutable. The sort key (ideal index, then the generator rlex-descending),
-    the hash and the two labels are computed once, at construction:
-    variables are dict keys and sort keys on every rewrite step, and a
-    refuted run labels thousands of monomials. Equality compares the keys.
+    A Frozen on (ideal_index, generator). The sort key (ideal index, then
+    the generator rlex-descending), the hash and the two labels are
+    computed once, at construction: variables are dict keys and sort keys
+    on every rewrite step, and a refuted run labels thousands of monomials.
+    Equality compares the keys.
     """
 
     __slots__ = ("ideal_index", "generator", "key", "_hash", "_alias",
                  "_full")
+    _fields = ("ideal_index", "generator")
 
     def __init__(self, ideal_index: int, generator: Monomial):
         object.__setattr__(self, "ideal_index", ideal_index)
@@ -75,17 +78,6 @@ class PresVar:
         object.__setattr__(self, "_alias", alias)
         object.__setattr__(self, "_full", full)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PresVar is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("PresVar is immutable")
-
-    def __reduce__(self):
-        # unpickling rebuilds through the constructor, which recomputes the
-        # key and hash
-        return PresVar, (self.ideal_index, self.generator)
-
     def sort_key(self):
         return self.key
 
@@ -98,12 +90,6 @@ class PresVar:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __repr__(self) -> str:
-        return (
-            f"PresVar(ideal_index={self.ideal_index!r}, "
-            f"generator={self.generator!r})"
-        )
 
     def label(self, r: int | None = None) -> str:
         """Display label; two-ideal quadric runs get the compact T../Z.. aliases."""
@@ -136,23 +122,22 @@ class MultiDegree(NamedTuple):
         return f"{xs};{ts}" if ts else xs
 
 
-class PresMonomial:
+class PresMonomial(Frozen):
     """A monomial in the presentation variables, stored canonically sorted.
 
-    The storage order (ideal index ascending, generator rlex-descending) is
-    only a canonical form for hashing and deduplication; the term orders in
-    `orders` impose their own comparisons. The hash is computed on first use
-    and kept, since normal-form memos look monomials up repeatedly.
+    A Frozen on factors. The storage order (ideal index ascending,
+    generator rlex-descending) is only a canonical form for hashing and
+    deduplication; the term orders in `orders` impose their own
+    comparisons. The hash is computed on first use and kept, since
+    normal-form memos look monomials up repeatedly.
     """
 
     __slots__ = ("factors", "_hash")
+    _fields = ("factors",)
 
     def __init__(self, factors: Iterable[PresVar]):
         _set_factors(self, tuple(sorted(factors, key=_BY_KEY)))
         _set_hash(self, None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PresMonomial is immutable")
 
     @classmethod
     def from_sorted(cls, factors: tuple[PresVar, ...]) -> "PresMonomial":
@@ -182,6 +167,8 @@ class PresMonomial:
     def divides(self, other: "PresMonomial") -> bool:
         """Multiset containment; factor tuples are sorted by key, so
         merge-scan the keys and stop at the first one past a factor."""
+        if other.__class__ is not PresMonomial:
+            raise kind_mismatch(self, other)
         it = iter(other.factors)
         for f in self.factors:
             key = f.key
@@ -228,13 +215,6 @@ class PresMonomial:
     def __str__(self) -> str:
         return self.label()
 
-    def __getstate__(self):
-        return self.factors
-
-    def __setstate__(self, state):
-        _set_factors(self, tuple(state))
-        _set_hash(self, None)
-
 
 # the slots written past the immutability guard: a slot's own setter is the
 # cheapest write there is, and monomials are built on every rewrite step
@@ -244,11 +224,8 @@ _set_hash = PresMonomial._hash.__set__
 
 
 class MixedMonomial(Frozen):
-    """x-monomial times presentation monomial: a monomial of the big ring.
-
-    Immutable; equal and hashed as (x_part, t_part). The parts are slots,
-    and unpickling rebuilds a monomial through the constructor.
-    """
+    """x-monomial times presentation monomial: a monomial of the big ring,
+    a Frozen on its two slots (x_part, t_part)."""
 
     __slots__ = ("x_part", "t_part")
     _fields = __slots__
@@ -256,9 +233,6 @@ class MixedMonomial(Frozen):
     def __init__(self, x_part: Monomial, t_part: PresMonomial):
         _set_x_part(self, x_part)
         _set_t_part(self, t_part)
-
-    def __reduce__(self):
-        return MixedMonomial, (self.x_part, self.t_part)
 
     @property
     def degree(self) -> int:
@@ -268,6 +242,8 @@ class MixedMonomial(Frozen):
         return MixedMonomial(self.x_part * other.x_part, self.t_part * other.t_part)
 
     def divides(self, other: "MixedMonomial") -> bool:
+        if other.__class__ is not MixedMonomial:
+            raise kind_mismatch(self, other)
         return self.x_part.divides(other.x_part) and self.t_part.divides(other.t_part)
 
     def quotient(self, other: "MixedMonomial") -> "MixedMonomial":
@@ -616,16 +592,26 @@ class _Expansion:
         return out
 
 
+def _check_lengths(
+    mu: MultiDegree, ideals: Sequence[StronglyStableIdeal]
+) -> None:
+    """Raise ValueError unless mu has one t-entry per ideal and one x-entry
+    per ambient variable."""
+    if len(mu.t_exps) != len(ideals):
+        raise ValueError(f"t-vector length {len(mu.t_exps)} != r={len(ideals)}")
+    if len(mu.x_exps) != ideals[0].n:
+        raise ValueError(f"x-part length {len(mu.x_exps)} != n={ideals[0].n}")
+
+
 def enumerate_fiber(
     mu: MultiDegree, ideals: Sequence[StronglyStableIdeal]
 ) -> list[PresMonomial]:
     """All presentation monomials mapping onto mu under phi, canonically
     sorted: the t-parts of enumerate_mixed_fiber, whose members all have
     x-part 1 when mu's x-part has the t-vector's content degree. A
-    wrong-length t-vector raises ValueError; an x-part of another degree
-    has an empty fiber."""
-    if len(mu.t_exps) != len(ideals):
-        raise ValueError(f"t-vector length {len(mu.t_exps)} != r={len(ideals)}")
+    wrong-length t-vector or x-part raises ValueError; an x-part of another
+    degree has an empty fiber."""
+    _check_lengths(mu, ideals)
     if sum(mu.x_exps) != content_degree(ideals, mu.t_exps):
         return []
     return [v.t_part for v in enumerate_mixed_fiber(mu, ideals)]
@@ -638,9 +624,8 @@ def enumerate_mixed_fiber(
     each monomial u of mu's t-slice whose content divides the x-part, with m
     the rest, u in canonical order. The slice grows factor by factor from
     the empty monomial, pruned against the x-part at every step. A
-    wrong-length t-vector raises ValueError."""
-    if len(mu.t_exps) != len(ideals):
-        raise ValueError(f"t-vector length {len(mu.t_exps)} != r={len(ideals)}")
+    wrong-length t-vector or x-part raises ValueError."""
+    _check_lengths(mu, ideals)
     target = tuple(mu.x_exps)
     if min(target, default=0) < 0:
         return []

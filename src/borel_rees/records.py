@@ -4,10 +4,14 @@ A class lists its fields in _fields, in constructor order, and writes its
 own __init__. Record compares two instances of one class on the tuple of
 those fields and reprs them in the familiar Name(field=value, ...) format,
 leaving out the fields named in _hidden; a Record is mutable and
-unhashable. Frozen adds the hash of the field tuple and refuses assignment
-and deletion, so its __init__ writes through object.__setattr__ or a slot's
-own setter, and a functools.cached_property (which writes the instance
-__dict__ directly) still works on it.
+unhashable. Frozen is the package's one immutable value: it adds the hash
+of the field tuple, refuses assignment and deletion with AttributeError,
+and pickles and copies through its constructor, called with the field
+tuple. Its __init__ therefore writes through object.__setattr__ or a
+slot's own setter. A subclass may override __eq__, __hash__ and __repr__
+(the monomials do, on hot paths), never the guard or the pickle. A
+functools.cached_property (which writes the instance __dict__ directly)
+still works on a Frozen, and is rebuilt after unpickling, not pickled.
 """
 
 from __future__ import annotations
@@ -45,3 +49,6 @@ class Frozen(Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()

@@ -34,9 +34,10 @@ Noetherianly.
 
 applicable_reductions and normal_form are the object-level references: they
 scan the rule list in order with each lead's divides, on the monomials
-themselves, and take a lead of any size. rule_indices splits a rule list
-into quadratic presentation leads keyed by their factor pair and the rest,
-which is what the term-order certificate reads its lead pairs from.
+themselves, and take a lead of any size; a lead of another kind than the
+monomial raises TypeError. rule_indices splits a rule list into quadratic
+presentation leads keyed by their factor pair and the rest, which is what
+the term-order certificate reads its lead pairs from.
 """
 
 from __future__ import annotations
@@ -74,12 +75,10 @@ class MarkedBinomial(Frozen):
     """An ordered pair (lead, trail) of equal-image monomials; lead is marked.
 
     Lead and trail are of one monomial kind, differ, and have equal degree,
-    which keeps every rewrite path among finitely many monomials. Immutable
-    (an assignment raises dataclasses.FrozenInstanceError, an
-    AttributeError), compared and hashed as the tuple (lead, trail,
-    source), and its repr names the three fields. A collection builds
-    hundreds of rules, so the fields are slots written by their own
-    setters, and pickling rebuilds a rule through the checking constructor.
+    which keeps every rewrite path among finitely many monomials. A Frozen
+    on (lead, trail, source), so a pickle rebuilds a rule through the
+    checking constructor. A collection builds hundreds of rules, so the
+    fields are slots written by their own setters.
     """
 
     __slots__ = ("lead", "trail", "source")
@@ -100,13 +99,6 @@ class MarkedBinomial(Frozen):
         _set_lead(self, lead)
         _set_trail(self, trail)
         _set_source(self, source)
-
-    def __setattr__(self, name, value):
-        from dataclasses import FrozenInstanceError  # only a misuse pays
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return MarkedBinomial, (self.lead, self.trail, self.source)
 
     def label(self, r: int | None = None) -> str:
         return f"{self.lead.label(r)} -> {self.trail.label(r)}"

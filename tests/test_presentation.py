@@ -707,6 +707,19 @@ class TestPureIsRestDegreeZero:
             with pytest.raises(ValueError, match="t-vector length 1 != r=2"):
                 query(short, pair)
 
+    def test_point_queries_check_the_x_part_length(self, quadric_pair_ideal):
+        # a short x-part once raised a negative exponent or listed no
+        # member, and a long one misaligned its digits
+        one = [quadric_pair_ideal]
+        for x in ((2, 0, 0), (1, 1, 0), (0, 0, 0, 0, 0, 0, 2),
+                  (1, 0, 0, 0, 0, 0, 1)):
+            mu = MultiDegree(x, (1,))
+            for query in (enumerate_fiber, enumerate_mixed_fiber):
+                with pytest.raises(
+                        ValueError, match=f"^x-part length {len(x)} != n=5$"):
+                    query(mu, one)
+        assert enumerate_fiber(MultiDegree((1, 0, 1, 0, 0), (1,)), one)
+
 
 def _label_as_computed_per_call(var, r):
     """PresVar.label as it was computed on every call."""

@@ -4,9 +4,12 @@ Each class below is checked against a test-side dataclass twin: the same
 name, fields, field order and repr flags. The frozen ones must agree with
 their twins on equality, hash and repr text, pickle round trip and refuse
 assignment and deletion; the mutable records must agree on equality and
-repr and stay unhashable.
+repr and stay unhashable. The monomials and presentation variables, which
+keep their own equality, hash and repr, are Frozen too and must refuse
+writes and copy through their constructors.
 """
 
+import copy
 import dataclasses
 import inspect
 import itertools
@@ -17,8 +20,9 @@ import pytest
 
 from borel_rees import borel, orders, presentation, reduction, verifier
 from borel_rees.borel import borel_closure, order_view, principal_view
-from borel_rees.monomial import parse_monomial
+from borel_rees.monomial import Monomial, parse_monomial
 from borel_rees.orders import build_G3, build_fiber_type_basis
+from borel_rees.records import Frozen
 from borel_rees.reduction import build_graph
 from borel_rees.verifier import (
     detect_obstructions,
@@ -312,6 +316,51 @@ def test_mixed_monomials_are_slotted():
     w = presentation.MixedMonomial(m("x1*x6", 6),
                                    presentation.PresMonomial.one())
     assert not hasattr(w, "__dict__")
+
+
+HAND_HASHED = {
+    Monomial: ("exps",),
+    presentation.PresVar: ("ideal_index", "generator"),
+    presentation.PresMonomial: ("factors",),
+}
+
+
+def hand_hashed_sample(cls):
+    i1, i2 = pair_ideals()
+    p = presentation.PresVar(2, i2.minimal_generators[3])
+    return {
+        Monomial: m("x1*x6^2", 6),
+        presentation.PresVar: p,
+        presentation.PresMonomial: presentation.PresMonomial(
+            [presentation.PresVar(1, i1.minimal_generators[0]), p, p]),
+    }[cls]
+
+
+@pytest.mark.parametrize("cls", HAND_HASHED, ids=lambda c: c.__name__)
+def test_hand_hashed_values_are_frozen(cls):
+    value = hand_hashed_sample(cls)
+    assert isinstance(value, Frozen) and cls._fields == HAND_HASHED[cls]
+    before = repr(value), hash(value)
+    for name in cls._fields + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert (repr(value), hash(value)) == before
+    assert not hasattr(value, "__dict__")
+    for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert again is not value and again == value
+        assert hash(again) == hash(value) and repr(again) == repr(value)
+
+
+def test_a_pickled_ideal_rebuilds_its_views():
+    i1, _ = pair_ideals()
+    view = order_view(i1)
+    again = pickle.loads(pickle.dumps(i1))
+    assert again == i1 and hash(again) == hash(i1)
+    # the cached view is not pickled: the copy builds an equal one
+    assert "_order_view" not in vars(again)
+    assert order_view(again) == view and order_view(again) is not view
 
 
 def test_cached_properties_still_cache():
