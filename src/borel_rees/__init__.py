@@ -27,6 +27,10 @@ from .orders import (
     build_fiber_type_basis,
     build_head_and_tail_basis,
     build_syzygy_set,
+    head_and_tail_table,
+    table_G1,
+    table_G2,
+    table_G3,
 )
 from .presentation import (
     MixedMonomial,
@@ -41,6 +45,7 @@ from .presentation import (
 )
 from .reduction import (
     MarkedBinomial,
+    RankRules,
     ReductionGraph,
     applicable_reductions,
     build_graph,
@@ -50,6 +55,7 @@ from .reduction import (
     normal_form,
     o_invariant,
     rank_rewrites,
+    rank_rules,
     rule_indices,
     to_dot,
 )

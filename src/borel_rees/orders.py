@@ -15,14 +15,19 @@ x^u*t_k by one packed int (_packed_images), so a quadric's image is a sum
 of two ints; of two quadrics the larger has the smaller pair of ranks
 sorted descending. Each rule is read once. The builder lists the variables
 as ideal_variables does, in PresVar.key order, so the factor pairs it
-enumerates, each once, are canonical, and it builds one PresMonomial per
-quadric however many rules share it; marking_order reads each rule's four
-factors into positions through one dict.
+enumerates, each once, are canonical, and a variable's position is its
+atom in the presentation.Alphabet of those variables (for a collection's
+ideals, Alphabet.of's atoms). So the table_* builders write each rule as a
+reduction.RankRules row (lead atoms, trail atoms, source) and build no
+object: the kernel oracle reads the rows as they are. The build_*
+functions return the table's rules, decoded once, with one PresMonomial
+per quadric however many rules share it; marking_order reads each rule's
+four factors into positions through one dict.
 
 Every order and rule set takes its variables from
 presentation.ideal_variables and its region split from borel.order_view,
 so a collection builds each PresVar and each view once, and the dicts
-keyed by variables (PresOrder.rank, rule_indices, rank_rules) hit on
+keyed by variables (PresOrder.rank, rule_indices, Alphabet.index) hit on
 identity.
 """
 
@@ -37,6 +42,7 @@ from typing import Iterable, Sequence
 from .borel import InvalidIdeal, StronglyStableIdeal, TwoQuadricView, order_view
 from .monomial import Monomial, all_one_step_reductions, rlex_sort_key
 from .presentation import (
+    Alphabet,
     Digits,
     MixedMonomial,
     PresMonomial,
@@ -44,15 +50,7 @@ from .presentation import (
     ideal_variables,
 )
 from .records import Frozen
-from .reduction import (
-    MarkedBinomial,
-    lift_to_mixed,
-    _set_lead,
-    _set_source,
-    _set_trail,
-)
-
-_new = object.__new__
+from .reduction import MarkedBinomial, RankRules, lift_to_mixed
 
 
 class OrderDomainError(KeyError):
@@ -239,88 +237,79 @@ def _is_syzygy(lead: MixedMonomial, trail: MixedMonomial) -> bool:
             == list(map(add, ys, w.generator.exps)))
 
 
-def _coincident_product_binomials(
-    variables: Sequence[PresVar],
+def _coincident_product_rows(
     rank: Sequence[int],
     images: Sequence[int],
     pairs: Iterable[tuple[int, int]],
     source: str,
-) -> list[MarkedBinomial]:
-    """Quadratic binomials among the given factor pairs, marked by an order.
+) -> list[tuple[tuple[int, int], tuple[int, int], str]]:
+    """Quadratic binomials among the given factor pairs, marked by an order,
+    as RankRules rows (lead atoms, trail atoms, source).
 
-    variables lists the presentation variables in PresVar.key order, and a
-    variable is named by its position: rank and images give each one's
-    order rank and packed image (_packed_images), and pairs lists the
-    candidate factor pairs (a, b), each once and with a <= b, so each is
-    the canonical factor tuple of its quadric and pairs sort as leads do.
-    Within one ideal they are its positions i <= j, across two ideals every
-    (first, second) pair.
+    A presentation variable is named by its position in a list of them in
+    PresVar.key order, which is its atom in the alphabet of that list:
+    rank and images give each one's order rank and packed image
+    (_packed_images), and pairs lists the candidate factor pairs (a, b),
+    each once and with a <= b, so each is the atom tuple of its quadric and
+    pairs sort as leads do. Within one ideal they are its positions
+    i <= j, across two ideals every (first, second) pair.
 
     The pairs are grouped by the sum of their images, the product of their
-    generators, and one marked binomial is emitted per unordered pair of
-    distinct factorizations of one product, the lead being the larger
-    quadric: the one whose two ranks, sorted descending, form the smaller
-    pair. Distinct factorizations of one product never share a variable,
-    so lead and trail always differ. Binomials come by product, ascending,
-    then sorted (stably) by lead. Only the output is built as objects: one
-    PresMonomial per quadric of a product with two or more factorizations,
-    and each rule written through MarkedBinomial's slot setters.
+    generators, and one row is written per unordered pair of distinct
+    factorizations of one product, the lead being the larger quadric: the
+    one whose two ranks, sorted descending, form the smaller pair.
+    Distinct factorizations of one product never share a variable, so lead
+    and trail always differ. Rows come by product, ascending, then sorted
+    (stably) by lead. No object is built.
     """
     by_product: dict[int, list[tuple[int, int]]] = {}
     for pair in pairs:
         by_product.setdefault(images[pair[0]] + images[pair[1]],
                               []).append(pair)
-    marked = []
+    rows = []
     for product in sorted(by_product):
         group = by_product[product]
         if len(group) < 2:
             continue
         quadrics = []
-        for a, b in group:
-            r, s = rank[a], rank[b]
-            quadrics.append(((r, s) if r > s else (s, r), (a, b),
-                             PresMonomial.from_sorted((variables[a],
-                                                       variables[b]))))
+        for pair in group:
+            r, s = rank[pair[0]], rank[pair[1]]
+            quadrics.append(((r, s) if r > s else (s, r), pair))
         for A, B in itertools.combinations(quadrics, 2):
-            marked.append((A[1], A[2], B[2]) if A[0] < B[0]
-                          else (B[1], B[2], A[2]))
-    marked.sort(key=itemgetter(0))
-    return [_unchecked_rule(lead, trail, source) for _, lead, trail in marked]
+            rows.append((A[1], B[1], source) if A[0] < B[0]
+                        else (B[1], A[1], source))
+    rows.sort(key=itemgetter(0))
+    return rows
 
 
-def _unchecked_rule(lead: PresMonomial, trail: PresMonomial,
-                    source: str) -> MarkedBinomial:
-    """A rule past MarkedBinomial.__init__, whose checks (one kind, one
-    degree, lead != trail) the builder's quadrics meet by construction."""
-    g = _new(MarkedBinomial)
-    _set_lead(g, lead)
-    _set_trail(g, trail)
-    _set_source(g, source)
-    return g
+def _table(variables: Sequence[PresVar], n: int, rows) -> RankRules:
+    """The builder's rows on the alphabet of its variables, which are
+    listed in PresVar.key order, so each position is its atom."""
+    return RankRules(Alphabet(variables, n), rows)
 
 
-def build_G1(
-    ideal: StronglyStableIdeal, ideal_index: int = 1
-) -> list[MarkedBinomial]:
-    """All coincident-product quadratic binomials of one ideal, rlex-marked."""
+def table_G1(ideal: StronglyStableIdeal, ideal_index: int = 1) -> RankRules:
+    """All coincident-product quadratic binomials of one ideal, rlex-marked,
+    as a RankRules on the alphabet of the ideal's variables."""
     variables = ideal_variables(ideal, ideal_index)
     positions = range(len(variables))  # rlex ranks them as listed
-    return _coincident_product_binomials(
-        variables, positions, _packed_images(variables),
-        itertools.combinations_with_replacement(positions, 2), "G1")
+    return _table(variables, ideal.n, _coincident_product_rows(
+        positions, _packed_images(variables),
+        itertools.combinations_with_replacement(positions, 2), "G1"))
 
 
-def build_G2(view: TwoQuadricView, ideal_index: int = 1) -> list[MarkedBinomial]:
-    """As build_G1 but marked by the mixed order of the given region split."""
+def table_G2(view: TwoQuadricView, ideal_index: int = 1) -> RankRules:
+    """As table_G1 but marked by the mixed order of the given region
+    split."""
     variables = ideal_variables(view.ideal, ideal_index)
     rank = PresOrder.mrlex(view, ideal_index).rank
-    return _coincident_product_binomials(
-        variables, [rank[v] for v in variables], _packed_images(variables),
+    return _table(variables, view.ideal.n, _coincident_product_rows(
+        [rank[v] for v in variables], _packed_images(variables),
         itertools.combinations_with_replacement(range(len(variables)), 2),
-        "G2")
+        "G2"))
 
 
-def _head_and_tail_table(view1: TwoQuadricView, view2: TwoQuadricView):
+def _head_and_tail_positions(view1: TwoQuadricView, view2: TwoQuadricView):
     """(variables, ht ranks, packed images, first ideal's positions, second
     ideal's positions) of a pair: restricted to one ideal, the ht ranks
     order it as rlex (the first) or the mixed order (the second) does."""
@@ -331,29 +320,55 @@ def _head_and_tail_table(view1: TwoQuadricView, view2: TwoQuadricView):
             range(len(first)), range(len(first), len(variables)))
 
 
-def build_G3(view1: TwoQuadricView, view2: TwoQuadricView) -> list[MarkedBinomial]:
+def table_G3(view1: TwoQuadricView, view2: TwoQuadricView) -> RankRules:
     """Cross binomials T_u Z_v - T_u' Z_v', marked by the larger mixed-order
-    second-ideal part (equivalently, head-and-tail initial terms)."""
-    variables, rank, images, first, second = _head_and_tail_table(view1, view2)
-    return _coincident_product_binomials(
-        variables, rank, images, itertools.product(first, second), "G3")
+    second-ideal part (equivalently, head-and-tail initial terms), on the
+    alphabet of the pair."""
+    variables, rank, images, first, second = _head_and_tail_positions(
+        view1, view2)
+    return _table(variables, view1.ideal.n, _coincident_product_rows(
+        rank, images, itertools.product(first, second), "G3"))
+
+
+def head_and_tail_table(view1: TwoQuadricView,
+                        view2: TwoQuadricView) -> RankRules:
+    """G = G1 u G2 u G3 for a pair of two-quadric-generator ideals, the
+    three written on one position table of the pair, on its alphabet."""
+    variables, rank, images, first, second = _head_and_tail_positions(
+        view1, view2)
+    within = itertools.combinations_with_replacement
+    return _table(
+        variables, view1.ideal.n,
+        _coincident_product_rows(rank, images, within(first, 2), "G1")
+        + _coincident_product_rows(rank, images, within(second, 2), "G2")
+        + _coincident_product_rows(
+            rank, images, itertools.product(first, second), "G3"))
+
+
+def build_G1(
+    ideal: StronglyStableIdeal, ideal_index: int = 1
+) -> list[MarkedBinomial]:
+    """All coincident-product quadratic binomials of one ideal, rlex-marked:
+    the rules of table_G1."""
+    return table_G1(ideal, ideal_index).rules
+
+
+def build_G2(view: TwoQuadricView, ideal_index: int = 1) -> list[MarkedBinomial]:
+    """As build_G1 but marked by the mixed order: the rules of table_G2."""
+    return table_G2(view, ideal_index).rules
+
+
+def build_G3(view1: TwoQuadricView, view2: TwoQuadricView) -> list[MarkedBinomial]:
+    """The cross binomials of the pair: the rules of table_G3."""
+    return table_G3(view1, view2).rules
 
 
 def build_head_and_tail_basis(
     view1: TwoQuadricView, view2: TwoQuadricView
 ) -> list[MarkedBinomial]:
-    """G = G1 u G2 u G3 for a pair of two-quadric-generator ideals, the
-    three built on one table of the pair."""
-    variables, rank, images, first, second = _head_and_tail_table(view1, view2)
-    within = itertools.combinations_with_replacement
-    return (
-        _coincident_product_binomials(variables, rank, images,
-                                      within(first, 2), "G1")
-        + _coincident_product_binomials(variables, rank, images,
-                                        within(second, 2), "G2")
-        + _coincident_product_binomials(
-            variables, rank, images, itertools.product(first, second), "G3")
-    )
+    """G = G1 u G2 u G3 for a pair of two-quadric-generator ideals: the
+    rules of head_and_tail_table."""
+    return head_and_tail_table(view1, view2).rules
 
 
 def build_syzygy_set(

@@ -25,8 +25,8 @@ size + i - 1 after the size presentation variables, so a rank tuple is
 its own atom tuple. It is the one source of both walks over a budget: its
 counts count the members of each group without listing one (their levels
 map each enumerator state to the packed contents of the nodes in it), and
-its groups list them, on one expansion, so a run can count some groups
-and list the rest.
+its groups list them from any group on, on one expansion, so a run can
+count some groups and list the rest.
 rank_fibers flattens the listed groups into sorted fibers with decoded
 keys, and fibers_by_multidegree decodes PresMonomials from rank_fibers.
 
@@ -43,7 +43,7 @@ from bisect import bisect_left
 from functools import cache, reduce
 from math import comb, prod
 from operator import attrgetter, or_, sub
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .borel import StronglyStableIdeal
 from .monomial import (Monomial, format_monomial, kind_mismatch, product,
@@ -741,7 +741,7 @@ def rank_fibers(
     """
     digits, _, groups = _fiber_groups(ideals, t_budget, forbidden_pairs,
                                       x_degree)
-    for tv, group in groups:
+    for tv, group in groups():
         for key in sorted(group, reverse=x_degree is not None):
             yield MultiDegree(digits.unpack(key), tv), group[key]
 
@@ -753,25 +753,28 @@ def _fiber_groups(
     x_degree: int | None = None,
 ) -> tuple[Digits,
            Iterator[tuple[tuple[int, ...], int, int, int]],
-           Iterator[tuple[tuple[int, ...], dict[int, list[tuple[int, ...]]]]]]:
+           Callable[..., Iterator[tuple[tuple[int, ...],
+                                        dict[int, list[tuple[int, ...]]]]]]]:
     """(digits, counts, groups) of the fibers of rank_fibers, one group per
     (t-slice, x-degree) pair, empty groups too: a group's keys are the
     x-parts of its x-degree d, each a content plus a rest of degree d less
     the slice's content degree. With x_degree each slice has a group for
     every d from its content degree up to x_degree; without, the pure
     walk, a slice has the one group of its content degree, whose rests are
-    all 1. Both generators walk these groups on one _Expansion and one
-    rest cache, and neither grows a level until it is iterated, so a run
-    can count some groups and list the rest.
+    all 1. Both walk these groups on one _Expansion and one rest cache,
+    and neither grows a level until it is iterated, so a run can count
+    some groups and list the rest.
 
     counts yields (t-vector, x-degree, multidegrees, members), the number
     of a group's keys and of their members, listing none: slices grow by
     _Expansion.grow_states, and a key's rests are those its state's bans
-    leave. groups yields (t-vector, {packed x-part: members}), keys in no
-    set order (digits.unpack decodes one), members as in rank_fibers; a
-    group of rest degree 0, pure or mixed, is the slice's members by
-    content. A t_budget or x_degree that _budget_expansion refuses raises
-    ValueError at once.
+    leave. groups(start=0) yields (t-vector, {packed x-part: members}) for
+    every group from the start-th on, keys in no set order (digits.unpack
+    decodes one), members as in rank_fibers; a group of rest degree 0,
+    pure or mixed, is the slice's members by content. The levels before
+    start are grown, since later slices grow from them, but no member of
+    a group before start is listed. A t_budget or x_degree that
+    _budget_expansion refuses raises ValueError at once.
     """
     expansion = _budget_expansion(ideals, t_budget, forbidden_pairs,
                                   x_degree or 0)
@@ -799,8 +802,15 @@ def _fiber_groups(
                         members += len(xs)
                 yield tv, d, len(keys), members
 
-    def groups():
+    def groups(start=0):
+        skip = start  # groups left to pass over, no member dict built
         for tv, level, degrees in slices(expansion.root, expansion.grow):
+            degrees = list(degrees)
+            if skip >= len(degrees):
+                skip -= len(degrees)
+                continue
+            degrees = degrees[skip:]
+            skip = 0
             by_content: dict[int, list[tuple[int, ...]]] = {}
             for x, _, ranks in level:
                 group = by_content.get(x)
@@ -823,7 +833,7 @@ def _fiber_groups(
                             mixed.setdefault(x + pw, []).append(u + w)
                 yield tv, mixed
 
-    return digits, counts(), groups()
+    return digits, counts(), groups
 
 
 def fibers_by_multidegree(

@@ -3,15 +3,22 @@
 A rule applies to a monomial when its lead divides it, and the successor
 swaps the lead for the trail. Rules and monomials of all three kinds
 (ambient Monomial, PresMonomial, MixedMonomial) are rewritten by one core,
-on sorted int tuples: rank_rules compiles a rule list once onto the atoms of
-a presentation.Alphabet, where the presentation variable of rank k is atom k
-and x_i is atom size + i - 1 (size presentation variables), so a rank tuple
-is already an atom tuple; the alphabet (RankRules.alphabet) encodes and
-decodes monomials. Every lead is two atoms (a T-quadric, a syzygy
+on sorted int tuples over the atoms of a presentation.Alphabet, where the
+presentation variable of rank k is atom k and x_i is atom size + i - 1
+(size presentation variables), so a rank tuple is already an atom tuple;
+the alphabet (RankRules.alphabet) encodes and decodes monomials. The core
+reads a rule list as a RankRules: one int row (lead atoms, trail atoms,
+source) per rule, in list order. The orders builders write those rows
+straight from variable positions, and rank_rules compiles any other list
+(the fiber-type basis, hand-made rules) once, returning a table already
+on the alphabet as it is. Every lead is two atoms (a T-quadric, a syzygy
 x_i*T_u, a lifted fiber lead or an ambient quadric), so the one rule index
-is a lead table keyed by atom pair: leads[(a, b)] lists every rule with
-lead (a, b), in list order, so leads[(a, b)][0] is the earliest of them. A
-lead of any other size is refused when the list is compiled.
+is a two-level lead table probed as leads[a][b], with no pair tuple
+built: leads[a] is None for an atom that starts no lead, and leads[a][b]
+lists every rule with lead (a, b), in list order, so leads[a][b][0] is
+the earliest of them. A lead of any other size is refused when the list
+is compiled. A table's MarkedBinomial list (RankRules.rules) is the
+compiled list itself, or a builder's rows decoded once, on first use.
 
 On that core, rank_rewrites lists every one-step reduction of an atom tuple
 in rule-list order, fiber_edges builds every fiber graph from it as
@@ -44,7 +51,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .monomial import Monomial
 from .presentation import (
@@ -107,6 +114,7 @@ class MarkedBinomial(Frozen):
         return self.label()
 
 
+_new = object.__new__
 _set_lead = MarkedBinomial.lead.__set__
 _set_trail = MarkedBinomial.trail.__set__
 _set_source = MarkedBinomial.source.__set__
@@ -356,32 +364,119 @@ def normal_form(v, rules: Sequence[MarkedBinomial], memo: dict | None = None):
     return nf
 
 
-class RankRules(NamedTuple):
-    """A rule list compiled onto an atom alphabet (presentation.Alphabet).
+class RankRules:
+    """A rule list on the atoms of an alphabet (presentation.Alphabet): the
+    rewriting core's one form of a rule list.
 
-    leads is the lead table, the one rule index: leads[(a, b)], a <= b,
-    lists the (position, lead, trail) of every rule with lead (a, b), in
-    list order.
+    rows lists each rule as (lead atoms, trail atoms, source), in list
+    order, every lead two atoms. The orders builders write rows straight
+    from their variable positions, and rank_rules compiles an object list
+    into rows, keeping the list. rules is the MarkedBinomial list: the
+    compiled list itself, or for a table of rows alone (a builder's) its
+    rows decoded once, on first use, as PresMonomial quadrics, one per
+    distinct atom pair and with no constructor check, which the builder's
+    rows meet by construction. kinds is the set of the leads' monomial
+    kinds: PresMonomial alone for a table of rows alone.
+
+    leads is the lead table, the one rule index, built on first use from
+    rows: leads[a] is None for an atom a that starts no lead, and otherwise
+    a row over every atom, where leads[a][b], a <= b, is None or lists the
+    (position, lead, trail) of every rule with lead (a, b), in list order,
+    so leads[a][b][0] is the earliest of them. It is probed with no pair
+    tuple built, and holds a row only for each atom that starts a lead.
     """
 
-    alphabet: Alphabet
-    leads: dict[tuple[int, int], list[tuple[int, tuple[int, int],
-                                            tuple[int, ...]]]]
+    __slots__ = ("alphabet", "rows", "kinds", "_rules", "_leads")
+
+    def __init__(self, alphabet: Alphabet,
+                 rows: list[tuple[tuple[int, ...], tuple[int, ...], str]],
+                 rules: list[MarkedBinomial] | None = None):
+        self.alphabet = alphabet
+        self.rows = rows
+        self.kinds = (_QUADRICS if rules is None
+                      else frozenset([type(g.lead) for g in rules]))
+        self._rules = rules
+        self._leads = None
+
+    @property
+    def leads(self) -> list:
+        leads = self._leads
+        if leads is None:
+            size = len(self.alphabet.variables) + self.alphabet.n
+            leads = self._leads = [None] * size
+            for pos, (lead, trail, _) in enumerate(self.rows):
+                a, b = lead
+                row = leads[a]
+                if row is None:
+                    row = leads[a] = [None] * size
+                listed = row[b]
+                if listed is None:
+                    row[b] = [(pos, lead, trail)]
+                else:
+                    listed.append((pos, lead, trail))
+        return leads
+
+    @property
+    def rules(self) -> list[MarkedBinomial]:
+        rules = self._rules
+        if rules is None:
+            rules = self._rules = self._decoded()
+        return rules
+
+    def _decoded(self) -> list[MarkedBinomial]:
+        """The rows as quadric rules, one PresMonomial per atom pair."""
+        variables = self.alphabet.variables
+        from_sorted = PresMonomial.from_sorted
+        quadrics: dict = {}
+        known = quadrics.get
+        rules = []
+        for lead, trail, source in self.rows:
+            u = known(lead)
+            if u is None:
+                u = quadrics[lead] = from_sorted((variables[lead[0]],
+                                                  variables[lead[1]]))
+            v = known(trail)
+            if v is None:
+                v = quadrics[trail] = from_sorted((variables[trail[0]],
+                                                   variables[trail[1]]))
+            rules.append(_unchecked_rule(u, v, source))
+        return rules
 
 
-def rank_rules(rules: Sequence[MarkedBinomial],
+_QUADRICS = frozenset([PresMonomial])
+
+
+def _unchecked_rule(lead, trail, source: str) -> MarkedBinomial:
+    """A rule past MarkedBinomial.__init__, whose checks (one kind, one
+    degree, lead != trail) a builder's rows meet by construction."""
+    g = _new(MarkedBinomial)
+    _set_lead(g, lead)
+    _set_trail(g, trail)
+    _set_source(g, source)
+    return g
+
+
+def rank_rules(rules: Sequence[MarkedBinomial] | RankRules,
                alphabet: Alphabet) -> RankRules:
-    """Compile a rule list onto the atoms of an alphabet.
+    """A rule list on the atoms of an alphabet.
 
-    A quadric PresMonomial's two factors are read straight off the
-    alphabet's index; any other monomial goes through encode. A rule whose
-    lead is not two atoms raises ValueError naming the rule and its lead's
-    atom count.
+    A RankRules already on an alphabet of the same variables and n is
+    returned as it is; one on another alphabet is compiled from its rules.
+    Compiling reads a quadric PresMonomial's two factors straight off the
+    alphabet's index, and encodes any other monomial. A rule whose lead is
+    not two atoms raises ValueError naming the rule and its lead's atom
+    count.
     """
+    if isinstance(rules, RankRules):
+        given = rules.alphabet
+        if given is alphabet or (given.variables == alphabet.variables
+                                 and given.n == alphabet.n):
+            return rules
+        rules = rules.rules
     atoms = alphabet.index
-    leads: dict = {}
     encode = alphabet.encode
-    for pos, g in enumerate(rules):
+    rows = []
+    for g in rules:
         lead, trail = g.lead, g.trail
         if type(lead) is PresMonomial and len(lead.factors) == 2:
             (p, q), (r, s) = lead.factors, trail.factors
@@ -395,8 +490,8 @@ def rank_rules(rules: Sequence[MarkedBinomial],
                 raise ValueError(
                     f"rule {g.label()}: lead atom count {len(lead)}; the "
                     f"rewriting core takes two-atom leads only")
-        leads.setdefault(lead, []).append((pos, lead, trail))
-    return RankRules(alphabet, leads)
+        rows.append((lead, trail, g.source))
+    return RankRules(alphabet, rows, list(rules))
 
 
 def _apply(v: tuple[int, ...], lead: tuple[int, ...],
@@ -412,18 +507,32 @@ def _apply(v: tuple[int, ...], lead: tuple[int, ...],
 
 def rank_rewrites(v: tuple[int, ...],
                   rules: RankRules) -> list[tuple[tuple[int, ...], int]]:
-    """Every one-step reduction of an atom tuple as (successor, rule
+    """Every one-step reduction of a sorted atom tuple as (successor, rule
     position), in rule-list order.
 
-    Reads the lead table at each distinct atom pair of v.
+    Reads the lead table at each distinct atom pair of v, once each: a
+    repeated atom starts one row probe, and each row is probed once per
+    distinct later atom.
     """
     hits = []
     leads = rules.leads
-    for pair in dict.fromkeys(combinations(v, 2)):
-        found = leads.get(pair)
-        if found:
-            hits += [(pos, _apply(v, lead, trail))
-                     for pos, lead, trail in found]
+    last = None
+    for i, a in enumerate(v):
+        if a == last:
+            continue
+        last = a
+        row = leads[a]
+        if row is None:
+            continue
+        seen = None
+        for b in v[i + 1:]:
+            if b == seen:
+                continue
+            seen = b
+            found = row[b]
+            if found:
+                hits += [(pos, _apply(v, lead, trail))
+                         for pos, lead, trail in found]
     if len(hits) > 1:
         hits.sort(key=itemgetter(0))
     return [(succ, pos) for pos, succ in hits]
@@ -466,8 +575,8 @@ def rank_normal_forms(fiber: Sequence[tuple[int, ...]],
     One memo, local to the call, maps every monomial on a path that ends to
     its normal form, so members whose paths meet walk the rest once; a
     cycling path records nothing. Each step reads the earliest rule of
-    every atom pair off the lead table (the first entry of leads[(a, b)])
-    and follows the earliest listed of them.
+    every atom pair (a, b) off the lead table, the first entry of
+    leads[a][b], and follows the earliest listed of them.
     """
     memo: dict = {}
     known = memo.get
@@ -480,15 +589,26 @@ def rank_normal_forms(fiber: Sequence[tuple[int, ...]],
             if nf is not None:
                 break
             best = None
-            for pair in combinations(current, 2):
-                listed = leads.get(pair)
-                if listed and (best is None or listed[0][0] < best[0]):
-                    best = listed[0]
+            for a, b in combinations(current, 2):
+                row = leads[a]
+                if row is not None:
+                    listed = row[b]
+                    if listed is not None:
+                        first = listed[0]
+                        if best is None or first[0] < best[0]:
+                            best = first
             if best is None:
                 nf = current
                 break
             path.append(current)
-            current = _apply(current, best[1], best[2])
+            # _apply on a two-atom lead, inline: this is the hot loop
+            _, (a, b), trail = best
+            rest = list(current)
+            rest.remove(a)
+            rest.remove(b)
+            rest += trail
+            rest.sort()
+            current = tuple(rest)
             if current in path:
                 nf = RewriteCycle.recurring(rules.alphabet.label(current),
                                             len(path) - path.index(current))

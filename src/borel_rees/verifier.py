@@ -24,7 +24,9 @@ The default x-degree bound reaches every budgeted t-slice
 unreached. The kernel oracle (kernel_membership) reduces
 every member of the same fibers once, on atom tuples, a fiber at a time
 by reduction.rank_normal_forms with one memo per fiber, and counts a
-fiber of k members as its C(k, 2) pairs; the pair list
+fiber of k members as its C(k, 2) pairs. It reads a builder's
+reduction.RankRules rows as they are, so a quadric basis reaches it with
+no rule object built; the pair list
 (toric_kernel_span) and its object-level check (check_membership) stay
 as its reference.
 
@@ -40,9 +42,9 @@ tuples only from the first group holding a multidegree without exactly
 one. Any other marking gets the fiber graphs themselves, built serially
 by the one rewriting core of reduction (rank_rules once onto the
 alphabet, then fiber_edges per fiber), listed from the same groups.
-Either way only a multidegree whose check fails has its monomials built. analyze_fiber is the
-object-level fiber graph, kept as the reference. The report's first note
-names the method.
+Either way only a multidegree whose check fails has its monomials built.
+analyze_fiber is the object-level fiber graph, kept as the reference. The
+report's first note names the method.
 
 A run whose evidence is empty (no checked fiber had two monomials and no
 oracle pair was checked) is "inconclusive", never "certified". For
@@ -79,6 +81,7 @@ from .presentation import (
 from .records import Frozen, Record
 from .reduction import (
     MarkedBinomial,
+    RankRules,
     RewriteCycle,
     applicable_reductions,
     fiber_edges,
@@ -237,9 +240,11 @@ def verify_gb(
     fewer multidegrees than standard monomials. From that group on the
     members are listed a group at a time, as are the fiber graphs. The
     count and the listing are the counts and the groups of one
-    presentation._fiber_groups call. A group is counted whole, and only
-    the keys it checks are sorted: those without exactly one standard
-    monomial, or every key for the fiber graphs. So failures come in rank_fibers order, by t-vector, then x
+    presentation._fiber_groups call; the listing starts at the first
+    group not counted, and no member of a counted group is listed. A
+    group is counted whole, and only the keys it checks are sorted: those
+    without exactly one standard monomial, or every key for the fiber
+    graphs. So failures come in rank_fibers order, by t-vector, then x
     ascending (pure) or by x-degree, then x descending (mixed). A
     MultiDegree is built only for a failure, and each of its sinks is
     labelled as the MixedMonomial its atoms decode to, which a pure sink
@@ -287,21 +292,23 @@ def verify_gb(
 
     digits, counts, groups = _fiber_groups(ideals, t_budget, lead_pairs,
                                            x_degree)
-    counted = 0  # leading groups counted by state; the listing skips them
+    listing = groups()
     if order is not None:
         # the standard monomials are counted by enumerator state, a group
         # (pure t-slice, or t-slice and x-degree) at a time; at the first
         # group without one per multidegree the members take over
+        counted = 0
         for _, _, keys, members in counts:
             if keys != members:
+                listing = groups(counted)
                 break
             count(keys)
             counted += 1
         else:
-            groups = ()  # every group counted: none is listed
+            listing = ()  # every group counted: none is listed
     # the listing starts at the first group not counted; it counts a group
     # whole and sorts only the keys it checks, into rank_fibers order
-    for tv, fibers in itertools.islice(groups, counted, None):
+    for tv, fibers in listing:
         count(len(fibers))
         if order is None:
             keys = fibers
@@ -339,14 +346,15 @@ def _advance(walked: int, k: int,
 
 
 def mixed_x_degree(
-    rules: Sequence[MarkedBinomial],
+    rules: Sequence[MarkedBinomial] | RankRules,
     ideals: Sequence[StronglyStableIdeal],
     t_budget: Sequence[int],
     x_degree: int | None = None,
 ) -> int | None:
     """The x-degree bound of the mixed fibers a rule list is checked on.
 
-    None when no lead is a MixedMonomial: such rules live on the pure
+    None when no lead is a MixedMonomial (for a RankRules, when kinds
+    holds no MixedMonomial): such rules live on the pure
     presentation, and an x_degree given for them raises ValueError rather
     than being ignored. Otherwise x_degree when given, else the budget's
     content degree sum(b_i * d_i), the least bound that reaches every
@@ -357,7 +365,9 @@ def mixed_x_degree(
     syzygy applies, and 2*d reaches the overlaps x_i*x_j*T_u (x-degree
     d + 2).
     """
-    if not any(isinstance(g.lead, MixedMonomial) for g in rules):
+    kinds = (rules.kinds if isinstance(rules, RankRules)
+             else {type(g.lead) for g in rules})
+    if MixedMonomial not in kinds:
         if x_degree is not None:
             raise ValueError(
                 "an x-degree bound applies only to a basis with mixed "
@@ -457,7 +467,7 @@ def check_membership(
 
 
 def kernel_membership(
-    rules: Sequence[MarkedBinomial],
+    rules: Sequence[MarkedBinomial] | RankRules,
     ideals: Sequence[StronglyStableIdeal],
     t_budget: Sequence[int],
     x_degree: int | None = None,
@@ -469,8 +479,12 @@ def kernel_membership(
     checks. So mixed leads with no x_degree get the default bound, and pure
     leads given an x_degree raise ValueError.
 
-    The rules are compiled once (reduction.rank_rules, which refuses a
-    lead that is not two atoms with ValueError) and each fiber's
+    rules is a rule list or a reduction.RankRules. A RankRules on the
+    alphabet of the ideals (Alphabet.of), as the orders builders write
+    one, is read as it is: its kinds pick the fibers and its lead table
+    reduces them, and no rule or monomial object is built. Anything else
+    is compiled once (reduction.rank_rules, which refuses a lead that is
+    not two atoms with ValueError). Each fiber's
     members are reduced by one rank_normal_forms call, with one memo per
     fiber, which loses nothing when every rule keeps images (no rewrite
     path leaves its fiber) and is only a cache otherwise. A fiber of k
@@ -493,7 +507,7 @@ def kernel_membership(
     label = functools.cache(compiled.alphabet.label)
     checked = walked = 0
     failures = []
-    for _, group in groups:
+    for _, group in groups():
         walked = _advance(walked, len(group), progress)
         failing = {}
         for key, fiber in group.items():
@@ -581,7 +595,7 @@ def detect_obstructions(
     decode = Alphabet.of(ideals).decode
     witnesses = []
     walked = 0
-    for tv, group in groups:
+    for tv, group in groups():
         walked = _advance(walked, len(group), progress)
         if sum(tv) < 3:
             continue

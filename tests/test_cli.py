@@ -378,6 +378,37 @@ class TestKernelOracle:
             )
         assert code == 0 and payload["oracle_binomials_checked"] > 0
 
+    def test_a_builder_basis_builds_no_rule_object(self, capsys, spec_file):
+        # the oracle reads the builder's RankRules rows: with every rule
+        # and monomial constructor refusing, the ht run at 2,1 still checks
+        # its 9,941 pairs and prints the same report
+        path = spec_file(PAIR_SPEC)
+        argv = ["kernel-oracle", "--spec", path, "--basis", "ht",
+                "--budget", "2,1"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+
+        def refused(*_args, **_kwargs):
+            raise AssertionError("rule object built")
+
+        with mock.patch.object(reduction.MarkedBinomial, "__init__", refused), \
+                mock.patch.object(presentation.PresMonomial, "__init__",
+                                  refused), \
+                mock.patch.object(presentation.PresMonomial, "from_sorted",
+                                  refused), \
+                mock.patch.object(presentation.MixedMonomial, "__init__",
+                                  refused), \
+                mock.patch.object(reduction, "_unchecked_rule", refused):
+            assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == expected
+        assert json.loads(out)["oracle_binomials_checked"] == 9941
+        # the same patches stop a run that does build rules
+        with mock.patch.object(reduction, "_unchecked_rule", refused):
+            with pytest.raises(AssertionError, match="rule object built"):
+                main(["verify", "--spec", path, "--basis", "ht",
+                      "--budget", "1,1"])
+
     @pytest.mark.parametrize("command, count", [
         ("kernel-oracle", "oracle_binomials_checked"),
         ("verify", "multidegrees_checked"),
@@ -956,7 +987,7 @@ class TestFrontEnd:
         basis_for = cli._basis_for
 
         def one_rule_reversed(ideals, name):
-            rules = basis_for(ideals, name)
+            rules = cli._rule_list(basis_for(ideals, name))
             g = rules[0]
             return [reduction.MarkedBinomial(g.trail, g.lead, g.source),
                     *rules[1:]]

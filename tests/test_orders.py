@@ -16,19 +16,24 @@ from borel_rees.orders import (
     build_fiber_type_basis,
     build_syzygy_set,
     dump_basis,
+    head_and_tail_table,
     marking_order,
     sink_violations_ht,
     sink_violations_mrlex,
     sink_violations_rlex,
+    table_G1,
+    table_G2,
+    table_G3,
 )
 from borel_rees.presentation import (
+    Alphabet,
     MixedMonomial,
     PresMonomial,
     PresVar,
     content,
     phi,
 )
-from borel_rees.reduction import MarkedBinomial
+from borel_rees.reduction import MarkedBinomial, RankRules, rank_rules
 
 
 def m(text, n):
@@ -700,6 +705,91 @@ class TestBuilderRulesAsConstructed:
             self.assert_as_constructed(ht)
             assert ht == (reference_G1(i1, 1) + reference_G2(view2, 2)
                           + reference_G3(view1, view2))
+
+
+class TestBuilderTables:
+    """Each builder writes its RankRules rows straight from variable
+    positions. The rows equal rank_rules' compilation of the object-level
+    reference (reference_coincident_product_binomials), and the rules they
+    decode to equal that reference rule by rule, dump_basis text included,
+    with one PresMonomial per quadric."""
+
+    @staticmethod
+    def assert_table_is(table, reference, r):
+        assert isinstance(table, RankRules) and reference
+        assert table.kinds == {PresMonomial}
+        assert table.rows == rank_rules(reference, table.alphabet).rows
+        assert table.rules == reference
+        assert [g.source for g in table.rules] == [g.source for g in reference]
+        assert dump_basis(table.rules, r) == dump_basis(reference, r)
+        # one PresMonomial per quadric: equal monomials are one object
+        quadrics = [v for g in table.rules for v in (g.lead, g.trail)]
+        assert len({id(v) for v in quadrics}) == len(set(quadrics))
+        # decoded once: the same list on every read
+        assert table.rules is table.rules
+
+    @pytest.mark.parametrize("shape", SHAPES,
+                             ids=["".join(map(str, s)) for s in SHAPES])
+    def test_G1_and_G2_of_every_shape(self, shape):
+        # at the shape's own n and at n = 6, as either ideal of a pair
+        for n in sorted({shape[3], 6}):
+            ideal = _shape_ideal(*shape[:3], n)
+            view = order_view(ideal)
+            for k in (1, 2):
+                self.assert_table_is(table_G1(ideal, k),
+                                     reference_G1(ideal, k), 2)
+                self.assert_table_is(table_G2(view, k),
+                                     reference_G2(view, k), 2)
+
+    def test_G1_of_the_cubic_ideal(self):
+        ideal = borel_closure([m("x2*x3*x4", 5), m("x1*x4^2", 5),
+                               m("x2^2*x5", 5)], 5)
+        self.assert_table_is(table_G1(ideal), reference_G1(ideal), 1)
+
+    def test_G3_and_head_and_tail_of_the_running_pair_and_sampled_pairs(
+            self, running_pair):
+        # census pairs: ordered pairs of the 35 shapes, both at n = 6
+        rng = random.Random(31)
+        pairs = [tuple(running_pair), tuple(running_pair)[::-1]]
+        for _ in range(12):
+            s1, s2 = rng.choice(SHAPES), rng.choice(SHAPES)
+            pairs.append(tuple(_shape_ideal(*s[:3], 6) for s in (s1, s2)))
+        for i1, i2 in pairs:
+            view1, view2 = order_view(i1), order_view(i2)
+            g3 = reference_G3(view1, view2)
+            if g3:
+                self.assert_table_is(table_G3(view1, view2), g3, 2)
+            self.assert_table_is(
+                head_and_tail_table(view1, view2),
+                reference_G1(i1, 1) + reference_G2(view2, 2) + g3, 2)
+
+    def test_a_table_on_the_collections_alphabet_is_used_as_is(
+            self, running_pair):
+        # the builder's positions are the atoms of Alphabet.of(ideals), so
+        # rank_rules hands the table back; on another alphabet it compiles
+        # the decoded rules
+        ideals = list(running_pair)
+        views = [order_view(i) for i in ideals]
+        table = head_and_tail_table(*views)
+        assert rank_rules(table, Alphabet.of(ideals)) is table
+        ideal = ideals[0]
+        first = table_G1(ideal)
+        assert rank_rules(first, Alphabet.of([ideal])) is first
+        second = table_G1(ideal, 2)
+        with pytest.raises(ValueError, match="not a variable of this"):
+            rank_rules(second, Alphabet.of([ideal]))
+        assert rank_rules(first, table.alphabet).rows == table.rows[
+            :len(first.rows)]
+
+    def test_the_build_functions_return_the_decoded_rules(self, running_pair):
+        i1, i2 = running_pair
+        view1, view2 = order_view(i1), order_view(i2)
+        for build, table in ((build_G1(i1), table_G1(i1)),
+                             (build_G2(view2, 2), table_G2(view2, 2)),
+                             (build_G3(view1, view2), table_G3(view1, view2)),
+                             (build_head_and_tail_basis(view1, view2),
+                              head_and_tail_table(view1, view2))):
+            assert build == table.rules and build
 
 
 class TestSinkViolationCheckers:

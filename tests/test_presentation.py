@@ -4,11 +4,13 @@ import random
 from collections import Counter
 from functools import reduce
 from operator import or_
+from unittest import mock
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from borel_rees import presentation
 from borel_rees.borel import borel_closure, order_view
 from borel_rees.monomial import (
     Monomial,
@@ -385,7 +387,7 @@ class TestLevelEnumeratorAgainstReference:
         digits, _, slices = _fiber_groups(ideals, budget, pairs)
         got = [(tv, {digits.unpack(x): members
                      for x, members in groups.items()})
-               for tv, groups in slices]
+               for tv, groups in slices()]
         expected = [(tv, reference_slice(ideals, tv, pairs))
                     for tv in t_vectors(budget)]
         assert got == expected
@@ -406,7 +408,7 @@ class TestLevelEnumeratorAgainstReference:
         # fibers: the order the kernel oracle and the obstruction scan
         # sort what they report into
         digits, _, groups = _fiber_groups(ideals, budget, pairs)
-        assert [(tv, key, group[key]) for tv, group in groups
+        assert [(tv, key, group[key]) for tv, group in groups()
                 for key in sorted(group)] == [
             (tv, digits.pack(x), members)
             for tv in t_vectors(budget)
@@ -422,7 +424,7 @@ class TestLevelEnumeratorAgainstReference:
         ideals = [borel_closure([m("x3^2", 5), m("x2*x5", 5)], 5)]
         decode = Alphabet.of(ideals).decode
         digits, _, groups = _fiber_groups(ideals, (2,), x_pairs, 6)
-        keyed = {(tv, key): members for tv, group in groups
+        keyed = {(tv, key): members for tv, group in groups()
                  for key, members in group.items()}
         assert keyed == {
             (mu.t_exps, digits.pack(mu.x_exps)): members
@@ -482,7 +484,7 @@ class TestStateLevels:
         got = [(tv, Counter(itertools.chain.from_iterable(level.values())))
                for tv, level in levels]
         assert got == [(tv, Counter({x: len(us) for x, us in groups.items()}))
-                       for tv, groups in slices]
+                       for tv, groups in slices()]
 
     def test_states_carry_the_x_atom_bans(self):
         expansion, levels = _state_levels(_ONE, (3,), _X_BANS)
@@ -490,7 +492,7 @@ class TestStateLevels:
                                   7: 1 << 10}
         high = ((1 << 5) - 1) << expansion.size
         _, _, slices = _fiber_groups(_ONE, (3,), [(2, 5)])
-        for (tv, level), (_, groups) in zip(levels, slices):
+        for (tv, level), (_, groups) in zip(levels, slices()):
             got = Counter((x, state & high) for state, xs in level.items()
                           for x in xs)
             assert got == Counter(
@@ -598,8 +600,8 @@ def _group_cases():
 class TestGroupsAreCounted:
     """_fiber_groups lists the groups it counts: the same sequence of
     (t-vector, x-degree) groups, each with as many keys and members as
-    counted. verify_gb counts the leading groups and lists the rest by
-    skipping as many groups, so this is what its hand-over rests on."""
+    counted. verify_gb counts the leading groups and lists the rest from
+    the first group not counted, so this is what its hand-over rests on."""
 
     @pytest.mark.parametrize("ideals, budget, pairs, x_degree",
                              _group_cases())
@@ -608,7 +610,7 @@ class TestGroupsAreCounted:
         # the counts and the groups of one call, as verify_gb reads them
         digits, counts, groups = _fiber_groups(ideals, budget, pairs,
                                                x_degree)
-        counts, groups = list(counts), list(groups)
+        counts, groups = list(counts), list(groups())
         assert [(tv, len(group), sum(map(len, group.values())))
                 for tv, group in groups] == [
             (tv, keys, members) for tv, _, keys, members in counts]
@@ -624,6 +626,42 @@ class TestGroupsAreCounted:
                       range(content_degree(ideals, tv), x_degree + 1))]
         if not pairs:
             assert any(keys != members for _, _, keys, members in counts)
+
+    @pytest.mark.parametrize("ideals, budget, pairs, x_degree",
+                             _group_cases())
+    def test_a_listing_from_a_later_group_is_the_tail(self, ideals, budget,
+                                                      pairs, x_degree):
+        # groups(start) is the listing less its first start groups, and
+        # reads the members of a slice only when one of its groups is
+        # listed: the levels are grown, no member dict is built before start
+        _, _, groups = _fiber_groups(ideals, budget, pairs, x_degree)
+        listed = list(groups())
+        for start in range(len(listed) + 2):
+            walked = []
+            with mock.patch.object(presentation, "_level_slices",
+                                   _recording_slices(walked)):
+                assert list(groups(start)) == listed[start:]
+            assert walked == list(dict.fromkeys(tv for tv, _ in
+                                                listed[start:]))
+
+
+def _recording_slices(walked):
+    """_level_slices with each yielded level recording its t-vector in
+    walked whenever it is read; the levels it grows from stay plain."""
+    real = presentation._level_slices
+
+    class Level(list):
+        def __iter__(self):
+            walked.append(self.tv)
+            return super().__iter__()
+
+    def slices(root, grow, t_budget):
+        for tv, level in real(root, grow, t_budget):
+            recorded = Level(level)
+            recorded.tv = tv
+            yield tv, recorded
+
+    return slices
 
 
 def _sampled_pairs(count, seed):
@@ -679,12 +717,12 @@ class TestPureIsRestDegreeZero:
         _, counts, groups = _fiber_groups(ideals, budget, pairs, top)
         counts = list(counts)
         rest_0 = [(tv, list(group.items()))
-                  for (tv, d, _, _), (_, group) in zip(counts, groups)
+                  for (tv, d, _, _), (_, group) in zip(counts, groups())
                   if d == content_degree(ideals, tv)]
         _, _, pure = _fiber_groups(ideals, budget, pairs)
         # the same keys in the same order, each with the same members in
         # the same order
-        assert [(tv, list(group.items())) for tv, group in pure] == rest_0
+        assert [(tv, list(group.items())) for tv, group in pure()] == rest_0
         assert len(rest_0) == len(list(t_vectors(budget)))
         # the mixed walk has groups past rest degree 0 as well
         assert len(counts) > len(rest_0)

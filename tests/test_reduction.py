@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from borel_rees import reduction, verifier
+from borel_rees import verifier
 from borel_rees.borel import order_view
 from borel_rees.monomial import Monomial, parse_monomial
 from borel_rees.orders import build_fiber_type_basis, build_G2
@@ -287,6 +287,11 @@ class TestEllMax:
         graph = build_graph(rules, start=start)
         assert len(graph.vertices) == n - 1
         assert ell_max(graph, start) == n - 2 > sys.getrecursionlimit()
+        # every lead starts at x1's atom: the lead table keeps one row of
+        # n atoms, not n rows
+        leads = rank_rules(rules, Alphabet((), n)).leads
+        assert len(leads) == n
+        assert [a for a, row in enumerate(leads) if row is not None] == [0]
 
     def test_rejects_bad_shapes(self):
         cyclic = build_graph(
@@ -471,6 +476,32 @@ def assert_atoms_match_scan(monomials, rules, ideals=None, n=None):
     assert rank_forms([alphabet.encode(v) for v in forms], compiled) == list(
         forms.values())
     return forms
+
+
+def lead_pairs(compiled):
+    """The atom pairs (a, b) the lead table lists rules at."""
+    return {(a, b) for a, row in enumerate(compiled.leads) if row
+            for b, listed in enumerate(row) if listed}
+
+
+def counted_probes(compiled):
+    """A list that each later probe leads[a][b] of the compiled lead table
+    appends (a, b) to."""
+    probes = []
+
+    class Row(list):
+        def __getitem__(self, b):
+            probes.append((self.a, b))
+            return list.__getitem__(self, b)
+
+    def counted(a, row):
+        row = Row(row)
+        row.a = a
+        return row
+
+    compiled._leads = [row if row is None else counted(a, row)
+                       for a, row in enumerate(compiled.leads)]
+    return probes
 
 
 def unjoined(pairs, forms):
@@ -844,7 +875,7 @@ class TestLeadTable:
         listed = rules_of(4, ("x3*x4", "x1^2"), ("x1*x2", "x3^2"),
                           ("x1*x2", "x4^2"))
         compiled = rank_rules(listed, Alphabet((), 4))
-        assert [pos for pos, _, _ in compiled.leads[(0, 1)]] == [1, 2]
+        assert [pos for pos, _, _ in compiled.leads[0][1]] == [1, 2]
         v = m("x1*x2*x3*x4", 4)
         monomials = [
             Monomial([combo.count(k) for k in range(4)])
@@ -895,8 +926,8 @@ class TestLeadTable:
             lead = (variables.index(factor), size + i - 1)
             assert alphabet.encode(g.lead) == lead
             assert (pos, lead, alphabet.encode(g.trail)) in (
-                compiled.leads[lead])
-        assert all(a < size for a, _ in compiled.leads)
+                compiled.leads[lead[0]][lead[1]])
+        assert all(row is None for row in compiled.leads[size:])
         monomials = [v for _, f in mixed_fibers(ideals, (2,), 5) for v in f]
         forms = assert_atoms_match_scan(monomials, rules, ideals)
         assert len(set(forms.values())) < len(forms)
@@ -912,7 +943,7 @@ class TestLeadTable:
             for g in rules:
                 assert alphabet.encode(g.lead) == tuple(
                     i - 1 for i in g.lead.variables_with_multiplicity())
-            assert set(compiled.leads) == {
+            assert lead_pairs(compiled) == {
                 alphabet.encode(g.lead) for g in rules}
             monomials = [
                 Monomial([combo.count(k) for k in range(n)])
@@ -955,17 +986,21 @@ class TestLeanCore:
     def test_a_memo_hit_inside_a_fiber_ends_the_path(self):
         # x1^2 -> x1*x2 -> x2^2 -> x2*x3: with x1*x2 reduced first, the
         # walk from x1^2 takes one step and stops at the memo; the memo
-        # lives in one call only
+        # lives in one call only. Each monomial a path reads off the lead
+        # table is one probe (its one atom pair): a step, or the end at
+        # x2*x3, and a memo hit probes nothing
         rules = rules_of(3, ("x1^2", "x1*x2"), ("x1*x2", "x2^2"),
                          ("x2^2", "x2*x3"))
         compiled = rank_rules(rules, Alphabet((), 3))
-        for fiber, steps in ((((0, 1), (0, 0)), 3), (((0, 0), (0, 1)), 3),
-                             (((0, 1),), 2), (((0, 0),), 3)):
-            with mock.patch.object(reduction, "_apply",
-                                   wraps=reduction._apply) as applied:
-                assert rank_normal_forms(fiber, compiled) == [(1, 2)] * len(
-                    fiber)
-            assert applied.call_count == steps
+        probes = counted_probes(compiled)
+        walk = [(0, 0), (0, 1), (1, 1), (1, 2)]
+        for fiber, read in ((((0, 1), (0, 0)), walk[1:] + walk[:1]),
+                            (((0, 0), (0, 1)), walk), (((0, 1),), walk[1:]),
+                            (((0, 0),), walk)):
+            probes.clear()
+            assert rank_normal_forms(fiber, compiled) == [(1, 2)] * len(
+                fiber)
+            assert probes == read
         assert self.both(m("x1^2", 3), rules, 3) == ((1, 2),) * 2
 
     def test_the_earliest_of_two_rules_on_one_lead_wins(self):
@@ -975,8 +1010,8 @@ class TestLeanCore:
             rules = rules_of(4, ("x3*x4", "x1*x2"), *listed)
             compiled = rank_rules(rules, Alphabet((), 4))
             # the earliest rule of a lead is the first of its list
-            assert [pos for pos, _, _ in compiled.leads[(0, 1)]] == [1, 2]
-            assert compiled.leads[(0, 1)][0] == (1, (0, 1), successor)
+            assert [pos for pos, _, _ in compiled.leads[0][1]] == [1, 2]
+            assert compiled.leads[0][1][0] == (1, (0, 1), successor)
             assert rank_rewrites((0, 1), compiled)[0][0] == successor
             assert self.both(m("x1*x2", 4), rules, 4) == (successor,) * 2
 

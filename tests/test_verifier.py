@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import itertools
 import operator
 import random
@@ -14,8 +15,9 @@ from borel_rees import presentation, verifier
 from borel_rees.borel import borel_closure
 from borel_rees.monomial import Monomial, parse_monomial
 from borel_rees.borel import order_view
-from borel_rees.cli import _BASES
+from borel_rees.cli import _BASES, _rule_list
 from borel_rees.orders import (
+    head_and_tail_table,
     build_G1,
     build_G2,
     build_G3,
@@ -38,7 +40,12 @@ from borel_rees.presentation import (
     rank_fibers,
     t_vectors,
 )
-from borel_rees.reduction import MarkedBinomial, lift_to_mixed, rank_rules
+from borel_rees.reduction import (
+    MarkedBinomial,
+    RankRules,
+    lift_to_mixed,
+    rank_rules,
+)
 from borel_rees.verifier import (
     KoszulReport,
     VerificationReport,
@@ -241,9 +248,10 @@ class TestBuilderLeads:
         for collections, names in cases:
             for ideals in collections:
                 for name in names:
-                    rules = _BASES[name][1](ideals)
+                    rules = _rule_list(_BASES[name][1](ideals))
                     leads = rank_rules(rules, Alphabet.of(ideals)).leads
-                    assert sum(map(len, leads.values())) == len(rules) > 0
+                    assert sum(len(listed) for row in leads if row
+                               for listed in row if listed) == len(rules) > 0
 
 
 class TestStandardMonomialDifferential:
@@ -631,6 +639,95 @@ class TestKernelMembership:
             assert calls == expected
             assert got == kernel_membership(running_pair_basis, ideals,
                                             budget)
+
+
+class TestKernelMembershipOnTables:
+    """kernel_membership on a builder's RankRules, read straight off its
+    rows, against kernel_membership on the decoded rule list (compiled by
+    rank_rules) and against check_membership over toric_kernel_span's
+    pairs: the same (checked, failures), failure text and order included."""
+
+    @staticmethod
+    def three_ways(table, ideals, budget, span):
+        """The three results, asserted equal; returns the failures."""
+        rules = table.rules
+        got = kernel_membership(table, ideals, budget)
+        assert got == kernel_membership(rules, ideals, budget)
+        assert got == check_membership(span, rules)
+        assert got[0] == len(span)
+        return got[1]
+
+    @pytest.mark.parametrize("name, failures", [("ht", 0), ("g3", 3370)])
+    def test_the_cli_tables_of_the_running_pair(self, running_pair, name,
+                                                failures):
+        ideals = list(running_pair)
+        table = _BASES[name][1](ideals)
+        assert isinstance(table, RankRules)
+        span = toric_kernel_span(ideals, (2, 1))
+        assert len(span) == 9941
+        found = self.three_ways(table, ideals, (2, 1), span)
+        assert len(found) == failures
+        assert all(set(f) == {"pair", "normal_forms"} for f in found)
+
+    def test_a_compiled_fiber_type_table_keeps_its_mixed_kind(
+            self, quadric_pair_ideal, quadric_pair_G1):
+        # rank_rules keeps the object list and its lead kinds, so the
+        # table reaches the mixed fibers at the default x-degree as the
+        # list does
+        ideals = [quadric_pair_ideal]
+        rules = build_fiber_type_basis(ideals, quadric_pair_G1)
+        table = rank_rules(rules, Alphabet.of(ideals))
+        assert table.rules == rules
+        assert table.kinds == {MixedMonomial}
+        assert mixed_x_degree(table, ideals, (2,)) == 4
+        assert kernel_membership(table, ideals, (2,)) == kernel_membership(
+            rules, ideals, (2,)) == (183, [])
+
+    @staticmethod
+    def reversed_rows(table, picked, keep):
+        """The table with the picked rows reversed: in place, or (keep)
+        listed again reversed after every row, so a path through one of
+        them can return."""
+        rows = table.rows
+        flipped = {i: (trail, lead, source)
+                   for i, (lead, trail, source) in enumerate(rows)
+                   if i in picked}
+        if keep:
+            rows = rows + list(flipped.values())
+        else:
+            rows = [flipped.get(i, row) for i, row in enumerate(rows)]
+        return RankRules(table.alphabet, rows)
+
+    def test_reversals_refute_and_cycle_alike(self, running_pair):
+        ideals = list(running_pair)
+        table = head_and_tail_table(*map(order_view, ideals))
+        span = toric_kernel_span(ideals, (2, 1))
+        refuted = self.three_ways(self.reversed_rows(table, {140}, False),
+                                  ideals, (2, 1), span)
+        cycled = self.three_ways(self.reversed_rows(table, {5}, True),
+                                 ideals, (2, 1), span)
+        assert any("normal_forms" in f for f in refuted)
+        assert cycled and all("error" in f for f in cycled)
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_random_reversals_of_the_ht_rows(self, running_pair, data):
+        ideals = list(running_pair)
+        table = head_and_tail_table(*map(order_view, ideals))
+        picked = set(data.draw(st.lists(
+            st.integers(0, len(table.rows) - 1), min_size=1, max_size=6)))
+        keep = data.draw(st.booleans())
+        budget = data.draw(st.sampled_from([(1, 1), (2, 1)]))
+        self.three_ways(self.reversed_rows(table, picked, keep), ideals,
+                        budget, _pair_span(budget))
+
+
+@functools.cache
+def _pair_span(budget):
+    """toric_kernel_span of the running pair at a budget, built once."""
+    pair = [borel_closure([m("x4*x5", 6), m("x2*x6", 6)], 6),
+            borel_closure([m("x4^2", 6), m("x3*x6", 6)], 6)]
+    return toric_kernel_span(pair, budget)
 
 
 class TestMixedOracle:
