@@ -27,10 +27,6 @@ from .orders import (
     build_fiber_type_basis,
     build_head_and_tail_basis,
     build_syzygy_set,
-    head_and_tail_table,
-    table_G1,
-    table_G2,
-    table_G3,
 )
 from .presentation import (
     MixedMonomial,

@@ -24,15 +24,15 @@ from .borel import (
 )
 from .monomial import MonomialParseError, parse_monomial
 from .orders import (
+    build_G1,
+    build_G2,
+    build_G3,
     build_fiber_type_basis,
+    build_head_and_tail_basis,
     dump_basis,
-    head_and_tail_table,
-    table_G1,
-    table_G2,
-    table_G3,
 )
 from .presentation import MultiDegree, enumerate_fiber, enumerate_mixed_fiber
-from .reduction import RankRules, build_graph, to_dot
+from .reduction import build_graph, to_dot
 from .verifier import (
     VerificationReport,
     detect_obstructions,
@@ -113,16 +113,13 @@ def _fiber_type_basis(ideals):
     return build_fiber_type_basis(ideals, fiber_gb)
 
 
-# --basis name -> (the number of ideals it applies to, None for any;
-# builder): each quadric basis as its builder's RankRules, the fiber-type
-# basis as its object list, which the rewriting core compiles only where it
-# rewrites (reduction.rank_rules)
+# --basis name -> (the number of ideals it applies to, None for any; builder)
 _BASES = {
-    "g1": (1, lambda ideals: table_G1(ideals[0], 1)),
-    "g2": (1, lambda ideals: table_G2(order_view(ideals[0]), 1)),
-    "g3": (2, lambda ideals: table_G3(order_view(ideals[0]),
+    "g1": (1, lambda ideals: build_G1(ideals[0], 1)),
+    "g2": (1, lambda ideals: build_G2(order_view(ideals[0]), 1)),
+    "g3": (2, lambda ideals: build_G3(order_view(ideals[0]),
                                       order_view(ideals[1]))),
-    "ht": (2, lambda ideals: head_and_tail_table(
+    "ht": (2, lambda ideals: build_head_and_tail_basis(
         order_view(ideals[0]), order_view(ideals[1]))),
     "fiber-type": (None, _fiber_type_basis),
 }
@@ -134,19 +131,13 @@ def _basis_name(ideals, name: str | None) -> str:
 
 
 def _basis_for(ideals, name: str | None):
-    """Resolve --basis into a RankRules or, for fiber-type, a rule list."""
+    """Resolve --basis into its rule list."""
     choice = _basis_name(ideals, name)
     count, build = _BASES[choice]
     if count not in (None, len(ideals)):
         applies = "a single ideal" if count == 1 else "a pair of ideals"
         raise InvalidIdeal(f"basis {choice} applies to {applies}")
     return build(ideals)
-
-
-def _rule_list(basis) -> list:
-    """The MarkedBinomial list of a _basis_for result, decoded once from a
-    RankRules."""
-    return basis.rules if isinstance(basis, RankRules) else basis
 
 
 def cmd_closure(args: argparse.Namespace) -> int:
@@ -191,7 +182,7 @@ def cmd_fiber_graph(args: argparse.Namespace) -> int:
         _emit({"multidegree": mu.display(), "summary": "empty"}, args.out,
               "fiber.json")
         return EXIT_OK
-    graph = build_graph(_rule_list(basis), fiber=fiber)
+    graph = build_graph(basis, fiber=fiber)
     dot = to_dot(graph, name=mu.display(), r=r)
     payload = {
         "multidegree": mu.display(),
@@ -210,7 +201,7 @@ def cmd_fiber_graph(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     ideals = _load_ideals(args)
-    rules = _rule_list(_basis_for(ideals, args.basis))
+    rules = _basis_for(ideals, args.basis)
     report = verify_gb(
         rules,
         ideals,

@@ -17,12 +17,12 @@ sorted descending. Each rule is read once. The builder lists the variables
 as ideal_variables does, in PresVar.key order, so the factor pairs it
 enumerates, each once, are canonical, and a variable's position is its
 atom in the presentation.Alphabet of those variables (for a collection's
-ideals, Alphabet.of's atoms). So the table_* builders write each rule as a
-reduction.RankRules row (lead atoms, trail atoms, source) and build no
-object: the kernel oracle reads the rows as they are. The build_*
-functions return the table's rules, decoded once, with one PresMonomial
-per quadric however many rules share it; marking_order reads each rule's
-four factors into positions through one dict.
+ideals, Alphabet.of's atoms). So the quadric builders write each rule as
+a reduction.RankRules row (lead atoms, trail atoms, source) and build no
+object: the kernel oracle reads the rows as they are, and a caller that
+reads the rules gets them decoded once, with one PresMonomial per quadric
+however many rules share it; marking_order reads each rule's four
+factors into positions through one dict.
 
 Every order and rule set takes its variables from
 presentation.ideal_variables and its region split from borel.order_view,
@@ -288,7 +288,7 @@ def _table(variables: Sequence[PresVar], n: int, rows) -> RankRules:
     return RankRules(Alphabet(variables, n), rows)
 
 
-def table_G1(ideal: StronglyStableIdeal, ideal_index: int = 1) -> RankRules:
+def build_G1(ideal: StronglyStableIdeal, ideal_index: int = 1) -> RankRules:
     """All coincident-product quadratic binomials of one ideal, rlex-marked,
     as a RankRules on the alphabet of the ideal's variables."""
     variables = ideal_variables(ideal, ideal_index)
@@ -298,8 +298,8 @@ def table_G1(ideal: StronglyStableIdeal, ideal_index: int = 1) -> RankRules:
         itertools.combinations_with_replacement(positions, 2), "G1"))
 
 
-def table_G2(view: TwoQuadricView, ideal_index: int = 1) -> RankRules:
-    """As table_G1 but marked by the mixed order of the given region
+def build_G2(view: TwoQuadricView, ideal_index: int = 1) -> RankRules:
+    """As build_G1 but marked by the mixed order of the given region
     split."""
     variables = ideal_variables(view.ideal, ideal_index)
     rank = PresOrder.mrlex(view, ideal_index).rank
@@ -320,7 +320,7 @@ def _head_and_tail_positions(view1: TwoQuadricView, view2: TwoQuadricView):
             range(len(first)), range(len(first), len(variables)))
 
 
-def table_G3(view1: TwoQuadricView, view2: TwoQuadricView) -> RankRules:
+def build_G3(view1: TwoQuadricView, view2: TwoQuadricView) -> RankRules:
     """Cross binomials T_u Z_v - T_u' Z_v', marked by the larger mixed-order
     second-ideal part (equivalently, head-and-tail initial terms), on the
     alphabet of the pair."""
@@ -330,8 +330,8 @@ def table_G3(view1: TwoQuadricView, view2: TwoQuadricView) -> RankRules:
         rank, images, itertools.product(first, second), "G3"))
 
 
-def head_and_tail_table(view1: TwoQuadricView,
-                        view2: TwoQuadricView) -> RankRules:
+def build_head_and_tail_basis(view1: TwoQuadricView,
+                              view2: TwoQuadricView) -> RankRules:
     """G = G1 u G2 u G3 for a pair of two-quadric-generator ideals, the
     three written on one position table of the pair, on its alphabet."""
     variables, rank, images, first, second = _head_and_tail_positions(
@@ -343,32 +343,6 @@ def head_and_tail_table(view1: TwoQuadricView,
         + _coincident_product_rows(rank, images, within(second, 2), "G2")
         + _coincident_product_rows(
             rank, images, itertools.product(first, second), "G3"))
-
-
-def build_G1(
-    ideal: StronglyStableIdeal, ideal_index: int = 1
-) -> list[MarkedBinomial]:
-    """All coincident-product quadratic binomials of one ideal, rlex-marked:
-    the rules of table_G1."""
-    return table_G1(ideal, ideal_index).rules
-
-
-def build_G2(view: TwoQuadricView, ideal_index: int = 1) -> list[MarkedBinomial]:
-    """As build_G1 but marked by the mixed order: the rules of table_G2."""
-    return table_G2(view, ideal_index).rules
-
-
-def build_G3(view1: TwoQuadricView, view2: TwoQuadricView) -> list[MarkedBinomial]:
-    """The cross binomials of the pair: the rules of table_G3."""
-    return table_G3(view1, view2).rules
-
-
-def build_head_and_tail_basis(
-    view1: TwoQuadricView, view2: TwoQuadricView
-) -> list[MarkedBinomial]:
-    """G = G1 u G2 u G3 for a pair of two-quadric-generator ideals: the
-    rules of head_and_tail_table."""
-    return head_and_tail_table(view1, view2).rules
 
 
 def build_syzygy_set(

@@ -8,17 +8,18 @@ presentation variable of rank k is atom k and x_i is atom size + i - 1
 (size presentation variables), so a rank tuple is already an atom tuple;
 the alphabet (RankRules.alphabet) encodes and decodes monomials. The core
 reads a rule list as a RankRules: one int row (lead atoms, trail atoms,
-source) per rule, in list order. The orders builders write those rows
-straight from variable positions, and rank_rules compiles any other list
-(the fiber-type basis, hand-made rules) once, returning a table already
-on the alphabet as it is. Every lead is two atoms (a T-quadric, a syzygy
-x_i*T_u, a lifted fiber lead or an ambient quadric), so the one rule index
-is a two-level lead table probed as leads[a][b], with no pair tuple
-built: leads[a] is None for an atom that starts no lead, and leads[a][b]
-lists every rule with lead (a, b), in list order, so leads[a][b][0] is
-the earliest of them. A lead of any other size is refused when the list
-is compiled. A table's MarkedBinomial list (RankRules.rules) is the
-compiled list itself, or a builder's rows decoded once, on first use.
+source) per rule, in list order. The orders builders return those rows,
+written straight from variable positions, and rank_rules compiles any
+other list (the fiber-type basis, hand-made rules) once, returning a
+table already on the alphabet as it is. Every lead is two atoms (a
+T-quadric, a syzygy x_i*T_u, a lifted fiber lead or an ambient quadric),
+so the one rule index is a two-level lead table probed as leads[a][b],
+with no pair tuple built: leads[a] is None for an atom that starts no
+lead, and leads[a][b] lists every rule with lead (a, b), in list order,
+so leads[a][b][0] is the earliest of them. A lead of any other size is
+refused when the list is compiled. A table is also a read-only sequence
+of its MarkedBinomial rules: the compiled list itself, or a builder's
+rows decoded once, on first use.
 
 On that core, rank_rewrites lists every one-step reduction of an atom tuple
 in rule-list order, fiber_edges builds every fiber graph from it as
@@ -49,9 +50,9 @@ the term-order certificate reads its lead pairs from.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, Sequence
 
 from .monomial import Monomial
 from .presentation import (
@@ -364,19 +365,22 @@ def normal_form(v, rules: Sequence[MarkedBinomial], memo: dict | None = None):
     return nf
 
 
-class RankRules:
+class RankRules(Sequence):
     """A rule list on the atoms of an alphabet (presentation.Alphabet): the
-    rewriting core's one form of a rule list.
+    rewriting core's one form of a rule list, and a read-only sequence of
+    its MarkedBinomial rules.
 
     rows lists each rule as (lead atoms, trail atoms, source), in list
     order, every lead two atoms. The orders builders write rows straight
     from their variable positions, and rank_rules compiles an object list
-    into rows, keeping the list. rules is the MarkedBinomial list: the
-    compiled list itself, or for a table of rows alone (a builder's) its
-    rows decoded once, on first use, as PresMonomial quadrics, one per
-    distinct atom pair and with no constructor check, which the builder's
-    rows meet by construction. kinds is the set of the leads' monomial
-    kinds: PresMonomial alone for a table of rows alone.
+    into rows, keeping the list. len counts the rows; iteration, indexing
+    and slicing read the rules: the compiled list itself, or for a table
+    of rows alone (a builder's) its rows decoded once, on first use, as
+    PresMonomial quadrics, one per distinct atom pair and with no
+    constructor check, which the builder's rows meet by construction. A
+    table equals any sequence of the same rules in order; list(table) is
+    a list of them that can be changed. kinds is the set of the leads'
+    monomial kinds: PresMonomial alone for a table of rows alone.
 
     leads is the lead table, the one rule index, built on first use from
     rows: leads[a] is None for an atom a that starts no lead, and otherwise
@@ -398,6 +402,20 @@ class RankRules:
         self._rules = rules
         self._leads = None
 
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        return self._listed()[index]
+
+    def __iter__(self):
+        return iter(self._listed())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._listed() == list(other)
+
     @property
     def leads(self) -> list:
         leads = self._leads
@@ -416,20 +434,17 @@ class RankRules:
                     listed.append((pos, lead, trail))
         return leads
 
-    @property
-    def rules(self) -> list[MarkedBinomial]:
+    def _listed(self) -> list[MarkedBinomial]:
+        """The rules: the compiled list, or the rows decoded once, one
+        PresMonomial per atom pair."""
         rules = self._rules
-        if rules is None:
-            rules = self._rules = self._decoded()
-        return rules
-
-    def _decoded(self) -> list[MarkedBinomial]:
-        """The rows as quadric rules, one PresMonomial per atom pair."""
+        if rules is not None:
+            return rules
         variables = self.alphabet.variables
         from_sorted = PresMonomial.from_sorted
         quadrics: dict = {}
         known = quadrics.get
-        rules = []
+        rules = self._rules = []
         for lead, trail, source in self.rows:
             u = known(lead)
             if u is None:
@@ -456,7 +471,7 @@ def _unchecked_rule(lead, trail, source: str) -> MarkedBinomial:
     return g
 
 
-def rank_rules(rules: Sequence[MarkedBinomial] | RankRules,
+def rank_rules(rules: Sequence[MarkedBinomial],
                alphabet: Alphabet) -> RankRules:
     """A rule list on the atoms of an alphabet.
 
@@ -472,7 +487,6 @@ def rank_rules(rules: Sequence[MarkedBinomial] | RankRules,
         if given is alphabet or (given.variables == alphabet.variables
                                  and given.n == alphabet.n):
             return rules
-        rules = rules.rules
     atoms = alphabet.index
     encode = alphabet.encode
     rows = []

@@ -21,14 +21,13 @@ the fibers of rank_fibers. Every atom tuple here becomes a monomial, and
 every lead an atom tuple, through the collection's presentation.Alphabet.
 The default x-degree bound reaches every budgeted t-slice
 (mixed_x_degree); a note names each slice an explicit bound leaves
-unreached. The kernel oracle (kernel_membership) reduces
-every member of the same fibers once, on atom tuples, a fiber at a time
-by reduction.rank_normal_forms with one memo per fiber, and counts a
-fiber of k members as its C(k, 2) pairs. It reads a builder's
-reduction.RankRules rows as they are, so a quadric basis reaches it with
-no rule object built; the pair list
-(toric_kernel_span) and its object-level check (check_membership) stay
-as its reference.
+unreached. The kernel oracle (kernel_membership) reduces every member of
+the same fibers once, on atom tuples, a fiber at a time by
+reduction.rank_normal_forms with one memo per fiber, and counts a fiber
+of k members as its C(k, 2) pairs. It reads a quadric builder's rows as
+they are, so a quadric basis reaches it with no rule object built; the
+pair list (toric_kernel_span) and its object-level check
+(check_membership) stay as its reference.
 
 verify_gb picks its method from the marking alone, pure or mixed. When a
 library term order orients every rule (orders.marking_order; for a mixed
@@ -346,19 +345,22 @@ def _advance(walked: int, k: int,
 
 
 def mixed_x_degree(
-    rules: Sequence[MarkedBinomial] | RankRules,
+    rules: Sequence[MarkedBinomial],
     ideals: Sequence[StronglyStableIdeal],
     t_budget: Sequence[int],
     x_degree: int | None = None,
 ) -> int | None:
     """The x-degree bound of the mixed fibers a rule list is checked on.
 
-    None when no lead is a MixedMonomial (for a RankRules, when kinds
-    holds no MixedMonomial): such rules live on the pure
-    presentation, and an x_degree given for them raises ValueError rather
-    than being ignored. Otherwise x_degree when given, else the budget's
-    content degree sum(b_i * d_i), the least bound that reaches every
-    budgeted t-slice. Each lower slice keeps min(d_i) x-degrees of room or
+    The lead kinds decide: the types of the leads, or a RankRules' kinds
+    (PresMonomial for a quadric builder's table, even an empty one). With
+    kinds and no MixedMonomial among them the rules live on the pure
+    presentation, so the bound is None, and an x_degree given for them
+    raises ValueError rather than being ignored. A list with no rule has
+    no kind and takes a given x_degree, and is otherwise pure as well.
+    With a mixed lead: x_degree when given, else the budget's content
+    degree sum(b_i * d_i), the least bound that reaches every budgeted
+    t-slice. Each lower slice keeps min(d_i) x-degrees of room or
     more, for the overlaps x_i*T_u*T_v of a syzygy with a fiber rule. The
     one margin is a floor of 2 * max(d_i), the bound used before: at a
     one-factor budget the least bound leaves only singleton fibers, where no
@@ -367,15 +369,15 @@ def mixed_x_degree(
     """
     kinds = (rules.kinds if isinstance(rules, RankRules)
              else {type(g.lead) for g in rules})
-    if MixedMonomial not in kinds:
-        if x_degree is not None:
+    if x_degree is not None:
+        if kinds and MixedMonomial not in kinds:
             raise ValueError(
                 "an x-degree bound applies only to a basis with mixed "
                 "(fiber-type) leads"
             )
-        return None
-    if x_degree is not None:
         return x_degree
+    if MixedMonomial not in kinds:
+        return None
     floor = 2 * max(i.degree for i in ideals)
     return max(content_degree(ideals, t_budget), floor)
 
@@ -467,7 +469,7 @@ def check_membership(
 
 
 def kernel_membership(
-    rules: Sequence[MarkedBinomial] | RankRules,
+    rules: Sequence[MarkedBinomial],
     ideals: Sequence[StronglyStableIdeal],
     t_budget: Sequence[int],
     x_degree: int | None = None,
@@ -479,12 +481,11 @@ def kernel_membership(
     checks. So mixed leads with no x_degree get the default bound, and pure
     leads given an x_degree raise ValueError.
 
-    rules is a rule list or a reduction.RankRules. A RankRules on the
-    alphabet of the ideals (Alphabet.of), as the orders builders write
-    one, is read as it is: its kinds pick the fibers and its lead table
-    reduces them, and no rule or monomial object is built. Anything else
-    is compiled once (reduction.rank_rules, which refuses a lead that is
-    not two atoms with ValueError). Each fiber's
+    A reduction.RankRules on the alphabet of the ideals (Alphabet.of), as
+    the orders builders return one, is read as it is: its kinds pick the
+    fibers and its lead table reduces them, and no rule or monomial object
+    is built. Any other list is compiled once (reduction.rank_rules, which
+    refuses a lead that is not two atoms with ValueError). Each fiber's
     members are reduced by one rank_normal_forms call, with one memo per
     fiber, which loses nothing when every rule keeps images (no rewrite
     path leaves its fiber) and is only a cache otherwise. A fiber of k
@@ -716,7 +717,7 @@ class KoszulReport(Record):
 
 def quadratic_basis_for(
     ideals: Sequence[StronglyStableIdeal],
-) -> list[MarkedBinomial] | None:
+) -> RankRules | None:
     """The explicit marked basis this library knows how to construct.
 
     Single ideals get the rlex collection; pairs of quadric ideals with at

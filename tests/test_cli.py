@@ -36,6 +36,8 @@ SINGLE_SPEC = {
     "ideals": [{"borel_generators": ["x3^2", "x2*x5"]}],
 }
 
+ONE_VARIABLE_SPEC = {"n": 2, "ideals": [{"borel_generators": ["x1^2"]}]}
+
 TRIPLE_SPEC = {
     "n": 5,
     "ideals": [
@@ -54,6 +56,24 @@ def spec_file(tmp_path):
         return str(path)
 
     return write
+
+
+@contextlib.contextmanager
+def no_rule_objects():
+    """Every rule and monomial constructor refuses, with "rule object
+    built"."""
+    def refused(*_args, **_kwargs):
+        raise AssertionError("rule object built")
+
+    with mock.patch.object(reduction.MarkedBinomial, "__init__", refused), \
+            mock.patch.object(presentation.PresMonomial, "__init__",
+                              refused), \
+            mock.patch.object(presentation.PresMonomial, "from_sorted",
+                              refused), \
+            mock.patch.object(presentation.MixedMonomial, "__init__",
+                              refused), \
+            mock.patch.object(reduction, "_unchecked_rule", refused):
+        yield
 
 
 def run_cli(capsys, *argv):
@@ -387,27 +407,33 @@ class TestKernelOracle:
                 "--budget", "2,1"]
         assert main(argv) == 0
         expected = capsys.readouterr().out
-
-        def refused(*_args, **_kwargs):
-            raise AssertionError("rule object built")
-
-        with mock.patch.object(reduction.MarkedBinomial, "__init__", refused), \
-                mock.patch.object(presentation.PresMonomial, "__init__",
-                                  refused), \
-                mock.patch.object(presentation.PresMonomial, "from_sorted",
-                                  refused), \
-                mock.patch.object(presentation.MixedMonomial, "__init__",
-                                  refused), \
-                mock.patch.object(reduction, "_unchecked_rule", refused):
+        with no_rule_objects():
             assert main(argv) == 0
         out = capsys.readouterr().out
         assert out == expected
         assert json.loads(out)["oracle_binomials_checked"] == 9941
-        # the same patches stop a run that does build rules
+        # the patches stop a run that does build rules: verify decodes them
+        def refused(*_args, **_kwargs):
+            raise AssertionError("rule object built")
+
         with mock.patch.object(reduction, "_unchecked_rule", refused):
             with pytest.raises(AssertionError, match="rule object built"):
                 main(["verify", "--spec", path, "--basis", "ht",
                       "--budget", "1,1"])
+
+    def test_the_library_oracle_on_a_builder_basis_builds_no_rule_object(
+            self, running_pair):
+        # the builder's result goes to kernel_membership as it is, with no
+        # rule or monomial object built by either
+        ideals = list(running_pair)
+        views = [borel.order_view(i) for i in ideals]
+        with no_rule_objects():
+            basis = borel_rees.build_head_and_tail_basis(*views)
+            checked, failures = borel_rees.kernel_membership(
+                basis, ideals, (2, 1))
+            assert len(basis) == 387
+        assert (checked, failures) == (9941, [])
+        assert isinstance(basis, reduction.RankRules)
 
     @pytest.mark.parametrize("command, count", [
         ("kernel-oracle", "oracle_binomials_checked"),
@@ -462,6 +488,31 @@ class TestUsageErrors:
             assert "error: an x-degree bound applies only" in captured.err
         else:
             assert "error: argument" in captured.err
+
+    @pytest.mark.parametrize("command, note", [
+        ("verify", "mixed fibers up to x-degree 3"),
+        ("kernel-oracle", "mixed kernel pairs up to x-degree 3"),
+    ])
+    def test_xdeg_on_an_empty_fiber_type_basis(self, capsys, spec_file,
+                                               command, note):
+        # B(x1^2) at n=2 has one presentation variable, so its fiber-type
+        # basis has no syzygy and no fiber rule: with no lead to call pure
+        # the bound is taken, and every fiber is a singleton
+        code, payload = run_cli(
+            capsys, command, "--spec", spec_file(ONE_VARIABLE_SPEC),
+            "--budget", "2", "--basis", "fiber-type", "--xdeg", "3")
+        assert code == 3 and payload["verdict"] == "inconclusive"
+        assert note in payload["notes"]
+
+    @pytest.mark.parametrize("command", ["verify", "kernel-oracle"])
+    def test_xdeg_on_an_empty_g1_basis_exits_four(self, capsys, spec_file,
+                                                  command):
+        # the G1 builder's table has quadric leads even with no row
+        code = main([command, "--spec", spec_file(ONE_VARIABLE_SPEC),
+                     "--budget", "2", "--basis", "g1", "--xdeg", "3"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert "error: an x-degree bound applies only" in captured.err
 
     @pytest.mark.parametrize("entries", [
         ["x1"], [5], [None], [["x1^2"]],
@@ -987,7 +1038,7 @@ class TestFrontEnd:
         basis_for = cli._basis_for
 
         def one_rule_reversed(ideals, name):
-            rules = cli._rule_list(basis_for(ideals, name))
+            rules = list(basis_for(ideals, name))
             g = rules[0]
             return [reduction.MarkedBinomial(g.trail, g.lead, g.source),
                     *rules[1:]]

@@ -1,8 +1,12 @@
 import itertools
 import pickle
 import random
+from collections.abc import Sequence
+from unittest import mock
 
 import pytest
+
+from borel_rees import reduction
 
 from borel_rees.borel import borel_closure, order_view
 from borel_rees.monomial import Monomial, parse_monomial, rlex_sort_key
@@ -16,14 +20,10 @@ from borel_rees.orders import (
     build_fiber_type_basis,
     build_syzygy_set,
     dump_basis,
-    head_and_tail_table,
     marking_order,
     sink_violations_ht,
     sink_violations_mrlex,
     sink_violations_rlex,
-    table_G1,
-    table_G2,
-    table_G3,
 )
 from borel_rees.presentation import (
     Alphabet,
@@ -298,13 +298,13 @@ class TestMarkingOrder:
         assert marking_order(build_syzygy_set(pair), pair).kind == "ht"
 
     def test_reversed_rule_has_no_order(self, quadric_pair_ideal):
-        rules = build_G1(quadric_pair_ideal)
+        rules = list(build_G1(quadric_pair_ideal))
         g = rules[0]
         rules[0] = MarkedBinomial(g.trail, g.lead, g.source)
         assert marking_order(rules, [quadric_pair_ideal]) is None
 
     def test_unequal_images_have_no_order(self, quadric_pair_ideal):
-        rules = build_G1(quadric_pair_ideal)
+        rules = list(build_G1(quadric_pair_ideal))
         g = rules[0]
         lower = next(h.trail for h in rules
                      if phi(h.trail, [quadric_pair_ideal])
@@ -708,25 +708,26 @@ class TestBuilderRulesAsConstructed:
 
 
 class TestBuilderTables:
-    """Each builder writes its RankRules rows straight from variable
-    positions. The rows equal rank_rules' compilation of the object-level
-    reference (reference_coincident_product_binomials), and the rules they
-    decode to equal that reference rule by rule, dump_basis text included,
-    with one PresMonomial per quadric."""
+    """Each builder returns a RankRules whose rows it writes straight from
+    variable positions. The rows equal rank_rules' compilation of the
+    object-level reference (reference_coincident_product_binomials), and
+    the rules they decode to equal that reference rule by rule, dump_basis
+    text included, with one PresMonomial per quadric."""
 
     @staticmethod
     def assert_table_is(table, reference, r):
         assert isinstance(table, RankRules) and reference
         assert table.kinds == {PresMonomial}
         assert table.rows == rank_rules(reference, table.alphabet).rows
-        assert table.rules == reference
-        assert [g.source for g in table.rules] == [g.source for g in reference]
-        assert dump_basis(table.rules, r) == dump_basis(reference, r)
+        assert table == reference
+        assert [g.source for g in table] == [g.source for g in reference]
+        assert dump_basis(table, r) == dump_basis(reference, r)
         # one PresMonomial per quadric: equal monomials are one object
-        quadrics = [v for g in table.rules for v in (g.lead, g.trail)]
+        quadrics = [v for g in table for v in (g.lead, g.trail)]
         assert len({id(v) for v in quadrics}) == len(set(quadrics))
-        # decoded once: the same list on every read
-        assert table.rules is table.rules
+        # decoded once: the same rules on every read
+        assert all(a is b for a, b in zip(table, list(table)))
+        assert table[-1] is table[len(table) - 1]
 
     @pytest.mark.parametrize("shape", SHAPES,
                              ids=["".join(map(str, s)) for s in SHAPES])
@@ -736,15 +737,15 @@ class TestBuilderTables:
             ideal = _shape_ideal(*shape[:3], n)
             view = order_view(ideal)
             for k in (1, 2):
-                self.assert_table_is(table_G1(ideal, k),
+                self.assert_table_is(build_G1(ideal, k),
                                      reference_G1(ideal, k), 2)
-                self.assert_table_is(table_G2(view, k),
+                self.assert_table_is(build_G2(view, k),
                                      reference_G2(view, k), 2)
 
     def test_G1_of_the_cubic_ideal(self):
         ideal = borel_closure([m("x2*x3*x4", 5), m("x1*x4^2", 5),
                                m("x2^2*x5", 5)], 5)
-        self.assert_table_is(table_G1(ideal), reference_G1(ideal), 1)
+        self.assert_table_is(build_G1(ideal), reference_G1(ideal), 1)
 
     def test_G3_and_head_and_tail_of_the_running_pair_and_sampled_pairs(
             self, running_pair):
@@ -758,9 +759,9 @@ class TestBuilderTables:
             view1, view2 = order_view(i1), order_view(i2)
             g3 = reference_G3(view1, view2)
             if g3:
-                self.assert_table_is(table_G3(view1, view2), g3, 2)
+                self.assert_table_is(build_G3(view1, view2), g3, 2)
             self.assert_table_is(
-                head_and_tail_table(view1, view2),
+                build_head_and_tail_basis(view1, view2),
                 reference_G1(i1, 1) + reference_G2(view2, 2) + g3, 2)
 
     def test_a_table_on_the_collections_alphabet_is_used_as_is(
@@ -770,26 +771,109 @@ class TestBuilderTables:
         # the decoded rules
         ideals = list(running_pair)
         views = [order_view(i) for i in ideals]
-        table = head_and_tail_table(*views)
+        table = build_head_and_tail_basis(*views)
         assert rank_rules(table, Alphabet.of(ideals)) is table
         ideal = ideals[0]
-        first = table_G1(ideal)
+        first = build_G1(ideal)
         assert rank_rules(first, Alphabet.of([ideal])) is first
-        second = table_G1(ideal, 2)
+        second = build_G1(ideal, 2)
         with pytest.raises(ValueError, match="not a variable of this"):
             rank_rules(second, Alphabet.of([ideal]))
         assert rank_rules(first, table.alphabet).rows == table.rows[
             :len(first.rows)]
 
-    def test_the_build_functions_return_the_decoded_rules(self, running_pair):
+
+class TestRuleListContract:
+    """What every quadric builder returns is a read-only sequence of its
+    rules: len and bool count rows without decoding them, iteration,
+    indexing and slicing read the rules decoded once, and it equals any
+    sequence of the same rules in order."""
+
+    @pytest.fixture(params=["G1", "G2", "G3", "ht"])
+    def builder(self, request, running_pair):
+        """(builder call, reference list, ideals) of one quadric builder
+        on the running pair, on the alphabet of its ideals."""
         i1, i2 = running_pair
         view1, view2 = order_view(i1), order_view(i2)
-        for build, table in ((build_G1(i1), table_G1(i1)),
-                             (build_G2(view2, 2), table_G2(view2, 2)),
-                             (build_G3(view1, view2), table_G3(view1, view2)),
-                             (build_head_and_tail_basis(view1, view2),
-                              head_and_tail_table(view1, view2))):
-            assert build == table.rules and build
+        g3 = reference_G3(view1, view2)
+        case = {
+            "G1": (lambda: build_G1(i1), reference_G1(i1), [i1]),
+            "G2": (lambda: build_G2(view2), reference_G2(view2), [i2]),
+            "G3": (lambda: build_G3(view1, view2), g3, [i1, i2]),
+            "ht": (lambda: build_head_and_tail_basis(view1, view2),
+                   reference_G1(i1) + reference_G2(view2, 2) + g3,
+                   [i1, i2]),
+        }[request.param]
+        assert case[1], "an empty collection proves nothing"
+        return case
+
+    def test_it_is_a_sequence(self, builder):
+        build, reference, _ = builder
+        basis = build()
+        assert isinstance(basis, Sequence) and isinstance(basis, RankRules)
+        assert not isinstance(basis, list)
+        with pytest.raises(TypeError):
+            basis[0] = reference[0]
+        with pytest.raises(TypeError):
+            basis + reference
+
+    def test_len_and_bool_leave_it_undecoded(self, builder):
+        build, reference, _ = builder
+        basis = build()
+
+        def refused(*_args, **_kwargs):
+            raise AssertionError("rule decoded")
+
+        with mock.patch.object(reduction, "_unchecked_rule", refused):
+            assert len(basis) == len(reference)
+            assert basis
+        # the first read decodes, and the rules are those of the reference
+        assert basis[0] == reference[0]
+
+    def test_iteration_indexing_and_slicing_read_the_rules(self, builder):
+        build, reference, _ = builder
+        basis = build()
+        assert list(basis) == reference
+        assert [basis[i] for i in range(len(basis))] == reference
+        assert basis[-1] == reference[-1]
+        assert basis[2:7] == reference[2:7]
+        assert basis[::-1] == reference[::-1]
+        assert reference[3] in basis
+        assert basis.index(reference[3]) == reference.index(reference[3])
+        with pytest.raises(IndexError):
+            basis[len(reference)]
+        # list gives a list that can be changed; the basis stays
+        rules = list(basis)
+        rules.reverse()
+        assert rules != reference and list(basis) == reference
+
+    def test_it_equals_the_reference_in_both_operand_orders(self, builder):
+        build, reference, _ = builder
+        basis = build()
+        assert basis == reference and reference == basis
+        assert basis == tuple(reference) and tuple(reference) == basis
+        assert basis == build()
+        assert basis != reference[:-1] and reference[:-1] != basis
+        swapped = reference[1:] + reference[:1]
+        assert basis != swapped and swapped != basis
+        assert basis != set(reference) and basis != None  # noqa: E711
+
+    def test_a_pickle_round_trip_gives_an_equal_value(self, builder):
+        build, reference, _ = builder
+        basis = build()
+        for decoded in (False, True):
+            if decoded:
+                list(basis)
+            back = pickle.loads(pickle.dumps(basis))
+            assert type(back) is RankRules
+            assert back == basis and back == reference
+            assert back.rows == basis.rows and back.kinds == basis.kinds
+
+    def test_rank_rules_hands_it_back_on_its_collections_alphabet(
+            self, builder):
+        build, _, ideals = builder
+        basis = build()
+        assert rank_rules(basis, Alphabet.of(ideals)) is basis
 
 
 class TestSinkViolationCheckers:

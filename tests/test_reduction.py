@@ -1081,7 +1081,7 @@ class TestTwoAtomLeads:
                                           quadric_pair_G1):
         ideals = [quadric_pair_ideal]
         for rule, count, fiber in self.other_sizes(quadric_pair_ideal):
-            rules = quadric_pair_G1 + [rule]
+            rules = list(quadric_pair_G1) + [rule]
             message = (f"rule {rule.label()}: lead atom count {count}; "
                        f"the rewriting core takes two-atom leads only")
             for run in (

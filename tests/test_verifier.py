@@ -15,9 +15,8 @@ from borel_rees import presentation, verifier
 from borel_rees.borel import borel_closure
 from borel_rees.monomial import Monomial, parse_monomial
 from borel_rees.borel import order_view
-from borel_rees.cli import _BASES, _rule_list
+from borel_rees.cli import _BASES
 from borel_rees.orders import (
-    head_and_tail_table,
     build_G1,
     build_G2,
     build_G3,
@@ -248,7 +247,9 @@ class TestBuilderLeads:
         for collections, names in cases:
             for ideals in collections:
                 for name in names:
-                    rules = _rule_list(_BASES[name][1](ideals))
+                    # compiled from the plain list, so a builder's table
+                    # is not handed back as it is
+                    rules = list(_BASES[name][1](ideals))
                     leads = rank_rules(rules, Alphabet.of(ideals)).leads
                     assert sum(len(listed) for row in leads if row
                                for listed in row if listed) == len(rules) > 0
@@ -620,8 +621,8 @@ class TestKernelMembership:
                     if mu.t_exps == (2,)]
         stray = MarkedBinomial(max(quadrics, key=len)[0], quadrics[0][0])
         budget = (3,)
-        for rules in ([stray] + quadric_pair_G1,
-                      quadric_pair_G1 + [stray, MarkedBinomial(
+        for rules in ([stray, *quadric_pair_G1],
+                      list(quadric_pair_G1) + [stray, MarkedBinomial(
                           stray.trail, stray.lead)]):
             got = kernel_membership(rules, ideals, budget)
             assert got == check_membership(
@@ -643,14 +644,15 @@ class TestKernelMembership:
 
 class TestKernelMembershipOnTables:
     """kernel_membership on a builder's RankRules, read straight off its
-    rows, against kernel_membership on the decoded rule list (compiled by
-    rank_rules) and against check_membership over toric_kernel_span's
-    pairs: the same (checked, failures), failure text and order included."""
+    rows, against kernel_membership on the decoded rules as a plain list
+    (compiled by rank_rules) and against check_membership over
+    toric_kernel_span's pairs: the same (checked, failures), failure text
+    and order included."""
 
     @staticmethod
     def three_ways(table, ideals, budget, span):
         """The three results, asserted equal; returns the failures."""
-        rules = table.rules
+        rules = list(table)
         got = kernel_membership(table, ideals, budget)
         assert got == kernel_membership(rules, ideals, budget)
         assert got == check_membership(span, rules)
@@ -677,7 +679,7 @@ class TestKernelMembershipOnTables:
         ideals = [quadric_pair_ideal]
         rules = build_fiber_type_basis(ideals, quadric_pair_G1)
         table = rank_rules(rules, Alphabet.of(ideals))
-        assert table.rules == rules
+        assert table == rules
         assert table.kinds == {MixedMonomial}
         assert mixed_x_degree(table, ideals, (2,)) == 4
         assert kernel_membership(table, ideals, (2,)) == kernel_membership(
@@ -700,7 +702,7 @@ class TestKernelMembershipOnTables:
 
     def test_reversals_refute_and_cycle_alike(self, running_pair):
         ideals = list(running_pair)
-        table = head_and_tail_table(*map(order_view, ideals))
+        table = build_head_and_tail_basis(*map(order_view, ideals))
         span = toric_kernel_span(ideals, (2, 1))
         refuted = self.three_ways(self.reversed_rows(table, {140}, False),
                                   ideals, (2, 1), span)
@@ -713,7 +715,7 @@ class TestKernelMembershipOnTables:
     @given(data=st.data())
     def test_random_reversals_of_the_ht_rows(self, running_pair, data):
         ideals = list(running_pair)
-        table = head_and_tail_table(*map(order_view, ideals))
+        table = build_head_and_tail_basis(*map(order_view, ideals))
         picked = set(data.draw(st.lists(
             st.integers(0, len(table.rows) - 1), min_size=1, max_size=6)))
         keep = data.draw(st.booleans())
@@ -987,6 +989,17 @@ class TestVerifyGBMixed:
         assert mixed_x_degree(rules, pair, (1, 0)) == 4
         assert mixed_x_degree(rules, pair, (2, 1), 3) == 3
         assert mixed_x_degree(running_pair_basis, pair, (2, 1)) is None
+
+    def test_an_x_degree_is_refused_only_for_pure_leads(self, running_pair):
+        # a list with no rule has no lead to call pure, so it takes a given
+        # bound; a builder's table is pure even when it has no row
+        pair = list(running_pair)
+        assert mixed_x_degree([], pair, (2, 1), 3) == 3
+        assert mixed_x_degree([], pair, (2, 1)) is None
+        empty = build_G1(borel_closure([m("x1^2", 2)], 2))
+        assert len(empty) == 0
+        with pytest.raises(ValueError, match="applies only to a basis"):
+            mixed_x_degree(empty, pair, (2, 1), 3)
 
     def test_unreached_slices_are_named(self, running_pair):
         pair = list(running_pair)
