@@ -395,6 +395,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidIdeal, MonomialParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         status = EXIT_USAGE
+    except MemoryError:  # an input too large to hold, such as a huge n
+        print("error: out of memory for this input", file=sys.stderr)
+        status = EXIT_USAGE
     if status == EXIT_USAGE:
         # a refused run leaves no directory of its own behind
         _remove_empty(created)

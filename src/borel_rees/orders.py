@@ -9,20 +9,21 @@ matching induced order, and the syzygy set supplies the linear-in-T relations
 of the full presentation.
 
 Building a collection and checking a marking both run on ints: a variable
-is named by its position in a list, an order by the rank of each position
-(read off PresOrder.rank once per variable), and a variable's image
-x^u*t_k by one packed int (_packed_images), so a quadric's image is a sum
-of two ints; of two quadrics the larger has the smaller pair of ranks
-sorted descending. Each rule is read once. The builder lists the variables
-as ideal_variables does, in PresVar.key order, so the factor pairs it
-enumerates, each once, are canonical, and a variable's position is its
+is named by its atom, its position in a list of variables, an order by
+the rank of each atom (read off PresOrder.rank once per variable), and an
+atom's image (x^u*t_k for a variable T_u of ideal k, x_i for an x-atom)
+by one packed int (_packed_images), so a quadric's image is a sum of two
+ints; of two quadrics the larger has the smaller pair of ranks sorted
+descending. Each rule is read once. The builders list the variables as
+ideal_variables does, in PresVar.key order, so the factor pairs they
+enumerate, each once, are canonical, and a variable's position is its
 atom in the presentation.Alphabet of those variables (for a collection's
-ideals, Alphabet.of's atoms). So the quadric builders write each rule as
-a reduction.RankRules row (lead atoms, trail atoms, source) and build no
-object: the kernel oracle reads the rows as they are, and a caller that
-reads the rules gets them decoded once, with one PresMonomial per quadric
-however many rules share it; marking_order reads each rule's four
-factors into positions through one dict.
+ideals, Alphabet.of's atoms). So every builder, the fiber-type ones
+included, writes each rule as a reduction.RankRules row (lead atoms,
+trail atoms, source) and builds no object: the kernel oracle reads the
+rows as they are, and a caller that reads the rules gets them decoded
+once, with one monomial per atom tuple however many rules share it.
+marking_order reads the rows of any rule list on Alphabet.of's atoms.
 
 Every order and rule set takes its variables from
 presentation.ideal_variables and its region split from borel.order_view,
@@ -36,11 +37,11 @@ from __future__ import annotations
 import itertools
 import json
 from functools import cached_property
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .borel import InvalidIdeal, StronglyStableIdeal, TwoQuadricView, order_view
-from .monomial import Monomial, all_one_step_reductions, rlex_sort_key
+from .monomial import all_one_step_reductions, rlex_sort_key
 from .presentation import (
     Alphabet,
     Digits,
@@ -50,7 +51,7 @@ from .presentation import (
     ideal_variables,
 )
 from .records import Frozen
-from .reduction import MarkedBinomial, RankRules, lift_to_mixed
+from .reduction import MarkedBinomial, RankRules, rank_rules
 
 
 class OrderDomainError(KeyError):
@@ -127,19 +128,18 @@ def _mrlex_chain(view: TwoQuadricView, ideal_index: int) -> list[PresVar]:
     return top + bottom
 
 
-def _packed_images(variables: Sequence[PresVar]) -> list[int]:
-    """The image x^u*t_k of each variable T_u of ideal k, packed into one
-    int with room for the sum of two: a quadric's image is the sum of its
-    factors' ints, equal sums are equal images, and sums of one t-part sort
-    as their x-parts do."""
-    if not variables:
-        return []
+def _packed_images(variables: Sequence[PresVar], n: int) -> list[int]:
+    """The image of each atom of the alphabet of these variables and n
+    x's, packed into one int with room for the sum of two: x^u*t_k for each
+    variable T_u of ideal k, then x_i for each i. A quadric's image is the
+    sum of its atoms' ints, equal sums are equal images, and sums of one
+    t-part sort as their x-parts do."""
     r = max(v.ideal_index for v in variables)
-    digits = Digits(len(variables[0].generator.exps),
-                    2 * max(v.generator.degree for v in variables))
+    digits = Digits(n, 2 * max(v.generator.degree for v in variables))
     t = digits.bits
-    return [(digits.pack(v.generator.exps) << t * r)
-            | (1 << t * (r - v.ideal_index)) for v in variables]
+    return ([(digits.pack(v.generator.exps) << t * r)
+             | (1 << t * (r - v.ideal_index)) for v in variables]
+            + [1 << t * (r + n - i) for i in range(1, n + 1)])
 
 
 def marking_order(
@@ -154,21 +154,19 @@ def marking_order(
     a term order inside each fiber, so every fiber graph is acyclic and its
     sinks are the fiber's standard monomials.
 
-    A quadric is a rule with a quadratic PresMonomial lead, or a mixed one
-    with x-part 1 on both sides, checked on its t-parts. A mixed list may
-    also hold syzygies (_is_syzygy); the candidate then stands for the block
-    order that compares x-parts first, with x_1 > ... > x_n, which orients
-    every syzygy and leaves the quadrics to the candidate. Any other rule
-    means None.
-
-    Every candidate ranks the same variables, those of the ideals, so the
-    rules are read once, on ints: each quadric's four factors (lead, then
-    trail) become positions in the first candidate's ranking through its
-    rank dict, and a variable outside it, a syzygy's included, means None.
-    The images are equal when the packed images (_packed_images) of the
-    two sides sum alike, and a candidate orients the quadric when the
-    lead's two ranks, sorted descending, form the smaller pair; a
-    candidate that fails one quadric is dropped.
+    The rules are read as the rows of rank_rules(rules, Alphabet.of(ideals)),
+    so a builder's table is read as it is, and a list it refuses (a lead
+    that is not two atoms, or a variable outside the ideals) means None.
+    Each atom has one packed image (_packed_images) and each candidate one
+    list of ranks, indexed by atom. A row's two sides must sum to the same
+    image, and it must be a quadric (four variable atoms) or a syzygy
+    x_i*T_u -> x_j*T_u' (each side one variable atom and one x-atom, i < j).
+    A candidate orients a quadric when the lead's two ranks, sorted
+    descending, form the smaller pair, and one that fails a quadric is
+    dropped. Syzygies leave the candidates alone: a list holding one is
+    marked by the block order that compares x-parts first, with
+    x_1 > ... > x_n, which orients every syzygy and leaves the quadrics to
+    the candidate. Any other row means None.
     """
     candidates = []
     try:
@@ -183,36 +181,24 @@ def marking_order(
         pass  # no region split: keep the candidates built so far
     if not candidates:
         return None
-    # the candidates rank one set of variables: name each by its position
-    # in the first candidate's ranking
-    variables = candidates[0].ranked
-    ids = candidates[0].rank
+    alphabet = Alphabet.of(ideals)
+    try:
+        rows = rank_rules(rules, alphabet).rows
+    except ValueError:
+        return None
+    variables = alphabet.variables
+    size = len(variables)
+    images = _packed_images(variables, alphabet.n)
     live = [(order, [order.rank[v] for v in variables]) for order in candidates]
-    images = _packed_images(variables)
-    for g in rules:
-        lead, trail = g.lead, g.trail
-        kind = type(lead)
-        if kind is MixedMonomial:
-            if _is_syzygy(lead, trail):
-                # no quadric, but its factors too must lie in the context
-                if (lead.t_part.factors[0] not in ids
-                        or trail.t_part.factors[0] not in ids):
-                    return None
-                continue
-            if lead.x_part.degree or trail.x_part.degree:
-                return None
-            lead, trail = lead.t_part, trail.t_part
-        elif kind is not PresMonomial:
-            return None
-        p, q = lead.factors, trail.factors
-        if len(p) != 2 or len(q) != 2:
-            return None
-        try:
-            a, b, c, d = ids[p[0]], ids[p[1]], ids[q[0]], ids[q[1]]
-        except KeyError:
-            return None
+    for (a, b), (c, d), _ in rows:
         if images[a] + images[b] != images[c] + images[d]:
             return None
+        if b >= size or d >= size:
+            # a syzygy: a variable atom and an x-atom each side, and the
+            # lead's x-atom is the smaller; the block order orients it
+            if not (a < size <= b and c < size <= d and b < d):
+                return None
+            continue
         for candidate in live:
             rank = candidate[1]
             r, s, u, w = rank[a], rank[b], rank[c], rank[d]
@@ -222,19 +208,6 @@ def marking_order(
                 if not live:
                     return None
     return live[0][0]
-
-
-def _is_syzygy(lead: MixedMonomial, trail: MixedMonomial) -> bool:
-    """Whether lead -> trail is x_i*T_u -> x_j*T_u' with T_u and T_u' of one
-    ideal, i < j, and x_i*u = x_j*u' on exponent tuples."""
-    xs, ys = lead.x_part.exps, trail.x_part.exps
-    if not (sum(xs) == sum(ys) == 1
-            and lead.t_part.degree == trail.t_part.degree == 1):
-        return False
-    (u,), (w,) = lead.t_part.factors, trail.t_part.factors
-    return (xs.index(1) < ys.index(1) and u.ideal_index == w.ideal_index
-            and list(map(add, xs, u.generator.exps))
-            == list(map(add, ys, w.generator.exps)))
 
 
 def _coincident_product_rows(
@@ -282,10 +255,14 @@ def _coincident_product_rows(
     return rows
 
 
+_QUADRICS = frozenset([PresMonomial])
+_MIXED = frozenset([MixedMonomial])
+
+
 def _table(variables: Sequence[PresVar], n: int, rows) -> RankRules:
-    """The builder's rows on the alphabet of its variables, which are
-    listed in PresVar.key order, so each position is its atom."""
-    return RankRules(Alphabet(variables, n), rows)
+    """The quadric builder's rows on the alphabet of its variables, which
+    are listed in PresVar.key order, so each position is its atom."""
+    return RankRules(Alphabet(variables, n), rows, _QUADRICS)
 
 
 def build_G1(ideal: StronglyStableIdeal, ideal_index: int = 1) -> RankRules:
@@ -294,7 +271,7 @@ def build_G1(ideal: StronglyStableIdeal, ideal_index: int = 1) -> RankRules:
     variables = ideal_variables(ideal, ideal_index)
     positions = range(len(variables))  # rlex ranks them as listed
     return _table(variables, ideal.n, _coincident_product_rows(
-        positions, _packed_images(variables),
+        positions, _packed_images(variables, ideal.n),
         itertools.combinations_with_replacement(positions, 2), "G1"))
 
 
@@ -304,7 +281,7 @@ def build_G2(view: TwoQuadricView, ideal_index: int = 1) -> RankRules:
     variables = ideal_variables(view.ideal, ideal_index)
     rank = PresOrder.mrlex(view, ideal_index).rank
     return _table(variables, view.ideal.n, _coincident_product_rows(
-        [rank[v] for v in variables], _packed_images(variables),
+        [rank[v] for v in variables], _packed_images(variables, view.ideal.n),
         itertools.combinations_with_replacement(range(len(variables)), 2),
         "G2"))
 
@@ -316,7 +293,8 @@ def _head_and_tail_positions(view1: TwoQuadricView, view2: TwoQuadricView):
     first = ideal_variables(view1.ideal, 1)
     variables = first + ideal_variables(view2.ideal, 2)
     rank = PresOrder.head_and_tail(view1, view2).rank
-    return (variables, [rank[v] for v in variables], _packed_images(variables),
+    return (variables, [rank[v] for v in variables],
+            _packed_images(variables, view1.ideal.n),
             range(len(first)), range(len(first), len(variables)))
 
 
@@ -345,48 +323,46 @@ def build_head_and_tail_basis(view1: TwoQuadricView,
             rank, images, itertools.product(first, second), "G3"))
 
 
-def build_syzygy_set(
-    ideals: Sequence[StronglyStableIdeal],
-) -> list[MarkedBinomial]:
-    """Linear syzygy binomials x_i T_{l,k} - x_j T_{l,k'} with i < j.
+def build_syzygy_set(ideals: Sequence[StronglyStableIdeal]) -> RankRules:
+    """Linear syzygy binomials x_i T_{l,k} - x_j T_{l,k'} with i < j, as a
+    RankRules of MixedMonomial leads on Alphabet.of(ideals).
 
     One per (generator, variable swap) with both sides minimal generators;
     these are exactly the one-step reduction moves between generators of one
-    ideal, lifted to the presentation ring.
+    ideal, lifted to the presentation ring. Each is the row ((atom of T_u,
+    atom of x_i), (atom of T_u', atom of x_j), "SYZ"), and the rows are
+    sorted (stably) by the lead's variable atom, then its x-atom
+    descending.
     """
-    out = []
-    n = ideals[0].n
+    alphabet = Alphabet.of(ideals)
+    x = len(alphabet.variables) - 1  # x_i is atom x + i
+    rows = []
     for l, ideal in enumerate(ideals, start=1):
-        var_of = dict(zip(ideal.minimal_generators, ideal_variables(ideal, l)))
+        atom_of = {g: alphabet.index[v] for g, v in zip(
+            ideal.minimal_generators, ideal_variables(ideal, l))}
         for u in ideal.minimal_generators:
             # swapped = u * x_i / x_j, each j in u's support and each i < j
             for swapped, j, i in all_one_step_reductions(u):
-                if swapped in var_of:
-                    lead = MixedMonomial(
-                        Monomial.variable(i, n),
-                        PresMonomial([var_of[u]]),
-                    )
-                    trail = MixedMonomial(
-                        Monomial.variable(j, n),
-                        PresMonomial([var_of[swapped]]),
-                    )
-                    out.append(MarkedBinomial(lead, trail, "SYZ"))
-    out.sort(
-        key=lambda g: (
-            g.lead.t_part.factors[0].sort_key(),
-            g.lead.x_part.exps,
-        )
-    )
-    return out
+                if swapped in atom_of:
+                    rows.append(((atom_of[u], x + i), (atom_of[swapped], x + j),
+                                 "SYZ"))
+    rows.sort(key=lambda row: (row[0][0], -row[0][1]))
+    return RankRules(alphabet, rows, _MIXED)
 
 
 def build_fiber_type_basis(
     ideals: Sequence[StronglyStableIdeal],
     fiber_gb: Sequence[MarkedBinomial],
-) -> list[MarkedBinomial]:
-    """Syzygies plus the fiber basis lifted to mixed monomials (x-part 1)."""
-    n = ideals[0].n
-    return build_syzygy_set(ideals) + lift_to_mixed(fiber_gb, n)
+) -> RankRules:
+    """Syzygies plus the fiber basis lifted to mixed monomials (x-part 1),
+    as one RankRules of MixedMonomial leads on Alphabet.of(ideals): the
+    syzygy rows, then the rows of rank_rules(fiber_gb, that alphabet),
+    which for a builder's table are its own rows, an x-part 1 adding no
+    atom. A fiber basis rank_rules refuses raises ValueError."""
+    syzygies = build_syzygy_set(ideals)
+    alphabet = syzygies.alphabet
+    return RankRules(alphabet,
+                     syzygies.rows + rank_rules(fiber_gb, alphabet).rows, _MIXED)
 
 
 def dump_basis(rules: Sequence[MarkedBinomial], r: int | None = None) -> str:

@@ -8,18 +8,18 @@ presentation variable of rank k is atom k and x_i is atom size + i - 1
 (size presentation variables), so a rank tuple is already an atom tuple;
 the alphabet (RankRules.alphabet) encodes and decodes monomials. The core
 reads a rule list as a RankRules: one int row (lead atoms, trail atoms,
-source) per rule, in list order. The orders builders return those rows,
-written straight from variable positions, and rank_rules compiles any
-other list (the fiber-type basis, hand-made rules) once, returning a
-table already on the alphabet as it is. Every lead is two atoms (a
-T-quadric, a syzygy x_i*T_u, a lifted fiber lead or an ambient quadric),
-so the one rule index is a two-level lead table probed as leads[a][b],
-with no pair tuple built: leads[a] is None for an atom that starts no
-lead, and leads[a][b] lists every rule with lead (a, b), in list order,
-so leads[a][b][0] is the earliest of them. A lead of any other size is
-refused when the list is compiled. A table is also a read-only sequence
-of its MarkedBinomial rules: the compiled list itself, or a builder's
-rows decoded once, on first use.
+source) per rule, in list order. The orders builders return those rows
+for every basis, fiber-type included, written straight from variable
+atoms, and rank_rules compiles any other list (hand-made rules) once,
+returning a table already on the alphabet as it is. Every lead is two
+atoms (a T-quadric, a syzygy x_i*T_u, a fiber lead with x-part 1 or an
+ambient quadric), so the one rule index is a two-level lead table probed
+as leads[a][b], with no pair tuple built: leads[a] is None for an atom
+that starts no lead, and leads[a][b] lists every rule with lead (a, b),
+in list order, so leads[a][b][0] is the earliest of them. A lead of any
+other size is refused when the list is compiled. A table is also a
+read-only sequence of its MarkedBinomial rules: the compiled list
+itself, or a builder's rows decoded once, on first use.
 
 On that core, rank_rewrites lists every one-step reduction of an atom tuple
 in rule-list order, fiber_edges builds every fiber graph from it as
@@ -119,24 +119,6 @@ _new = object.__new__
 _set_lead = MarkedBinomial.lead.__set__
 _set_trail = MarkedBinomial.trail.__set__
 _set_source = MarkedBinomial.source.__set__
-
-
-def lift_to_mixed(rules: Sequence[MarkedBinomial], n: int) -> list[MarkedBinomial]:
-    """Embed pure presentation binomials into the mixed ring (x-part 1)."""
-    one = Monomial.one(n)
-    out = []
-    for g in rules:
-        if isinstance(g.lead, PresMonomial):
-            out.append(
-                MarkedBinomial(
-                    MixedMonomial(one, g.lead),
-                    MixedMonomial(one, g.trail),
-                    g.source,
-                )
-            )
-        else:
-            out.append(g)
-    return out
 
 
 def rule_indices(rules: Sequence[MarkedBinomial]):
@@ -372,15 +354,19 @@ class RankRules(Sequence):
 
     rows lists each rule as (lead atoms, trail atoms, source), in list
     order, every lead two atoms. The orders builders write rows straight
-    from their variable positions, and rank_rules compiles an object list
-    into rows, keeping the list. len counts the rows; iteration, indexing
-    and slicing read the rules: the compiled list itself, or for a table
-    of rows alone (a builder's) its rows decoded once, on first use, as
-    PresMonomial quadrics, one per distinct atom pair and with no
-    constructor check, which the builder's rows meet by construction. A
-    table equals any sequence of the same rules in order; list(table) is
-    a list of them that can be changed. kinds is the set of the leads'
-    monomial kinds: PresMonomial alone for a table of rows alone.
+    from their variable atoms, and rank_rules compiles an object list into
+    rows, keeping the list. kinds is the set of the leads' monomial kinds,
+    set by the code that writes the rows: PresMonomial for a quadric
+    builder's table and MixedMonomial for a fiber-type one, even with no
+    row, and the kinds of the listed leads for a compiled list. len counts
+    the rows; iteration, indexing and slicing read the rules: the compiled
+    list itself, or for a table of rows alone (a builder's) its rows
+    decoded once, on first use, one monomial per distinct atom tuple
+    (PresMonomial quadrics straight off the variables, MixedMonomials
+    through alphabet.decode) and with no constructor check, which the
+    builder's rows meet by construction. A table equals any sequence of
+    the same rules in order; list(table) is a list of them that can be
+    changed.
 
     leads is the lead table, the one rule index, built on first use from
     rows: leads[a] is None for an atom a that starts no lead, and otherwise
@@ -394,11 +380,11 @@ class RankRules(Sequence):
 
     def __init__(self, alphabet: Alphabet,
                  rows: list[tuple[tuple[int, ...], tuple[int, ...], str]],
+                 kinds: frozenset[type],
                  rules: list[MarkedBinomial] | None = None):
         self.alphabet = alphabet
         self.rows = rows
-        self.kinds = (_QUADRICS if rules is None
-                      else frozenset([type(g.lead) for g in rules]))
+        self.kinds = kinds
         self._rules = rules
         self._leads = None
 
@@ -436,29 +422,30 @@ class RankRules(Sequence):
 
     def _listed(self) -> list[MarkedBinomial]:
         """The rules: the compiled list, or the rows decoded once, one
-        PresMonomial per atom pair."""
+        monomial per atom tuple."""
         rules = self._rules
         if rules is not None:
             return rules
-        variables = self.alphabet.variables
-        from_sorted = PresMonomial.from_sorted
-        quadrics: dict = {}
-        known = quadrics.get
+        if MixedMonomial in self.kinds:
+            monomial = self.alphabet.decode
+        else:
+            variables = self.alphabet.variables
+            from_sorted = PresMonomial.from_sorted
+
+            def monomial(atoms):
+                return from_sorted((variables[atoms[0]], variables[atoms[1]]))
+        decoded: dict = {}
+        known = decoded.get
         rules = self._rules = []
         for lead, trail, source in self.rows:
             u = known(lead)
             if u is None:
-                u = quadrics[lead] = from_sorted((variables[lead[0]],
-                                                  variables[lead[1]]))
+                u = decoded[lead] = monomial(lead)
             v = known(trail)
             if v is None:
-                v = quadrics[trail] = from_sorted((variables[trail[0]],
-                                                   variables[trail[1]]))
+                v = decoded[trail] = monomial(trail)
             rules.append(_unchecked_rule(u, v, source))
         return rules
-
-
-_QUADRICS = frozenset([PresMonomial])
 
 
 def _unchecked_rule(lead, trail, source: str) -> MarkedBinomial:
@@ -505,7 +492,8 @@ def rank_rules(rules: Sequence[MarkedBinomial],
                     f"rule {g.label()}: lead atom count {len(lead)}; the "
                     f"rewriting core takes two-atom leads only")
         rows.append((lead, trail, g.source))
-    return RankRules(alphabet, rows, list(rules))
+    return RankRules(alphabet, rows,
+                     frozenset([type(g.lead) for g in rules]), list(rules))
 
 
 def _apply(v: tuple[int, ...], lead: tuple[int, ...],

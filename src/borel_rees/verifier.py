@@ -24,24 +24,26 @@ The default x-degree bound reaches every budgeted t-slice
 unreached. The kernel oracle (kernel_membership) reduces every member of
 the same fibers once, on atom tuples, a fiber at a time by
 reduction.rank_normal_forms with one memo per fiber, and counts a fiber
-of k members as its C(k, 2) pairs. It reads a quadric builder's rows as
-they are, so a quadric basis reaches it with no rule object built; the
-pair list (toric_kernel_span) and its object-level check
-(check_membership) stay as its reference.
+of k members as its C(k, 2) pairs. It reads a builder's rows as they
+are, so a library basis, quadric or fiber-type, reaches it with no rule
+object built; the pair list (toric_kernel_span) and its object-level
+check (check_membership) stay as its reference.
 
-verify_gb picks its method from the marking alone, pure or mixed. When a
-library term order orients every rule (orders.marking_order; for a mixed
-list, the block order that compares x-parts first), rewriting strictly
-descends it, so each fiber graph is acyclic and its sinks are the fiber's
-standard monomials: one per multidegree is the certificate, with the leads
-as forbidden pairs of atoms and no graph built. One call of
-presentation._fiber_groups serves both walks: its counts count them by
-enumerator state, a group at a time, and its groups list them as atom
-tuples only from the first group holding a multidegree without exactly
-one. Any other marking gets the fiber graphs themselves, built serially
-by the one rewriting core of reduction (rank_rules once onto the
-alphabet, then fiber_edges per fiber), listed from the same groups.
-Either way only a multidegree whose check fails has its monomials built.
+verify_gb compiles the rules once onto the collection's alphabet
+(reduction.rank_rules, which hands a builder's table back as it is) and
+picks its method from the marking alone, pure or mixed. When a library
+term order orients every rule (orders.marking_order, reading the table's
+rows; for a mixed list, the block order that compares x-parts first),
+rewriting strictly descends it, so each fiber graph is acyclic and its
+sinks are the fiber's standard monomials: one per multidegree is the
+certificate, with the leads as forbidden pairs of atoms and no graph
+built. One call of presentation._fiber_groups serves both walks: its
+counts count them by enumerator state, a group at a time, and its groups
+list them as atom tuples only from the first group holding a multidegree
+without exactly one. Any other marking gets the fiber graphs themselves,
+built serially by the one rewriting core of reduction (fiber_edges per
+fiber, on the same table), listed from the same groups. Either way only
+a multidegree whose check fails has its monomials built.
 analyze_fiber is the object-level fiber graph, kept as the reference. The
 report's first note names the method.
 
@@ -254,8 +256,10 @@ def verify_gb(
     progress is called at every multiple of 2000 the count reaches. A
     t_budget without one entry per ideal, or with a negative entry, raises
     ValueError before any work starts, and a negative x_degree before any
-    fiber is grown. So does a marking checked by fiber graphs with a lead
-    that is not two atoms (reduction.rank_rules refuses it).
+    fiber is grown. So does a rule list that reduction.rank_rules refuses
+    (a lead that is not two atoms): the rules are compiled once, up front,
+    onto the collection's alphabet (a builder's table as it is), and
+    marking_order and the fiber graphs read that table.
     """
     check_t_budget(ideals, t_budget)
     report = VerificationReport(
@@ -263,16 +267,16 @@ def verify_gb(
     )
     pair_index, generic = rule_indices(rules)
     x_degree = mixed_x_degree(rules, ideals, t_budget, x_degree)
-    order = marking_order(rules, ideals)
+    alphabet = Alphabet.of(ideals)
+    compiled = rank_rules(rules, alphabet)
+    order = marking_order(compiled, ideals)
 
     def count(k):
         report.multidegrees_checked = _advance(
             report.multidegrees_checked, k, progress)
 
-    alphabet = Alphabet.of(ideals)
     lead_pairs = []
     if order is None:
-        compiled = rank_rules(rules, alphabet)
         report.notes.append(f"fiber graphs; no library term order orients "
                             f"all {len(rules)} rules")
     else:
@@ -353,11 +357,12 @@ def mixed_x_degree(
     """The x-degree bound of the mixed fibers a rule list is checked on.
 
     The lead kinds decide: the types of the leads, or a RankRules' kinds
-    (PresMonomial for a quadric builder's table, even an empty one). With
-    kinds and no MixedMonomial among them the rules live on the pure
-    presentation, so the bound is None, and an x_degree given for them
-    raises ValueError rather than being ignored. A list with no rule has
-    no kind and takes a given x_degree, and is otherwise pure as well.
+    (PresMonomial for a quadric builder's table and MixedMonomial for a
+    fiber-type one, even an empty one). With kinds and no MixedMonomial
+    among them the rules live on the pure presentation, so the bound is
+    None, and an x_degree given for them raises ValueError rather than
+    being ignored. A hand-made list with no rule has no kind and takes a
+    given x_degree, and is otherwise pure as well.
     With a mixed lead: x_degree when given, else the budget's content
     degree sum(b_i * d_i), the least bound that reaches every budgeted
     t-slice. Each lower slice keeps min(d_i) x-degrees of room or

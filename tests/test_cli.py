@@ -435,6 +435,36 @@ class TestKernelOracle:
         assert (checked, failures) == (9941, [])
         assert isinstance(basis, reduction.RankRules)
 
+    @pytest.mark.parametrize("spec, budget", [(PAIR_SPEC, "1,1"),
+                                              (SINGLE_SPEC, "2")],
+                             ids=["pair", "one ideal"])
+    def test_a_fiber_type_basis_builds_no_rule_object(self, capsys,
+                                                      spec_file, spec,
+                                                      budget):
+        # the fiber-type builders write rows too: with every rule and
+        # monomial constructor refusing, the oracle prints the same report
+        argv = ["kernel-oracle", "--spec", spec_file(spec), "--basis",
+                "fiber-type", "--budget", budget]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        with no_rule_objects():
+            assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == expected
+        assert json.loads(out)["oracle_binomials_checked"] > 0
+
+    def test_the_library_oracle_on_a_fiber_type_basis_builds_no_rule_object(
+            self, running_pair):
+        ideals = list(running_pair)
+        with no_rule_objects():
+            basis = borel_rees.build_fiber_type_basis(
+                ideals, verifier.quadratic_basis_for(ideals))
+            checked, failures = borel_rees.kernel_membership(
+                basis, ideals, (1, 1))
+            assert len(basis) == 501
+        assert (checked, failures) == (1213, [])
+        assert isinstance(basis, reduction.RankRules) and basis._rules is None
+
     @pytest.mark.parametrize("command, count", [
         ("kernel-oracle", "oracle_binomials_checked"),
         ("verify", "multidegrees_checked"),
@@ -503,6 +533,24 @@ class TestUsageErrors:
             "--budget", "2", "--basis", "fiber-type", "--xdeg", "3")
         assert code == 3 and payload["verdict"] == "inconclusive"
         assert note in payload["notes"]
+
+    def test_an_empty_fiber_type_basis_walks_the_mixed_fibers(
+            self, capsys, spec_file):
+        # with no --xdeg the empty table's mixed lead kind picks the mixed
+        # fibers at the default bound, as for a basis with rules
+        argv = ["--spec", spec_file(ONE_VARIABLE_SPEC), "--budget", "2",
+                "--basis", "fiber-type"]
+        code, payload = run_cli(capsys, "verify", *argv)
+        assert code == 3 and payload["verdict"] == "inconclusive"
+        assert payload["notes"] == [
+            "standard monomials under the block order (x-parts first, then "
+            "rlex); 0 rules oriented, images equal",
+            "mixed fibers up to x-degree 4",
+        ]
+        assert payload["multidegrees_checked"] == 22
+        code, payload = run_cli(capsys, "kernel-oracle", *argv)
+        assert code == 3 and payload["verdict"] == "inconclusive"
+        assert payload["notes"] == ["mixed kernel pairs up to x-degree 4"]
 
     @pytest.mark.parametrize("command", ["verify", "kernel-oracle"])
     def test_xdeg_on_an_empty_g1_basis_exits_four(self, capsys, spec_file,
@@ -642,6 +690,22 @@ class TestBadOut:
         assert not (tmp_path / "new").exists()
         assert (tmp_path / "kept").is_dir()
         assert not any((tmp_path / "kept").iterdir())
+
+    def test_out_of_memory_exits_four_and_removes_its_directory(
+            self, capsys, spec_file, tmp_path):
+        # a spec too large to hold, such as "n": 100000000000, runs out of
+        # memory while it is loaded
+        def exhausted(*_args, **_kwargs):
+            raise MemoryError
+
+        out = tmp_path / "new" / "dir"
+        with mock.patch.object(cli, "load_collection", exhausted):
+            code = main(["verify", "--spec", spec_file(PAIR_SPEC),
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == "error: out of memory for this input\n"
+        assert not (tmp_path / "new").exists()
 
     def test_refused_run_leaves_an_existing_out_alone(self, capsys, tmp_path):
         out = tmp_path / "out"

@@ -9,7 +9,12 @@ import pytest
 from borel_rees import reduction
 
 from borel_rees.borel import borel_closure, order_view
-from borel_rees.monomial import Monomial, parse_monomial, rlex_sort_key
+from borel_rees.monomial import (
+    Monomial,
+    all_one_step_reductions,
+    parse_monomial,
+    rlex_sort_key,
+)
 from borel_rees.orders import (
     OrderDomainError,
     PresOrder,
@@ -266,8 +271,12 @@ class TestFiberTypeBasis:
         assert len(combined) == 25 + len(quadric_pair_G1)
 
     def test_empty_fiber_gb(self):
-        ideal = borel_closure([m("x1^2", 1)], 1)
-        assert build_fiber_type_basis([ideal], []) == []
+        # no syzygy and no fiber rule, yet the table's leads are mixed
+        for n in (1, 2):
+            ideal = borel_closure([m("x1^2", n)], n)
+            basis = build_fiber_type_basis([ideal], [])
+            assert basis == [] and isinstance(basis, RankRules)
+            assert basis.kinds == {MixedMonomial}
 
     def test_running_pair_union(self, running_pair, running_pair_basis):
         combined = build_fiber_type_basis(
@@ -339,7 +348,7 @@ class TestMarkingOrder:
         assert phi(mutations[2].lead, ideals) == phi(mutations[2].trail,
                                                      ideals)
         for rule in mutations:
-            for mutated in ([rule] + rules[1:], rules + [rule]):
+            for mutated in ([rule] + rules[1:], list(rules) + [rule]):
                 assert marking_order(mutated, ideals) is None, rule
 
     def test_variables_outside_the_collection_have_no_order(
@@ -528,6 +537,34 @@ class TestMarkingOrderDifferential:
                        for g in syzygies)
         assert self.reference_marking_order(syzygies, [i2]) is None
         assert self.found(syzygies, [i2]) is None
+
+    def test_mutated_syzygies(self, running_pair, running_pair_basis):
+        # the atom check of a syzygy row: a trail variable that is the same
+        # generator in the other ideal (equal x-parts, another t-vector),
+        # and a lead x_i*T_u with a quadric trail (x-part 1)
+        ideals = list(running_pair)
+        i1, i2 = running_pair
+        basis = list(build_fiber_type_basis(ideals, running_pair_basis))
+        assert self.found(basis, ideals) == self.reference_marking_order(
+            basis, ideals) == "ht"
+        syzygy = next(
+            g for g in basis if g.source == "SYZ"
+            and g.lead.t_part.factors[0].ideal_index == 1
+            and g.trail.t_part.factors[0].generator in i2.minimal_generators)
+        twin = PresMonomial([PresVar(2, syzygy.trail.t_part.factors[0].generator)])
+        quadric = next(g for g in basis if g.source == "G1").trail
+        assert quadric.x_part.degree == 0
+        mutations = {
+            "other ideal": MarkedBinomial(
+                syzygy.lead, MixedMonomial(syzygy.trail.x_part, twin), "SYZ"),
+            "quadric trail": MarkedBinomial(syzygy.lead, quadric, "SYZ"),
+        }
+        k = basis.index(syzygy)
+        for name, rule in mutations.items():
+            for rules in (basis[:k] + [rule] + basis[k + 1:],
+                          basis[:k] + [rule] + basis[k:]):
+                assert self.reference_marking_order(rules, ideals) is None, name
+                assert self.found(rules, ideals) is None, name
 
     def test_fiber_type_rules_reversed_in_turn(self, quadric_pair_ideal):
         # the block order against its reference on every rule of the
@@ -781,6 +818,79 @@ class TestBuilderTables:
             rank_rules(second, Alphabet.of([ideal]))
         assert rank_rules(first, table.alphabet).rows == table.rows[
             :len(first.rows)]
+
+
+def reference_syzygy_set(ideals):
+    """The object-level construction of the syzygies: a MarkedBinomial
+    x_i*T_u -> x_j*T_u' for each generator u and variable swap
+    u' = u*x_i/x_j (i < j) with both sides minimal generators, sorted
+    stably by the lead's variable key, then its x-part ascending."""
+    out = []
+    n = ideals[0].n
+    for l, ideal in enumerate(ideals, start=1):
+        var_of = {g: PresVar(l, g) for g in ideal.minimal_generators}
+        for u in ideal.minimal_generators:
+            for swapped, j, i in all_one_step_reductions(u):
+                if swapped in var_of:
+                    out.append(MarkedBinomial(
+                        MixedMonomial(Monomial.variable(i, n),
+                                      PresMonomial([var_of[u]])),
+                        MixedMonomial(Monomial.variable(j, n),
+                                      PresMonomial([var_of[swapped]])),
+                        "SYZ"))
+    out.sort(key=lambda g: (g.lead.t_part.factors[0].sort_key(),
+                            g.lead.x_part.exps))
+    return out
+
+
+class TestFiberTypeTables:
+    """The fiber-type builders write rows on Alphabet.of(ideals) too: the
+    syzygy rows equal rank_rules' compilation of the object-level
+    reference (reference_syzygy_set), in order, and decode to its rules,
+    with one MixedMonomial per atom tuple; the fiber rows follow them
+    as the fiber basis's own rows."""
+
+    @staticmethod
+    def assert_syzygies_are(ideals):
+        table = build_syzygy_set(ideals)
+        reference = reference_syzygy_set(ideals)
+        assert isinstance(table, RankRules) and reference
+        assert table.kinds == {MixedMonomial}
+        assert table.alphabet.variables == Alphabet.of(ideals).variables
+        assert table.rows == rank_rules(reference, table.alphabet).rows
+        assert table == reference
+        assert dump_basis(table, len(ideals)) == dump_basis(reference,
+                                                            len(ideals))
+        monomials = [v for g in table for v in (g.lead, g.trail)]
+        assert len({id(v) for v in monomials}) == len(set(monomials))
+
+    @pytest.mark.parametrize("shape", SHAPES,
+                             ids=["".join(map(str, s)) for s in SHAPES])
+    def test_syzygies_of_every_shape_at_n_6(self, shape):
+        self.assert_syzygies_are([_shape_ideal(*shape[:3], 6)])
+
+    def test_syzygies_of_the_cubic_ideal_and_the_running_pair(
+            self, running_pair):
+        cubic = borel_closure([m("x2*x3*x4", 5), m("x1*x4^2", 5),
+                               m("x2^2*x5", 5)], 5)
+        self.assert_syzygies_are([cubic])
+        self.assert_syzygies_are(list(running_pair))
+
+    def test_fiber_rows_follow_the_syzygy_rows(self, running_pair,
+                                               running_pair_basis):
+        ideals = list(running_pair)
+        basis = build_fiber_type_basis(ideals, running_pair_basis)
+        syzygies = build_syzygy_set(ideals)
+        assert basis.kinds == {MixedMonomial} and basis._rules is None
+        assert basis.rows == syzygies.rows + running_pair_basis.rows
+        one = Monomial.one(6)
+        assert basis == list(syzygies) + [
+            MarkedBinomial(MixedMonomial(one, g.lead),
+                           MixedMonomial(one, g.trail), g.source)
+            for g in running_pair_basis]
+        # a fiber basis given as a list is compiled onto the same atoms
+        assert build_fiber_type_basis(
+            ideals, list(running_pair_basis)).rows == basis.rows
 
 
 class TestRuleListContract:

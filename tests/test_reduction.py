@@ -31,7 +31,6 @@ from borel_rees.reduction import (
     build_graph,
     ell_max,
     fiber_edges,
-    lift_to_mixed,
     normal_form,
     o_invariant,
     rank_normal_forms,
@@ -91,7 +90,8 @@ class TestMarkedBinomial:
         return [
             MarkedBinomial(m("x1*x4", 5), m("x2*x3", 5), "ADHOC"),
             g,
-            lift_to_mixed([g], 6)[0],
+            MarkedBinomial(MixedMonomial(m("1", 6), g.lead),
+                           MixedMonomial(m("1", 6), g.trail), g.source),
         ]
 
     def test_equality_and_hash_follow_the_fields(self, running_pair_basis):
@@ -580,6 +580,7 @@ class TestIndexedRewritingMatchesScan:
         rng = random.Random(14)
         forms = assert_atoms_match_scan(monomials, rules, ideals)
         assert len(set(forms.values())) < len(forms)
+        rules = list(rules)
         rng.shuffle(rules)
         assert_atoms_match_scan(monomials, rules[:-10], ideals)
 
@@ -804,7 +805,7 @@ class TestRankRewriting:
     def test_fiber_type_basis_on_mixed_monomials(self, quadric_pair_ideal,
                                                  quadric_pair_G1):
         ideals = [quadric_pair_ideal]
-        rules = build_fiber_type_basis(ideals, quadric_pair_G1)
+        rules = list(build_fiber_type_basis(ideals, quadric_pair_G1))
         random.Random(32).shuffle(rules)
         monomials = [v for _, f in mixed_fibers(ideals, (2,), 5) for v in f]
         assert_rank_equivalent(monomials, rules, ideals)
@@ -1110,7 +1111,10 @@ class TestTwoAtomLeads:
 
 class TestMixedReduction:
     def test_lift_and_reduce(self, quadric_pair_ideal, quadric_pair_G1):
-        lifted = lift_to_mixed(quadric_pair_G1, 5)
+        lifted = [g for g in build_fiber_type_basis([quadric_pair_ideal],
+                                                    quadric_pair_G1)
+                  if g.source == "G1"]
+        assert len(lifted) == len(quadric_pair_G1)
         assert all(isinstance(g.lead, MixedMonomial) for g in lifted)
         v = MixedMonomial(
             m("x4", 5), PresMonomial([PresVar(1, m("x2*x3", 5))] * 2)

@@ -42,7 +42,6 @@ from borel_rees.presentation import (
 from borel_rees.reduction import (
     MarkedBinomial,
     RankRules,
-    lift_to_mixed,
     rank_rules,
 )
 from borel_rees.verifier import (
@@ -602,9 +601,12 @@ class TestKernelMembership:
         # pairs it reports false failures; like verify_gb, the oracle
         # refuses the bound for the pure rules
         ideals = [quadric_pair_ideal]
+        one = Monomial.one(5)
+        lifted = [MarkedBinomial(MixedMonomial(one, g.lead),
+                                 MixedMonomial(one, g.trail), g.source)
+                  for g in quadric_pair_G1]
         checked, failures = check_membership(
-            toric_kernel_span(ideals, (2,), 4),
-            lift_to_mixed(quadric_pair_G1, 5))
+            toric_kernel_span(ideals, (2,), 4), lifted)
         assert (checked, len(failures)) == (183, 170)
         for run in (verify_gb, kernel_membership):
             with pytest.raises(ValueError, match="an x-degree bound applies "
@@ -698,7 +700,7 @@ class TestKernelMembershipOnTables:
             rows = rows + list(flipped.values())
         else:
             rows = [flipped.get(i, row) for i, row in enumerate(rows)]
-        return RankRules(table.alphabet, rows)
+        return RankRules(table.alphabet, rows, table.kinds)
 
     def test_reversals_refute_and_cycle_alike(self, running_pair):
         ideals = list(running_pair)
