@@ -49,7 +49,6 @@ from .reduction import (
     fiber_edges,
     has_cycle,
     normal_form,
-    o_invariant,
     rank_rewrites,
     rank_rules,
     rule_indices,

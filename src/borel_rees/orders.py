@@ -24,6 +24,9 @@ trail atoms, source) and builds no object: the kernel oracle reads the
 rows as they are, and a caller that reads the rules gets them decoded
 once, with one monomial per atom tuple however many rules share it.
 marking_order reads the rows of any rule list on Alphabet.of's atoms.
+The paper's sink inequalities for these orders, and the induced revlex
+comparator on presentation monomials, are test references
+(tests/reference.py): no command runs them.
 
 Every order and rule set takes its variables from
 presentation.ideal_variables and its region split from borel.order_view,
@@ -41,7 +44,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .borel import InvalidIdeal, StronglyStableIdeal, TwoQuadricView, order_view
-from .monomial import all_one_step_reductions, rlex_sort_key
+from .monomial import all_one_step_reductions
 from .presentation import (
     Alphabet,
     Digits,
@@ -54,17 +57,15 @@ from .records import Frozen
 from .reduction import MarkedBinomial, RankRules, rank_rules
 
 
-class OrderDomainError(KeyError):
-    """A presentation variable fell outside the order's declared context."""
-
-
 class PresOrder(Frozen):
     """A total order on a finite set of presentation variables.
 
     kind is one of "rlex", "mrlex", "ht". ranked lists the variables in
-    descending order; comparisons of presentation monomials are revlex over
-    that ranking (degree first, the smallest differing variable decides).
-    Immutable; equal and hashed as (kind, ranked).
+    descending order, and rank maps each to its position there; the order
+    induces revlex on presentation monomials over that ranking (degree
+    first, the smallest differing variable decides), which the builders
+    and marking_order compare on rank pairs. Immutable; equal and hashed
+    as (kind, ranked).
     """
 
     _fields = ("kind", "ranked")
@@ -92,31 +93,6 @@ class PresOrder(Frozen):
     @cached_property
     def rank(self) -> dict[PresVar, int]:
         return {v: i for i, v in enumerate(self.ranked)}
-
-    def _outside(self, p: PresVar) -> OrderDomainError:
-        return OrderDomainError(f"{p} outside the {self.kind} order's context")
-
-    def compare_presmonomials(self, A: PresMonomial, B: PresMonomial) -> int:
-        """Induced (graded) revlex: 1 if A > B, -1 if A < B, 0 if equal.
-
-        Degrees compare first. For equal degrees the smallest variable whose
-        exponents differ decides, and the side with fewer of it is larger:
-        that is, A > B exactly when A's factor ranks, sorted descending, are
-        the lexicographically smaller list.
-        """
-        if A.degree != B.degree:
-            return 1 if A.degree > B.degree else -1
-        ra = self._descending_ranks(A)
-        rb = self._descending_ranks(B)
-        if ra == rb:
-            return 0
-        return 1 if ra < rb else -1
-
-    def _descending_ranks(self, A: PresMonomial) -> list[int]:
-        try:
-            return sorted(map(self.rank.__getitem__, A.factors), reverse=True)
-        except KeyError as exc:
-            raise self._outside(exc.args[0]) from None
 
 
 def _mrlex_chain(view: TwoQuadricView, ideal_index: int) -> list[PresVar]:
@@ -376,95 +352,3 @@ def dump_basis(rules: Sequence[MarkedBinomial], r: int | None = None) -> str:
         for g in rules
     ]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _rlex_sorted(T: PresMonomial) -> tuple[PresVar, ...]:
-    return tuple(sorted(T.factors, key=lambda f: rlex_sort_key(f.generator)))
-
-
-def _mrlex_sorted(T: PresMonomial, view: TwoQuadricView) -> tuple[PresVar, ...]:
-    return tuple(
-        sorted(
-            T.factors,
-            key=lambda f: (
-                0 if view.in_B_N(f.generator) else 1,
-                rlex_sort_key(f.generator),
-            ),
-        )
-    )
-
-
-def sink_violations_rlex(T: PresMonomial, view: TwoQuadricView) -> list[str]:
-    """Index inequalities every rlex-basis sink must satisfy, as violations.
-
-    Factors are taken in rlex standard factorization order; for k < l with
-    indices (i, j) and (i', j'): same-region pairs need i <= i' and j <= j';
-    a B_M factor before a B_N factor needs i <= i' or c < i, and when i = i'
-    additionally i = j or c < j.
-    """
-    return _pair_violations(_rlex_sorted(T), view, mixed_order=False)
-
-
-def sink_violations_mrlex(T: PresMonomial, view: TwoQuadricView) -> list[str]:
-    """Mixed-order analogue: same-region pairs monotone; B_N before B_M needs
-    i <= i'."""
-    return _pair_violations(_mrlex_sorted(T, view), view, mixed_order=True)
-
-
-def _pair_violations(factors, view, mixed_order: bool) -> list[str]:
-    bad = []
-    idx = [f.generator.variables_with_multiplicity() for f in factors]
-    regions = [view.in_B_N(f.generator) for f in factors]
-    for k in range(len(factors)):
-        for l in range(k + 1, len(factors)):
-            (i, j), (i2, j2) = idx[k], idx[l]
-            same = regions[k] == regions[l]
-            if same:
-                if not (i <= i2 and j <= j2):
-                    bad.append(f"{factors[k]},{factors[l]}: same-region monotone")
-            elif not mixed_order and not regions[k] and regions[l]:
-                if not (i <= i2 or view.c < i):
-                    bad.append(f"{factors[k]},{factors[l]}: head index")
-                if i == i2 and not (i == j or view.c < j):
-                    bad.append(f"{factors[k]},{factors[l]}: equal-head tail")
-            elif mixed_order and regions[k] and not regions[l]:
-                if not (i <= i2):
-                    bad.append(f"{factors[k]},{factors[l]}: cross-region head")
-    return bad
-
-
-def sink_violations_ht(
-    V: PresMonomial, view1: TwoQuadricView, view2: TwoQuadricView
-) -> list[str]:
-    """Head-and-tail sink checks: per-block inequalities plus the tail chain.
-
-    When both blocks are nonempty and the mixed-order-last second-ideal factor
-    sits in B_N2, every second-ideal factor must, and their indices chain as
-    i_1 <= ... <= i_q <= c2 < b2 < j_1 <= ... <= j_q <= d2.
-    """
-    t_factors = PresMonomial([f for f in V.factors if f.ideal_index == 1])
-    z_factors = PresMonomial([f for f in V.factors if f.ideal_index == 2])
-    bad = []
-    if t_factors.factors:
-        bad += sink_violations_rlex(t_factors, view1)
-    if z_factors.factors:
-        bad += sink_violations_mrlex(z_factors, view2)
-    if not (t_factors.factors and z_factors.factors):
-        return bad
-    zs = _mrlex_sorted(z_factors, view2)
-    if view2.in_B_N(zs[-1].generator):
-        if not all(view2.in_B_N(f.generator) for f in zs):
-            bad.append("tail block mixes regions despite B_N-final factor")
-        else:
-            heads = [f.generator.variables_with_multiplicity()[0] for f in zs]
-            tails = [f.generator.variables_with_multiplicity()[1] for f in zs]
-            chain = (
-                all(a <= b for a, b in zip(heads, heads[1:]))
-                and heads[-1] <= view2.c
-                and view2.b < tails[0]
-                and all(a <= b for a, b in zip(tails, tails[1:]))
-                and tails[-1] <= view2.d
-            )
-            if not chain:
-                bad.append(f"tail chain broken: heads={heads} tails={tails}")
-    return bad

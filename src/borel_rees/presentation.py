@@ -322,12 +322,12 @@ def monomial_count(
     t_budget: Sequence[int],
     x_degree: int | None = None,
 ) -> int:
-    """The number of monomials in the fibers of rank_fibers with no
-    forbidden pair, in closed form: a t-slice holds prod C(g_i + t_i - 1,
-    t_i) presentation monomials, g_i the number of variables of ideal i,
-    each of them times the C(n + e, e) x-monomials of degree at most e, the
-    x-degree the slice's content degree leaves (none when e < 0). Without
-    x_degree e is 0: a pure fiber is a fiber of rest degree 0."""
+    """The number of monomials in the fibers of rank_fibers, in closed
+    form: a t-slice holds prod C(g_i + t_i - 1, t_i) presentation
+    monomials, g_i the number of variables of ideal i, each of them times
+    the C(n + e, e) x-monomials of degree at most e, the x-degree the
+    slice's content degree leaves (none when e < 0). Without x_degree e is
+    0: a pure fiber is a fiber of rest degree 0."""
     total = 0
     for tv in t_vectors(t_budget):
         e = 0 if x_degree is None else x_degree - content_degree(ideals, tv)
@@ -361,7 +361,7 @@ def presentation_variables(
     ideals: Sequence[StronglyStableIdeal],
 ) -> tuple[PresVar, ...]:
     """Every presentation variable ranked by PresVar.sort_key; a variable's
-    position is its index in fibers_by_multidegree's forbidden pairs."""
+    position is its rank, its atom in Alphabet.of(ideals)."""
     return tuple(sorted(
         itertools.chain.from_iterable(
             ideal_variables(ideal, i) for i, ideal in enumerate(ideals, 1)),
@@ -623,7 +623,8 @@ def enumerate_mixed_fiber(
     """All monomials m*u of the full presentation ring with phi(m*u) = mu:
     each monomial u of mu's t-slice whose content divides the x-part, with m
     the rest, u in canonical order. The slice grows factor by factor from
-    the empty monomial, pruned against the x-part at every step. A
+    the empty monomial, pruned against the x-part at every step, and the
+    first empty level ends it, however many factors remain. A
     wrong-length t-vector or x-part raises ValueError."""
     _check_lengths(mu, ideals)
     target = tuple(mu.x_exps)
@@ -639,6 +640,8 @@ def enumerate_mixed_fiber(
     for i, count in enumerate(mu.t_exps):
         for _ in range(count):
             level = expansion.grow(level, i, guard)
+            if not level:
+                return []
     decode = Alphabet.of(ideals).decode
     return [
         MixedMonomial(Monomial(map(sub, target, digits.unpack(x))),
@@ -711,7 +714,6 @@ def _rest_lists(digits: Digits, size: int):
 def rank_fibers(
     ideals: Sequence[StronglyStableIdeal],
     t_budget: Sequence[int],
-    forbidden_pairs: Iterable[tuple[int, int]] = (),
     x_degree: int | None = None,
 ) -> Iterator[tuple[MultiDegree, list[tuple[int, ...]]]]:
     """fibers_by_multidegree with each monomial as its rank tuple (positions
@@ -732,15 +734,8 @@ def rank_fibers(
     each content's monomials in rank order, with m the rest of the x-part. A
     fiber is keyed by its packed x-part, the packed content plus the packed
     m.
-
-    forbidden_pairs are pairs of atoms. A pair of ranks acts as in
-    fibers_by_multidegree; with x_degree, a pair (k, size + i - 1) of a rank
-    and an x-atom keeps x_i out of m beside a factor of rank k. Members so
-    banned are left out of their fiber, and a fiber left empty is not
-    yielded.
     """
-    digits, _, groups = _fiber_groups(ideals, t_budget, forbidden_pairs,
-                                      x_degree)
+    digits, _, groups = _fiber_groups(ideals, t_budget, x_degree=x_degree)
     for tv, group in groups():
         for key in sorted(group, reverse=x_degree is not None):
             yield MultiDegree(digits.unpack(key), tv), group[key]
@@ -775,6 +770,15 @@ def _fiber_groups(
     start are grown, since later slices grow from them, but no member of
     a group before start is listed. A t_budget or x_degree that
     _budget_expansion refuses raises ValueError at once.
+
+    forbidden_pairs are pairs of atoms, each in either order. A pair of
+    ranks (i, j) bans the two factors together: no member holds both (a
+    factor twice when i == j). A pair (k, size + i - 1) of a rank and an
+    x-atom bans x_i beside that factor: no member holds x_i in its rest
+    with a factor of rank k. Banned members are left out of their group,
+    and a key left with no member is neither listed nor counted. With the
+    lead pairs of a quadratic marking the members are exactly its standard
+    monomials.
     """
     expansion = _budget_expansion(ideals, t_budget, forbidden_pairs,
                                   x_degree or 0)
@@ -839,7 +843,6 @@ def _fiber_groups(
 def fibers_by_multidegree(
     ideals: Sequence[StronglyStableIdeal],
     t_budget: Sequence[int],
-    forbidden_pairs: Iterable[tuple[int, int]] = (),
 ) -> Iterator[tuple[MultiDegree, list[PresMonomial]]]:
     """Group every presentation monomial with t <= budget by its multidegree.
 
@@ -850,12 +853,7 @@ def fibers_by_multidegree(
     listing, which toric_kernel_span pairs up, while the verifier, the
     kernel oracle and the obstruction scan read the rank tuples of
     _fiber_groups.
-
-    forbidden_pairs lists index pairs (i, j) of presentation_variables no
-    yielded monomial may contain both factors of (twice the factor when
-    i == j). With the lead pairs of a quadratic marking this lists exactly
-    the standard monomials, and multidegrees without one are skipped.
     """
     decode = Alphabet.of(ideals).decode
-    for mu, group in rank_fibers(ideals, t_budget, forbidden_pairs):
+    for mu, group in rank_fibers(ideals, t_budget):
         yield mu, [decode(ranks, PresMonomial) for ranks in group]

@@ -38,7 +38,9 @@ from a step budget. A rule whose sides have equal images keeps every path
 inside its fiber, so for such rules the per-fiber memo loses nothing; for
 any other rule list it is only a cache. Graphs also carry the
 longest-path invariant used to certify that a marked collection rewrites
-Noetherianly.
+Noetherianly. The paper's o-invariant, which drops along the fiber-type
+rewrites together with that longest path, is a test reference
+(tests/reference.py).
 
 applicable_reductions and normal_form are the object-level references: they
 scan the rule list in order with each lead's divides, on the monomials
@@ -287,25 +289,6 @@ def ell_max(graph: ReductionGraph, v) -> int:
             stack.append((i, True))
             stack.extend((j, False) for j in succ if j not in memo)
     return memo[root]
-
-
-def o_invariant(v: MixedMonomial) -> int:
-    """Iterated cumulative degree of the content against the x-part.
-
-    For each variable occurrence x_i of the x-part (with multiplicity), counts
-    the content exponents strictly beyond position i, summed over occurrences.
-    """
-    alpha = [0] * v.x_part.n
-    for f in v.t_part.factors:
-        for k, e in enumerate(f.generator.exps):
-            alpha[k] += e
-    suffix = [0] * (len(alpha) + 1)
-    for k in range(len(alpha) - 1, -1, -1):
-        suffix[k] = suffix[k + 1] + alpha[k]
-    total = 0
-    for i, e in enumerate(v.x_part.exps):
-        total += e * suffix[i + 1]
-    return total
 
 
 def normal_form(v, rules: Sequence[MarkedBinomial], memo: dict | None = None):

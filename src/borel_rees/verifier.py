@@ -753,8 +753,10 @@ def koszul_report(
     members all rewrite to one normal form is connected under quadric moves
     (Diaconis-Sturmfels 1998; Sturmfels 1996, ch. 4-5), and a certified
     budget holds no obstruction. A scan that finds one discards the basis
-    run. A t_budget without one entry per ideal, or with a negative entry,
-    raises ValueError first, whichever checks run.
+    run. progress is passed to the basis run and to the scan, each
+    counting its own multidegrees. A t_budget without one entry per ideal,
+    or with a negative entry, raises ValueError first, whichever checks
+    run.
     """
     check_t_budget(ideals, t_budget)
     g = [i.num_borel_generators for i in ideals]
@@ -771,7 +773,7 @@ def koszul_report(
     if sum(t_budget) < 3:
         notes.append("t budget below 3: obstruction scan skipped")
     elif verdict == "inconclusive":
-        witnesses = detect_obstructions(ideals, t_budget)
+        witnesses = detect_obstructions(ideals, t_budget, progress=progress)
     if witnesses:
         verdict, gb_report = "obstructed", None
     elif gb_report is None:

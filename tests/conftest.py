@@ -3,7 +3,8 @@ import pytest
 from borel_rees import borel_closure, order_view
 from borel_rees.monomial import parse_monomial
 from borel_rees.orders import build_head_and_tail_basis, build_G1
-from borel_rees.presentation import Alphabet, fibers_by_multidegree
+from borel_rees.presentation import Alphabet
+from reference import banned_pure_fibers
 
 
 def mono(text, n):
@@ -39,7 +40,7 @@ def running_pair_basis(running_pair):
 def standard_monomials():
     """listed(rules, ideals, budget): the (multidegree, standard monomial)
     of every fiber within budget under a quadratic marking that a term
-    order orients, from fibers_by_multidegree with the encoded lead pairs
+    order orients, from banned_pure_fibers with the encoded lead pairs
     forbidden. Each fiber must hold exactly one member: the sink of its
     graph when the marking certifies."""
 
@@ -47,7 +48,7 @@ def standard_monomials():
         encode = Alphabet.of(ideals).encode
         pairs = [encode(g.lead) for g in rules]
         out = []
-        for mu, fiber in fibers_by_multidegree(ideals, budget, pairs):
+        for mu, fiber in banned_pure_fibers(ideals, budget, pairs):
             assert len(fiber) == 1, (mu, [v.label() for v in fiber])
             out.append((mu, fiber[0]))
         return out

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import pickle
 import random
@@ -6,9 +7,10 @@ from unittest import mock
 
 import pytest
 
-from borel_rees import reduction
+import borel_rees
+from borel_rees import orders, presentation, reduction
 
-from borel_rees.borel import borel_closure, order_view
+from borel_rees.borel import TwoQuadricView, borel_closure, order_view
 from borel_rees.monomial import (
     Monomial,
     all_one_step_reductions,
@@ -16,7 +18,6 @@ from borel_rees.monomial import (
     rlex_sort_key,
 )
 from borel_rees.orders import (
-    OrderDomainError,
     PresOrder,
     build_G1,
     build_G2,
@@ -26,9 +27,6 @@ from borel_rees.orders import (
     build_syzygy_set,
     dump_basis,
     marking_order,
-    sink_violations_ht,
-    sink_violations_mrlex,
-    sink_violations_rlex,
 )
 from borel_rees.presentation import (
     Alphabet,
@@ -39,6 +37,13 @@ from borel_rees.presentation import (
     phi,
 )
 from borel_rees.reduction import MarkedBinomial, RankRules, rank_rules
+from reference import (
+    _pair_violations,
+    compare_presmonomials,
+    sink_violations_ht,
+    sink_violations_mrlex,
+    sink_violations_rlex,
+)
 
 
 def m(text, n):
@@ -82,25 +87,25 @@ class TestMonomialComparison:
         order = PresOrder.rlex(quadric_pair_ideal)
         A = pres(5, (1, "x2*x3"), (1, "x1*x4"))
         B = pres(5, (1, "x1*x3"), (1, "x2*x4"))
-        assert order.compare_presmonomials(A, B) == 1
-        assert order.compare_presmonomials(B, A) == -1
+        assert compare_presmonomials(order, A, B) == 1
+        assert compare_presmonomials(order, B, A) == -1
 
     def test_equal(self, quadric_pair_ideal):
         order = PresOrder.rlex(quadric_pair_ideal)
         A = pres(5, (1, "x2*x3"), (1, "x1*x4"))
-        assert order.compare_presmonomials(A, A) == 0
+        assert compare_presmonomials(order, A, A) == 0
 
     def test_head_and_tail_cross_comparison(self, running_pair):
         i1, i2 = running_pair
         order = PresOrder.head_and_tail(order_view(i1), order_view(i2))
         lead = pres(6, (1, "x4^2"), (2, "x3*x5"))
         trail = pres(6, (1, "x3*x5"), (2, "x4^2"))
-        assert order.compare_presmonomials(lead, trail) == 1
+        assert compare_presmonomials(order, lead, trail) == 1
 
     def test_graded_before_revlex(self, quadric_pair_ideal):
         order = PresOrder.rlex(quadric_pair_ideal)
-        assert order.compare_presmonomials(
-            pres(5, (1, "x3^2"), (1, "x3^2")), pres(5, (1, "x1^2"))
+        assert compare_presmonomials(
+            order, pres(5, (1, "x3^2"), (1, "x3^2")), pres(5, (1, "x1^2"))
         ) == 1
 
 
@@ -140,7 +145,7 @@ class TestG1:
     ):
         order = PresOrder.rlex(quadric_pair_ideal)
         for rule in quadric_pair_G1:
-            assert order.compare_presmonomials(rule.lead, rule.trail) == 1
+            assert compare_presmonomials(order, rule.lead, rule.trail) == 1
 
     def test_exhaustive_over_products(self, quadric_pair_ideal):
         # every unordered pair of distinct two-factor factorizations appears
@@ -172,7 +177,7 @@ class TestG2:
         rules = build_G2(view, 2)
         order = PresOrder.mrlex(view, 2)
         for rule in rules:
-            assert order.compare_presmonomials(rule.lead, rule.trail) == 1
+            assert compare_presmonomials(order, rule.lead, rule.trail) == 1
 
     def test_coincident_products_respect_generator_set(self, running_pair):
         # x3*x4^2*x5 factors twice over the first ideal's generators but only
@@ -315,11 +320,11 @@ class TestMarkingOrder:
     def test_unequal_images_have_no_order(self, quadric_pair_ideal):
         rules = list(build_G1(quadric_pair_ideal))
         g = rules[0]
+        order = PresOrder.rlex(quadric_pair_ideal)
         lower = next(h.trail for h in rules
                      if phi(h.trail, [quadric_pair_ideal])
                      != phi(g.lead, [quadric_pair_ideal])
-                     and PresOrder.rlex(quadric_pair_ideal)
-                     .compare_presmonomials(g.lead, h.trail) > 0)
+                     and compare_presmonomials(order, g.lead, h.trail) > 0)
         rules[0] = MarkedBinomial(g.lead, lower, g.source)
         assert marking_order(rules, [quadric_pair_ideal]) is None
 
@@ -427,7 +432,7 @@ class TestRankComparison:
         monomials += monomials[:10]  # equal monomials, built apart
         for A in monomials:
             for B in monomials:
-                assert order.compare_presmonomials(A, B) == reference_compare(
+                assert compare_presmonomials(order, A, B) == reference_compare(
                     order, A, B
                 ), (A, B)
 
@@ -440,8 +445,8 @@ class TestRankComparison:
         A = PresMonomial([inside, foreign])
         B = PresMonomial([inside, inside])
         for left, right in ((A, B), (B, A), (A, A)):
-            with pytest.raises(OrderDomainError):
-                order.compare_presmonomials(left, right)
+            with pytest.raises(KeyError):
+                compare_presmonomials(order, left, right)
 
 
 class TestMarkingOrderDifferential:
@@ -616,7 +621,7 @@ def reference_coincident_product_binomials(left, right, order, source,
     for prod in sorted(by_product):
         factorizations = [PresMonomial(pair) for pair in by_product[prod]]
         for A, B in itertools.combinations(factorizations, 2):
-            cmp = order.compare_presmonomials(A, B)
+            cmp = compare_presmonomials(order, A, B)
             lead, trail = (A, B) if cmp > 0 else (B, A)
             out.append(MarkedBinomial(lead, trail, source))
     out.sort(key=lambda g: tuple(f.key for f in g.lead.factors))
@@ -1028,6 +1033,72 @@ class TestSinkViolationCheckers:
         good = pres(6, (1, "x4^2"), (2, "x2*x5"), (2, "x3*x5"))
         assert not sink_violations_ht(good, view1, view2)
 
+    # Each case below breaks one clause, and the lists are compared whole,
+    # so a clause weakened or dropped changes one of them. The inequalities
+    # are necessary only, so no case claims that a clean monomial is a sink.
+
+    def test_each_pair_clause(self, quadric_pair_ideal, running_pair):
+        view = order_view(quadric_pair_ideal)  # c = 2
+        view2 = order_view(running_pair[1])
+        for factors, found in [
+            # same-region i <= i': x2^2 sorts before x1*x3
+            ([(1, "x2^2"), (1, "x1*x3")], ["T22,T13: same-region monotone"]),
+            # head index: B_M x2*x3 before B_N x1*x4, 2 > 1 and 2 <= c
+            ([(1, "x2*x3"), (1, "x1*x4")], ["T23,T14: head index"]),
+            # equal-head tail: B_M x1*x2 before B_N x1*x4, tail 2 <= c
+            ([(1, "x1*x2"), (1, "x1*x4")], ["T12,T14: equal-head tail"]),
+            # and with tail 3 > c the pair is clean
+            ([(1, "x1*x3"), (1, "x1*x4")], []),
+        ]:
+            assert sink_violations_rlex(pres(5, *factors), view) == found
+        # cross-region head: B_N x3*x5 before B_M x1^2, 3 > 1
+        assert sink_violations_mrlex(pres(6, (2, "x3*x5"), (2, "x1^2")),
+                                     view2) == ["Z35,Z11: cross-region head"]
+        assert sink_violations_mrlex(pres(6, (2, "x1*x5"), (2, "x1^2")),
+                                     view2) == []
+
+    def test_same_region_tail_clause(self, quadric_pair_ideal):
+        # rlex sorts quadrics by their larger index first, so a sorted
+        # factorization never breaks j <= j' alone: the clause is pinned
+        # on the pair check, which takes the factors in the order given
+        view = order_view(quadric_pair_ideal)
+        factors = [PresVar(1, m("x1*x3", 5)), PresVar(1, m("x2^2", 5))]
+        for mixed_order in (False, True):
+            assert _pair_violations(factors, view, mixed_order) == [
+                "T13,T22: same-region monotone"]
+
+    def test_each_link_of_the_tail_chain(self, running_pair):
+        view1, view2 = map(order_view, running_pair)  # view2: b=4, c=3, d=6
+
+        def moved(**fields):
+            # a region split no ideal has: a real one keeps every B_N head
+            # at most c and every tail in (b, d], so only a moved bound
+            # breaks those links
+            return TwoQuadricView(*[fields.get(name, getattr(view2, name))
+                                    for name in view2._fields])
+
+        # tails never descend: the mixed order sorts B_N quadrics by their
+        # larger index, so that link has no case of its own
+        head = (1, "x4^2")
+        for z, split, found in [
+            # heads descending: the mixed order's same-region check fires too
+            ([(2, "x3*x5"), (2, "x1*x6")], view2,
+             ["Z35,Z16: same-region monotone",
+              "tail chain broken: heads=[3, 1] tails=[5, 6]"]),
+            ([(2, "x2*x5"), (2, "x3*x5")], view2, []),
+            # the last head at most c
+            ([(2, "x2*x5"), (2, "x3*x5")], moved(c=2),
+             ["tail chain broken: heads=[2, 3] tails=[5, 5]"]),
+            # b below the first tail
+            ([(2, "x2*x5"), (2, "x3*x5")], moved(b=5),
+             ["tail chain broken: heads=[2, 3] tails=[5, 5]"]),
+            # the last tail at most d
+            ([(2, "x2*x5"), (2, "x3*x6")], view2, []),
+            ([(2, "x2*x5"), (2, "x3*x6")], moved(d=5),
+             ["tail chain broken: heads=[2, 3] tails=[5, 6]"]),
+        ]:
+            assert sink_violations_ht(pres(6, head, *z), view1, split) == found
+
 
 class TestDump:
     def test_jsonl_shape(self, quadric_pair_G1):
@@ -1039,3 +1110,20 @@ class TestDump:
         row = json.loads(lines[0])
         assert set(row) == {"lead", "trail", "source"}
         assert row["source"] == "G1"
+
+
+def test_test_only_references_stay_out_of_the_package():
+    # the sink inequalities, the o-invariant, the comparator and the
+    # forbidden-pair listings live in tests/reference.py alone
+    moved = ["sink_violations_rlex", "sink_violations_mrlex",
+             "sink_violations_ht", "_pair_violations", "_rlex_sorted",
+             "_mrlex_sorted", "o_invariant", "compare_presmonomials",
+             "OrderDomainError"]
+    for module in (borel_rees, orders, reduction):
+        assert not [name for name in moved if hasattr(module, name)], module
+    assert not [name for name in ("compare_presmonomials",
+                                  "_descending_ranks", "_outside")
+                if hasattr(PresOrder, name)]
+    for listing in (presentation.rank_fibers,
+                    presentation.fibers_by_multidegree):
+        assert "forbidden_pairs" not in inspect.signature(listing).parameters

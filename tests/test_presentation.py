@@ -42,6 +42,7 @@ from borel_rees.presentation import (
     _rest_lists,
 )
 from borel_rees.verifier import mixed_fibers
+from reference import banned_fibers
 
 FIG1_FIBER = {
     "T23^2*T14*T15",
@@ -179,6 +180,20 @@ class TestEnumerateFiber:
         assert labels == {"x1*x4*T33", "x3*x4*T13", "x3^2*T14"}
         for v in fiber:
             assert phi(v, [quadric_pair_ideal]) == mu
+
+    def test_an_empty_level_ends_the_mixed_fiber(self):
+        # in B(x4*x5, x2*x6) one factor x1*x3 uses the whole x-part, so
+        # the second level is empty and no third factor is grown, however
+        # long the t-part
+        ideals = [borel_closure([m("x4*x5", 6), m("x2*x6", 6)], 6)]
+        x = m("x1*x3", 6).exps
+        assert len(enumerate_mixed_fiber(MultiDegree(x, (1,)), ideals)) == 1
+        grow = presentation._Expansion.grow
+        with mock.patch.object(presentation._Expansion, "grow",
+                               autospec=True, side_effect=grow) as grown:
+            assert enumerate_mixed_fiber(MultiDegree(x, (10**11,)),
+                                         ideals) == []
+        assert grown.call_count == 2
 
 
 def multidegrees(ideals, budget):
@@ -376,10 +391,11 @@ def _level_cases():
 
 
 class TestLevelEnumeratorAgainstReference:
-    """The pure groups of _fiber_groups and the fibers of rank_fibers
-    against reference_slice: the same slices in the same order, the same
-    contents (ascending for rank_fibers, and for the keys of _fiber_groups
-    once sorted), and each content's members in the same order."""
+    """The pure groups of _fiber_groups and the fibers of banned_fibers
+    (rank_fibers when nothing is banned) against reference_slice: the same
+    slices in the same order, the same contents (ascending for the fibers,
+    and for the keys of _fiber_groups once sorted), and each content's
+    members in the same order."""
 
     @pytest.mark.parametrize("ideals, budget, pairs", _level_cases())
     def test_rank_slices(self, ideals, budget, pairs):
@@ -400,7 +416,9 @@ class TestLevelEnumeratorAgainstReference:
             for x, members in sorted(reference_slice(ideals, tv,
                                                      pairs).items())
         ]
-        assert list(rank_fibers(ideals, budget, pairs)) == expected
+        assert list(banned_fibers(ideals, budget, pairs)) == expected
+        if not pairs:
+            assert list(rank_fibers(ideals, budget)) == expected
 
     @pytest.mark.parametrize("ideals, budget, pairs", _level_cases())
     def test_keyed_fibers(self, ideals, budget, pairs):
@@ -428,7 +446,7 @@ class TestLevelEnumeratorAgainstReference:
                  for key, members in group.items()}
         assert keyed == {
             (mu.t_exps, digits.pack(mu.x_exps)): members
-            for mu, members in rank_fibers(ideals, (2,), x_pairs, 6)
+            for mu, members in banned_fibers(ideals, (2,), x_pairs, 6)
         }
         assert len(keyed) > 100
         for (tv, key), members in keyed.items():
@@ -503,7 +521,7 @@ class TestStateLevels:
 
 
 def _reference_counts(ideals, budget, pairs, x_degree):
-    """(t-vector, x-degree, fibers, members) of each group of rank_fibers,
+    """(t-vector, x-degree, fibers, members) of each group of banned_fibers,
     every group of the budget listed, empty ones too."""
     groups = {}
     for tv in t_vectors(budget):
@@ -511,7 +529,7 @@ def _reference_counts(ideals, budget, pairs, x_degree):
         for d in ([low] if x_degree is None
                   else range(low, x_degree + 1)):
             groups[tv, d] = [0, 0]
-    for mu, members in rank_fibers(ideals, budget, pairs, x_degree):
+    for mu, members in banned_fibers(ideals, budget, pairs, x_degree):
         d = sum(mu.x_exps)
         groups[mu.t_exps, d][0] += 1
         groups[mu.t_exps, d][1] += len(members)
@@ -527,7 +545,7 @@ def _pair_syzygy_bans():
 
 
 class TestStandardCounts:
-    """The counts of _fiber_groups against the fibers of rank_fibers,
+    """The counts of _fiber_groups against the fibers of banned_fibers,
     group by group: the fibers of a group and their members, pure or mixed, with
     rank bans and x-atom bans."""
 

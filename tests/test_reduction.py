@@ -32,7 +32,6 @@ from borel_rees.reduction import (
     ell_max,
     fiber_edges,
     normal_form,
-    o_invariant,
     rank_normal_forms,
     rank_rewrites,
     rank_rules,
@@ -45,6 +44,7 @@ from borel_rees.verifier import (
     mixed_fibers,
     toric_kernel_span,
 )
+from reference import o_invariant
 
 
 def m(text, n):

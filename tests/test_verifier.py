@@ -61,6 +61,7 @@ from borel_rees.verifier import (
     unreached_slice_notes,
     verify_gb,
 )
+from reference import banned_fibers, banned_pure_fibers
 
 
 def m(text, n):
@@ -836,7 +837,7 @@ class TestEnumeratorsAgainstBruteForce:
                 itertools.combinations(u.factors, 2))]
             if standard:
                 expected.append((mu, standard))
-        got = list(fibers_by_multidegree(ideals, budget, pairs))
+        got = list(banned_pure_fibers(ideals, budget, pairs))
         assert got == expected
         if rules:
             assert sum(len(f) for _, f in got) < sum(
@@ -924,7 +925,7 @@ class TestMixedFibersDifferential:
                         if not any(g.lead.divides(v) for g in rules)]
             if standard:
                 expected.append((mu, standard))
-        got = list(rank_fibers(ideals, (2,), pairs, 5))
+        got = list(banned_fibers(ideals, (2,), pairs, 5))
         assert got == expected
         assert any(len(fiber) >= 2 for _, fiber in got) == bool(dropped)
 
@@ -1534,6 +1535,18 @@ class TestKoszulReportCertifiesFirst:
         assert certified.verdict == "g-quadratic-certified"
         assert obstructed.verdict == "obstructed"
         assert obstructed.gb_report is None
+
+    def test_the_scan_reports_progress(self):
+        # the triple has no constructive basis, so the scan is the whole
+        # run: its progress is the detect-cubics scan's, count for count
+        counted = []
+        report = koszul_report(OBSTRUCTED_TRIPLE, (2, 2, 2),
+                               progress=counted.append)
+        assert report.verdict == "obstructed" and report.gb_report is None
+        scanned = []
+        detect_obstructions(OBSTRUCTED_TRIPLE, (2, 2, 2),
+                            progress=scanned.append)
+        assert counted == scanned == [2000, 4000]
 
 
 class TestSoundnessCoupling:
