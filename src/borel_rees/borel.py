@@ -56,13 +56,6 @@ class StronglyStableIdeal(Frozen):
     def num_borel_generators(self) -> int:
         return len(self.borel_generators)
 
-    def __contains__(self, m: Monomial) -> bool:
-        return m in self._generator_set
-
-    @cached_property
-    def _generator_set(self) -> frozenset:
-        return frozenset(self.minimal_generators)
-
     @cached_property
     def _order_view(self) -> "TwoQuadricView":
         # a raising call stores nothing, so the next call raises again
@@ -148,28 +141,6 @@ class TwoQuadricView(Frozen):
     """
 
     _fields = ("ideal", "M", "N", "a", "b", "c", "d", "B_M", "B_N")
-
-    def __init__(
-        self,
-        ideal: StronglyStableIdeal,
-        M: Monomial,
-        N: Monomial | None,
-        a: int,
-        b: int,
-        c: int,
-        d: int,
-        B_M: tuple[Monomial, ...],
-        B_N: tuple[Monomial, ...],
-    ):
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "B_M", B_M)
-        object.__setattr__(self, "B_N", B_N)
 
     def in_B_N(self, m: Monomial) -> bool:
         return m in self._bn_set

@@ -47,15 +47,7 @@ from .verifier import (
 
 EXIT_OK = 0
 EXIT_REFUTED = 2
-EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 4
-
-_VERDICT_EXIT = {
-    "certified-up-to-bound": EXIT_OK,
-    "refuted": EXIT_REFUTED,
-    "inconclusive": EXIT_INCONCLUSIVE,
-}
-
 
 def _emit(payload: dict, out_dir: str | None, filename: str = "report.json") -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -214,7 +206,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _emit(payload, args.out, "verify.json")
     if args.out:
         Path(args.out, "basis.jsonl").write_text(dump_basis(rules, len(ideals)))
-    return _VERDICT_EXIT[report.verdict]
+    return report.exit_code
 
 
 def cmd_kernel_oracle(args: argparse.Namespace) -> int:
@@ -232,7 +224,7 @@ def cmd_kernel_oracle(args: argparse.Namespace) -> int:
     report.oracle_binomials_checked = checked
     report.oracle_failures = failures
     _emit(report.to_json_dict(), args.out, "oracle.json")
-    return _VERDICT_EXIT[report.verdict]
+    return report.exit_code
 
 
 def cmd_detect_cubics(args: argparse.Namespace) -> int:

@@ -70,10 +70,6 @@ class PresOrder(Frozen):
 
     _fields = ("kind", "ranked")
 
-    def __init__(self, kind: str, ranked: tuple[PresVar, ...]):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "ranked", ranked)
-
     @classmethod
     def rlex(cls, ideal: StronglyStableIdeal, ideal_index: int = 1) -> "PresOrder":
         return cls("rlex", ideal_variables(ideal, ideal_index))

@@ -108,10 +108,6 @@ class MultiDegree(NamedTuple):
     x_exps: tuple[int, ...]
     t_exps: tuple[int, ...]
 
-    @property
-    def total_t(self) -> int:
-        return sum(self.t_exps)
-
     def display(self) -> str:
         xs = format_monomial(Monomial(self.x_exps))
         ts = "*".join(

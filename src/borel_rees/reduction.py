@@ -184,20 +184,6 @@ class ReductionGraph(Record):
     _fields = ("vertices", "index", "edges", "sinks", "has_cycle")
     _hidden = ("index",)
 
-    def __init__(
-        self,
-        vertices: list,
-        index: dict,
-        edges: list[list[tuple[int, tuple[MarkedBinomial, ...]]]],
-        sinks: list,
-        has_cycle: bool,
-    ):
-        self.vertices = vertices
-        self.index = index
-        self.edges = edges
-        self.sinks = sinks
-        self.has_cycle = has_cycle
-
     def num_edges(self) -> int:
         return sum(len(outs) for outs in self.edges)
 

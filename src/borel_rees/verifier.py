@@ -101,12 +101,6 @@ from .reduction import (
 class FiberFailure(Record):
     _fields = ("multidegree", "sinks", "has_cycle")
 
-    def __init__(self, multidegree: MultiDegree, sinks: list[str],
-                 has_cycle: bool):
-        self.multidegree = multidegree
-        self.sinks = sinks
-        self.has_cycle = has_cycle
-
     def to_json_dict(self) -> dict:
         return {
             "multidegree": _mu_dict(self.multidegree),
@@ -125,26 +119,9 @@ class VerificationReport(Record):
                "oracle_binomials_checked", "oracle_failures", "notes",
                "nontrivial_fiber")
     _hidden = ("nontrivial_fiber",)
-
-    def __init__(
-        self,
-        ideals: dict,
-        t_budget: tuple[int, ...],
-        multidegrees_checked: int = 0,
-        failures: list[FiberFailure] | None = None,
-        oracle_binomials_checked: int = 0,
-        oracle_failures: list[dict] | None = None,
-        notes: list[str] | None = None,
-        nontrivial_fiber: bool = False,
-    ):
-        self.ideals = ideals
-        self.t_budget = t_budget
-        self.multidegrees_checked = multidegrees_checked
-        self.failures = [] if failures is None else failures
-        self.oracle_binomials_checked = oracle_binomials_checked
-        self.oracle_failures = [] if oracle_failures is None else oracle_failures
-        self.notes = [] if notes is None else notes
-        self.nontrivial_fiber = nontrivial_fiber
+    _defaults = {"multidegrees_checked": int, "failures": list,
+                 "oracle_binomials_checked": int, "oracle_failures": list,
+                 "notes": list, "nontrivial_fiber": bool}
 
     @property
     def verdict(self) -> str:
@@ -153,6 +130,10 @@ class VerificationReport(Record):
         if not (self.nontrivial_fiber or self.oracle_binomials_checked):
             return "inconclusive"
         return "certified-up-to-bound"
+
+    @property
+    def exit_code(self) -> int:
+        return {"refuted": 2, "inconclusive": 3}.get(self.verdict, 0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -179,11 +160,6 @@ class ObstructionWitness(Record):
     """
 
     _fields = ("multidegree", "components")
-
-    def __init__(self, multidegree: MultiDegree,
-                 components: tuple[tuple[PresMonomial, ...], ...]):
-        self.multidegree = multidegree
-        self.components = components
 
     def component_of(self, v: PresMonomial) -> int:
         for i, comp in enumerate(self.components):
@@ -631,13 +607,6 @@ class GateResult(Frozen):
 
     _fields = ("verdict", "case", "sorted_g", "sorted_d")
 
-    def __init__(self, verdict: str, case: str | None,
-                 sorted_g: tuple[int, ...], sorted_d: tuple[int, ...]):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "sorted_g", sorted_g)
-        object.__setattr__(self, "sorted_d", sorted_d)
-
     def to_json_dict(self) -> dict:
         return {
             "verdict": self.verdict,
@@ -683,24 +652,7 @@ class KoszulReport(Record):
 
     _fields = ("ideals", "t_budget", "gate", "obstructions", "gb_report",
                "verdict", "notes")
-
-    def __init__(
-        self,
-        ideals: dict,
-        t_budget: tuple[int, ...],
-        gate: GateResult,
-        obstructions: list[ObstructionWitness],
-        gb_report: VerificationReport | None,
-        verdict: str,
-        notes: list[str] | None = None,
-    ):
-        self.ideals = ideals
-        self.t_budget = t_budget
-        self.gate = gate
-        self.obstructions = obstructions
-        self.gb_report = gb_report
-        self.verdict = verdict
-        self.notes = [] if notes is None else notes
+    _defaults = {"notes": list}
 
     @property
     def exit_code(self) -> int:

@@ -87,6 +87,14 @@ class TestBorelClosure:
     def test_two_quadrics_ten_generators(self, quadric_pair_ideal):
         assert len(quadric_pair_ideal.minimal_generators) == 10
 
+    def test_in_asks_the_generator_list_not_the_ideal(self):
+        # x1^3 lies in B(x2^2) but is none of its minimal generators, so an
+        # ideal answers no membership question: "in" goes to the list
+        ideal = borel_closure([m("x2^2", 2)], 2)
+        with pytest.raises(TypeError):
+            m("x1^3", 2) in ideal
+        assert m("x1^2", 2) in ideal.minimal_generators
+
     def test_pure_power_is_already_closed(self):
         for n, d in [(1, 2), (4, 3)]:
             ideal = borel_closure([Monomial([d] + [0] * (n - 1))], n)

@@ -538,8 +538,8 @@ class TestMarkingOrderDifferential:
         syzygies = build_syzygy_set([i1])
         assert self.found(syzygies, [i1]) == self.reference_marking_order(
             syzygies, [i1]) == "rlex"
-        assert not all(g.lead.t_part.factors[0].generator in i2
-                       for g in syzygies)
+        assert not all(g.lead.t_part.factors[0].generator
+                       in i2.minimal_generators for g in syzygies)
         assert self.reference_marking_order(syzygies, [i2]) is None
         assert self.found(syzygies, [i2]) is None
 

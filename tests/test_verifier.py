@@ -356,6 +356,9 @@ class TestStandardMonomialsOnRanks:
     def test_certified_run_builds_no_monomial(
         self, running_pair, running_pair_basis, standard_monomials
     ):
+        # the session table may be fresh: decode its rules first, as a run
+        # on it does (see the fresh-table case below)
+        list(running_pair_basis)
         report, built = self.count_built(lambda: verify_gb(
             running_pair_basis, list(running_pair), (2, 2)))
         assert report.verdict == "certified-up-to-bound"
@@ -365,6 +368,21 @@ class TestStandardMonomialsOnRanks:
         listed, built = self.count_built(lambda: standard_monomials(
             running_pair_basis, list(running_pair), (2, 2)))
         assert built == len(listed) == report.multidegrees_checked
+
+    def test_a_fresh_table_is_decoded_once(self, running_pair):
+        # verify_gb reads a fresh builder's table through rule_indices,
+        # which decodes its rows: one monomial per distinct atom tuple, and
+        # no other build; a second run on the table builds nothing
+        i1, i2 = running_pair
+        basis = build_head_and_tail_basis(order_view(i1), order_view(i2))
+        tuples = {atoms for lead, trail, _ in basis.rows
+                  for atoms in (lead, trail)}
+        for expected in (len(tuples), 0):
+            report, built = self.count_built(lambda: verify_gb(
+                basis, list(running_pair), (2, 2)))
+            assert report.verdict == "certified-up-to-bound"
+            assert built == expected
+        assert len(tuples) == 406
 
     def test_refuted_runs_build_only_failing_multidegrees(
         self, running_pair, running_pair_basis
@@ -1285,7 +1303,7 @@ def reference_obstructions(ideals, budget):
     pairwise quadric swaps leave disconnected, from fibers grouped by phi."""
     out = []
     for mu, fiber in brute_force_fibers(ideals, budget).items():
-        if mu.total_t < 3 or len(fiber) < 2:
+        if sum(mu.t_exps) < 3 or len(fiber) < 2:
             continue
         comp = list(range(len(fiber)))
 
