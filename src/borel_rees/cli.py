@@ -223,6 +223,9 @@ def cmd_kernel_oracle(args: argparse.Namespace) -> int:
                                           progress=progress_to_stderr)
     report.oracle_binomials_checked = checked
     report.oracle_failures = failures
+    if report.verdict == "inconclusive":
+        report.notes.append("no fiber within the budget holds two monomials: "
+                            "no pair checked")
     _emit(report.to_json_dict(), args.out, "oracle.json")
     return report.exit_code
 
@@ -284,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="borel-rees",
         description="Strongly stable ideals, toric presentations, and "
         "bounded certification of explicit Groebner bases by standard "
-        "monomials or fiber graphs.",
+        "monomials under the term order each basis is marked by.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -312,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify",
-        help="exhaustive certification: standard monomials under a term "
-        "order, else fiber graphs",
+        help="exhaustive certification: standard monomials under the "
+        "basis's term order",
     )
     common(p, budget=True)
     p.add_argument("--basis", choices=list(_BASES))

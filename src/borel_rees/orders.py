@@ -23,7 +23,9 @@ included, writes each rule as a reduction.RankRules row (lead atoms,
 trail atoms, source) and builds no object: the kernel oracle reads the
 rows as they are, and a caller that reads the rules gets them decoded
 once, with one monomial per atom tuple however many rules share it.
-marking_order reads the rows of any rule list on Alphabet.of's atoms.
+Each table carries the order its builder marked it by (RankRules.order),
+and marking_order checks the rows against that one order: a list that
+carries none has no order, and is never searched for one.
 The paper's sink inequalities for these orders, and the induced revlex
 comparator on presentation monomials, are test references
 (tests/reference.py): no command runs them.
@@ -43,7 +45,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .borel import InvalidIdeal, StronglyStableIdeal, TwoQuadricView, order_view
+from .borel import StronglyStableIdeal, TwoQuadricView
 from .monomial import all_one_step_reductions
 from .presentation import (
     Alphabet,
@@ -117,69 +119,58 @@ def _packed_images(variables: Sequence[PresVar], n: int) -> list[int]:
 def marking_order(
     rules: Sequence[MarkedBinomial], ideals: Sequence[StronglyStableIdeal]
 ) -> PresOrder | None:
-    """A library term order under which the marking rewrites like a GB, or None.
+    """The term order a marking carries (RankRules.order), when it orients
+    every rule (unoriented_rule), or None.
 
-    The candidates are the orders the constructions above mark by: rlex and
-    (when the region split exists) mrlex for one ideal, head-and-tail for a
-    pair. The first candidate is returned under which every quadric has
-    lead > trail and phi(lead) = phi(trail). Rewriting then strictly descends
-    a term order inside each fiber, so every fiber graph is acyclic and its
-    sinks are the fiber's standard monomials.
-
-    The rules are read as the rows of rank_rules(rules, Alphabet.of(ideals)),
-    so a builder's table is read as it is, and a list it refuses (a lead
-    that is not two atoms, or a variable outside the ideals) means None.
-    Each atom has one packed image (_packed_images) and each candidate one
-    list of ranks, indexed by atom. A row's two sides must sum to the same
-    image, and it must be a quadric (four variable atoms) or a syzygy
-    x_i*T_u -> x_j*T_u' (each side one variable atom and one x-atom, i < j).
-    A candidate orients a quadric when the lead's two ranks, sorted
-    descending, form the smaller pair, and one that fails a quadric is
-    dropped. Syzygies leave the candidates alone: a list holding one is
-    marked by the block order that compares x-parts first, with
-    x_1 > ... > x_n, which orients every syzygy and leaves the quadrics to
-    the candidate. Any other row means None.
+    The rules are read as rank_rules(rules, Alphabet.of(ideals)), so a
+    builder's table is read as it is, and a list, which carries no order,
+    or one rank_rules refuses (a lead that is not two atoms, or a variable
+    outside the ideals) means None. Rewriting by an oriented marking
+    strictly descends its order inside each fiber, so every fiber graph is
+    acyclic and its sinks are the fiber's standard monomials.
     """
-    candidates = []
     try:
-        if len(ideals) == 1:
-            candidates.append(PresOrder.rlex(ideals[0]))
-            candidates.append(PresOrder.mrlex(order_view(ideals[0])))
-        elif len(ideals) == 2:
-            candidates.append(
-                PresOrder.head_and_tail(order_view(ideals[0]), order_view(ideals[1]))
-            )
-    except InvalidIdeal:
-        pass  # no region split: keep the candidates built so far
-    if not candidates:
-        return None
-    alphabet = Alphabet.of(ideals)
-    try:
-        rows = rank_rules(rules, alphabet).rows
+        table = rank_rules(rules, Alphabet.of(ideals))
     except ValueError:
         return None
+    if table.order is None or unoriented_rule(table) is not None:
+        return None
+    return table.order
+
+
+def unoriented_rule(table: RankRules) -> int | None:
+    """The position of the first row of a table that its order does not
+    orient, or None when it orients them all.
+
+    A row's two sides must have one image (_packed_images), and it must be
+    a quadric (four variable atoms) or a syzygy x_i*T_u -> x_j*T_u' (each
+    side one variable atom and one x-atom, i < j). The order orients a
+    quadric when the lead's two ranks, sorted descending, form the smaller
+    pair, and no quadric on a variable it does not rank. A table holding a
+    syzygy is marked by the block order that compares x-parts first, with
+    x_1 > ... > x_n, which orients every syzygy and leaves the quadrics to
+    the table's order.
+    """
+    alphabet = table.alphabet
     variables = alphabet.variables
     size = len(variables)
     images = _packed_images(variables, alphabet.n)
-    live = [(order, [order.rank[v] for v in variables]) for order in candidates]
-    for (a, b), (c, d), _ in rows:
+    ranked = table.order.rank
+    rank = [ranked.get(v, -1) for v in variables]
+    for pos, ((a, b), (c, d), _) in enumerate(table.rows):
         if images[a] + images[b] != images[c] + images[d]:
-            return None
+            return pos
         if b >= size or d >= size:
             # a syzygy: a variable atom and an x-atom each side, and the
-            # lead's x-atom is the smaller; the block order orients it
+            # lead's x-atom is the smaller
             if not (a < size <= b and c < size <= d and b < d):
-                return None
+                return pos
             continue
-        for candidate in live:
-            rank = candidate[1]
-            r, s, u, w = rank[a], rank[b], rank[c], rank[d]
-            if ((r, s) if r > s else (s, r)) >= ((u, w) if u > w else (w, u)):
-                # the loop keeps walking the list it started on
-                live = [x for x in live if x is not candidate]
-                if not live:
-                    return None
-    return live[0][0]
+        r, s, u, w = rank[a], rank[b], rank[c], rank[d]
+        if (r | s | u | w) < 0 or (((r, s) if r > s else (s, r))
+                                   >= ((u, w) if u > w else (w, u))):
+            return pos
+    return None
 
 
 def _coincident_product_rows(
@@ -231,41 +222,46 @@ _QUADRICS = frozenset([PresMonomial])
 _MIXED = frozenset([MixedMonomial])
 
 
-def _table(variables: Sequence[PresVar], n: int, rows) -> RankRules:
+def _table(variables: Sequence[PresVar], n: int, rows,
+           order: PresOrder) -> RankRules:
     """The quadric builder's rows on the alphabet of its variables, which
-    are listed in PresVar.key order, so each position is its atom."""
-    return RankRules(Alphabet(variables, n), rows, _QUADRICS)
+    are listed in PresVar.key order, so each position is its atom, with
+    the order they were marked by."""
+    return RankRules(Alphabet(variables, n), rows, _QUADRICS, order=order)
 
 
 def build_G1(ideal: StronglyStableIdeal, ideal_index: int = 1) -> RankRules:
     """All coincident-product quadratic binomials of one ideal, rlex-marked,
     as a RankRules on the alphabet of the ideal's variables."""
-    variables = ideal_variables(ideal, ideal_index)
+    order = PresOrder.rlex(ideal, ideal_index)
+    variables = order.ranked
     positions = range(len(variables))  # rlex ranks them as listed
     return _table(variables, ideal.n, _coincident_product_rows(
         positions, _packed_images(variables, ideal.n),
-        itertools.combinations_with_replacement(positions, 2), "G1"))
+        itertools.combinations_with_replacement(positions, 2), "G1"), order)
 
 
 def build_G2(view: TwoQuadricView, ideal_index: int = 1) -> RankRules:
     """As build_G1 but marked by the mixed order of the given region
     split."""
     variables = ideal_variables(view.ideal, ideal_index)
-    rank = PresOrder.mrlex(view, ideal_index).rank
+    order = PresOrder.mrlex(view, ideal_index)
     return _table(variables, view.ideal.n, _coincident_product_rows(
-        [rank[v] for v in variables], _packed_images(variables, view.ideal.n),
+        [order.rank[v] for v in variables],
+        _packed_images(variables, view.ideal.n),
         itertools.combinations_with_replacement(range(len(variables)), 2),
-        "G2"))
+        "G2"), order)
 
 
 def _head_and_tail_positions(view1: TwoQuadricView, view2: TwoQuadricView):
-    """(variables, ht ranks, packed images, first ideal's positions, second
-    ideal's positions) of a pair: restricted to one ideal, the ht ranks
-    order it as rlex (the first) or the mixed order (the second) does."""
+    """(variables, ht order, its ranks, packed images, first ideal's
+    positions, second ideal's positions) of a pair: restricted to one
+    ideal, the ht ranks order it as rlex (the first) or the mixed order
+    (the second) does."""
     first = ideal_variables(view1.ideal, 1)
     variables = first + ideal_variables(view2.ideal, 2)
-    rank = PresOrder.head_and_tail(view1, view2).rank
-    return (variables, [rank[v] for v in variables],
+    order = PresOrder.head_and_tail(view1, view2)
+    return (variables, order, [order.rank[v] for v in variables],
             _packed_images(variables, view1.ideal.n),
             range(len(first)), range(len(first), len(variables)))
 
@@ -274,17 +270,17 @@ def build_G3(view1: TwoQuadricView, view2: TwoQuadricView) -> RankRules:
     """Cross binomials T_u Z_v - T_u' Z_v', marked by the larger mixed-order
     second-ideal part (equivalently, head-and-tail initial terms), on the
     alphabet of the pair."""
-    variables, rank, images, first, second = _head_and_tail_positions(
+    variables, order, rank, images, first, second = _head_and_tail_positions(
         view1, view2)
     return _table(variables, view1.ideal.n, _coincident_product_rows(
-        rank, images, itertools.product(first, second), "G3"))
+        rank, images, itertools.product(first, second), "G3"), order)
 
 
 def build_head_and_tail_basis(view1: TwoQuadricView,
                               view2: TwoQuadricView) -> RankRules:
     """G = G1 u G2 u G3 for a pair of two-quadric-generator ideals, the
     three written on one position table of the pair, on its alphabet."""
-    variables, rank, images, first, second = _head_and_tail_positions(
+    variables, order, rank, images, first, second = _head_and_tail_positions(
         view1, view2)
     within = itertools.combinations_with_replacement
     return _table(
@@ -292,7 +288,7 @@ def build_head_and_tail_basis(view1: TwoQuadricView,
         _coincident_product_rows(rank, images, within(first, 2), "G1")
         + _coincident_product_rows(rank, images, within(second, 2), "G2")
         + _coincident_product_rows(
-            rank, images, itertools.product(first, second), "G3"))
+            rank, images, itertools.product(first, second), "G3"), order)
 
 
 def build_syzygy_set(ideals: Sequence[StronglyStableIdeal]) -> RankRules:
@@ -304,7 +300,8 @@ def build_syzygy_set(ideals: Sequence[StronglyStableIdeal]) -> RankRules:
     ideal, lifted to the presentation ring. Each is the row ((atom of T_u,
     atom of x_i), (atom of T_u', atom of x_j), "SYZ"), and the rows are
     sorted (stably) by the lead's variable atom, then its x-atom
-    descending.
+    descending. The table carries no order: its syzygies orient under the
+    block order whatever order the quadrics beside them are marked by.
     """
     alphabet = Alphabet.of(ideals)
     x = len(alphabet.variables) - 1  # x_i is atom x + i
@@ -330,11 +327,14 @@ def build_fiber_type_basis(
     as one RankRules of MixedMonomial leads on Alphabet.of(ideals): the
     syzygy rows, then the rows of rank_rules(fiber_gb, that alphabet),
     which for a builder's table are its own rows, an x-part 1 adding no
-    atom. A fiber basis rank_rules refuses raises ValueError."""
+    atom. The table carries the fiber basis's order (None for a list with
+    none); its mixed kind says x-parts compare first. A fiber basis
+    rank_rules refuses raises ValueError."""
     syzygies = build_syzygy_set(ideals)
     alphabet = syzygies.alphabet
-    return RankRules(alphabet,
-                     syzygies.rows + rank_rules(fiber_gb, alphabet).rows, _MIXED)
+    fiber = rank_rules(fiber_gb, alphabet)
+    return RankRules(alphabet, syzygies.rows + fiber.rows, _MIXED,
+                     order=fiber.order)
 
 
 def dump_basis(rules: Sequence[MarkedBinomial], r: int | None = None) -> str:

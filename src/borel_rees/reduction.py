@@ -23,9 +23,9 @@ itself, or a builder's rows decoded once, on first use.
 
 On that core, rank_rewrites lists every one-step reduction of an atom tuple
 in rule-list order, fiber_edges builds every fiber graph from it as
-collapsed (target, rule positions) edges (the verifier's fiber analysis,
-and build_graph's reduction graphs for the paper cases, the fiber-graph
-command and the demos), and has_cycle is the one cycle detector on graphs.
+collapsed (target, rule positions) edges (build_graph's reduction graphs
+for the paper cases, the fiber-graph command and the demos, and the
+tests' graph oracle), and has_cycle is the one cycle detector on graphs.
 rank_normal_forms, the one normal-form routine on atoms, reduces a fiber
 at a time: each member follows the earliest-listed applicable rule only
 (the earliest first entry of the lead lists at its atom pairs), and one
@@ -327,7 +327,10 @@ class RankRules(Sequence):
     rows, keeping the list. kinds is the set of the leads' monomial kinds,
     set by the code that writes the rows: PresMonomial for a quadric
     builder's table and MixedMonomial for a fiber-type one, even with no
-    row, and the kinds of the listed leads for a compiled list. len counts
+    row, and the kinds of the listed leads for a compiled list. order, the
+    orders.PresOrder the rows were marked by, is set by their builder too
+    (the fiber basis's for a fiber-type table); a hand-made list and the
+    syzygies alone have None. len counts
     the rows; iteration, indexing and slicing read the rules: the compiled
     list itself, or for a table of rows alone (a builder's) its rows
     decoded once, on first use, one monomial per distinct atom tuple
@@ -345,15 +348,17 @@ class RankRules(Sequence):
     tuple built, and holds a row only for each atom that starts a lead.
     """
 
-    __slots__ = ("alphabet", "rows", "kinds", "_rules", "_leads")
+    __slots__ = ("alphabet", "rows", "kinds", "order", "_rules", "_leads")
 
     def __init__(self, alphabet: Alphabet,
                  rows: list[tuple[tuple[int, ...], tuple[int, ...], str]],
                  kinds: frozenset[type],
-                 rules: list[MarkedBinomial] | None = None):
+                 rules: list[MarkedBinomial] | None = None,
+                 order=None):
         self.alphabet = alphabet
         self.rows = rows
         self.kinds = kinds
+        self.order = order
         self._rules = rules
         self._leads = None
 
@@ -432,14 +437,16 @@ def rank_rules(rules: Sequence[MarkedBinomial],
     """A rule list on the atoms of an alphabet.
 
     A RankRules already on an alphabet of the same variables and n is
-    returned as it is; one on another alphabet is compiled from its rules.
+    returned as it is; one on another alphabet is compiled from its rules,
+    keeping its order. Any other list gets no order.
     Compiling reads a quadric PresMonomial's two factors straight off the
     alphabet's index, and encodes any other monomial. A rule whose lead is
     not two atoms raises ValueError naming the rule and its lead's atom
     count.
     """
+    order = None
     if isinstance(rules, RankRules):
-        given = rules.alphabet
+        given, order = rules.alphabet, rules.order
         if given is alphabet or (given.variables == alphabet.variables
                                  and given.n == alphabet.n):
             return rules
@@ -462,7 +469,8 @@ def rank_rules(rules: Sequence[MarkedBinomial],
                     f"rewriting core takes two-atom leads only")
         rows.append((lead, trail, g.source))
     return RankRules(alphabet, rows,
-                     frozenset([type(g.lead) for g in rules]), list(rules))
+                     frozenset([type(g.lead) for g in rules]), list(rules),
+                     order)
 
 
 def _apply(v: tuple[int, ...], lead: tuple[int, ...],

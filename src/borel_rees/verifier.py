@@ -31,29 +31,28 @@ check (check_membership) stay as its reference.
 
 verify_gb compiles the rules once onto the collection's alphabet
 (reduction.rank_rules, which hands a builder's table back as it is) and
-picks its method from the marking alone, pure or mixed. When a library
-term order orients every rule (orders.marking_order, reading the table's
-rows; for a mixed list, the block order that compares x-parts first),
-rewriting strictly descends it, so each fiber graph is acyclic and its
-sinks are the fiber's standard monomials: one per multidegree is the
-certificate, with the leads as forbidden pairs of atoms and no graph
-built. One call of presentation._fiber_groups serves both walks: its
-counts count them by enumerator state, a group at a time, and its groups
-list them as atom tuples only from the first group holding a multidegree
-without exactly one. Any other marking gets the fiber graphs themselves,
-built serially by the one rewriting core of reduction (fiber_edges per
-fiber, on the same table), listed from the same groups. Either way only
-a multidegree whose check fails has its monomials built.
-analyze_fiber is the object-level fiber graph, kept as the reference. The
-report's first note names the method.
+has one method: the term order the table carries (RankRules.order; for a
+mixed table, the block order that compares x-parts first) must orient
+every rule (orders.unoriented_rule). Rewriting then strictly descends it,
+so each fiber graph is acyclic and its sinks are the fiber's standard
+monomials: one per multidegree is the certificate, with the leads as
+forbidden pairs of atoms and no graph built. One call of
+presentation._fiber_groups counts them by enumerator state, a group at a
+time, and lists them as atom tuples only from the first group holding a
+multidegree without exactly one, whose monomials alone are built. A rule
+list with no usable order is "inconclusive", no fiber walked. The
+report's first note names the method or the missing order. analyze_fiber
+is the object-level fiber graph, kept as the reference.
 
 A run whose evidence is empty (no checked fiber had two monomials and no
 oracle pair was checked) is "inconclusive", never "certified". For
-verify_gb that is one count, for either method: every fiber holds a
-monomial, so some fiber holds two exactly when the budget holds more
-monomials (presentation.monomial_count, in closed form) than the
-multidegrees checked. koszul_report checks its constructed basis before
-the obstruction scan, and scans only a budget the basis does not certify.
+verify_gb that is one count: every fiber holds a monomial, so some fiber
+holds two exactly when the budget holds more monomials
+(presentation.monomial_count, in closed form) than the multidegrees
+checked. koszul_report checks its constructed basis before the
+obstruction scan, and scans only a budget the basis does not certify;
+it notes when the basis run is inconclusive, as the kernel-oracle
+command notes a budget with no pair to check.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .borel import StronglyStableIdeal, collection_spec, order_view
-from .orders import build_G1, build_head_and_tail_basis, marking_order
+from .orders import build_G1, build_head_and_tail_basis, unoriented_rule
 from .presentation import (
     Alphabet,
     MixedMonomial,
@@ -85,7 +84,6 @@ from .reduction import (
     RankRules,
     RewriteCycle,
     applicable_reductions,
-    fiber_edges,
     has_cycle,
     normal_form,
     rank_normal_forms,
@@ -209,33 +207,30 @@ def verify_gb(
 
     Every nonempty fiber graph must be acyclic with exactly one sink. The
     rules pick the fibers: mixed ones up to x_degree when a lead is a
-    MixedMonomial (mixed_x_degree), the pure presentation's otherwise. When
-    a library term order orients every rule, the standard monomials are
-    checked instead. They are counted by enumerator state, a group (a
-    t-slice at one x-degree; a pure walk takes each slice at its content
-    degree alone) at a time, with no member listed, until a group holds
-    fewer multidegrees than standard monomials. From that group on the
-    members are listed a group at a time, as are the fiber graphs. The
-    count and the listing are the counts and the groups of one
-    presentation._fiber_groups call; the listing starts at the first
-    group not counted, and no member of a counted group is listed. A
-    group is counted whole, and only the keys it checks are sorted: those
-    without exactly one standard monomial, or every key for the fiber
-    graphs. So failures come in rank_fibers order, by t-vector, then x
-    ascending (pure) or by x-degree, then x descending (mixed). A
-    MultiDegree is built only for a failure, and each of its sinks is
-    labelled as the MixedMonomial its atoms decode to, which a pure sink
-    (x-part 1) labels as its t-part does. The run has evidence
-    (nontrivial_fiber) when the budget holds more monomials
-    (presentation.monomial_count) than the multidegrees checked, so some
-    checked fiber holds two; otherwise an unrefuted run is "inconclusive".
-    progress is called at every multiple of 2000 the count reaches. A
-    t_budget without one entry per ideal, or with a negative entry, raises
-    ValueError before any work starts, and a negative x_degree before any
-    fiber is grown. So does a rule list that reduction.rank_rules refuses
-    (a lead that is not two atoms): the rules are compiled once, up front,
-    onto the collection's alphabet (a builder's table as it is), and
-    marking_order and the fiber graphs read that table.
+    MixedMonomial (mixed_x_degree), the pure presentation's otherwise. The
+    term order the rules carry (RankRules.order) orients each rule, so the
+    standard monomials are checked: they are counted by enumerator state,
+    a group (a t-slice at one x-degree; a pure walk takes each slice at its
+    content degree alone) at a time, with no member listed, until a group
+    holds fewer multidegrees than standard monomials. From that group on
+    the members are listed a group at a time. The count and the listing
+    are the counts and the groups of one presentation._fiber_groups call,
+    and no member of a counted group is listed. Only the keys without
+    exactly one standard monomial are sorted, so failures come in
+    rank_fibers order, by t-vector, then x ascending (pure) or by
+    x-degree, then x descending (mixed). A MultiDegree is built only for a
+    failure, and each of its sinks is labelled as the MixedMonomial its
+    atoms decode to. The run has evidence (nontrivial_fiber) when the
+    budget holds more monomials (presentation.monomial_count) than the
+    multidegrees checked; otherwise an unrefuted run is "inconclusive".
+    So is a list with no order, or one whose order does not orient a rule
+    (orders.unoriented_rule), with one note naming the case (and the
+    first such rule) and no fiber walked. progress is called at every
+    multiple of 2000 the count reaches. A t_budget without one entry per
+    ideal or with a negative entry, a negative x_degree, or a rule list
+    that reduction.rank_rules refuses (a lead that is not two atoms)
+    raises ValueError before any fiber is grown: the rules are compiled
+    once, up front, onto the collection's alphabet.
     """
     check_t_budget(ideals, t_budget)
     report = VerificationReport(
@@ -245,66 +240,52 @@ def verify_gb(
     x_degree = mixed_x_degree(rules, ideals, t_budget, x_degree)
     alphabet = Alphabet.of(ideals)
     compiled = rank_rules(rules, alphabet)
-    order = marking_order(compiled, ideals)
+    # rewriting descends the order inside a fiber, so a fiber graph's sinks
+    # are its standard monomials, those with no lead pair of atoms
+    lead_pairs = [(alphabet.index[p], alphabet.index[q]) for p, q in pair_index]
+    lead_pairs += [alphabet.encode(g.lead) for _, g in generic]
+    digits, counts, groups = _fiber_groups(ideals, t_budget, lead_pairs,
+                                           x_degree)
+    order = compiled.order
+    unoriented = None if order is None else unoriented_rule(compiled)
+    if order is None or unoriented is not None:
+        why = (f"no term order given with the {len(rules)} rules"
+               if order is None else
+               f"the {order.kind} order given with the rules does not "
+               f"orient {compiled[unoriented].label(len(ideals))}")
+        report.notes.append(f"{why}: no fiber checked")
+        return report
+    name = (f"{order.kind} order" if x_degree is None else
+            f"block order (x-parts first, then {order.kind})")
+    report.notes.append(f"standard monomials under the {name}; "
+                        f"{len(rules)} rules oriented, images equal")
+    if x_degree is not None:
+        report.notes.append(f"mixed fibers up to x-degree {x_degree}")
+        report.notes += unreached_slice_notes(ideals, t_budget, x_degree)
 
     def count(k):
         report.multidegrees_checked = _advance(
             report.multidegrees_checked, k, progress)
 
-    lead_pairs = []
-    if order is None:
-        report.notes.append(f"fiber graphs; no library term order orients "
-                            f"all {len(rules)} rules")
-    else:
-        name = (f"{order.kind} order" if x_degree is None else
-                f"block order (x-parts first, then {order.kind})")
-        report.notes.append(f"standard monomials under the {name}; "
-                            f"{len(rules)} rules oriented, images equal")
-        # rewriting descends the order inside a fiber, so a fiber graph's
-        # sinks are its standard monomials, those with no lead pair of atoms
-        lead_pairs = [(alphabet.index[p], alphabet.index[q])
-                      for p, q in pair_index]
-        lead_pairs += [alphabet.encode(g.lead) for _, g in generic]
-    if x_degree is not None:
-        report.notes.append(f"mixed fibers up to x-degree {x_degree}")
-        report.notes += unreached_slice_notes(ideals, t_budget, x_degree)
-
-    digits, counts, groups = _fiber_groups(ideals, t_budget, lead_pairs,
-                                           x_degree)
-    listing = groups()
-    if order is not None:
-        # the standard monomials are counted by enumerator state, a group
-        # (pure t-slice, or t-slice and x-degree) at a time; at the first
-        # group without one per multidegree the members take over
-        counted = 0
-        for _, _, keys, members in counts:
-            if keys != members:
-                listing = groups(counted)
-                break
-            count(keys)
-            counted += 1
-        else:
-            listing = ()  # every group counted: none is listed
+    # the standard monomials are counted by enumerator state, a group (pure
+    # t-slice, or t-slice and x-degree) at a time; at the first group
+    # without one per multidegree the members take over
+    listing = ()  # every group counted: none is listed
+    for counted, (_, _, keys, members) in enumerate(counts):
+        if keys != members:
+            listing = groups(counted)
+            break
+        count(keys)
     # the listing starts at the first group not counted; it counts a group
     # whole and sorts only the keys it checks, into rank_fibers order
     for tv, fibers in listing:
         count(len(fibers))
-        if order is None:
-            keys = fibers
-        else:
-            keys = [x for x, standard in fibers.items() if len(standard) != 1]
-        for key in sorted(keys, reverse=x_degree is not None):
-            fiber = fibers[key]
-            if order is None:
-                edges = fiber_edges(fiber, compiled)
-                sinks = [fiber[i] for i, outs in enumerate(edges) if not outs]
-                cyc = has_cycle([[j for j, _ in outs] for outs in edges])
-            else:
-                sinks, cyc = fiber, False
-            if cyc or len(sinks) != 1:
-                report.failures.append(FiberFailure(
-                    MultiDegree(digits.unpack(key), tv),
-                    [alphabet.decode(v).label(len(tv)) for v in sinks], cyc))
+        failing = [x for x, standard in fibers.items() if len(standard) != 1]
+        for key in sorted(failing, reverse=x_degree is not None):
+            report.failures.append(FiberFailure(
+                MultiDegree(digits.unpack(key), tv),
+                [alphabet.decode(v).label(len(tv)) for v in fibers[key]],
+                False))
     # Every fiber of the budget holds a monomial, and under a term order a
     # standard one (its least member), so every multidegree is checked and
     # the budget holds more monomials than multidegrees checked exactly
@@ -732,6 +713,9 @@ def koszul_report(
         notes.append("no constructive quadratic basis for this collection")
     elif gb_report.verdict == "refuted":
         notes.append("constructed basis failed certification")
+    elif gb_report.verdict == "inconclusive":
+        notes.append("constructed basis run inconclusive: no checked fiber "
+                     "held two monomials")
     return KoszulReport(
         ideals=collection_spec(ideals),
         t_budget=tuple(t_budget),

@@ -8,12 +8,15 @@ drops along every rewrite by the fiber-type basis. Beside them, the
 induced revlex comparator of a PresOrder on presentation monomials, and
 the fiber listings of presentation._fiber_groups with forbidden pairs:
 the standard monomials of a quadratic marking, each fiber left with the
-members no lead divides.
+members no lead divides. And the graph oracle, graph_run: verify_gb's
+run by the fiber graphs themselves, for any marking, with or without a
+term order, beside marked_like, which makes a builder's table into a
+mutant that still carries the builder's order.
 """
 
 from __future__ import annotations
 
-from borel_rees.borel import TwoQuadricView
+from borel_rees.borel import TwoQuadricView, collection_spec
 from borel_rees.monomial import rlex_sort_key
 from borel_rees.presentation import (
     Alphabet,
@@ -21,8 +24,59 @@ from borel_rees.presentation import (
     MultiDegree,
     PresMonomial,
     PresVar,
+    check_t_budget,
     _fiber_groups,
 )
+from borel_rees.reduction import RankRules, fiber_edges, has_cycle, rank_rules
+from borel_rees.verifier import (
+    FiberFailure,
+    VerificationReport,
+    _advance,
+    mixed_x_degree,
+)
+
+
+def marked_like(table, rules):
+    """rules as a mutant of a builder's table: a RankRules on the table's
+    alphabet, with its kinds and the order it carries, so the rows alone
+    decide whether that order orients them. A rule that rank_rules refuses
+    on that alphabet raises ValueError."""
+    compiled = rank_rules(rules, table.alphabet)
+    return RankRules(table.alphabet, compiled.rows, table.kinds, list(rules),
+                     table.order)
+
+
+def graph_run(rules, ideals, budget, progress=None, x_degree=None):
+    """verify_gb's report rebuilt from the fiber graphs of every budgeted
+    multidegree, whatever marks the rules: each listed group of
+    _fiber_groups walked in rank_fibers order, each fiber's graph built by
+    reduction.fiber_edges on the rules compiled onto the collection's
+    alphabet, and a fiber whose graph has a cycle or not exactly one sink
+    a failure, its sinks labelled as verify_gb labels them. The fibers are
+    verify_gb's (mixed_x_degree), the count and the progress calls too,
+    and the evidence is a checked fiber of two members or more. The
+    report has no notes."""
+    check_t_budget(ideals, budget)
+    report = VerificationReport(ideals=collection_spec(ideals),
+                                t_budget=tuple(budget))
+    x_degree = mixed_x_degree(rules, ideals, budget, x_degree)
+    alphabet = Alphabet.of(ideals)
+    compiled = rank_rules(rules, alphabet)
+    digits, _, groups = _fiber_groups(ideals, budget, x_degree=x_degree)
+    for tv, fibers in groups():
+        report.multidegrees_checked = _advance(report.multidegrees_checked,
+                                               len(fibers), progress)
+        for key in sorted(fibers, reverse=x_degree is not None):
+            fiber = fibers[key]
+            edges = fiber_edges(fiber, compiled)
+            sinks = [fiber[i] for i, outs in enumerate(edges) if not outs]
+            cyc = has_cycle([[j for j, _ in outs] for outs in edges])
+            report.nontrivial_fiber |= len(fiber) > 1
+            if cyc or len(sinks) != 1:
+                report.failures.append(FiberFailure(
+                    MultiDegree(digits.unpack(key), tv),
+                    [alphabet.decode(v).label(len(tv)) for v in sinks], cyc))
+    return report
 
 
 def compare_presmonomials(order, A: PresMonomial, B: PresMonomial) -> int:

@@ -15,6 +15,7 @@ import borel_rees
 from borel_rees import (
     borel,
     cli,
+    orders,
     paper_cases,
     presentation,
     reduction,
@@ -22,6 +23,7 @@ from borel_rees import (
 )
 from borel_rees.cli import main
 from borel_rees.paper_cases import CASES, load_expectation, run_case
+from reference import graph_run, marked_like
 
 PAIR_SPEC = {
     "n": 6,
@@ -550,7 +552,10 @@ class TestUsageErrors:
         assert payload["multidegrees_checked"] == 22
         code, payload = run_cli(capsys, "kernel-oracle", *argv)
         assert code == 3 and payload["verdict"] == "inconclusive"
-        assert payload["notes"] == ["mixed kernel pairs up to x-degree 4"]
+        assert payload["notes"] == [
+            "mixed kernel pairs up to x-degree 4",
+            "no fiber within the budget holds two monomials: no pair checked",
+        ]
 
     @pytest.mark.parametrize("command", ["verify", "kernel-oracle"])
     def test_xdeg_on_an_empty_g1_basis_exits_four(self, capsys, spec_file,
@@ -1056,39 +1061,77 @@ class TestRedundantGenerators:
         assert payload["parameter_gate"]["case"] == "c"
 
 
+class TestInconclusiveNotes:
+    # two copies of B(x1^2) at n=2: one variable each, so every fiber of
+    # the budget is a singleton
+    SINGLETONS = {"n": 2, "ideals": [{"borel_generators": ["x1^2"]},
+                                     {"borel_generators": ["x1^2"]}]}
+
+    @pytest.mark.parametrize("command, note", [
+        ("koszul-report", "constructed basis run inconclusive: no checked "
+         "fiber held two monomials"),
+        ("kernel-oracle", "no fiber within the budget holds two monomials: "
+         "no pair checked"),
+    ])
+    def test_a_run_with_no_pair_says_why(self, capsys, spec_file, command,
+                                         note):
+        code, payload = run_cli(capsys, command, "--spec",
+                                spec_file(self.SINGLETONS), "--budget", "2,2")
+        assert code == 3 and payload["verdict"] == "inconclusive"
+        assert payload["notes"] == [note]
+
+    def test_evidence_keeps_the_notes_as_they_were(self, capsys, spec_file):
+        path = spec_file(PAIR_SPEC)
+        code, payload = run_cli(capsys, "kernel-oracle", "--spec", path,
+                                "--budget", "1,1")
+        assert code == 0 and payload["notes"] == []
+        code, payload = run_cli(capsys, "koszul-report", "--spec", path,
+                                "--budget", "1,1")
+        assert code == 0
+        assert payload["notes"] == ["t budget below 3: obstruction scan "
+                                    "skipped"]
+
+
 class TestFrontEnd:
     def test_verify_builds_each_view_and_variable_once(self, capsys,
                                                       spec_file):
-        seen = {}
-        marking_order = verifier.marking_order
+        seen, built = {}, []
+        unoriented_rule = verifier.unoriented_rule
         presentation_variables = presentation.presentation_variables
+        init = orders.PresOrder.__init__
 
-        def recorded_marking_order(rules, ideals):
-            seen["rules"] = rules
-            seen["order"] = marking_order(rules, ideals)
-            return seen["order"]
+        def recorded_unoriented_rule(table):
+            seen["rules"] = table
+            return unoriented_rule(table)
 
         def recorded_variables(ideals):
             seen["variables"] = presentation_variables(ideals)
             return seen["variables"]
 
+        def recorded_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
         with mock.patch.object(borel, "region_partition",
                                wraps=borel.region_partition) as split, \
-                mock.patch.object(verifier, "marking_order",
-                                  recorded_marking_order), \
+                mock.patch.object(verifier, "unoriented_rule",
+                                  recorded_unoriented_rule), \
                 mock.patch.object(presentation, "presentation_variables",
-                                  recorded_variables):
+                                  recorded_variables), \
+                mock.patch.object(orders.PresOrder, "__init__",
+                                  recorded_init):
             code = main(["verify", "--spec", spec_file(PAIR_SPEC),
                          "--budget", "1,1", "--basis", "ht"])
         capsys.readouterr()
         assert code == 0
-        # once per ideal: _basis_for and marking_order share the views
+        # once per ideal: the views are built for the builder alone
         assert split.call_count == 2
         variables = seen["variables"]
         one = {v.key: v for v in variables}
         assert len(one) == len(variables) == 32
-        order = seen["order"]
-        assert order.kind == "ht"
+        # one order, the builder's, which the run checks as it came
+        order = seen["rules"].order
+        assert built == [order] and order.kind == "ht"
         assert sorted(map(id, order.ranked)) == sorted(map(id, variables))
         factors = [f for g in seen["rules"] for side in (g.lead, g.trail)
                    for f in side.factors]
@@ -1097,15 +1140,20 @@ class TestFrontEnd:
 
     def test_jobs_keep_a_fiber_graph_marking_byte_identical(
             self, capsys, spec_file, tmp_path):
-        # one ht rule reversed: no library order orients the marking, so
-        # the fiber graphs are built, serially whatever --jobs says
+        # one ht rule reversed: the ht order the table carries does not
+        # orient it, so verify checks nothing, whatever --jobs says; only
+        # the graph oracle checks the marking, which certifies, since the
+        # reversed rule is the marking of another term order
         basis_for = cli._basis_for
+        marked = []
 
         def one_rule_reversed(ideals, name):
-            rules = list(basis_for(ideals, name))
-            g = rules[0]
-            return [reduction.MarkedBinomial(g.trail, g.lead, g.source),
-                    *rules[1:]]
+            table = basis_for(ideals, name)
+            g = table[0]
+            rules = [reduction.MarkedBinomial(g.trail, g.lead, g.source),
+                     *table[1:]]
+            marked.append(marked_like(table, rules))
+            return marked[-1]
 
         path = spec_file(PAIR_SPEC)
         runs = []
@@ -1119,4 +1167,15 @@ class TestFrontEnd:
                              (out / "verify.json").read_text(),
                              (out / "basis.jsonl").read_text()))
         assert runs[0] == runs[1]
-        assert json.loads(runs[0][1])["notes"][0].startswith("fiber graphs")
+        assert runs[0][0] == 3
+        payload = json.loads(runs[0][1])
+        assert payload["multidegrees_checked"] == 0
+        assert payload["notes"] == [
+            f"the ht order given with the rules does not orient "
+            f"{marked[0][0].label(2)}: no fiber checked"]
+        code, intact = run_cli(capsys, "verify", "--spec", path,
+                               "--budget", "2,1", "--basis", "ht")
+        ideals = list(borel.load_collection(PAIR_SPEC))
+        graphs = graph_run(marked[0], ideals, (2, 1))
+        assert graphs.verdict == intact["verdict"] == "certified-up-to-bound"
+        assert graphs.multidegrees_checked == intact["multidegrees_checked"]

@@ -17,6 +17,7 @@ from borel_rees.monomial import Monomial, parse_monomial
 from borel_rees.borel import order_view
 from borel_rees.cli import _BASES
 from borel_rees.orders import (
+    marking_order,
     build_G1,
     build_G2,
     build_G3,
@@ -61,7 +62,12 @@ from borel_rees.verifier import (
     unreached_slice_notes,
     verify_gb,
 )
-from reference import banned_fibers, banned_pure_fibers
+from reference import (
+    banned_fibers,
+    banned_pure_fibers,
+    graph_run,
+    marked_like,
+)
 
 
 def m(text, n):
@@ -79,9 +85,9 @@ class TestVerifyGB:
         self, quadric_pair_ideal, quadric_pair_G1
     ):
         # drop the rule that empties out one of the near-sink vertices
-        broken = [
+        broken = marked_like(quadric_pair_G1, [
             g for g in quadric_pair_G1 if g.label(r=1) != "T12*T15 -> T11*T25"
-        ]
+        ])
         assert len(broken) == len(quadric_pair_G1) - 1
         report = verify_gb(broken, [quadric_pair_ideal], (4,))
         assert report.verdict == "refuted"
@@ -175,6 +181,19 @@ def assert_matches_reference(rules, ideals, budget, method, x_degree=None):
         f"mixed fibers up to x-degree {x_degree}",
         *unreached_slice_notes(ideals, budget, x_degree),
     ])
+    return assert_same_findings(report, rules, ideals, budget, x_degree)
+
+
+def assert_graphs_match_reference(rules, ideals, budget, x_degree=None):
+    """The graph oracle (graph_run) against reference_run."""
+    report = graph_run(rules, ideals, budget, x_degree=x_degree)
+    return assert_same_findings(report, rules, ideals, budget,
+                                mixed_x_degree(rules, ideals, budget,
+                                               x_degree))
+
+
+def assert_same_findings(report, rules, ideals, budget, x_degree):
+    """A report's count, failures and verdict equal reference_run's."""
     checked, failures, verdict = reference_run(rules, ideals, budget,
                                                x_degree)
     assert report.multidegrees_checked == checked
@@ -197,9 +216,27 @@ def assert_oracle_agrees(rules, ideals, budget):
     return report.verdict
 
 
-def _drop_rules(rules, rng, k):
-    dropped = set(rng.sample(range(len(rules)), k))
-    return [g for i, g in enumerate(rules) if i not in dropped]
+def assert_inconclusive(rules, ideals, budget, note, x_degree=None):
+    """verify_gb walks no fiber and reports "inconclusive" (exit 3) with
+    this one note, whatever the budget holds."""
+    report = verify_gb(rules, ideals, budget, x_degree=x_degree)
+    assert report.notes == [note]
+    assert report.verdict == "inconclusive" and report.exit_code == 3
+    assert report.multidegrees_checked == 0 and not report.failures
+    return report
+
+
+def unoriented_note(order, rule, ideals):
+    """verify_gb's note on a rule its carried order does not orient."""
+    return (f"the {order.kind} order given with the rules does not orient "
+            f"{rule.label(len(ideals))}: no fiber checked")
+
+
+def _drop_rules(table, rng, k):
+    """A builder's table with k rules dropped, keeping its order."""
+    dropped = set(rng.sample(range(len(table)), k))
+    return marked_like(table,
+                       [g for i, g in enumerate(table) if i not in dropped])
 
 
 class TestCertificationSweeps:
@@ -254,9 +291,25 @@ class TestBuilderLeads:
                     assert sum(len(listed) for row in leads if row
                                for listed in row if listed) == len(rules) > 0
 
+    def test_every_builder_carries_the_order_marking_order_checks(
+            self, running_pair):
+        # on every shape at n=6 and on the running pair: the order comes
+        # with the table, and it orients every row
+        kinds = {"g1": "rlex", "g2": "mrlex", "g3": "ht", "ht": "ht"}
+        cases = [([_two_quadric(*s, 6)], ("g1", "g2", "fiber-type"))
+                 for s in ALL_SHAPES]
+        cases.append((list(running_pair), ("g3", "ht", "fiber-type")))
+        for ideals, names in cases:
+            for name in names:
+                table = _BASES[name][1](ideals)
+                kind = kinds.get(name, "rlex" if len(ideals) == 1 else "ht")
+                assert table.order.kind == kind
+                assert marking_order(table, ideals) is table.order
+
 
 class TestStandardMonomialDifferential:
-    """Refutations and fallbacks against fiber graphs built per multidegree."""
+    """Refutations, and markings their order does not orient, against fiber
+    graphs built per multidegree."""
 
     def test_refutations_with_rules_dropped(
         self, running_pair, running_pair_basis, quadric_pair_ideal,
@@ -296,38 +349,87 @@ class TestStandardMonomialDifferential:
         assert {"certified-up-to-bound", "refuted"} <= set(verdicts)
 
     def test_dropping_every_rule_leaves_every_monomial_standard(
-        self, quadric_pair_ideal
+        self, quadric_pair_ideal, quadric_pair_G1
     ):
-        report = assert_matches_reference([], [quadric_pair_ideal], (2,),
-                                          "standard")
-        assert report.verdict == "refuted"
-
-    def test_reversed_rule_falls_back_to_fiber_graphs(
-        self, running_pair, running_pair_basis
-    ):
-        rules = list(running_pair_basis)
-        g = rules[len(rules) // 2]
-        rules[len(rules) // 2] = MarkedBinomial(g.trail, g.lead, g.source)
         report = assert_matches_reference(
-            rules, list(running_pair), (2, 1), "fiber graphs"
-        )
+            marked_like(quadric_pair_G1, []), [quadric_pair_ideal], (2,),
+            "standard")
         assert report.verdict == "refuted"
 
-    def test_unequal_images_fall_back_to_fiber_graphs(
-        self, running_pair, running_pair_basis
+    @pytest.mark.parametrize("name, budget, verdict", [
+        ("reversed", (2, 1), "refuted"),
+        # a cross rule whose trail maps elsewhere never applies at t <= (2,0)
+        ("other-image", (2, 0), "certified-up-to-bound"),
+    ])
+    def test_unoriented_markings_on_the_graph_oracle(
+        self, running_pair, running_pair_basis, name, budget, verdict
     ):
-        # a cross rule whose trail maps elsewhere; at t <= (2,0) it never
-        # applies, so the fiber graphs still certify
-        rules = list(running_pair_basis)
+        ideals = list(running_pair)
+        rules, _ = _unoriented_mutant(name, ideals, running_pair_basis)
+        report = assert_graphs_match_reference(rules, ideals, budget)
+        assert report.verdict == verdict
+
+
+def _unoriented_mutant(name, pair, basis):
+    """(table, position of the rule its order does not orient): the pair's
+    ht table with its middle row reversed, or a G3 trail swapped for a
+    monomial of another image, or the pair's fiber-type table with a
+    syzygy x_i*T_u -> x_j*T_u' (i < j) listed as x_j*T_u' -> x_i*T_u."""
+    if name == "syzygy-reversed":
+        basis = build_fiber_type_basis(pair, basis)
+    rules = list(basis)
+    if name == "other-image":
         k = next(i for i, g in enumerate(rules) if g.source == "G3")
-        other = next(g.lead for g in rules[k + 1:]
-                     if g.source == "G3" and phi(g.lead, running_pair)
-                     != phi(rules[k].lead, running_pair))
+        other = next(g.lead for g in rules[k + 1:] if g.source == "G3"
+                     and phi(g.lead, pair) != phi(rules[k].lead, pair))
         rules[k] = MarkedBinomial(rules[k].lead, other, "G3")
-        report = assert_matches_reference(
-            rules, list(running_pair), (2, 0), "fiber graphs"
-        )
-        assert report.verdict == "certified-up-to-bound"
+    else:
+        k = (len(rules) // 2 if name == "reversed"
+             else next(i for i, g in enumerate(rules) if g.source == "SYZ"))
+        g = rules[k]
+        rules[k] = MarkedBinomial(g.trail, g.lead, g.source)
+    return marked_like(basis, rules), k
+
+
+class TestUnusableOrders:
+    """A rule its carried order does not orient, or a list that carries no
+    order, leaves verify_gb no method: the run is "inconclusive" (exit 3)
+    with one note naming the case, and no multidegree is checked, however
+    many monomials the budget holds. marking_order is None for each."""
+
+    @pytest.mark.parametrize("name",
+                             ["reversed", "other-image", "syzygy-reversed"])
+    def test_an_unoriented_rule_is_named(self, running_pair,
+                                         running_pair_basis, name):
+        pair = list(running_pair)
+        rules, k = _unoriented_mutant(name, pair, running_pair_basis)
+        assert rules.order is running_pair_basis.order
+        assert marking_order(rules, pair) is None
+        note = unoriented_note(rules.order, rules[k], pair)
+        if name == "syzygy-reversed":
+            assert (rules[k].lead.x_part.support()
+                    > rules[k].trail.x_part.support())
+            assert "block order" not in note
+        # returned before the evidence count, though the budget holds
+        # 23,409 pure monomials
+        with mock.patch.object(verifier, "monomial_count",
+                               side_effect=AssertionError):
+            assert_inconclusive(rules, pair, (2, 2), note)
+
+    def test_a_plain_list_carries_no_order(self, running_pair,
+                                           running_pair_basis):
+        pair = list(running_pair)
+        rules = list(running_pair_basis)
+        assert marking_order(rules, pair) is None
+        with mock.patch.object(verifier, "monomial_count",
+                               side_effect=AssertionError):
+            assert_inconclusive(rules, pair, (2, 2),
+                                "no term order given with the 387 rules: "
+                                "no fiber checked")
+        # the same rules certify as the builder's table
+        assert graph_run(rules, pair, (2, 1)).verdict == \
+            verify_gb(running_pair_basis, pair, (2, 1)).verdict == \
+            "certified-up-to-bound"
 
 
 class TestStandardMonomialsOnRanks:
@@ -418,18 +520,18 @@ class TestStandardCountsPerSlice:
     def test_refuted_runs_equal_fiber_graphs(
         self, running_pair, running_pair_basis, k
     ):
-        # at 2,2 the fiber graphs on atom tuples are the reference: the
+        # at 2,2 the graph oracle on atom tuples is the reference: the
         # object-level one takes seconds per run there
         ideals = list(running_pair)
         rules = _drop_rules(running_pair_basis, random.Random(k), k)
-        report = verify_gb(rules, ideals, (2, 2))
-        with mock.patch.object(verifier, "marking_order", return_value=None):
-            graphs = verify_gb(rules, ideals, (2, 2))
+        calls, graph_calls = [], []
+        report = verify_gb(rules, ideals, (2, 2), progress=calls.append)
+        graphs = graph_run(rules, ideals, (2, 2), progress=graph_calls.append)
         assert report.notes[0].startswith("standard")
-        assert graphs.notes[0].startswith("fiber graphs")
         assert report.failures == graphs.failures
         assert report.multidegrees_checked == graphs.multidegrees_checked
-        assert report.verdict == graphs.verdict
+        assert report.verdict == graphs.verdict == "refuted"
+        assert calls == graph_calls
 
     @pytest.mark.parametrize("k", [0, 8, 20])
     def test_progress_at_every_multiple_of_2000(
@@ -719,7 +821,7 @@ class TestKernelMembershipOnTables:
             rows = rows + list(flipped.values())
         else:
             rows = [flipped.get(i, row) for i, row in enumerate(rows)]
-        return RankRules(table.alphabet, rows, table.kinds)
+        return RankRules(table.alphabet, rows, table.kinds, order=table.order)
 
     def test_reversals_refute_and_cycle_alike(self, running_pair):
         ideals = list(running_pair)
@@ -991,12 +1093,17 @@ class TestVerifyGBMixed:
         assert report.verdict == "certified-up-to-bound"
         assert report.multidegrees_checked > 100
 
-    def test_syzygies_alone_refuted(self, quadric_pair_ideal):
-        from borel_rees.orders import build_syzygy_set
-
-        rules = build_syzygy_set([quadric_pair_ideal])
-        report = verify_gb(rules, [quadric_pair_ideal], (2,), x_degree=4)
-        assert report.verdict == "refuted"
+    def test_syzygies_alone_carry_no_order(self, quadric_pair_ideal):
+        # the syzygy set is marked by the block order whatever quadrics
+        # join it, so it carries no order of its own: the graph oracle
+        # refutes it, and verify_gb checks nothing
+        ideals = [quadric_pair_ideal]
+        rules = build_syzygy_set(ideals)
+        assert rules.order is None
+        assert graph_run(rules, ideals, (2,), x_degree=4).verdict == "refuted"
+        assert_inconclusive(
+            rules, ideals, (2,), f"no term order given with the {len(rules)} "
+            f"rules: no fiber checked", x_degree=4)
 
     def test_default_x_degree_reaches_every_budgeted_slice(
         self, running_pair, running_pair_basis
@@ -1058,28 +1165,29 @@ def _fiber_type_case(name):
         pair = [borel_closure([m("x4*x5", 6), m("x2*x6", 6)], 6),
                 borel_closure([m("x4^2", 6), m("x3*x6", 6)], 6)]
         rules = build_fiber_type_basis(pair, quadratic_basis_for(pair))
-        return pair, rules[1:], (2, 1), None
+        return pair, marked_like(rules, rules[1:]), (2, 1), None
     b45 = [borel_closure([m("x4*x5", 6), m("x2*x6", 6)], 6)]
     rules = build_fiber_type_basis(b45, quadratic_basis_for(b45))
     first = rules[0]
     assert first.source == "SYZ"
     lifted = next(k for k, g in enumerate(rules) if g.source != "SYZ")
-    return b45, {
+    return b45, marked_like(rules, {
         "intact": rules,
         "no-first-syzygy": rules[1:],
         "no-first-lifted-rule": rules[:lifted] + rules[lifted + 1:],
         "syzygies-alone": rules[:lifted],
         "first-syzygy-reversed":
             [MarkedBinomial(first.trail, first.lead, first.source)] + rules[1:],
-    }[name], (2,), 5
+    }[name]), (2,), 5
 
 
 class TestFiberGraphsOnAtoms:
     """verify_gb on fiber-type bases against reference_run, which rebuilds
     every fiber graph on objects with analyze_fiber over brute-force mixed
     fibers. The block order orients the intact basis and every deletion, so
-    their standard monomials are counted; a reversed syzygy leaves no term
-    order, and the fiber graphs are built on atom tuples."""
+    their standard monomials are counted; a reversed syzygy is not
+    oriented, so verify_gb checks nothing, and the graph oracle builds the
+    fiber graphs on atom tuples."""
 
     @pytest.mark.parametrize("name, failures, cycles", [
         ("intact", 0, 0),
@@ -1091,10 +1199,17 @@ class TestFiberGraphsOnAtoms:
     ])
     def test_fiber_type_basis(self, name, failures, cycles):
         ideals, rules, budget, x_degree = _fiber_type_case(name)
-        method = ("fiber graphs" if name == "first-syzygy-reversed"
-                  else "standard monomials under the block order")
-        report = assert_matches_reference(rules, ideals, budget, method,
-                                          x_degree=x_degree)
+        if name == "first-syzygy-reversed":
+            # x_j*T_u' -> x_i*T_u with i < j: a syzygy the block order
+            # does not orient
+            report = assert_graphs_match_reference(rules, ideals, budget,
+                                                   x_degree)
+            assert_inconclusive(rules, ideals, budget, unoriented_note(
+                rules.order, rules[0], ideals), x_degree)
+        else:
+            report = assert_matches_reference(
+                rules, ideals, budget,
+                "standard monomials under the block order", x_degree)
         assert len(report.failures) == failures
         assert sum(f.has_cycle for f in report.failures) == cycles
         assert report.verdict == ("refuted" if failures
@@ -1103,14 +1218,18 @@ class TestFiberGraphsOnAtoms:
     def test_head_and_tail_with_its_first_rule_reversed(
         self, running_pair, running_pair_basis
     ):
-        # no library term order orients the marking: the pure fallback
+        # the ht order does not orient the marking, so verify_gb checks
+        # nothing; the graph oracle certifies it, since the reversed rule
+        # is the marking of another term order
+        ideals = list(running_pair)
         g = running_pair_basis[0]
-        rules = [MarkedBinomial(g.trail, g.lead, g.source)]
-        rules += running_pair_basis[1:]
-        report = assert_matches_reference(rules, list(running_pair), (2, 1),
-                                          "fiber graphs")
-        # the reversed rule is the marking of another term order
+        rules = marked_like(running_pair_basis,
+                            [MarkedBinomial(g.trail, g.lead, g.source)]
+                            + running_pair_basis[1:])
+        report = assert_graphs_match_reference(rules, ideals, (2, 1))
         assert report.verdict == "certified-up-to-bound"
+        assert_inconclusive(rules, ideals, (2, 1), unoriented_note(
+            running_pair_basis.order, rules[0], ideals))
 
 
 class TestStandardCountsByState:
@@ -1121,27 +1240,26 @@ class TestStandardCountsByState:
 
     @staticmethod
     def assert_same_run(rules, ideals, budget, x_degree=None, graphs=True):
-        """The counted run against the fiber-graph run (marking_order
-        patched to None), or with graphs False, where that takes seconds a
-        run (the pair at 3,3), against the same term-order run handed over
-        to the members at its first group."""
-        if graphs:
-            reference = mock.patch.object(verifier, "marking_order",
-                                          return_value=None)
-        else:
-            reference = mock.patch.object(verifier, "_fiber_groups",
-                                          _handed_over_at_once)
+        """The counted run against the graph oracle (graph_run), or with
+        graphs False, where that takes seconds a run (the pair at 3,3),
+        against the same term-order run handed over to the members at its
+        first group."""
         runs = []
-        for patch in (contextlib.nullcontext(), reference):
+        for run in ("counted", "graphs" if graphs else "handed over"):
             calls = []
-            with patch:
-                report = verify_gb(rules, ideals, budget,
+            if run == "graphs":
+                report = graph_run(rules, ideals, budget,
                                    progress=calls.append, x_degree=x_degree)
+            else:
+                with (mock.patch.object(verifier, "_fiber_groups",
+                                        _handed_over_at_once)
+                      if run == "handed over" else contextlib.nullcontext()):
+                    report = verify_gb(rules, ideals, budget,
+                                       progress=calls.append,
+                                       x_degree=x_degree)
+                assert report.notes[0].startswith("standard monomials")
             runs.append((report, calls))
         (counted, counted_calls), (listed, listed_calls) = runs
-        assert counted.notes[0].startswith("standard monomials")
-        assert listed.notes[0].startswith(
-            "fiber graphs" if graphs else "standard monomials")
         assert counted.failures == listed.failures
         assert counted.verdict == listed.verdict
         assert counted.multidegrees_checked == listed.multidegrees_checked
