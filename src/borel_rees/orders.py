@@ -24,7 +24,7 @@ trail atoms, source) and builds no object: the kernel oracle reads the
 rows as they are, and a caller that reads the rules gets them decoded
 once, with one monomial per atom tuple however many rules share it.
 Each table carries the order its builder marked it by (RankRules.order),
-and marking_order checks the rows against that one order: a list that
+and unoriented_rule checks the rows against that one order: a list that
 carries none has no order, and is never searched for one.
 The paper's sink inequalities for these orders, and the induced revlex
 comparator on presentation monomials, are test references
@@ -66,7 +66,7 @@ class PresOrder(Frozen):
     descending order, and rank maps each to its position there; the order
     induces revlex on presentation monomials over that ranking (degree
     first, the smallest differing variable decides), which the builders
-    and marking_order compare on rank pairs. Immutable; equal and hashed
+    and unoriented_rule compare on rank pairs. Immutable; equal and hashed
     as (kind, ranked).
     """
 
@@ -114,28 +114,6 @@ def _packed_images(variables: Sequence[PresVar], n: int) -> list[int]:
     return ([(digits.pack(v.generator.exps) << t * r)
              | (1 << t * (r - v.ideal_index)) for v in variables]
             + [1 << t * (r + n - i) for i in range(1, n + 1)])
-
-
-def marking_order(
-    rules: Sequence[MarkedBinomial], ideals: Sequence[StronglyStableIdeal]
-) -> PresOrder | None:
-    """The term order a marking carries (RankRules.order), when it orients
-    every rule (unoriented_rule), or None.
-
-    The rules are read as rank_rules(rules, Alphabet.of(ideals)), so a
-    builder's table is read as it is, and a list, which carries no order,
-    or one rank_rules refuses (a lead that is not two atoms, or a variable
-    outside the ideals) means None. Rewriting by an oriented marking
-    strictly descends its order inside each fiber, so every fiber graph is
-    acyclic and its sinks are the fiber's standard monomials.
-    """
-    try:
-        table = rank_rules(rules, Alphabet.of(ideals))
-    except ValueError:
-        return None
-    if table.order is None or unoriented_rule(table) is not None:
-        return None
-    return table.order
 
 
 def unoriented_rule(table: RankRules) -> int | None:

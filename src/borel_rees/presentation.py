@@ -313,6 +313,17 @@ def t_vectors(t_budget: Sequence[int]) -> Iterator[tuple[int, ...]]:
             yield (a, *rest)
 
 
+def _rest_degrees(ideals: Sequence[StronglyStableIdeal], tv,
+                  x_degree: int | None = None) -> range:
+    """The rest degrees of a t-slice's groups: e for its group of x-degree
+    content degree + e, up to x_degree. A pure walk (no x_degree) takes
+    the slice at its content degree alone, range(1); the range is empty
+    when the slice's content degree is above x_degree."""
+    if x_degree is None:
+        return range(1)
+    return range(x_degree - content_degree(ideals, tv) + 1)
+
+
 def monomial_count(
     ideals: Sequence[StronglyStableIdeal],
     t_budget: Sequence[int],
@@ -321,14 +332,14 @@ def monomial_count(
     """The number of monomials in the fibers of rank_fibers, in closed
     form: a t-slice holds prod C(g_i + t_i - 1, t_i) presentation
     monomials, g_i the number of variables of ideal i, each of them times
-    the C(n + e, e) x-monomials of degree at most e, the x-degree the
-    slice's content degree leaves (none when e < 0). Without x_degree e is
-    0: a pure fiber is a fiber of rest degree 0."""
+    the C(n + e, e) x-monomials of degree at most e, the last of the
+    slice's rest degrees (_rest_degrees; none when they are empty).
+    Without x_degree e is 0: a pure fiber is a fiber of rest degree 0."""
     total = 0
     for tv in t_vectors(t_budget):
-        e = 0 if x_degree is None else x_degree - content_degree(ideals, tv)
-        if e >= 0:
-            total += comb(ideals[0].n + e, e) * prod(
+        rests = _rest_degrees(ideals, tv, x_degree)
+        if rests:
+            total += comb(ideals[0].n + rests[-1], rests[-1]) * prod(
                 [comb(len(ideal.minimal_generators) + t - 1, t)
                  for ideal, t in zip(ideals, tv)])
     return total
@@ -748,13 +759,14 @@ def _fiber_groups(
                                         dict[int, list[tuple[int, ...]]]]]]]:
     """(digits, counts, groups) of the fibers of rank_fibers, one group per
     (t-slice, x-degree) pair, empty groups too: a group's keys are the
-    x-parts of its x-degree d, each a content plus a rest of degree d less
-    the slice's content degree. With x_degree each slice has a group for
-    every d from its content degree up to x_degree; without, the pure
-    walk, a slice has the one group of its content degree, whose rests are
-    all 1. Both walk these groups on one _Expansion and one rest cache,
-    and neither grows a level until it is iterated, so a run can count
-    some groups and list the rest.
+    x-parts of its x-degree d, each a content plus a rest of degree e = d
+    less the slice's content degree. A slice's groups are one range of
+    rest degrees, _rest_degrees: with x_degree every e from 0 up to
+    x_degree less the content degree, none when that is negative; without,
+    the pure walk, the one group of e = 0, whose rests are all 1. Both
+    walk these groups on one _Expansion and one rest cache, and neither
+    grows a level until it is iterated, so a run can count some groups and
+    list the rest.
 
     counts yields (t-vector, x-degree, multidegrees, members), the number
     of a group's keys and of their members, listing none: slices grow by
@@ -762,10 +774,13 @@ def _fiber_groups(
     leave. groups(start=0) yields (t-vector, {packed x-part: members}) for
     every group from the start-th on, keys in no set order (digits.unpack
     decodes one), members as in rank_fibers; a group of rest degree 0,
-    pure or mixed, is the slice's members by content. The levels before
-    start are grown, since later slices grow from them, but no member of
-    a group before start is listed. A t_budget or x_degree that
-    _budget_expansion refuses raises ValueError at once.
+    pure or mixed, is the slice's members by content. start is spent by
+    range length: a slice with no more groups than are left to skip is
+    passed over whole, and the first slice listed starts inside its range,
+    so no list of a slice's degrees is built, however high x_degree. The
+    levels before start are grown, since later slices grow from them, but
+    no member of a group before start is listed. A t_budget or x_degree
+    that _budget_expansion refuses raises ValueError at once.
 
     forbidden_pairs are pairs of atoms, each in either order. A pair of
     ranks (i, j) bans the two factors together: no member holds both (a
@@ -783,34 +798,32 @@ def _fiber_groups(
     rest = _rest_lists(digits, expansion.size)
 
     def slices(root, grow):
-        # each slice's level and its groups as (x-degree, rest degree); a
-        # pure walk takes each slice at its content degree alone
+        # each slice's level and the rest degrees of its groups
         for tv, level in _level_slices(root, grow, t_budget):
-            low = content_degree(ideals, tv)
-            top = low if x_degree is None else x_degree
-            yield tv, level, zip(range(low, top + 1), range(top - low + 1))
+            yield tv, level, _rest_degrees(ideals, tv, x_degree)
 
     def counts():
-        for tv, level, degrees in slices(expansion.states,
-                                         expansion.grow_states):
-            for d, e in degrees:
+        for tv, level, rests in slices(expansion.states,
+                                       expansion.grow_states):
+            for e in rests:
                 keys: set[int] = set()
                 members = 0
                 for state, xs in level.items():
                     for pw, _ in rest(e, state & high):
                         keys.update([x + pw for x in xs] if pw else xs)
                         members += len(xs)
-                yield tv, d, len(keys), members
+                yield tv, content_degree(ideals, tv) + e, len(keys), members
 
     def groups(start=0):
         skip = start  # groups left to pass over, no member dict built
-        for tv, level, degrees in slices(expansion.root, expansion.grow):
-            degrees = list(degrees)
-            if skip >= len(degrees):
-                skip -= len(degrees)
+        for tv, level, rests in slices(expansion.root, expansion.grow):
+            # the slice is passed over whole when it holds skip groups or
+            # fewer; a range is sliced and tested with no len(), which a
+            # bound past sys.maxsize would overflow
+            if not rests[skip:]:
+                skip -= len(rests)
                 continue
-            degrees = degrees[skip:]
-            skip = 0
+            rests, skip = rests[skip:], 0
             by_content: dict[int, list[tuple[int, ...]]] = {}
             for x, _, ranks in level:
                 group = by_content.get(x)
@@ -818,7 +831,7 @@ def _fiber_groups(
                     by_content[x] = [ranks]
                 else:
                     group.append(ranks)
-            for _, e in degrees:
+            for e in rests:
                 if not e:
                     # the empty rest avoids every ban: the contents' members
                     yield tv, by_content

@@ -49,7 +49,8 @@ oracle pair was checked) is "inconclusive", never "certified". For
 verify_gb that is one count: every fiber holds a monomial, so some fiber
 holds two exactly when the budget holds more monomials
 (presentation.monomial_count, in closed form) than the multidegrees
-checked. koszul_report checks its constructed basis before the
+checked, and such a walked run notes that no checked fiber holds two
+monomials. koszul_report checks its constructed basis before the
 obstruction scan, and scans only a budget the basis does not certify;
 it notes when the basis run is inconclusive, as the kernel-oracle
 command notes a budget with no pair to check.
@@ -77,6 +78,7 @@ from .presentation import (
     rank_fibers,
     t_vectors,
     _fiber_groups,
+    _rest_degrees,
 )
 from .records import Frozen, Record
 from .reduction import (
@@ -222,7 +224,8 @@ def verify_gb(
     failure, and each of its sinks is labelled as the MixedMonomial its
     atoms decode to. The run has evidence (nontrivial_fiber) when the
     budget holds more monomials (presentation.monomial_count) than the
-    multidegrees checked; otherwise an unrefuted run is "inconclusive".
+    multidegrees checked; otherwise an unrefuted run is "inconclusive",
+    with a last note saying that no checked fiber holds two monomials.
     So is a list with no order, or one whose order does not orient a rule
     (orders.unoriented_rule), with one note naming the case (and the
     first such rule) and no fiber walked. progress is called at every
@@ -293,6 +296,9 @@ def verify_gb(
     # this says.
     report.nontrivial_fiber = (monomial_count(ideals, t_budget, x_degree)
                                > report.multidegrees_checked)
+    if report.verdict == "inconclusive":
+        report.notes.append("no checked fiber holds two monomials: "
+                            "nothing to certify")
     return report
 
 
@@ -349,16 +355,17 @@ def unreached_slice_notes(
     t_budget: Sequence[int],
     x_degree: int,
 ) -> list[str]:
-    """A report note naming the budgeted t-vectors whose content degree
-    exceeds x_degree, so that no fiber of theirs is checked; none when every
-    slice is reached. Content degree grows with every t entry, so the
-    budget's own decides at once whether any slice is unreached, and the
+    """A report note naming the budgeted t-vectors whose rest degrees
+    (presentation._rest_degrees) are empty, their content degree above
+    x_degree, so that no fiber of theirs is checked; none when every slice
+    is reached. Content degree grows with every t entry, so the budget's
+    own range decides at once whether any slice is unreached, and the
     t-vectors are walked only to name them."""
-    if content_degree(ideals, t_budget) <= x_degree:
+    if _rest_degrees(ideals, t_budget, x_degree):
         return []
     unreached = " ".join(
         ",".join(map(str, tv)) for tv in t_vectors(t_budget)
-        if content_degree(ideals, tv) > x_degree
+        if not _rest_degrees(ideals, tv, x_degree)
     )
     return [f"unchecked t-vectors, content degree above x-degree {x_degree}: "
             f"{unreached}"]

@@ -548,6 +548,7 @@ class TestUsageErrors:
             "standard monomials under the block order (x-parts first, then "
             "rlex); 0 rules oriented, images equal",
             "mixed fibers up to x-degree 4",
+            "no checked fiber holds two monomials: nothing to certify",
         ]
         assert payload["multidegrees_checked"] == 22
         code, payload = run_cli(capsys, "kernel-oracle", *argv)
@@ -1080,8 +1081,41 @@ class TestInconclusiveNotes:
         assert code == 3 and payload["verdict"] == "inconclusive"
         assert payload["notes"] == [note]
 
+    NOTHING = "no checked fiber holds two monomials: nothing to certify"
+
+    @pytest.mark.parametrize("spec, budget, rules", [
+        (SINGLETONS, "2,2", 0),
+        (PAIR_SPEC, "0,0", 387),
+        (PAIR_SPEC, "1,0", 387),
+    ])
+    def test_a_walked_verify_run_says_why(self, capsys, spec_file, spec,
+                                          budget, rules):
+        # after the method note, and in koszul-report's basis run too
+        path = spec_file(spec)
+        code, payload = run_cli(capsys, "verify", "--spec", path,
+                                "--budget", budget)
+        assert code == 3 and payload["verdict"] == "inconclusive"
+        assert payload["notes"] == [
+            f"standard monomials under the ht order; {rules} rules "
+            f"oriented, images equal", self.NOTHING]
+        code, payload = run_cli(capsys, "koszul-report", "--spec", path,
+                                "--budget", budget)
+        assert code == 3
+        assert payload["gb_verification"]["notes"][-1] == self.NOTHING
+
+    def test_a_refuted_verify_run_gets_no_reason(self, capsys, spec_file):
+        code, payload = run_cli(capsys, "verify", "--spec",
+                                spec_file(PAIR_SPEC), "--budget", "2,1",
+                                "--basis", "g3")
+        assert code == 2 and self.NOTHING not in payload["notes"]
+
     def test_evidence_keeps_the_notes_as_they_were(self, capsys, spec_file):
         path = spec_file(PAIR_SPEC)
+        code, payload = run_cli(capsys, "verify", "--spec", path,
+                                "--budget", "1,1")
+        assert code == 0 and payload["notes"] == [
+            "standard monomials under the ht order; 387 rules oriented, "
+            "images equal"]
         code, payload = run_cli(capsys, "kernel-oracle", "--spec", path,
                                 "--budget", "1,1")
         assert code == 0 and payload["notes"] == []

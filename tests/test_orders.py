@@ -26,7 +26,7 @@ from borel_rees.orders import (
     build_fiber_type_basis,
     build_syzygy_set,
     dump_basis,
-    marking_order,
+    unoriented_rule,
 )
 from borel_rees.presentation import (
     Alphabet,
@@ -53,6 +53,11 @@ def m(text, n):
 
 def pres(n, *specs):
     return PresMonomial([PresVar(i, m(t, n)) for i, t in specs])
+
+
+def unoriented(rules, ideals):
+    """unoriented_rule of the rules compiled onto the ideals' alphabet."""
+    return unoriented_rule(rank_rules(rules, Alphabet.of(ideals)))
 
 
 RLEX_CHAIN = ["x1^2", "x1*x2", "x2^2", "x1*x3", "x2*x3", "x3^2",
@@ -308,28 +313,28 @@ class TestMarkingOrder:
                    for fiber_gb, given, kind in tables[:3]]
         for table, given, kind in tables:
             assert table.order.kind == kind
-            assert marking_order(table, given) is table.order
+            assert unoriented(table, given) is None
         # the syzygies alone and a plain list carry no order
+        alphabet = Alphabet.of(pair)
         assert build_syzygy_set(pair).order is None
-        assert marking_order(build_syzygy_set(pair), pair) is None
-        assert marking_order(list(running_pair_basis), pair) is None
+        assert rank_rules(build_syzygy_set(pair), alphabet).order is None
+        assert rank_rules(list(running_pair_basis), alphabet).order is None
 
     def test_a_recompiled_table_keeps_its_order(self, running_pair):
         i1, i2 = running_pair
         table = build_G1(i1)
         compiled = rank_rules(table, Alphabet.of([i1, i2]))
         assert compiled is not table and compiled.order is table.order
-        assert marking_order(table, [i1, i2]) is table.order
+        assert unoriented_rule(compiled) is None
         assert rank_rules(list(table), table.alphabet).order is None
 
-    def test_marking_order_builds_no_order(self, running_pair,
-                                           running_pair_basis):
+    def test_unoriented_rule_builds_no_order(self, running_pair,
+                                             running_pair_basis):
         # it checks the order the table carries, with no region split
         pair = list(running_pair)
         assert not hasattr(orders, "order_view")
         with mock.patch.object(orders, "PresOrder") as built:
-            assert marking_order(running_pair_basis, pair) is \
-                running_pair_basis.order
+            assert unoriented(running_pair_basis, pair) is None
         assert not built.mock_calls
 
     def test_reversed_rule_has_no_order(self, quadric_pair_ideal):
@@ -337,8 +342,7 @@ class TestMarkingOrder:
         rules = list(table)
         g = rules[0]
         rules[0] = MarkedBinomial(g.trail, g.lead, g.source)
-        assert marking_order(marked_like(table, rules),
-                             [quadric_pair_ideal]) is None
+        assert unoriented(marked_like(table, rules), [quadric_pair_ideal]) == 0
 
     def test_unequal_images_have_no_order(self, quadric_pair_ideal):
         table = build_G1(quadric_pair_ideal)
@@ -350,18 +354,17 @@ class TestMarkingOrder:
                      and compare_presmonomials(table.order, g.lead,
                                                h.trail) > 0)
         rules[0] = MarkedBinomial(g.lead, lower, g.source)
-        assert marking_order(marked_like(table, rules),
-                             [quadric_pair_ideal]) is None
+        assert unoriented(marked_like(table, rules), [quadric_pair_ideal]) == 0
 
     def test_mixed_leads_have_no_order(self, quadric_pair_ideal):
         # a syzygy reversed, a syzygy with unequal images, and an x-part of
         # degree 2: no block order takes them, though the last one's x-parts
         # would orient it; that lead is three atoms, which the rewriting
-        # core refuses, so it reaches marking_order only in a list
+        # core refuses, in a table and in a list alike
         ideals = [quadric_pair_ideal]
         table = build_fiber_type_basis(ideals, build_G1(quadric_pair_ideal))
         rules = list(table)
-        assert marking_order(table, ideals).kind == "rlex"
+        assert table.order.kind == "rlex" and unoriented(table, ideals) is None
         g = rules[0]
         assert g.source == "SYZ"
         other = next(h.trail.t_part for h in rules[1:] if h.source == "SYZ"
@@ -384,14 +387,17 @@ class TestMarkingOrder:
                 if rule is mutations[2]:
                     with pytest.raises(ValueError, match="lead atom count 3"):
                         marked_like(table, mutated)
+                    with pytest.raises(ValueError, match="lead atom count 3"):
+                        rank_rules(mutated, Alphabet.of(ideals))
                 else:
-                    mutated = marked_like(table, mutated)
-                assert marking_order(mutated, ideals) is None, rule
+                    assert unoriented(marked_like(table, mutated),
+                                      ideals) is not None, rule
 
     def test_variables_outside_the_collection_have_no_order(
         self, quadric_pair_ideal, running_pair_basis
     ):
-        assert marking_order(running_pair_basis, [quadric_pair_ideal]) is None
+        with pytest.raises(ValueError, match="not a variable"):
+            rank_rules(running_pair_basis, Alphabet.of([quadric_pair_ideal]))
 
 
 def reference_compare(order, A, B):
@@ -482,8 +488,9 @@ class TestRankComparison:
 
 
 class TestMarkingOrderDifferential:
-    """marking_order against the object-level orients on mutants of the
-    builders' tables, each still carrying its builder's order."""
+    """The carried order and unoriented_rule against the object-level
+    orients on mutants of the builders' tables, each still carrying its
+    builder's order."""
 
     @staticmethod
     def reference_marking_order(rules, ideals):
@@ -501,8 +508,16 @@ class TestMarkingOrderDifferential:
 
     @staticmethod
     def found(rules, ideals):
-        order = marking_order(rules, ideals)
-        return order.kind if order is not None else None
+        """The kind of the order the rules carry when unoriented_rule finds
+        that it orients each rule on the ideals' alphabet, else None: a
+        list carries no order, and one rank_rules refuses has none."""
+        try:
+            table = rank_rules(rules, Alphabet.of(ideals))
+        except ValueError:
+            return None
+        if table.order is None or unoriented_rule(table) is not None:
+            return None
+        return table.order.kind
 
     def test_each_rule_reversed_in_turn(self, running_pair, running_pair_basis):
         ideals = list(running_pair)
@@ -560,8 +575,8 @@ class TestMarkingOrderDifferential:
             PresMonomial(g1.trail.factors[:1]), "G1"))
         mutations["twice"] = (basis.index(g3), g3)
         # leads that are not two atoms, and variables outside the pair,
-        # are refused on the table's alphabet: they reach marking_order
-        # only in a list, which rank_rules refuses there too
+        # are refused on the table's alphabet: they reach the check only
+        # in a list, which rank_rules refuses there too
         refused = {"cubic", "foreign trail", "foreign lead", "linear"}
         assert reference_compare(order, shared.lead, twin) > 0
         for name, (k, rule) in mutations.items():

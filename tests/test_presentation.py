@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 from functools import reduce
 from operator import or_
@@ -661,6 +662,41 @@ class TestGroupsAreCounted:
                 assert list(groups(start)) == listed[start:]
             assert walked == list(dict.fromkeys(tv for tv, _ in
                                                 listed[start:]))
+
+
+class TestListingAtAHugeXDegree:
+    """A slice's groups are one range of rest degrees, so groups(start)
+    passes over a slice by its range's length and starts inside one by
+    slicing it: at x-degree 10**6, the first group of either slice of
+    B(x1^2) at n=3 is listed with no list of the slice's degrees built."""
+
+    IDEALS = [borel_closure([m("x1^2", 3)], 3)]
+    X_DEGREE = 10**6
+
+    def first_group(self, start):
+        """(t-vector, group with unpacked keys) of groups(start), and the
+        tracemalloc peak of the call that lists it."""
+        digits, _, groups = _fiber_groups(self.IDEALS, (1,),
+                                          x_degree=self.X_DEGREE)
+        listing = groups(start)
+        tracemalloc.start()
+        try:
+            tv, group = next(listing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return tv, {digits.unpack(k): v for k, v in group.items()}, peak
+
+    def test_the_first_group_of_the_walk(self):
+        tv, group, peak = self.first_group(0)
+        assert (tv, group) == ((0,), {(0, 0, 0): [()]})
+        assert peak < 5 * 2**20
+
+    def test_a_start_past_the_first_slice(self):
+        # the empty slice has a group for every x-degree 0..10**6
+        tv, group, peak = self.first_group(self.X_DEGREE + 1)
+        assert (tv, group) == ((1,), {(2, 0, 0): [(0,)]})
+        assert peak < 5 * 2**20
 
 
 def _recording_slices(walked):

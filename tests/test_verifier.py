@@ -17,13 +17,13 @@ from borel_rees.monomial import Monomial, parse_monomial
 from borel_rees.borel import order_view
 from borel_rees.cli import _BASES
 from borel_rees.orders import (
-    marking_order,
     build_G1,
     build_G2,
     build_G3,
     build_fiber_type_basis,
     build_head_and_tail_basis,
     build_syzygy_set,
+    unoriented_rule,
 )
 from borel_rees.presentation import (
     Alphabet,
@@ -291,7 +291,7 @@ class TestBuilderLeads:
                     assert sum(len(listed) for row in leads if row
                                for listed in row if listed) == len(rules) > 0
 
-    def test_every_builder_carries_the_order_marking_order_checks(
+    def test_every_builder_carries_an_order_orienting_its_rows(
             self, running_pair):
         # on every shape at n=6 and on the running pair: the order comes
         # with the table, and it orients every row
@@ -304,7 +304,8 @@ class TestBuilderLeads:
                 table = _BASES[name][1](ideals)
                 kind = kinds.get(name, "rlex" if len(ideals) == 1 else "ht")
                 assert table.order.kind == kind
-                assert marking_order(table, ideals) is table.order
+                compiled = rank_rules(table, Alphabet.of(ideals))
+                assert compiled is table and unoriented_rule(table) is None
 
 
 class TestStandardMonomialDifferential:
@@ -395,7 +396,8 @@ class TestUnusableOrders:
     """A rule its carried order does not orient, or a list that carries no
     order, leaves verify_gb no method: the run is "inconclusive" (exit 3)
     with one note naming the case, and no multidegree is checked, however
-    many monomials the budget holds. marking_order is None for each."""
+    many monomials the budget holds: unoriented_rule names the rule, or
+    the compiled list has no order."""
 
     @pytest.mark.parametrize("name",
                              ["reversed", "other-image", "syzygy-reversed"])
@@ -404,7 +406,7 @@ class TestUnusableOrders:
         pair = list(running_pair)
         rules, k = _unoriented_mutant(name, pair, running_pair_basis)
         assert rules.order is running_pair_basis.order
-        assert marking_order(rules, pair) is None
+        assert unoriented_rule(rank_rules(rules, Alphabet.of(pair))) == k
         note = unoriented_note(rules.order, rules[k], pair)
         if name == "syzygy-reversed":
             assert (rules[k].lead.x_part.support()
@@ -420,7 +422,7 @@ class TestUnusableOrders:
                                            running_pair_basis):
         pair = list(running_pair)
         rules = list(running_pair_basis)
-        assert marking_order(rules, pair) is None
+        assert rank_rules(rules, Alphabet.of(pair)).order is None
         with mock.patch.object(verifier, "monomial_count",
                                side_effect=AssertionError):
             assert_inconclusive(rules, pair, (2, 2),
@@ -1139,6 +1141,38 @@ class TestVerifyGBMixed:
             "unchecked t-vectors, content degree above x-degree 4: "
             "1,2 2,1 2,2"
         ]
+
+    @pytest.mark.parametrize("name", ["pair", "one"])
+    def test_each_slice_is_one_range_of_rest_degrees(
+            self, running_pair, quadric_pair_ideal, name):
+        # at x-degrees below, at and above each slice's content degree,
+        # and in the pure walk: the counts hold one group per rest degree,
+        # the note names exactly the slices with none, and the closed form
+        # is the members counted
+        ideals, budget = {"pair": (list(running_pair), (2, 1)),
+                          "one": ([quadric_pair_ideal], (3,))}[name]
+        lows = {presentation.content_degree(ideals, tv)
+                for tv in t_vectors(budget)}
+        bounds = sorted({d + k for d in lows for k in (-1, 0, 1)} - {-1})
+        for x_degree in [None, *bounds]:
+            rests = {tv: presentation._rest_degrees(ideals, tv, x_degree)
+                     for tv in t_vectors(budget)}
+            counts = list(presentation._fiber_groups(
+                ideals, budget, x_degree=x_degree)[1])
+            assert Counter(tv for tv, *_ in counts) == {
+                tv: len(r) for tv, r in rests.items() if r}
+            assert [d for _, d, _, _ in counts] == [
+                presentation.content_degree(ideals, tv) + e
+                for tv, r in rests.items() for e in r]
+            assert presentation.monomial_count(ideals, budget, x_degree) \
+                == sum(members for *_, members in counts)
+            if x_degree is None:
+                continue
+            empty = [",".join(map(str, tv)) for tv, r in rests.items()
+                     if not r]
+            assert unreached_slice_notes(ideals, budget, x_degree) == (
+                [f"unchecked t-vectors, content degree above x-degree "
+                 f"{x_degree}: {' '.join(empty)}"] if empty else [])
 
     def test_a_huge_budget_at_the_default_x_degree_is_decided_at_once(
             self, running_pair, running_pair_basis):
