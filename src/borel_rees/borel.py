@@ -14,8 +14,9 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .monomial import (
+    DimensionMismatch,
     Monomial,
-    monomial_from_any,
+    parse_monomial,
     rlex_sort_key,
     strongly_stable_precedes,
 )
@@ -242,7 +243,9 @@ def load_collection(spec: dict) -> tuple[StronglyStableIdeal, ...]:
     Expected shape:
         {"n": 6, "ideals": [{"borel_generators": ["x4*x5", "x2*x6"]}, ...]}
 
-    Any other shape raises InvalidIdeal naming the offending field.
+    A generator is monomial text (parse_monomial) or a list of n int
+    exponents; a list of another length raises DimensionMismatch. Any other
+    shape raises InvalidIdeal naming the offending field.
     """
     if not isinstance(spec, dict):
         raise InvalidIdeal("ideal spec must be a JSON object")
@@ -267,20 +270,21 @@ def load_collection(spec: dict) -> tuple[StronglyStableIdeal, ...]:
             raise InvalidIdeal(f"field {field!r} must be a list")
         gens = []
         for g in raw_gens:
-            if not (isinstance(g, str) or _is_exponent_list(g)):
+            if isinstance(g, str):
+                gens.append(parse_monomial(g, n))
+            elif isinstance(g, list) and all(
+                    isinstance(e, int) and not isinstance(e, bool) for e in g):
+                if len(g) != n:
+                    raise DimensionMismatch(
+                        f"exponent vector length {len(g)} != n={n}")
+                gens.append(Monomial(g))
+            else:
                 raise InvalidIdeal(
                     f"field {field!r}: {g!r} is neither monomial text nor "
                     "an exponent list"
                 )
-            gens.append(monomial_from_any(g, n))
         ideals.append(borel_closure(gens, n))
     return validate_collection(ideals)
-
-
-def _is_exponent_list(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(e, int) and not isinstance(e, bool) for e in value
-    )
 
 
 def collection_spec(ideals: Sequence[StronglyStableIdeal]) -> dict:

@@ -159,21 +159,6 @@ def parse_monomial(text: str, n: int) -> Monomial:
     return Monomial(exps)
 
 
-def monomial_from_any(value, n: int) -> Monomial:
-    """Accept either the text syntax or an exponent list (the canonical form)."""
-    if isinstance(value, Monomial):
-        if value.n != n:
-            raise DimensionMismatch(f"{value.n} vs {n} variables")
-        return value
-    if isinstance(value, str):
-        return parse_monomial(value, n)
-    if isinstance(value, (list, tuple)):
-        if len(value) != n:
-            raise DimensionMismatch(f"exponent vector length {len(value)} != n={n}")
-        return Monomial(value)
-    raise TypeError(f"cannot interpret {value!r} as a monomial")
-
-
 def product(monomials: Sequence[Monomial], n: int) -> Monomial:
     return reduce(Monomial.__mul__, monomials, Monomial.one(n))
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from functools import cache, reduce
+from functools import reduce
 from math import comb, prod
 from operator import attrgetter, or_, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -313,6 +313,20 @@ def t_vectors(t_budget: Sequence[int]) -> Iterator[tuple[int, ...]]:
             yield (a, *rest)
 
 
+def _reached_budget(ideals: Sequence[StronglyStableIdeal],
+                    t_budget: Sequence[int],
+                    x_degree: int | None = None) -> tuple[int, ...]:
+    """The box of t-vectors a walk up to x_degree reaches, t_budget with
+    each entry t_i clipped to x_degree // d_i (d_i the degree of ideal i):
+    content degree grows with every entry, so a slice past that box has
+    content degree above x_degree and no group. A pure walk (no x_degree)
+    reaches the whole budget."""
+    if x_degree is None:
+        return tuple(t_budget)
+    return tuple([min(b, x_degree // ideal.degree)
+                  for b, ideal in zip(t_budget, ideals)])
+
+
 def _rest_degrees(ideals: Sequence[StronglyStableIdeal], tv,
                   x_degree: int | None = None) -> range:
     """The rest degrees of a t-slice's groups: e for its group of x-degree
@@ -334,9 +348,11 @@ def monomial_count(
     monomials, g_i the number of variables of ideal i, each of them times
     the C(n + e, e) x-monomials of degree at most e, the last of the
     slice's rest degrees (_rest_degrees; none when they are empty).
-    Without x_degree e is 0: a pure fiber is a fiber of rest degree 0."""
+    Without x_degree e is 0: a pure fiber is a fiber of rest degree 0.
+    Only the slices x_degree reaches are summed (_reached_budget), however
+    far the budget goes past them."""
     total = 0
-    for tv in t_vectors(t_budget):
+    for tv in t_vectors(_reached_budget(ideals, t_budget, x_degree)):
         rests = _rest_degrees(ideals, tv, x_degree)
         if rests:
             total += comb(ideals[0].n + rests[-1], rests[-1]) * prod(
@@ -418,7 +434,8 @@ class Alphabet:
         try:
             return tuple([self.index[f] for f in v.factors] + xs)
         except KeyError as exc:
-            raise _foreign(exc) from None
+            raise ValueError(f"{exc.args[0]} is not a variable of this "
+                             "collection") from None
 
     def decode(self, atoms: Sequence[int], kind: type = MixedMonomial):
         """The monomial of the given kind (Monomial, PresMonomial or
@@ -441,17 +458,13 @@ class Alphabet:
         return self.decode(atoms).label()
 
 
-def _foreign(exc: KeyError) -> ValueError:
-    """The error of a variable missing from an alphabet."""
-    return ValueError(f"{exc.args[0]} is not a variable of this collection")
-
-
 class Digits:
     """Exponent tuples of n variables packed into ints: one fixed-width digit
     per variable, big-endian, so x_1's exponent is the most significant.
 
     A digit is one byte while degree (the largest digit to hold) is below
-    256, and a byte wider at each further power of 256. Adding two packed
+    256, and a byte wider at each further power of 256; pack and unpack
+    write and read width bytes per digit, at any width. Adding two packed
     tuples adds their exponents while no digit overflows, and packed ints
     compare as their exponent tuples do, so sorting packed contents sorts
     the tuples.
@@ -467,16 +480,12 @@ class Digits:
 
     def pack(self, exps: Iterable[int]) -> int:
         width = self.width
-        if width == 1:
-            return int.from_bytes(bytes(exps), "big")
         return int.from_bytes(
             b"".join([e.to_bytes(width, "big") for e in exps]), "big")
 
     def unpack(self, x: int) -> tuple[int, ...]:
-        raw = x.to_bytes(self.n * self.width, "big")
         width = self.width
-        if width == 1:
-            return tuple(raw)
+        raw = x.to_bytes(self.n * width, "big")
         return tuple([int.from_bytes(raw[i:i + width], "big")
                       for i in range(0, len(raw), width)])
 
@@ -506,7 +515,9 @@ class _Expansion:
     factor at a time, a whole level (one t-slice) at once, in one of two
     ways that share the steps and blocks tables.
 
-    grow keeps members: a node is (packed content, allowed, rank tuple).
+    grow keeps members, with one loop for every caller: a node is (packed
+    content, allowed, rank tuple); a point query (enumerate_mixed_fiber)
+    filters the children it returns.
     Ranks are positions in presentation_variables(ideals), non-decreasing
     along a tuple; allowed is the bitmask of the ranks that may come next:
     none below the last rank, and none that would complete a forbidden pair
@@ -555,27 +566,16 @@ class _Expansion:
         self.root = [(0, (1 << size) - 1, ())]
         self.states = {(1 << size) - 1: [0]}
 
-    def grow(self, level: list, i: int, guard: tuple[int, int] | None = None):
-        """The level of each node of level times one factor of ideal i (0-based)
-        allowed beside it. With guard = (top, g) a child is kept only when its
-        content y passes (top - y) & g == g: with g a guard bit above every
-        digit and top the packed target plus g, that is y <= target digitwise.
-        """
+    def grow(self, level: list, i: int) -> list:
+        """The level of each node of level times one factor of ideal i
+        (0-based) allowed beside it, in rank-tuple order."""
         block = self.blocks[i]
         steps = self.steps
         out: list = []
         append = out.append
-        if guard is None:
-            for x, allowed, ranks in level:
-                for p, ok, k in steps[allowed & block]:
-                    append((x + p, allowed & ok, ranks + k))
-        else:
-            top, g = guard
-            for x, allowed, ranks in level:
-                for p, ok, k in steps[allowed & block]:
-                    y = x + p
-                    if (top - y) & g == g:
-                        append((y, allowed & ok, ranks + k))
+        for x, allowed, ranks in level:
+            for p, ok, k in steps[allowed & block]:
+                append((x + p, allowed & ok, ranks + k))
         return out
 
     def grow_states(self, level: dict, i: int) -> dict:
@@ -642,11 +642,14 @@ def enumerate_mixed_fiber(
     digits = Digits(n, 2 * max(sum(target), *(i.degree for i in ideals)))
     expansion = _Expansion(ideals, digits)
     g = digits.pack([1 << (digits.bits - 1)] * n)
-    guard = (digits.pack(target) + g, g)
+    top = digits.pack(target) + g
     level = expansion.root
     for i, count in enumerate(mu.t_exps):
         for _ in range(count):
-            level = expansion.grow(level, i, guard)
+            # a child's content y is kept when (top - y) & g == g, that is
+            # y <= target digitwise
+            level = [node for node in expansion.grow(level, i)
+                     if (top - node[0]) & g == g]
             if not level:
                 return []
     decode = Alphabet.of(ideals).decode
@@ -701,21 +704,39 @@ def _level_slices(root, grow, t_budget: Sequence[int]):
         yield tv, level
 
 
-def _rest_lists(digits: Digits, size: int):
-    """rest(e, ban): (packed m, x-atoms of m) of every x-monomial m of
-    degree e avoiding the x-atoms banned in ban (bit size + i - 1 for
-    x_i), in combinations_with_replacement order of the unbanned x-atoms;
-    each list built once."""
-    n = digits.n
-    units = [digits.pack([int(i == j) for j in range(n)]) for i in range(n)]
+class _RestLists(dict):
+    """(e, ban) -> (packed m, x-atoms of m) of every x-monomial m of degree
+    e avoiding the x-atoms banned in ban (bit size + i - 1 for x_i), in
+    combinations_with_replacement order of the unbanned x-atoms: the rests
+    of one walk over a budget, each list built on first use.
 
-    @cache
-    def rest(e: int, ban: int) -> list[tuple[int, tuple[int, ...]]]:
-        free = [a for a in range(size, size + n) if not ban >> a & 1]
-        return [(sum([units[a - size] for a in w]), w)
-                for w in itertools.combinations_with_replacement(free, e)]
+    Later slices read the low degrees again, so a list stays while its
+    degree is at most kept, the highest degree a finished slice reached,
+    which the walk raises as each slice ends. Above kept only the degree in
+    use (top) stays: the first list of a new degree there drops the others
+    above kept, so a slice whose rest degrees rise without bound holds one
+    degree's lists at a time.
+    """
 
-    return rest
+    def __init__(self, digits: Digits, size: int):
+        super().__init__()
+        n = digits.n
+        self.units = [digits.pack([int(i == j) for j in range(n)])
+                      for i in range(n)]
+        self.size, self.kept, self.top = size, -1, -1
+
+    def __missing__(self, key: tuple[int, int]) -> list:
+        e, ban = key
+        if e > self.kept and e != self.top:
+            for old in [k for k in self if k[0] > self.kept]:
+                del self[old]
+            self.top = e
+        units, size = self.units, self.size
+        free = [a for a in range(size, size + len(units)) if not ban >> a & 1]
+        rests = self[key] = [
+            (sum([units[a - size] for a in w]), w)
+            for w in itertools.combinations_with_replacement(free, e)]
+        return rests
 
 
 def rank_fibers(
@@ -763,10 +784,12 @@ def _fiber_groups(
     less the slice's content degree. A slice's groups are one range of
     rest degrees, _rest_degrees: with x_degree every e from 0 up to
     x_degree less the content degree, none when that is negative; without,
-    the pure walk, the one group of e = 0, whose rests are all 1. Both
-    walk these groups on one _Expansion and one rest cache, and neither
-    grows a level until it is iterated, so a run can count some groups and
-    list the rest.
+    the pure walk, the one group of e = 0, whose rests are all 1. Only the
+    slices x_degree reaches (_reached_budget) are walked: a slice past
+    them has no group. Both walk these groups on one _Expansion and one
+    _RestLists, which keeps a degree's rests once a finished slice has
+    reached it, and neither grows a level until it is iterated, so a run
+    can count some groups and list the rest.
 
     counts yields (t-vector, x-degree, multidegrees, members), the number
     of a group's keys and of their members, listing none: slices grow by
@@ -795,11 +818,12 @@ def _fiber_groups(
                                   x_degree or 0)
     digits, x_bans = expansion.digits, expansion.bans
     high = ((1 << digits.n) - 1) << expansion.size  # the x-atom bits
-    rest = _rest_lists(digits, expansion.size)
+    rest_lists = _RestLists(digits, expansion.size)
+    reached = _reached_budget(ideals, t_budget, x_degree)
 
     def slices(root, grow):
-        # each slice's level and the rest degrees of its groups
-        for tv, level in _level_slices(root, grow, t_budget):
+        # each reached slice's level and the rest degrees of its groups
+        for tv, level in _level_slices(root, grow, reached):
             yield tv, level, _rest_degrees(ideals, tv, x_degree)
 
     def counts():
@@ -809,10 +833,12 @@ def _fiber_groups(
                 keys: set[int] = set()
                 members = 0
                 for state, xs in level.items():
-                    for pw, _ in rest(e, state & high):
+                    for pw, _ in rest_lists[e, state & high]:
                         keys.update([x + pw for x in xs] if pw else xs)
                         members += len(xs)
                 yield tv, content_degree(ideals, tv) + e, len(keys), members
+            if rests:
+                rest_lists.kept = max(rest_lists.kept, rests[-1])
 
     def groups(start=0):
         skip = start  # groups left to pass over, no member dict built
@@ -842,9 +868,10 @@ def _fiber_groups(
                 for x, us in by_content.items():
                     for u in us:
                         ban = reduce(or_, [x_bans.get(k, 0) for k in u], 0)
-                        for pw, w in rest(e, ban):
+                        for pw, w in rest_lists[e, ban]:
                             mixed.setdefault(x + pw, []).append(u + w)
                 yield tv, mixed
+            rest_lists.kept = max(rest_lists.kept, rests[-1])
 
     return digits, counts(), groups
 

@@ -62,7 +62,6 @@ from .presentation import (
     MixedMonomial,
     PresMonomial,
     PresVar,
-    _foreign,
 )
 from .records import Frozen, Record
 
@@ -437,12 +436,12 @@ def rank_rules(rules: Sequence[MarkedBinomial],
     """A rule list on the atoms of an alphabet.
 
     A RankRules already on an alphabet of the same variables and n is
-    returned as it is; one on another alphabet is compiled from its rules,
-    keeping its order. Any other list gets no order.
-    Compiling reads a quadric PresMonomial's two factors straight off the
-    alphabet's index, and encodes any other monomial. A rule whose lead is
-    not two atoms raises ValueError naming the rule and its lead's atom
-    count.
+    returned as it is, so every builder's table is; one on another
+    alphabet is compiled from its rules, keeping its order. Any other list
+    (a hand-made one) gets no order. Compiling encodes each rule's lead and
+    trail (Alphabet.encode, which refuses a variable outside the alphabet
+    with ValueError). A rule whose lead is not two atoms raises ValueError
+    naming the rule and its lead's atom count.
     """
     order = None
     if isinstance(rules, RankRules):
@@ -450,23 +449,14 @@ def rank_rules(rules: Sequence[MarkedBinomial],
         if given is alphabet or (given.variables == alphabet.variables
                                  and given.n == alphabet.n):
             return rules
-    atoms = alphabet.index
     encode = alphabet.encode
     rows = []
     for g in rules:
-        lead, trail = g.lead, g.trail
-        if type(lead) is PresMonomial and len(lead.factors) == 2:
-            (p, q), (r, s) = lead.factors, trail.factors
-            try:
-                lead, trail = (atoms[p], atoms[q]), (atoms[r], atoms[s])
-            except KeyError as exc:
-                raise _foreign(exc) from None
-        else:
-            lead, trail = encode(lead), encode(trail)
-            if len(lead) != 2:
-                raise ValueError(
-                    f"rule {g.label()}: lead atom count {len(lead)}; the "
-                    f"rewriting core takes two-atom leads only")
+        lead, trail = encode(g.lead), encode(g.trail)
+        if len(lead) != 2:
+            raise ValueError(
+                f"rule {g.label()}: lead atom count {len(lead)}; the "
+                f"rewriting core takes two-atom leads only")
         rows.append((lead, trail, g.source))
     return RankRules(alphabet, rows,
                      frozenset([type(g.lead) for g in rules]), list(rules),

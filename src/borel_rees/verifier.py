@@ -78,6 +78,7 @@ from .presentation import (
     rank_fibers,
     t_vectors,
     _fiber_groups,
+    _reached_budget,
     _rest_degrees,
 )
 from .records import Frozen, Record
@@ -359,16 +360,23 @@ def unreached_slice_notes(
     (presentation._rest_degrees) are empty, their content degree above
     x_degree, so that no fiber of theirs is checked; none when every slice
     is reached. Content degree grows with every t entry, so the budget's
-    own range decides at once whether any slice is unreached, and the
-    t-vectors are walked only to name them."""
+    own range decides at once whether any slice is unreached, and only the
+    box the walk reaches (presentation._reached_budget) plus one step per
+    coordinate, within the budget, is walked to name them. Every budgeted
+    t-vector outside that box lies above a named one, so when the budget
+    goes further the note adds that every t-vector above them is
+    unreached too."""
     if _rest_degrees(ideals, t_budget, x_degree):
         return []
+    reached = _reached_budget(ideals, t_budget, x_degree)
+    edge = tuple([min(b, a + 1) for a, b in zip(reached, t_budget)])
     unreached = " ".join(
-        ",".join(map(str, tv)) for tv in t_vectors(t_budget)
+        ",".join(map(str, tv)) for tv in t_vectors(edge)
         if not _rest_degrees(ideals, tv, x_degree)
     )
+    above = "" if edge == tuple(t_budget) else " and every t-vector above them"
     return [f"unchecked t-vectors, content degree above x-degree {x_degree}: "
-            f"{unreached}"]
+            f"{unreached}{above}"]
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,13 @@ class TestCollections:
         assert collection_spec(ideals) == spec
         assert [len(i.minimal_generators) for i in ideals] == [16, 16]
 
+    def test_text_and_exponent_list_generators_agree(self):
+        as_text, as_list = (
+            load_collection({"n": 5, "ideals": [{"borel_generators": [g]}]})
+            for g in ("x2*x5", [0, 1, 0, 0, 1]))
+        assert as_text[0].borel_generators == as_list[0].borel_generators \
+            == (m("x2*x5", 5),)
+
     def test_exponent_vector_generators_accepted(self):
         ideals = load_collection(
             {"n": 3, "ideals": [{"borel_generators": [[0, 1, 1]]}]}

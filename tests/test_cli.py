@@ -102,6 +102,14 @@ class TestClosure:
         bad = {"n": 3, "ideals": [{"borel_generators": ["x2*oops"]}]}
         assert main(["closure", "--spec", spec_file(bad)]) == 4
 
+    @pytest.mark.parametrize("command", ["closure", "verify"])
+    def test_wrong_length_exponent_list(self, capsys, spec_file, command):
+        bad = {"n": 4, "ideals": [{"borel_generators": [[0, 1, 1]]}]}
+        assert main([command, "--spec", spec_file(bad)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: exponent vector length 3 != n=4\n"
+
 
 class TestFiberGraph:
     def test_pair_fiber_summary_and_dot(self, capsys, spec_file, tmp_path):

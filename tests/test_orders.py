@@ -11,6 +11,7 @@ import borel_rees
 from borel_rees import orders, presentation, reduction
 
 from borel_rees.borel import TwoQuadricView, borel_closure, order_view
+from borel_rees.cli import _BASES
 from borel_rees.monomial import (
     Monomial,
     all_one_step_reductions,
@@ -879,6 +880,25 @@ class TestBuilderTables:
             self.assert_table_is(
                 build_head_and_tail_basis(view1, view2),
                 reference_G1(i1, 1) + reference_G2(view2, 2) + g3, 2)
+
+    @pytest.mark.parametrize("shape", [*SHAPES, "pair"],
+                             ids=["".join(map(str, s)) for s in SHAPES]
+                             + ["pair"])
+    def test_a_hand_made_copy_compiles_to_the_builders_rows(
+            self, shape, running_pair):
+        # every basis of the command line: the decoded rules, as a plain
+        # list, are encoded back to the rows the builder wrote
+        if shape == "pair":
+            ideals, names = list(running_pair), ("g3", "ht", "fiber-type")
+        else:
+            c, a, b, d = shape
+            ideals = [borel_closure([m(f"x{c}*x{d}", 6),
+                                     m(f"x{a}*x{b}", 6)], 6)]
+            names = ("g1", "g2", "fiber-type")
+        for name in names:
+            table = _BASES[name][1](ideals)
+            assert table.rows
+            assert rank_rules(list(table), table.alphabet).rows == table.rows
 
     def test_a_table_on_the_collections_alphabet_is_used_as_is(
             self, running_pair):

@@ -40,7 +40,7 @@ from borel_rees.presentation import (
     _budget_expansion,
     _fiber_groups,
     _level_slices,
-    _rest_lists,
+    _RestLists,
 )
 from borel_rees.verifier import mixed_fibers
 from reference import banned_fibers
@@ -586,12 +586,12 @@ class TestStandardCounts:
         # banned ones filtered out, in the same order, for every ban mask
         size = 7
         digits = Digits(n, 4)
-        rest = _rest_lists(digits, size)
+        rest_lists = _RestLists(digits, size)
         atoms = range(size, size + n)
         for ban in range(1 << n):
             ban <<= size
             for e in range(5):
-                assert rest(e, ban) == [
+                assert rest_lists[e, ban] == [
                     (digits.pack([w.count(a) for a in atoms]), w)
                     for w in itertools.combinations_with_replacement(atoms, e)
                     if not any(ban >> a & 1 for a in w)]
@@ -697,6 +697,34 @@ class TestListingAtAHugeXDegree:
         tv, group, peak = self.first_group(self.X_DEGREE + 1)
         assert (tv, group) == ((1,), {(2, 0, 0): [(0,)]})
         assert peak < 5 * 2**20
+
+
+class TestRestListsAtAHugeXDegree:
+    """A slice whose rest degrees rise without bound keeps one degree's
+    rest lists at a time: the first 60 groups of B(x1^999999999999) at
+    n=3, budget (1,) and x-degree 2*10**12 (the default bound of that
+    spec) are x-degrees 0..59 of the empty slice, each with every
+    x-monomial of its degree, counted or listed under an 8 MB peak."""
+
+    IDEALS = [borel_closure([m("x1^999999999999", 3)], 3)]
+
+    @pytest.mark.parametrize("walk", ["counts", "groups"])
+    def test_sixty_groups(self, walk):
+        tracemalloc.start()
+        try:
+            _, counts, groups = _fiber_groups(self.IDEALS, (1,),
+                                              x_degree=2 * 10**12)
+            if walk == "counts":
+                sizes = [(tv, keys) for tv, _, keys, _ in
+                         itertools.islice(counts, 60)]
+            else:
+                sizes = [(tv, len(group)) for tv, group in
+                         itertools.islice(groups(), 60)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes == [((0,), (e + 1) * (e + 2) // 2) for e in range(60)]
+        assert peak < 8 * 2**20
 
 
 def _recording_slices(walked):

@@ -1142,6 +1142,26 @@ class TestVerifyGBMixed:
             "1,2 2,1 2,2"
         ]
 
+    def test_unreached_slices_past_the_reached_box_are_summed_up(
+            self, running_pair, quadric_pair_ideal):
+        # the note names the unreached t-vectors up to one step past the
+        # box the x-degree reaches, and the rest as lying above them
+        pair, one = list(running_pair), [quadric_pair_ideal]
+        above = " and every t-vector above them"
+        assert unreached_slice_notes(one, (3,), 0) == [
+            f"unchecked t-vectors, content degree above x-degree 0: 1{above}"]
+        assert unreached_slice_notes(one, (3,), 2) == [
+            f"unchecked t-vectors, content degree above x-degree 2: 2{above}"]
+        assert unreached_slice_notes(one, (3,), 4) == [
+            "unchecked t-vectors, content degree above x-degree 4: 3"]
+        assert unreached_slice_notes(pair, (5, 3), 4) == [
+            "unchecked t-vectors, content degree above x-degree 4: "
+            f"0,3 1,2 1,3 2,1 2,2 2,3 3,0 3,1 3,2 3,3{above}"]
+        start = time.perf_counter()
+        assert unreached_slice_notes(pair, (3000000000, 0), 5) == [
+            f"unchecked t-vectors, content degree above x-degree 5: 3,0{above}"]
+        assert time.perf_counter() - start < 1
+
     @pytest.mark.parametrize("name", ["pair", "one"])
     def test_each_slice_is_one_range_of_rest_degrees(
             self, running_pair, quadric_pair_ideal, name):
@@ -1168,11 +1188,24 @@ class TestVerifyGBMixed:
                 == sum(members for *_, members in counts)
             if x_degree is None:
                 continue
-            empty = [",".join(map(str, tv)) for tv, r in rests.items()
-                     if not r]
-            assert unreached_slice_notes(ideals, budget, x_degree) == (
-                [f"unchecked t-vectors, content degree above x-degree "
-                 f"{x_degree}: {' '.join(empty)}"] if empty else [])
+            empty = {tv for tv, r in rests.items() if not r}
+            notes = unreached_slice_notes(ideals, budget, x_degree)
+            if not empty:
+                assert notes == []
+                continue
+            # the named t-vectors, with every t-vector above them when the
+            # note says so, are exactly the slices with no rest degree
+            (note,) = notes
+            head = (f"unchecked t-vectors, content degree above x-degree "
+                    f"{x_degree}: ")
+            tail = " and every t-vector above them"
+            assert note.startswith(head)
+            named = note[len(head):].removesuffix(tail)
+            named = [tuple(map(int, tv.split(","))) for tv in named.split()]
+            assert named == sorted(named)
+            above = {tv for tv in rests if any(
+                all(map(operator.ge, tv, low)) for low in named)}
+            assert (above if note.endswith(tail) else set(named)) == empty
 
     def test_a_huge_budget_at_the_default_x_degree_is_decided_at_once(
             self, running_pair, running_pair_basis):
@@ -1187,6 +1220,34 @@ class TestVerifyGBMixed:
         start = time.perf_counter()
         assert unreached_slice_notes(pair, budget, x_degree) == []
         assert time.perf_counter() - start < 1
+
+    def test_a_huge_budget_walks_only_the_slices_a_small_x_degree_reaches(
+            self, running_pair, running_pair_basis):
+        # at x-degree 5 only t <= (2, 0) has a group, so the check, the
+        # oracle, the closed form and the note walk a few t-vectors of the
+        # 3,000,000,001; t_vectors refuses to yield past 10,000 in all, so
+        # a walk over the whole budget fails here instead of hanging
+        pair = list(running_pair)
+        rules = build_fiber_type_basis(pair, running_pair_basis)
+        budget = (3000000000, 0)
+        yielded, real = itertools.count(), presentation.t_vectors
+
+        def bounded(t_budget):
+            for tv in real(t_budget):
+                if next(yielded) > 10000:
+                    raise AssertionError("walked past 10,000 t-vectors")
+                yield tv
+
+        with mock.patch.object(presentation, "t_vectors", bounded), \
+                mock.patch.object(verifier, "t_vectors", bounded):
+            report = verify_gb(rules, pair, budget, x_degree=5)
+            checked, failures = kernel_membership(rules, pair, budget, 5)
+        assert (report.verdict, report.multidegrees_checked) == (
+            "certified-up-to-bound", 1194)
+        assert report.notes[-1] == (
+            "unchecked t-vectors, content degree above x-degree 5: 3,0 "
+            "and every t-vector above them")
+        assert (checked, failures) == (3888, [])
 
 
 def _fiber_type_case(name):
@@ -1404,8 +1465,8 @@ def _walked(run):
                               side_effect=expansion.grow_states) as states, \
             mock.patch.object(presentation, "_Expansion",
                               wraps=expansion) as built, \
-            mock.patch.object(presentation, "_rest_lists",
-                              wraps=presentation._rest_lists) as rests:
+            mock.patch.object(presentation, "_RestLists",
+                              wraps=presentation._RestLists) as rests:
         result = run()
     return result, {"expansions": built.call_count, "rests": rests.call_count,
                     "grow": grow.call_count, "grow_states": states.call_count}
