@@ -43,12 +43,10 @@ from .reduction import (
     MarkedBinomial,
     RankRules,
     ReductionGraph,
-    applicable_reductions,
     build_graph,
     ell_max,
     fiber_edges,
     has_cycle,
-    normal_form,
     rank_rewrites,
     rank_rules,
     rule_indices,

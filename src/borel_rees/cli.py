@@ -218,9 +218,12 @@ def cmd_kernel_oracle(args: argparse.Namespace) -> int:
     x_degree = mixed_x_degree(basis, ideals, args.budget, args.x_degree)
     if x_degree is not None:
         report.notes.append(f"mixed kernel pairs up to x-degree {x_degree}")
-        report.notes += unreached_slice_notes(ideals, args.budget, x_degree)
     checked, failures = kernel_membership(basis, ideals, args.budget, x_degree,
                                           progress=progress_to_stderr)
+    # the note walks the box the fibers' walk reached, so it comes after
+    # that walk: one too long to finish shows its progress first
+    if x_degree is not None:
+        report.notes += unreached_slice_notes(ideals, args.budget, x_degree)
     report.oracle_binomials_checked = checked
     report.oracle_failures = failures
     if report.verdict == "inconclusive":

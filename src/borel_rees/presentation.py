@@ -13,7 +13,8 @@ monomials a factor at a time, a whole t-slice (level) at once, each
 monomial a rank tuple with its content packed into an int (Digits) and the
 ranks still allowed beside it as a bitmask. Each t-slice grows from its
 parent slice (_level_slices), so every monomial within a t-budget is built
-once. A pure fiber is a fiber of the full presentation map whose x-part is
+once, and a slice with no x-degree left under a walk's bound is not built
+at all. A pure fiber is a fiber of the full presentation map whose x-part is
 all content, of rest degree 0, so each point query and each walk serves
 both presentations: enumerate_mixed_fiber (one fiber of the full map)
 grows one slice pruned against the target x-part, and enumerate_fiber
@@ -677,18 +678,28 @@ def _budget_expansion(
     return _Expansion(ideals, digits, forbidden_pairs)
 
 
-def _level_slices(root, grow, t_budget: Sequence[int]):
-    """(t-vector, level) of every t-slice in the budget, t-vectors
-    lexicographically, each level grown by grow(parent level, j) from root.
+def _level_slices(root, grow, ideals: Sequence[StronglyStableIdeal],
+                  t_budget: Sequence[int], x_degree: int | None):
+    """(t-vector, level, rest degrees) of every t-slice in the budget that
+    a walk up to x_degree reaches (None: the pure walk, every slice),
+    t-vectors lexicographically, each level grown by grow(parent level, j)
+    from root.
 
     A slice's parent is its t-vector less one in its last nonzero coordinate
     j, so it grows by one factor of ideal j: every monomial in the box is
     built once, and only the levels a later slice still extends are kept
-    (one per last nonzero coordinate, r + 1 at most).
+    (one per last nonzero coordinate, r + 1 at most). Only the box
+    _reached_budget clips the budget to is walked, and in it only the
+    slices whose rest degrees (_rest_degrees) are not empty: no level is
+    grown for a slice with no group. Content degree grows with every
+    entry, so the parent of a slice with rest degrees has them too.
     """
     # the latest level of each last nonzero coordinate (-1: the empty slice)
     kept = {-1: root}
-    for tv in t_vectors(t_budget):
+    for tv in t_vectors(_reached_budget(ideals, t_budget, x_degree)):
+        rests = _rest_degrees(ideals, tv, x_degree)
+        if not rests:
+            continue
         nonzero = [i for i, a in enumerate(tv) if a]
         if nonzero:
             j = nonzero[-1]
@@ -701,7 +712,7 @@ def _level_slices(root, grow, t_budget: Sequence[int]):
             kept[j] = level
         else:
             level = root
-        yield tv, level
+        yield tv, level, rests
 
 
 class _RestLists(dict):
@@ -785,11 +796,11 @@ def _fiber_groups(
     rest degrees, _rest_degrees: with x_degree every e from 0 up to
     x_degree less the content degree, none when that is negative; without,
     the pure walk, the one group of e = 0, whose rests are all 1. Only the
-    slices x_degree reaches (_reached_budget) are walked: a slice past
-    them has no group. Both walk these groups on one _Expansion and one
-    _RestLists, which keeps a degree's rests once a finished slice has
-    reached it, and neither grows a level until it is iterated, so a run
-    can count some groups and list the rest.
+    slices x_degree reaches are walked (_level_slices): a slice past them
+    has no group, and no level is grown for it. Both walk these groups on
+    one _Expansion and one _RestLists, which keeps a degree's rests once a
+    finished slice has reached it, and neither grows a level until it is
+    iterated, so a run can count some groups and list the rest.
 
     counts yields (t-vector, x-degree, multidegrees, members), the number
     of a group's keys and of their members, listing none: slices grow by
@@ -819,16 +830,11 @@ def _fiber_groups(
     digits, x_bans = expansion.digits, expansion.bans
     high = ((1 << digits.n) - 1) << expansion.size  # the x-atom bits
     rest_lists = _RestLists(digits, expansion.size)
-    reached = _reached_budget(ideals, t_budget, x_degree)
-
-    def slices(root, grow):
-        # each reached slice's level and the rest degrees of its groups
-        for tv, level in _level_slices(root, grow, reached):
-            yield tv, level, _rest_degrees(ideals, tv, x_degree)
 
     def counts():
-        for tv, level, rests in slices(expansion.states,
-                                       expansion.grow_states):
+        for tv, level, rests in _level_slices(
+                expansion.states, expansion.grow_states, ideals, t_budget,
+                x_degree):
             for e in rests:
                 keys: set[int] = set()
                 members = 0
@@ -837,12 +843,12 @@ def _fiber_groups(
                         keys.update([x + pw for x in xs] if pw else xs)
                         members += len(xs)
                 yield tv, content_degree(ideals, tv) + e, len(keys), members
-            if rests:
-                rest_lists.kept = max(rest_lists.kept, rests[-1])
+            rest_lists.kept = max(rest_lists.kept, rests[-1])
 
     def groups(start=0):
         skip = start  # groups left to pass over, no member dict built
-        for tv, level, rests in slices(expansion.root, expansion.grow):
+        for tv, level, rests in _level_slices(
+                expansion.root, expansion.grow, ideals, t_budget, x_degree):
             # the slice is passed over whole when it holds skip groups or
             # fewer; a range is sliced and tested with no len(), which a
             # bound past sys.maxsize would overflow

@@ -42,10 +42,10 @@ Noetherianly. The paper's o-invariant, which drops along the fiber-type
 rewrites together with that longest path, is a test reference
 (tests/reference.py).
 
-applicable_reductions and normal_form are the object-level references: they
-scan the rule list in order with each lead's divides, on the monomials
-themselves, and take a lead of any size; a lead of another kind than the
-monomial raises TypeError. rule_indices splits a rule list into quadratic
+This is the package's one rewriting core. The object-level scans that
+check it (the rule list scanned in order with each lead's divides, on the
+monomials themselves, for a lead of any size) live with the tests, in
+tests/reference.py. rule_indices splits a rule list into quadratic
 presentation leads keyed by their factor pair and the rest, which is what
 the term-order certificate reads its lead pairs from.
 """
@@ -136,16 +136,6 @@ def rule_indices(rules: Sequence[MarkedBinomial]):
         else:
             generic.append((pos, g))
     return pair_index, generic
-
-
-def applicable_reductions(v, rules: Sequence[MarkedBinomial]):
-    """All one-step reductions of v: (successor, rule) per applicable rule,
-    found by scanning the list in order; the reference for rank_rewrites."""
-    out = []
-    for g in rules:
-        if g.lead.divides(v):
-            out.append((v.quotient(g.lead) * g.trail, g))
-    return out
 
 
 def has_cycle(successors: Sequence[Iterable[int]]) -> bool:
@@ -274,45 +264,6 @@ def ell_max(graph: ReductionGraph, v) -> int:
             stack.append((i, True))
             stack.extend((j, False) for j in succ if j not in memo)
     return memo[root]
-
-
-def normal_form(v, rules: Sequence[MarkedBinomial], memo: dict | None = None):
-    """Rewrite v by the earliest-listed applicable rule until none applies:
-    the object-level reference for rank_normal_forms, scanning the list in
-    order. When the collection is a verified Groebner basis the result is
-    the unique sink regardless of rule order.
-
-    The path is kept in visit order; a rewrite back onto it raises
-    RewriteCycle naming the monomial that recurs and the cycle's length.
-    Rules keep degree, so every path ends or cycles.
-
-    memo, when given, maps monomials to their normal forms and is valid for
-    one rule list only. The path stops at the first monomial that is
-    irreducible or already in memo, and every monomial on it is then
-    recorded; a cycling path records nothing.
-    """
-    path: dict = {}
-    current = v
-    while True:
-        if memo is not None:
-            nf = memo.get(current)
-            if nf is not None:
-                break
-        for rule in rules:
-            if rule.lead.divides(current):
-                break
-        else:
-            nf = current
-            break
-        path[current] = len(path)
-        current = current.quotient(rule.lead) * rule.trail
-        if current in path:
-            raise RewriteCycle.recurring(
-                str(current), len(path) - path[current])
-    if memo is not None:
-        memo.update(dict.fromkeys(path, nf))
-        memo[current] = nf
-    return nf
 
 
 class RankRules(Sequence):
@@ -538,8 +489,8 @@ def rank_normal_forms(fiber: Sequence[tuple[int, ...]],
                       rules: RankRules) -> list:
     """The normal form of every member of a fiber of atom tuples, in fiber
     order: each member rewritten by the earliest-listed applicable rule
-    until none applies, as normal_form does on objects. A member whose path
-    cycles gets its RewriteCycle, with normal_form's message, as its value.
+    until none applies. A member whose path cycles gets as its value the
+    RewriteCycle naming the monomial that recurs and the cycle's length.
 
     One memo, local to the call, maps every monomial on a path that ends to
     its normal form, so members whose paths meet walk the rest once; a

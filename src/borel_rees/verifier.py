@@ -26,8 +26,9 @@ the same fibers once, on atom tuples, a fiber at a time by
 reduction.rank_normal_forms with one memo per fiber, and counts a fiber
 of k members as its C(k, 2) pairs. It reads a builder's rows as they
 are, so a library basis, quadric or fiber-type, reaches it with no rule
-object built; the pair list (toric_kernel_span) and its object-level
-check (check_membership) stay as its reference.
+object built. The pair list (toric_kernel_span) and check_membership,
+which reduces the pairs' sides on the same core, are its library-level
+entry points on monomials.
 
 verify_gb compiles the rules once onto the collection's alphabet
 (reduction.rank_rules, which hands a builder's table back as it is) and
@@ -42,7 +43,9 @@ time, and lists them as atom tuples only from the first group holding a
 multidegree without exactly one, whose monomials alone are built. A rule
 list with no usable order is "inconclusive", no fiber walked. The
 report's first note names the method or the missing order. analyze_fiber
-is the object-level fiber graph, kept as the reference.
+reads one fiber's sinks and cycle flag off reduction.build_graph, the
+core's fiber graph. No scan of objects is left here: the in-order scans
+that check the core live with the tests (tests/reference.py).
 
 A run whose evidence is empty (no checked fiber had two monomials and no
 oracle pair was checked) is "inconclusive", never "certified". For
@@ -65,6 +68,7 @@ from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .borel import StronglyStableIdeal, collection_spec, order_view
+from .monomial import kind_mismatch
 from .orders import build_G1, build_head_and_tail_basis, unoriented_rule
 from .presentation import (
     Alphabet,
@@ -85,13 +89,11 @@ from .records import Frozen, Record
 from .reduction import (
     MarkedBinomial,
     RankRules,
-    RewriteCycle,
-    applicable_reductions,
-    has_cycle,
-    normal_form,
+    build_graph,
     rank_normal_forms,
     rank_rules,
     rule_indices,
+    _graph_rules,
 )
 
 
@@ -182,21 +184,29 @@ class ObstructionWitness(Record):
 # fiber graph analysis
 
 
+def _one_kind(rules: Sequence[MarkedBinomial], monomials) -> None:
+    """Raise kind_mismatch(lead, v), naming both kinds, for the first
+    monomial v that is not of the first rule's lead kind: the TypeError a
+    lead's divides raises, before any rewriting."""
+    if rules:
+        lead = rules[0].lead
+        for v in monomials:
+            if type(v) is not type(lead):
+                raise kind_mismatch(lead, v)
+
+
 def analyze_fiber(fiber: Sequence, pair_index, generic):
     """(sink vertex indexes, cycle flag) of one fiber's graph under the rules
-    rule_indices split into pair_index and generic: the object-level
-    reference, every edge found by applicable_reductions."""
+    rule_indices split into pair_index and generic, read off
+    reduction.build_graph on the rules back in list order. A member of
+    another kind than the leads raises TypeError; a lead that is not two
+    atoms, or a successor outside the fiber, raises ValueError."""
     rules = [g for _, g in sorted(
         itertools.chain(generic, *pair_index.values()), key=itemgetter(0))]
-    position = {v: i for i, v in enumerate(fiber)}
-    edges = []
-    for v in fiber:
-        targets = {position.get(succ) for succ, _ in
-                   applicable_reductions(v, rules)}
-        if None in targets:
-            raise ValueError(f"reduction left the fiber from {v}")
-        edges.append(targets)
-    return [i for i, outs in enumerate(edges) if not outs], has_cycle(edges)
+    _one_kind(rules, fiber)
+    graph = build_graph(rules, fiber=fiber)
+    return ([i for i, outs in enumerate(graph.edges) if not outs],
+            graph.has_cycle)
 
 
 def verify_gb(
@@ -265,7 +275,6 @@ def verify_gb(
                         f"{len(rules)} rules oriented, images equal")
     if x_degree is not None:
         report.notes.append(f"mixed fibers up to x-degree {x_degree}")
-        report.notes += unreached_slice_notes(ideals, t_budget, x_degree)
 
     def count(k):
         report.multidegrees_checked = _advance(
@@ -290,6 +299,10 @@ def verify_gb(
                 MultiDegree(digits.unpack(key), tv),
                 [alphabet.decode(v).label(len(tv)) for v in fibers[key]],
                 False))
+    # the note walks the box the fibers' walk reached, so it comes after
+    # that walk: one too long to finish shows its progress first
+    if x_degree is not None:
+        report.notes += unreached_slice_notes(ideals, t_budget, x_degree)
     # Every fiber of the budget holds a monomial, and under a term order a
     # standard one (its least member), so every multidegree is checked and
     # the budget holds more monomials than multidegrees checked exactly
@@ -365,7 +378,9 @@ def unreached_slice_notes(
     coordinate, within the budget, is walked to name them. Every budgeted
     t-vector outside that box lies above a named one, so when the budget
     goes further the note adds that every t-vector above them is
-    unreached too."""
+    unreached too. That box is as large as the walk over it, so verify_gb
+    and the kernel-oracle command make the note after their walk: a walk
+    too long to finish reports its progress, never a wait on the note."""
     if _rest_degrees(ideals, t_budget, x_degree):
         return []
     reached = _reached_budget(ideals, t_budget, x_degree)
@@ -420,29 +435,43 @@ def check_membership(
     span_pairs: Sequence[tuple],
     rules: Sequence[MarkedBinomial],
 ) -> tuple[int, list[dict]]:
-    """Reduce both sides of every pair; a pair passes when the normal forms
-    coincide.
+    """Reduce both sides of every pair on the rewriting core; a pair passes
+    when the normal forms coincide.
 
-    One memo serves every normal_form call (the in-order scan), so each
-    monomial on a rewrite path is reduced once across all pairs; a side
-    already in it is looked up here without a call. A side whose rewriting
-    cycles makes its pair an "error" failure naming the monomial that
-    recurs; any other exception propagates.
+    The distinct sides are encoded once, on the alphabet of the rules and
+    the sides that build_graph uses too (reduction._graph_rules), and
+    reduced by one rank_normal_forms call, so one memo serves every pair
+    and each monomial on a rewrite path is reduced once. A side whose
+    rewriting cycles makes its pair an "error" failure naming the monomial
+    that recurs (the first side's, when both cycle); otherwise a failure
+    names both normal forms. A side of another kind than the leads raises
+    TypeError, and a lead that is not two atoms ValueError, before any
+    rewriting; any other exception propagates.
     """
-    memo: dict = {}
+    sides = list(dict.fromkeys(itertools.chain.from_iterable(span_pairs)))
+    _one_kind(rules, sides)
+    compiled = _graph_rules(rules, sides)
+    alphabet = compiled.alphabet
+    forms = dict(zip(sides, rank_normal_forms(
+        [alphabet.encode(v) for v in sides], compiled)))
     failures = []
     for a, b in span_pairs:
-        try:
-            na = memo.get(a) or normal_form(a, rules, memo)
-            nb = memo.get(b) or normal_form(b, rules, memo)
-        except RewriteCycle as exc:
-            failures.append({"pair": [str(a), str(b)], "error": str(exc)})
-            continue
-        if na is not nb and na != nb:
-            failures.append(
-                {"pair": [str(a), str(b)], "normal_forms": [str(na), str(nb)]}
-            )
+        if failure := _pair_failure(str(a), str(b), forms[a], forms[b],
+                                    alphabet.label):
+            failures.append(failure)
     return len(span_pairs), failures
+
+
+def _pair_failure(a: str, b: str, na, nb, label) -> dict | None:
+    """The failure of the kernel pair labelled a, b whose sides reduce to
+    na and nb (atom tuples, or the RewriteCycle of a side that cycles):
+    the first side's cycle as an "error", else both normal forms when they
+    differ, labelled by label; None when the pair passes."""
+    if type(na) is not tuple or type(nb) is not tuple:
+        return {"pair": [a, b], "error": str(nb if type(na) is tuple else na)}
+    if na != nb:
+        return {"pair": [a, b], "normal_forms": [label(na), label(nb)]}
+    return None
 
 
 def kernel_membership(
@@ -453,9 +482,9 @@ def kernel_membership(
     progress: Callable[[int], None] | None = None,
 ) -> tuple[int, list[dict]]:
     """Exactly check_membership(toric_kernel_span(ideals, t_budget, x),
-    rules), a fiber at a time on atom tuples, where x is
-    mixed_x_degree(rules, ideals, t_budget, x_degree): the fibers verify_gb
-    checks. So mixed leads with no x_degree get the default bound, and pure
+    rules), a fiber at a time on atom tuples with no monomial built for a
+    side, where x is mixed_x_degree(rules, ideals, t_budget, x_degree):
+    the fibers verify_gb checks. So mixed leads with no x_degree get the default bound, and pure
     leads given an x_degree raise ValueError.
 
     A reduction.RankRules on the alphabet of the ideals (Alphabet.of), as
@@ -498,14 +527,9 @@ def kernel_membership(
                 failing[key] = zip(fiber, forms)
         for key in sorted(failing, reverse=x_degree is not None):
             for (a, na), (b, nb) in itertools.combinations(failing[key], 2):
-                pair = [label(a), label(b)]
-                if type(na) is not tuple or type(nb) is not tuple:
-                    cycle = nb if type(na) is tuple else na
-                    failures.append({"pair": pair, "error": str(cycle)})
-                elif na != nb:
-                    failures.append(
-                        {"pair": pair, "normal_forms": [label(na), label(nb)]}
-                    )
+                if failure := _pair_failure(label(a), label(b), na, nb,
+                                            label):
+                    failures.append(failure)
     return checked, failures
 
 

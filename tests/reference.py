@@ -12,9 +12,20 @@ members no lead divides. And the graph oracle, graph_run: verify_gb's
 run by the fiber graphs themselves, for any marking, with or without a
 term order, beside marked_like, which makes a builder's table into a
 mutant that still carries the builder's order.
+
+And the object-level rewriting the package's core is checked against:
+applicable_reductions and normal_form scan a rule list in order with each
+lead's divides, on the monomials themselves, and take a lead of any size
+(a lead of another kind than the monomial raises TypeError); analyze_fiber
+and check_membership are the fiber graph and the pair check built on them,
+with the signatures and results of the package's functions of those names.
 """
 
 from __future__ import annotations
+
+import itertools
+from collections.abc import Sequence
+from operator import itemgetter
 
 from borel_rees.borel import TwoQuadricView, collection_spec
 from borel_rees.monomial import rlex_sort_key
@@ -27,7 +38,14 @@ from borel_rees.presentation import (
     check_t_budget,
     _fiber_groups,
 )
-from borel_rees.reduction import RankRules, fiber_edges, has_cycle, rank_rules
+from borel_rees.reduction import (
+    MarkedBinomial,
+    RankRules,
+    RewriteCycle,
+    fiber_edges,
+    has_cycle,
+    rank_rules,
+)
 from borel_rees.verifier import (
     FiberFailure,
     VerificationReport,
@@ -225,3 +243,98 @@ def sink_violations_ht(
             if not chain:
                 bad.append(f"tail chain broken: heads={heads} tails={tails}")
     return bad
+
+
+def applicable_reductions(v, rules: Sequence[MarkedBinomial]):
+    """All one-step reductions of v: (successor, rule) per applicable rule,
+    found by scanning the list in order; the reference for rank_rewrites."""
+    out = []
+    for g in rules:
+        if g.lead.divides(v):
+            out.append((v.quotient(g.lead) * g.trail, g))
+    return out
+
+
+def normal_form(v, rules: Sequence[MarkedBinomial], memo: dict | None = None):
+    """Rewrite v by the earliest-listed applicable rule until none applies:
+    the object-level reference for rank_normal_forms, scanning the list in
+    order. When the collection is a verified Groebner basis the result is
+    the unique sink regardless of rule order.
+
+    The path is kept in visit order; a rewrite back onto it raises
+    RewriteCycle naming the monomial that recurs and the cycle's length.
+    Rules keep degree, so every path ends or cycles.
+
+    memo, when given, maps monomials to their normal forms and is valid for
+    one rule list only. The path stops at the first monomial that is
+    irreducible or already in memo, and every monomial on it is then
+    recorded; a cycling path records nothing.
+    """
+    path: dict = {}
+    current = v
+    while True:
+        if memo is not None:
+            nf = memo.get(current)
+            if nf is not None:
+                break
+        for rule in rules:
+            if rule.lead.divides(current):
+                break
+        else:
+            nf = current
+            break
+        path[current] = len(path)
+        current = current.quotient(rule.lead) * rule.trail
+        if current in path:
+            raise RewriteCycle.recurring(
+                str(current), len(path) - path[current])
+    if memo is not None:
+        memo.update(dict.fromkeys(path, nf))
+        memo[current] = nf
+    return nf
+
+
+def analyze_fiber(fiber: Sequence, pair_index, generic):
+    """(sink vertex indexes, cycle flag) of one fiber's graph under the rules
+    rule_indices split into pair_index and generic: the object-level
+    reference, every edge found by applicable_reductions."""
+    rules = [g for _, g in sorted(
+        itertools.chain(generic, *pair_index.values()), key=itemgetter(0))]
+    position = {v: i for i, v in enumerate(fiber)}
+    edges = []
+    for v in fiber:
+        targets = {position.get(succ) for succ, _ in
+                   applicable_reductions(v, rules)}
+        if None in targets:
+            raise ValueError(f"reduction left the fiber from {v}")
+        edges.append(targets)
+    return [i for i, outs in enumerate(edges) if not outs], has_cycle(edges)
+
+
+def check_membership(
+    span_pairs: Sequence[tuple],
+    rules: Sequence[MarkedBinomial],
+) -> tuple[int, list[dict]]:
+    """Reduce both sides of every pair; a pair passes when the normal forms
+    coincide.
+
+    One memo serves every normal_form call (the in-order scan), so each
+    monomial on a rewrite path is reduced once across all pairs; a side
+    already in it is looked up here without a call. A side whose rewriting
+    cycles makes its pair an "error" failure naming the monomial that
+    recurs; any other exception propagates.
+    """
+    memo: dict = {}
+    failures = []
+    for a, b in span_pairs:
+        try:
+            na = memo.get(a) or normal_form(a, rules, memo)
+            nb = memo.get(b) or normal_form(b, rules, memo)
+        except RewriteCycle as exc:
+            failures.append({"pair": [str(a), str(b)], "error": str(exc)})
+            continue
+        if na is not nb and na != nb:
+            failures.append(
+                {"pair": [str(a), str(b)], "normal_forms": [str(na), str(nb)]}
+            )
+    return len(span_pairs), failures

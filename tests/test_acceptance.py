@@ -32,16 +32,17 @@ from borel_rees.presentation import (
     fibers_by_multidegree,
     phi,
 )
-from borel_rees.reduction import applicable_reductions, build_graph
+from borel_rees.reduction import build_graph
 from borel_rees.verifier import (
     rule_indices,
-    analyze_fiber,
-    check_membership,
     toric_kernel_span,
     parameter_gate,
     verify_gb,
 )
 from reference import (
+    analyze_fiber,
+    applicable_reductions,
+    check_membership,
     o_invariant,
     sink_violations_ht,
     sink_violations_mrlex,

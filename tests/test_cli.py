@@ -394,14 +394,13 @@ class TestKernelOracle:
     @pytest.mark.parametrize("basis", ["ht", "fiber-type"])
     def test_reference_pairs_are_not_built(self, capsys, spec_file, basis):
         # the command reduces fiber members on atom tuples; the pair list
-        # and the object-level rewriting stay as test references only
+        # and the pair check on monomials are library entry points it
+        # does not take
         def unused(*_args, **_kwargs):
             raise AssertionError("reference called")
 
         with mock.patch.multiple(verifier, toric_kernel_span=unused,
-                                 check_membership=unused,
-                                 normal_form=unused), \
-                mock.patch.object(reduction, "normal_form", unused):
+                                 check_membership=unused):
             code, payload = run_cli(
                 capsys, "kernel-oracle", "--spec", spec_file(PAIR_SPEC),
                 "--budget", "1,1", "--basis", basis,
@@ -482,15 +481,14 @@ class TestKernelOracle:
     def test_fiber_type_runs_use_no_object_reference(self, capsys, spec_file,
                                                      command, count):
         # both commands work on atom tuples from the one enumerator; the
-        # object-level fibers, rewriting and fiber graphs stay references
+        # fibers, fiber graphs and pair checks on monomials are library
+        # entry points they do not take
         def unused(*_args, **_kwargs):
             raise AssertionError("reference called")
 
-        references = dict(mixed_fibers=unused, normal_form=unused,
-                          analyze_fiber=unused, applicable_reductions=unused)
-        with mock.patch.multiple(verifier, **references), \
-                mock.patch.multiple(reduction, normal_form=unused,
-                                    applicable_reductions=unused):
+        references = dict(mixed_fibers=unused, analyze_fiber=unused,
+                          toric_kernel_span=unused, check_membership=unused)
+        with mock.patch.multiple(verifier, **references):
             code, payload = run_cli(
                 capsys, command, "--spec", spec_file(SINGLE_SPEC),
                 "--budget", "2", "--basis", "fiber-type", "--xdeg", "5",

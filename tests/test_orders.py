@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 
 import borel_rees
-from borel_rees import orders, presentation, reduction
+from borel_rees import orders, presentation, reduction, verifier
 
 from borel_rees.borel import TwoQuadricView, borel_closure, order_view
 from borel_rees.cli import _BASES
@@ -1215,6 +1215,10 @@ def test_test_only_references_stay_out_of_the_package():
              "OrderDomainError"]
     for module in (borel_rees, orders, reduction):
         assert not [name for name in moved if hasattr(module, name)], module
+    # the in-order scans that check the rewriting core live there too
+    scans = ["normal_form", "applicable_reductions"]
+    for module in (borel_rees, reduction, verifier):
+        assert not [name for name in scans if hasattr(module, name)], module
     assert not [name for name in ("compare_presmonomials",
                                   "_descending_ranks", "_outside")
                 if hasattr(PresOrder, name)]

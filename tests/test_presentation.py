@@ -482,7 +482,7 @@ def _shape_cases():
 def _state_levels(ideals, budget, pairs=()):
     expansion = _budget_expansion(ideals, budget, pairs, 0)
     return expansion, _level_slices(expansion.states, expansion.grow_states,
-                                    budget)
+                                    ideals, budget, None)
 
 
 # B(x3^2, x2*x5): ranks 0..9, x_i is atom 9 + i
@@ -501,7 +501,7 @@ class TestStateLevels:
         _, levels = _state_levels(ideals, budget, pairs)
         _, _, slices = _fiber_groups(ideals, budget, pairs)
         got = [(tv, Counter(itertools.chain.from_iterable(level.values())))
-               for tv, level in levels]
+               for tv, level, _ in levels]
         assert got == [(tv, Counter({x: len(us) for x, us in groups.items()}))
                        for tv, groups in slices()]
 
@@ -511,7 +511,7 @@ class TestStateLevels:
                                   7: 1 << 10}
         high = ((1 << 5) - 1) << expansion.size
         _, _, slices = _fiber_groups(_ONE, (3,), [(2, 5)])
-        for (tv, level), (_, groups) in zip(levels, slices()):
+        for (tv, level, _), (_, groups) in zip(levels, slices()):
             got = Counter((x, state & high) for state, xs in level.items()
                           for x in xs)
             assert got == Counter(
@@ -727,6 +727,43 @@ class TestRestListsAtAHugeXDegree:
         assert peak < 8 * 2**20
 
 
+class TestUnreachedSlicesAreNotGrown:
+    """A mixed walk grows no level for a slice whose content degree is
+    above its x-degree bound: on the running pair at (3, 3) and x-degree 8
+    the slices of t-degree 5 and 6 (content degree 10 and 12) have no
+    group, so neither the counts nor the listing grows them."""
+
+    PAIR = [borel_closure([m("x4*x5", 6), m("x2*x6", 6)], 6),
+            borel_closure([m("x4^2", 6), m("x3*x6", 6)], 6)]
+
+    def test_levels_stop_at_the_x_degree(self):
+        grown = []  # the content degree of every level grown
+        node_grow = presentation._Expansion.grow
+        state_grow = presentation._Expansion.grow_states
+
+        def grow(expansion, level, i):
+            out = node_grow(expansion, level, i)
+            grown.append(sum(expansion.digits.unpack(out[0][0])))
+            return out
+
+        def grow_states(expansion, level, i):
+            out = state_grow(expansion, level, i)
+            (x, *_), *_ = out.values()
+            grown.append(sum(expansion.digits.unpack(x)))
+            return out
+
+        with mock.patch.object(presentation._Expansion, "grow", grow), \
+                mock.patch.object(presentation._Expansion, "grow_states",
+                                  grow_states):
+            _, counts, groups = _fiber_groups(self.PAIR, (3, 3), x_degree=8)
+            counted = sum(keys for _, _, keys, _ in counts)
+            listed = sum(len(group) for _, group in groups())
+        # the 12 nonzero t-vectors of t-degree 4 or less, once per walk
+        assert sorted(grown) == sorted(
+            [2 * sum(tv) for tv in t_vectors((3, 3)) if 0 < sum(tv) <= 4] * 2)
+        assert counted == listed > 0
+
+
 def _recording_slices(walked):
     """_level_slices with each yielded level recording its t-vector in
     walked whenever it is read; the levels it grows from stay plain."""
@@ -737,11 +774,11 @@ def _recording_slices(walked):
             walked.append(self.tv)
             return super().__iter__()
 
-    def slices(root, grow, t_budget):
-        for tv, level in real(root, grow, t_budget):
+    def slices(root, grow, *args):
+        for tv, level, rests in real(root, grow, *args):
             recorded = Level(level)
             recorded.tv = tv
-            yield tv, recorded
+            yield tv, recorded, rests
 
     return slices
 

@@ -27,11 +27,9 @@ from borel_rees.reduction import (
     GraphShapeError,
     MarkedBinomial,
     RewriteCycle,
-    applicable_reductions,
     build_graph,
     ell_max,
     fiber_edges,
-    normal_form,
     rank_normal_forms,
     rank_rewrites,
     rank_rules,
@@ -39,12 +37,16 @@ from borel_rees.reduction import (
     to_dot,
 )
 from borel_rees.verifier import (
-    analyze_fiber,
     check_membership,
     mixed_fibers,
     toric_kernel_span,
 )
-from reference import o_invariant
+from reference import (
+    analyze_fiber,
+    applicable_reductions,
+    normal_form,
+    o_invariant,
+)
 
 
 def m(text, n):
@@ -358,7 +360,8 @@ class TestOInvariant:
 
 class TestKindMismatch:
     """A rule met with a monomial of another kind is a TypeError naming
-    both kinds, raised by the lead's divides before it reads a field."""
+    both kinds: raised by the lead's divides before it reads a field in
+    the references, and by check_membership before any rewriting."""
 
     def test_the_references_name_both_kinds(self, quadric_pair_ideal,
                                             quadric_pair_G1):
@@ -368,6 +371,10 @@ class TestKindMismatch:
         cases = [
             (lambda: check_membership(toric_kernel_span(one, (2,), 4),
                                       quadric_pair_G1),
+             "PresMonomial and MixedMonomial"),
+            (lambda: verifier.analyze_fiber(
+                next(f for _, f in mixed_fibers(one, (2,), 4) if len(f) > 1),
+                *rule_indices(quadric_pair_G1)),
              "PresMonomial and MixedMonomial"),
             (lambda: normal_form(lead, fiber_type),
              "MixedMonomial and PresMonomial"),
@@ -715,8 +722,9 @@ def memo_free_membership(pairs, rules):
 
 
 def assert_memo_equivalent(pairs, rules):
-    """check_membership equals the memo-free reference, and every memo entry
-    equals a memo-free normal_form of its monomial."""
+    """check_membership equals the memo-free reference, and every entry of
+    the reference normal_form's memo equals a memo-free normal_form of its
+    monomial."""
     result = check_membership(pairs, rules)
     assert result == memo_free_membership(pairs, rules)
     memo = {}
@@ -731,9 +739,10 @@ def assert_memo_equivalent(pairs, rules):
 
 
 class TestMemoizedNormalForms:
-    """check_membership shares one memo across its normal_form calls; the
-    results equal reducing every pair side afresh, including paths that end
-    in a memo entry and paths that enter a cycle."""
+    """check_membership shares one memo across all its sides, on the core;
+    the results equal reducing every pair side afresh by the reference
+    normal_form, including paths that end in a memo entry and paths that
+    enter a cycle."""
 
     def test_shuffled_head_and_tail_basis(self, running_pair, running_pair_basis):
         rng = random.Random(21)
@@ -780,7 +789,7 @@ class TestMemoizedNormalForms:
         def broken(*_args):
             raise TypeError("broken rewriting")
 
-        with mock.patch.object(verifier, "normal_form", broken):
+        with mock.patch.object(verifier, "rank_normal_forms", broken):
             with pytest.raises(TypeError):
                 check_membership(pairs, running_pair_basis)
 
@@ -1065,8 +1074,9 @@ class TestRandomRuleLists:
 
 class TestTwoAtomLeads:
     """The rewriting core takes two-atom leads alone: rank_rules refuses
-    any other, and so do the functions built on it, while the object-level
-    references still reduce by a lead of any size."""
+    any other, and so do the functions built on it, analyze_fiber and
+    check_membership included, while the object-level references still
+    reduce by a lead of any size."""
 
     @staticmethod
     def other_sizes(ideal):
@@ -1091,6 +1101,9 @@ class TestTwoAtomLeads:
                 lambda: build_graph(rules, fiber=fiber),
                 lambda: verifier.verify_gb(rules, ideals, (3,)),
                 lambda: verifier.kernel_membership(rules, ideals, (3,)),
+                lambda: verifier.analyze_fiber(fiber, *rule_indices([rule])),
+                lambda: verifier.check_membership([tuple(fiber[:2])],
+                                                  [rule]),
             ):
                 with pytest.raises(ValueError) as info:
                     run()

@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import itertools
+import json
 import operator
 import random
 import re
@@ -11,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from borel_rees import presentation, verifier
+from borel_rees import cli, presentation, verifier
 from borel_rees.borel import borel_closure
 from borel_rees.monomial import Monomial, parse_monomial
 from borel_rees.borel import order_view
@@ -48,8 +49,6 @@ from borel_rees.reduction import (
 from borel_rees.verifier import (
     KoszulReport,
     VerificationReport,
-    analyze_fiber,
-    check_membership,
     detect_obstructions,
     kernel_membership,
     koszul_report,
@@ -63,8 +62,10 @@ from borel_rees.verifier import (
     verify_gb,
 )
 from reference import (
+    analyze_fiber,
     banned_fibers,
     banned_pure_fibers,
+    check_membership,
     graph_run,
     marked_like,
 )
@@ -570,45 +571,56 @@ class TestKernelSpan:
 
 
 class TestCheckMembership:
-    def test_all_pairs_reduce_to_zero(self, quadric_pair_ideal, quadric_pair_G1):
+    """The package's check_membership, on the rewriting core, and the
+    reference's, on objects, each against the same expectations."""
+
+    @pytest.fixture(params=["package", "reference"])
+    def check(self, request):
+        return {"package": verifier.check_membership,
+                "reference": check_membership}[request.param]
+
+    def test_all_pairs_reduce_to_zero(self, check, quadric_pair_ideal,
+                                      quadric_pair_G1):
         pairs = toric_kernel_span([quadric_pair_ideal], (3,))
-        checked, failures = check_membership(pairs, quadric_pair_G1)
+        checked, failures = check(pairs, quadric_pair_G1)
         assert checked == len(pairs) and not failures
 
-    def test_identical_pair_passes(self, quadric_pair_ideal, quadric_pair_G1):
+    def test_identical_pair_passes(self, check, quadric_pair_ideal,
+                                   quadric_pair_G1):
         v = PresMonomial([PresVar(1, m("x3^2", 5))])
-        checked, failures = check_membership([(v, v)], quadric_pair_G1)
+        checked, failures = check([(v, v)], quadric_pair_G1)
         assert checked == 1 and not failures
 
-    def test_incomplete_basis_fails_membership(self, quadric_pair_ideal):
+    def test_incomplete_basis_fails_membership(self, check,
+                                               quadric_pair_ideal):
         # a single binomial cannot rewrite everything to a common form
         partial = build_G1(quadric_pair_ideal)[:1]
         pairs = toric_kernel_span([quadric_pair_ideal], (2,))
-        _, failures = check_membership(pairs, partial)
+        _, failures = check(pairs, partial)
         assert failures
 
-    def test_cycle_is_reported_not_raised(self):
+    def test_cycle_is_reported_not_raised(self, check):
         loop = [
             MarkedBinomial(m("x1*x5", 6), m("x2*x4", 6)),
             MarkedBinomial(m("x2*x6", 6), m("x3*x5", 6)),
             MarkedBinomial(m("x3*x4", 6), m("x1*x6", 6)),
         ]
         pair = (m("x1*x3*x5*x6", 6), m("x2*x3*x4*x6", 6))
-        checked, failures = check_membership([pair], loop)
+        checked, failures = check([pair], loop)
         assert checked == 1 and failures == [{
             "pair": ["x1*x3*x5*x6", "x2*x3*x4*x6"],
             "error": "rewriting cycles: x1*x3*x5*x6 recurs after 3 steps",
         }]
 
     def test_cycling_marking_names_the_recurring_monomial(
-        self, quadric_pair_ideal, quadric_pair_G1
+        self, check, quadric_pair_ideal, quadric_pair_G1
     ):
         # G1 with its first rule also listed reversed right after it, so
         # T12^2 and T11*T22 rewrite to each other
         g = quadric_pair_G1[0]
         marking = [g, MarkedBinomial(g.trail, g.lead)] + quadric_pair_G1[1:]
         pairs = toric_kernel_span([quadric_pair_ideal], (3,))
-        checked, failures = check_membership(pairs, marking)
+        checked, failures = check(pairs, marking)
         assert checked == 160 and len(failures) == 32
         monomials = {str(v): v for pair in pairs for v in pair}
         for failure in failures:
@@ -847,6 +859,47 @@ class TestKernelMembershipOnTables:
         budget = data.draw(st.sampled_from([(1, 1), (2, 1)]))
         self.three_ways(self.reversed_rows(table, picked, keep), ideals,
                         budget, _pair_span(budget))
+
+
+class TestEntryPointsOnTheCore:
+    """The package's analyze_fiber and check_membership, on the rewriting
+    core, against the object-level references of tests/reference.py on
+    the running pair at (2, 1): every fiber's sinks and cycle flag and
+    every kernel pair's failure, under ht, under g3, which refutes, and
+    under ht with its rule 5 also listed reversed right after it, which
+    cycles."""
+
+    @staticmethod
+    def marking(name, ideals):
+        if name == "ht-rule5-reversed":
+            ht = _BASES["ht"][1](ideals)
+            return ht[:6] + [MarkedBinomial(ht[5].trail, ht[5].lead,
+                                            ht[5].source)] + ht[6:]
+        return _BASES[name][1](ideals)
+
+    @pytest.mark.parametrize("name, shapes", [
+        ("ht", {(1, False)}),
+        ("g3", {(1, False), (2, False), (3, False)}),
+        ("ht-rule5-reversed", {(1, False), (0, True), (1, True)}),
+    ])
+    def test_fiber_graphs(self, running_pair, name, shapes):
+        ideals = list(running_pair)
+        indices = rule_indices(self.marking(name, ideals))
+        found = set()
+        for _, fiber in fibers_by_multidegree(ideals, (2, 1)):
+            sinks, cyc = verifier.analyze_fiber(fiber, *indices)
+            assert (sinks, cyc) == analyze_fiber(fiber, *indices)
+            found.add((len(sinks), cyc))
+        assert found == shapes
+
+    @pytest.mark.parametrize("name, failures", [
+        ("ht", 0), ("g3", 3370), ("ht-rule5-reversed", 600)])
+    def test_kernel_pairs(self, running_pair, name, failures):
+        rules = self.marking(name, list(running_pair))
+        span = _pair_span((2, 1))
+        got = verifier.check_membership(span, rules)
+        assert got == check_membership(span, rules)
+        assert got[0] == 9941 and len(got[1]) == failures
 
 
 @functools.cache
@@ -1248,6 +1301,46 @@ class TestVerifyGBMixed:
             "unchecked t-vectors, content degree above x-degree 5: 3,0 "
             "and every t-vector above them")
         assert (checked, failures) == (3888, [])
+
+    def test_a_huge_budget_and_x_degree_report_progress_before_the_note(
+            self, running_pair, running_pair_basis, tmp_path):
+        # at x-degree 10**10 the walk reaches the whole budget of
+        # 3,000,000,000 per ideal, and the slices above content degree
+        # 10**10 are unreached: the note's box is the budget itself, so it
+        # is made after the walk, which reports its progress first. The
+        # note's t_vectors refuses to yield past 10,000, so a note made
+        # before the walk fails here instead of hanging
+        pair = list(running_pair)
+        rules = build_fiber_type_basis(pair, running_pair_basis)
+        huge = 3000000000
+        yielded, real = itertools.count(), verifier.t_vectors
+
+        def bounded(t_budget):
+            for tv in real(t_budget):
+                if next(yielded) > 10000:
+                    raise AssertionError("walked past 10,000 t-vectors")
+                yield tv
+
+        class Progress(Exception):
+            pass
+
+        def stop(count):
+            raise Progress(count)
+
+        spec = tmp_path / "pair.json"
+        spec.write_text(json.dumps({"n": 6, "ideals": [
+            {"borel_generators": ["x4*x5", "x2*x6"]},
+            {"borel_generators": ["x4^2", "x3*x6"]}]}))
+        argv = ["kernel-oracle", "--spec", str(spec), "--basis", "fiber-type",
+                "--budget", f"{huge},{huge}", "--xdeg", str(10**10)]
+        with mock.patch.object(verifier, "t_vectors", bounded):
+            with pytest.raises(Progress, match="^2000$"):
+                verify_gb(rules, pair, (huge, huge), progress=stop,
+                          x_degree=10**10)
+            with mock.patch.object(cli, "progress_to_stderr", stop), \
+                    pytest.raises(Progress, match="^2000$"):
+                cli.main(argv)
+        assert next(yielded) == 0
 
 
 def _fiber_type_case(name):
