@@ -6,7 +6,10 @@ head-and-tail order (first ideal block by rlex above second ideal block by
 mrlex). Each induces a revlex order on presentation monomials; the G1/G2/G3
 collections are the coincident-product quadratic binomials marked by the
 matching induced order, and the syzygy set supplies the linear-in-T relations
-of the full presentation.
+of the full presentation. Every quadric basis is one marking routine
+(_marked) over blocks of factor pairs: G1 one ideal's pairs under rlex, G2
+under the mixed order, G3 the cross pairs of a pair of ideals and
+G1 u G2 u G3 all three blocks, both under head-and-tail.
 
 Building a collection and checking a marking both run on ints: a variable
 is named by its atom, its position in a list of variables, an order by
@@ -200,73 +203,65 @@ _QUADRICS = frozenset([PresMonomial])
 _MIXED = frozenset([MixedMonomial])
 
 
-def _table(variables: Sequence[PresVar], n: int, rows,
-           order: PresOrder) -> RankRules:
-    """The quadric builder's rows on the alphabet of its variables, which
-    are listed in PresVar.key order, so each position is its atom, with
-    the order they were marked by."""
+def _marked(order: PresOrder, variables: Sequence[PresVar], n: int,
+            blocks: Iterable[tuple[Iterable[tuple[int, int]], str]]
+            ) -> RankRules:
+    """The quadric basis of some blocks of factor pairs: the
+    coincident-product rows of each (factor pairs, source) block in turn,
+    marked by order, on the alphabet of the variables, which are listed in
+    PresVar.key order, so each position is its atom. The table carries
+    the order."""
+    rank = [order.rank[v] for v in variables]
+    images = _packed_images(variables, n)
+    rows = []
+    for pairs, source in blocks:
+        rows += _coincident_product_rows(rank, images, pairs, source)
     return RankRules(Alphabet(variables, n), rows, _QUADRICS, order=order)
 
 
 def build_G1(ideal: StronglyStableIdeal, ideal_index: int = 1) -> RankRules:
     """All coincident-product quadratic binomials of one ideal, rlex-marked,
     as a RankRules on the alphabet of the ideal's variables."""
-    order = PresOrder.rlex(ideal, ideal_index)
-    variables = order.ranked
-    positions = range(len(variables))  # rlex ranks them as listed
-    return _table(variables, ideal.n, _coincident_product_rows(
-        positions, _packed_images(variables, ideal.n),
-        itertools.combinations_with_replacement(positions, 2), "G1"), order)
+    variables = ideal_variables(ideal, ideal_index)
+    pairs = itertools.combinations_with_replacement(range(len(variables)), 2)
+    return _marked(PresOrder.rlex(ideal, ideal_index), variables, ideal.n,
+                   [(pairs, "G1")])
 
 
 def build_G2(view: TwoQuadricView, ideal_index: int = 1) -> RankRules:
     """As build_G1 but marked by the mixed order of the given region
     split."""
     variables = ideal_variables(view.ideal, ideal_index)
-    order = PresOrder.mrlex(view, ideal_index)
-    return _table(variables, view.ideal.n, _coincident_product_rows(
-        [order.rank[v] for v in variables],
-        _packed_images(variables, view.ideal.n),
-        itertools.combinations_with_replacement(range(len(variables)), 2),
-        "G2"), order)
-
-
-def _head_and_tail_positions(view1: TwoQuadricView, view2: TwoQuadricView):
-    """(variables, ht order, its ranks, packed images, first ideal's
-    positions, second ideal's positions) of a pair: restricted to one
-    ideal, the ht ranks order it as rlex (the first) or the mixed order
-    (the second) does."""
-    first = ideal_variables(view1.ideal, 1)
-    variables = first + ideal_variables(view2.ideal, 2)
-    order = PresOrder.head_and_tail(view1, view2)
-    return (variables, order, [order.rank[v] for v in variables],
-            _packed_images(variables, view1.ideal.n),
-            range(len(first)), range(len(first), len(variables)))
+    pairs = itertools.combinations_with_replacement(range(len(variables)), 2)
+    return _marked(PresOrder.mrlex(view, ideal_index), variables,
+                   view.ideal.n, [(pairs, "G2")])
 
 
 def build_G3(view1: TwoQuadricView, view2: TwoQuadricView) -> RankRules:
     """Cross binomials T_u Z_v - T_u' Z_v', marked by the larger mixed-order
     second-ideal part (equivalently, head-and-tail initial terms), on the
     alphabet of the pair."""
-    variables, order, rank, images, first, second = _head_and_tail_positions(
-        view1, view2)
-    return _table(variables, view1.ideal.n, _coincident_product_rows(
-        rank, images, itertools.product(first, second), "G3"), order)
+    first = ideal_variables(view1.ideal, 1)
+    variables = first + ideal_variables(view2.ideal, 2)
+    pairs = itertools.product(range(len(first)),
+                              range(len(first), len(variables)))
+    return _marked(PresOrder.head_and_tail(view1, view2), variables,
+                   view1.ideal.n, [(pairs, "G3")])
 
 
 def build_head_and_tail_basis(view1: TwoQuadricView,
                               view2: TwoQuadricView) -> RankRules:
     """G = G1 u G2 u G3 for a pair of two-quadric-generator ideals, the
-    three written on one position table of the pair, on its alphabet."""
-    variables, order, rank, images, first, second = _head_and_tail_positions(
-        view1, view2)
+    three blocks marked by the head-and-tail order, which restricted to one
+    ideal orders it as rlex (the first) or the mixed order (the second)
+    does, on the alphabet of the pair."""
+    first = ideal_variables(view1.ideal, 1)
+    variables = first + ideal_variables(view2.ideal, 2)
+    a, b = range(len(first)), range(len(first), len(variables))
     within = itertools.combinations_with_replacement
-    return _table(
-        variables, view1.ideal.n,
-        _coincident_product_rows(rank, images, within(first, 2), "G1")
-        + _coincident_product_rows(rank, images, within(second, 2), "G2")
-        + _coincident_product_rows(
-            rank, images, itertools.product(first, second), "G3"), order)
+    return _marked(PresOrder.head_and_tail(view1, view2), variables,
+                   view1.ideal.n, [(within(a, 2), "G1"), (within(b, 2), "G2"),
+                                   (itertools.product(a, b), "G3")])
 
 
 def build_syzygy_set(ideals: Sequence[StronglyStableIdeal]) -> RankRules:

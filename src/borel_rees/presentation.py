@@ -661,23 +661,6 @@ def enumerate_mixed_fiber(
     ]
 
 
-def _budget_expansion(
-    ideals: Sequence[StronglyStableIdeal],
-    t_budget: Sequence[int],
-    forbidden_pairs: Iterable[tuple[int, int]],
-    degree: int,
-) -> _Expansion:
-    """The _Expansion of a t-budget, its digits wide enough for the budget's
-    content degree and for degree, the x-degree bound of every walk over
-    the budget. A t_budget that check_t_budget refuses or a negative
-    degree raises ValueError."""
-    check_t_budget(ideals, t_budget)
-    if degree < 0:
-        raise ValueError(f"x-degree must be >= 0, got {degree}")
-    digits = Digits(ideals[0].n, max(content_degree(ideals, t_budget), degree))
-    return _Expansion(ideals, digits, forbidden_pairs)
-
-
 def _level_slices(root, grow, ideals: Sequence[StronglyStableIdeal],
                   t_budget: Sequence[int], x_degree: int | None):
     """(t-vector, level, rest degrees) of every t-slice in the budget that
@@ -798,8 +781,9 @@ def _fiber_groups(
     the pure walk, the one group of e = 0, whose rests are all 1. Only the
     slices x_degree reaches are walked (_level_slices): a slice past them
     has no group, and no level is grown for it. Both walk these groups on
-    one _Expansion and one _RestLists, which keeps a degree's rests once a
-    finished slice has reached it, and neither grows a level until it is
+    one _Expansion, its digits wide enough for the budget's content degree
+    and for x_degree, and one _RestLists, which keeps a degree's rests once
+    a finished slice has reached it, and neither grows a level until it is
     iterated, so a run can count some groups and list the rest.
 
     counts yields (t-vector, x-degree, multidegrees, members), the number
@@ -813,8 +797,9 @@ def _fiber_groups(
     passed over whole, and the first slice listed starts inside its range,
     so no list of a slice's degrees is built, however high x_degree. The
     levels before start are grown, since later slices grow from them, but
-    no member of a group before start is listed. A t_budget or x_degree
-    that _budget_expansion refuses raises ValueError at once.
+    no member of a group before start is listed. A t_budget that
+    check_t_budget refuses or a negative x_degree raises ValueError at
+    once.
 
     forbidden_pairs are pairs of atoms, each in either order. A pair of
     ranks (i, j) bans the two factors together: no member holds both (a
@@ -825,9 +810,13 @@ def _fiber_groups(
     lead pairs of a quadratic marking the members are exactly its standard
     monomials.
     """
-    expansion = _budget_expansion(ideals, t_budget, forbidden_pairs,
-                                  x_degree or 0)
-    digits, x_bans = expansion.digits, expansion.bans
+    check_t_budget(ideals, t_budget)
+    degree = x_degree or 0
+    if degree < 0:
+        raise ValueError(f"x-degree must be >= 0, got {degree}")
+    digits = Digits(ideals[0].n, max(content_degree(ideals, t_budget), degree))
+    expansion = _Expansion(ideals, digits, forbidden_pairs)
+    x_bans = expansion.bans
     high = ((1 << digits.n) - 1) << expansion.size  # the x-atom bits
     rest_lists = _RestLists(digits, expansion.size)
 

@@ -165,13 +165,14 @@ def has_cycle(successors: Sequence[Iterable[int]]) -> bool:
 class ReductionGraph(Record):
     """Directed reduction graph on a set of monomial vertices.
 
+    A vertex is numbered by its position in vertices, the one numbering of
+    the graph: edges[i] lists (j, rules) for each edge out of vertex i.
     Edges with identical endpoints arising from distinct rules are collapsed
     into one edge carrying the full rule tuple. build_graph computes the
     sinks (out-degree zero) and the cycle flag once, at construction.
     """
 
-    _fields = ("vertices", "index", "edges", "sinks", "has_cycle")
-    _hidden = ("index",)
+    _fields = ("vertices", "edges", "sinks", "has_cycle")
 
     def num_edges(self) -> int:
         return sum(len(outs) for outs in self.edges)
@@ -215,7 +216,6 @@ def build_graph(
     ]
     return ReductionGraph(
         vertices=vertices,
-        index={v: i for i, v in enumerate(vertices)},
         edges=edges,
         sinks=[v for v, outs in zip(vertices, edges) if not outs],
         has_cycle=has_cycle([[j for j, _ in outs] for outs in edges]),
@@ -244,14 +244,15 @@ def ell_max(graph: ReductionGraph, v) -> int:
     """Longest directed path length from v to the unique sink.
 
     Memoized longest-path on the DAG; every maximal path ends at the sink, so
-    this equals the longest path out of v.
+    this equals the longest path out of v. v is found by its position in
+    graph.vertices: one that is not a vertex raises ValueError.
     """
     if graph.has_cycle:
         raise GraphShapeError("longest path undefined on a cyclic graph")
     if len(graph.sinks) != 1:
         raise GraphShapeError(f"need a unique sink, found {len(graph.sinks)}")
     memo: dict[int, int] = {}
-    root = graph.index[v]
+    root = graph.vertices.index(v)
     stack = [(root, False)]
     while stack:
         i, expanded = stack.pop()

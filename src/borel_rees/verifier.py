@@ -301,8 +301,7 @@ def verify_gb(
                 False))
     # the note walks the box the fibers' walk reached, so it comes after
     # that walk: one too long to finish shows its progress first
-    if x_degree is not None:
-        report.notes += unreached_slice_notes(ideals, t_budget, x_degree)
+    report.notes += unreached_slice_notes(ideals, t_budget, x_degree)
     # Every fiber of the budget holds a monomial, and under a term order a
     # standard one (its least member), so every multidegree is checked and
     # the budget holds more monomials than multidegrees checked exactly
@@ -367,12 +366,13 @@ def mixed_x_degree(
 def unreached_slice_notes(
     ideals: Sequence[StronglyStableIdeal],
     t_budget: Sequence[int],
-    x_degree: int,
+    x_degree: int | None,
 ) -> list[str]:
     """A report note naming the budgeted t-vectors whose rest degrees
     (presentation._rest_degrees) are empty, their content degree above
     x_degree, so that no fiber of theirs is checked; none when every slice
-    is reached. Content degree grows with every t entry, so the budget's
+    is reached, and none with no x_degree bound, the pure walk reaching
+    every slice. Content degree grows with every t entry, so the budget's
     own range decides at once whether any slice is unreached, and only the
     box the walk reaches (presentation._reached_budget) plus one step per
     coordinate, within the budget, is walked to name them. Every budgeted

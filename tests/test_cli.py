@@ -527,6 +527,29 @@ class TestUsageErrors:
         else:
             assert "error: argument" in captured.err
 
+    @pytest.mark.parametrize("argv, entry", [
+        (["verify", "--budget", "+1,1"], "+1"),
+        (["verify", "--budget", "1_0,1"], "1_0"),
+        (["verify", "--budget", " 1,1"], " 1"),
+        (["verify", "--budget", "\u0663,1"], "\u0663"),
+        (["kernel-oracle", "--budget", "2,x"], "x"),
+        (["verify", "--budget", "2,,1"], ""),
+        (["verify", "--budget", ""], ""),
+        (["verify", "--budget", "1,1,"], ""),
+        (["fiber-graph", "--mu", "x1", "--t", "+1,0"], "+1"),
+    ])
+    def test_a_budget_entry_is_a_decimal_count(self, capsys, spec_file,
+                                               argv, entry):
+        # int() took a sign, blanks, underscores and non-ASCII digits: "1_0"
+        # ran budget 10, and the Arabic-Indic digit three ran budget 3
+        code = main(argv[:1] + ["--spec", spec_file(PAIR_SPEC)] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument {argv[-2]}: budget must be >= 0, "
+            f"got {entry!r}\n")
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("command, note", [
         ("verify", "mixed fibers up to x-degree 3"),
         ("kernel-oracle", "mixed kernel pairs up to x-degree 3"),

@@ -37,7 +37,7 @@ from borel_rees.presentation import (
     presentation_variables,
     rank_fibers,
     t_vectors,
-    _budget_expansion,
+    _Expansion,
     _fiber_groups,
     _level_slices,
     _RestLists,
@@ -480,7 +480,8 @@ def _shape_cases():
 
 
 def _state_levels(ideals, budget, pairs=()):
-    expansion = _budget_expansion(ideals, budget, pairs, 0)
+    digits = Digits(ideals[0].n, content_degree(ideals, budget))
+    expansion = _Expansion(ideals, digits, pairs)
     return expansion, _level_slices(expansion.states, expansion.grow_states,
                                     ideals, budget, None)
 

@@ -84,7 +84,6 @@ class GateResult:
 @dataclass
 class ReductionGraph:
     vertices: object
-    index: object = field(repr=False)
     edges: object
     sinks: object
     has_cycle: object

@@ -278,6 +278,18 @@ class TestEllMax:
                     graph, graph.vertices[j]
                 )
 
+    def test_a_vertex_outside_the_graph_is_a_value_error(
+        self, quadric_pair_ideal, quadric_pair_G1
+    ):
+        # a vertex is found by its position in graph.vertices
+        mu = MultiDegree(m("x1^2*x2^2*x3^2*x4*x5", 5).exps, (4,))
+        graph = build_graph(quadric_pair_G1,
+                            fiber=enumerate_fiber(mu, [quadric_pair_ideal]))
+        _, other = next(iter(fibers_by_multidegree([quadric_pair_ideal],
+                                                   (1,))))
+        with pytest.raises(ValueError):
+            ell_max(graph, other[0])
+
     def test_deep_chain_within_design_bound(self):
         # x1*x2 -> x1*x3 -> ... -> x1*x1201: a chain of 1,199 steps on
         # two-atom monomials exceeds the interpreter recursion limit, so

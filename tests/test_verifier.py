@@ -1195,6 +1195,17 @@ class TestVerifyGBMixed:
             "1,2 2,1 2,2"
         ]
 
+    def test_no_x_degree_bound_is_no_note_and_no_walk(self, running_pair):
+        # verify_gb and the kernel-oracle command ask for the note on every
+        # run: a pure walk reaches every slice, so the answer comes at once
+        def refused(*_args, **_kwargs):
+            raise AssertionError("slice walked")
+
+        with mock.patch.object(verifier, "_reached_budget", refused), \
+                mock.patch.object(verifier, "t_vectors", refused):
+            assert unreached_slice_notes(
+                list(running_pair), (3000000000, 0), None) == []
+
     def test_unreached_slices_past_the_reached_box_are_summed_up(
             self, running_pair, quadric_pair_ideal):
         # the note names the unreached t-vectors up to one step past the
